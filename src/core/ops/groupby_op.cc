@@ -2,6 +2,7 @@
 
 #include "common/crc32.h"
 #include "common/logging.h"
+#include "primitives/hash.h"
 
 namespace rapid::core {
 
@@ -20,11 +21,9 @@ void GroupHashTable::MaybeGrow() {
   }
 }
 
-size_t GroupHashTable::GroupFor(const int64_t* keys, uint64_t* chain_steps) {
-  uint32_t hash = 0xFFFFFFFFu;
-  for (size_t k = 0; k < num_keys_; ++k) {
-    hash = Crc32Combine(hash, static_cast<uint64_t>(keys[k]));
-  }
+template <typename KeyAt>
+size_t GroupHashTable::Probe(uint32_t hash, const KeyAt& key_at,
+                             uint64_t* chain_steps) {
   const uint32_t mask = static_cast<uint32_t>(heads_.size()) - 1;
   for (int32_t g = heads_[hash & mask]; g >= 0;
        g = next_[static_cast<size_t>(g)]) {
@@ -32,7 +31,7 @@ size_t GroupHashTable::GroupFor(const int64_t* keys, uint64_t* chain_steps) {
     if (hashes_[static_cast<size_t>(g)] != hash) continue;
     bool match = true;
     for (size_t k = 0; k < num_keys_; ++k) {
-      if (keys_[k][static_cast<size_t>(g)] != keys[k]) {
+      if (keys_[k][static_cast<size_t>(g)] != key_at(k)) {
         match = false;
         break;
       }
@@ -42,13 +41,29 @@ size_t GroupHashTable::GroupFor(const int64_t* keys, uint64_t* chain_steps) {
   // New group.
   const auto group = static_cast<uint32_t>(num_groups_);
   ++num_groups_;
-  for (size_t k = 0; k < num_keys_; ++k) keys_[k].push_back(keys[k]);
+  for (size_t k = 0; k < num_keys_; ++k) keys_[k].push_back(key_at(k));
   for (auto& st : states_) st.emplace_back();
   hashes_.push_back(hash);
   next_.push_back(heads_[hash & mask]);
   heads_[hash & mask] = static_cast<int32_t>(group);
   MaybeGrow();
   return group;
+}
+
+size_t GroupHashTable::GroupFor(const int64_t* keys, uint64_t* chain_steps) {
+  uint32_t hash = 0xFFFFFFFFu;
+  for (size_t k = 0; k < num_keys_; ++k) {
+    hash = Crc32Combine(hash, static_cast<uint64_t>(keys[k]));
+  }
+  return Probe(hash, [keys](size_t k) { return keys[k]; }, chain_steps);
+}
+
+size_t GroupHashTable::GroupFor(
+    uint32_t hash, const std::vector<std::vector<int64_t>>& key_cols,
+    size_t row, uint64_t* chain_steps) {
+  return Probe(
+      hash, [&key_cols, row](size_t k) { return key_cols[k][row]; },
+      chain_steps);
 }
 
 void GroupHashTable::MergeFrom(const GroupHashTable& other,
@@ -132,11 +147,16 @@ Status GroupByOp::Consume(ExecCtx& ctx, const Tile& tile) {
     }
   }
 
+  // Hash the tile's keys column at a time with the batch CRC32
+  // kernel, then probe in row order.
+  hash_scratch_.assign(n, 0xFFFFFFFFu);
+  for (const auto& col : key_scratch_) {
+    primitives::HashCombineTile(col.data(), n, hash_scratch_.data());
+  }
   uint64_t chain_steps = 0;
-  std::vector<int64_t> key_row(keys_.size());
   for (size_t i = 0; i < n; ++i) {
-    for (size_t k = 0; k < keys_.size(); ++k) key_row[k] = key_scratch_[k][i];
-    const size_t group = table_.GroupFor(key_row.data(), &chain_steps);
+    const size_t group =
+        table_.GroupFor(hash_scratch_[i], key_scratch_, i, &chain_steps);
     for (size_t a = 0; a < aggs_.size(); ++a) {
       if (aggs_[a].filter != nullptr && !agg_filters[a].Test(i)) continue;
       switch (aggs_[a].func) {
@@ -178,29 +198,32 @@ const std::vector<AggFunc> GroupByOp::funcs() const {
 
 Status GroupByOp::EmitInto(ColumnSet* out) const {
   RAPID_CHECK(out->num_columns() == keys_.size() + aggs_.size());
-  for (size_t g = 0; g < table_.num_groups(); ++g) {
-    std::vector<int64_t> row(keys_.size() + aggs_.size());
-    for (size_t k = 0; k < keys_.size(); ++k) row[k] = table_.key(g, k);
-    for (size_t a = 0; a < aggs_.size(); ++a) {
+  const size_t groups = table_.num_groups();
+  for (size_t k = 0; k < keys_.size(); ++k) {
+    std::vector<int64_t>& col = out->column(k);
+    col.reserve(col.size() + groups);
+    for (size_t g = 0; g < groups; ++g) col.push_back(table_.key(g, k));
+  }
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    std::vector<int64_t>& col = out->column(keys_.size() + a);
+    col.reserve(col.size() + groups);
+    for (size_t g = 0; g < groups; ++g) {
       const primitives::AggState& st = table_.state(g, a);
-      int64_t v = 0;
       switch (aggs_[a].func) {
         case AggFunc::kSum:
-          v = st.sum;
+          col.push_back(st.sum);
           break;
         case AggFunc::kMin:
-          v = st.min;
+          col.push_back(st.min);
           break;
         case AggFunc::kMax:
-          v = st.max;
+          col.push_back(st.max);
           break;
         case AggFunc::kCount:
-          v = static_cast<int64_t>(st.count);
+          col.push_back(static_cast<int64_t>(st.count));
           break;
       }
-      row[keys_.size() + a] = v;
     }
-    out->AppendRow(row);
   }
   // Record scales on the output metadata.
   for (size_t k = 0; k < keys_.size(); ++k) {

@@ -48,6 +48,12 @@ class GroupHashTable {
   // needed. `chain_steps` (optional) accumulates collision-chain
   // traversals for cycle accounting.
   size_t GroupFor(const int64_t* keys, uint64_t* chain_steps = nullptr);
+  // Batched form: row `row` of the key columns `key_cols`, whose
+  // chained CRC32 `hash` a batch kernel already computed (e.g.
+  // primitives::HashCombineTile). Same groups, same chain steps.
+  size_t GroupFor(uint32_t hash,
+                  const std::vector<std::vector<int64_t>>& key_cols,
+                  size_t row, uint64_t* chain_steps);
 
   void UpdateSum(size_t group, size_t agg, int64_t value) {
     states_[agg][group].sum += value;
@@ -76,6 +82,8 @@ class GroupHashTable {
   size_t ByteSize() const;
 
  private:
+  template <typename KeyAt>
+  size_t Probe(uint32_t hash, const KeyAt& key_at, uint64_t* chain_steps);
   void MaybeGrow();
 
   size_t num_keys_;
@@ -119,6 +127,7 @@ class GroupByOp : public PipelineOp {
   std::vector<int> agg_scales_;
   std::vector<std::vector<int64_t>> key_scratch_;
   std::vector<std::vector<int64_t>> agg_scratch_;
+  std::vector<uint32_t> hash_scratch_;
 };
 
 }  // namespace rapid::core

@@ -1,25 +1,19 @@
 #include "core/ops/partition_exec.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/arena.h"
-#include "common/crc32.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/trace.h"
+#include "primitives/hash.h"
 #include "primitives/partition_map.h"
 #include "primitives/simd.h"
 
 namespace rapid::core {
 
 namespace {
-
-int Log2Of(int fanout) {
-  int bits = 0;
-  while ((1 << bits) < fanout) ++bits;
-  RAPID_CHECK((1 << bits) == fanout);
-  return bits;
-}
 
 // Logical row width of a ColumnSet: physical widths of the logical
 // types (intermediates are stored widened, but the DMS moves the
@@ -32,88 +26,136 @@ size_t LogicalRowBytes(const ColumnSet& set) {
   return bytes;
 }
 
-// Splits rows [begin, end) of `bucket` `fanout` ways using hash bits
-// [shift, shift+log2(fanout)). Runs on one core. The DMS charge covers
-// the full stream through the partition engine (staging, CRC/CID
-// resolution and the scatter back to DRAM in one pass, cf. Figure 8).
-//
-// The software stage scatters each column directly to its partition
-// via the per-partition write-combining kernel (streaming stores on
-// AVX2); all tile scratch comes from the core's buffer pool, so a
-// warm core touches the heap only to grow the partition vectors
-// themselves.
-Status SplitRange(dpu::DpCore& core, const dpu::CostParams& params,
-                  const ColumnSet& bucket, const std::vector<uint32_t>& hashes,
-                  size_t begin, size_t end, int fanout, int hw_fanout,
-                  int shift, size_t tile_rows, const CancelToken* cancel,
-                  std::vector<ColumnSet>* out) {
-  const size_t num_cols = bucket.num_columns();
-  const int sw_fanout = fanout / hw_fanout;
-  const size_t row_bytes = LogicalRowBytes(bucket);
+// Rows [begin, end) of one input bucket: one partition-engine
+// descriptor chain, scattered by one core.
+struct WorkUnit {
+  size_t bucket, begin, end;
+};
 
-  out->assign(static_cast<size_t>(fanout), ColumnSet(bucket.metas()));
+// One round's output, laid out before any row moves.
+struct RoundOutput {
+  std::vector<size_t> cursors;     // [unit * fanout + p]: next write row
+  std::vector<ColumnSet> buckets;  // [input bucket * fanout + p]
+  std::vector<std::vector<uint32_t>> hashes;  // same; empty if not carried
+};
+
+// Histograms every unit's range from the carried hashes (host
+// bookkeeping: the tile loop's SwPartitionTileCycles models it) and
+// prefix-sums the counts in (bucket, partition, unit) order, then
+// allocates every output bucket (and its hashes if `carry`) once, at
+// its exact final size.
+RoundOutput LayoutRound(const std::vector<WorkUnit>& units,
+                        const std::vector<std::vector<uint32_t>>& hashes,
+                        const std::vector<ColumnMeta>& metas, int fanout,
+                        int shift, bool carry) {
+  const auto ufanout = static_cast<size_t>(fanout);
+  const uint32_t mask = static_cast<uint32_t>(fanout) - 1;
+  RoundOutput out;
+  out.cursors.assign(units.size() * ufanout, 0);
+  std::vector<size_t> sizes(hashes.size() * ufanout, 0);
+  for (size_t u = 0; u < units.size(); ++u) {
+    const uint32_t* h = hashes[units[u].bucket].data();
+    size_t* cursor = out.cursors.data() + u * ufanout;
+    for (size_t i = units[u].begin; i < units[u].end; ++i) {
+      ++cursor[(h[i] >> shift) & mask];
+    }
+    size_t* size = sizes.data() + units[u].bucket * ufanout;
+    for (size_t p = 0; p < ufanout; ++p) {
+      const size_t count = cursor[p];
+      cursor[p] = size[p];
+      size[p] += count;
+    }
+  }
+  out.buckets.assign(sizes.size(), ColumnSet(metas));
+  if (carry) out.hashes.resize(sizes.size());
+  for (size_t b = 0; b < sizes.size(); ++b) {
+    for (size_t c = 0; c < metas.size(); ++c) {
+      out.buckets[b].column(c).resize(sizes[b]);
+    }
+    if (carry) out.hashes[b].resize(sizes[b]);
+  }
+  return out;
+}
+
+// Scatters unit u's rows of `bucket` `round.fanout` ways by hash bits
+// [shift, shift+log2(fanout)) straight into their final places in
+// `out`, on one core, through the per-partition write-combining kernel
+// (streaming stores on AVX2) with pooled tile scratch. The DMS charge
+// covers the full stream through the partition engine (staging,
+// CRC/CID resolution and the scatter back to DRAM, cf. Figure 8).
+Status ScatterUnit(dpu::DpCore& core, const dpu::CostParams& params,
+                   const ColumnSet& bucket, const std::vector<uint32_t>& hashes,
+                   const std::vector<WorkUnit>& units, size_t u,
+                   const PartitionRound& round, int shift, size_t tile_rows,
+                   const CancelToken* cancel, RoundOutput* out) {
+  const WorkUnit& unit = units[u];
+  const auto ufanout = static_cast<size_t>(round.fanout);
+  ColumnSet* dst_buckets = &out->buckets[unit.bucket * ufanout];
+  std::vector<uint32_t>* dst_hashes =
+      out->hashes.empty() ? nullptr : &out->hashes[unit.bucket * ufanout];
+  size_t* cursor = &out->cursors[u * ufanout];
+  const size_t num_cols = bucket.num_columns();
+  const int sw_fanout = round.fanout / round.hw_fanout;
+  const size_t row_bytes = LogicalRowBytes(bucket);
 
   const primitives::simd::PartitionKernelTable& kernels =
       primitives::simd::partition_kernels();
   TileBufferPool& pool = core.pool();
-  const auto ufanout = static_cast<size_t>(fanout);
   // Fallible acquires: "pool.acquire" faults (allocator pressure on
   // chunk growth) surface as a Status instead of aborting, so the
   // retry/fallback ladder can recover. The RAII handles return every
   // buffer to the pool on any exit — including cancellation mid-round.
-  TileBufferPool::Handle pof;
-  TileBufferPool::Handle counts;
-  TileBufferPool::Handle bases;
-  TileBufferPool::Handle wc;
+  TileBufferPool::Handle pof, counts, bases, wc;
   RAPID_RETURN_NOT_OK(pool.TryAcquireArray<uint16_t>(tile_rows, &pof));
   RAPID_RETURN_NOT_OK(pool.TryAcquireArray<uint32_t>(ufanout, &counts));
   RAPID_RETURN_NOT_OK(pool.TryAcquireArray<int64_t*>(ufanout, &bases));
   RAPID_RETURN_NOT_OK(pool.TryAcquire(
       primitives::simd::ScatterScratchBytes(ufanout), &wc));
 
-  for (size_t start = begin; start < end; start += tile_rows) {
+  for (size_t start = unit.begin; start < unit.end; start += tile_rows) {
     RAPID_RETURN_NOT_OK(CancelToken::Check(cancel));
-    const size_t rows = std::min(tile_rows, end - start);
+    const size_t rows = std::min(tile_rows, unit.end - start);
     // compute_partition_map over this tile's hash values (Listing 2,
     // loops 1-2; the RID list is not needed on the scatter path).
-    primitives::ComputePartitionIndex(hashes.data() + start, rows, fanout,
-                                      shift, pof.as<uint16_t>(),
+    uint16_t* part = pof.as<uint16_t>();
+    primitives::ComputePartitionIndex(hashes.data() + start, rows,
+                                      round.fanout, shift, part,
                                       counts.as<uint32_t>());
-    // Scatter every projection column into the per-partition buffers
-    // through software write-combining lines; within each partition
-    // rows land in tile order, exactly as the former gather +
-    // sequential-emit path appended them.
+    // Scatter every projection column through software write-combining
+    // lines; within each partition rows land in tile order after the
+    // rows of earlier tiles and earlier units.
+    int64_t** dst = bases.as<int64_t*>();
     for (size_t c = 0; c < num_cols; ++c) {
-      const int64_t* in = bucket.column(c).data() + start;
-      int64_t** dst = bases.as<int64_t*>();
       for (size_t p = 0; p < ufanout; ++p) {
-        auto& vec = (*out)[p].column(c);
-        const size_t old = vec.size();
-        vec.resize(old + counts.as<uint32_t>()[p]);
-        dst[p] = vec.data() + old;
+        dst[p] = dst_buckets[p].column(c).data() + cursor[p];
       }
-      kernels.scatter_col(in, pof.as<uint16_t>(), rows, ufanout, dst,
-                          wc.data());
+      kernels.scatter_col(bucket.column(c).data() + start, part, rows,
+                          ufanout, dst, wc.data());
+    }
+    if (dst_hashes != nullptr) {
+      for (size_t i = 0; i < rows; ++i) {
+        dst_hashes[part[i]][cursor[part[i]]++] = hashes[start + i];
+      }
+    } else {
+      for (size_t p = 0; p < ufanout; ++p) {
+        cursor[p] += counts.as<uint32_t>()[p];
+      }
     }
 
     // Cycle charges. One partition-engine pass moves the tile's data
     // (read + partitioned write); the dpCore's software stage runs the
     // map/gather loops for the software share of the fan-out.
-    if (hw_fanout > 1) {
-      core.cycles().ChargeDms(dpu::HwPartitionCycles(
-          params, dpu::HwPartitionStrategy::kHash, 1, rows,
-          rows * row_bytes));
-    } else {
-      core.cycles().ChargeDms(static_cast<double>(rows * row_bytes) /
-                              params.partition_bytes_per_cycle);
-    }
-    if (sw_fanout > 1) {
-      core.cycles().ChargeCompute(dpu::SwPartitionTileCycles(
-          params, rows, static_cast<int>(num_cols), sw_fanout));
-    } else {
-      // Pure hardware round: the dpCore only drains DMEM buffers.
-      core.cycles().ChargeCompute(static_cast<double>(rows));
-    }
+    // A pure hardware round's dpCore only drains DMEM buffers.
+    core.cycles().ChargeDms(
+        round.hw_fanout > 1
+            ? dpu::HwPartitionCycles(params, dpu::HwPartitionStrategy::kHash,
+                                     1, rows, rows * row_bytes)
+            : static_cast<double>(rows * row_bytes) /
+                  params.partition_bytes_per_cycle);
+    core.cycles().ChargeCompute(
+        sw_fanout > 1 ? dpu::SwPartitionTileCycles(
+                            params, rows, static_cast<int>(num_cols), sw_fanout)
+                      : static_cast<double>(rows));
   }
   return Status::OK();
 }
@@ -138,13 +180,10 @@ bool PartitionProgress::CompatibleWith(const PartitionScheme& scheme) const {
 
 std::vector<uint32_t> PartitionExec::HashColumn(
     const ColumnSet& input, const std::vector<size_t>& key_cols) {
-  const size_t n = input.num_rows();
-  std::vector<uint32_t> hashes(n, 0xFFFFFFFFu);
+  std::vector<uint32_t> hashes(input.num_rows(), 0xFFFFFFFFu);
   for (size_t kc : key_cols) {
-    const int64_t* keys = input.column(kc).data();
-    for (size_t i = 0; i < n; ++i) {
-      hashes[i] = Crc32Combine(hashes[i], static_cast<uint64_t>(keys[i]));
-    }
+    primitives::HashCombineTile(input.column(kc).data(), hashes.size(),
+                                hashes.data());
   }
   return hashes;
 }
@@ -167,11 +206,10 @@ Result<PartitionedData> PartitionExec::Execute(
   }
 
   // Current buckets plus their hash columns (hashes are computed once
-  // by the DMS hash engine and reused across rounds). A compatible
-  // checkpoint replaces the leading rounds — including the hash pass —
-  // with the buckets it already holds; resumed rounds are
-  // deterministic functions of those buckets, so the final partitions
-  // are bit-identical to a from-scratch run.
+  // by the DMS hash engine and carried across rounds); round 1 reads
+  // `input` as its one bucket. A compatible checkpoint replaces the
+  // leading rounds, hash pass included; resumed rounds are
+  // deterministic functions of its buckets, so output is bit-identical.
   std::vector<ColumnSet> buckets;
   std::vector<std::vector<uint32_t>> bucket_hashes;
   int shift = 0;
@@ -185,45 +223,34 @@ Result<PartitionedData> PartitionExec::Execute(
     progress->clear();
   } else {
     if (progress != nullptr) progress->clear();
-    buckets.push_back(ColumnSet(input.metas()));
-    buckets[0].Append(input);
     bucket_hashes.push_back(HashColumn(input, key_cols));
   }
 
   const auto num_cores = static_cast<size_t>(dpu.num_cores());
   for (size_t ri = start_round; ri < scheme.rounds.size(); ++ri) {
     const PartitionRound& round = scheme.rounds[ri];
-    const int bits = Log2Of(round.fanout);
-    const size_t in_buckets = buckets.size();
 
-    // Work units: each bucket is split into ranges so that every core
-    // has work even when few buckets exist (the DMS streams ranges to
-    // different cores).
-    struct WorkUnit {
-      size_t bucket;
-      size_t begin;
-      size_t end;
-      std::vector<ColumnSet> out;
-    };
+    // Work units: buckets split into ranges, ~4 per core, so every core
+    // has work and the morsel queue can rebalance. Units write disjoint
+    // ranges laid out in range order: the bytes ignore unit bounds.
     std::vector<WorkUnit> units;
     size_t total_rows = 0;
-    for (const ColumnSet& b : buckets) total_rows += b.num_rows();
-    // ~4 units per core so the morsel queue can rebalance; the
-    // reassembly below concatenates range outputs in range order, so
-    // the result bytes are independent of the unit boundaries.
+    for (const auto& h : bucket_hashes) total_rows += h.size();
     const size_t target_rows = std::max<size_t>(
         64, (total_rows + 4 * num_cores - 1) / (4 * num_cores));
-    for (size_t b = 0; b < in_buckets; ++b) {
-      const size_t rows = buckets[b].num_rows();
-      if (rows == 0) {
-        units.push_back(WorkUnit{b, 0, 0, {}});
-        continue;
-      }
+    for (size_t b = 0; b < bucket_hashes.size(); ++b) {
+      const size_t rows = bucket_hashes[b].size();
+      if (rows == 0) units.push_back({b, 0, 0});
       for (size_t begin = 0; begin < rows; begin += target_rows) {
-        units.push_back(
-            WorkUnit{b, begin, std::min(rows, begin + target_rows), {}});
+        units.push_back({b, begin, std::min(rows, begin + target_rows)});
       }
     }
+
+    // The last round's hashes are never read again: carry them only
+    // into rounds that follow (and into a checkpoint of this round).
+    const bool carry = ri + 1 < scheme.rounds.size();
+    RoundOutput next = LayoutRound(units, bucket_hashes, input.metas(),
+                                   round.fanout, shift, carry);
 
     // Morsel-driven assignment: each work unit is one morsel, weighted
     // by its row count; idle cores pull or steal the remainder instead
@@ -235,7 +262,7 @@ Result<PartitionedData> PartitionExec::Execute(
     dpu::WorkQueue queue(std::move(unit_weights), dpu.num_cores());
     const Status round_status = dpu.ParallelForMorsels(
         queue, cancel, [&](dpu::DpCore& core, size_t u) -> Status {
-          WorkUnit& unit = units[u];
+          const WorkUnit& unit = units[u];
           TraceSpan span(TraceMode::kFull, core.id(), "partition.unit",
                          &dpu::TraceClockNow, &core.cycles());
           span.Annotate("round", static_cast<int64_t>(ri));
@@ -244,16 +271,16 @@ Result<PartitionedData> PartitionExec::Execute(
           // chain; transient faults are retried inside RunDescriptor.
           RAPID_RETURN_NOT_OK(
               dpu.dms().RunDescriptor(&core.cycles(), faults::kDmsPartition));
-          return SplitRange(core, dpu.params(), buckets[unit.bucket],
-                            bucket_hashes[unit.bucket], unit.begin, unit.end,
-                            round.fanout, round.hw_fanout, shift, tile_rows,
-                            cancel, &unit.out);
+          return ScatterUnit(core, dpu.params(),
+                             buckets.empty() ? input : buckets[unit.bucket],
+                             bucket_hashes[unit.bucket], units, u, round,
+                             shift, tile_rows, cancel, &next);
         });
     if (!round_status.ok()) {
       // `buckets` still holds the previous completed round's output
-      // (reassembly only happens below, after the parallel loop), so
-      // checkpointing it costs nothing on the fault-free path. A
-      // cancelled query saves nothing — it is being abandoned.
+      // (this round wrote only into `next`), so checkpointing it costs
+      // nothing on the fault-free path. A cancelled query saves nothing
+      // — it is being abandoned.
       if (progress != nullptr && ri > 0 && !round_status.IsCancellation()) {
         progress->rounds_done = static_cast<int>(ri);
         progress->bits_used = shift;
@@ -269,37 +296,9 @@ Result<PartitionedData> PartitionExec::Execute(
            TraceCollector::Arg::I("fanout", round.fanout),
            TraceCollector::Arg::U("rows", total_rows)});
     }
-
-    // Reassemble buckets in (bucket, partition) order, merging the
-    // range splits in range order for determinism; carry hash columns
-    // forward by re-splitting the parents'.
-    std::vector<ColumnSet> new_buckets;
-    std::vector<std::vector<uint32_t>> new_hashes;
-    new_buckets.reserve(in_buckets * static_cast<size_t>(round.fanout));
-    for (size_t b = 0; b < in_buckets; ++b) {
-      std::vector<ColumnSet> merged(static_cast<size_t>(round.fanout),
-                                    ColumnSet(buckets[b].metas()));
-      for (const WorkUnit& unit : units) {
-        if (unit.bucket != b || unit.out.empty()) continue;
-        for (int p = 0; p < round.fanout; ++p) {
-          merged[static_cast<size_t>(p)].Append(
-              unit.out[static_cast<size_t>(p)]);
-        }
-      }
-      const std::vector<uint32_t>& parent = bucket_hashes[b];
-      std::vector<std::vector<uint32_t>> h(static_cast<size_t>(round.fanout));
-      const uint32_t mask = static_cast<uint32_t>(round.fanout) - 1;
-      for (uint32_t hash : parent) {
-        h[(hash >> shift) & mask].push_back(hash);
-      }
-      for (int p = 0; p < round.fanout; ++p) {
-        new_buckets.push_back(std::move(merged[static_cast<size_t>(p)]));
-        new_hashes.push_back(std::move(h[static_cast<size_t>(p)]));
-      }
-    }
-    buckets = std::move(new_buckets);
-    bucket_hashes = std::move(new_hashes);
-    shift += bits;
+    buckets = std::move(next.buckets);
+    bucket_hashes = std::move(next.hashes);
+    shift += std::countr_zero(static_cast<unsigned>(round.fanout));
   }
 
   PartitionedData out;
@@ -316,16 +315,17 @@ Result<std::vector<ColumnSet>> PartitionExec::Repartition(
   if (extra_fanout < 2 || (extra_fanout & (extra_fanout - 1)) != 0) {
     return Status::InvalidArgument("repartition fan-out must be power of 2");
   }
-  std::vector<uint32_t> hashes = HashColumn(input, key_cols);
-  std::vector<ColumnSet> out;
-  // Runs on the detecting core: large-skew repartitioning is
+  const std::vector<std::vector<uint32_t>> hashes{HashColumn(input, key_cols)};
+  const std::vector<WorkUnit> units{WorkUnit{0, 0, input.num_rows()}};
+  RoundOutput out = LayoutRound(units, hashes, input.metas(), extra_fanout,
+                                bits_used, /*carry=*/false);
+  // One unit on the detecting core: large-skew repartitioning is
   // introduced dynamically for a single oversized partition. No cancel
   // token — the caller owns cancellation at its own tile boundaries.
-  RAPID_RETURN_NOT_OK(SplitRange(core, params, input, hashes, 0,
-                                 input.num_rows(), extra_fanout,
-                                 /*hw_fanout=*/1, bits_used, tile_rows,
-                                 /*cancel=*/nullptr, &out));
-  return out;
+  RAPID_RETURN_NOT_OK(ScatterUnit(core, params, input, hashes[0], units, 0,
+                                  PartitionRound{extra_fanout, 1}, bits_used,
+                                  tile_rows, /*cancel=*/nullptr, &out));
+  return std::move(out.buckets);
 }
 
 }  // namespace rapid::core

@@ -9,7 +9,9 @@
 //
 // Each round maintains per-partition local buffers in DMEM and flushes
 // full buffers to DRAM via the DMS, converting random DRAM writes into
-// sequential streams.
+// sequential streams. On the host, a round first histograms every work
+// unit, then lays out exact-size output buckets, and then has each
+// unit scatter straight into its disjoint ranges of them.
 
 #ifndef RAPID_CORE_OPS_PARTITION_EXEC_H_
 #define RAPID_CORE_OPS_PARTITION_EXEC_H_
@@ -54,12 +56,14 @@ struct PartitionedData {
   int rounds = 0;
 };
 
-// Completed-round checkpoint of a multi-round partition pass. When a
-// later round fails, Execute() moves the last fully reassembled
-// round's buckets (and their carried hash columns) here; a retry with
-// the same scheme resumes at round `rounds_done` instead of
-// re-partitioning from scratch. Cancellation never populates this —
-// the query is being abandoned, not retried.
+// Completed-round checkpoint of a multi-round partition pass. Each
+// round histograms its input, allocates its output buckets at exact
+// size and scatters every row once into its final offset. When a
+// round fails, Execute() moves the last completed round's buckets
+// (and their carried hash columns) here and drops the failed round's
+// half-written ones; a retry with the same scheme resumes at round
+// `rounds_done` instead of re-partitioning from scratch. Cancellation
+// never populates this — the query is being abandoned, not retried.
 struct PartitionProgress {
   int rounds_done = 0;  // fully completed rounds held in `buckets`
   int bits_used = 0;    // hash bits consumed by those rounds

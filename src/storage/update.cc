@@ -18,6 +18,9 @@ Status Tracker::ApplyUpdate(uint64_t scn, std::vector<RowChange> changes) {
   const size_t unit_index = units_.size();
   for (const RowChange& change : changes) {
     auto& versions = row_index_[change.row_id];
+    // A row named twice in one batch: this unit is already indexed
+    // (and not yet pushed); Resolve picks the batch's last change.
+    if (!versions.empty() && versions.back() == unit_index) continue;
     if (!versions.empty()) {
       // The previous version of this row expires now.
       UpdateUnit& prev = units_[versions.back()];
@@ -39,8 +42,9 @@ Result<int64_t> Tracker::Resolve(uint64_t query_scn, uint64_t row_id,
   for (auto vi = versions.rbegin(); vi != versions.rend(); ++vi) {
     const UpdateUnit& unit = units_[*vi];
     if (unit.scn <= query_scn) {
-      for (const RowChange& change : unit.changes) {
-        if (change.row_id == row_id) return change.values[column];
+      // The last change wins, as when the batch is applied in order.
+      for (auto ci = unit.changes.rbegin(); ci != unit.changes.rend(); ++ci) {
+        if (ci->row_id == row_id) return ci->values[column];
       }
     }
   }

@@ -49,6 +49,7 @@ using core::QueryResult;
 using hostdb::HostDatabase;
 using hostdb::QueryReport;
 using primitives::CmpOp;
+using rapid::testing::CleanPollCount;
 using rapid::testing::ExpectSameRows;
 using rapid::testing::MakeColumnSet;
 using rapid::testing::SortedRows;
@@ -498,21 +499,6 @@ TEST_F(FaultEngineTest, FaultMatrixRecoversOrFallsBackBitIdentical) {
 }
 
 // ---- Fragment checkpointing: round reuse, morsel resume, DPU retry --------
-
-// Counts the injector polls of `site` over one clean run of `fn` by
-// arming the site at probability zero: the slow path runs on every
-// poll but never injects. Descriptor/allocation poll counts are a pure
-// function of the data layout (not of thread timing), so the count
-// pins a deterministic injection point via skip_first.
-template <typename Fn>
-uint64_t CleanPollCount(const char* site, Fn&& fn) {
-  ScopedFaultInjection fi(1);
-  FaultInjector::SiteSpec probe;
-  probe.probability = 0.0;
-  fi.Arm(site, probe);
-  fn();
-  return FaultInjector::Instance().hits(site);
-}
 
 TEST(PartitionFaultTest, RoundFailureResumesFromCompletedRounds) {
   dpu::Dpu dpu;

@@ -210,6 +210,27 @@ TEST_F(HostDbTest, PendingChangesForceFallback) {
   ExpectSameRows(after.rows, local);
 }
 
+TEST_F(HostDbTest, RowNamedTwiceInOneBatchKeepsSecondValue) {
+  // One batch changes row 7 twice: both engines must end on the second
+  // value, as if the changes were applied one after the other.
+  ASSERT_OK(host_.Update("t", {storage::RowChange{7, {7, 1}},
+                               storage::RowChange{8, {8, 5}},
+                               storage::RowChange{7, {7, 2}}}));
+  ASSERT_OK(host_.Checkpoint(&engine_));
+  const uint64_t scn = host_.journal().current_scn();
+  EXPECT_EQ(engine_.tracker("t")->Resolve(scn, 7, 1).value(), 2);
+
+  auto plan = LogicalNode::Scan("t", {"id", "v"},
+                                {Predicate::CmpConst("id", CmpOp::kEq, 7)});
+  ASSERT_OK_AND_ASSIGN(QueryReport report, host_.ExecuteQuery(plan, &engine_));
+  EXPECT_TRUE(report.offloaded);
+  ASSERT_EQ(report.rows.num_rows(), 1u);
+  EXPECT_EQ(report.rows.Value(0, 1), 2);
+  ASSERT_OK_AND_ASSIGN(core::ColumnSet local, host_.ExecuteLocal(plan));
+  ASSERT_EQ(local.num_rows(), 1u);
+  EXPECT_EQ(local.Value(0, 1), 2);
+}
+
 TEST_F(HostDbTest, PartialOffloadProducesCorrectJoin) {
   auto [specs, data] = SmallTable(300, 100);
   ASSERT_OK(host_.CreateTable("unloaded", specs, data));

@@ -208,8 +208,8 @@ TEST(ScatterKernelTest, BitIdenticalToReferenceAcrossLevelsAndFanouts) {
         primitives::simd::partition_kernels().scatter_col(
             input.data(), pof.data(), n, fanout, dst.data(), wc);
         for (size_t p = 0; p < fanout; ++p) {
-          ASSERT_EQ(0, std::memcmp(dst[p], expected[p].data(),
-                                   expected[p].size() * sizeof(int64_t)))
+          ASSERT_EQ(std::vector<int64_t>(dst[p], dst[p] + expected[p].size()),
+                    expected[p])
               << "level " << l << " fanout " << fanout << " n " << n
               << " partition " << p;
           // Guard rows before the start must be untouched.
@@ -218,6 +218,78 @@ TEST(ScatterKernelTest, BitIdenticalToReferenceAcrossLevelsAndFanouts) {
         }
       }
     }
+  }
+}
+
+// ---- Partition round layout -------------------------------------------------
+
+TEST(PartitionLayoutTest, RoundTwoFaultCheckpointsRoundOneAndResumesExactly) {
+  // Rounds lay out exact-size buckets and units scatter into disjoint
+  // ranges of them. A fault midway through round 2 of 3 leaves some of
+  // round 2's buckets half written; the checkpoint must still hold
+  // round 1's complete buckets, and the resumed pass must produce the
+  // fault-free bytes.
+  dpu::Dpu dpu;
+  std::mt19937_64 rng(21);
+  std::vector<std::vector<int64_t>> cols(2, std::vector<int64_t>(30000));
+  for (size_t i = 0; i < cols[0].size(); ++i) {
+    cols[0][i] = static_cast<int64_t>(rng() % 4000);
+    cols[1][i] = static_cast<int64_t>(i);
+  }
+  const core::ColumnSet input =
+      rapid::testing::MakeColumnSet({"k", "v"}, cols);
+  core::PartitionScheme scheme;
+  scheme.rounds = {{4, 4}, {8, 1}, {4, 1}};
+  auto prefix = [&](size_t rounds) {
+    core::PartitionScheme p;
+    p.rounds.assign(scheme.rounds.begin(), scheme.rounds.begin() + rounds);
+    return p;
+  };
+  auto polls = [&](size_t rounds) {
+    return rapid::testing::CleanPollCount(faults::kDmsPartition, [&] {
+      ASSERT_OK(core::PartitionExec::Execute(dpu, input, {0}, prefix(rounds),
+                                             128)
+                    .status());
+    });
+  };
+  const uint64_t round1 = polls(1);
+  const uint64_t round2 = polls(2) - round1;
+  ASSERT_GT(round2, 2u);
+
+  ASSERT_OK_AND_ASSIGN(core::PartitionedData clean,
+                       core::PartitionExec::Execute(dpu, input, {0}, scheme,
+                                                    128));
+  core::PartitionProgress progress;
+  {
+    ScopedFaultInjection fi(8);
+    FaultInjector::SiteSpec spec;
+    spec.skip_first = round1 + round2 / 2;  // mid-round 2, never healing
+    fi.Arm(faults::kDmsPartition, spec);
+    auto failed = core::PartitionExec::Execute(dpu, input, {0}, scheme, 128,
+                                               nullptr, &progress);
+    ASSERT_FALSE(failed.ok());
+  }
+  const rapid::testing::StablePartition ref1 =
+      rapid::testing::StablePartitionOf(input, {0}, scheme, 1);
+  ASSERT_EQ(progress.rounds_done, 1);
+  EXPECT_EQ(progress.bits_used, 2);
+  ASSERT_EQ(progress.buckets.size(), ref1.buckets.size());
+  for (size_t b = 0; b < ref1.buckets.size(); ++b) {
+    EXPECT_EQ(rapid::testing::Rows(progress.buckets[b]),
+              rapid::testing::Rows(ref1.buckets[b]))
+        << "bucket " << b;
+    EXPECT_EQ(progress.bucket_hashes[b], ref1.hashes[b]) << "bucket " << b;
+  }
+
+  ASSERT_OK_AND_ASSIGN(core::PartitionedData resumed,
+                       core::PartitionExec::Execute(dpu, input, {0}, scheme,
+                                                    128, nullptr, &progress));
+  EXPECT_TRUE(progress.empty());
+  ASSERT_EQ(resumed.partitions.size(), clean.partitions.size());
+  for (size_t p = 0; p < clean.partitions.size(); ++p) {
+    EXPECT_EQ(rapid::testing::Rows(resumed.partitions[p]),
+              rapid::testing::Rows(clean.partitions[p]))
+        << "partition " << p;
   }
 }
 

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "core/ops/filter_op.h"
 #include "core/ops/groupby_op.h"
 #include "core/ops/join_exec.h"
@@ -19,12 +21,15 @@
 #include "core/ops/sort_exec.h"
 #include "core/ops/window_exec.h"
 #include "core/qef/relation_accessor.h"
+#include "dpu/work_queue.h"
+#include "primitives/hash.h"
 #include "storage/loader.h"
 #include "tests/test_util.h"
 
 namespace rapid::core {
 namespace {
 
+using rapid::testing::CleanPollCount;
 using rapid::testing::MakeColumnSet;
 using rapid::testing::Rows;
 using rapid::testing::SortedRows;
@@ -244,6 +249,35 @@ TEST_F(OpsTest, GroupByAggregatesAndMerges) {
   EXPECT_EQ(rows[1], (std::vector<int64_t>{2, 60, 20, 40, 2}));
 }
 
+TEST_F(OpsTest, BatchedGroupForMatchesPerRowLookup) {
+  // Two-key groups over enough rows to grow the table several times:
+  // the batched lookup (tile hashed column at a time) must return the
+  // per-row lookup's group ids and count the same chain steps.
+  Rng rng(17);
+  const size_t n = 5000;
+  std::vector<std::vector<int64_t>> keys(2, std::vector<int64_t>(n));
+  for (size_t i = 0; i < n; ++i) {
+    keys[0][i] = static_cast<int64_t>(rng.Next() % 700);
+    keys[1][i] = static_cast<int64_t>(rng.Next() % 3) - 1;
+  }
+  std::vector<uint32_t> hashes(n, 0xFFFFFFFFu);
+  for (const auto& col : keys) {
+    primitives::HashCombineTile(col.data(), n, hashes.data());
+  }
+  GroupHashTable per_row(2, 0);
+  GroupHashTable batched(2, 0);
+  uint64_t per_row_steps = 0;
+  uint64_t batched_steps = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t row[] = {keys[0][i], keys[1][i]};
+    ASSERT_EQ(per_row.GroupFor(row, &per_row_steps),
+              batched.GroupFor(hashes[i], keys, i, &batched_steps))
+        << "row " << i;
+  }
+  EXPECT_EQ(per_row.num_groups(), batched.num_groups());
+  EXPECT_EQ(per_row_steps, batched_steps);
+}
+
 TEST_F(OpsTest, GroupByWithAggregateFilter) {
   ColumnSet input = MakeColumnSet({"g", "v"}, {{1, 1, 1}, {5, 10, 15}});
   ColumnBinding binding{{"g", 0}, {"v", 1}};
@@ -382,6 +416,75 @@ TEST_F(OpsTest, RepartitionSplitsWithHigherBits) {
     const std::vector<uint32_t> hashes =
         PartitionExec::HashColumn(sub[p], {0});
     for (uint32_t h : hashes) EXPECT_EQ((h >> 5) & 3u, p);
+  }
+}
+
+TEST_F(OpsTest, SkewedPartitionLayoutMatchesStableReferenceAcrossModes) {
+  // 70% of the rows share one key, so its partition takes rows from
+  // every work unit. Units of 157 rows (at the default 32 cores) and
+  // 50-row tiles start most units' and tiles' shares at row offsets
+  // that are not multiples of 8 (64 bytes), so the write-combining
+  // kernels run their unaligned head and partial-tail paths inside one
+  // shared bucket.
+  const size_t n = 20000;
+  std::vector<std::vector<int64_t>> cols(2, std::vector<int64_t>(n));
+  for (size_t i = 0; i < n; ++i) {
+    cols[0][i] = i % 10 < 7 ? 42 : static_cast<int64_t>(i);
+    cols[1][i] = static_cast<int64_t>(i);
+  }
+  const ColumnSet input = MakeColumnSet({"k", "v"}, cols);
+  PartitionScheme scheme;
+  scheme.rounds.push_back(PartitionRound{8, 8});
+  scheme.rounds.push_back(PartitionRound{4, 1});
+  scheme.rounds.push_back(PartitionRound{4, 1});
+  PartitionScheme first_two;
+  first_two.rounds.assign(scheme.rounds.begin(), scheme.rounds.begin() + 2);
+  const testing::StablePartition ref = testing::StablePartitionOf(
+      input, {0}, scheme, scheme.NumRounds());
+  const testing::StablePartition ref2 =
+      testing::StablePartitionOf(input, {0}, scheme, 2);
+
+  for (int l = 0; l <= static_cast<int>(SimdLevelSupported()); ++l) {
+    for (dpu::SchedMode mode :
+         {dpu::SchedMode::kStatic, dpu::SchedMode::kMorsel}) {
+      const SimdLevel prev_level = ForceSimdLevel(static_cast<SimdLevel>(l));
+      const dpu::SchedMode prev_mode = dpu::ForceSchedMode(mode);
+      ASSERT_OK_AND_ASSIGN(
+          PartitionedData out,
+          PartitionExec::Execute(dpu_, input, {0}, scheme, 50));
+      ASSERT_EQ(out.partitions.size(), ref.buckets.size());
+      for (size_t b = 0; b < ref.buckets.size(); ++b) {
+        EXPECT_EQ(Rows(out.partitions[b]), Rows(ref.buckets[b]))
+            << "level " << l << " bucket " << b;
+      }
+
+      // The hashes carried out of round 2 come back through the
+      // checkpoint when every round-3 descriptor fails.
+      const uint64_t round12_polls = CleanPollCount(faults::kDmsPartition, [&] {
+        ASSERT_OK(
+            PartitionExec::Execute(dpu_, input, {0}, first_two, 50).status());
+      });
+      PartitionProgress progress;
+      {
+        ScopedFaultInjection fi(5);
+        FaultInjector::SiteSpec spec;
+        spec.skip_first = round12_polls;
+        fi.Arm(faults::kDmsPartition, spec);
+        ASSERT_FALSE(PartitionExec::Execute(dpu_, input, {0}, scheme, 50,
+                                            nullptr, &progress)
+                         .ok());
+      }
+      ForceSimdLevel(prev_level);
+      dpu::ForceSchedMode(prev_mode);
+      ASSERT_EQ(progress.rounds_done, 2);
+      ASSERT_EQ(progress.buckets.size(), ref2.buckets.size());
+      for (size_t b = 0; b < ref2.buckets.size(); ++b) {
+        EXPECT_EQ(Rows(progress.buckets[b]), Rows(ref2.buckets[b]))
+            << "level " << l << " bucket " << b;
+        EXPECT_EQ(progress.bucket_hashes[b], ref2.hashes[b])
+            << "level " << l << " bucket " << b;
+      }
+    }
   }
 }
 

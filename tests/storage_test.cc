@@ -371,6 +371,20 @@ TEST(TrackerTest, ExpirationSetOnSupersede) {
   EXPECT_EQ(tracker.latest_scn(), 20u);
 }
 
+TEST(TrackerTest, RowNamedTwiceInOneBatchResolvesToLastChange) {
+  Tracker tracker(2);
+  ASSERT_OK(tracker.ApplyUpdate(10, {{3, {1, 10}}}));
+  // Row 3 twice in one batch, plus another row between the two.
+  ASSERT_OK(tracker.ApplyUpdate(20, {{3, {2, 20}}, {4, {0, 0}}, {3, {3, 30}}}));
+  EXPECT_EQ(tracker.num_units(), 2u);
+  EXPECT_EQ(tracker.Resolve(15, 3, 1).value(), 10);
+  EXPECT_EQ(tracker.Resolve(25, 3, 0).value(), 3);
+  EXPECT_EQ(tracker.Resolve(25, 3, 1).value(), 30);
+  // The SCN-10 version expired at 20, exactly once.
+  EXPECT_EQ(tracker.Vacuum(25), 1u);
+  EXPECT_EQ(tracker.Resolve(25, 3, 1).value(), 30);
+}
+
 TEST(TrackerTest, RejectsNonMonotonicScn) {
   Tracker tracker(1);
   ASSERT_OK(tracker.ApplyUpdate(10, {{1, {7}}}));

@@ -4,10 +4,13 @@
 #define RAPID_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
+#include "core/ops/partition_exec.h"
 #include "core/qef/column_set.h"
 #include "storage/loader.h"
 
@@ -63,6 +66,58 @@ inline core::ColumnSet MakeColumnSet(
   core::ColumnSet out(metas);
   for (size_t c = 0; c < columns.size(); ++c) out.column(c) = columns[c];
   return out;
+}
+
+// The buckets after the first `rounds` rounds of `scheme`, computed
+// row by row: each bucket holds its rows in input order, next to the
+// rows' key hashes (what PartitionExec carries between rounds).
+struct StablePartition {
+  std::vector<core::ColumnSet> buckets;
+  std::vector<std::vector<uint32_t>> hashes;
+};
+
+inline StablePartition StablePartitionOf(const core::ColumnSet& input,
+                                         const std::vector<size_t>& key_cols,
+                                         const core::PartitionScheme& scheme,
+                                         size_t rounds) {
+  const std::vector<uint32_t> h =
+      core::PartitionExec::HashColumn(input, key_cols);
+  size_t total = 1;
+  for (size_t r = 0; r < rounds; ++r) {
+    total *= static_cast<size_t>(scheme.rounds[r].fanout);
+  }
+  StablePartition ref;
+  ref.buckets.assign(total, core::ColumnSet(input.metas()));
+  ref.hashes.resize(total);
+  for (size_t i = 0; i < input.num_rows(); ++i) {
+    size_t bucket = 0;
+    int shift = 0;
+    for (size_t r = 0; r < rounds; ++r) {
+      const auto fanout = static_cast<unsigned>(scheme.rounds[r].fanout);
+      bucket = bucket * fanout + ((h[i] >> shift) & (fanout - 1));
+      shift += std::countr_zero(fanout);
+    }
+    for (size_t c = 0; c < input.num_columns(); ++c) {
+      ref.buckets[bucket].column(c).push_back(input.Value(i, c));
+    }
+    ref.hashes[bucket].push_back(h[i]);
+  }
+  return ref;
+}
+
+// Counts the injector polls of `site` over one clean run of `fn` by
+// arming the site at probability zero: the slow path runs on every
+// poll but never injects. Descriptor/allocation poll counts are a pure
+// function of the data layout (not of thread timing), so the count
+// pins a deterministic injection point via skip_first.
+template <typename Fn>
+uint64_t CleanPollCount(const char* site, Fn&& fn) {
+  ScopedFaultInjection fi(1);
+  FaultInjector::SiteSpec probe;
+  probe.probability = 0.0;
+  fi.Arm(site, probe);
+  fn();
+  return FaultInjector::Instance().hits(site);
 }
 
 #define ASSERT_OK(expr)                                          \
