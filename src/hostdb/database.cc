@@ -74,56 +74,25 @@ Status HostDatabase::CreateTable(const std::string& name,
                          storage::LoadTable(name, specs, data, opts));
   catalog_.erase(name);
   catalog_.emplace(name, std::move(table));
-  Geometry geo;
-  geo.rows_per_chunk = opts.rows_per_chunk;
-  geo.num_partitions = opts.num_partitions;
-  geo.specs = specs;
-  geo.data = data;
-  geometry_[name] = std::move(geo);
   return Status::OK();
 }
 
 Status HostDatabase::LoadToRapid(const std::string& name,
                                  core::RapidEngine* engine) {
-  auto geo = geometry_.find(name);
-  if (geo == geometry_.end()) {
+  const storage::Table* host = GetTable(name);
+  if (host == nullptr) {
     return Status::NotFound("table '" + name + "' does not exist");
   }
-  // The LOAD command re-scans the base data (multiple scan threads in
-  // the paper; here a fresh encode) and ships it to the RAPID node,
-  // consistent as of the current SCN. Pending journal entries created
-  // after this point are propagated by checkpointing.
-  storage::LoadOptions opts;
-  opts.rows_per_chunk = geo->second.rows_per_chunk;
-  opts.num_partitions = geo->second.num_partitions;
-  opts.scn = journal_.current_scn();
-  RAPID_ASSIGN_OR_RETURN(
-      storage::Table copy,
-      storage::LoadTable(name, geo->second.specs, geo->second.data, opts));
-  // Loading reflects updates already applied to the *staged* data?
-  // No: the staged data is the original load; bring the copy up to
-  // date with the host table's current contents.
-  const storage::Table* host = GetTable(name);
-  for (size_t p = 0; p < host->num_partitions(); ++p) {
-    // Host and copy share geometry, so copy chunks verbatim.
-    for (size_t c = 0; c < host->partition(p).num_chunks(); ++c) {
-      const storage::Chunk& hchunk = host->partition(p).chunk(c);
-      storage::Chunk& rchunk = copy.partition(p).chunk(c);
-      for (size_t col = 0; col < hchunk.num_columns(); ++col) {
-        for (size_t r = 0; r < hchunk.num_rows(); ++r) {
-          rchunk.column(col).SetInt(r, hchunk.column(col).GetInt(r));
-        }
-      }
-    }
-  }
+  // The LOAD command ships the host's encoded chunks to the RAPID node,
+  // consistent as of the current SCN. Journal entries created after
+  // this point are propagated by checkpointing.
+  storage::Table copy = host->Clone();
+  copy.set_scn(journal_.current_scn());
+  // Host updates leave min/max/ndv and compression ratios as of
+  // CreateTable; the chunk encodings themselves are current
+  // (ApplyRowChange rebuilds them), so they are summed, not rebuilt.
   copy.RecomputeStats();
-  for (size_t c = 0; c < host->schema().num_fields(); ++c) {
-    copy.stats(c).dsb_scale = host->stats(c).dsb_scale;
-  }
-  // The verbatim chunk copy above mutated the freshly loaded vectors,
-  // so the load-time transfer representations are stale: rebuild them
-  // (and the compression-ratio stats) from the up-to-date contents.
-  (void)storage::BuildTableEncodings(&copy);
+  (void)storage::SummarizeTableEncodings(&copy);
   return engine->Load(std::move(copy));
 }
 

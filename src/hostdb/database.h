@@ -15,7 +15,6 @@
 #include <chrono>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/engine.h"
@@ -37,8 +36,9 @@ class HostDatabase {
                      const storage::LoadOptions& options =
                          storage::LoadOptions{});
 
-  // The LOAD command (Section 4.4): copies a host table into RAPID,
-  // consistent as of the current SCN.
+  // The LOAD command (Sections 3.1, 4.4): ships a copy of the host
+  // table's already-encoded chunks into RAPID, consistent as of the
+  // current SCN.
   Status LoadToRapid(const std::string& name, core::RapidEngine* engine);
 
   // DML: applies `changes` to the host table at a fresh SCN and
@@ -92,11 +92,6 @@ class HostDatabase {
   }
 
  private:
-  // Applies one change to the host table in place.
-  Status ApplyChangeToTable(storage::Table* table,
-                            const storage::RowChange& change,
-                            size_t rows_per_chunk, size_t num_partitions);
-
   core::Catalog catalog_;
   ScnJournal journal_;
   std::mutex checkpoint_mu_;
@@ -106,15 +101,6 @@ class HostDatabase {
   std::mutex bg_mu_;
   std::condition_variable bg_cv_;
   bool bg_stop_ = false;
-  // Load geometry per table, for global-row -> (partition, chunk, row)
-  // mapping when applying updates.
-  struct Geometry {
-    size_t rows_per_chunk = 0;
-    size_t num_partitions = 1;
-    std::vector<storage::ColumnSpec> specs;
-    std::vector<storage::ColumnData> data;  // retained for RAPID loads
-  };
-  std::unordered_map<std::string, Geometry> geometry_;
 };
 
 }  // namespace rapid::hostdb

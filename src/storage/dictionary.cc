@@ -8,7 +8,7 @@
 namespace rapid::storage {
 
 uint32_t Dictionary::GetOrInsert(std::string_view value) {
-  auto it = code_of_.find(std::string(value));
+  auto it = code_of_.find(value);
   if (it != code_of_.end()) return it->second;
   const auto code = static_cast<uint32_t>(values_.size());
   values_.emplace_back(value);
@@ -20,7 +20,7 @@ uint32_t Dictionary::GetOrInsert(std::string_view value) {
 }
 
 Result<uint32_t> Dictionary::Lookup(std::string_view value) const {
-  auto it = code_of_.find(std::string(value));
+  auto it = code_of_.find(value);
   if (it == code_of_.end()) {
     return Status::NotFound("value not in dictionary");
   }

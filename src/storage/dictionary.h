@@ -13,6 +13,7 @@
 #define RAPID_STORAGE_DICTIONARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -55,8 +56,18 @@ class Dictionary {
   // Index of the first entry in sorted order whose value is >= `key`.
   size_t LowerBound(std::string_view key) const;
 
+  // Transparent hash: code_of_ is probed with a string_view, without
+  // building a temporary std::string per lookup.
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> values_;              // by code
-  std::unordered_map<std::string, uint32_t> code_of_;
+  std::unordered_map<std::string, uint32_t, StringHash, std::equal_to<>>
+      code_of_;
   std::vector<uint32_t> sorted_;                 // codes sorted by value
 };
 

@@ -120,18 +120,17 @@ void BuildChunkEncodings(Chunk* chunk) {
   }
 }
 
-std::vector<ColumnEncodingReport> BuildTableEncodings(Table* table) {
+std::vector<ColumnEncodingReport> SummarizeTableEncodings(Table* table) {
   std::vector<ColumnEncodingReport> reports(table->schema().num_fields());
   for (size_t c = 0; c < reports.size(); ++c) {
     reports[c].column = table->schema().field(c).name;
   }
   for (size_t p = 0; p < table->num_partitions(); ++p) {
-    Partition& part = table->partition(p);
+    const Partition& part = table->partition(p);
     for (size_t ch = 0; ch < part.num_chunks(); ++ch) {
-      Chunk& chunk = part.chunk(ch);
+      const Chunk& chunk = part.chunk(ch);
       for (size_t c = 0; c < chunk.num_columns(); ++c) {
-        std::unique_ptr<EncodedColumn> enc =
-            EncodeVectorRuns(chunk.column(c));
+        const EncodedColumn* enc = chunk.encoding(c);
         ColumnEncodingReport& report = reports[c];
         ++report.vectors_total;
         report.plain_bytes += chunk.column(c).byte_size();
@@ -141,7 +140,6 @@ std::vector<ColumnEncodingReport> BuildTableEncodings(Table* table) {
         } else {
           report.encoded_bytes += chunk.column(c).byte_size();
         }
-        chunk.SetEncoding(c, std::move(enc));
       }
     }
   }
@@ -153,6 +151,16 @@ std::vector<ColumnEncodingReport> BuildTableEncodings(Table* table) {
                                    static_cast<double>(r.encoded_bytes);
   }
   return reports;
+}
+
+std::vector<ColumnEncodingReport> BuildTableEncodings(Table* table) {
+  for (size_t p = 0; p < table->num_partitions(); ++p) {
+    Partition& part = table->partition(p);
+    for (size_t ch = 0; ch < part.num_chunks(); ++ch) {
+      BuildChunkEncodings(&part.chunk(ch));
+    }
+  }
+  return SummarizeTableEncodings(table);
 }
 
 // ---- Encoded-scan gate -----------------------------------------------------

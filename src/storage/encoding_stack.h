@@ -74,10 +74,14 @@ std::unique_ptr<EncodedColumn> EncodeVectorRuns(const Vector& vector);
 // never go stale.
 void BuildChunkEncodings(Chunk* chunk);
 
+// Sums the encodings every chunk already holds into the per-column
+// report and stores each column's compression ratio into ColumnStats.
+std::vector<ColumnEncodingReport> SummarizeTableEncodings(Table* table);
+
 // Runs the loader's encoding-selection pass over a whole table:
-// builds every chunk's encodings, stores the per-column compression
-// ratio into ColumnStats and returns the per-column report (the
-// loader logs it once per LOAD).
+// builds every chunk's encodings, then summarizes them as
+// SummarizeTableEncodings does (the loader logs the report once per
+// LOAD).
 std::vector<ColumnEncodingReport> BuildTableEncodings(Table* table);
 
 // ---- Encoded-scan gate -----------------------------------------------------

@@ -58,6 +58,31 @@ size_t RowCountOf(const ColumnSpec& spec, const ColumnData& data) {
   }
 }
 
+// Writes `rows` int64 values into `v`, narrowed to its native width.
+template <typename T>
+void NarrowInto(const int64_t* values, size_t rows, Vector* v) {
+  T* out = v->Data<T>();
+  for (size_t r = 0; r < rows; ++r) out[r] = static_cast<T>(values[r]);
+  v->set_size(rows);
+}
+
+void FillVector(const int64_t* values, size_t rows, Vector* v) {
+  switch (v->type()) {
+    case DataType::kInt8:
+      return NarrowInto<int8_t>(values, rows, v);
+    case DataType::kInt16:
+      return NarrowInto<int16_t>(values, rows, v);
+    case DataType::kInt32:
+    case DataType::kDate:
+      return NarrowInto<int32_t>(values, rows, v);
+    case DataType::kDictCode:
+      return NarrowInto<uint32_t>(values, rows, v);
+    case DataType::kInt64:
+    case DataType::kDecimal:
+      return NarrowInto<int64_t>(values, rows, v);
+  }
+}
+
 }  // namespace
 
 Result<Table> LoadTable(const std::string& name,
@@ -88,20 +113,23 @@ Result<Table> LoadTable(const std::string& name,
 
   // Pre-encode decimal columns: per-chunk common scale, column-level
   // max scale recorded in stats for uniform downstream arithmetic.
-  // Pre-encode string columns through the table dictionary.
+  // Pre-encode string columns through the table dictionary. Integer
+  // and date columns are sliced straight from the staged data.
   std::vector<std::vector<int64_t>> encoded(specs.size());
+  std::vector<const int64_t*> source(specs.size());
   std::vector<int> column_scale(specs.size(), 0);
   for (size_t c = 0; c < specs.size(); ++c) {
     switch (specs[c].kind) {
       case ColumnKind::kDecimal: {
-        const DsbColumn dsb = DsbEncode(data[c].decimals);
+        DsbColumn dsb = DsbEncode(data[c].decimals);
         if (!dsb.exceptions.empty()) {
           return Status::NotSupported(
               "base table column '" + specs[c].name +
               "' contains DSB exception values; base loads must be exact");
         }
-        encoded[c] = dsb.mantissas;
+        encoded[c] = std::move(dsb.mantissas);
         column_scale[c] = dsb.scale;
+        source[c] = encoded[c].data();
         break;
       }
       case ColumnKind::kString: {
@@ -110,10 +138,11 @@ Result<Table> LoadTable(const std::string& name,
         for (const std::string& s : data[c].strings) {
           encoded[c].push_back(dict->GetOrInsert(s));
         }
+        source[c] = encoded[c].data();
         break;
       }
       default: {
-        encoded[c] = data[c].ints;
+        source[c] = data[c].ints.data();
         break;
       }
     }
@@ -128,9 +157,7 @@ Result<Table> LoadTable(const std::string& name,
     Chunk chunk(table.schema(), rows);
     for (size_t c = 0; c < specs.size(); ++c) {
       Vector& v = chunk.column(c);
-      for (size_t r = 0; r < rows; ++r) {
-        v.SetInt(r, encoded[c][start + r]);
-      }
+      FillVector(source[c] + start, rows, &v);
       if (specs[c].kind == ColumnKind::kDecimal) {
         v.set_dsb_scale(column_scale[c]);
       }
@@ -138,9 +165,6 @@ Result<Table> LoadTable(const std::string& name,
     partitions[chunk_index % options.num_partitions].AddChunk(
         std::move(chunk));
     ++chunk_index;
-  }
-  if (num_rows == 0) {
-    // An empty table still has its partitions.
   }
   for (auto& p : partitions) table.AddPartition(std::move(p));
 

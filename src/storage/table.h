@@ -50,6 +50,9 @@ class Chunk {
   Chunk(Chunk&&) = default;
   Chunk& operator=(Chunk&&) = default;
 
+  // Deep copy: every vector and every encoding.
+  Chunk Clone() const;
+
   size_t num_rows() const { return columns_.empty() ? 0 : columns_[0].size(); }
   size_t num_columns() const { return columns_.size(); }
 
@@ -71,6 +74,8 @@ class Chunk {
   void ClearEncodings() { encodings_.clear(); }
 
  private:
+  Chunk() = default;
+
   std::vector<Vector> columns_;
   std::vector<std::unique_ptr<EncodedColumn>> encodings_;
 };
@@ -81,6 +86,9 @@ class Partition {
   Partition() = default;
   Partition(Partition&&) = default;
   Partition& operator=(Partition&&) = default;
+
+  // Deep copy of every chunk.
+  Partition Clone() const;
 
   void AddChunk(Chunk chunk) { chunks_.push_back(std::move(chunk)); }
 
@@ -114,6 +122,10 @@ class Table {
   Table(Table&&) = default;
   Table& operator=(Table&&) = default;
 
+  // Deep copy: chunks (vectors and encodings), dictionaries, stats,
+  // SCN and load geometry. The copy shares no storage with this table.
+  Table Clone() const;
+
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
 
@@ -140,7 +152,7 @@ class Table {
   const ColumnStats& stats(size_t col) const { return stats_[col]; }
 
   // Recomputes min/max/ndv for all columns (exact; tables here are
-  // memory resident).
+  // memory resident). Leaves dsb_scale and compression_ratio alone.
   void RecomputeStats();
 
   // SCN as of which this table's content is current (Section 3.3).

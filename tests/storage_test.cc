@@ -2,7 +2,10 @@
 // encoding, dictionaries, RLE, tables/statistics, the loader, and
 // SCN-versioned update tracking.
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -340,6 +343,182 @@ TEST(LoaderTest, ApplyRowChangeHitsRightSlot) {
   EXPECT_FALSE(ApplyRowChange(&table, 100000, {0, 0, 0, 0}).ok());
   // Wrong arity rejected.
   EXPECT_FALSE(ApplyRowChange(&table, 1, {0}).ok());
+}
+
+TEST(TableTest, CloneIsDeep) {
+  auto [specs, data] = SampleTable();
+  // A run-heavy column, so some chunks carry an RLE encoding.
+  specs.push_back({"run", ColumnKind::kInt32});
+  data.emplace_back();
+  for (int i = 0; i < 100; ++i) data.back().ints.push_back(i / 40);
+  LoadOptions opts;
+  opts.rows_per_chunk = 16;
+  opts.num_partitions = 2;
+  opts.scn = 9;
+  ASSERT_OK_AND_ASSIGN(Table table, LoadTable("t", specs, data, opts));
+  Table copy = table.Clone();
+  ASSERT_NE(table.partition(0).chunk(0).encoding(4), nullptr);
+  EXPECT_EQ(copy.name(), "t");
+  EXPECT_EQ(copy.scn(), 9u);
+  EXPECT_EQ(copy.rows_per_chunk(), 16u);
+  ASSERT_EQ(copy.num_partitions(), 2u);
+  for (size_t p = 0; p < 2; ++p) {
+    ASSERT_EQ(copy.partition(p).num_chunks(), table.partition(p).num_chunks());
+    for (size_t ch = 0; ch < table.partition(p).num_chunks(); ++ch) {
+      const Chunk& a = table.partition(p).chunk(ch);
+      const Chunk& b = copy.partition(p).chunk(ch);
+      for (size_t c = 0; c < specs.size(); ++c) {
+        ASSERT_EQ(b.column(c).size(), a.column(c).size());
+        EXPECT_NE(b.column(c).raw(), a.column(c).raw());
+        EXPECT_EQ(b.column(c).dsb_scale(), a.column(c).dsb_scale());
+        for (size_t r = 0; r < a.num_rows(); ++r) {
+          EXPECT_EQ(b.column(c).GetInt(r), a.column(c).GetInt(r));
+        }
+        ASSERT_EQ(b.encoding(c) == nullptr, a.encoding(c) == nullptr);
+        if (a.encoding(c) != nullptr) {
+          EXPECT_NE(b.encoding(c), a.encoding(c));
+          EXPECT_EQ(b.encoding(c)->values, a.encoding(c)->values);
+          EXPECT_EQ(b.encoding(c)->lengths, a.encoding(c)->lengths);
+        }
+      }
+    }
+  }
+  for (size_t c = 0; c < specs.size(); ++c) {
+    EXPECT_EQ(copy.stats(c).min, table.stats(c).min);
+    EXPECT_EQ(copy.stats(c).max, table.stats(c).max);
+    EXPECT_EQ(copy.stats(c).ndv, table.stats(c).ndv);
+    EXPECT_EQ(copy.stats(c).dsb_scale, table.stats(c).dsb_scale);
+    EXPECT_EQ(copy.stats(c).compression_ratio,
+              table.stats(c).compression_ratio);
+  }
+  // Writes to the copy reach neither the original's vectors nor its
+  // dictionary.
+  ASSERT_OK(ApplyRowChange(&copy, 0, {-1, 1, 2, 3, 4}));
+  EXPECT_EQ(table.partition(0).chunk(0).column(0).GetInt(0), 0);
+  EXPECT_EQ(copy.dictionary(2)->GetOrInsert("geneva"), 3u);
+  EXPECT_EQ(table.dictionary(2)->size(), 3u);
+  EXPECT_EQ(copy.dictionary(2)->Lookup("bern").value(),
+            table.dictionary(2)->Lookup("bern").value());
+}
+
+// ---- Statistics ------------------------------------------------------------
+
+// A one-column table of `type` holding `values` in chunks of
+// `rows_per_chunk`, dealt over two partitions.
+Table OneColumnTable(DataType type, const std::vector<int64_t>& values,
+                     size_t rows_per_chunk = 700) {
+  Table table("t", Schema({Field{"x", type}}));
+  std::vector<Partition> partitions(2);
+  size_t chunk_index = 0;
+  for (size_t start = 0; start < values.size(); start += rows_per_chunk) {
+    const size_t rows = std::min(rows_per_chunk, values.size() - start);
+    Chunk chunk(table.schema(), rows);
+    for (size_t r = 0; r < rows; ++r) {
+      chunk.column(0).SetInt(r, values[start + r]);
+    }
+    partitions[chunk_index++ % 2].AddChunk(std::move(chunk));
+  }
+  for (Partition& p : partitions) table.AddPartition(std::move(p));
+  return table;
+}
+
+// RecomputeStats must match a std::set over the values exactly.
+void ExpectExactStats(DataType type, const std::vector<int64_t>& values) {
+  Table table = OneColumnTable(type, values);
+  table.stats(0) = ColumnStats{-3, 3, 99, 2, 1.5};
+  table.RecomputeStats();
+  const std::set<int64_t> distinct(values.begin(), values.end());
+  const ColumnStats& st = table.stats(0);
+  EXPECT_EQ(st.min, distinct.empty() ? 0 : *distinct.begin()) << NameOf(type);
+  EXPECT_EQ(st.max, distinct.empty() ? 0 : *distinct.rbegin())
+      << NameOf(type);
+  EXPECT_EQ(st.ndv, distinct.size()) << NameOf(type);
+  // min/max/ndv only: the loader owns the other two fields.
+  EXPECT_EQ(st.dsb_scale, 2);
+  EXPECT_EQ(st.compression_ratio, 1.5);
+}
+
+TEST(StatsTest, Int64ExtremesInOneColumn) {
+  // [INT64_MIN, INT64_MAX] spans the whole value space (the range
+  // wraps in int64), and INT64_MIN is also the flat set's empty-slot
+  // key.
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  ExpectExactStats(DataType::kInt64, {hi, 0, lo, -1, 1, lo, hi, 5, -5});
+  ExpectExactStats(DataType::kInt64, {lo, lo + 1, lo});
+  ExpectExactStats(DataType::kInt64, {hi, hi - 1, hi});
+  ExpectExactStats(DataType::kDecimal, {lo, hi});
+}
+
+TEST(StatsTest, DenseNegativeValuesUseBitmapRange) {
+  Rng rng(11);
+  std::vector<int64_t> values;
+  for (int i = 0; i < 5000; ++i) values.push_back(rng.NextInRange(-900, 99));
+  ExpectExactStats(DataType::kInt64, values);
+  ExpectExactStats(DataType::kInt32, values);
+  ExpectExactStats(DataType::kDecimal, values);
+}
+
+TEST(StatsTest, SparseKeysUseFlatSet) {
+  // 5000 distinct keys, each twice, ~10^6 apart: the range is far
+  // wider than 64 values per row, and the set grows past its
+  // initial capacity.
+  std::vector<int64_t> values;
+  for (int64_t i = 0; i < 5000; ++i) {
+    values.push_back(i * 1000003 - 7000000000);
+  }
+  for (int64_t i = 4999; i >= 0; --i) {
+    values.push_back(i * 1000003 - 7000000000);
+  }
+  ExpectExactStats(DataType::kInt64, values);
+}
+
+TEST(StatsTest, SingleDistinctValue) {
+  ExpectExactStats(DataType::kInt64, std::vector<int64_t>(3000, -42));
+  ExpectExactStats(DataType::kInt8, std::vector<int64_t>(3000, 7));
+  ExpectExactStats(DataType::kDictCode, {0});
+}
+
+TEST(StatsTest, EmptyTable) {
+  ExpectExactStats(DataType::kInt64, {});
+  // A table whose only chunk holds no rows.
+  Table table("t", Schema({Field{"x", DataType::kInt16}}));
+  Partition part;
+  part.AddChunk(Chunk(table.schema(), 0));
+  table.AddPartition(std::move(part));
+  table.RecomputeStats();
+  EXPECT_EQ(table.stats(0).min, 0);
+  EXPECT_EQ(table.stats(0).max, 0);
+  EXPECT_EQ(table.stats(0).ndv, 0u);
+}
+
+TEST(StatsTest, EveryVectorWidth) {
+  Rng rng(5);
+  struct Case {
+    DataType type;
+    int64_t lo;
+    int64_t hi;
+  };
+  const Case cases[] = {
+      {DataType::kInt8, -128, 127},
+      {DataType::kInt16, -32768, 32767},
+      {DataType::kInt32, std::numeric_limits<int32_t>::min(),
+       std::numeric_limits<int32_t>::max()},
+      {DataType::kDate, 8035, 10591},  // 1992-01-01 .. 1998-12-31
+      {DataType::kDictCode, 0, std::numeric_limits<uint32_t>::max()},
+      {DataType::kDictCode, 0, 24},
+  };
+  for (const Case& c : cases) {
+    // Small and large row counts put each width on both sides of the
+    // bitmap / flat-set choice where its range allows.
+    for (int rows : {50, 4000}) {
+      std::vector<int64_t> values = {c.lo, c.hi};
+      for (int i = 0; i < rows; ++i) {
+        values.push_back(rng.NextInRange(c.lo, c.hi));
+      }
+      ExpectExactStats(c.type, values);
+    }
+  }
 }
 
 // ---- Tracker ---------------------------------------------------------------
