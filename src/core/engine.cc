@@ -78,6 +78,21 @@ void EmitQueryMetrics(const ExecutionStats& s) {
 
 }  // namespace
 
+void ExecutionStats::Accumulate(const ExecutionStats& other) {
+  dpu::CoreCounters::Accumulate(other);
+  RecoveryCounters::Accumulate(other);
+  modeled_seconds += other.modeled_seconds;
+  wall_seconds += other.wall_seconds;
+  total_compute_cycles += other.total_compute_cycles;
+  total_dms_cycles += other.total_dms_cycles;
+  steps.insert(steps.end(), other.steps.begin(), other.steps.end());
+  imbalance.Accumulate(other.imbalance);
+  workload.Accumulate(other.workload);
+  demoted_to_unfused = demoted_to_unfused || other.demoted_to_unfused;
+  arena = other.arena;
+  tile_pool.Accumulate(other.tile_pool);
+}
+
 int RapidEngine::ResolveRetryBudget(int option) {
   if (option >= 0) return std::min(option, 16);
   static const int env_budget = ResolveEnvRetryBudget();
@@ -208,7 +223,7 @@ Result<QueryResult> RapidEngine::Execute(const LogicalPtr& plan,
         (failure.IsOutOfMemory() && !attempt.planner.enable_fusion);
     if (cp != nullptr && transient && budget > 0) {
       --budget;
-      ++cp->dpu_retries;
+      ++cp->recovery.dpu_retries;
       if (TraceCollector::Recording(TraceMode::kSummary)) {
         auto& tc = TraceCollector::Instance();
         tc.AddStepInstant(
@@ -229,9 +244,7 @@ Result<QueryResult> RapidEngine::Execute(const LogicalPtr& plan,
   }
   MetricsRegistry::Instance().Counter("rapid.query.failures")->Increment();
   if (fallback != nullptr && !result.status().IsCancellation()) {
-    fallback->reused_rounds = ckpt.reused_rounds;
-    fallback->resumed_morsels = ckpt.resumed_morsels;
-    fallback->dpu_retries = ckpt.dpu_retries;
+    fallback->stats.Accumulate(ckpt.recovery);
     // Unpartitioned completed subtrees graft directly into the host
     // rerun. Completed partition rounds have no Volcano counterpart;
     // when the partitions' *input* subtree did not itself survive,
@@ -324,7 +337,7 @@ Result<QueryResult> RapidEngine::ExecutePhysical(const PhysicalPlan& plan,
       // outputs only under plain paths (defensive shape check).
       if (frag.out.partitioned != IsPartitionAddress(frag.path)) continue;
       if (frag.out.partitioned) {
-        env.reused_rounds += static_cast<uint64_t>(
+        env.recovery.reused_rounds += static_cast<uint64_t>(
             std::max(0, frag.out.parts.rounds));
       }
       if (TraceCollector::Recording(TraceMode::kSummary)) {
@@ -471,8 +484,7 @@ Result<QueryResult> RapidEngine::ExecutePhysical(const PhysicalPlan& plan,
             path, std::move(progress_slots[uid])});
         progress_slots[uid].clear();
       }
-      ckpt->reused_rounds += env.reused_rounds;
-      ckpt->resumed_morsels += env.resumed_morsels;
+      ckpt->recovery.Accumulate(env.recovery);
     }
     return step_status;
   }
@@ -488,16 +500,7 @@ Result<QueryResult> RapidEngine::ExecutePhysical(const PhysicalPlan& plan,
         dpu_->core(static_cast<int>(c)).arena().stats());
     result.stats.tile_pool.Accumulate(
         dpu_->core(static_cast<int>(c)).pool().stats());
-    const dpu::EncodedScanCounters& enc =
-        dpu_->core(static_cast<int>(c)).encoded_scan();
-    result.stats.encoded_bytes_moved += enc.encoded_bytes;
-    result.stats.plain_bytes_moved += enc.plain_bytes;
-    result.stats.runs_filtered += enc.runs_filtered;
-    const dpu::JoinFilterCounters& jf =
-        dpu_->core(static_cast<int>(c)).join_filter();
-    result.stats.join_filter_built += jf.filters_built;
-    result.stats.rows_pruned_by_join_filter += jf.rows_pruned;
-    result.stats.filter_bytes += jf.filter_bytes;
+    result.stats.Accumulate(dpu_->core(static_cast<int>(c)).counters());
   }
   // Lifetime-counter deltas -> per-query figures (sizes stay absolute).
   result.stats.tile_pool.acquires -= pool_before.acquires;
@@ -509,14 +512,10 @@ Result<QueryResult> RapidEngine::ExecutePhysical(const PhysicalPlan& plan,
   // Reuse accounting: fold this attempt into the query-lifetime
   // checkpoint totals so the final stats cover every attempt.
   if (ckpt != nullptr) {
-    ckpt->reused_rounds += env.reused_rounds;
-    ckpt->resumed_morsels += env.resumed_morsels;
-    result.stats.reused_rounds = ckpt->reused_rounds;
-    result.stats.resumed_morsels = ckpt->resumed_morsels;
-    result.stats.dpu_retries = ckpt->dpu_retries;
+    ckpt->recovery.Accumulate(env.recovery);
+    result.stats.Accumulate(ckpt->recovery);
   } else {
-    result.stats.reused_rounds = env.reused_rounds;
-    result.stats.resumed_morsels = env.resumed_morsels;
+    result.stats.Accumulate(env.recovery);
   }
   result.rows = std::move(env.outputs[static_cast<size_t>(plan.root)].set);
   return result;

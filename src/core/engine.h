@@ -58,7 +58,12 @@ struct StepTiming {
   uint64_t rows_out = 0;
 };
 
-struct ExecutionStats {
+// The one per-query counter set. Everything the engine, the offload
+// operator, metrics emission and EXPLAIN ANALYZE report about a query
+// lives here; the per-core DMS/join-filter tallies (dpu::CoreCounters)
+// and the checkpoint accounting (RecoveryCounters) are base slices of
+// it, so they fold in with one Accumulate call each.
+struct ExecutionStats : dpu::CoreCounters, RecoveryCounters {
   double modeled_seconds = 0;  // total modeled DPU time
   double wall_seconds = 0;     // host wall clock (x86 software mode)
   double total_compute_cycles = 0;
@@ -75,13 +80,6 @@ struct ExecutionStats {
   // pipelines back to step-at-a-time execution (the fused chain's
   // per-core state no longer fit the scratchpad).
   bool demoted_to_unfused = false;
-  // Fragment-checkpoint accounting across all attempts of the query:
-  // partition rounds restored instead of re-executed, fused-pipeline
-  // morsels skipped by mid-step resume, and fragment-level DPU retries
-  // spent (bounded by ExecOptions::retry_budget).
-  uint64_t reused_rounds = 0;
-  uint64_t resumed_morsels = 0;
-  uint64_t dpu_retries = 0;
   // Tile-local memory subsystem, summed over the dpCores at query end.
   // Arena figures are absolute (arenas persist across queries; a warm
   // steady state shows a flat high-water mark); tile_pool counters are
@@ -89,19 +87,13 @@ struct ExecutionStats {
   // this query had to allocate rather than recycle.
   ArenaStats arena;
   TilePoolStats tile_pool;
-  // Encoded scan path (RAPID_ENCODED_SCAN): bytes the DMS actually
-  // moved as RLE runs, the plain bytes those same tiles would have
-  // cost, and the number of runs whose predicate was decided without
-  // expanding a single row.
-  uint64_t encoded_bytes_moved = 0;
-  uint64_t plain_bytes_moved = 0;
-  uint64_t runs_filtered = 0;
-  // Join-filter pushdown (RAPID_JOIN_FILTER): Bloom filters built over
-  // build-side keys, probe rows they pruned before partition/probe
-  // work, and the bytes those filters occupied.
-  uint64_t join_filter_built = 0;
-  uint64_t rows_pruned_by_join_filter = 0;
-  uint64_t filter_bytes = 0;
+
+  using dpu::CoreCounters::Accumulate;
+  using RecoveryCounters::Accumulate;
+  // Sums `other` into this set (several fragments of one query, or
+  // several queries of a pass). Step timings append; `arena` is an
+  // absolute snapshot, so the later one replaces it.
+  void Accumulate(const ExecutionStats& other);
 };
 
 // A completed step's materialized rows, identified by the logical
@@ -134,20 +126,18 @@ struct FragmentCheckpoint {
   };
   std::vector<Partial> in_progress;
   // Accounting accumulated across every attempt of this query.
-  uint64_t reused_rounds = 0;
-  uint64_t resumed_morsels = 0;
-  uint64_t dpu_retries = 0;
+  RecoveryCounters recovery;
 };
 
 // What the engine hands back when execution fails for good: the
 // checkpoint's completed unpartitioned subtree results (for host
-// fallback grafting) plus the reuse/retry accounting, so callers can
-// report how much DPU work survived even though the fragment did not.
+// fallback grafting) plus the query's stats, so callers can report how
+// much DPU work survived even though the fragment did not. Only the
+// RecoveryCounters slice is set: a failed fragment reports no DMS or
+// join-filter traffic.
 struct FallbackInfo {
   std::vector<PartialResult> partials;
-  uint64_t reused_rounds = 0;
-  uint64_t resumed_morsels = 0;
-  uint64_t dpu_retries = 0;
+  ExecutionStats stats;
 };
 
 struct QueryResult {

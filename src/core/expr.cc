@@ -516,7 +516,7 @@ Status EvalPredicateImpl(ExecCtx& ctx, const Tile& tile,
     if (pred.kind == Predicate::Kind::kBetween) cycles *= 2;
     ctx.ChargeCompute(cycles);
     ctx.ChargeVectorizationPenalty(col.num_runs);
-    ctx.core->encoded_scan().runs_filtered += col.num_runs;
+    ctx.core->counters().runs_filtered += col.num_runs;
     if (run_level != nullptr) *run_level = true;
     return Status::OK();
   }
@@ -618,7 +618,7 @@ Status EvalPredicate(ExecCtx& ctx, const Tile& tile,
   RAPID_RETURN_NOT_OK(EvalPredicateImpl(ctx, tile, binding, pred, out,
                                         nullptr));
   if (pred.kind == Predicate::Kind::kBloom) {
-    ctx.core->join_filter().rows_pruned += tile.rows - out->CountOnes();
+    ctx.core->counters().rows_pruned_by_join_filter += tile.rows - out->CountOnes();
   }
   return Status::OK();
 }
@@ -648,7 +648,7 @@ Status RefinePredicate(ExecCtx& ctx, const Tile& tile,
   *out = full;
   out->And(in);
   if (pred.kind == Predicate::Kind::kBloom) {
-    ctx.core->join_filter().rows_pruned += qualifying - out->CountOnes();
+    ctx.core->counters().rows_pruned_by_join_filter += qualifying - out->CountOnes();
   }
   return Status::OK();
 }

@@ -320,10 +320,8 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
                                   params.simd.bloom *
                                   static_cast<double>(build_rows));
       use_filter = true;
-      ++result->stats.join_filter_built;
-      result->stats.filter_bytes += pair_filter.bytes();
-      core.join_filter().filters_built += 1;
-      core.join_filter().filter_bytes += pair_filter.bytes();
+      core.counters().join_filter_built += 1;
+      core.counters().filter_bytes += pair_filter.bytes();
     }
   }
 
@@ -470,8 +468,7 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
       core.cycles().ChargeCompute(params.bloom_probe_cycles_per_row /
                                   params.simd.bloom *
                                   static_cast<double>(rows));
-      result->stats.rows_pruned_by_join_filter += tile_pruned;
-      core.join_filter().rows_pruned += tile_pruned;
+      core.counters().rows_pruned_by_join_filter += tile_pruned;
     }
     core.cycles().ChargeCompute(dpu::JoinProbeTileCycles(
         params, rows - tile_pruned, tile_stats.chain_steps,
@@ -565,19 +562,7 @@ Result<ColumnSet> JoinExec::Execute(dpu::Dpu& dpu, const PartitionedData& build,
   JoinStats total;
   for (PairResult& r : results) {
     merged.Append(r.output);
-    total.build_rows += r.stats.build_rows;
-    total.probe_rows += r.stats.probe_rows;
-    total.matches += r.stats.matches;
-    total.chain_steps += r.stats.chain_steps;
-    total.overflow_steps += r.stats.overflow_steps;
-    total.overflowed_partitions += r.stats.overflowed_partitions;
-    total.repartitioned_partitions += r.stats.repartitioned_partitions;
-    total.overflow_recoveries += r.stats.overflow_recoveries;
-    total.heavy_hitter_keys += r.stats.heavy_hitter_keys;
-    total.heavy_hitter_matches += r.stats.heavy_hitter_matches;
-    total.join_filter_built += r.stats.join_filter_built;
-    total.rows_pruned_by_join_filter += r.stats.rows_pruned_by_join_filter;
-    total.filter_bytes += r.stats.filter_bytes;
+    total += r.stats;
   }
   if (stats != nullptr) *stats = total;
   return merged;

@@ -106,12 +106,22 @@ struct JoinStats {
   uint64_t overflow_recoveries = 0;
   uint64_t heavy_hitter_keys = 0;
   uint64_t heavy_hitter_matches = 0;
-  // Join-filter pushdown (RAPID_JOIN_FILTER): per-pair Bloom filters
-  // built over the build keys, probe rows they pruned before the hash
-  // probe, and the bytes the built filters occupy.
-  uint64_t join_filter_built = 0;
-  uint64_t rows_pruned_by_join_filter = 0;
-  uint64_t filter_bytes = 0;
+  // Join-filter pushdown is tallied per core (dpu::CoreCounters), not
+  // here: it is query-level accounting, not a join-kernel statistic.
+
+  JoinStats& operator+=(const JoinStats& other) {
+    build_rows += other.build_rows;
+    probe_rows += other.probe_rows;
+    matches += other.matches;
+    chain_steps += other.chain_steps;
+    overflow_steps += other.overflow_steps;
+    overflowed_partitions += other.overflowed_partitions;
+    repartitioned_partitions += other.repartitioned_partitions;
+    overflow_recoveries += other.overflow_recoveries;
+    heavy_hitter_keys += other.heavy_hitter_keys;
+    heavy_hitter_matches += other.heavy_hitter_matches;
+    return *this;
+  }
 };
 
 class JoinExec {

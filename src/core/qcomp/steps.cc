@@ -145,8 +145,8 @@ bool BuildJoinFilter(ExecEnv& env, const JoinFilterRef& ref,
     core.cycles().ChargeCompute(insert_cycles);
     core.cycles().ChargeDms(dms_cycles);
     if (core.id() == 0) {
-      core.join_filter().filters_built += 1;
-      core.join_filter().filter_bytes += filter->bytes();
+      core.counters().join_filter_built += 1;
+      core.counters().filter_bytes += filter->bytes();
     }
   });
   span.Annotate("filter_bytes", static_cast<int64_t>(filter->bytes()));
@@ -423,7 +423,7 @@ Status PartitionStep::Execute(ExecEnv& env) const {
   }
   env.counters.partitioned_rows +=
       in.set.num_rows() * (scheme_.rounds.size() - reused);
-  env.reused_rounds += reused;
+  env.recovery.reused_rounds += reused;
   RAPID_ASSIGN_OR_RETURN(
       PartitionedData parts,
       PartitionExec::Execute(*env.dpu, in.set, key_cols, scheme_, tile_rows_,
@@ -491,12 +491,13 @@ Status JoinStep::Execute(ExecEnv& env) const {
     return Status::NotFound("join output column '" + name + "' not found");
   }
 
+  JoinStats stats;
   RAPID_ASSIGN_OR_RETURN(
       ColumnSet merged,
       JoinExec::Execute(*env.dpu, build_in.parts, probe_in.parts, spec,
-                        &last_stats, env.cancel));
-  env.counters.join_build_rows += last_stats.build_rows;
-  env.counters.join_probe_rows += last_stats.probe_rows;
+                        &stats, env.cancel));
+  env.counters.join_build_rows += stats.build_rows;
+  env.counters.join_probe_rows += stats.probe_rows;
   StepOutput& out = env.outputs[static_cast<size_t>(id_)];
   out.partitioned = false;
   out.set = std::move(merged);
@@ -783,7 +784,7 @@ Status PipelineStep::Execute(ExecEnv& env) const {
       weights[m] = 0;  // nothing left to schedule for this morsel
       ++resumed;
     }
-    env.resumed_morsels += resumed;
+    env.recovery.resumed_morsels += resumed;
   }
   if (sp != nullptr) {
     sp->per_morsel.clear();
@@ -886,34 +887,18 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   }
   for (int c = 0; c < num_cores; ++c) env.dpu->core(c).dmem().Reset();
 
-  // Join statistics accumulate per chain; sums are assignment-independent.
-  std::vector<JoinStats> core_join_stats(static_cast<size_t>(num_cores));
-  for (size_t c = 0; c < chains.size(); ++c) {
-    for (const auto& op : chains[c].ops) {
+  // Probe statistics accumulate per chain; sums are
+  // assignment-independent.
+  JoinStats probe_stats;
+  for (const CoreChain& chain : chains) {
+    for (const auto& op : chain.ops) {
       if (const auto* probe =
               dynamic_cast<const HashJoinProbeOp*>(op.get())) {
-        const JoinStats& js = probe->stats();
-        JoinStats& agg = core_join_stats[c];
-        agg.build_rows += js.build_rows;
-        agg.probe_rows += js.probe_rows;
-        agg.matches += js.matches;
-        agg.chain_steps += js.chain_steps;
-        agg.overflow_steps += js.overflow_steps;
-        agg.overflowed_partitions += js.overflowed_partitions;
+        probe_stats += probe->stats();
       }
     }
   }
-
-  last_join_stats = JoinStats{};
-  for (const JoinStats& js : core_join_stats) {
-    last_join_stats.build_rows += js.build_rows;
-    last_join_stats.probe_rows += js.probe_rows;
-    last_join_stats.matches += js.matches;
-    last_join_stats.chain_steps += js.chain_steps;
-    last_join_stats.overflow_steps += js.overflow_steps;
-    last_join_stats.overflowed_partitions += js.overflowed_partitions;
-  }
-  env.counters.join_probe_rows += last_join_stats.probe_rows;
+  env.counters.join_probe_rows += probe_stats.probe_rows;
 
   StepOutput& out = env.outputs[static_cast<size_t>(id_)];
   out.partitioned = false;

@@ -49,6 +49,35 @@ struct WorkloadCounters {
   uint64_t join_probe_rows = 0;
   uint64_t agg_rows = 0;
   uint64_t sorted_rows = 0;
+
+  void Accumulate(const WorkloadCounters& other) {
+    scanned_rows += other.scanned_rows;
+    groupby_repartitions += other.groupby_repartitions;
+    scanned_bytes += other.scanned_bytes;
+    partitioned_rows += other.partitioned_rows;
+    join_build_rows += other.join_build_rows;
+    join_probe_rows += other.join_probe_rows;
+    agg_rows += other.agg_rows;
+    sorted_rows += other.sorted_rows;
+  }
+};
+
+// Fragment-checkpoint accounting: partition rounds restored instead
+// of re-executed, fused-pipeline morsels skipped by mid-step resume,
+// and fragment-level DPU retries spent (bounded by
+// ExecOptions::retry_budget). Steps tally one attempt in
+// ExecEnv::recovery; FragmentCheckpoint sums the attempts of a query;
+// ExecutionStats derives from this struct to report the total.
+struct RecoveryCounters {
+  uint64_t reused_rounds = 0;
+  uint64_t resumed_morsels = 0;
+  uint64_t dpu_retries = 0;
+
+  void Accumulate(const RecoveryCounters& other) {
+    reused_rounds += other.reused_rounds;
+    resumed_morsels += other.resumed_morsels;
+    dpu_retries += other.dpu_retries;
+  }
 };
 
 // Mid-step state salvaged from a failed attempt, indexed by step id
@@ -90,11 +119,9 @@ struct ExecEnv {
   // Steps consume their slot on entry and refill it on failure; the
   // engine moves surviving slots into the query's FragmentCheckpoint.
   std::vector<StepProgress>* progress = nullptr;
-  // Reuse accounting for the current attempt: partition rounds skipped
-  // via checkpoints and fused-pipeline morsels skipped via resume.
-  // Written single-threaded at step boundaries.
-  uint64_t reused_rounds = 0;
-  uint64_t resumed_morsels = 0;
+  // Reuse accounting for the current attempt. Written single-threaded
+  // at step boundaries.
+  RecoveryCounters recovery;
 };
 
 class PlanStep {
@@ -316,9 +343,6 @@ class JoinStep : public PlanStep {
   JoinType type() const { return type_; }
   const JoinSpec& spec_template() const { return spec_template_; }
 
-  // Stats of the last execution (skew handling introspection).
-  mutable JoinStats last_stats;
-
  private:
   int build_input_;
   int probe_input_;
@@ -493,10 +517,6 @@ class PipelineStep : public PlanStep {
 
   const std::vector<PipelineStageSpec>& stages() const { return stages_; }
   size_t tile_rows() const { return tile_rows_; }
-
-  // Aggregated probe stats of the last execution (all probe stages,
-  // all cores).
-  mutable JoinStats last_join_stats;
 
  private:
   std::string table_;

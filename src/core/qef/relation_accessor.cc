@@ -187,9 +187,9 @@ Status RelationAccessor::PushChunks(
             staged_cols.push_back(
                 StagedRuns{c, enc, first, runs, values_dst,
                            reinterpret_cast<uint32_t*>(lengths_dst)});
-            ctx.core->encoded_scan().encoded_bytes +=
+            ctx.core->counters().encoded_bytes_moved +=
                 runs * (width + sizeof(uint32_t));
-            ctx.core->encoded_scan().plain_bytes += rows * width;
+            ctx.core->counters().plain_bytes_moved += rows * width;
             continue;
           }
         }

@@ -13,37 +13,30 @@
 
 namespace rapid::dpu {
 
-// Per-core tallies of the encoded scan path: DMS bytes actually moved
-// for RLE-topped columns vs what the plain representation would have
-// moved, and predicate evaluations short-circuited at run granularity.
-// Summed over cores into ExecutionStats after each fragment.
-struct EncodedScanCounters {
-  uint64_t encoded_bytes = 0;
-  uint64_t plain_bytes = 0;
+// Per-core tallies of the bytes-moved optimizations, charged by the
+// kernels as they run and reset per query by Dpu::ResetCores. They
+// are a slice of the query's core::ExecutionStats (which derives from
+// this struct), so summing cores into the query stats is one call.
+struct CoreCounters {
+  // Encoded scan path (RAPID_ENCODED_SCAN): bytes the DMS moved as
+  // RLE runs, the plain bytes those same tiles would have cost, and
+  // predicate evaluations decided per run without expanding a row.
+  uint64_t encoded_bytes_moved = 0;
+  uint64_t plain_bytes_moved = 0;
   uint64_t runs_filtered = 0;
-
-  void Reset() { *this = EncodedScanCounters{}; }
-  void Merge(const EncodedScanCounters& other) {
-    encoded_bytes += other.encoded_bytes;
-    plain_bytes += other.plain_bytes;
-    runs_filtered += other.runs_filtered;
-  }
-};
-
-// Per-core tallies of the join-filter pushdown (RAPID_JOIN_FILTER):
-// Bloom filters built from build-side outputs, probe rows the pushed
-// filter dropped before partitioning/materialization, and the bytes
-// the built filters occupy. Summed into ExecutionStats like the
-// encoded-scan counters.
-struct JoinFilterCounters {
-  uint64_t filters_built = 0;
-  uint64_t rows_pruned = 0;
+  // Join-filter pushdown (RAPID_JOIN_FILTER): Bloom filters built over
+  // build-side keys, probe rows they pruned before partition/probe
+  // work, and the bytes those filters occupied.
+  uint64_t join_filter_built = 0;
+  uint64_t rows_pruned_by_join_filter = 0;
   uint64_t filter_bytes = 0;
 
-  void Reset() { *this = JoinFilterCounters{}; }
-  void Merge(const JoinFilterCounters& other) {
-    filters_built += other.filters_built;
-    rows_pruned += other.rows_pruned;
+  void Accumulate(const CoreCounters& other) {
+    encoded_bytes_moved += other.encoded_bytes_moved;
+    plain_bytes_moved += other.plain_bytes_moved;
+    runs_filtered += other.runs_filtered;
+    join_filter_built += other.join_filter_built;
+    rows_pruned_by_join_filter += other.rows_pruned_by_join_filter;
     filter_bytes += other.filter_bytes;
   }
 };
@@ -65,10 +58,8 @@ class DpCore {
   Dmem& dmem() { return dmem_; }
   CycleCounter& cycles() { return cycles_; }
   const CycleCounter& cycles() const { return cycles_; }
-  EncodedScanCounters& encoded_scan() { return encoded_scan_; }
-  const EncodedScanCounters& encoded_scan() const { return encoded_scan_; }
-  JoinFilterCounters& join_filter() { return join_filter_; }
-  const JoinFilterCounters& join_filter() const { return join_filter_; }
+  CoreCounters& counters() { return counters_; }
+  const CoreCounters& counters() const { return counters_; }
 
   // Tile-local scratch memory. Only the worker currently executing
   // this core's morsel may touch either. The arena is never Reset()
@@ -85,8 +76,7 @@ class DpCore {
   int macro_id_;
   Dmem dmem_;
   CycleCounter cycles_;
-  EncodedScanCounters encoded_scan_;
-  JoinFilterCounters join_filter_;
+  CoreCounters counters_;
   Arena arena_;
   TileBufferPool pool_;
 };

@@ -167,8 +167,7 @@ void Dpu::ResetCores() {
   for (auto& core : cores_) {
     core->cycles().Reset();
     core->dmem().Reset();
-    core->encoded_scan().Reset();
-    core->join_filter().Reset();
+    core->counters() = CoreCounters{};
   }
   imbalance_ = ImbalanceStats{};
   last_phase_imbalance_ = ImbalanceStats{};

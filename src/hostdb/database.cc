@@ -163,9 +163,6 @@ Result<QueryReport> HostDatabase::ExecuteQuery(
                            DrainToColumnSet(placeholders[f].get()));
     report.Merge(*placeholders[f]);
   }
-  if (!placeholders.empty()) {
-    report.rapid_stats = placeholders[0]->rapid_stats();
-  }
 
   if (decision.kind == OffloadDecision::Kind::kFull) {
     // The whole plan was the single fragment.

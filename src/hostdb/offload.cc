@@ -181,17 +181,8 @@ void QueryReport::Merge(const RapidOperator& op) {
     fallback_reason += op.fallback_reason().ToString();
   }
   rapid_wall_seconds += op.rapid_wall_seconds();
-  rapid_modeled_seconds += op.rapid_stats().modeled_seconds;
   reused_fragments += op.reused_fragments();
-  reused_rounds += op.reused_rounds();
-  resumed_morsels += op.resumed_morsels();
-  dpu_retries += op.dpu_retries();
-  encoded_bytes_moved += op.encoded_bytes_moved();
-  plain_bytes_moved += op.plain_bytes_moved();
-  runs_filtered += op.runs_filtered();
-  join_filter_built += op.join_filter_built();
-  rows_pruned_by_join_filter += op.rows_pruned_by_join_filter();
-  filter_bytes += op.filter_bytes();
+  rapid_stats.Accumulate(op.stats());
 }
 
 std::string QueryReport::Summary() const {
@@ -205,13 +196,13 @@ std::string QueryReport::Summary() const {
       "rapid_wall_ms=%.3f host_wall_ms=%.3f encoded_bytes=%llu "
       "plain_bytes=%llu pruned=%llu reused_rounds=%llu retries=%llu",
       rows.num_rows(), kind, offloaded ? 1 : 0, fell_back ? 1 : 0,
-      rapid_modeled_seconds * 1e3, rapid_wall_seconds * 1e3,
+      rapid_stats.modeled_seconds * 1e3, rapid_wall_seconds * 1e3,
       host_wall_seconds * 1e3,
-      static_cast<unsigned long long>(encoded_bytes_moved),
-      static_cast<unsigned long long>(plain_bytes_moved),
-      static_cast<unsigned long long>(rows_pruned_by_join_filter),
-      static_cast<unsigned long long>(reused_rounds),
-      static_cast<unsigned long long>(dpu_retries));
+      static_cast<unsigned long long>(rapid_stats.encoded_bytes_moved),
+      static_cast<unsigned long long>(rapid_stats.plain_bytes_moved),
+      static_cast<unsigned long long>(rapid_stats.rows_pruned_by_join_filter),
+      static_cast<unsigned long long>(rapid_stats.reused_rounds),
+      static_cast<unsigned long long>(rapid_stats.dpu_retries));
   return std::string(buf);
 }
 

@@ -74,38 +74,20 @@ struct QueryReport {
   // RAPID path; empty when nothing fell back.
   std::string fallback_reason;
   OffloadDecision::Kind decision = OffloadDecision::Kind::kNone;
-  double rapid_wall_seconds = 0;     // time spent executing in RAPID
-  double rapid_modeled_seconds = 0;  // modeled DPU time of the fragment
-  double host_wall_seconds = 0;      // host-side execution + post-processing
+  double rapid_wall_seconds = 0;  // time spent executing in RAPID
+  double host_wall_seconds = 0;   // host-side execution + post-processing
+  // The query's counters summed over every RAPID placeholder, whether
+  // or not it fell back: modeled time, DMS and join-filter traffic
+  // from the fragments that ran on RAPID, checkpoint reuse and retries
+  // from all of them.
   core::ExecutionStats rapid_stats;
   // Completed DPU subtree results the host fallback resumed from
   // instead of recomputing (0 when nothing fell back or nothing had
   // completed).
   uint64_t reused_fragments = 0;
-  // Fragment-checkpoint accounting summed over the query's RAPID
-  // placeholders (whether or not they ultimately fell back):
-  // partition rounds restored instead of re-executed, fused-pipeline
-  // morsels skipped by mid-step resume, and in-place DPU retries
-  // spent (bounded by RAPID_RETRY_BUDGET / ExecOptions::retry_budget).
-  uint64_t reused_rounds = 0;
-  uint64_t resumed_morsels = 0;
-  uint64_t dpu_retries = 0;
-  // Encoded-scan accounting summed over the RAPID placeholders: bytes
-  // the DMS moved as RLE runs, the plain bytes those tiles would have
-  // cost, and predicate evaluations resolved at run level.
-  uint64_t encoded_bytes_moved = 0;
-  uint64_t plain_bytes_moved = 0;
-  uint64_t runs_filtered = 0;
-  // Join-filter pushdown accounting (RAPID_JOIN_FILTER): build-side
-  // Bloom filters built, probe rows they pruned before the DMS
-  // round trips, and the bytes those filters occupied.
-  uint64_t join_filter_built = 0;
-  uint64_t rows_pruned_by_join_filter = 0;
-  uint64_t filter_bytes = 0;
 
-  // Folds one placeholder's accounting into the report: fallback
-  // bookkeeping, wall/modeled time, checkpoint reuse, encoded-scan and
-  // join-filter counters. Called once per fragment by ExecuteQuery.
+  // Folds one placeholder into the report: fallback bookkeeping, wall
+  // time and its stats. Called once per fragment by ExecuteQuery.
   void Merge(const RapidOperator& op);
 
   // Stable one-line key=value summary for logs and examples. Keys and
@@ -134,47 +116,16 @@ class RapidOperator : public Iterator {
   // fragment ran on RAPID.
   const Status& fallback_reason() const { return fallback_reason_; }
   double rapid_wall_seconds() const { return rapid_wall_seconds_; }
-  const core::ExecutionStats& rapid_stats() const { return rapid_stats_; }
+  // The fragment's counters: the engine's stats when it ran on RAPID;
+  // when it fell back, only the checkpoint reuse and retries the
+  // failed DPU attempts spent (the host re-execution moves no DMS
+  // bytes and builds no Bloom filters).
+  const core::ExecutionStats& stats() const {
+    return fell_back_ ? fallback_info_.stats : rapid_stats_;
+  }
   // Completed DPU subtree results the host fallback resumed from
   // (materialized-node overrides) instead of recomputing.
   size_t reused_fragments() const { return reused_fragments_; }
-  // Checkpoint accounting for this placeholder's fragment. Valid on
-  // both outcomes: from the engine's stats when the fragment ran on
-  // RAPID, from the engine's FallbackInfo when it fell back.
-  uint64_t reused_rounds() const {
-    return fell_back_ ? fallback_info_.reused_rounds
-                      : rapid_stats_.reused_rounds;
-  }
-  uint64_t resumed_morsels() const {
-    return fell_back_ ? fallback_info_.resumed_morsels
-                      : rapid_stats_.resumed_morsels;
-  }
-  uint64_t dpu_retries() const {
-    return fell_back_ ? fallback_info_.dpu_retries
-                      : rapid_stats_.dpu_retries;
-  }
-  // Encoded-scan accounting; zero when the fragment fell back (the
-  // host re-execution moves no DMS bytes at all).
-  uint64_t encoded_bytes_moved() const {
-    return fell_back_ ? 0 : rapid_stats_.encoded_bytes_moved;
-  }
-  uint64_t plain_bytes_moved() const {
-    return fell_back_ ? 0 : rapid_stats_.plain_bytes_moved;
-  }
-  uint64_t runs_filtered() const {
-    return fell_back_ ? 0 : rapid_stats_.runs_filtered;
-  }
-  // Join-filter accounting; zero when the fragment fell back (the
-  // host re-execution builds no Bloom filters and prunes nothing).
-  uint64_t join_filter_built() const {
-    return fell_back_ ? 0 : rapid_stats_.join_filter_built;
-  }
-  uint64_t rows_pruned_by_join_filter() const {
-    return fell_back_ ? 0 : rapid_stats_.rows_pruned_by_join_filter;
-  }
-  uint64_t filter_bytes() const {
-    return fell_back_ ? 0 : rapid_stats_.filter_bytes;
-  }
 
  private:
   core::LogicalPtr fragment_;
@@ -192,7 +143,7 @@ class RapidOperator : public Iterator {
   core::ExecutionStats rapid_stats_;
   // Checkpoint harvest of the failed DPU run: completed subtree
   // results (kept alive while the Volcano fallback reads them through
-  // node overrides) plus the reuse/retry accounting.
+  // node overrides) plus its stats.
   core::FallbackInfo fallback_info_;
   size_t reused_fragments_ = 0;
 };

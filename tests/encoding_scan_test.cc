@@ -354,15 +354,16 @@ TEST_F(EncodedScanEngineTest, QueryReportExposesEncodedCounters) {
   ASSERT_OK_AND_ASSIGN(QueryReport report,
                        host_.ExecuteQuery(Q6Plan(), &engine_));
   EXPECT_FALSE(report.fell_back);
-  EXPECT_GT(report.encoded_bytes_moved, 0u);
-  EXPECT_GT(report.plain_bytes_moved, report.encoded_bytes_moved);
-  EXPECT_GT(report.runs_filtered, 0u);
+  EXPECT_GT(report.rapid_stats.encoded_bytes_moved, 0u);
+  EXPECT_GT(report.rapid_stats.plain_bytes_moved,
+            report.rapid_stats.encoded_bytes_moved);
+  EXPECT_GT(report.rapid_stats.runs_filtered, 0u);
 
   ScopedEncodedScan off(EncodedScanMode::kOff);
   ASSERT_OK_AND_ASSIGN(QueryReport plain_report,
                        host_.ExecuteQuery(Q6Plan(), &engine_));
-  EXPECT_EQ(plain_report.encoded_bytes_moved, 0u);
-  EXPECT_EQ(plain_report.runs_filtered, 0u);
+  EXPECT_EQ(plain_report.rapid_stats.encoded_bytes_moved, 0u);
+  EXPECT_EQ(plain_report.rapid_stats.runs_filtered, 0u);
   ExpectSameRows(report.rows, plain_report.rows);
 }
 

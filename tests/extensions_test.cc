@@ -1,7 +1,7 @@
-// Tests for the extension features: sort-merge join (Section 6.5) and
-// the per-vector encoding stack (Section 4.2), plus a randomized
-// cross-engine fuzz harness that generates plans and requires RAPID
-// and the Volcano engine to agree on every one.
+// Tests for the extension features: the per-vector encoding stack
+// (Section 4.2), plus a randomized cross-engine fuzz harness that
+// generates plans and requires RAPID and the Volcano engine to agree
+// on every one.
 
 #include <map>
 #include <set>
@@ -10,8 +10,6 @@
 
 #include "common/rng.h"
 #include "core/engine.h"
-#include "core/ops/merge_join_exec.h"
-#include "core/ops/partition_exec.h"
 #include "hostdb/volcano.h"
 #include "storage/encoding_stack.h"
 #include "storage/loader.h"
@@ -21,102 +19,9 @@ namespace rapid {
 namespace {
 
 using core::ColumnMeta;
-using core::ColumnSet;
-using core::JoinSpec;
-using core::MergeJoinExec;
-using core::MergeJoinSpec;
 using primitives::CmpOp;
 using rapid::testing::ExpectSameRows;
-using rapid::testing::MakeColumnSet;
 using rapid::testing::Rows;
-using rapid::testing::SortedRows;
-
-// ---- Sort-merge join -------------------------------------------------------
-
-class MergeJoinTest : public ::testing::Test {
- protected:
-  dpu::Dpu dpu_;
-};
-
-TEST_F(MergeJoinTest, BasicInnerJoinOrderedByKey) {
-  ColumnSet left = MakeColumnSet({"k", "v"}, {{3, 1, 2, 1}, {30, 10, 20, 11}});
-  ColumnSet right = MakeColumnSet({"k", "w"}, {{2, 1, 4}, {200, 100, 400}});
-  MergeJoinSpec spec;
-  spec.left_key = 0;
-  spec.right_key = 0;
-  spec.outputs = {{true, 0}, {true, 1}, {false, 1}};
-  ASSERT_OK_AND_ASSIGN(ColumnSet out,
-                       MergeJoinExec::Execute(dpu_, left, right, spec));
-  // Output ordered by key — a property hash join does not give.
-  ASSERT_EQ(out.num_rows(), 3u);
-  EXPECT_EQ(out.column(0), (std::vector<int64_t>{1, 1, 2}));
-  EXPECT_TRUE((out.column(1) == std::vector<int64_t>{10, 11, 20}) ||
-              (out.column(1) == std::vector<int64_t>{11, 10, 20}));
-  EXPECT_EQ(out.column(2), (std::vector<int64_t>{100, 100, 200}));
-}
-
-TEST_F(MergeJoinTest, DuplicateKeysCrossProduct) {
-  ColumnSet left = MakeColumnSet({"k", "v"}, {{5, 5}, {1, 2}});
-  ColumnSet right = MakeColumnSet({"k", "w"}, {{5, 5, 5}, {7, 8, 9}});
-  MergeJoinSpec spec;
-  spec.outputs = {{true, 1}, {false, 1}};
-  ASSERT_OK_AND_ASSIGN(ColumnSet out,
-                       MergeJoinExec::Execute(dpu_, left, right, spec));
-  EXPECT_EQ(out.num_rows(), 6u);
-}
-
-TEST_F(MergeJoinTest, AgreesWithHashJoinProperty) {
-  Rng rng(55);
-  for (int trial = 0; trial < 5; ++trial) {
-    const size_t nl = 100 + rng.NextBounded(400);
-    const size_t nr = 100 + rng.NextBounded(400);
-    std::vector<int64_t> lk(nl);
-    std::vector<int64_t> lv(nl);
-    std::vector<int64_t> rk(nr);
-    std::vector<int64_t> rv(nr);
-    for (size_t i = 0; i < nl; ++i) {
-      lk[i] = rng.NextInRange(0, 60);
-      lv[i] = static_cast<int64_t>(i);
-    }
-    for (size_t i = 0; i < nr; ++i) {
-      rk[i] = rng.NextInRange(0, 60);
-      rv[i] = static_cast<int64_t>(1000 + i);
-    }
-    ColumnSet left = MakeColumnSet({"k", "v"}, {lk, lv});
-    ColumnSet right = MakeColumnSet({"k", "w"}, {rk, rv});
-
-    MergeJoinSpec mspec;
-    mspec.outputs = {{true, 0}, {true, 1}, {false, 1}};
-    ASSERT_OK_AND_ASSIGN(ColumnSet merge_out,
-                         MergeJoinExec::Execute(dpu_, left, right, mspec));
-
-    core::PartitionScheme scheme;
-    scheme.rounds.push_back(core::PartitionRound{8, 8});
-    auto bp = core::PartitionExec::Execute(dpu_, left, {0}, scheme, 256);
-    auto pp = core::PartitionExec::Execute(dpu_, right, {0}, scheme, 256);
-    ASSERT_TRUE(bp.ok() && pp.ok());
-    JoinSpec hspec;
-    hspec.build_keys = {0};
-    hspec.probe_keys = {0};
-    hspec.outputs = {{true, 0}, {true, 1}, {false, 1}};
-    ASSERT_OK_AND_ASSIGN(
-        ColumnSet hash_out,
-        core::JoinExec::Execute(dpu_, bp.value(), pp.value(), hspec,
-                                nullptr));
-    EXPECT_EQ(SortedRows(merge_out), SortedRows(hash_out)) << trial;
-  }
-}
-
-TEST_F(MergeJoinTest, BadSpecsRejected) {
-  ColumnSet left = MakeColumnSet({"k"}, {{1}});
-  ColumnSet right = MakeColumnSet({"k"}, {{1}});
-  MergeJoinSpec bad_key;
-  bad_key.left_key = 5;
-  EXPECT_FALSE(MergeJoinExec::Execute(dpu_, left, right, bad_key).ok());
-  MergeJoinSpec bad_out;
-  bad_out.outputs = {{false, 9}};
-  EXPECT_FALSE(MergeJoinExec::Execute(dpu_, left, right, bad_out).ok());
-}
 
 // ---- Encoding stack --------------------------------------------------------
 

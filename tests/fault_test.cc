@@ -681,12 +681,12 @@ TEST_F(FaultEngineTest, ReuseMatrixRestoresRoundsBitIdenticalAcrossModes) {
             << " sched=" << dpu::SchedModeName(mode) << " seed=" << seed;
         const QueryReport& report = result.value();
         EXPECT_FALSE(report.fell_back) << report.fallback_reason;
-        EXPECT_EQ(report.dpu_retries, 1u)
+        EXPECT_EQ(report.rapid_stats.dpu_retries, 1u)
             << "simd=" << lvl << " sched=" << dpu::SchedModeName(mode)
             << " seed=" << seed;
         // At minimum the other side's completed partition rounds were
         // restored from the checkpoint instead of re-partitioned.
-        EXPECT_GE(report.reused_rounds, 1u);
+        EXPECT_GE(report.rapid_stats.reused_rounds, 1u);
         EXPECT_EQ(SortedRows(report.rows), clean_rows)
             << "simd=" << lvl << " sched=" << dpu::SchedModeName(mode)
             << " seed=" << seed;
@@ -738,8 +738,8 @@ TEST_F(FaultEngineTest, PersistentPipelineFaultFallsBackWithMorselResume) {
   ASSERT_OK_AND_ASSIGN(QueryReport report,
                        host_.ExecuteQuery(plan, &engine_, options));
   EXPECT_TRUE(report.fell_back);
-  EXPECT_EQ(report.dpu_retries, 2u);
-  EXPECT_GE(report.resumed_morsels, 1u);
+  EXPECT_EQ(report.rapid_stats.dpu_retries, 2u);
+  EXPECT_GE(report.rapid_stats.resumed_morsels, 1u);
   EXPECT_EQ(SortedRows(report.rows), clean_rows);
 }
 
@@ -770,7 +770,7 @@ TEST_F(FaultEngineTest, PoolAcquireFaultGetsInPlaceRetry) {
   // Allocator pressure on an unfused plan is transient: one in-place
   // retry, no host fallback, same rows.
   EXPECT_FALSE(report.fell_back) << report.fallback_reason;
-  EXPECT_EQ(report.dpu_retries, 1u);
+  EXPECT_EQ(report.rapid_stats.dpu_retries, 1u);
   EXPECT_EQ(SortedRows(report.rows), clean_rows);
 }
 

@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "dpu/work_queue.h"
 #include "hostdb/database.h"
 #include "hostdb/journal.h"
 #include "hostdb/offload.h"
+#include "storage/encoding_stack.h"
 #include "tests/test_util.h"
 
 namespace rapid::hostdb {
@@ -37,6 +39,26 @@ SmallTable(int rows, int64_t value_offset = 0) {
   }
   return {specs, data};
 }
+
+class ScopedEncodedScan {
+ public:
+  explicit ScopedEncodedScan(storage::EncodedScanMode mode)
+      : previous_(storage::ForceEncodedScan(mode)) {}
+  ~ScopedEncodedScan() { storage::ForceEncodedScan(previous_); }
+
+ private:
+  storage::EncodedScanMode previous_;
+};
+
+class ScopedSchedMode {
+ public:
+  explicit ScopedSchedMode(dpu::SchedMode mode)
+      : previous_(dpu::ForceSchedMode(mode)) {}
+  ~ScopedSchedMode() { dpu::ForceSchedMode(previous_); }
+
+ private:
+  dpu::SchedMode previous_;
+};
 
 class HostDbTest : public ::testing::Test {
  protected:
@@ -151,6 +173,64 @@ TEST_F(HostDbTest, MultiFragmentPartialOffload) {
   ExpectSameRows(report.rows, local);
 }
 
+TEST_F(HostDbTest, MultiFragmentReportSumsEveryPlaceholdersStats) {
+  // Two resident subtrees under a join with an unloaded table give two
+  // placeholders; the report's stats must be their sum, equal to the
+  // two fragments run alone, not the first placeholder's stats.
+  ScopedEncodedScan encoded(storage::EncodedScanMode::kAuto);
+  // Static scheduling keeps each fragment's modeled time a function of
+  // the plan alone, so the runs below are comparable.
+  ScopedSchedMode sched(dpu::SchedMode::kStatic);
+  std::vector<storage::ColumnSpec> specs = {
+      {"id", storage::ColumnKind::kInt64},
+      {"v", storage::ColumnKind::kInt32}};
+  std::vector<storage::ColumnData> data(2);
+  for (int i = 0; i < 4096; ++i) {
+    data[0].ints.push_back(i);
+    data[1].ints.push_back(i / 512);  // long runs: RLE-encoded vectors
+  }
+  for (const char* name : {"r1", "r2"}) {
+    ASSERT_OK(host_.CreateTable(name, specs, data));
+    ASSERT_OK(host_.LoadToRapid(name, &engine_));
+  }
+  auto [small_specs, small_data] = SmallTable(3000);
+  ASSERT_OK(host_.CreateTable("unloaded", small_specs, small_data));
+
+  auto lower = LogicalNode::Join(
+      LogicalNode::Scan("r1", {"id", "v"},
+                        {Predicate::CmpConst("v", CmpOp::kLt, 3)}),
+      LogicalNode::Scan("unloaded", {"id"}), {"id"}, {"id"}, {"id", "v"});
+  auto plan = LogicalNode::Join(
+      LogicalNode::Scan("r2", {"id", "v"},
+                        {Predicate::CmpConst("v", CmpOp::kGe, 2)}),
+      lower, {"id"}, {"id"}, {"v", "id"});
+  OffloadPlanner planner(engine_.dpu().config(), engine_.dpu().params());
+  const OffloadDecision d = planner.Decide(plan, engine_, host_.catalog());
+  ASSERT_EQ(d.kind, OffloadDecision::Kind::kPartial);
+  ASSERT_EQ(d.fragments.size(), 2u);
+
+  double modeled_seconds = 0;
+  uint64_t encoded_bytes = 0;
+  uint64_t plain_bytes = 0;
+  for (const LogicalPtr& fragment : d.fragments) {
+    ASSERT_OK_AND_ASSIGN(core::QueryResult alone, engine_.Execute(fragment));
+    EXPECT_GT(alone.stats.modeled_seconds, 0);
+    EXPECT_GT(alone.stats.encoded_bytes_moved, 0u);
+    modeled_seconds += alone.stats.modeled_seconds;
+    encoded_bytes += alone.stats.encoded_bytes_moved;
+    plain_bytes += alone.stats.plain_bytes_moved;
+  }
+
+  ASSERT_OK_AND_ASSIGN(QueryReport report, host_.ExecuteQuery(plan, &engine_));
+  EXPECT_TRUE(report.offloaded);
+  EXPECT_FALSE(report.fell_back);
+  EXPECT_DOUBLE_EQ(report.rapid_stats.modeled_seconds, modeled_seconds);
+  EXPECT_EQ(report.rapid_stats.encoded_bytes_moved, encoded_bytes);
+  EXPECT_EQ(report.rapid_stats.plain_bytes_moved, plain_bytes);
+  ASSERT_OK_AND_ASSIGN(core::ColumnSet local, host_.ExecuteLocal(plan));
+  ExpectSameRows(report.rows, local);
+}
+
 TEST_F(HostDbTest, BackgroundCheckpointerPropagates) {
   using namespace std::chrono_literals;
   host_.StartBackgroundCheckpointer(&engine_, 5ms);
@@ -183,7 +263,7 @@ TEST_F(HostDbTest, FullOffloadExecutesOnRapid) {
   EXPECT_EQ(report.decision, OffloadDecision::Kind::kFull);
   EXPECT_TRUE(report.offloaded);
   EXPECT_FALSE(report.fell_back);
-  EXPECT_GT(report.rapid_modeled_seconds, 0);
+  EXPECT_GT(report.rapid_stats.modeled_seconds, 0);
   // Result matches local execution.
   ASSERT_OK_AND_ASSIGN(core::ColumnSet local, host_.ExecuteLocal(SumPlan()));
   ExpectSameRows(report.rows, local);

@@ -244,16 +244,16 @@ TEST_F(JoinFilterEngineTest, QueryReportExposesCountersAndZerosOnFallback) {
   LogicalPtr plan = SelectivePlan(JoinType::kInner);
   ASSERT_OK_AND_ASSIGN(QueryReport report, host_.ExecuteQuery(plan, &engine_));
   ASSERT_FALSE(report.fell_back);
-  EXPECT_GT(report.join_filter_built, 0u);
-  EXPECT_GT(report.rows_pruned_by_join_filter, 0u);
-  EXPECT_GT(report.filter_bytes, 0u);
+  EXPECT_GT(report.rapid_stats.join_filter_built, 0u);
+  EXPECT_GT(report.rapid_stats.rows_pruned_by_join_filter, 0u);
+  EXPECT_GT(report.rapid_stats.filter_bytes, 0u);
 
   {
     ScopedJoinFilter off(JoinFilterMode::kOff);
     ASSERT_OK_AND_ASSIGN(QueryReport off_report,
                          host_.ExecuteQuery(plan, &engine_));
-    EXPECT_EQ(off_report.rows_pruned_by_join_filter, 0u);
-    EXPECT_EQ(off_report.join_filter_built, 0u);
+    EXPECT_EQ(off_report.rapid_stats.rows_pruned_by_join_filter, 0u);
+    EXPECT_EQ(off_report.rapid_stats.join_filter_built, 0u);
     ExpectSameRows(report.rows, off_report.rows);
   }
 
@@ -265,9 +265,9 @@ TEST_F(JoinFilterEngineTest, QueryReportExposesCountersAndZerosOnFallback) {
   ASSERT_OK_AND_ASSIGN(QueryReport fallback,
                        host_.ExecuteQuery(plan, &engine_));
   EXPECT_TRUE(fallback.fell_back);
-  EXPECT_EQ(fallback.join_filter_built, 0u);
-  EXPECT_EQ(fallback.rows_pruned_by_join_filter, 0u);
-  EXPECT_EQ(fallback.filter_bytes, 0u);
+  EXPECT_EQ(fallback.rapid_stats.join_filter_built, 0u);
+  EXPECT_EQ(fallback.rapid_stats.rows_pruned_by_join_filter, 0u);
+  EXPECT_EQ(fallback.rapid_stats.filter_bytes, 0u);
   EXPECT_EQ(SortedRows(fallback.rows), SortedRows(report.rows));
 }
 
@@ -392,6 +392,16 @@ class JoinKernelFilterTest : public ::testing::Test {
     return spec;
   }
 
+  // The per-core join-filter tallies summed over the DPU since the
+  // last ResetCores — what ExecutePhysical folds into ExecutionStats.
+  dpu::CoreCounters SummedCounters() {
+    dpu::CoreCounters sum;
+    for (int c = 0; c < dpu_.num_cores(); ++c) {
+      sum.Accumulate(dpu_.core(c).counters());
+    }
+    return sum;
+  }
+
   dpu::Dpu dpu_;
 };
 
@@ -402,31 +412,37 @@ TEST_F(JoinKernelFilterTest, PrunesWithoutChangingAnyJoinTypeOutput) {
   for (JoinType type : types) {
     ColumnSet off_result;
     JoinStats off_stats;
+    dpu::CoreCounters off_counters;
     {
       ScopedJoinFilter off(JoinFilterMode::kOff);
+      dpu_.ResetCores();
       ASSERT_OK_AND_ASSIGN(off_result,
                            JoinExec::Execute(dpu_, in.build, in.probe,
                                              Spec(type), &off_stats));
+      off_counters = SummedCounters();
     }
     ColumnSet auto_result;
     JoinStats auto_stats;
+    dpu::CoreCounters auto_counters;
     {
       ScopedJoinFilter on(JoinFilterMode::kAuto);
+      dpu_.ResetCores();
       ASSERT_OK_AND_ASSIGN(auto_result,
                            JoinExec::Execute(dpu_, in.build, in.probe,
                                              Spec(type), &auto_stats));
+      auto_counters = SummedCounters();
     }
     // Exact emission order must match, not just the row multiset.
     EXPECT_EQ(Rows(off_result), Rows(auto_result))
         << "type=" << static_cast<int>(type);
-    EXPECT_EQ(off_stats.join_filter_built, 0u);
-    EXPECT_EQ(off_stats.rows_pruned_by_join_filter, 0u);
-    EXPECT_GT(auto_stats.join_filter_built, 0u)
+    EXPECT_EQ(off_counters.join_filter_built, 0u);
+    EXPECT_EQ(off_counters.rows_pruned_by_join_filter, 0u);
+    EXPECT_GT(auto_counters.join_filter_built, 0u)
         << "type=" << static_cast<int>(type);
     // ~7/8 of probe keys fall outside the build domain.
-    EXPECT_GT(auto_stats.rows_pruned_by_join_filter, 2000u)
+    EXPECT_GT(auto_counters.rows_pruned_by_join_filter, 2000u)
         << "type=" << static_cast<int>(type);
-    EXPECT_GT(auto_stats.filter_bytes, 0u);
+    EXPECT_GT(auto_counters.filter_bytes, 0u);
     EXPECT_EQ(auto_stats.matches, off_stats.matches);
   }
 }
@@ -436,12 +452,11 @@ TEST_F(JoinKernelFilterTest, SpecFlagOffMeansNoFilterEvenInAutoMode) {
   ScopedJoinFilter on(JoinFilterMode::kAuto);
   JoinSpec spec = Spec(JoinType::kInner);
   spec.build_join_filter = false;  // planner cost gate said no
-  JoinStats stats;
+  dpu_.ResetCores();
   ASSERT_OK_AND_ASSIGN(ColumnSet result,
-                       JoinExec::Execute(dpu_, in.build, in.probe, spec,
-                                         &stats));
-  EXPECT_EQ(stats.join_filter_built, 0u);
-  EXPECT_EQ(stats.rows_pruned_by_join_filter, 0u);
+                       JoinExec::Execute(dpu_, in.build, in.probe, spec));
+  EXPECT_EQ(SummedCounters().join_filter_built, 0u);
+  EXPECT_EQ(SummedCounters().rows_pruned_by_join_filter, 0u);
   EXPECT_GT(result.num_rows(), 0u);
 }
 

@@ -314,18 +314,18 @@ TEST_F(ObservabilityTest, FallbackZeroesDpuCountersInReport) {
   LogicalPtr plan = ScanPlan();
   ASSERT_OK_AND_ASSIGN(QueryReport clean, host_.ExecuteQuery(plan, &engine_));
   ASSERT_FALSE(clean.fell_back);
-  ASSERT_GT(clean.encoded_bytes_moved, 0u);
+  ASSERT_GT(clean.rapid_stats.encoded_bytes_moved, 0u);
 
   ScopedFaultInjection fi(94);
   fi.Arm(faults::kDmsTransfer, FaultInjector::SiteSpec{});  // always fails
   ASSERT_OK_AND_ASSIGN(QueryReport fallback,
                        host_.ExecuteQuery(plan, &engine_));
   ASSERT_TRUE(fallback.fell_back);
-  EXPECT_EQ(fallback.encoded_bytes_moved, 0u);
-  EXPECT_EQ(fallback.plain_bytes_moved, 0u);
-  EXPECT_EQ(fallback.runs_filtered, 0u);
-  EXPECT_EQ(fallback.join_filter_built, 0u);
-  EXPECT_EQ(fallback.rows_pruned_by_join_filter, 0u);
+  EXPECT_EQ(fallback.rapid_stats.encoded_bytes_moved, 0u);
+  EXPECT_EQ(fallback.rapid_stats.plain_bytes_moved, 0u);
+  EXPECT_EQ(fallback.rapid_stats.runs_filtered, 0u);
+  EXPECT_EQ(fallback.rapid_stats.join_filter_built, 0u);
+  EXPECT_EQ(fallback.rapid_stats.rows_pruned_by_join_filter, 0u);
   EXPECT_EQ(SortedRows(fallback.rows), SortedRows(clean.rows));
 }
 
