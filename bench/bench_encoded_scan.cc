@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/config.h"
 #include "common/rng.h"
 #include "storage/encoding_stack.h"
 #include "storage/loader.h"
@@ -26,7 +27,6 @@ namespace {
 using namespace rapid;
 using namespace rapid::core;
 using primitives::CmpOp;
-using storage::EncodedScanMode;
 
 constexpr size_t kRows = 200'000;
 
@@ -94,9 +94,8 @@ struct RunResult {
 
 RunResult Run(RapidEngine& engine, const std::string& table,
               EncodedScanMode mode) {
-  const EncodedScanMode prev = storage::ForceEncodedScan(mode);
+  ScopedConfig config(&Config::encoded_scan, mode);
   auto result = engine.Execute(Q6(table));
-  storage::ForceEncodedScan(prev);
   RAPID_CHECK(result.ok());
   RunResult r;
   r.rows = result.value().rows.num_rows();

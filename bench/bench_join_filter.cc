@@ -20,7 +20,7 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "core/join_filter.h"
+#include "common/config.h"
 #include "storage/loader.h"
 
 namespace {
@@ -88,13 +88,12 @@ struct RunResult {
 };
 
 RunResult Run(RapidEngine& engine, bool selective, JoinFilterMode mode) {
-  const JoinFilterMode prev = ForceJoinFilter(mode);
+  ScopedConfig config(&Config::join_filter, mode);
   // Unfused partitioned join: the headline saving is the probe-side
   // partition DMS round trips the pruned rows no longer pay.
   ExecOptions options;
   options.planner.enable_fusion = false;
   auto result = engine.Execute(JoinPlan(selective), options);
-  ForceJoinFilter(prev);
   RAPID_CHECK(result.ok());
   RunResult r;
   RAPID_CHECK(result.value().rows.num_rows() == 1);

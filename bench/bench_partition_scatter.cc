@@ -4,8 +4,8 @@
 // stores — measured in GB/s at fan-outs crossing the TLB/cache-line
 // pressure point, with in-bench bit-identity; (2) heap allocations per
 // tile on the TPC-H Q6 and Q14 paths, tile-pool recycling vs the
-// pre-pool one-heap-allocation-per-acquire behavior (RAPID_TILE_POOL
-// bypass). Emits BENCH_memory.json for the CI trend line.
+// pre-pool one-heap-allocation-per-acquire behavior (the config's
+// tile_pool_bypass). Emits BENCH_memory.json for the CI trend line.
 
 #include <chrono>
 #include <cstdio>
@@ -16,6 +16,7 @@
 
 #include "bench/bench_util.h"
 #include "common/arena.h"
+#include "common/config.h"
 #include "common/simd.h"
 #include "core/engine.h"
 #include "hostdb/database.h"
@@ -73,11 +74,10 @@ ScatterPoint RunScatter(size_t fanout, size_t n, int reps) {
   point.fanout = fanout;
   const double bytes = static_cast<double>(n) * sizeof(int64_t) * reps;
 
-  const SimdLevel prev = ForceSimdLevel(SimdLevel::kScalar);
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
   auto scalar_fn = primitives::simd::partition_kernels().scatter_col;
-  ForceSimdLevel(SimdLevelSupported());
+  config.Set(&Config::simd, SimdLevelSupported());
   auto vector_fn = primitives::simd::partition_kernels().scatter_col;
-  ForceSimdLevel(prev);
 
   // Each call restarts its cursors from the dst bases, so repetitions
   // overwrite in place and timing stays allocation-free.
@@ -121,12 +121,15 @@ AllocPoint RunAllocs(core::RapidEngine& engine, const tpch::TpchQuery& query,
 
   // "Before": the pre-pool engine — every tile-scratch acquire is a
   // heap allocation (and the arena never grows).
-  const bool prev_bypass = TileBufferPool::ForceBypass(true);
-  TilePoolStats t0 = PoolNow(engine);
-  auto before = tpch::RunOnRapid(engine, query);
-  RAPID_CHECK(before.ok());
-  TilePoolStats t1 = PoolNow(engine);
-  TileBufferPool::ForceBypass(prev_bypass);
+  TilePoolStats t0;
+  TilePoolStats t1;
+  {
+    ScopedConfig bypass(&Config::tile_pool_bypass, true);
+    t0 = PoolNow(engine);
+    auto before = tpch::RunOnRapid(engine, query);
+    RAPID_CHECK(before.ok());
+    t1 = PoolNow(engine);
+  }
   point.heap_allocs_before = t1.acquires - t0.acquires;
 
   // "After": warm the pool once, then measure the steady state every

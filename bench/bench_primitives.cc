@@ -17,6 +17,7 @@
 
 #include "bench/bench_util.h"
 #include "common/bitvector.h"
+#include "common/config.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "primitives/agg.h"
@@ -59,10 +60,9 @@ FamilyResult Measure(const std::string& family, size_t rows_per_run,
                      const std::function<void()>& fn) {
   FamilyResult r;
   r.family = family;
-  const SimdLevel best = SimdLevelSupported();
-  ForceSimdLevel(SimdLevel::kScalar);
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
   r.scalar_rows_per_sec = static_cast<double>(rows_per_run) / SecondsOf(fn);
-  ForceSimdLevel(best);
+  config.Set(&Config::simd, SimdLevelSupported());
   r.simd_rows_per_sec = static_cast<double>(rows_per_run) / SecondsOf(fn);
   return r;
 }
@@ -182,11 +182,11 @@ int main() {
   double e2e_scalar = 0;
   double e2e_simd = 0;
   {
-    ForceSimdLevel(SimdLevel::kScalar);
+    ScopedConfig config(&Config::simd, SimdLevel::kScalar);
     e2e_scalar = SecondsOf([&] {
       RAPID_CHECK(tpch::RunOnRapid(engine, q6.value()).ok());
     });
-    ForceSimdLevel(best);
+    config.Set(&Config::simd, best);
     e2e_simd = SecondsOf([&] {
       RAPID_CHECK(tpch::RunOnRapid(engine, q6.value()).ok());
     });

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/config.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "core/ops/join_exec.h"
@@ -114,8 +115,8 @@ bool SameRows(const ColumnSet& a, const ColumnSet& b) {
   return true;
 }
 
-ModeResult RunScan(dpu::SchedMode mode, const std::vector<size_t>& chunks) {
-  const dpu::SchedMode prev = dpu::ForceSchedMode(mode);
+ModeResult RunScan(SchedMode mode, const std::vector<size_t>& chunks) {
+  ScopedConfig config(&Config::sched, mode);
   RapidEngine engine{dpu::DpuConfig{}};
   RAPID_CHECK(engine.Load(ZipfChunkTable(chunks)).ok());
   auto plan = LogicalNode::Scan(
@@ -123,15 +124,14 @@ ModeResult RunScan(dpu::SchedMode mode, const std::vector<size_t>& chunks) {
       {Predicate::CmpConst("v", primitives::CmpOp::kLt, 50)});
   auto result = engine.Execute(plan);
   RAPID_CHECK(result.ok());
-  dpu::ForceSchedMode(prev);
   const dpu::ImbalanceStats& imb = result.value().stats.imbalance;
   return ModeResult{imb.max_core_cycles, imb.Ratio(), imb.steal_count,
                     std::move(result.value().rows)};
 }
 
-ModeResult RunJoin(dpu::SchedMode mode, const PartitionedData& build,
+ModeResult RunJoin(SchedMode mode, const PartitionedData& build,
                    const PartitionedData& probe) {
-  const dpu::SchedMode prev = dpu::ForceSchedMode(mode);
+  ScopedConfig config(&Config::sched, mode);
   dpu::Dpu dpu{dpu::DpuConfig{}};
   JoinSpec spec;
   spec.build_keys = {0};
@@ -140,7 +140,6 @@ ModeResult RunJoin(dpu::SchedMode mode, const PartitionedData& build,
   spec.large_skew_factor = 1e30;  // measure scheduling, not repartitioning
   auto result = JoinExec::Execute(dpu, build, probe, spec);
   RAPID_CHECK(result.ok());
-  dpu::ForceSchedMode(prev);
   const dpu::ImbalanceStats& imb = dpu.imbalance();
   return ModeResult{imb.max_core_cycles, imb.Ratio(), imb.steal_count,
                     std::move(result.value())};
@@ -165,8 +164,8 @@ int main() {
   // dominant morsel (which no scheduler could).
   const std::vector<size_t> chunk_rows =
       CappedZipfRows(512, 1.1, 48 * 4096, 4096);
-  const ModeResult scan_static = RunScan(dpu::SchedMode::kStatic, chunk_rows);
-  const ModeResult scan_morsel = RunScan(dpu::SchedMode::kMorsel, chunk_rows);
+  const ModeResult scan_static = RunScan(SchedMode::kStatic, chunk_rows);
+  const ModeResult scan_morsel = RunScan(SchedMode::kMorsel, chunk_rows);
   RAPID_CHECK(SameRows(scan_static.rows, scan_morsel.rows));
 
   // 256 partition pairs, capped Zipf(1.2) pair sizes; each build key
@@ -174,8 +173,8 @@ int main() {
   const std::vector<size_t> pair_rows = CappedZipfRows(256, 1.2, 98304, 2048);
   const PartitionedData build = ZipfPartitions(pair_rows, 1);
   const PartitionedData probe = ZipfPartitions(pair_rows, 2);
-  const ModeResult join_static = RunJoin(dpu::SchedMode::kStatic, build, probe);
-  const ModeResult join_morsel = RunJoin(dpu::SchedMode::kMorsel, build, probe);
+  const ModeResult join_static = RunJoin(SchedMode::kStatic, build, probe);
+  const ModeResult join_morsel = RunJoin(SchedMode::kMorsel, build, probe);
   RAPID_CHECK(SameRows(join_static.rows, join_morsel.rows));
 
   std::printf("32 cores; makespan = summed per-phase slowest-core compute"

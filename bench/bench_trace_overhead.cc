@@ -23,6 +23,7 @@
 #include <cstdlib>
 
 #include "bench/bench_util.h"
+#include "common/config.h"
 #include "common/rng.h"
 #include "common/trace.h"
 #include "core/engine.h"
@@ -124,7 +125,7 @@ size_t TraceEventCount() {
 int main() {
   bench::Header("Trace collector", "overhead of compiled-in trace spans");
 
-  ForceTraceMode(TraceMode::kOff);
+  ScopedConfig config(&Config::trace, TraceMode::kOff);
 
   constexpr size_t kSpanIters = 8'000'000;
   const double span_ns = DisabledSpanNsPerSite(kSpanIters);
@@ -147,7 +148,7 @@ int main() {
 
   // Warm-up plus event census: one full-mode run per case.
   for (QueryCase& c : cases) {
-    ForceTraceMode(TraceMode::kFull);
+    config.Set(&Config::trace, TraceMode::kFull);
     (void)QuerySeconds(engine, c.plan);
     c.full_events = TraceEventCount();
   }
@@ -163,12 +164,12 @@ int main() {
         const TraceMode modes[] = {TraceMode::kOff, TraceMode::kSummary,
                                    TraceMode::kFull};
         const int m = (rep + k) % 3;
-        ForceTraceMode(modes[m]);
+        config.Set(&Config::trace, modes[m]);
         *best[m] = std::min(*best[m], QuerySeconds(engine, c.plan));
       }
     }
   }
-  ForceTraceMode(TraceMode::kOff);
+  config.Set(&Config::trace, TraceMode::kOff);
 
   std::printf("\nEnd-to-end queries (%zu rows, best of %d):\n", kRows,
               kQueryReps);

@@ -1,40 +1,20 @@
 #include "common/arena.h"
 
-#include <atomic>
 #include <cstdlib>
-#include <cstring>
-#include <string_view>
 
+#include "common/config.h"
 #include "common/fault.h"
 #include "common/logging.h"
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
 
 namespace rapid {
 
 namespace {
-
-// Large chunks only: madvise below the huge-page size is a no-op at
-// best.
-constexpr size_t kHugePageBytes = size_t{2} << 20;
 
 size_t RoundUp(size_t value, size_t align) {
   return (value + align - 1) & ~(align - 1);
 }
 
 }  // namespace
-
-bool Arena::HugePagesEnabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("RAPID_HUGEPAGES");
-    if (v == nullptr) return false;
-    const std::string_view s(v);
-    return s == "on" || s == "1" || s == "true";
-  }();
-  return enabled;
-}
 
 Arena::Arena(size_t chunk_bytes)
     : chunk_bytes_(RoundUp(chunk_bytes, kChunkAlignment)) {}
@@ -52,13 +32,6 @@ Arena::Chunk& Arena::AddChunk(size_t min_bytes) {
       static_cast<uint8_t*>(std::aligned_alloc(kChunkAlignment, capacity));
   RAPID_CHECK(chunk.data != nullptr);
   chunk.capacity = capacity;
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-  if (HugePagesEnabled() && capacity >= kHugePageBytes) {
-    // Best-effort: transparent huge pages shrink the dTLB footprint of
-    // scatter-heavy tiles; failure just leaves 4 KiB pages.
-    (void)madvise(chunk.data, capacity, MADV_HUGEPAGE);
-  }
-#endif
   chunks_.push_back(chunk);
   active_ = chunks_.size() - 1;
   return chunks_.back();
@@ -111,21 +84,6 @@ ArenaStats Arena::stats() const {
 
 // ---- TileBufferPool --------------------------------------------------------
 
-namespace {
-std::atomic<bool> g_pool_bypass{[] {
-  const char* v = std::getenv("RAPID_TILE_POOL");
-  return v != nullptr && std::string_view(v) == "off";
-}()};
-}  // namespace
-
-bool TileBufferPool::ForceBypass(bool bypass) {
-  return g_pool_bypass.exchange(bypass, std::memory_order_relaxed);
-}
-
-bool TileBufferPool::BypassActive() {
-  return g_pool_bypass.load(std::memory_order_relaxed);
-}
-
 int TileBufferPool::ClassOf(size_t bytes) {
   size_t cls_bytes = kMinClassBytes;
   int cls = 0;
@@ -143,7 +101,7 @@ TileBufferPool::Handle TileBufferPool::Acquire(size_t bytes) {
   const size_t cls_bytes = kMinClassBytes << cls;
   ++stats_.acquires;
   stats_.bytes_acquired += cls_bytes;
-  if (BypassActive()) {
+  if (GetConfig().tile_pool_bypass) {
     // Pre-pool behavior: one heap allocation per acquire.
     ++stats_.misses;
     stats_.bytes_allocated += cls_bytes;
@@ -170,7 +128,7 @@ Status TileBufferPool::TryAcquire(size_t bytes, Handle* out) {
   // machine (chunk growth maps new memory; bypass mode hits the heap);
   // recycled buffers are already resident.
   const int cls = ClassOf(bytes == 0 ? 1 : bytes);
-  if (BypassActive() || free_lists_[cls].empty()) {
+  if (GetConfig().tile_pool_bypass || free_lists_[cls].empty()) {
     RAPID_FAULT_POINT(faults::kPoolAcquire);
   }
   *out = Acquire(bytes);

@@ -48,9 +48,7 @@ struct ArenaStats {
 // Chunked bump-pointer arena. Allocations are 64-byte aligned by
 // default (one cache line — every kernel scratch buffer can be handed
 // to SIMD code without further alignment fixups). Chunks are
-// page-aligned and, when RAPID_HUGEPAGES=on, madvise(MADV_HUGEPAGE)d
-// so the kernel can back them with 2 MiB pages and shrink the
-// dTLB footprint of scatter-heavy tiles.
+// page-aligned.
 //
 // Reset() rewinds every chunk cursor but keeps the chunks mapped, so
 // a warm arena never returns to the system allocator.
@@ -83,9 +81,6 @@ class Arena {
   void Reset();
 
   ArenaStats stats() const;
-
-  // RAPID_HUGEPAGES=on|off (default off), resolved once per process.
-  static bool HugePagesEnabled();
 
  private:
   struct Chunk {
@@ -134,6 +129,12 @@ struct TilePoolStats {
 // a new one from the arena. Releasing (via Handle destruction) pushes
 // the buffer back on its class's free list — nothing is ever returned
 // to the heap, so steady-state tiles allocate nothing.
+//
+// With the config's `tile_pool_bypass` set, Acquire falls through to
+// the heap and Release frees, emulating the pre-pool per-tile
+// allocation pattern (bench_partition_scatter's before/after counts).
+// Bypassed handles carry their own tag, so flipping the config between
+// queries is safe.
 //
 // Buffer contents are NOT zeroed on acquire; callers that need zeroed
 // memory must clear it themselves.
@@ -215,16 +216,6 @@ class TileBufferPool {
   }
 
   const TilePoolStats& stats() const { return stats_; }
-
-  // Bypass mode: Acquire falls through to the heap and Release frees,
-  // emulating the pre-pool per-tile allocation pattern. Used by
-  // bench_partition_scatter for before/after allocation counts, and
-  // settable via RAPID_TILE_POOL=off. Returns the previous value.
-  static bool ForceBypass(bool bypass);
-
-  // True when acquires currently go to the heap (RAPID_TILE_POOL=off
-  // or ForceBypass); recycling-behavior tests skip themselves then.
-  static bool BypassActive();
 
  private:
   friend class Handle;

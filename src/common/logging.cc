@@ -1,57 +1,8 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdarg>
-#include <cstring>
 
 namespace rapid {
-namespace {
-
-LogLevel ResolveStartupLevel() {
-  const char* env = std::getenv("RAPID_LOG_LEVEL");
-  if (env == nullptr || env[0] == '\0') return LogLevel::kWarn;
-  if (std::strcmp(env, "error") == 0) return LogLevel::kError;
-  if (std::strcmp(env, "warn") == 0) return LogLevel::kWarn;
-  if (std::strcmp(env, "info") == 0) return LogLevel::kInfo;
-  if (std::strcmp(env, "debug") == 0) return LogLevel::kDebug;
-  std::fprintf(stderr,
-               "rapid: unknown RAPID_LOG_LEVEL value '%s'"
-               " (want error|warn|info|debug), using warn\n",
-               env);
-  return LogLevel::kWarn;
-}
-
-std::atomic<int> g_forced_level{-1};
-
-}  // namespace
-
-LogLevel LogLevelActive() {
-  const int forced = g_forced_level.load(std::memory_order_acquire);
-  if (forced >= 0) return static_cast<LogLevel>(forced);
-  static const LogLevel startup = ResolveStartupLevel();
-  return startup;
-}
-
-LogLevel ForceLogLevel(LogLevel level) {
-  const LogLevel previous = LogLevelActive();
-  g_forced_level.store(static_cast<int>(level), std::memory_order_release);
-  return previous;
-}
-
-const char* LogLevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kError:
-      return "error";
-    case LogLevel::kWarn:
-      return "warn";
-    case LogLevel::kInfo:
-      return "info";
-    case LogLevel::kDebug:
-      return "debug";
-  }
-  return "?";
-}
-
 namespace internal {
 
 void LogWrite(LogLevel level, const char* fmt, ...) {

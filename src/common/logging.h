@@ -9,8 +9,8 @@
 // (SIMD level pick, encoding report, scheduler mode): messages below
 // the active level are dropped, so the default (warn) keeps test
 // output quiet while RAPID_LOG_LEVEL=info restores the startup
-// notices and debug opens the firehose. The level resolves once from
-// the environment (simd.cc idiom); ForceLogLevel pins it for tests.
+// notices and debug opens the firehose. The level is the config's
+// `log_level` field (common/config.h).
 
 #ifndef RAPID_COMMON_LOGGING_H_
 #define RAPID_COMMON_LOGGING_H_
@@ -18,21 +18,12 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/config.h"
+
 namespace rapid {
 
-enum class LogLevel { kError = 0, kWarn = 1, kInfo = 2, kDebug = 3 };
-
-// Active level: ForceLogLevel override if set, else RAPID_LOG_LEVEL
-// (error|warn|info|debug, default warn) resolved once at first use.
-LogLevel LogLevelActive();
-
-// Pins the level (tests); returns the previously active level.
-LogLevel ForceLogLevel(LogLevel level);
-
-const char* LogLevelName(LogLevel level);
-
 inline bool LogEnabled(LogLevel level) {
-  return static_cast<int>(level) <= static_cast<int>(LogLevelActive());
+  return static_cast<int>(level) <= static_cast<int>(GetConfig().log_level);
 }
 
 namespace internal {

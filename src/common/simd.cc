@@ -1,87 +1,16 @@
 #include "common/simd.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
-#include "common/logging.h"
-
 namespace rapid {
-namespace {
-
-SimdLevel ProbeSupported() {
-#if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return SimdLevel::kSse42;
-#endif
-  return SimdLevel::kScalar;
-}
-
-SimdLevel Clamp(SimdLevel level, SimdLevel cap) {
-  return static_cast<int>(level) > static_cast<int>(cap) ? cap : level;
-}
-
-// Resolves RAPID_SIMD once, clamps to hardware support, logs the choice.
-SimdLevel ResolveStartupLevel() {
-  const SimdLevel supported = ProbeSupported();
-  SimdLevel level = supported;
-  const char* requested = "auto";
-  if (const char* env = std::getenv("RAPID_SIMD"); env != nullptr && *env) {
-    requested = env;
-    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "scalar") == 0) {
-      level = SimdLevel::kScalar;
-    } else if (std::strcmp(env, "sse42") == 0) {
-      level = Clamp(SimdLevel::kSse42, supported);
-    } else if (std::strcmp(env, "avx2") == 0) {
-      level = Clamp(SimdLevel::kAvx2, supported);
-    } else if (std::strcmp(env, "auto") == 0) {
-      level = supported;
-    } else {
-      RAPID_LOG(kWarn,
-                "unknown RAPID_SIMD value '%s' "
-                "(want off|sse42|avx2|auto); using auto",
-                env);
-    }
-  }
-  RAPID_LOG(kInfo, "SIMD dispatch level %s (RAPID_SIMD=%s, cpu max %s)",
-            SimdLevelName(level), requested, SimdLevelName(supported));
-  return level;
-}
-
-// kScalar-1 encodes "no override"; anything else is a ForceSimdLevel pin.
-std::atomic<int> g_forced_level{-1};
-
-}  // namespace
 
 SimdLevel SimdLevelSupported() {
-  static const SimdLevel supported = ProbeSupported();
+  static const SimdLevel supported = [] {
+#if defined(__x86_64__) || defined(__i386__)
+    if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
+    if (__builtin_cpu_supports("sse4.2")) return SimdLevel::kSse42;
+#endif
+    return SimdLevel::kScalar;
+  }();
   return supported;
-}
-
-SimdLevel SimdLevelActive() {
-  const int forced = g_forced_level.load(std::memory_order_acquire);
-  if (forced >= 0) return static_cast<SimdLevel>(forced);
-  static const SimdLevel startup = ResolveStartupLevel();
-  return startup;
-}
-
-SimdLevel ForceSimdLevel(SimdLevel level) {
-  const SimdLevel clamped = Clamp(level, SimdLevelSupported());
-  const SimdLevel previous = SimdLevelActive();
-  g_forced_level.store(static_cast<int>(clamped), std::memory_order_release);
-  return previous;
-}
-
-const char* SimdLevelName(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return "scalar";
-    case SimdLevel::kSse42:
-      return "sse42";
-    case SimdLevel::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
 }
 
 }  // namespace rapid

@@ -2,44 +2,31 @@
 //
 // The dpCore's database-specific vector instructions (BVLD, FILT,
 // CRC32 — Section 5.4) are substituted on commodity CPUs by SIMD
-// kernels in src/primitives/. This module decides, once per process,
-// which instruction-set tier those kernels dispatch to:
+// kernels in src/primitives/. This module decides which instruction-set
+// tier those kernels dispatch to:
 //
 //   * kScalar — portable reference loops (always available),
 //   * kSse42  — SSE4.2: hardware CRC32C plus 128-bit compare kernels,
 //   * kAvx2   — AVX2: 256-bit predicate, aggregation and projection
 //               kernels.
 //
-// Selection follows the CRC32 dispatch pattern (common/crc32.cc): the
-// CPU's capabilities are probed once, the RAPID_SIMD environment
-// variable ("off" / "sse42" / "avx2" / "auto") can pin or cap the
-// tier for sanitizer runs and debugging, and the resolved level is
-// logged once at startup. Tests and benchmarks may override the level
-// in-process via ForceSimdLevel; every kernel tier is bit-identical,
-// so flipping levels never changes results, only throughput.
+// The CPU's capabilities are probed once; the active tier is the
+// config's `simd` field (RAPID_SIMD, common/config.h), always clamped
+// to what the CPU supports. Every kernel tier is bit-identical, so
+// flipping levels never changes results, only throughput.
 
 #ifndef RAPID_COMMON_SIMD_H_
 #define RAPID_COMMON_SIMD_H_
 
-namespace rapid {
+#include "common/config.h"
 
-enum class SimdLevel : int { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+namespace rapid {
 
 // Highest tier this CPU can execute (probed once).
 SimdLevel SimdLevelSupported();
 
-// Tier the primitive dispatch tables use right now: a ForceSimdLevel
-// override if one is active, otherwise the startup resolution of
-// RAPID_SIMD clamped to SimdLevelSupported() (logged once).
-SimdLevel SimdLevelActive();
-
-// Overrides the active tier (clamped to what the CPU supports) and
-// returns the previously active tier so callers can restore it.
-// Intended for the scalar-vs-SIMD equivalence suite and benchmarks.
-SimdLevel ForceSimdLevel(SimdLevel level);
-
-// "scalar", "sse42" or "avx2".
-const char* SimdLevelName(SimdLevel level);
+// Tier the primitive dispatch tables use right now.
+inline SimdLevel SimdLevelActive() { return GetConfig().simd; }
 
 }  // namespace rapid
 

@@ -3,28 +3,13 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
+#include "common/logging.h"
+
 namespace rapid {
 namespace {
-
-// Startup mode from RAPID_TRACE, resolved once (simd.cc idiom).
-TraceMode ResolveStartupMode() {
-  const char* env = std::getenv("RAPID_TRACE");
-  if (env == nullptr || env[0] == '\0') return TraceMode::kOff;
-  if (std::strcmp(env, "off") == 0) return TraceMode::kOff;
-  if (std::strcmp(env, "summary") == 0) return TraceMode::kSummary;
-  if (std::strcmp(env, "full") == 0) return TraceMode::kFull;
-  std::fprintf(stderr,
-               "rapid: unknown RAPID_TRACE value '%s' (want off|summary|full),"
-               " tracing disabled\n",
-               env);
-  return TraceMode::kOff;
-}
-
-std::atomic<int> g_forced_mode{-1};
 
 // Per-thread DMS staging slot: points into TraceCollector::dms_stages_
 // while its generation matches the current query's.
@@ -109,31 +94,6 @@ void AppendArgs(std::string* out, const std::vector<TraceCollector::Arg>& args) 
 
 }  // namespace
 
-TraceMode TraceModeActive() {
-  const int forced = g_forced_mode.load(std::memory_order_acquire);
-  if (forced >= 0) return static_cast<TraceMode>(forced);
-  static const TraceMode startup = ResolveStartupMode();
-  return startup;
-}
-
-TraceMode ForceTraceMode(TraceMode mode) {
-  const TraceMode previous = TraceModeActive();
-  g_forced_mode.store(static_cast<int>(mode), std::memory_order_release);
-  return previous;
-}
-
-const char* TraceModeName(TraceMode mode) {
-  switch (mode) {
-    case TraceMode::kOff:
-      return "off";
-    case TraceMode::kSummary:
-      return "summary";
-    case TraceMode::kFull:
-      return "full";
-  }
-  return "?";
-}
-
 std::atomic<bool> TraceCollector::active_{false};
 
 TraceCollector& TraceCollector::Instance() {
@@ -143,7 +103,7 @@ TraceCollector& TraceCollector::Instance() {
 
 void TraceCollector::BeginQuery(int num_cores, double clock_hz) {
   if (nest_++ > 0) return;
-  query_mode_ = TraceModeActive();
+  query_mode_ = GetConfig().trace;
   if (query_mode_ == TraceMode::kOff) return;
   num_cores_ = num_cores;
   clock_hz_ = clock_hz > 0 ? clock_hz : 1;
@@ -196,19 +156,18 @@ void TraceCollector::EndQuery() {
   }
   // Serialization is deferred to last_trace_json(): the buffers stay
   // intact until the next outermost BeginQuery, so an unread trace
-  // costs nothing. RAPID_TRACE_PATH forces the export now.
+  // costs nothing. A configured trace_path forces the export now.
   pending_export_ = true;
-  const char* path = std::getenv("RAPID_TRACE_PATH");
-  if (path != nullptr && path[0] != '\0') {
+  const std::string& path = GetConfig().trace_path;
+  if (!path.empty()) {
     last_json_ = ExportJson();
     pending_export_ = false;
-    std::FILE* f = std::fopen(path, "w");
+    std::FILE* f = std::fopen(path.c_str(), "w");
     if (f != nullptr) {
       std::fwrite(last_json_.data(), 1, last_json_.size(), f);
       std::fclose(f);
     } else {
-      std::fprintf(stderr, "rapid: cannot write RAPID_TRACE_PATH '%s'\n",
-                   path);
+      RAPID_LOG(kWarn, "cannot write RAPID_TRACE_PATH '%s'", path.c_str());
     }
   }
 }

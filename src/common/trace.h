@@ -18,10 +18,9 @@
 //     outside modeled time (plan choices, offload decisions). Their
 //     clock is an event ordinal, not cycles.
 //
-// Gating follows the repo's env-gate idiom (common/simd.cc): the
-// RAPID_TRACE environment variable (off|summary|full, default off) is
-// resolved once; ForceTraceMode pins it for tests. When tracing is off
-// every instrumentation site costs one relaxed atomic load and a
+// The mode is the config's `trace` field (RAPID_TRACE=off|summary|full,
+// default off; common/config.h). When tracing is off every
+// instrumentation site costs one atomic load of the config and a
 // predicted-not-taken branch — the same discipline as the fault
 // injector (see bench_trace_overhead).
 //
@@ -42,18 +41,9 @@
 #include <string>
 #include <vector>
 
+#include "common/config.h"
+
 namespace rapid {
-
-enum class TraceMode { kOff = 0, kSummary = 1, kFull = 2 };
-
-// Active trace mode: ForceTraceMode override if set, else RAPID_TRACE
-// resolved once at first use. One atomic load on the hot path.
-TraceMode TraceModeActive();
-
-// Pins the mode (tests); returns the previously active mode.
-TraceMode ForceTraceMode(TraceMode mode);
-
-const char* TraceModeName(TraceMode mode);
 
 class TraceCollector {
  public:
@@ -123,7 +113,7 @@ class TraceCollector {
   // True while a query scope is open AND the active mode reaches
   // `level`. The single hot-path gate for every instrumentation site.
   static bool Recording(TraceMode level) {
-    return static_cast<int>(TraceModeActive()) >=
+    return static_cast<int>(GetConfig().trace) >=
                static_cast<int>(level) &&
            active_.load(std::memory_order_relaxed);
   }
@@ -131,8 +121,8 @@ class TraceCollector {
   // Opens/closes a query scope. Scopes nest (HostDatabase::ExecuteQuery
   // wraps RapidEngine::Execute wraps ExecutePhysical); only the
   // outermost Begin resets the buffers and only the matching End
-  // finalizes the trace — exporting Chrome trace-event JSON to
-  // RAPID_TRACE_PATH (if set) and retaining it for last_trace_json().
+  // finalizes the trace — exporting Chrome trace-event JSON to the
+  // config's trace_path (if set) and retaining it for last_trace_json().
   // Must be called from the orchestration thread.
   void BeginQuery(int num_cores, double clock_hz);
   void EndQuery();
@@ -169,7 +159,7 @@ class TraceCollector {
 
   // JSON of the last completed outermost query scope ("" if tracing
   // was off). Serialization is deferred to this call — EndQuery only
-  // marks the buffers final (unless RAPID_TRACE_PATH forces an eager
+  // marks the buffers final (unless a trace_path forces an eager
   // file write), so untraced consumers never pay for the export.
   const std::string& last_trace_json();
 

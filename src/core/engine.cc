@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -22,30 +21,6 @@ namespace {
 // understands plain '0'/'1' subtree paths.
 bool IsPartitionAddress(const std::string& path) {
   return path.size() >= 2 && path.compare(path.size() - 2, 2, "#p") == 0;
-}
-
-int ResolveEnvRetryBudget() {
-  constexpr int kDefault = 2;
-  int budget = kDefault;
-  if (const char* env = std::getenv("RAPID_RETRY_BUDGET");
-      env != nullptr && *env) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 0) {
-      budget = static_cast<int>(std::min(parsed, 16L));
-    } else {
-      RAPID_LOG(kWarn,
-                "invalid RAPID_RETRY_BUDGET value '%s' "
-                "(want an integer >= 0); using %d",
-                env, kDefault);
-    }
-  }
-  if (budget != kDefault) {
-    RAPID_LOG(kInfo, "fragment retry budget overridden to %d "
-              "(RAPID_RETRY_BUDGET)",
-              budget);
-  }
-  return budget;
 }
 
 // One emission path for the cross-query metrics: every counter that
@@ -91,12 +66,6 @@ void ExecutionStats::Accumulate(const ExecutionStats& other) {
   demoted_to_unfused = demoted_to_unfused || other.demoted_to_unfused;
   arena = other.arena;
   tile_pool.Accumulate(other.tile_pool);
-}
-
-int RapidEngine::ResolveRetryBudget(int option) {
-  if (option >= 0) return std::min(option, 16);
-  static const int env_budget = ResolveEnvRetryBudget();
-  return env_budget;
 }
 
 RapidEngine::RapidEngine(const dpu::DpuConfig& config,
@@ -175,7 +144,7 @@ Result<QueryResult> RapidEngine::Execute(const LogicalPtr& plan,
 
   FragmentCheckpoint ckpt;
   FragmentCheckpoint* cp = options.enable_checkpoints ? &ckpt : nullptr;
-  int budget = ResolveRetryBudget(options.retry_budget);
+  int budget = std::clamp(options.retry_budget, 0, 16);
 
   // Recovery ladder, driven by the failure class of each attempt:
   //  1. DMEM OOM while fusion is on -> demote: replan unfused (DRAM

@@ -38,8 +38,8 @@ struct ExecOptions {
   bool enable_checkpoints = true;
   // Fragment-level DPU retries for transient failures before the
   // engine gives up (host fallback is the caller's last resort).
-  // < 0 resolves RAPID_RETRY_BUDGET (default 2, clamped to [0, 16]).
-  int retry_budget = -1;
+  // Clamped to [0, 16].
+  int retry_budget = 2;
 };
 
 struct StepTiming {
@@ -183,13 +183,9 @@ class RapidEngine {
                                       const ExecOptions& options,
                                       FragmentCheckpoint* ckpt = nullptr);
 
-  // Resolved fragment-retry budget: `option` when >= 0, otherwise the
-  // RAPID_RETRY_BUDGET environment value (default 2, clamped [0, 16]).
-  static int ResolveRetryBudget(int option);
-
-  // Chrome trace-event JSON of the most recent query executed with
-  // RAPID_TRACE (or ForceTraceMode) at summary or full; "" when the
-  // last query ran with tracing off. Process-wide, like the collector.
+  // Chrome trace-event JSON of the most recent query executed with the
+  // config's trace mode at summary or full; "" when the last query ran
+  // with tracing off. Process-wide, like the collector.
   static const std::string& LastTrace();
 
   // Executes `plan` and renders the physical plan tree annotated with

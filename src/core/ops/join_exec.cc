@@ -5,11 +5,11 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/config.h"
 #include "common/crc32.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/trace.h"
-#include "core/join_filter.h"
 #include "primitives/bloom.h"
 #include "primitives/join_kernel.h"
 
@@ -306,7 +306,7 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
   // ordinals identical in off and auto modes.
   primitives::BlockedBloomFilter pair_filter;
   bool use_filter = false;
-  if (spec.build_join_filter && JoinFilterActive() == JoinFilterMode::kAuto &&
+  if (spec.build_join_filter && GetConfig().join_filter == JoinFilterMode::kAuto &&
       spec.build_keys.size() == 1 && build_rows > 0 && probe_rows > 0) {
     const size_t num_blocks = primitives::BlockedBloomFilter::BlocksForNdv(
         build_rows, core.dmem().capacity() / 4);

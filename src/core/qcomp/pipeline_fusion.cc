@@ -6,10 +6,10 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/config.h"
 #include "common/trace.h"
 #include "core/qcomp/task_formation.h"
 #include "primitives/bloom.h"
-#include "storage/encoding_stack.h"
 
 namespace rapid::core {
 
@@ -93,7 +93,7 @@ bool Fuser::ChainFitsDmem(const Desc& desc,
   size_t staging_bytes = 0;
   double decode_rate = 0.0;
   if (catalog_ != nullptr && !desc.table.empty() &&
-      storage::EncodedScanActive() == storage::EncodedScanMode::kAuto) {
+      GetConfig().encoded_scan == EncodedScanMode::kAuto) {
     auto it = catalog_->find(desc.table);
     if (it != catalog_->end()) {
       const storage::Table& t = it->second;

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/config.h"
 #include "common/trace.h"
 #include "core/qcomp/cost_model.h"
 #include "core/qcomp/partition_scheme.h"
 #include "core/qcomp/pipeline_fusion.h"
 #include "core/qcomp/task_formation.h"
 #include "primitives/bloom.h"
-#include "storage/encoding_stack.h"
 
 namespace rapid::core {
 
@@ -183,8 +183,8 @@ Result<Planner::Lowered> Planner::LowerScan(
   // (values + lengths, ~2 x width / ratio bytes per row) to the
   // accessor's DMEM footprint and an RLE-expansion term to its
   // per-row compute.
-  const bool encoded = storage::EncodedScanActive() ==
-                       storage::EncodedScanMode::kAuto;
+  const bool encoded = GetConfig().encoded_scan ==
+                       EncodedScanMode::kAuto;
   size_t in_width = 0;
   size_t staging_width = 0;
   double decode_rate = 0.0;

@@ -6,8 +6,8 @@
 #include <mutex>
 #include <sstream>
 
+#include "common/config.h"
 #include "common/trace.h"
-#include "core/join_filter.h"
 #include "core/ops/filter_op.h"
 #include "core/ops/probe_op.h"
 #include "core/ops/project_op.h"
@@ -110,7 +110,7 @@ std::vector<double> RangeWeights(const std::vector<RowRange>& ranges) {
 bool BuildJoinFilter(ExecEnv& env, const JoinFilterRef& ref,
                      primitives::BlockedBloomFilter* filter) {
   if (!ref.enabled()) return false;
-  if (JoinFilterActive() != JoinFilterMode::kAuto) return false;
+  if (GetConfig().join_filter != JoinFilterMode::kAuto) return false;
   const StepOutput& build = env.outputs[static_cast<size_t>(ref.build_step)];
   if (build.partitioned) return false;
   auto key = build.set.IndexOf(ref.build_key);

@@ -184,7 +184,7 @@ struct PhysicalPlan {
 // and the cost gate passes — independent of the RAPID_JOIN_FILTER
 // runtime gate — so the plan SHAPE (step inputs, fusion decisions,
 // DMEM layout) is identical with the gate off or on; only the runtime
-// build/evaluate is gated (core/join_filter.h).
+// build/evaluate is gated (Config::join_filter, common/config.h).
 struct JoinFilterRef {
   int build_step = -1;       // step producing the build-side output
   std::string build_key;     // key column in the build output schema

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/config.h"
 #include "common/trace.h"
 #include "dpu/cost_model.h"
 #include "primitives/arith.h"
@@ -83,7 +84,7 @@ Status RelationAccessor::PushChunks(
   if (chunks.empty()) return op->Finish(ctx);
 
   const bool encoded_enabled =
-      storage::EncodedScanActive() == storage::EncodedScanMode::kAuto;
+      GetConfig().encoded_scan == EncodedScanMode::kAuto;
 
   // Allocate double-buffered DMEM tile buffers once per column. The
   // encoded path expands into the same buffers, so operators see

@@ -1,40 +1,12 @@
 #include "dpu/config.h"
 
-#include <algorithm>
-#include <cstdlib>
-
-#include "common/logging.h"
+#include "common/config.h"
 
 namespace rapid::dpu {
 
-namespace {
-
-int ResolveCoreCount(int paper_default) {
-  int cores = paper_default;
-  if (const char* env = std::getenv("RAPID_CORES"); env != nullptr && *env) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 1) {
-      cores = static_cast<int>(std::min(parsed, 1024L));
-    } else {
-      RAPID_LOG(kWarn,
-                "invalid RAPID_CORES value '%s' "
-                "(want an integer >= 1); using %d",
-                env, paper_default);
-    }
-  }
-  if (cores != paper_default) {
-    RAPID_LOG(kInfo, "dpCore count overridden to %d (RAPID_CORES)", cores);
-  }
-  return cores;
-}
-
-}  // namespace
-
 DpuConfig DpuConfig::Default() {
   DpuConfig config;
-  static const int cores = ResolveCoreCount(config.num_cores);
-  config.num_cores = cores;
+  config.num_cores = GetConfig().cores;
   return config;
 }
 

@@ -37,11 +37,10 @@ struct DpuConfig {
   size_t vector_bytes = 16 * 1024;  // column vector size in a chunk
   size_t min_tile_rows = 64;        // minimum unit of operator transfer
 
-  // Paper defaults, with `num_cores` optionally overridden by the
-  // RAPID_CORES environment variable (clamped to [1, 1024]; resolved
-  // once per process, logged when it deviates from 32). Used by the
-  // scheduler determinism suite and CI to run the whole engine at
-  // other core counts — results are bit-identical by construction.
+  // Paper defaults with `num_cores` from the config's `cores` field
+  // (RAPID_CORES, common/config.h). Used by the scheduler determinism
+  // suite and CI to run the whole engine at other core counts —
+  // results are bit-identical by construction.
   static DpuConfig Default();
 };
 

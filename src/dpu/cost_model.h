@@ -141,8 +141,8 @@ struct CostParams {
   static const CostParams& Default();
 
   // Default() with SIMD multipliers filled in for the SIMD level
-  // active right now (RAPID_SIMD / ForceSimdLevel). Computed fresh on
-  // every call so tests that flip levels observe the change.
+  // active right now (SimdLevelActive()). Computed fresh on every call
+  // so tests that flip levels observe the change.
   static CostParams HostCalibrated();
 };
 

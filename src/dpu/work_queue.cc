@@ -1,66 +1,9 @@
 #include "dpu/work_queue.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <numeric>
 
-#include "common/logging.h"
-
 namespace rapid::dpu {
-
-namespace {
-
-SchedMode ResolveStartupMode() {
-  SchedMode mode = SchedMode::kMorsel;
-  const char* requested = "morsel";
-  if (const char* env = std::getenv("RAPID_SCHED"); env != nullptr && *env) {
-    requested = env;
-    if (std::strcmp(env, "static") == 0) {
-      mode = SchedMode::kStatic;
-    } else if (std::strcmp(env, "morsel") == 0 ||
-               std::strcmp(env, "dynamic") == 0) {
-      mode = SchedMode::kMorsel;
-    } else {
-      RAPID_LOG(kWarn,
-                "unknown RAPID_SCHED value '%s' "
-                "(want static|morsel); using morsel",
-                env);
-      requested = "morsel";
-    }
-  }
-  RAPID_LOG(kInfo, "scheduling mode %s (RAPID_SCHED=%s)", SchedModeName(mode),
-            requested);
-  return mode;
-}
-
-// -1 encodes "no override"; anything else is a ForceSchedMode pin.
-std::atomic<int> g_forced_mode{-1};
-
-}  // namespace
-
-SchedMode SchedModeActive() {
-  const int forced = g_forced_mode.load(std::memory_order_acquire);
-  if (forced >= 0) return static_cast<SchedMode>(forced);
-  static const SchedMode startup = ResolveStartupMode();
-  return startup;
-}
-
-SchedMode ForceSchedMode(SchedMode mode) {
-  const SchedMode previous = SchedModeActive();
-  g_forced_mode.store(static_cast<int>(mode), std::memory_order_release);
-  return previous;
-}
-
-const char* SchedModeName(SchedMode mode) {
-  switch (mode) {
-    case SchedMode::kStatic:
-      return "static";
-    case SchedMode::kMorsel:
-      return "morsel";
-  }
-  return "unknown";
-}
 
 double BalancedMakespanCycles(double total_cycles,
                               double largest_morsel_cycles, int num_cores) {

@@ -19,9 +19,8 @@
 // bit-identical because callers index output slots by morsel id,
 // never by the core that happened to run the morsel.
 //
-// The scheduling mode is resolved once from RAPID_SCHED
-// (static|morsel), mirroring RAPID_SIMD; tests pin it with
-// ForceSchedMode.
+// The scheduling mode is the config's `sched` field (RAPID_SCHED,
+// common/config.h).
 
 #ifndef RAPID_DPU_WORK_QUEUE_H_
 #define RAPID_DPU_WORK_QUEUE_H_
@@ -33,22 +32,9 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/config.h"
 
 namespace rapid::dpu {
-
-enum class SchedMode {
-  kStatic = 0,  // legacy deterministic round-robin striding
-  kMorsel = 1,  // dynamic LPT + work stealing
-};
-
-// Scheduling mode resolved once per process from RAPID_SCHED (logged
-// once), unless pinned by ForceSchedMode.
-SchedMode SchedModeActive();
-
-// Pins the scheduling mode (tests); returns the previous mode.
-SchedMode ForceSchedMode(SchedMode mode);
-
-const char* SchedModeName(SchedMode mode);
 
 // Graham's balanced-makespan bound for scheduling independent morsels
 // on `num_cores` identical cores: sum/cores plus the largest morsel's
@@ -84,7 +70,7 @@ class WorkQueue {
   // weighted constructor with unit weights, so the LPT seeding deals
   // morsel m to core m % num_cores and stealing evens out the tail.
   WorkQueue(size_t num_morsels, int num_cores,
-            SchedMode mode = SchedModeActive());
+            SchedMode mode = GetConfig().sched);
 
   // Weighted morsels: the LPT pre-assignment deals morsels
   // largest-first onto the least-loaded core's deque, so the queue
@@ -92,7 +78,7 @@ class WorkQueue {
   // morsel first; thieves steal the smallest morsel from the heaviest
   // remaining victim.
   WorkQueue(std::vector<double> weights, int num_cores,
-            SchedMode mode = SchedModeActive());
+            SchedMode mode = GetConfig().sched);
 
   WorkQueue(const WorkQueue&) = delete;
   WorkQueue& operator=(const WorkQueue&) = delete;

@@ -5,9 +5,9 @@
 #include <cstdio>
 #include <functional>
 
+#include "common/config.h"
 #include "common/trace.h"
 #include "core/qcomp/plan_serde.h"
-#include "storage/encoding_stack.h"
 
 namespace rapid::hostdb {
 
@@ -52,7 +52,7 @@ double OffloadPlanner::EstimateRapidSeconds(
       // comparison credits RAPID with the smaller transfer.
       double ratio = 1.0;
       if (it != catalog.end() &&
-          storage::EncodedScanActive() == storage::EncodedScanMode::kAuto) {
+          GetConfig().encoded_scan == EncodedScanMode::kAuto) {
         const storage::Table& t = it->second;
         double plain = 0.0;
         double enc = 0.0;

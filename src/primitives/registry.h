@@ -40,8 +40,8 @@ class PrimitiveCatalog {
 
   // The instruction-set tier ("scalar", "sse42", "avx2") the named
   // primitive's kernel resolved to under the active SIMD level.
-  // Evaluated on demand so tests can flip levels via ForceSimdLevel /
-  // RAPID_SIMD and observe the substitution the cost model assumes.
+  // Evaluated on demand so tests can flip the config's SIMD level and
+  // observe the substitution the cost model assumes.
   Result<std::string> ResolvedIsa(const std::string& name) const;
 
   // Name a filter primitive following the paper's convention, e.g.

@@ -2,7 +2,7 @@
 // three levels each. Level 0 is the scalar reference; level 1 copies
 // it and lets the SSE4.2 TU overlay its kernels; level 2 copies level
 // 1 and lets the AVX2 TU overlay. The accessor picks the table for
-// SimdLevelActive() on every call, so ForceSimdLevel takes effect
+// SimdLevelActive() on every call, so a config change takes effect
 // immediately (the tables themselves are immutable after first use).
 
 #include "primitives/simd.h"

@@ -1,10 +1,6 @@
 #include "storage/encoding_stack.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-
-#include "common/logging.h"
 
 namespace rapid::storage {
 
@@ -161,52 +157,6 @@ std::vector<ColumnEncodingReport> BuildTableEncodings(Table* table) {
     }
   }
   return SummarizeTableEncodings(table);
-}
-
-// ---- Encoded-scan gate -----------------------------------------------------
-
-namespace {
-
-// Resolves RAPID_ENCODED_SCAN once and logs the choice (mirrors the
-// RAPID_SIMD startup resolution in common/simd.cc).
-EncodedScanMode ResolveStartupMode() {
-  EncodedScanMode mode = EncodedScanMode::kAuto;
-  const char* requested = "auto";
-  if (const char* env = std::getenv("RAPID_ENCODED_SCAN");
-      env != nullptr && *env) {
-    requested = env;
-    if (std::strcmp(env, "off") == 0) {
-      mode = EncodedScanMode::kOff;
-    } else if (std::strcmp(env, "auto") == 0) {
-      mode = EncodedScanMode::kAuto;
-    } else {
-      RAPID_LOG(kWarn,
-                "unknown RAPID_ENCODED_SCAN value '%s' "
-                "(want off|auto); using auto",
-                env);
-    }
-  }
-  RAPID_LOG(kInfo, "encoded scans %s (RAPID_ENCODED_SCAN=%s)",
-            mode == EncodedScanMode::kAuto ? "auto" : "off", requested);
-  return mode;
-}
-
-// -1 encodes "no override"; anything else is a ForceEncodedScan pin.
-std::atomic<int> g_forced_mode{-1};
-
-}  // namespace
-
-EncodedScanMode EncodedScanActive() {
-  const int forced = g_forced_mode.load(std::memory_order_acquire);
-  if (forced >= 0) return static_cast<EncodedScanMode>(forced);
-  static const EncodedScanMode startup = ResolveStartupMode();
-  return startup;
-}
-
-EncodedScanMode ForceEncodedScan(EncodedScanMode mode) {
-  const EncodedScanMode previous = EncodedScanActive();
-  g_forced_mode.store(static_cast<int>(mode), std::memory_order_release);
-  return previous;
 }
 
 }  // namespace rapid::storage

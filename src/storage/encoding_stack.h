@@ -84,24 +84,6 @@ std::vector<ColumnEncodingReport> SummarizeTableEncodings(Table* table);
 // LOAD).
 std::vector<ColumnEncodingReport> BuildTableEncodings(Table* table);
 
-// ---- Encoded-scan gate -----------------------------------------------------
-//
-// RAPID_ENCODED_SCAN=off|auto (default auto) decides whether the
-// relation accessor ships RLE-topped vectors over the DMS and filters
-// on compressed data. Resolved once at startup and logged; tests pin
-// it in-process via ForceEncodedScan. Both modes are bit-identical —
-// the gate changes bytes moved and modeled cycles, never results.
-
-enum class EncodedScanMode : int { kOff = 0, kAuto = 1 };
-
-// Mode in effect right now: a ForceEncodedScan override if one is
-// active, otherwise the startup resolution of RAPID_ENCODED_SCAN.
-EncodedScanMode EncodedScanActive();
-
-// Overrides the active mode and returns the previously active mode so
-// callers can restore it.
-EncodedScanMode ForceEncodedScan(EncodedScanMode mode);
-
 }  // namespace rapid::storage
 
 #endif  // RAPID_STORAGE_ENCODING_STACK_H_

@@ -1,17 +1,24 @@
 // Unit tests for the common substrate: Status/Result, BitVector,
-// CompactArray, CRC32, RNG/Zipf, AlignedBuffer.
+// CompactArray, CRC32, RNG/Zipf, AlignedBuffer, Config.
 
+#include <algorithm>
+#include <cstring>
 #include <set>
+#include <string>
+#include <type_traits>
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/bitvector.h"
 #include "common/buffer.h"
 #include "common/compact_array.h"
+#include "common/config.h"
 #include "common/crc32.h"
 #include "common/mix64.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/status.h"
 
 namespace rapid {
@@ -476,6 +483,160 @@ TEST(Mix64Test, CombineDiffersFromPlainHashAndKeepsAvalanche) {
     }
   }
   EXPECT_EQ(seen.size(), 64u * 64u);
+}
+
+// ---- Config ----------------------------------------------------------------
+
+// Resolves a config from an environment holding only `name=value`.
+Config FromOne(const char* name, const char* value,
+               std::vector<std::string>* warnings) {
+  return Config::FromEnv(
+      [&](const char* var) {
+        return std::strcmp(var, name) == 0 ? value : nullptr;
+      },
+      warnings);
+}
+
+Config Defaults() {
+  std::vector<std::string> warnings;
+  const Config config =
+      Config::FromEnv([](const char*) -> const char* { return nullptr; },
+                      &warnings);
+  EXPECT_TRUE(warnings.empty());
+  return config;
+}
+
+const char* const kEnvVars[] = {
+    "RAPID_SIMD",        "RAPID_SCHED", "RAPID_ENCODED_SCAN",
+    "RAPID_JOIN_FILTER", "RAPID_TRACE", "RAPID_TRACE_PATH",
+    "RAPID_LOG_LEVEL",   "RAPID_CORES",
+};
+
+TEST(ConfigTest, UnsetEnvironmentGivesDefaults) {
+  const Config config = Defaults();
+  EXPECT_EQ(config.simd, SimdLevelSupported());
+  EXPECT_EQ(config.sched, SchedMode::kMorsel);
+  EXPECT_EQ(config.encoded_scan, EncodedScanMode::kAuto);
+  EXPECT_EQ(config.join_filter, JoinFilterMode::kAuto);
+  EXPECT_EQ(config.trace, TraceMode::kOff);
+  EXPECT_EQ(config.trace_path, "");
+  EXPECT_EQ(config.log_level, LogLevel::kWarn);
+  EXPECT_EQ(config.cores, 32);
+  EXPECT_FALSE(config.tile_pool_bypass);
+}
+
+// `name=value` must set `field` to `expected`, touch no other field and
+// warn about nothing.
+template <typename T>
+void ExpectSpelling(const char* name, const char* value, T Config::*field,
+                    std::type_identity_t<T> expected) {
+  std::vector<std::string> warnings;
+  Config want = Defaults();
+  want.*field = expected;
+  EXPECT_TRUE(FromOne(name, value, &warnings) == want) << name << "=" << value;
+  EXPECT_TRUE(warnings.empty()) << name << "=" << value;
+}
+
+TEST(ConfigTest, AcceptsEverySpelling) {
+  // Every SIMD request is clamped to what the CPU supports.
+  const SimdLevel cpu = SimdLevelSupported();
+  ExpectSpelling("RAPID_SIMD", "off", &Config::simd, SimdLevel::kScalar);
+  ExpectSpelling("RAPID_SIMD", "scalar", &Config::simd, SimdLevel::kScalar);
+  ExpectSpelling("RAPID_SIMD", "sse42", &Config::simd,
+                 std::min(SimdLevel::kSse42, cpu));
+  ExpectSpelling("RAPID_SIMD", "avx2", &Config::simd, cpu);
+  ExpectSpelling("RAPID_SIMD", "auto", &Config::simd, cpu);
+  ExpectSpelling("RAPID_SCHED", "static", &Config::sched, SchedMode::kStatic);
+  ExpectSpelling("RAPID_SCHED", "morsel", &Config::sched, SchedMode::kMorsel);
+  ExpectSpelling("RAPID_SCHED", "dynamic", &Config::sched, SchedMode::kMorsel);
+  ExpectSpelling("RAPID_ENCODED_SCAN", "off", &Config::encoded_scan,
+                 EncodedScanMode::kOff);
+  ExpectSpelling("RAPID_ENCODED_SCAN", "auto", &Config::encoded_scan,
+                 EncodedScanMode::kAuto);
+  ExpectSpelling("RAPID_JOIN_FILTER", "off", &Config::join_filter,
+                 JoinFilterMode::kOff);
+  ExpectSpelling("RAPID_JOIN_FILTER", "auto", &Config::join_filter,
+                 JoinFilterMode::kAuto);
+  ExpectSpelling("RAPID_TRACE", "off", &Config::trace, TraceMode::kOff);
+  ExpectSpelling("RAPID_TRACE", "summary", &Config::trace, TraceMode::kSummary);
+  ExpectSpelling("RAPID_TRACE", "full", &Config::trace, TraceMode::kFull);
+  ExpectSpelling("RAPID_TRACE_PATH", "out/trace.json", &Config::trace_path,
+                 "out/trace.json");
+  ExpectSpelling("RAPID_LOG_LEVEL", "error", &Config::log_level,
+                 LogLevel::kError);
+  ExpectSpelling("RAPID_LOG_LEVEL", "warn", &Config::log_level,
+                 LogLevel::kWarn);
+  ExpectSpelling("RAPID_LOG_LEVEL", "info", &Config::log_level,
+                 LogLevel::kInfo);
+  ExpectSpelling("RAPID_LOG_LEVEL", "debug", &Config::log_level,
+                 LogLevel::kDebug);
+  ExpectSpelling("RAPID_CORES", "1", &Config::cores, 1);
+  ExpectSpelling("RAPID_CORES", "4", &Config::cores, 4);
+  ExpectSpelling("RAPID_CORES", "1024", &Config::cores, 1024);
+}
+
+TEST(ConfigTest, EmptyValueGivesDefault) {
+  const Config defaults = Defaults();
+  for (const char* name : kEnvVars) {
+    std::vector<std::string> warnings;
+    EXPECT_TRUE(FromOne(name, "", &warnings) == defaults) << name;
+    EXPECT_TRUE(warnings.empty()) << name;
+  }
+}
+
+TEST(ConfigTest, UnknownValueGivesDefaultAndOneWarning) {
+  const Config defaults = Defaults();
+  for (const char* name : kEnvVars) {
+    if (std::strcmp(name, "RAPID_TRACE_PATH") == 0) continue;  // any path
+    std::vector<std::string> warnings;
+    EXPECT_TRUE(FromOne(name, "bogus", &warnings) == defaults) << name;
+    ASSERT_EQ(warnings.size(), 1u) << name;
+    EXPECT_NE(warnings[0].find(name), std::string::npos) << warnings[0];
+  }
+}
+
+TEST(ConfigTest, CoreCountParsesAndClamps) {
+  const struct {
+    const char* value;
+    int cores;
+    size_t warnings;
+  } cases[] = {{"abc", 32, 1}, {"0", 32, 1}, {"5000", 1024, 0}};
+  for (const auto& tc : cases) {
+    std::vector<std::string> warnings;
+    EXPECT_EQ(FromOne("RAPID_CORES", tc.value, &warnings).cores, tc.cores)
+        << tc.value;
+    EXPECT_EQ(warnings.size(), tc.warnings) << tc.value;
+  }
+}
+
+TEST(ConfigTest, ScopedConfigClampsAndRestores) {
+  const Config before = GetConfig();
+  {
+    ScopedConfig config(&Config::trace, TraceMode::kFull);
+    EXPECT_EQ(GetConfig().trace, TraceMode::kFull);
+    config.Set(&Config::simd, SimdLevel::kAvx2);
+    EXPECT_EQ(GetConfig().simd, SimdLevelSupported());
+    EXPECT_EQ(SimdLevelActive(), SimdLevelSupported());
+    config.Set(&Config::cores, 5000);
+    EXPECT_EQ(GetConfig().cores, Config::kMaxCores);
+    EXPECT_EQ(GetConfig().trace, TraceMode::kFull);
+  }
+  EXPECT_TRUE(GetConfig() == before);
+  Config changed = before;
+  changed.sched = before.sched == SchedMode::kStatic ? SchedMode::kMorsel
+                                                     : SchedMode::kStatic;
+  EXPECT_TRUE(SetConfig(changed) == before);
+  EXPECT_TRUE(SetConfig(before) == changed);
+}
+
+TEST(ConfigTest, NamesAreCanonicalSpellings) {
+  EXPECT_STREQ(SimdLevelName(SimdLevel::kScalar), "scalar");
+  EXPECT_STREQ(SimdLevelName(SimdLevel::kSse42), "sse42");
+  EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx2), "avx2");
+  EXPECT_STREQ(SchedModeName(SchedMode::kStatic), "static");
+  EXPECT_STREQ(SchedModeName(SchedMode::kMorsel), "morsel");
+  EXPECT_STREQ(TraceModeName(TraceMode::kSummary), "summary");
+  EXPECT_STREQ(LogLevelName(LogLevel::kDebug), "debug");
 }
 
 }  // namespace

@@ -3,12 +3,12 @@
 // partitioning, and the DPU facade's parallel scheduling.
 
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "common/config.h"
 #include "common/rng.h"
 #include "dpu/ate.h"
 #include "dpu/cost_model.h"
@@ -54,11 +54,11 @@ TEST(DmemTest, TypedArrayAllocation) {
 }
 
 TEST(DmemTest, DpuConfigDefaultsMatchPaper) {
-  // Brace-initialization gives the paper constants; Default() applies
-  // the RAPID_CORES override on top, so only compare core counts when
-  // the override is absent.
+  // Brace-initialization gives the paper constants; Default() takes
+  // the core count from the config (RAPID_CORES).
   const DpuConfig config{};
-  if (std::getenv("RAPID_CORES") == nullptr) {
+  {
+    ScopedConfig cores(&Config::cores, 32);
     EXPECT_EQ(DpuConfig::Default().num_cores, 32);
   }
   EXPECT_EQ(config.num_cores, 32);

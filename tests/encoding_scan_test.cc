@@ -12,13 +12,13 @@
 
 #include "common/arena.h"
 #include "common/bitvector.h"
+#include "common/config.h"
 #include "common/fault.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/engine.h"
 #include "core/qcomp/planner.h"
 #include "core/qcomp/steps.h"
-#include "dpu/work_queue.h"
 #include "hostdb/database.h"
 #include "hostdb/offload.h"
 #include "storage/encoding_stack.h"
@@ -37,39 +37,8 @@ using core::QueryResult;
 using hostdb::HostDatabase;
 using hostdb::QueryReport;
 using primitives::CmpOp;
-using storage::EncodedScanMode;
 using rapid::testing::ExpectSameRows;
 using rapid::testing::SortedRows;
-
-class ScopedEncodedScan {
- public:
-  explicit ScopedEncodedScan(EncodedScanMode mode)
-      : previous_(storage::ForceEncodedScan(mode)) {}
-  ~ScopedEncodedScan() { storage::ForceEncodedScan(previous_); }
-
- private:
-  EncodedScanMode previous_;
-};
-
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level)
-      : previous_(ForceSimdLevel(level)) {}
-  ~ScopedSimdLevel() { ForceSimdLevel(previous_); }
-
- private:
-  SimdLevel previous_;
-};
-
-class ScopedSchedMode {
- public:
-  explicit ScopedSchedMode(dpu::SchedMode mode)
-      : previous_(dpu::ForceSchedMode(mode)) {}
-  ~ScopedSchedMode() { dpu::ForceSchedMode(previous_); }
-
- private:
-  dpu::SchedMode previous_;
-};
 
 // ---- BitVector span emission -----------------------------------------------
 
@@ -286,7 +255,7 @@ class EncodedScanEngineTest : public ::testing::Test {
 TEST_F(EncodedScanEngineTest, OffAndAutoBitIdenticalAcrossTiersAndSchedulers) {
   QueryResult reference;
   {
-    ScopedEncodedScan off(EncodedScanMode::kOff);
+    ScopedConfig off(&Config::encoded_scan, EncodedScanMode::kOff);
     ASSERT_OK_AND_ASSIGN(reference, engine_.Execute(Q6Plan()));
     EXPECT_EQ(reference.stats.encoded_bytes_moved, 0u);
     EXPECT_EQ(reference.stats.runs_filtered, 0u);
@@ -295,20 +264,19 @@ TEST_F(EncodedScanEngineTest, OffAndAutoBitIdenticalAcrossTiersAndSchedulers) {
 
   const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kSse42,
                               SimdLevel::kAvx2};
-  const dpu::SchedMode scheds[] = {dpu::SchedMode::kStatic,
-                                   dpu::SchedMode::kMorsel};
+  const SchedMode scheds[] = {SchedMode::kStatic, SchedMode::kMorsel};
   for (SimdLevel level : levels) {
-    for (dpu::SchedMode sched : scheds) {
-      ScopedSimdLevel simd(level);
-      ScopedSchedMode mode(sched);
+    for (SchedMode sched : scheds) {
+      ScopedConfig simd(&Config::simd, level);
+      ScopedConfig mode(&Config::sched, sched);
       QueryResult off_run;
       QueryResult auto_run;
       {
-        ScopedEncodedScan off(EncodedScanMode::kOff);
+        ScopedConfig off(&Config::encoded_scan, EncodedScanMode::kOff);
         ASSERT_OK_AND_ASSIGN(off_run, engine_.Execute(Q6Plan()));
       }
       {
-        ScopedEncodedScan on(EncodedScanMode::kAuto);
+        ScopedConfig on(&Config::encoded_scan, EncodedScanMode::kAuto);
         ASSERT_OK_AND_ASSIGN(auto_run, engine_.Execute(Q6Plan()));
       }
       ExpectSameRows(off_run.rows, reference.rows);
@@ -329,7 +297,7 @@ TEST_F(EncodedScanEngineTest, OffAndAutoBitIdenticalAcrossTiersAndSchedulers) {
 TEST_F(EncodedScanEngineTest, EncodedScanSurvivesDmsFaultAndReplays) {
   QueryResult clean;
   {
-    ScopedEncodedScan on(EncodedScanMode::kAuto);
+    ScopedConfig on(&Config::encoded_scan, EncodedScanMode::kAuto);
     ASSERT_OK_AND_ASSIGN(clean, engine_.Execute(Q6Plan()));
   }
 
@@ -337,7 +305,7 @@ TEST_F(EncodedScanEngineTest, EncodedScanSurvivesDmsFaultAndReplays) {
   // retries and fragment checkpoints must replay encoded scans to the
   // same rows. Seed chosen for this test's own poll sequence (the
   // encoded path legitimately changes fault-site ordinals).
-  ScopedEncodedScan on(EncodedScanMode::kAuto);
+  ScopedConfig on(&Config::encoded_scan, EncodedScanMode::kAuto);
   ScopedFaultInjection fi(81);
   FaultInjector::SiteSpec spec;
   spec.max_failures = 2;
@@ -350,7 +318,7 @@ TEST_F(EncodedScanEngineTest, EncodedScanSurvivesDmsFaultAndReplays) {
 }
 
 TEST_F(EncodedScanEngineTest, QueryReportExposesEncodedCounters) {
-  ScopedEncodedScan on(EncodedScanMode::kAuto);
+  ScopedConfig on(&Config::encoded_scan, EncodedScanMode::kAuto);
   ASSERT_OK_AND_ASSIGN(QueryReport report,
                        host_.ExecuteQuery(Q6Plan(), &engine_));
   EXPECT_FALSE(report.fell_back);
@@ -359,7 +327,7 @@ TEST_F(EncodedScanEngineTest, QueryReportExposesEncodedCounters) {
             report.rapid_stats.encoded_bytes_moved);
   EXPECT_GT(report.rapid_stats.runs_filtered, 0u);
 
-  ScopedEncodedScan off(EncodedScanMode::kOff);
+  ScopedConfig off(&Config::encoded_scan, EncodedScanMode::kOff);
   ASSERT_OK_AND_ASSIGN(QueryReport plain_report,
                        host_.ExecuteQuery(Q6Plan(), &engine_));
   EXPECT_EQ(plain_report.rapid_stats.encoded_bytes_moved, 0u);
@@ -391,11 +359,11 @@ TEST(EncodedScanTest, RunLevelFilterKeepsTruncatingCastSemantics) {
   QueryResult off_run;
   QueryResult auto_run;
   {
-    ScopedEncodedScan off(EncodedScanMode::kOff);
+    ScopedConfig off(&Config::encoded_scan, EncodedScanMode::kOff);
     ASSERT_OK_AND_ASSIGN(off_run, engine.Execute(plan));
   }
   {
-    ScopedEncodedScan on(EncodedScanMode::kAuto);
+    ScopedConfig on(&Config::encoded_scan, EncodedScanMode::kAuto);
     ASSERT_OK_AND_ASSIGN(auto_run, engine.Execute(plan));
   }
   EXPECT_GT(off_run.rows.num_rows(), 0u);

@@ -16,6 +16,7 @@
 
 #include "common/arena.h"
 #include "common/cancel.h"
+#include "common/config.h"
 #include "common/fault.h"
 #include "common/rng.h"
 #include "common/simd.h"
@@ -24,7 +25,6 @@
 #include "core/ops/partition_exec.h"
 #include "dpu/ate.h"
 #include "dpu/dpu.h"
-#include "dpu/work_queue.h"
 #include "hostdb/database.h"
 #include "storage/loader.h"
 #include "hostdb/offload.h"
@@ -654,10 +654,9 @@ TEST_F(FaultEngineTest, ReuseMatrixRestoresRoundsBitIdenticalAcrossModes) {
 
   const uint64_t seeds[] = {101, 202, 303};
   for (int lvl = 0; lvl <= static_cast<int>(SimdLevelSupported()); ++lvl) {
-    for (dpu::SchedMode mode :
-         {dpu::SchedMode::kStatic, dpu::SchedMode::kMorsel}) {
-      const SimdLevel prev_lvl = ForceSimdLevel(static_cast<SimdLevel>(lvl));
-      const dpu::SchedMode prev_mode = dpu::ForceSchedMode(mode);
+    for (SchedMode mode : {SchedMode::kStatic, SchedMode::kMorsel}) {
+      ScopedConfig config(&Config::simd, static_cast<SimdLevel>(lvl));
+      config.Set(&Config::sched, mode);
 
       const uint64_t polls = CleanPollCount(faults::kDmsPartition, [&] {
         auto r = host_.ExecuteQuery(JoinPlan(), &engine_, options);
@@ -678,21 +677,19 @@ TEST_F(FaultEngineTest, ReuseMatrixRestoresRoundsBitIdenticalAcrossModes) {
         auto result = host_.ExecuteQuery(JoinPlan(), &engine_, options);
         ASSERT_TRUE(result.ok())
             << result.status().ToString() << " simd=" << lvl
-            << " sched=" << dpu::SchedModeName(mode) << " seed=" << seed;
+            << " sched=" << SchedModeName(mode) << " seed=" << seed;
         const QueryReport& report = result.value();
         EXPECT_FALSE(report.fell_back) << report.fallback_reason;
         EXPECT_EQ(report.rapid_stats.dpu_retries, 1u)
-            << "simd=" << lvl << " sched=" << dpu::SchedModeName(mode)
+            << "simd=" << lvl << " sched=" << SchedModeName(mode)
             << " seed=" << seed;
         // At minimum the other side's completed partition rounds were
         // restored from the checkpoint instead of re-partitioned.
         EXPECT_GE(report.rapid_stats.reused_rounds, 1u);
         EXPECT_EQ(SortedRows(report.rows), clean_rows)
-            << "simd=" << lvl << " sched=" << dpu::SchedModeName(mode)
+            << "simd=" << lvl << " sched=" << SchedModeName(mode)
             << " seed=" << seed;
       }
-      dpu::ForceSchedMode(prev_mode);
-      ForceSimdLevel(prev_lvl);
     }
   }
 }

@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/config.h"
 #include "core/engine.h"
-#include "dpu/work_queue.h"
 #include "hostdb/database.h"
 #include "hostdb/journal.h"
 #include "hostdb/offload.h"
@@ -39,26 +39,6 @@ SmallTable(int rows, int64_t value_offset = 0) {
   }
   return {specs, data};
 }
-
-class ScopedEncodedScan {
- public:
-  explicit ScopedEncodedScan(storage::EncodedScanMode mode)
-      : previous_(storage::ForceEncodedScan(mode)) {}
-  ~ScopedEncodedScan() { storage::ForceEncodedScan(previous_); }
-
- private:
-  storage::EncodedScanMode previous_;
-};
-
-class ScopedSchedMode {
- public:
-  explicit ScopedSchedMode(dpu::SchedMode mode)
-      : previous_(dpu::ForceSchedMode(mode)) {}
-  ~ScopedSchedMode() { dpu::ForceSchedMode(previous_); }
-
- private:
-  dpu::SchedMode previous_;
-};
 
 class HostDbTest : public ::testing::Test {
  protected:
@@ -177,10 +157,10 @@ TEST_F(HostDbTest, MultiFragmentReportSumsEveryPlaceholdersStats) {
   // Two resident subtrees under a join with an unloaded table give two
   // placeholders; the report's stats must be their sum, equal to the
   // two fragments run alone, not the first placeholder's stats.
-  ScopedEncodedScan encoded(storage::EncodedScanMode::kAuto);
+  ScopedConfig encoded(&Config::encoded_scan, EncodedScanMode::kAuto);
   // Static scheduling keeps each fragment's modeled time a function of
   // the plan alone, so the runs below are comparable.
-  ScopedSchedMode sched(dpu::SchedMode::kStatic);
+  ScopedConfig sched(&Config::sched, SchedMode::kStatic);
   std::vector<storage::ColumnSpec> specs = {
       {"id", storage::ColumnKind::kInt64},
       {"v", storage::ColumnKind::kInt32}};

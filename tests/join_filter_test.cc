@@ -13,17 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include "common/config.h"
 #include "common/fault.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/engine.h"
-#include "core/join_filter.h"
 #include "core/ops/join_exec.h"
 #include "core/ops/partition_exec.h"
 #include "core/qcomp/planner.h"
 #include "core/qcomp/steps.h"
 #include "dpu/dpu.h"
-#include "dpu/work_queue.h"
 #include "hostdb/database.h"
 #include "hostdb/offload.h"
 #include "storage/loader.h"
@@ -35,7 +34,6 @@ namespace {
 using core::ColumnSet;
 using core::ExecOptions;
 using core::JoinExec;
-using core::JoinFilterMode;
 using core::JoinSpec;
 using core::JoinStats;
 using core::JoinType;
@@ -53,36 +51,6 @@ using rapid::testing::ExpectSameRows;
 using rapid::testing::MakeColumnSet;
 using rapid::testing::Rows;
 using rapid::testing::SortedRows;
-
-class ScopedJoinFilter {
- public:
-  explicit ScopedJoinFilter(JoinFilterMode mode)
-      : previous_(core::ForceJoinFilter(mode)) {}
-  ~ScopedJoinFilter() { core::ForceJoinFilter(previous_); }
-
- private:
-  JoinFilterMode previous_;
-};
-
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level)
-      : previous_(ForceSimdLevel(level)) {}
-  ~ScopedSimdLevel() { ForceSimdLevel(previous_); }
-
- private:
-  SimdLevel previous_;
-};
-
-class ScopedSchedMode {
- public:
-  explicit ScopedSchedMode(dpu::SchedMode mode)
-      : previous_(dpu::ForceSchedMode(mode)) {}
-  ~ScopedSchedMode() { dpu::ForceSchedMode(previous_); }
-
- private:
-  dpu::SchedMode previous_;
-};
 
 // A selective FK join: dim keys 0..4095 with a ~1% filter on the
 // payload, facts referencing the full key domain — ~99% of fact rows
@@ -140,7 +108,7 @@ class JoinFilterEngineTest : public ::testing::Test {
 TEST_F(JoinFilterEngineTest, OffAndAutoBitIdenticalAcrossTiersAndSchedulers) {
   QueryResult reference;
   {
-    ScopedJoinFilter off(JoinFilterMode::kOff);
+    ScopedConfig off(&Config::join_filter, JoinFilterMode::kOff);
     ASSERT_OK_AND_ASSIGN(reference,
                          engine_.Execute(SelectivePlan(JoinType::kInner)));
     EXPECT_EQ(reference.stats.join_filter_built, 0u);
@@ -151,21 +119,20 @@ TEST_F(JoinFilterEngineTest, OffAndAutoBitIdenticalAcrossTiersAndSchedulers) {
 
   const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kSse42,
                               SimdLevel::kAvx2};
-  const dpu::SchedMode scheds[] = {dpu::SchedMode::kStatic,
-                                   dpu::SchedMode::kMorsel};
+  const SchedMode scheds[] = {SchedMode::kStatic, SchedMode::kMorsel};
   for (SimdLevel level : levels) {
-    for (dpu::SchedMode sched : scheds) {
-      ScopedSimdLevel simd(level);
-      ScopedSchedMode mode(sched);
+    for (SchedMode sched : scheds) {
+      ScopedConfig simd(&Config::simd, level);
+      ScopedConfig mode(&Config::sched, sched);
       QueryResult off_run;
       QueryResult auto_run;
       {
-        ScopedJoinFilter off(JoinFilterMode::kOff);
+        ScopedConfig off(&Config::join_filter, JoinFilterMode::kOff);
         ASSERT_OK_AND_ASSIGN(off_run,
                              engine_.Execute(SelectivePlan(JoinType::kInner)));
       }
       {
-        ScopedJoinFilter on(JoinFilterMode::kAuto);
+        ScopedConfig on(&Config::join_filter, JoinFilterMode::kAuto);
         ASSERT_OK_AND_ASSIGN(auto_run,
                              engine_.Execute(SelectivePlan(JoinType::kInner)));
       }
@@ -191,20 +158,19 @@ TEST_F(JoinFilterEngineTest, SemiAntiLeftOuterSemanticsUnchanged) {
                             JoinType::kLeftOuter};
   const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kSse42,
                               SimdLevel::kAvx2};
-  const dpu::SchedMode scheds[] = {dpu::SchedMode::kStatic,
-                                   dpu::SchedMode::kMorsel};
+  const SchedMode scheds[] = {SchedMode::kStatic, SchedMode::kMorsel};
   for (JoinType type : types) {
     QueryResult reference;
     {
-      ScopedJoinFilter off(JoinFilterMode::kOff);
+      ScopedConfig off(&Config::join_filter, JoinFilterMode::kOff);
       ASSERT_OK_AND_ASSIGN(reference, engine_.Execute(SelectivePlan(type)));
     }
     ASSERT_GT(reference.rows.num_rows(), 0u);
     for (SimdLevel level : levels) {
-      for (dpu::SchedMode sched : scheds) {
-        ScopedSimdLevel simd(level);
-        ScopedSchedMode mode(sched);
-        ScopedJoinFilter on(JoinFilterMode::kAuto);
+      for (SchedMode sched : scheds) {
+        ScopedConfig simd(&Config::simd, level);
+        ScopedConfig mode(&Config::sched, sched);
+        ScopedConfig on(&Config::join_filter, JoinFilterMode::kAuto);
         ASSERT_OK_AND_ASSIGN(QueryResult auto_run,
                              engine_.Execute(SelectivePlan(type)));
         ExpectSameRows(auto_run.rows, reference.rows);
@@ -213,14 +179,14 @@ TEST_F(JoinFilterEngineTest, SemiAntiLeftOuterSemanticsUnchanged) {
   }
   // Anti join output covers the pruned key range: pruning never
   // removed a no-match row.
-  ScopedJoinFilter on(JoinFilterMode::kAuto);
+  ScopedConfig on(&Config::join_filter, JoinFilterMode::kAuto);
   ASSERT_OK_AND_ASSIGN(QueryResult anti,
                        engine_.Execute(SelectivePlan(JoinType::kAnti)));
   EXPECT_GT(anti.rows.num_rows(), 15000u);
 }
 
 TEST_F(JoinFilterEngineTest, SurvivesInjectedDmsFaultBitIdentical) {
-  ScopedJoinFilter on(JoinFilterMode::kAuto);
+  ScopedConfig on(&Config::join_filter, JoinFilterMode::kAuto);
   ASSERT_OK_AND_ASSIGN(QueryResult clean,
                        engine_.Execute(SelectivePlan(JoinType::kInner)));
   ASSERT_GT(clean.stats.rows_pruned_by_join_filter, 0u);
@@ -240,7 +206,7 @@ TEST_F(JoinFilterEngineTest, SurvivesInjectedDmsFaultBitIdentical) {
 }
 
 TEST_F(JoinFilterEngineTest, QueryReportExposesCountersAndZerosOnFallback) {
-  ScopedJoinFilter on(JoinFilterMode::kAuto);
+  ScopedConfig on(&Config::join_filter, JoinFilterMode::kAuto);
   LogicalPtr plan = SelectivePlan(JoinType::kInner);
   ASSERT_OK_AND_ASSIGN(QueryReport report, host_.ExecuteQuery(plan, &engine_));
   ASSERT_FALSE(report.fell_back);
@@ -249,7 +215,7 @@ TEST_F(JoinFilterEngineTest, QueryReportExposesCountersAndZerosOnFallback) {
   EXPECT_GT(report.rapid_stats.filter_bytes, 0u);
 
   {
-    ScopedJoinFilter off(JoinFilterMode::kOff);
+    ScopedConfig off(&Config::join_filter, JoinFilterMode::kOff);
     ASSERT_OK_AND_ASSIGN(QueryReport off_report,
                          host_.ExecuteQuery(plan, &engine_));
     EXPECT_EQ(off_report.rapid_stats.rows_pruned_by_join_filter, 0u);
@@ -328,11 +294,11 @@ TEST(JoinFilterPlanTest, RefAttachmentIndependentOfGateAndTypeAware) {
   // The gate is runtime-only: the planner attaches the ref in both
   // modes, so toggling RAPID_JOIN_FILTER never changes plan shape.
   {
-    ScopedJoinFilter off(JoinFilterMode::kOff);
+    ScopedConfig off(&Config::join_filter, JoinFilterMode::kOff);
     EXPECT_TRUE(ProbeScanHasFilterRef(catalog, plan(JoinType::kInner)));
   }
   {
-    ScopedJoinFilter on(JoinFilterMode::kAuto);
+    ScopedConfig on(&Config::join_filter, JoinFilterMode::kAuto);
     EXPECT_TRUE(ProbeScanHasFilterRef(catalog, plan(JoinType::kInner)));
     EXPECT_TRUE(ProbeScanHasFilterRef(catalog, plan(JoinType::kSemi)));
     // Anti and left-outer emit probe rows without a match; a scan-side
@@ -414,7 +380,7 @@ TEST_F(JoinKernelFilterTest, PrunesWithoutChangingAnyJoinTypeOutput) {
     JoinStats off_stats;
     dpu::CoreCounters off_counters;
     {
-      ScopedJoinFilter off(JoinFilterMode::kOff);
+      ScopedConfig off(&Config::join_filter, JoinFilterMode::kOff);
       dpu_.ResetCores();
       ASSERT_OK_AND_ASSIGN(off_result,
                            JoinExec::Execute(dpu_, in.build, in.probe,
@@ -425,7 +391,7 @@ TEST_F(JoinKernelFilterTest, PrunesWithoutChangingAnyJoinTypeOutput) {
     JoinStats auto_stats;
     dpu::CoreCounters auto_counters;
     {
-      ScopedJoinFilter on(JoinFilterMode::kAuto);
+      ScopedConfig on(&Config::join_filter, JoinFilterMode::kAuto);
       dpu_.ResetCores();
       ASSERT_OK_AND_ASSIGN(auto_result,
                            JoinExec::Execute(dpu_, in.build, in.probe,
@@ -449,7 +415,7 @@ TEST_F(JoinKernelFilterTest, PrunesWithoutChangingAnyJoinTypeOutput) {
 
 TEST_F(JoinKernelFilterTest, SpecFlagOffMeansNoFilterEvenInAutoMode) {
   Inputs in = MakeInputs();
-  ScopedJoinFilter on(JoinFilterMode::kAuto);
+  ScopedConfig on(&Config::join_filter, JoinFilterMode::kAuto);
   JoinSpec spec = Spec(JoinType::kInner);
   spec.build_join_filter = false;  // planner cost gate said no
   dpu_.ResetCores();

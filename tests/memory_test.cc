@@ -13,10 +13,10 @@
 #include <gtest/gtest.h>
 
 #include "common/arena.h"
+#include "common/config.h"
 #include "common/fault.h"
 #include "common/simd.h"
 #include "core/engine.h"
-#include "dpu/work_queue.h"
 #include "hostdb/database.h"
 #include "hostdb/offload.h"
 #include "primitives/simd.h"
@@ -102,9 +102,6 @@ TEST(TileBufferPoolTest, BuffersAreAlignedAndSizedUp) {
 }
 
 TEST(TileBufferPoolTest, SteadyStateStopsAllocating) {
-  if (TileBufferPool::BypassActive()) {
-    GTEST_SKIP() << "RAPID_TILE_POOL=off: recycling disabled by request";
-  }
   Arena arena;
   TileBufferPool pool(&arena);
   // Warm-up: first acquire of each class is a miss.
@@ -125,13 +122,14 @@ TEST(TileBufferPoolTest, SteadyStateStopsAllocating) {
 TEST(TileBufferPoolTest, BypassModeBuysNothingButStaysCorrect) {
   Arena arena;
   TileBufferPool pool(&arena);
-  const bool prev = TileBufferPool::ForceBypass(true);
-  for (int i = 0; i < 4; ++i) {
-    auto h = pool.AcquireArray<int64_t>(512);
-    ASSERT_TRUE(h);
-    h.as<int64_t>()[511] = i;
+  {
+    ScopedConfig bypass(&Config::tile_pool_bypass, true);
+    for (int i = 0; i < 4; ++i) {
+      auto h = pool.AcquireArray<int64_t>(512);
+      ASSERT_TRUE(h);
+      h.as<int64_t>()[511] = i;
+    }
   }
-  TileBufferPool::ForceBypass(prev);
   // Every bypass acquire went to the heap: no reuse, no arena growth.
   EXPECT_EQ(pool.stats().acquires, 4u);
   EXPECT_EQ(pool.stats().reuses, 0u);
@@ -139,9 +137,6 @@ TEST(TileBufferPoolTest, BypassModeBuysNothingButStaysCorrect) {
 }
 
 TEST(TileBufferPoolTest, HandleMoveTransfersOwnership) {
-  if (TileBufferPool::BypassActive()) {
-    GTEST_SKIP() << "RAPID_TILE_POOL=off: recycling disabled by request";
-  }
   Arena arena;
   TileBufferPool pool(&arena);
   auto a = pool.Acquire(256);
@@ -167,17 +162,8 @@ void ReferenceScatter(const std::vector<int64_t>& input,
   }
 }
 
-class ScatterLevelGuard {
- public:
-  ScatterLevelGuard() : previous_(ForceSimdLevel(SimdLevel::kScalar)) {}
-  ~ScatterLevelGuard() { ForceSimdLevel(previous_); }
-
- private:
-  SimdLevel previous_;
-};
-
 TEST(ScatterKernelTest, BitIdenticalToReferenceAcrossLevelsAndFanouts) {
-  ScatterLevelGuard guard;
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
   std::mt19937_64 rng(12345);
   Arena arena;
   // Sizes cross the WC-line boundary and leave partial tails; fan-outs
@@ -194,7 +180,7 @@ TEST(ScatterKernelTest, BitIdenticalToReferenceAcrossLevelsAndFanouts) {
       ReferenceScatter(input, pof, fanout, &expected);
 
       for (int l = 0; l <= static_cast<int>(SimdLevelSupported()); ++l) {
-        ForceSimdLevel(static_cast<SimdLevel>(l));
+        config.Set(&Config::simd, static_cast<SimdLevel>(l));
         // Destinations deliberately start at unaligned offsets so the
         // vector tier exercises its pre-alignment head path.
         std::vector<std::vector<int64_t>> storage(fanout);
@@ -349,15 +335,13 @@ TEST_F(MemoryEngineTest, ScatterPathBitIdenticalAcrossSimdAndSched) {
   ExecOptions options;
   options.planner.enable_fusion = false;
 
-  ScatterLevelGuard level_guard;
+  ScopedConfig config;
   std::vector<std::vector<std::vector<int64_t>>> results;
   for (int l = 0; l <= static_cast<int>(SimdLevelSupported()); ++l) {
-    for (dpu::SchedMode mode : {dpu::SchedMode::kStatic,
-                                dpu::SchedMode::kMorsel}) {
-      ForceSimdLevel(static_cast<SimdLevel>(l));
-      const dpu::SchedMode prev = dpu::ForceSchedMode(mode);
+    for (SchedMode mode : {SchedMode::kStatic, SchedMode::kMorsel}) {
+      config.Set(&Config::simd, static_cast<SimdLevel>(l));
+      config.Set(&Config::sched, mode);
       auto result = engine_.Execute(JoinPlan(), options);
-      dpu::ForceSchedMode(prev);
       ASSERT_OK(result.status());
       results.push_back(SortedRows(result.value().rows));
     }
@@ -368,9 +352,6 @@ TEST_F(MemoryEngineTest, ScatterPathBitIdenticalAcrossSimdAndSched) {
 }
 
 TEST_F(MemoryEngineTest, TilePoolWarmsUpAcrossQueries) {
-  if (TileBufferPool::BypassActive()) {
-    GTEST_SKIP() << "RAPID_TILE_POOL=off: recycling disabled by request";
-  }
   ASSERT_OK_AND_ASSIGN(QueryResult first, engine_.Execute(AggPlan()));
   EXPECT_GT(first.stats.tile_pool.acquires, 0u);
   EXPECT_GT(first.stats.arena.bytes_used, 0u);

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/config.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -25,10 +26,8 @@
 #include "common/simd.h"
 #include "common/trace.h"
 #include "core/engine.h"
-#include "dpu/work_queue.h"
 #include "hostdb/database.h"
 #include "hostdb/offload.h"
-#include "storage/encoding_stack.h"
 #include "storage/loader.h"
 #include "tests/test_util.h"
 
@@ -44,54 +43,6 @@ using hostdb::HostDatabase;
 using hostdb::QueryReport;
 using rapid::testing::ExpectSameRows;
 using rapid::testing::SortedRows;
-
-class ScopedTraceMode {
- public:
-  explicit ScopedTraceMode(TraceMode mode) : previous_(ForceTraceMode(mode)) {}
-  ~ScopedTraceMode() { ForceTraceMode(previous_); }
-
- private:
-  TraceMode previous_;
-};
-
-class ScopedLogLevel {
- public:
-  explicit ScopedLogLevel(LogLevel level) : previous_(ForceLogLevel(level)) {}
-  ~ScopedLogLevel() { ForceLogLevel(previous_); }
-
- private:
-  LogLevel previous_;
-};
-
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level)
-      : previous_(ForceSimdLevel(level)) {}
-  ~ScopedSimdLevel() { ForceSimdLevel(previous_); }
-
- private:
-  SimdLevel previous_;
-};
-
-class ScopedSchedMode {
- public:
-  explicit ScopedSchedMode(dpu::SchedMode mode)
-      : previous_(dpu::ForceSchedMode(mode)) {}
-  ~ScopedSchedMode() { dpu::ForceSchedMode(previous_); }
-
- private:
-  dpu::SchedMode previous_;
-};
-
-class ScopedEncodedScan {
- public:
-  explicit ScopedEncodedScan(storage::EncodedScanMode mode)
-      : previous_(storage::ForceEncodedScan(mode)) {}
-  ~ScopedEncodedScan() { storage::ForceEncodedScan(previous_); }
-
- private:
-  storage::EncodedScanMode previous_;
-};
 
 // A dim/fact pair giving every layer something to do: encoded-friendly
 // low-cardinality columns, a selective build side (join filters), a
@@ -147,12 +98,12 @@ class ObservabilityTest : public ::testing::Test {
 // ---- Gating ----------------------------------------------------------------
 
 TEST_F(ObservabilityTest, TraceOffByDefaultProducesNoTrace) {
-  ScopedTraceMode off(TraceMode::kOff);
+  ScopedConfig off(&Config::trace, TraceMode::kOff);
   ASSERT_OK_AND_ASSIGN(QueryResult r, engine_.Execute(JoinPlan()));
   ASSERT_GT(r.rows.num_rows(), 0u);
   // EndQuery in off mode never exports: whatever LastTrace held before
   // stays untouched, and a fresh summary run replaces it.
-  ScopedTraceMode on(TraceMode::kSummary);
+  ScopedConfig on(&Config::trace, TraceMode::kSummary);
   ASSERT_OK_AND_ASSIGN(QueryResult traced, engine_.Execute(JoinPlan()));
   EXPECT_NE(core::RapidEngine::LastTrace().find("\"traceEvents\""),
             std::string::npos);
@@ -161,7 +112,7 @@ TEST_F(ObservabilityTest, TraceOffByDefaultProducesNoTrace) {
 TEST_F(ObservabilityTest, BitIdenticalAcrossTraceModesTiersAndSchedulers) {
   QueryResult reference;
   {
-    ScopedTraceMode off(TraceMode::kOff);
+    ScopedConfig off(&Config::trace, TraceMode::kOff);
     ASSERT_OK_AND_ASSIGN(reference, engine_.Execute(JoinPlan()));
   }
   ASSERT_GT(reference.rows.num_rows(), 0u);
@@ -169,14 +120,13 @@ TEST_F(ObservabilityTest, BitIdenticalAcrossTraceModesTiersAndSchedulers) {
   const TraceMode modes[] = {TraceMode::kOff, TraceMode::kSummary,
                              TraceMode::kFull};
   const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kAvx2};
-  const dpu::SchedMode scheds[] = {dpu::SchedMode::kStatic,
-                                   dpu::SchedMode::kMorsel};
+  const SchedMode scheds[] = {SchedMode::kStatic, SchedMode::kMorsel};
   for (TraceMode mode : modes) {
     for (SimdLevel level : levels) {
-      for (dpu::SchedMode sched : scheds) {
-        ScopedTraceMode trace(mode);
-        ScopedSimdLevel simd(level);
-        ScopedSchedMode scheduling(sched);
+      for (SchedMode sched : scheds) {
+        ScopedConfig trace(&Config::trace, mode);
+        ScopedConfig simd(&Config::simd, level);
+        ScopedConfig scheduling(&Config::sched, sched);
         ASSERT_OK_AND_ASSIGN(QueryResult run, engine_.Execute(JoinPlan()));
         ExpectSameRows(run.rows, reference.rows);
         EXPECT_EQ(run.stats.modeled_seconds, reference.stats.modeled_seconds)
@@ -193,7 +143,7 @@ TEST_F(ObservabilityTest, BitIdenticalUnderInjectedDmsFault) {
   // an engine-level checkpoint retry in both runs.
   QueryResult off_run;
   {
-    ScopedTraceMode off(TraceMode::kOff);
+    ScopedConfig off(&Config::trace, TraceMode::kOff);
     ScopedFaultInjection fi(93);
     FaultInjector::SiteSpec spec;
     spec.max_failures = 4;
@@ -204,7 +154,7 @@ TEST_F(ObservabilityTest, BitIdenticalUnderInjectedDmsFault) {
   }
   QueryResult full_run;
   {
-    ScopedTraceMode full(TraceMode::kFull);
+    ScopedConfig full(&Config::trace, TraceMode::kFull);
     ScopedFaultInjection fi(93);
     FaultInjector::SiteSpec spec;
     spec.max_failures = 4;
@@ -223,7 +173,7 @@ TEST_F(ObservabilityTest, BitIdenticalUnderInjectedDmsFault) {
 // ---- Well-formedness -------------------------------------------------------
 
 TEST_F(ObservabilityTest, SpansWellFormedAndPerCoreTimeMonotone) {
-  ScopedTraceMode full(TraceMode::kFull);
+  ScopedConfig full(&Config::trace, TraceMode::kFull);
   ASSERT_OK_AND_ASSIGN(QueryResult r, engine_.Execute(JoinPlan()));
   ASSERT_GT(r.rows.num_rows(), 0u);
 
@@ -253,7 +203,7 @@ TEST_F(ObservabilityTest, SpansWellFormedAndPerCoreTimeMonotone) {
 }
 
 TEST_F(ObservabilityTest, StepsTrackReconcilesWithModeledSeconds) {
-  ScopedTraceMode summary(TraceMode::kSummary);
+  ScopedConfig summary(&Config::trace, TraceMode::kSummary);
   ASSERT_OK_AND_ASSIGN(QueryResult r, engine_.Execute(JoinPlan()));
   ASSERT_GT(r.stats.modeled_seconds, 0.0);
 
@@ -277,7 +227,7 @@ TEST_F(ObservabilityTest, StepsTrackReconcilesWithModeledSeconds) {
 }
 
 TEST_F(ObservabilityTest, FullTraceRecordsDmsAndPlannerTracks) {
-  ScopedTraceMode full(TraceMode::kFull);
+  ScopedConfig full(&Config::trace, TraceMode::kFull);
   ASSERT_OK_AND_ASSIGN(QueryResult r, engine_.Execute(JoinPlan()));
   const TraceCollector::Snapshot snap =
       TraceCollector::Instance().TakeSnapshot();
@@ -297,20 +247,20 @@ TEST_F(ObservabilityTest, FullTraceRecordsDmsAndPlannerTracks) {
 // ---- Stats invariants ------------------------------------------------------
 
 TEST_F(ObservabilityTest, PlainBytesDominateEncodedBytesWhenEncodingOn) {
-  ScopedEncodedScan on(storage::EncodedScanMode::kAuto);
+  ScopedConfig on(&Config::encoded_scan, EncodedScanMode::kAuto);
   ASSERT_OK_AND_ASSIGN(QueryResult r, engine_.Execute(ScanPlan()));
   ASSERT_GT(r.stats.encoded_bytes_moved, 0u);
   EXPECT_GE(r.stats.plain_bytes_moved, r.stats.encoded_bytes_moved);
 }
 
 TEST_F(ObservabilityTest, StaticSchedulingNeverSteals) {
-  ScopedSchedMode sched(dpu::SchedMode::kStatic);
+  ScopedConfig sched(&Config::sched, SchedMode::kStatic);
   ASSERT_OK_AND_ASSIGN(QueryResult r, engine_.Execute(JoinPlan()));
   EXPECT_EQ(r.stats.imbalance.steal_count, 0u);
 }
 
 TEST_F(ObservabilityTest, FallbackZeroesDpuCountersInReport) {
-  ScopedEncodedScan on(storage::EncodedScanMode::kAuto);
+  ScopedConfig on(&Config::encoded_scan, EncodedScanMode::kAuto);
   LogicalPtr plan = ScanPlan();
   ASSERT_OK_AND_ASSIGN(QueryReport clean, host_.ExecuteQuery(plan, &engine_));
   ASSERT_FALSE(clean.fell_back);
@@ -427,13 +377,13 @@ TEST_F(ObservabilityTest, QueryEmitsEngineAndHostMetrics) {
 // ---- Logging ---------------------------------------------------------------
 
 TEST(LoggingTest, LevelGateHonorsForcedLevel) {
-  ScopedLogLevel warn(LogLevel::kWarn);
+  ScopedConfig warn(&Config::log_level, LogLevel::kWarn);
   EXPECT_TRUE(LogEnabled(LogLevel::kError));
   EXPECT_TRUE(LogEnabled(LogLevel::kWarn));
   EXPECT_FALSE(LogEnabled(LogLevel::kInfo));
   EXPECT_FALSE(LogEnabled(LogLevel::kDebug));
   {
-    ScopedLogLevel debug(LogLevel::kDebug);
+    ScopedConfig debug(&Config::log_level, LogLevel::kDebug);
     EXPECT_TRUE(LogEnabled(LogLevel::kDebug));
   }
   EXPECT_FALSE(LogEnabled(LogLevel::kInfo));

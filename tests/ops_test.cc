@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/config.h"
 #include "common/fault.h"
 #include "common/rng.h"
 #include "common/simd.h"
@@ -21,7 +22,6 @@
 #include "core/ops/sort_exec.h"
 #include "core/ops/window_exec.h"
 #include "core/qef/relation_accessor.h"
-#include "dpu/work_queue.h"
 #include "primitives/hash.h"
 #include "storage/loader.h"
 #include "tests/test_util.h"
@@ -445,10 +445,9 @@ TEST_F(OpsTest, SkewedPartitionLayoutMatchesStableReferenceAcrossModes) {
       testing::StablePartitionOf(input, {0}, scheme, 2);
 
   for (int l = 0; l <= static_cast<int>(SimdLevelSupported()); ++l) {
-    for (dpu::SchedMode mode :
-         {dpu::SchedMode::kStatic, dpu::SchedMode::kMorsel}) {
-      const SimdLevel prev_level = ForceSimdLevel(static_cast<SimdLevel>(l));
-      const dpu::SchedMode prev_mode = dpu::ForceSchedMode(mode);
+    for (SchedMode mode : {SchedMode::kStatic, SchedMode::kMorsel}) {
+      ScopedConfig config(&Config::simd, static_cast<SimdLevel>(l));
+      config.Set(&Config::sched, mode);
       ASSERT_OK_AND_ASSIGN(
           PartitionedData out,
           PartitionExec::Execute(dpu_, input, {0}, scheme, 50));
@@ -474,8 +473,6 @@ TEST_F(OpsTest, SkewedPartitionLayoutMatchesStableReferenceAcrossModes) {
                                             nullptr, &progress)
                          .ok());
       }
-      ForceSimdLevel(prev_level);
-      dpu::ForceSchedMode(prev_mode);
       ASSERT_EQ(progress.rounds_done, 2);
       ASSERT_EQ(progress.buckets.size(), ref2.buckets.size());
       for (size_t b = 0; b < ref2.buckets.size(); ++b) {

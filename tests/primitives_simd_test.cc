@@ -3,7 +3,7 @@
 // supported SIMD level must be *bit-identical* to the scalar twin:
 // same bit-vector words (including zero tail bits), same RID lists in
 // the same order, same aggregate state, same hashes. The suite runs
-// the same tiles under ForceSimdLevel(kScalar) and under every level
+// the same tiles at the scalar SIMD level and under every level
 // up to SimdLevelSupported(), so on an AVX2 host it covers scalar,
 // SSE4.2 and AVX2 in one binary; the RAPID_SIMD=off CI leg then
 // re-runs it with dispatch pinned to scalar.
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bitvector.h"
+#include "common/config.h"
 #include "common/crc32.h"
 #include "common/simd.h"
 #include "dpu/cost_model.h"
@@ -30,23 +31,14 @@ namespace rapid::primitives {
 namespace {
 
 using rapid::BitVector;
-using rapid::ForceSimdLevel;
+using rapid::Config;
+using rapid::ScopedConfig;
 using rapid::SimdLevel;
 using rapid::SimdLevelSupported;
 
 // Tile lengths exercising empty tiles, word boundaries (63/64/65),
 // a non-power-of-two body and a full 4 KiB-row tile.
 const size_t kLengths[] = {0, 1, 63, 64, 65, 1000, 4096};
-
-// Restores the pre-test dispatch level even if an assertion fires.
-class LevelGuard {
- public:
-  LevelGuard() : previous_(ForceSimdLevel(SimdLevel::kScalar)) {}
-  ~LevelGuard() { ForceSimdLevel(previous_); }
-
- private:
-  SimdLevel previous_;
-};
 
 std::vector<SimdLevel> LevelsToTest() {
   std::vector<SimdLevel> levels;
@@ -91,7 +83,7 @@ TYPED_TEST_SUITE(SimdFilterTest, FilterTypes);
 
 TYPED_TEST(SimdFilterTest, ConstBvBitIdenticalAcrossLevels) {
   using T = TypeParam;
-  LevelGuard guard;
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
   for (size_t n : kLengths) {
     const std::vector<T> values = MakeTile<T>(n, 17 * n + sizeof(T));
     const T constants[] = {static_cast<T>(7), std::numeric_limits<T>::min(),
@@ -100,12 +92,12 @@ TYPED_TEST(SimdFilterTest, ConstBvBitIdenticalAcrossLevels) {
     for (T c : constants) {
       for (int op = 0; op < simd::kNumCmpOps; ++op) {
         // Scalar reference words.
-        ForceSimdLevel(SimdLevel::kScalar);
+        config.Set(&Config::simd, SimdLevel::kScalar);
         const size_t num_words = (n + 63) / 64;
         std::vector<uint64_t> ref(num_words + 1, ~uint64_t{0});
         simd::filter_kernels<T>().const_bv[op](values.data(), n, c, ref.data());
         for (SimdLevel level : LevelsToTest()) {
-          ForceSimdLevel(level);
+          config.Set(&Config::simd, level);
           std::vector<uint64_t> got(num_words + 1, ~uint64_t{0});
           simd::filter_kernels<T>().const_bv[op](values.data(), n, c,
                                                  got.data());
@@ -128,7 +120,7 @@ TYPED_TEST(SimdFilterTest, ConstBvBitIdenticalAcrossLevels) {
 
 TYPED_TEST(SimdFilterTest, ColColAndBetweenBitIdenticalAcrossLevels) {
   using T = TypeParam;
-  LevelGuard guard;
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
   for (size_t n : kLengths) {
     const std::vector<T> left = MakeTile<T>(n, 3 * n + 1);
     const std::vector<T> right = MakeTile<T>(n, 5 * n + 2);
@@ -136,7 +128,7 @@ TYPED_TEST(SimdFilterTest, ColColAndBetweenBitIdenticalAcrossLevels) {
     const T hi = static_cast<T>(11);
     const size_t num_words = (n + 63) / 64;
 
-    ForceSimdLevel(SimdLevel::kScalar);
+    config.Set(&Config::simd, SimdLevel::kScalar);
     std::vector<std::vector<uint64_t>> ref(simd::kNumCmpOps);
     for (int op = 0; op < simd::kNumCmpOps; ++op) {
       ref[op].assign(num_words, 0);
@@ -148,7 +140,7 @@ TYPED_TEST(SimdFilterTest, ColColAndBetweenBitIdenticalAcrossLevels) {
                                          ref_between.data());
 
     for (SimdLevel level : LevelsToTest()) {
-      ForceSimdLevel(level);
+      config.Set(&Config::simd, level);
       for (int op = 0; op < simd::kNumCmpOps; ++op) {
         std::vector<uint64_t> got(num_words, 0);
         simd::filter_kernels<T>().colcol_bv[op](left.data(), right.data(), n,
@@ -166,12 +158,12 @@ TYPED_TEST(SimdFilterTest, ColColAndBetweenBitIdenticalAcrossLevels) {
 
 TYPED_TEST(SimdFilterTest, RidListsMatchScalarOrderAndContent) {
   using T = TypeParam;
-  LevelGuard guard;
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
   for (size_t n : kLengths) {
     const std::vector<T> values = MakeTile<T>(n, 29 * n + 5);
     const T c = static_cast<T>(7);
 
-    ForceSimdLevel(SimdLevel::kScalar);
+    config.Set(&Config::simd, SimdLevel::kScalar);
     std::vector<uint32_t> ref_rids;
     FilterConstRid<CmpOp::kLe, T>(values.data(), n, c, &ref_rids);
     std::vector<uint32_t> ref_gathered = ref_rids;
@@ -187,7 +179,7 @@ TYPED_TEST(SimdFilterTest, RidListsMatchScalarOrderAndContent) {
     }
 
     for (SimdLevel level : LevelsToTest()) {
-      ForceSimdLevel(level);
+      config.Set(&Config::simd, level);
       std::vector<uint32_t> rids;
       FilterConstRid<CmpOp::kLe, T>(values.data(), n, c, &rids);
       EXPECT_EQ(ref_rids, rids)
@@ -211,9 +203,9 @@ TYPED_TEST(SimdFilterTest, RidListsMatchScalarOrderAndContent) {
 // decreasing then increasing length; any read-modify-write of the
 // output words or stale tail would leave extra bits set.
 TEST(FilterConstBvReuse, NoOrAccumulationAcrossShrinkingAndGrowingTiles) {
-  LevelGuard guard;
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
   for (SimdLevel level : LevelsToTest()) {
-    ForceSimdLevel(level);
+    config.Set(&Config::simd, level);
     BitVector bv;
     for (size_t n : {4096, 65, 64, 63, 1, 0, 1, 63, 64, 65, 4096}) {
       std::vector<int32_t> values(n, 1);  // all rows qualify (== 1)
@@ -229,14 +221,14 @@ TEST(FilterConstBvReuse, NoOrAccumulationAcrossShrinkingAndGrowingTiles) {
 }
 
 TEST(FilterConstBvRefine, MatchesFilterThenAnd) {
-  LevelGuard guard;
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
   const size_t n = 1000;
   const std::vector<int32_t> values = MakeTile<int32_t>(n, 99);
   BitVector in;
   in.Resize(n);
   for (size_t i = 0; i < n; i += 3) in.Set(i);
   for (SimdLevel level : LevelsToTest()) {
-    ForceSimdLevel(level);
+    config.Set(&Config::simd, level);
     BitVector expected;
     FilterConstBv<CmpOp::kGt, int32_t>(values.data(), n, 5, &expected);
     expected.And(in);
@@ -273,7 +265,7 @@ std::vector<T> MakeAggTile(size_t n, uint64_t seed) {
 
 TYPED_TEST(SimdAggTest, TileAndSelectedMatchScalar) {
   using T = TypeParam;
-  LevelGuard guard;
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
   for (size_t n : kLengths) {
     const std::vector<T> values = MakeAggTile<T>(n, 7 * n + 3);
     BitVector selected;
@@ -288,14 +280,14 @@ TYPED_TEST(SimdAggTest, TileAndSelectedMatchScalar) {
       for (size_t i = 64; i < 128; ++i) selected.Set(i);
     }
 
-    ForceSimdLevel(SimdLevel::kScalar);
+    config.Set(&Config::simd, SimdLevel::kScalar);
     AggState ref_full;
     AggTile(values.data(), n, &ref_full);
     AggState ref_sel;
     AggTileSelected(values.data(), selected, &ref_sel);
 
     for (SimdLevel level : LevelsToTest()) {
-      ForceSimdLevel(level);
+      config.Set(&Config::simd, level);
       AggState full;
       AggTile(values.data(), n, &full);
       EXPECT_EQ(ref_full.sum, full.sum);
@@ -317,9 +309,9 @@ TYPED_TEST(SimdAggTest, TileAndSelectedMatchScalar) {
 // values (the "merge only if the vector loop ran" guard).
 TYPED_TEST(SimdAggTest, TinyTilesDoNotLeakIdentityValues) {
   using T = TypeParam;
-  LevelGuard guard;
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
   for (SimdLevel level : LevelsToTest()) {
-    ForceSimdLevel(level);
+    config.Set(&Config::simd, level);
     AggState state;
     AggTile<T>(nullptr, 0, &state);
     EXPECT_EQ(state.min, INT64_MAX);
@@ -357,19 +349,19 @@ std::vector<T> MakeArithTile(size_t n, uint64_t seed) {
 
 TYPED_TEST(SimdArithTest, ColColAndColConstMatchScalar) {
   using T = TypeParam;
-  LevelGuard guard;
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
   for (size_t n : kLengths) {
     const std::vector<T> left = MakeArithTile<T>(n, 11 * n + 1);
     const std::vector<T> right = MakeArithTile<T>(n, 13 * n + 2);
     const T c = static_cast<T>(37);
     for (int op = 0; op < simd::kNumArithOps; ++op) {
-      ForceSimdLevel(SimdLevel::kScalar);
+      config.Set(&Config::simd, SimdLevel::kScalar);
       std::vector<T> ref_cc(n), ref_ck(n);
       simd::arith_kernels<T>().colcol[op](left.data(), right.data(), n,
                                           ref_cc.data());
       simd::arith_kernels<T>().colconst[op](left.data(), n, c, ref_ck.data());
       for (SimdLevel level : LevelsToTest()) {
-        ForceSimdLevel(level);
+        config.Set(&Config::simd, level);
         std::vector<T> cc(n), ck(n);
         simd::arith_kernels<T>().colcol[op](left.data(), right.data(), n,
                                             cc.data());
@@ -396,7 +388,7 @@ TYPED_TEST_SUITE(SimdHashTest, FilterTypes);
 
 TYPED_TEST(SimdHashTest, TileAndCombineMatchCrc32Reference) {
   using T = TypeParam;
-  LevelGuard guard;
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
   for (size_t n : kLengths) {
     const std::vector<T> keys = MakeTile<T>(n, 23 * n + 7);
     // Reference: the per-row CRC32 helpers the join/partition layers
@@ -410,7 +402,7 @@ TYPED_TEST(SimdHashTest, TileAndCombineMatchCrc32Reference) {
                        static_cast<uint64_t>(keys[i]));
     }
     for (SimdLevel level : LevelsToTest()) {
-      ForceSimdLevel(level);
+      config.Set(&Config::simd, level);
       std::vector<uint32_t> got(n);
       HashTile(keys.data(), n, got.data());
       EXPECT_EQ(ref, got) << "HashTile n " << n << " level "
@@ -430,7 +422,7 @@ TYPED_TEST(SimdHashTest, TileAndCombineMatchCrc32Reference) {
 // ---- Partition kernels -----------------------------------------------------
 
 TEST(SimdPartitionTest, PartitionOfHistogramBucketIndicesMatchScalar) {
-  LevelGuard guard;
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
   for (size_t n : kLengths) {
     std::mt19937_64 rng(41 * n + 9);
     std::vector<uint32_t> hashes(n);
@@ -439,7 +431,7 @@ TEST(SimdPartitionTest, PartitionOfHistogramBucketIndicesMatchScalar) {
                                         {7, 64}, {16, 1024}, {20, 4096}}) {
       const uint32_t mask = static_cast<uint32_t>(fanout - 1);
 
-      ForceSimdLevel(SimdLevel::kScalar);
+      config.Set(&Config::simd, SimdLevel::kScalar);
       std::vector<uint16_t> ref_parts(n);
       simd::partition_kernels().partition_of(hashes.data(), n, shift, mask,
                                              ref_parts.data());
@@ -451,7 +443,7 @@ TEST(SimdPartitionTest, PartitionOfHistogramBucketIndicesMatchScalar) {
                                                ref_buckets.data());
 
       for (SimdLevel level : LevelsToTest()) {
-        ForceSimdLevel(level);
+        config.Set(&Config::simd, level);
         std::vector<uint16_t> parts(n);
         simd::partition_kernels().partition_of(hashes.data(), n, shift, mask,
                                                parts.data());
@@ -474,19 +466,19 @@ TEST(SimdPartitionTest, PartitionOfHistogramBucketIndicesMatchScalar) {
 // A partition_of mask wider than 16 bits saturates packus_epi32; the
 // AVX2 kernel must detect this and produce the scalar truncation.
 TEST(SimdPartitionTest, WideMaskFallsBackToScalarSemantics) {
-  LevelGuard guard;
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
   const size_t n = 1000;
   std::mt19937_64 rng(5);
   std::vector<uint32_t> hashes(n);
   for (auto& h : hashes) h = static_cast<uint32_t>(rng());
   const uint32_t wide_mask = (1u << 18) - 1;  // fanout 256 Ki (synthetic)
 
-  ForceSimdLevel(SimdLevel::kScalar);
+  config.Set(&Config::simd, SimdLevel::kScalar);
   std::vector<uint16_t> ref(n);
   simd::partition_kernels().partition_of(hashes.data(), n, 0, wide_mask,
                                          ref.data());
   for (SimdLevel level : LevelsToTest()) {
-    ForceSimdLevel(level);
+    config.Set(&Config::simd, level);
     std::vector<uint16_t> got(n);
     simd::partition_kernels().partition_of(hashes.data(), n, 0, wide_mask,
                                            got.data());
@@ -497,9 +489,9 @@ TEST(SimdPartitionTest, WideMaskFallsBackToScalarSemantics) {
 // ---- Dispatch bookkeeping --------------------------------------------------
 
 TEST(SimdDispatchTest, ResolvedLevelNeverExceedsActiveLevel) {
-  LevelGuard guard;
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
   for (SimdLevel level : LevelsToTest()) {
-    ForceSimdLevel(level);
+    config.Set(&Config::simd, level);
     for (const char* family : {"filter", "agg", "arith", "hash", "partition"}) {
       for (int width : {1, 2, 4, 8}) {
         EXPECT_LE(static_cast<int>(simd::ResolvedLevel(family, width)),
@@ -511,10 +503,10 @@ TEST(SimdDispatchTest, ResolvedLevelNeverExceedsActiveLevel) {
 }
 
 TEST(SimdDispatchTest, CatalogReportsResolvedIsa) {
-  LevelGuard guard;
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
   const auto& catalog = PrimitiveCatalog::Instance();
 
-  ForceSimdLevel(SimdLevel::kScalar);
+  config.Set(&Config::simd, SimdLevel::kScalar);
   for (const PrimitiveInfo& info : catalog.primitives()) {
     auto isa = catalog.ResolvedIsa(info.name);
     ASSERT_TRUE(isa.ok()) << info.name;
@@ -522,7 +514,7 @@ TEST(SimdDispatchTest, CatalogReportsResolvedIsa) {
   }
 
   if (SimdLevelSupported() >= SimdLevel::kAvx2) {
-    ForceSimdLevel(SimdLevel::kAvx2);
+    config.Set(&Config::simd, SimdLevel::kAvx2);
     // 4-byte filters run AVX2 kernels; the CRC32 hash family has no
     // AVX2 form and resolves to the inherited SSE4.2 kernels.
     EXPECT_EQ("avx2", catalog
@@ -535,14 +527,14 @@ TEST(SimdDispatchTest, CatalogReportsResolvedIsa) {
 }
 
 TEST(SimdDispatchTest, HostCalibratedMultipliersTrackActiveLevel) {
-  LevelGuard guard;
-  ForceSimdLevel(SimdLevel::kScalar);
+  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
+  config.Set(&Config::simd, SimdLevel::kScalar);
   const dpu::CostParams scalar = dpu::CostParams::HostCalibrated();
   EXPECT_EQ(1.0, scalar.simd.filter);
   EXPECT_EQ(1.0, scalar.simd.agg);
 
   for (SimdLevel level : LevelsToTest()) {
-    ForceSimdLevel(level);
+    config.Set(&Config::simd, level);
     const dpu::CostParams p = dpu::CostParams::HostCalibrated();
     EXPECT_GE(p.simd.filter, 1.0);
     EXPECT_GE(p.simd.agg, 1.0);

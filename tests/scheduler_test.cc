@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/config.h"
 #include "common/fault.h"
 #include "common/rng.h"
 #include "core/engine.h"
@@ -30,21 +31,9 @@ using core::LogicalNode;
 using core::LogicalPtr;
 using core::Predicate;
 using core::QueryResult;
-using dpu::SchedMode;
 using dpu::WorkQueue;
 using hostdb::HostDatabase;
 using primitives::CmpOp;
-
-// Pins the scheduling mode for a scope and restores the previous mode.
-class ScopedSchedMode {
- public:
-  explicit ScopedSchedMode(SchedMode mode)
-      : previous_(dpu::ForceSchedMode(mode)) {}
-  ~ScopedSchedMode() { dpu::ForceSchedMode(previous_); }
-
- private:
-  SchedMode previous_;
-};
 
 // Drains `core_id`'s share of the queue, returning the morsel ids in
 // hand-out order.
@@ -268,7 +257,7 @@ class SchedulerDeterminismTest : public ::testing::Test {
   }
 
   std::vector<ColumnSet> Baseline() {
-    ScopedSchedMode mode(SchedMode::kMorsel);
+    ScopedConfig mode(&Config::sched, SchedMode::kMorsel);
     return RunAll(*MakeEngine(32));
   }
 
@@ -277,7 +266,7 @@ class SchedulerDeterminismTest : public ::testing::Test {
 
 TEST_F(SchedulerDeterminismTest, StaticAndMorselModesAgree) {
   const std::vector<ColumnSet> baseline = Baseline();
-  ScopedSchedMode mode(SchedMode::kStatic);
+  ScopedConfig mode(&Config::sched, SchedMode::kStatic);
   ExpectBitIdentical(baseline, RunAll(*MakeEngine(32)), "static sched");
 }
 
@@ -285,12 +274,12 @@ TEST_F(SchedulerDeterminismTest, CoreCountsAgree) {
   const std::vector<ColumnSet> baseline = Baseline();
   for (const int cores : {1, 4}) {
     {
-      ScopedSchedMode mode(SchedMode::kMorsel);
+      ScopedConfig mode(&Config::sched, SchedMode::kMorsel);
       ExpectBitIdentical(baseline, RunAll(*MakeEngine(cores)),
                          "morsel cores=" + std::to_string(cores));
     }
     {
-      ScopedSchedMode mode(SchedMode::kStatic);
+      ScopedConfig mode(&Config::sched, SchedMode::kStatic);
       ExpectBitIdentical(baseline, RunAll(*MakeEngine(cores)),
                          "static cores=" + std::to_string(cores));
     }
@@ -299,7 +288,7 @@ TEST_F(SchedulerDeterminismTest, CoreCountsAgree) {
 
 TEST_F(SchedulerDeterminismTest, InlineExecutionAgrees) {
   const std::vector<ColumnSet> baseline = Baseline();
-  ScopedSchedMode mode(SchedMode::kMorsel);
+  ScopedConfig mode(&Config::sched, SchedMode::kMorsel);
   auto engine = MakeEngine(32);
   engine->dpu().SetInlineExecution(true);
   ExpectBitIdentical(baseline, RunAll(*engine), "inline execution");
@@ -307,7 +296,7 @@ TEST_F(SchedulerDeterminismTest, InlineExecutionAgrees) {
 
 TEST_F(SchedulerDeterminismTest, TransientDmsFaultsDoNotChangeBytes) {
   const std::vector<ColumnSet> baseline = Baseline();
-  ScopedSchedMode mode(SchedMode::kMorsel);
+  ScopedConfig mode(&Config::sched, SchedMode::kMorsel);
   ScopedFaultInjection fi(51);
   FaultInjector::SiteSpec spec;
   spec.probability = 0.2;
