@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "storage/encoding_stack.h"
 #include "storage/loader.h"
 
 namespace rapid::core {
@@ -98,13 +99,12 @@ Status RapidEngine::ApplyUpdate(const std::string& table, uint64_t scn,
         it->second.schema().num_fields());
   }
   // The tracker records versions for SCN resolution; the base vectors
-  // are refreshed to the latest propagated state so scans see current
-  // data (queries older than the propagated SCN resolve through the
-  // tracker).
-  for (const storage::RowChange& change : changes) {
-    RAPID_RETURN_NOT_OK(
-        storage::ApplyRowChange(&it->second, change.row_id, change.values));
-  }
+  // are refreshed to the latest propagated state, and each touched
+  // chunk's encodings rebuilt once, so scans see current data (queries
+  // older than the propagated SCN resolve through the tracker).
+  RAPID_ASSIGN_OR_RETURN(std::vector<storage::Chunk*> touched,
+                         storage::ApplyRowChanges(&it->second, changes));
+  for (storage::Chunk* chunk : touched) storage::BuildChunkEncodings(chunk);
   RAPID_RETURN_NOT_OK(tracker->ApplyUpdate(scn, std::move(changes)));
   it->second.set_scn(scn);
   return Status::OK();

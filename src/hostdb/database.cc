@@ -89,9 +89,17 @@ Status HostDatabase::LoadToRapid(const std::string& name,
   storage::Table copy = host->Clone();
   copy.set_scn(journal_.current_scn());
   // Host updates leave min/max/ndv and compression ratios as of
-  // CreateTable; the chunk encodings themselves are current
-  // (ApplyRowChange rebuilds them), so they are summed, not rebuilt.
+  // CreateTable and clear the encodings of the chunks they touch: the
+  // cleared ones are rebuilt here, the rest are current and summed.
   copy.RecomputeStats();
+  for (size_t p = 0; p < copy.num_partitions(); ++p) {
+    storage::Partition& part = copy.partition(p);
+    for (size_t ch = 0; ch < part.num_chunks(); ++ch) {
+      if (!part.chunk(ch).has_encodings()) {
+        storage::BuildChunkEncodings(&part.chunk(ch));
+      }
+    }
+  }
   (void)storage::SummarizeTableEncodings(&copy);
   return engine->Load(std::move(copy));
 }
@@ -102,11 +110,13 @@ Status HostDatabase::Update(const std::string& name,
   if (table == nullptr) {
     return Status::NotFound("table '" + name + "' does not exist");
   }
+  // A rejected batch writes no cell and consumes no SCN. The host copy
+  // never scans encodings, so the touched chunks' encodings are
+  // cleared, not rebuilt; LoadToRapid rebuilds them on its copy.
+  RAPID_ASSIGN_OR_RETURN(std::vector<storage::Chunk*> touched,
+                         storage::ApplyRowChanges(table, changes));
+  for (storage::Chunk* chunk : touched) chunk->ClearEncodings();
   const uint64_t scn = journal_.NextScn();
-  for (const storage::RowChange& change : changes) {
-    RAPID_RETURN_NOT_OK(
-        storage::ApplyRowChange(table, change.row_id, change.values));
-  }
   table->set_scn(scn);
   journal_.Record(name, scn, std::move(changes));
   return Status::OK();

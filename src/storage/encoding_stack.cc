@@ -1,113 +1,101 @@
 #include "storage/encoding_stack.h"
 
+#include <algorithm>
 #include <cstring>
+#include <type_traits>
+
+#include "common/logging.h"
 
 namespace rapid::storage {
 
-RleColumn RleFromVector(const Vector& vector) {
-  const size_t n = vector.size();
-  // Split runs at the native width; run values widen once per run
-  // with the same signedness rules as Vector::GetInt.
-  switch (vector.type()) {
-    case DataType::kInt8:
-      return RleEncodeTyped(vector.Data<int8_t>(), n);
-    case DataType::kInt16:
-      return RleEncodeTyped(vector.Data<int16_t>(), n);
-    case DataType::kInt32:
-    case DataType::kDate:
-      return RleEncodeTyped(vector.Data<int32_t>(), n);
-    case DataType::kDictCode:
-      return RleEncodeTyped(vector.Data<uint32_t>(), n);
-    case DataType::kInt64:
-    case DataType::kDecimal:
-      return RleEncodeTyped(vector.Data<int64_t>(), n);
-  }
-  return RleColumn{};
-}
+namespace {
 
-VectorEncodingChoice ChooseEncoding(const Vector& vector) {
-  VectorEncodingChoice choice;
-  choice.plain_bytes = vector.byte_size();
-  choice.encoded_bytes = choice.plain_bytes;
-  if (vector.size() == 0) return choice;
-
-  const RleColumn rle = RleFromVector(vector);
-  if (RleIsProfitable(rle, vector.width()) &&
-      rle.byte_size() < choice.plain_bytes) {
-    choice.encoding = VectorEncoding::kRle;
-    choice.encoded_bytes = rle.byte_size();
-  }
-  return choice;
-}
-
-std::vector<ColumnEncodingReport> AnalyzeTableEncodings(const Table& table) {
-  std::vector<ColumnEncodingReport> reports(table.schema().num_fields());
-  for (size_t c = 0; c < reports.size(); ++c) {
-    reports[c].column = table.schema().field(c).name;
-  }
-  for (size_t p = 0; p < table.num_partitions(); ++p) {
-    const Partition& part = table.partition(p);
-    for (size_t ch = 0; ch < part.num_chunks(); ++ch) {
-      const Chunk& chunk = part.chunk(ch);
-      for (size_t c = 0; c < chunk.num_columns(); ++c) {
-        const VectorEncodingChoice choice = ChooseEncoding(chunk.column(c));
-        ColumnEncodingReport& report = reports[c];
-        ++report.vectors_total;
-        if (choice.encoding == VectorEncoding::kRle) ++report.vectors_rle;
-        report.plain_bytes += choice.plain_bytes;
-        report.encoded_bytes += choice.encoded_bytes;
-      }
+// Number of runs in values[0, n), or `limit` as soon as the count
+// reaches it. Neighbour compares add up over fixed-size blocks into a
+// narrow per-block accumulator, which the compiler vectorizes without
+// branches; the early exit is tested once per block.
+template <typename T>
+size_t CountRuns(const T* values, size_t n, size_t limit) {
+  using Breaks = std::conditional_t<sizeof(T) == 8, uint64_t, uint32_t>;
+  constexpr size_t kBlock = 256;
+  size_t runs = 1;
+  size_t begin = 1;
+  for (; begin + kBlock <= n; begin += kBlock) {
+    Breaks breaks = 0;
+    for (size_t i = begin; i < begin + kBlock; ++i) {
+      breaks += values[i] != values[i - 1];
     }
+    runs += breaks;
+    if (runs >= limit) return limit;
   }
-  return reports;
+  for (; begin < n; ++begin) runs += values[begin] != values[begin - 1];
+  return std::min(runs, limit);
 }
+
+// Second pass, once the run count is known to win: writes the run
+// starts (every row stores its index at the current slot, and the
+// slot advances on a value change, so no branch depends on the data),
+// then each run's value and length from the starts.
+template <typename T>
+std::unique_ptr<EncodedColumn> WriteRuns(const T* values, size_t n,
+                                         size_t runs) {
+  auto enc = std::make_unique<EncodedColumn>();
+  enc->num_rows = n;
+  enc->width = sizeof(T);
+  // One spare slot: the rows after the last value change store there.
+  enc->starts.resize(runs + 1);
+  uint32_t* starts = enc->starts.data();
+  starts[0] = 0;
+  size_t slot = 1;
+  for (size_t i = 1; i < n; ++i) {
+    starts[slot] = static_cast<uint32_t>(i);
+    slot += values[i] != values[i - 1];
+  }
+  starts[runs] = static_cast<uint32_t>(n);
+  enc->values.resize(runs * sizeof(T));
+  enc->lengths.resize(runs);
+  uint8_t* out = enc->values.data();
+  for (size_t r = 0; r < runs; ++r) {
+    std::memcpy(out + r * sizeof(T), values + starts[r], sizeof(T));
+    enc->lengths[r] = starts[r + 1] - starts[r];
+  }
+  enc->starts.pop_back();
+  return enc;
+}
+
+template <typename T>
+std::unique_ptr<EncodedColumn> EncodeRuns(const T* values, size_t n) {
+  // Profitable at transfer granularity: the DMS would move packed
+  // native-width run values plus one 4-byte length per run, so the
+  // vector stays plain from ceil(n * w / (w + 4)) runs on.
+  const size_t limit = (n * sizeof(T) + sizeof(T) + 3) / (sizeof(T) + 4);
+  const size_t runs = CountRuns(values, n, limit);
+  if (runs >= limit) return nullptr;
+  return WriteRuns(values, n, runs);
+}
+
+}  // namespace
 
 std::unique_ptr<EncodedColumn> EncodeVectorRuns(const Vector& vector) {
   const size_t n = vector.size();
   if (n == 0) return nullptr;
-  const RleColumn rle = RleFromVector(vector);
-  const size_t width = vector.width();
-  // Profitable at transfer granularity: the DMS would move packed
-  // native-width run values plus one 4-byte length per run.
-  if (rle.runs.size() * (width + 4) >= n * width) return nullptr;
-
-  auto enc = std::make_unique<EncodedColumn>();
-  enc->num_rows = n;
-  enc->width = width;
-  enc->values.resize(rle.runs.size() * width);
-  enc->lengths.reserve(rle.runs.size());
-  enc->starts.reserve(rle.runs.size());
-  uint32_t row = 0;
-  uint8_t* out = enc->values.data();
-  for (const RleRun& run : rle.runs) {
-    switch (width) {
-      case 1: {
-        const auto v = static_cast<uint8_t>(run.value);
-        std::memcpy(out, &v, 1);
-        break;
-      }
-      case 2: {
-        const auto v = static_cast<uint16_t>(run.value);
-        std::memcpy(out, &v, 2);
-        break;
-      }
-      case 4: {
-        const auto v = static_cast<uint32_t>(run.value);
-        std::memcpy(out, &v, 4);
-        break;
-      }
-      default: {
-        const auto v = static_cast<uint64_t>(run.value);
-        std::memcpy(out, &v, 8);
-        break;
-      }
-    }
-    out += width;
-    enc->lengths.push_back(run.length);
-    enc->starts.push_back(row);
-    row += run.length;
+  // Run starts and lengths are 32-bit.
+  RAPID_CHECK(n <= UINT32_MAX);
+  switch (vector.type()) {
+    case DataType::kInt8:
+      return EncodeRuns(vector.Data<int8_t>(), n);
+    case DataType::kInt16:
+      return EncodeRuns(vector.Data<int16_t>(), n);
+    case DataType::kInt32:
+    case DataType::kDate:
+      return EncodeRuns(vector.Data<int32_t>(), n);
+    case DataType::kDictCode:
+      return EncodeRuns(vector.Data<uint32_t>(), n);
+    case DataType::kInt64:
+    case DataType::kDecimal:
+      return EncodeRuns(vector.Data<int64_t>(), n);
   }
-  return enc;
+  return nullptr;
 }
 
 void BuildChunkEncodings(Chunk* chunk) {

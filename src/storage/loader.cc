@@ -180,33 +180,47 @@ Result<Table> LoadTable(const std::string& name,
   return table;
 }
 
-Status ApplyRowChange(Table* table, uint64_t row_id,
-                      const std::vector<int64_t>& values) {
-  if (values.size() != table->schema().num_fields()) {
-    return Status::InvalidArgument("row change has wrong column count");
-  }
+Result<std::vector<Chunk*>> ApplyRowChanges(
+    Table* table, const std::vector<RowChange>& changes) {
   const size_t rows_per_chunk = table->rows_per_chunk();
-  if (rows_per_chunk == 0) {
+  const size_t num_partitions = table->num_partitions();
+  if (rows_per_chunk == 0 || num_partitions == 0) {
     return Status::InvalidArgument("table has no load geometry");
   }
-  const size_t chunk_index = static_cast<size_t>(row_id) / rows_per_chunk;
-  const size_t num_partitions = table->num_partitions();
-  const size_t partition = chunk_index % num_partitions;
-  const size_t chunk = chunk_index / num_partitions;
-  const size_t row = static_cast<size_t>(row_id) % rows_per_chunk;
-  if (partition >= table->num_partitions() ||
-      chunk >= table->partition(partition).num_chunks() ||
-      row >= table->partition(partition).chunk(chunk).num_rows()) {
-    return Status::InvalidArgument("row id out of range");
+  // Global chunk index of every change, all checked before any write.
+  std::vector<size_t> chunk_of(changes.size());
+  for (size_t i = 0; i < changes.size(); ++i) {
+    if (changes[i].values.size() != table->schema().num_fields()) {
+      return Status::InvalidArgument("row change has wrong column count");
+    }
+    const uint64_t row_id = changes[i].row_id;
+    const uint64_t chunk_index = row_id / rows_per_chunk;
+    const Partition& part = table->partition(chunk_index % num_partitions);
+    const uint64_t chunk = chunk_index / num_partitions;
+    if (chunk >= part.num_chunks() ||
+        row_id % rows_per_chunk >= part.chunk(chunk).num_rows()) {
+      return Status::InvalidArgument("row id out of range");
+    }
+    chunk_of[i] = static_cast<size_t>(chunk_index);
   }
-  Chunk& target = table->partition(partition).chunk(chunk);
-  for (size_t c = 0; c < values.size(); ++c) {
-    target.column(c).SetInt(row, values[c]);
+  const auto chunk_at = [&](size_t chunk_index) {
+    return &table->partition(chunk_index % num_partitions)
+                .chunk(chunk_index / num_partitions);
+  };
+  for (size_t i = 0; i < changes.size(); ++i) {
+    Chunk* target = chunk_at(chunk_of[i]);
+    const size_t row = changes[i].row_id % rows_per_chunk;
+    for (size_t c = 0; c < changes[i].values.size(); ++c) {
+      target->column(c).SetInt(row, changes[i].values[c]);
+    }
   }
-  // The mutated vectors' transfer representations are stale; rebuild
-  // them so encoded scans keep reading current data.
-  BuildChunkEncodings(&target);
-  return Status::OK();
+  std::sort(chunk_of.begin(), chunk_of.end());
+  chunk_of.erase(std::unique(chunk_of.begin(), chunk_of.end()),
+                 chunk_of.end());
+  std::vector<Chunk*> touched;
+  touched.reserve(chunk_of.size());
+  for (size_t chunk_index : chunk_of) touched.push_back(chunk_at(chunk_index));
+  return touched;
 }
 
 }  // namespace rapid::storage

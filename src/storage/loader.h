@@ -14,6 +14,7 @@
 
 #include "common/status.h"
 #include "storage/table.h"
+#include "storage/update.h"
 
 namespace rapid::storage {
 
@@ -59,11 +60,16 @@ Result<Table> LoadTable(const std::string& name,
                         const std::vector<ColumnData>& data,
                         const LoadOptions& options = LoadOptions{});
 
-// Applies one full-row change in place using the table's load
-// geometry. `values` are pre-encoded (dict codes, DSB mantissas at
-// the column scale, day numbers).
-Status ApplyRowChange(Table* table, uint64_t row_id,
-                      const std::vector<int64_t>& values);
+// Applies a batch of full-row changes in place, in order, using the
+// table's load geometry; a row named twice keeps its last image.
+// `values` are pre-encoded (dict codes, DSB mantissas at the column
+// scale, day numbers). Every change's arity and row id are checked
+// before any cell is written, so a rejected batch changes nothing.
+// Returns each touched chunk once, in load order, with its encodings
+// as they were: the caller rebuilds (BuildChunkEncodings) or clears
+// them.
+Result<std::vector<Chunk*>> ApplyRowChanges(
+    Table* table, const std::vector<RowChange>& changes);
 
 inline DataType PhysicalTypeOf(ColumnKind kind) {
   switch (kind) {

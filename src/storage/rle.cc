@@ -37,8 +37,4 @@ int64_t RleValueAt(const RleColumn& column, size_t row) {
   RAPID_CHECK(false);
 }
 
-bool RleIsProfitable(const RleColumn& column, size_t element_width) {
-  return column.byte_size() < column.num_rows * element_width;
-}
-
 }  // namespace rapid::storage

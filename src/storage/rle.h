@@ -18,9 +18,6 @@ struct RleRun {
 struct RleColumn {
   std::vector<RleRun> runs;
   size_t num_rows = 0;
-
-  // Compressed size in bytes (12 bytes per run).
-  size_t byte_size() const { return runs.size() * (sizeof(int64_t) + 4); }
 };
 
 RleColumn RleEncode(const int64_t* values, size_t n);
@@ -57,10 +54,6 @@ void RleDecode(const RleColumn& column, T* out) {
 
 // Random access into the compressed form (binary search over runs).
 int64_t RleValueAt(const RleColumn& column, size_t row);
-
-// True if RLE actually compresses (fewer bytes than the flat array);
-// the encoding-stack selector uses this.
-bool RleIsProfitable(const RleColumn& column, size_t element_width);
 
 }  // namespace rapid::storage
 

@@ -61,9 +61,11 @@ class Chunk {
 
   // RLE topping selected per vector by the encoding stack (null when
   // the vector stays plain). The plain Vector remains the backing
-  // store; the encoding is the DMS-transfer representation. Any
-  // in-place mutation of a column must rebuild or clear its encoding
-  // (BuildChunkEncodings) — the update paths do.
+  // store; the encoding is the DMS-transfer representation. A write
+  // batch leaves the encodings of the chunks it touched stale: the
+  // RAPID copy rebuilds them once per batch (BuildChunkEncodings), the
+  // host copy, which never scans them, clears them and LOAD rebuilds
+  // the cleared ones.
   const EncodedColumn* encoding(size_t i) const {
     return i < encodings_.size() ? encodings_[i].get() : nullptr;
   }
@@ -72,6 +74,9 @@ class Chunk {
     encodings_[i] = std::move(encoding);
   }
   void ClearEncodings() { encodings_.clear(); }
+  // False from construction or ClearEncodings until encodings are
+  // built; true after a build even if every vector stayed plain.
+  bool has_encodings() const { return !encodings_.empty(); }
 
  private:
   Chunk() = default;

@@ -84,6 +84,31 @@ TEST_F(HostDbTest, JournalAdmissibility) {
   EXPECT_EQ(engine_.tracker("t")->Resolve(scn1, 1, 1).value(), 99);
 }
 
+TEST_F(HostDbTest, RejectedBatchChangesNothing) {
+  // Row 3 is valid, row 100000 is not: the whole batch is refused
+  // before any cell is written, no SCN is consumed, nothing is
+  // journaled, and the offloaded and local answers stay the same.
+  const storage::Table* t = host_.GetTable("t");
+  const int64_t before = t->partition(0).chunk(0).column(1).GetInt(3);
+  const uint64_t scn = host_.journal().current_scn();
+  const Status st = host_.Update("t", {{3, {3, 42}}, {100000, {0, 0}}});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(t->partition(0).chunk(0).column(1).GetInt(3), before);
+  EXPECT_EQ(t->scn(), scn);
+  EXPECT_EQ(host_.journal().current_scn(), scn);
+  EXPECT_EQ(host_.journal().PendingCount("t"), 0u);
+
+  ASSERT_OK(host_.Checkpoint(&engine_));
+  const auto plan = LogicalNode::Scan(
+      "t", {"id", "v"}, {Predicate::CmpConst("id", CmpOp::kEq, 3)});
+  ASSERT_OK_AND_ASSIGN(QueryReport report, host_.ExecuteQuery(plan, &engine_));
+  EXPECT_TRUE(report.offloaded);
+  ASSERT_OK_AND_ASSIGN(core::ColumnSet local, host_.ExecuteLocal(plan));
+  ASSERT_EQ(local.num_rows(), 1u);
+  EXPECT_EQ(local.Value(0, 1), before);
+  ExpectSameRows(report.rows, local);
+}
+
 TEST_F(HostDbTest, UpdateAppliesToHostTableInPlace) {
   ASSERT_OK(host_.Update("t", {storage::RowChange{10, {10, 77}}}));
   const storage::Table* t = host_.GetTable("t");
@@ -400,16 +425,24 @@ TEST_F(HostDbTest, LoadToRapidMatchesFreshLoadOfUpdatedData) {
   const storage::Dictionary* dict = host_.GetTable("x")->dictionary(6);
   const int64_t air = dict->Lookup("AIR").value();
   const int64_t rail = dict->Lookup("RAIL").value();
-  const std::vector<storage::RowChange> changes = {
-      {130, {-5, -100, 30000, -7, 20000, 123456, rail, 77}},
-      {131, {-6, 100, 30000, -7, 20000, 5, air, 1}},
-      {999, {5000000000, 0, 0, 0, 0, -250, air, -3}},
-      {640, {1, 1, 1, 1, 1, 1, air, 6}}};
-  ASSERT_OK(host_.Update("x", changes));
+  // Two batches before LOAD; both touch chunk 2 (rows 128-191) and
+  // name row 131, whose second image wins.
+  const std::vector<std::vector<storage::RowChange>> batches = {
+      {{130, {-5, -100, 30000, -7, 20000, 123456, rail, 77}},
+       {131, {-6, 100, 30000, -7, 20000, 5, air, 1}},
+       {999, {5000000000, 0, 0, 0, 0, -250, air, -3}},
+       {640, {1, 1, 1, 1, 1, 1, air, 6}}},
+      {{129, {-4, 3, 29999, 5, 20001, 250, air, 77}},
+       {131, {-8, 99, 29999, 5, 20001, 7, rail, 2}}}};
+  for (const auto& batch : batches) ASSERT_OK(host_.Update("x", batch));
 
   // Brute-force reference: the same changes applied to the staged
   // columns, then loaded from scratch.
   std::vector<storage::ColumnData> updated = data;
+  std::vector<storage::RowChange> changes;
+  for (const auto& batch : batches) {
+    changes.insert(changes.end(), batch.begin(), batch.end());
+  }
   for (const storage::RowChange& change : changes) {
     for (size_t c = 0; c < specs.size(); ++c) {
       const int64_t v = change.values[c];

@@ -231,14 +231,6 @@ TEST(RleTest, RandomAccess) {
   }
 }
 
-TEST(RleTest, ProfitabilityDecision) {
-  std::vector<int64_t> runs(1000, 42);            // one run: profitable
-  std::vector<int64_t> unique(1000);
-  for (size_t i = 0; i < 1000; ++i) unique[i] = static_cast<int64_t>(i);
-  EXPECT_TRUE(RleIsProfitable(RleEncode(runs.data(), 1000), 8));
-  EXPECT_FALSE(RleIsProfitable(RleEncode(unique.data(), 1000), 8));
-}
-
 TEST(RleTest, EmptyInput) {
   RleColumn col = RleEncode(nullptr, 0);
   EXPECT_TRUE(col.runs.empty());
@@ -336,13 +328,13 @@ TEST(LoaderTest, ApplyRowChangeHitsRightSlot) {
   opts.num_partitions = 2;
   ASSERT_OK_AND_ASSIGN(Table table, LoadTable("t", specs, data, opts));
   // Row 50: chunk 3 -> partition 1, chunk 1, row 2.
-  ASSERT_OK(ApplyRowChange(&table, 50, {999, 7777, 1, 12345}));
+  ASSERT_OK(ApplyRowChanges(&table, {{50, {999, 7777, 1, 12345}}}).status());
   EXPECT_EQ(table.partition(1).chunk(1).column(0).GetInt(2), 999);
   EXPECT_EQ(table.partition(1).chunk(1).column(1).GetInt(2), 7777);
   // Out-of-range row rejected.
-  EXPECT_FALSE(ApplyRowChange(&table, 100000, {0, 0, 0, 0}).ok());
+  EXPECT_FALSE(ApplyRowChanges(&table, {{100000, {0, 0, 0, 0}}}).ok());
   // Wrong arity rejected.
-  EXPECT_FALSE(ApplyRowChange(&table, 1, {0}).ok());
+  EXPECT_FALSE(ApplyRowChanges(&table, {{1, {0}}}).ok());
 }
 
 TEST(TableTest, CloneIsDeep) {
@@ -393,7 +385,7 @@ TEST(TableTest, CloneIsDeep) {
   }
   // Writes to the copy reach neither the original's vectors nor its
   // dictionary.
-  ASSERT_OK(ApplyRowChange(&copy, 0, {-1, 1, 2, 3, 4}));
+  ASSERT_OK(ApplyRowChanges(&copy, {{0, {-1, 1, 2, 3, 4}}}).status());
   EXPECT_EQ(table.partition(0).chunk(0).column(0).GetInt(0), 0);
   EXPECT_EQ(copy.dictionary(2)->GetOrInsert("geneva"), 3u);
   EXPECT_EQ(table.dictionary(2)->size(), 3u);
