@@ -27,11 +27,6 @@ constexpr Spelling<SimdLevel> kSimdSpellings[] = {
     {"avx2", SimdLevel::kAvx2},
     {"auto", SimdLevel::kAvx2},  // clamped to the CPU like every request
 };
-constexpr Spelling<SchedMode> kSchedSpellings[] = {
-    {"static", SchedMode::kStatic},
-    {"morsel", SchedMode::kMorsel},
-    {"dynamic", SchedMode::kMorsel},
-};
 constexpr Spelling<EncodedScanMode> kEncodedScanSpellings[] = {
     {"off", EncodedScanMode::kOff},
     {"auto", EncodedScanMode::kAuto},
@@ -145,9 +140,6 @@ const Config* Intern(const Config& config) {
 const char* SimdLevelName(SimdLevel level) {
   return NameOf(kSimdSpellings, level);
 }
-const char* SchedModeName(SchedMode mode) {
-  return NameOf(kSchedSpellings, mode);
-}
 const char* TraceModeName(TraceMode mode) {
   return NameOf(kTraceSpellings, mode);
 }
@@ -161,7 +153,6 @@ Config Config::FromEnv(const EnvLookup& lookup,
   config.simd = SimdLevelSupported();
   EnvReader env(lookup, warnings);
   env.Enum("RAPID_SIMD", kSimdSpellings, &config.simd);
-  env.Enum("RAPID_SCHED", kSchedSpellings, &config.sched);
   env.Enum("RAPID_ENCODED_SCAN", kEncodedScanSpellings, &config.encoded_scan);
   env.Enum("RAPID_JOIN_FILTER", kJoinFilterSpellings, &config.join_filter);
   env.Enum("RAPID_TRACE", kTraceSpellings, &config.trace);
@@ -184,12 +175,11 @@ const Config& ResolveConfig() {
     g_config.store(config, std::memory_order_release);
     for (const std::string& w : warnings) RAPID_LOG(kWarn, "%s", w.c_str());
     RAPID_LOG(kInfo,
-              "config: simd=%s (cpu max %s) sched=%s encoded_scan=%s "
+              "config: simd=%s (cpu max %s) encoded_scan=%s "
               "join_filter=%s trace=%s trace_path='%s' log_level=%s cores=%d "
               "tile_pool_bypass=%d",
               SimdLevelName(config->simd),
               SimdLevelName(SimdLevelSupported()),
-              SchedModeName(config->sched),
               NameOf(kEncodedScanSpellings, config->encoded_scan),
               NameOf(kJoinFilterSpellings, config->join_filter),
               TraceModeName(config->trace), config->trace_path.c_str(),

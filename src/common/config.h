@@ -1,22 +1,20 @@
 // One process-wide configuration for every feature gate.
 //
 // The engine's ablation switches (the SIMD tier the primitive kernels
-// dispatch to, the morsel scheduler, encoded scans (§4.2), the join
-// filter pushdown, tracing, the log level, the dpCore count and the
-// tile-pool bypass) are the fields of one plain Config struct. The
-// first GetConfig() resolves it from the environment (Config::FromEnv)
-// and publishes it as an immutable snapshot behind one atomic pointer,
-// so every read on a hot path (kernel dispatch, trace sites, pool
-// acquires) is one acquire load. SetConfig() publishes a replacement
-// and returns the previous config; ScopedConfig restores it on scope
-// exit. Every gate is bit-identical by construction: flipping one
+// dispatch to, encoded scans (§4.2), the join filter pushdown, tracing,
+// the log level, the dpCore count and the tile-pool bypass) are the
+// fields of one plain Config struct. The first GetConfig() resolves it
+// from the environment (Config::FromEnv) and publishes it as an
+// immutable snapshot behind one atomic pointer, so every read on a hot
+// path (kernel dispatch, trace sites, pool acquires) is one acquire
+// load. SetConfig() publishes a replacement and returns the previous
+// config; ScopedConfig restores it on scope exit. Every gate is bit-identical by construction: flipping one
 // changes throughput, modeled cost or observability output, never
 // query results.
 //
 // Environment variables, read once at the first GetConfig():
 //
 //   RAPID_SIMD          off|scalar|sse42|avx2|auto     default auto
-//   RAPID_SCHED         static|morsel|dynamic          default morsel
 //   RAPID_ENCODED_SCAN  off|auto                       default auto
 //   RAPID_JOIN_FILTER   off|auto                       default auto
 //   RAPID_TRACE         off|summary|full               default off
@@ -45,12 +43,6 @@ namespace rapid {
 // Instruction-set tier of the primitive kernels (common/simd.h).
 enum class SimdLevel : int { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
 
-// DPU phase scheduling (dpu/work_queue.h).
-enum class SchedMode {
-  kStatic = 0,  // legacy deterministic round-robin striding
-  kMorsel = 1,  // dynamic LPT + work stealing
-};
-
 // Whether the relation accessor ships RLE-topped vectors over the DMS
 // and filters on compressed data. Changes bytes moved and modeled
 // cycles, never results.
@@ -72,7 +64,6 @@ enum class LogLevel { kError = 0, kWarn = 1, kInfo = 2, kDebug = 3 };
 
 // Canonical spelling of each value, as accepted by the environment.
 const char* SimdLevelName(SimdLevel level);
-const char* SchedModeName(SchedMode mode);
 const char* TraceModeName(TraceMode mode);
 const char* LogLevelName(LogLevel level);
 
@@ -81,7 +72,6 @@ struct Config {
 
   // Published snapshots clamp this to SimdLevelSupported().
   SimdLevel simd = SimdLevel::kAvx2;
-  SchedMode sched = SchedMode::kMorsel;
   EncodedScanMode encoded_scan = EncodedScanMode::kAuto;
   JoinFilterMode join_filter = JoinFilterMode::kAuto;
   TraceMode trace = TraceMode::kOff;
@@ -128,7 +118,7 @@ Config SetConfig(const Config& config);
 //
 //   ScopedConfig config(&Config::simd, SimdLevel::kScalar);
 //   ...
-//   config.Set(&Config::sched, SchedMode::kStatic);
+//   config.Set(&Config::encoded_scan, EncodedScanMode::kOff);
 class ScopedConfig {
  public:
   ScopedConfig() : previous_(GetConfig()) {}

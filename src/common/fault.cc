@@ -40,6 +40,22 @@ void FaultInjector::Reset(uint64_t seed) {
 
 Status FaultInjector::Poll(const char* site) {
   std::lock_guard<std::mutex> lock(mu_);
+  return PollLocked(site);
+}
+
+FaultInjector::Attempts FaultInjector::PollAttempts(const char* site,
+                                                    int max_attempts) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Attempts attempts;
+  for (int a = 0; a < max_attempts; ++a) {
+    attempts.last = PollLocked(site);
+    if (attempts.last.ok() || attempts.last.IsCancellation()) break;
+    ++attempts.transient_failures;
+  }
+  return attempts;
+}
+
+Status FaultInjector::PollLocked(const char* site) {
   auto it = sites_.find(site);
   if (it == sites_.end() || !it->second.armed) return Status::OK();
   SiteState& state = it->second;

@@ -69,6 +69,20 @@ class FaultInjector {
   // deterministic function of (seed, per-site hit ordinal).
   Status Poll(const char* site);
 
+  // One retried operation's attempts at `site`: polls up to
+  // `max_attempts` consecutive hits under one lock, stopping at the
+  // first hit that passes or fails with a cancellation-class status
+  // (not transient, so not worth retrying). Holding the lock keeps
+  // another thread's poll from landing between two attempts, so a
+  // spec's failures exhaust one operation's budget before the next
+  // operation sees any. Each attempt is an ordinary Poll: hit
+  // ordinals and RNG draws are unchanged.
+  struct Attempts {
+    int transient_failures = 0;  // failed attempts that may be retried
+    Status last;                 // OK, or the final attempt's fault
+  };
+  Attempts PollAttempts(const char* site, int max_attempts);
+
   // Like Poll but also cheap-checks enabled(): usable directly from
   // code that wants a Status without the early-return macro (retry
   // loops).
@@ -87,6 +101,8 @@ class FaultInjector {
 
  private:
   FaultInjector() : rng_(0x5eed5eedULL) {}
+
+  Status PollLocked(const char* site);  // callers hold mu_
 
   struct SiteState {
     SiteSpec spec;

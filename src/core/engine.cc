@@ -34,7 +34,6 @@ void EmitQueryMetrics(const ExecutionStats& s) {
       "rapid.query.modeled_ms", {0.1, 0.3, 1, 3, 10, 30, 100, 300, 1000});
   static MetricCounter* pruned =
       reg.Counter("rapid.rows.pruned_by_join_filter");
-  static MetricCounter* steals = reg.Counter("rapid.sched.steals");
   static MetricCounter* pool_misses = reg.Counter("rapid.pool.misses");
   static MetricCounter* encoded_bytes =
       reg.Counter("rapid.dms.encoded_bytes");
@@ -44,7 +43,6 @@ void EmitQueryMetrics(const ExecutionStats& s) {
   queries->Increment();
   latency_ms->Observe(s.modeled_seconds * 1e3);
   pruned->Add(s.rows_pruned_by_join_filter);
-  steals->Add(s.imbalance.steal_count);
   pool_misses->Add(s.tile_pool.misses);
   encoded_bytes->Add(s.encoded_bytes_moved);
   plain_bytes->Add(s.plain_bytes_moved);
@@ -390,7 +388,6 @@ Result<QueryResult> RapidEngine::ExecutePhysical(const PhysicalPlan& plan,
         imb_after.max_core_cycles - imb_before.max_core_cycles;
     step_imb.mean_core_cycles =
         imb_after.mean_core_cycles - imb_before.mean_core_cycles;
-    step_imb.steal_count = imb_after.steal_count - imb_before.steal_count;
     step_imb.phases = imb_after.phases - imb_before.phases;
     const StepOutput& out = env.outputs[static_cast<size_t>(step->id())];
     uint64_t rows_out = out.set.num_rows();
@@ -402,7 +399,7 @@ Result<QueryResult> RapidEngine::ExecutePhysical(const PhysicalPlan& plan,
     }
     result.stats.steps.push_back(StepTiming{
         step->Describe(), step_seconds, max_compute, sum_dms,
-        step_imb.Ratio(), step_imb.steal_count, step->id(), rows_out});
+        step_imb.Ratio(), step->id(), rows_out});
     result.stats.modeled_seconds += step_seconds;
     result.stats.total_dms_cycles += sum_dms;
     // Steps-track span: duration = this step's modeled cycles, so the
@@ -415,9 +412,7 @@ Result<QueryResult> RapidEngine::ExecutePhysical(const PhysicalPlan& plan,
                       TraceCollector::Arg::U("rows_out", rows_out),
                       TraceCollector::Arg::D("compute_cycles", max_compute),
                       TraceCollector::Arg::D("dms_cycles", sum_dms),
-                      TraceCollector::Arg::D("imbalance", step_imb.Ratio()),
-                      TraceCollector::Arg::U("steals",
-                                             step_imb.steal_count)});
+                      TraceCollector::Arg::D("imbalance", step_imb.Ratio())});
     }
   }
   if (!step_status.ok()) {
@@ -511,11 +506,10 @@ void RenderStepTree(const PhysicalPlan& plan, int id,
     char buf[176];
     std::snprintf(buf, sizeof(buf),
                   "  (rows=%llu modeled_ms=%.4f compute_cycles=%.0f"
-                  " dms_cycles=%.0f imbalance=%.2f steals=%llu)",
+                  " dms_cycles=%.0f imbalance=%.2f)",
                   static_cast<unsigned long long>(t.rows_out),
                   t.modeled_seconds * 1e3, t.compute_cycles, t.dms_cycles,
-                  t.imbalance_ratio,
-                  static_cast<unsigned long long>(t.steal_count));
+                  t.imbalance_ratio);
     *out += buf;
   } else {
     // Only possible when a checkpoint restored the step's output: the
@@ -564,9 +558,8 @@ Result<std::string> RapidEngine::ExplainAnalyze(const LogicalPtr& plan,
                 s.total_compute_cycles, s.total_dms_cycles);
   out += buf;
   std::snprintf(buf, sizeof(buf),
-                " steals=%llu pool_misses=%llu pruned=%llu reused_rounds=%llu"
+                " pool_misses=%llu pruned=%llu reused_rounds=%llu"
                 " retries=%llu\n",
-                static_cast<unsigned long long>(s.imbalance.steal_count),
                 static_cast<unsigned long long>(s.tile_pool.misses),
                 static_cast<unsigned long long>(
                     s.rows_pruned_by_join_filter),

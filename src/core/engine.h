@@ -48,10 +48,8 @@ struct StepTiming {
   double compute_cycles = 0;   // slowest core's compute cycles this step
   double dms_cycles = 0;       // summed DMS cycles this step (shared DRAM)
   // Load balance of this step's morsel phases: slowest core's compute
-  // delta over the per-core mean (1.0 = perfectly balanced), and the
-  // number of morsels executed on a core other than their LPT owner.
+  // delta over the per-core mean (1.0 = perfectly balanced).
   double imbalance_ratio = 1.0;
-  uint64_t steal_count = 0;
   // Physical-plan step id and output cardinality — what ExplainAnalyze
   // joins the timings back to the plan tree with.
   int step_id = -1;
@@ -73,7 +71,7 @@ struct ExecutionStats : dpu::CoreCounters, RecoveryCounters {
   double total_dms_cycles = 0;
   std::vector<StepTiming> steps;
   // Morsel-phase load balance accumulated over the whole query:
-  // per-phase max/mean core cycles and steal counts (dpu::WorkQueue).
+  // per-phase max/mean core cycles (dpu::LptSchedule).
   dpu::ImbalanceStats imbalance;
   WorkloadCounters workload;
   // True when a DMEM out-of-memory failure demoted the plan from fused
@@ -189,8 +187,8 @@ class RapidEngine {
   static const std::string& LastTrace();
 
   // Executes `plan` and renders the physical plan tree annotated with
-  // per-node actuals (rows, modeled ms, compute/DMS cycles, imbalance,
-  // steals) plus the query-wide counters — EXPLAIN ANALYZE.
+  // per-node actuals (rows, modeled ms, compute/DMS cycles, imbalance)
+  // plus the query-wide counters — EXPLAIN ANALYZE.
   Result<std::string> ExplainAnalyze(
       const LogicalPtr& plan, const ExecOptions& options = ExecOptions{});
 

@@ -534,18 +534,17 @@ Result<ColumnSet> JoinExec::Execute(dpu::Dpu& dpu, const PartitionedData& build,
   for (auto& r : results) r.output = ColumnSet(metas);
 
   // Morsel-driven: each partition pair is one morsel, weighted by its
-  // build+probe rows so LPT seeding launches skewed pairs first and
-  // idle cores steal the rest. Results land in slot `pair`, making the
-  // merged output independent of which core ran which pair.
+  // build+probe rows so the LPT deal spreads skewed pairs first and
+  // fills the other cores with the rest. Results land in slot `pair`,
+  // making the merged output independent of which core ran which pair.
   std::vector<double> pair_weights(num_pairs);
   for (size_t pair = 0; pair < num_pairs; ++pair) {
     pair_weights[pair] =
         static_cast<double>(build.partitions[pair].num_rows() +
                             probe.partitions[pair].num_rows());
   }
-  dpu::WorkQueue queue(std::move(pair_weights), dpu.num_cores());
   RAPID_RETURN_NOT_OK(dpu.ParallelForMorsels(
-      queue, cancel, [&](dpu::DpCore& core, size_t pair) -> Status {
+      pair_weights, cancel, [&](dpu::DpCore& core, size_t pair) -> Status {
         TraceSpan span(TraceMode::kFull, core.id(), "join.pair",
                        &dpu::TraceClockNow, &core.cycles());
         span.Annotate("pair", static_cast<int64_t>(pair));

@@ -253,15 +253,14 @@ Result<PartitionedData> PartitionExec::Execute(
                                    round.fanout, shift, carry);
 
     // Morsel-driven assignment: each work unit is one morsel, weighted
-    // by its row count; idle cores pull or steal the remainder instead
-    // of waiting on a straggler.
+    // by its row count; the LPT deal balances the cores' row totals
+    // instead of striding units onto a straggler.
     std::vector<double> unit_weights(units.size());
     for (size_t u = 0; u < units.size(); ++u) {
       unit_weights[u] = static_cast<double>(units[u].end - units[u].begin);
     }
-    dpu::WorkQueue queue(std::move(unit_weights), dpu.num_cores());
     const Status round_status = dpu.ParallelForMorsels(
-        queue, cancel, [&](dpu::DpCore& core, size_t u) -> Status {
+        unit_weights, cancel, [&](dpu::DpCore& core, size_t u) -> Status {
           const WorkUnit& unit = units[u];
           TraceSpan span(TraceMode::kFull, core.id(), "partition.unit",
                          &dpu::TraceClockNow, &core.cycles());

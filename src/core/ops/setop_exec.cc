@@ -32,7 +32,6 @@ Result<ColumnSet> SetOpExec::Execute(dpu::Dpu& dpu, SetOpKind kind,
   if (left.num_columns() != right.num_columns()) {
     return Status::InvalidArgument("set operation inputs must align");
   }
-  const int num_cores = dpu.num_cores();
   // Fixed fan-out independent of the core count: partition contents —
   // and so the merged output order — are the same no matter how many
   // cores execute. Partitions are morsels, balanced by the scheduler.
@@ -60,9 +59,8 @@ Result<ColumnSet> SetOpExec::Execute(dpu::Dpu& dpu, SetOpKind kind,
   for (size_t p = 0; p < kFanout; ++p) {
     weights[p] = static_cast<double>(lpart[p].size() + rpart[p].size());
   }
-  dpu::WorkQueue queue(std::move(weights), num_cores);
   RAPID_RETURN_NOT_OK(dpu.ParallelForMorsels(
-      queue, /*cancel=*/nullptr, [&](dpu::DpCore& core, size_t p) -> Status {
+      weights, /*cancel=*/nullptr, [&](dpu::DpCore& core, size_t p) -> Status {
         const auto& lrows = lpart[p];
         const auto& rrows = rpart[p];
         std::set<std::vector<int64_t>> rset;

@@ -134,9 +134,9 @@ std::vector<uint32_t> SortExec::SortedPermutation(
   for (size_t b = 0; b < num_buckets; ++b) {
     bucket_weights[b] = static_cast<double>(buckets[b].size());
   }
-  dpu::WorkQueue queue(std::move(bucket_weights), num_cores);
   const Status st = dpu.ParallelForMorsels(
-      queue, /*cancel=*/nullptr, [&](dpu::DpCore& core, size_t b) -> Status {
+      bucket_weights, /*cancel=*/nullptr,
+      [&](dpu::DpCore& core, size_t b) -> Status {
         TraceSpan span(TraceMode::kFull, core.id(), "sort.bucket",
                        &dpu::TraceClockNow, &core.cycles());
         span.Annotate("bucket", static_cast<int64_t>(b));
@@ -210,9 +210,9 @@ Result<ColumnSet> TopKExec::Execute(dpu::Dpu& dpu, const ColumnSet& input,
   for (size_t m = 0; m < ranges.size(); ++m) {
     range_weights[m] = static_cast<double>(ranges[m].second - ranges[m].first);
   }
-  dpu::WorkQueue queue(std::move(range_weights), num_cores);
   RAPID_RETURN_NOT_OK(dpu.ParallelForMorsels(
-      queue, /*cancel=*/nullptr, [&](dpu::DpCore& core, size_t m) -> Status {
+      range_weights, /*cancel=*/nullptr,
+      [&](dpu::DpCore& core, size_t m) -> Status {
         const size_t begin = ranges[m].first;
         const size_t end = ranges[m].second;
         if (begin >= end) return Status::OK();

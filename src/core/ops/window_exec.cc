@@ -92,9 +92,9 @@ Result<ColumnSet> WindowExec::Execute(dpu::Dpu& dpu, const ColumnSet& input,
   for (size_t run = 0; run < num_runs; ++run) {
     run_weights[run] = static_cast<double>(starts[run + 1] - starts[run]);
   }
-  dpu::WorkQueue queue(std::move(run_weights), dpu.num_cores());
   RAPID_RETURN_NOT_OK(dpu.ParallelForMorsels(
-      queue, /*cancel=*/nullptr, [&](dpu::DpCore& core, size_t run) -> Status {
+      run_weights, /*cancel=*/nullptr,
+      [&](dpu::DpCore& core, size_t run) -> Status {
         const size_t begin = starts[run];
         const size_t end = starts[run + 1];
         for (size_t f = 0; f < specs.size(); ++f) {

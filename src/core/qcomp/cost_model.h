@@ -28,7 +28,8 @@ class CostEstimator {
   // morsel's share of a phase's total cycles. 0 (default) models
   // perfectly balanced morsels (cycles / num_cores, the old
   // round-robin assumption); larger fractions grow every estimate by
-  // the remainder a straggler morsel adds even under work stealing.
+  // the remainder a straggler morsel adds under any list schedule,
+  // LPT included.
   void set_largest_morsel_fraction(double fraction) {
     largest_morsel_fraction_ = fraction < 0 ? 0 : fraction;
   }

@@ -90,7 +90,8 @@ double SchemeCycles(const PartitionScheme& scheme,
     transfer += static_cast<double>(in.total_rows * in.row_bytes) /
                 params.partition_bytes_per_cycle;
     // Balanced-makespan spread over the cores: sum/cores plus the
-    // remainder the largest morsel adds under work stealing.
+    // remainder the largest morsel adds under any list schedule (LPT
+    // included).
     const double round_cycles = std::max(compute, transfer);
     total += dpu::BalancedMakespanCycles(
         round_cycles, round_cycles * in.largest_morsel_fraction, in.num_cores);

@@ -204,7 +204,6 @@ Status ScanStep::Execute(ExecEnv& env) const {
   env.counters.scanned_rows += scan_rows;
   env.counters.scanned_bytes += scan_rows * scan_width;
 
-  const int num_cores = env.dpu->num_cores();
   std::vector<ColumnMeta> metas = ProjectionMetas(projections_);
   // Plain column projections carry the source column's logical type
   // (so dates format and downstream cycle charges use encoded widths)
@@ -243,9 +242,8 @@ Status ScanStep::Execute(ExecEnv& env) const {
   for (const storage::Chunk* chunk : all_chunks) {
     weights.push_back(static_cast<double>(chunk->num_rows()));
   }
-  dpu::WorkQueue queue(std::move(weights), num_cores);
   RAPID_RETURN_NOT_OK(env.dpu->ParallelForMorsels(
-      queue, env.cancel, [&](dpu::DpCore& core, size_t m) -> Status {
+      weights, env.cancel, [&](dpu::DpCore& core, size_t m) -> Status {
         TraceSpan span(TraceMode::kFull, core.id(), "scan.morsel",
                        &dpu::TraceClockNow, &core.cycles());
         span.Annotate("chunk", static_cast<int64_t>(m));
@@ -349,9 +347,9 @@ Status PipeStep::Execute(ExecEnv& env) const {
   // which reproduces the input order no matter how the split landed.
   const std::vector<RowRange> ranges = RowMorsels(n, num_cores);
   std::vector<ColumnSet> per_morsel(ranges.size(), ColumnSet(metas));
-  dpu::WorkQueue queue(RangeWeights(ranges), num_cores);
   RAPID_RETURN_NOT_OK(env.dpu->ParallelForMorsels(
-      queue, env.cancel, [&](dpu::DpCore& core, size_t m) -> Status {
+      RangeWeights(ranges), env.cancel,
+      [&](dpu::DpCore& core, size_t m) -> Status {
         TraceSpan span(TraceMode::kFull, core.id(), "pipe.morsel",
                        &dpu::TraceClockNow, &core.cycles());
         span.Annotate("morsel", static_cast<int64_t>(m));
@@ -805,9 +803,8 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   };
   std::vector<CoreChain> chains(static_cast<size_t>(num_cores));
 
-  dpu::WorkQueue queue(std::move(weights), num_cores);
   const Status loop_status = env.dpu->ParallelForMorsels(
-      queue, env.cancel, [&](dpu::DpCore& core, size_t m) -> Status {
+      weights, env.cancel, [&](dpu::DpCore& core, size_t m) -> Status {
         if (morsel_done[m] != 0) return Status::OK();  // resumed slot
         TraceSpan span(TraceMode::kFull, core.id(), "pipeline.morsel",
                        &dpu::TraceClockNow, &core.cycles());
@@ -984,9 +981,9 @@ Status GroupByStep::ExecuteLowNdv(ExecEnv& env, const ColumnSet& input,
       tile_rows_, bytes_per_row, env.dpu->config().dmem_bytes);
 
   // On-the-fly aggregation over each morsel of the input.
-  dpu::WorkQueue queue(RangeWeights(ranges), num_cores);
   RAPID_RETURN_NOT_OK(env.dpu->ParallelForMorsels(
-      queue, env.cancel, [&](dpu::DpCore& core, size_t m) -> Status {
+      RangeWeights(ranges), env.cancel,
+      [&](dpu::DpCore& core, size_t m) -> Status {
         TraceSpan span(TraceMode::kFull, core.id(), "groupby.morsel",
                        &dpu::TraceClockNow, &core.cycles());
         span.Annotate("morsel", static_cast<int64_t>(m));
@@ -1057,17 +1054,16 @@ Status GroupByStep::ExecuteHighNdv(ExecEnv& env, const PartitionedData& input,
   }
 
   std::atomic<uint64_t> repartitions{0};
-  // One morsel per partition, weighted by row count: LPT seeding
-  // starts the heavy (skewed) partitions first and stealing absorbs
-  // whatever imbalance remains.
+  // One morsel per partition, weighted by row count: the LPT deal
+  // spreads the heavy (skewed) partitions first and fills the
+  // remaining cores with the light ones.
   std::vector<double> part_weights;
   part_weights.reserve(num_parts);
   for (const ColumnSet& part : input.partitions) {
     part_weights.push_back(static_cast<double>(part.num_rows()));
   }
-  dpu::WorkQueue queue(std::move(part_weights), env.dpu->num_cores());
   RAPID_RETURN_NOT_OK(env.dpu->ParallelForMorsels(
-      queue, env.cancel, [&](dpu::DpCore& core, size_t p) -> Status {
+      part_weights, env.cancel, [&](dpu::DpCore& core, size_t p) -> Status {
         TraceSpan span(TraceMode::kFull, core.id(), "groupby.partition",
                        &dpu::TraceClockNow, &core.cycles());
         span.Annotate("partition", static_cast<int64_t>(p));

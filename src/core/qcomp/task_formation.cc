@@ -67,7 +67,8 @@ Result<double> FormationCycles(const std::vector<OpProfile>& ops,
         tiles * (params.dms_tile_setup_cycles +
                  params.dms_column_switch_cycles);
     // Balanced makespan instead of a perfect round-robin split: the
-    // largest morsel's remainder survives even under work stealing.
+    // largest morsel's remainder survives any list schedule, LPT
+    // included.
     cycles += dpu::BalancedMakespanCycles(
         task_total, task_total * largest_morsel_fraction, num_cores);
     rows = out_rows;

@@ -1,5 +1,6 @@
 #include "dpu/dms.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/crc32.h"
@@ -36,24 +37,30 @@ int64_t KeyColumn::ValueAt(size_t row) const {
 
 Status Dms::RunDescriptor(CycleCounter* cycles, const char* site) const {
   if (!FaultInjector::enabled()) return Status::OK();
-  Status last = Status::OK();
-  double backoff = params_.dms_retry_backoff_cycles;
-  for (int attempt = 0; attempt < params_.dms_max_attempts; ++attempt) {
-    last = FaultInjector::Instance().Poll(site);
-    if (last.ok()) return Status::OK();
-    // Cancellation-class faults are not transient; retrying a dead
-    // query only burns cycles.
-    if (last.IsCancellation()) return last;
-    if (attempt + 1 < params_.dms_max_attempts && cycles != nullptr) {
-      // Reprogram + settle before the next attempt.
+  // All of the descriptor's attempts in one call, so they are
+  // consecutive hits of the site even while other cores transfer.
+  const int max_attempts = params_.dms_max_attempts;
+  const FaultInjector::Attempts attempts =
+      FaultInjector::Instance().PollAttempts(site, max_attempts);
+  if (cycles != nullptr) {
+    // Reprogram + settle before each retry, with doubling backoff.
+    const int retries = std::min(attempts.transient_failures,
+                                 max_attempts - 1);
+    double backoff = params_.dms_retry_backoff_cycles;
+    for (int r = 0; r < retries; ++r) {
       cycles->ChargeDms(backoff);
       backoff *= 2;
     }
   }
+  // Cancellation-class faults are not transient; retrying a dead query
+  // only burns cycles.
+  if (attempts.last.ok() || attempts.last.IsCancellation()) {
+    return attempts.last;
+  }
   return Status::RetryExhausted("DMS descriptor failed " +
-                                std::to_string(params_.dms_max_attempts) +
+                                std::to_string(max_attempts) +
                                 " attempts at '" + site +
-                                "': " + last.ToString());
+                                "': " + attempts.last.ToString());
 }
 
 Status Dms::TransferTile(CycleCounter* cycles,

@@ -80,7 +80,7 @@ void Dpu::ParallelFor(const std::function<void(DpCore&)>& fn) {
 }
 
 Status Dpu::ParallelForMorsels(
-    WorkQueue& queue, const CancelToken* cancel,
+    const std::vector<double>& weights, const CancelToken* cancel,
     const std::function<Status(DpCore&, size_t)>& fn) {
   const auto ncores = static_cast<size_t>(config_.num_cores);
   std::vector<double> before(ncores);
@@ -88,23 +88,17 @@ Status Dpu::ParallelForMorsels(
     before[c] = cores_[c]->cycles().compute_cycles();
   }
 
+  const MorselSchedule schedule = LptSchedule(weights, config_.num_cores);
   std::vector<Status> statuses(ncores);
   std::atomic<bool> abort{false};
   ParallelFor([&](DpCore& core) {
     const auto cid = static_cast<size_t>(core.id());
-    size_t morsel = 0;
-    while (!abort.load(std::memory_order_relaxed) &&
-           queue.Next(core.id(), &morsel)) {
+    for (const size_t morsel : schedule.core(cid)) {
+      if (abort.load(std::memory_order_relaxed)) return;
       // Poll between morsels: a cancelled query unwinds within one
       // morsel, not one phase.
       Status st = CancelToken::Check(cancel);
-      const double morsel_start = core.cycles().compute_cycles();
       if (st.ok()) st = fn(core, morsel);
-      // Report the morsel's real modeled cost so the queue's virtual
-      // clocks (and hence steal decisions) track actual stragglers,
-      // not just the weight estimates.
-      queue.Charge(core.id(), morsel,
-                   core.cycles().compute_cycles() - morsel_start);
       if (!st.ok()) {
         statuses[cid] = std::move(st);
         abort.store(true, std::memory_order_relaxed);
@@ -123,7 +117,6 @@ Status Dpu::ParallelForMorsels(
     sum += delta;
   }
   phase.mean_core_cycles = sum / static_cast<double>(ncores);
-  phase.steal_count = queue.steal_count();
   phase.phases = 1;
   last_phase_imbalance_ = phase;
   imbalance_.Accumulate(phase);

@@ -62,15 +62,16 @@ class Dpu {
   // [1, num_cores]; out-of-range requests never index the pool.
   void ParallelForN(int n, const std::function<void(DpCore&)>& fn);
 
-  // Morsel-driven scheduling round: every core pulls morsels from
-  // `queue` until it drains, polling `cancel` (may be null) between
+  // Morsel scheduling round: deals the morsels by LptSchedule over
+  // `weights` (one per morsel) onto every core, and each core runs its
+  // own segment largest-first, polling `cancel` (may be null) between
   // morsels so cancellation latency is bounded by one morsel. The
   // first non-OK status (including cancellation) aborts the remaining
   // morsels on all cores and is returned. Callers must index their
   // output slots by morsel id so results are independent of which core
   // ran which morsel. Updates the phase/accumulated ImbalanceStats.
   Status ParallelForMorsels(
-      WorkQueue& queue, const CancelToken* cancel,
+      const std::vector<double>& weights, const CancelToken* cancel,
       const std::function<Status(DpCore&, size_t)>& fn);
 
   // Modeled elapsed cycles of the last/accumulated execution: the
@@ -91,8 +92,8 @@ class Dpu {
   double TotalComputeCycles() const;
 
   // Load-balance statistics accumulated over every morsel phase since
-  // the last ResetCores (per-phase max/mean core compute cycles and
-  // steal counts), and the most recent phase alone.
+  // the last ResetCores (per-phase max/mean core compute cycles), and
+  // the most recent phase alone.
   const ImbalanceStats& imbalance() const { return imbalance_; }
   const ImbalanceStats& last_phase_imbalance() const {
     return last_phase_imbalance_;

@@ -507,15 +507,14 @@ Config Defaults() {
 }
 
 const char* const kEnvVars[] = {
-    "RAPID_SIMD",        "RAPID_SCHED", "RAPID_ENCODED_SCAN",
-    "RAPID_JOIN_FILTER", "RAPID_TRACE", "RAPID_TRACE_PATH",
-    "RAPID_LOG_LEVEL",   "RAPID_CORES",
+    "RAPID_SIMD",       "RAPID_ENCODED_SCAN", "RAPID_JOIN_FILTER",
+    "RAPID_TRACE",      "RAPID_TRACE_PATH",   "RAPID_LOG_LEVEL",
+    "RAPID_CORES",
 };
 
 TEST(ConfigTest, UnsetEnvironmentGivesDefaults) {
   const Config config = Defaults();
   EXPECT_EQ(config.simd, SimdLevelSupported());
-  EXPECT_EQ(config.sched, SchedMode::kMorsel);
   EXPECT_EQ(config.encoded_scan, EncodedScanMode::kAuto);
   EXPECT_EQ(config.join_filter, JoinFilterMode::kAuto);
   EXPECT_EQ(config.trace, TraceMode::kOff);
@@ -546,9 +545,6 @@ TEST(ConfigTest, AcceptsEverySpelling) {
                  std::min(SimdLevel::kSse42, cpu));
   ExpectSpelling("RAPID_SIMD", "avx2", &Config::simd, cpu);
   ExpectSpelling("RAPID_SIMD", "auto", &Config::simd, cpu);
-  ExpectSpelling("RAPID_SCHED", "static", &Config::sched, SchedMode::kStatic);
-  ExpectSpelling("RAPID_SCHED", "morsel", &Config::sched, SchedMode::kMorsel);
-  ExpectSpelling("RAPID_SCHED", "dynamic", &Config::sched, SchedMode::kMorsel);
   ExpectSpelling("RAPID_ENCODED_SCAN", "off", &Config::encoded_scan,
                  EncodedScanMode::kOff);
   ExpectSpelling("RAPID_ENCODED_SCAN", "auto", &Config::encoded_scan,
@@ -623,8 +619,9 @@ TEST(ConfigTest, ScopedConfigClampsAndRestores) {
   }
   EXPECT_TRUE(GetConfig() == before);
   Config changed = before;
-  changed.sched = before.sched == SchedMode::kStatic ? SchedMode::kMorsel
-                                                     : SchedMode::kStatic;
+  changed.encoded_scan = before.encoded_scan == EncodedScanMode::kOff
+                             ? EncodedScanMode::kAuto
+                             : EncodedScanMode::kOff;
   EXPECT_TRUE(SetConfig(changed) == before);
   EXPECT_TRUE(SetConfig(before) == changed);
 }
@@ -633,8 +630,6 @@ TEST(ConfigTest, NamesAreCanonicalSpellings) {
   EXPECT_STREQ(SimdLevelName(SimdLevel::kScalar), "scalar");
   EXPECT_STREQ(SimdLevelName(SimdLevel::kSse42), "sse42");
   EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx2), "avx2");
-  EXPECT_STREQ(SchedModeName(SchedMode::kStatic), "static");
-  EXPECT_STREQ(SchedModeName(SchedMode::kMorsel), "morsel");
   EXPECT_STREQ(TraceModeName(TraceMode::kSummary), "summary");
   EXPECT_STREQ(LogLevelName(LogLevel::kDebug), "debug");
 }

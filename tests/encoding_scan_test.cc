@@ -1,7 +1,7 @@
 // Encoded scans (Section 4.2 + 5.4): the loader's per-vector encoding
 // choice, the typed RLE decode path, QComp's code-space predicate
 // rewrite, and — end to end — bit-identity of RAPID_ENCODED_SCAN=off
-// vs auto across SIMD tiers, scheduler modes and injected DMS faults.
+// vs auto across SIMD tiers and injected DMS faults.
 // The gate changes bytes moved and modeled cycles, never results.
 
 #include <algorithm>
@@ -264,33 +264,29 @@ TEST_F(EncodedScanEngineTest, OffAndAutoBitIdenticalAcrossTiersAndSchedulers) {
 
   const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kSse42,
                               SimdLevel::kAvx2};
-  const SchedMode scheds[] = {SchedMode::kStatic, SchedMode::kMorsel};
   for (SimdLevel level : levels) {
-    for (SchedMode sched : scheds) {
-      ScopedConfig simd(&Config::simd, level);
-      ScopedConfig mode(&Config::sched, sched);
-      QueryResult off_run;
-      QueryResult auto_run;
-      {
-        ScopedConfig off(&Config::encoded_scan, EncodedScanMode::kOff);
-        ASSERT_OK_AND_ASSIGN(off_run, engine_.Execute(Q6Plan()));
-      }
-      {
-        ScopedConfig on(&Config::encoded_scan, EncodedScanMode::kAuto);
-        ASSERT_OK_AND_ASSIGN(auto_run, engine_.Execute(Q6Plan()));
-      }
-      ExpectSameRows(off_run.rows, reference.rows);
-      ExpectSameRows(auto_run.rows, reference.rows);
-      // The encoded path really ran: the DMS moved fewer bytes than
-      // the plain equivalent and predicates resolved whole runs.
-      EXPECT_GT(auto_run.stats.encoded_bytes_moved, 0u)
-          << SimdLevelName(level);
-      EXPECT_LT(auto_run.stats.encoded_bytes_moved,
-                auto_run.stats.plain_bytes_moved)
-          << SimdLevelName(level);
-      EXPECT_GT(auto_run.stats.runs_filtered, 0u) << SimdLevelName(level);
-      EXPECT_EQ(off_run.stats.encoded_bytes_moved, 0u);
+    ScopedConfig simd(&Config::simd, level);
+    QueryResult off_run;
+    QueryResult auto_run;
+    {
+      ScopedConfig off(&Config::encoded_scan, EncodedScanMode::kOff);
+      ASSERT_OK_AND_ASSIGN(off_run, engine_.Execute(Q6Plan()));
     }
+    {
+      ScopedConfig on(&Config::encoded_scan, EncodedScanMode::kAuto);
+      ASSERT_OK_AND_ASSIGN(auto_run, engine_.Execute(Q6Plan()));
+    }
+    ExpectSameRows(off_run.rows, reference.rows);
+    ExpectSameRows(auto_run.rows, reference.rows);
+    // The encoded path really ran: the DMS moved fewer bytes than
+    // the plain equivalent and predicates resolved whole runs.
+    EXPECT_GT(auto_run.stats.encoded_bytes_moved, 0u)
+        << SimdLevelName(level);
+    EXPECT_LT(auto_run.stats.encoded_bytes_moved,
+              auto_run.stats.plain_bytes_moved)
+        << SimdLevelName(level);
+    EXPECT_GT(auto_run.stats.runs_filtered, 0u) << SimdLevelName(level);
+    EXPECT_EQ(off_run.stats.encoded_bytes_moved, 0u);
   }
 }
 

@@ -640,8 +640,8 @@ TEST(PartitionFaultTest, CancelDuringPartitionReleasesPoolAndSavesNothing) {
 // The reuse acceptance matrix: inject a failure after the partition
 // rounds complete and require (a) an in-place DPU retry within budget,
 // (b) completed rounds restored instead of re-executed, and (c) rows
-// bit-identical to the fault-free run — across 3 injector seeds, both
-// schedulers and every supported SIMD tier.
+// bit-identical to the fault-free run — across 3 injector seeds and
+// every supported SIMD tier.
 TEST_F(FaultEngineTest, ReuseMatrixRestoresRoundsBitIdenticalAcrossModes) {
   ExecOptions options;
   options.planner.enable_fusion = false;  // partitioned join plan
@@ -654,42 +654,36 @@ TEST_F(FaultEngineTest, ReuseMatrixRestoresRoundsBitIdenticalAcrossModes) {
 
   const uint64_t seeds[] = {101, 202, 303};
   for (int lvl = 0; lvl <= static_cast<int>(SimdLevelSupported()); ++lvl) {
-    for (SchedMode mode : {SchedMode::kStatic, SchedMode::kMorsel}) {
-      ScopedConfig config(&Config::simd, static_cast<SimdLevel>(lvl));
-      config.Set(&Config::sched, mode);
+    ScopedConfig config(&Config::simd, static_cast<SimdLevel>(lvl));
 
-      const uint64_t polls = CleanPollCount(faults::kDmsPartition, [&] {
-        auto r = host_.ExecuteQuery(JoinPlan(), &engine_, options);
-        ASSERT_OK(r.status());
-      });
-      ASSERT_GT(polls, 0u);
+    const uint64_t polls = CleanPollCount(faults::kDmsPartition, [&] {
+      auto r = host_.ExecuteQuery(JoinPlan(), &engine_, options);
+      ASSERT_OK(r.status());
+    });
+    ASSERT_GT(polls, 0u);
 
-      for (uint64_t seed : seeds) {
-        ScopedFaultInjection fi(seed);
-        FaultInjector::SiteSpec spec;
-        spec.skip_first = polls - 1;
-        // Exactly the DMS descriptor budget: the last partition unit
-        // exhausts its in-DMS retries (one engine-level transient
-        // failure), then the fragment retry runs clean.
-        spec.max_failures = 4;
-        fi.Arm(faults::kDmsPartition, spec);
+    for (uint64_t seed : seeds) {
+      ScopedFaultInjection fi(seed);
+      FaultInjector::SiteSpec spec;
+      spec.skip_first = polls - 1;
+      // Exactly the DMS descriptor budget: the last partition unit
+      // exhausts its in-DMS retries (one engine-level transient
+      // failure), then the fragment retry runs clean.
+      spec.max_failures = 4;
+      fi.Arm(faults::kDmsPartition, spec);
 
-        auto result = host_.ExecuteQuery(JoinPlan(), &engine_, options);
-        ASSERT_TRUE(result.ok())
-            << result.status().ToString() << " simd=" << lvl
-            << " sched=" << SchedModeName(mode) << " seed=" << seed;
-        const QueryReport& report = result.value();
-        EXPECT_FALSE(report.fell_back) << report.fallback_reason;
-        EXPECT_EQ(report.rapid_stats.dpu_retries, 1u)
-            << "simd=" << lvl << " sched=" << SchedModeName(mode)
-            << " seed=" << seed;
-        // At minimum the other side's completed partition rounds were
-        // restored from the checkpoint instead of re-partitioned.
-        EXPECT_GE(report.rapid_stats.reused_rounds, 1u);
-        EXPECT_EQ(SortedRows(report.rows), clean_rows)
-            << "simd=" << lvl << " sched=" << SchedModeName(mode)
-            << " seed=" << seed;
-      }
+      auto result = host_.ExecuteQuery(JoinPlan(), &engine_, options);
+      ASSERT_TRUE(result.ok())
+          << result.status().ToString() << " simd=" << lvl << " seed=" << seed;
+      const QueryReport& report = result.value();
+      EXPECT_FALSE(report.fell_back) << report.fallback_reason;
+      EXPECT_EQ(report.rapid_stats.dpu_retries, 1u)
+          << "simd=" << lvl << " seed=" << seed;
+      // At minimum the other side's completed partition rounds were
+      // restored from the checkpoint instead of re-partitioned.
+      EXPECT_GE(report.rapid_stats.reused_rounds, 1u);
+      EXPECT_EQ(SortedRows(report.rows), clean_rows)
+          << "simd=" << lvl << " seed=" << seed;
     }
   }
 }

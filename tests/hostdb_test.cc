@@ -183,9 +183,6 @@ TEST_F(HostDbTest, MultiFragmentReportSumsEveryPlaceholdersStats) {
   // placeholders; the report's stats must be their sum, equal to the
   // two fragments run alone, not the first placeholder's stats.
   ScopedConfig encoded(&Config::encoded_scan, EncodedScanMode::kAuto);
-  // Static scheduling keeps each fragment's modeled time a function of
-  // the plan alone, so the runs below are comparable.
-  ScopedConfig sched(&Config::sched, SchedMode::kStatic);
   std::vector<storage::ColumnSpec> specs = {
       {"id", storage::ColumnKind::kInt64},
       {"v", storage::ColumnKind::kInt32}};

@@ -1,7 +1,7 @@
 // Join-filter pushdown (sideways information passing): build-side
 // blocked Bloom filters pruning probe rows before partitioning and
 // the hash probe. End-to-end contract: RAPID_JOIN_FILTER=off vs auto
-// is bit-identical across SIMD tiers, scheduler modes, join types
+// is bit-identical across SIMD tiers, join types
 // (the filter never changes semi/anti/left-outer semantics) and
 // injected DMS faults; the gate never changes plan shape; and the
 // pruning counters are visible through ExecutionStats/QueryReport,
@@ -119,34 +119,30 @@ TEST_F(JoinFilterEngineTest, OffAndAutoBitIdenticalAcrossTiersAndSchedulers) {
 
   const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kSse42,
                               SimdLevel::kAvx2};
-  const SchedMode scheds[] = {SchedMode::kStatic, SchedMode::kMorsel};
   for (SimdLevel level : levels) {
-    for (SchedMode sched : scheds) {
-      ScopedConfig simd(&Config::simd, level);
-      ScopedConfig mode(&Config::sched, sched);
-      QueryResult off_run;
-      QueryResult auto_run;
-      {
-        ScopedConfig off(&Config::join_filter, JoinFilterMode::kOff);
-        ASSERT_OK_AND_ASSIGN(off_run,
-                             engine_.Execute(SelectivePlan(JoinType::kInner)));
-      }
-      {
-        ScopedConfig on(&Config::join_filter, JoinFilterMode::kAuto);
-        ASSERT_OK_AND_ASSIGN(auto_run,
-                             engine_.Execute(SelectivePlan(JoinType::kInner)));
-      }
-      ExpectSameRows(off_run.rows, reference.rows);
-      ExpectSameRows(auto_run.rows, reference.rows);
-      // The filter really ran and pruned: ~99% of fact rows reference
-      // dim keys the build-side predicate dropped.
-      EXPECT_GT(auto_run.stats.join_filter_built, 0u) << SimdLevelName(level);
-      EXPECT_GT(auto_run.stats.rows_pruned_by_join_filter,
-                auto_run.rows.num_rows())
-          << SimdLevelName(level);
-      EXPECT_GT(auto_run.stats.filter_bytes, 0u) << SimdLevelName(level);
-      EXPECT_EQ(off_run.stats.rows_pruned_by_join_filter, 0u);
+    ScopedConfig simd(&Config::simd, level);
+    QueryResult off_run;
+    QueryResult auto_run;
+    {
+      ScopedConfig off(&Config::join_filter, JoinFilterMode::kOff);
+      ASSERT_OK_AND_ASSIGN(off_run,
+                           engine_.Execute(SelectivePlan(JoinType::kInner)));
     }
+    {
+      ScopedConfig on(&Config::join_filter, JoinFilterMode::kAuto);
+      ASSERT_OK_AND_ASSIGN(auto_run,
+                           engine_.Execute(SelectivePlan(JoinType::kInner)));
+    }
+    ExpectSameRows(off_run.rows, reference.rows);
+    ExpectSameRows(auto_run.rows, reference.rows);
+    // The filter really ran and pruned: ~99% of fact rows reference
+    // dim keys the build-side predicate dropped.
+    EXPECT_GT(auto_run.stats.join_filter_built, 0u) << SimdLevelName(level);
+    EXPECT_GT(auto_run.stats.rows_pruned_by_join_filter,
+              auto_run.rows.num_rows())
+        << SimdLevelName(level);
+    EXPECT_GT(auto_run.stats.filter_bytes, 0u) << SimdLevelName(level);
+    EXPECT_EQ(off_run.stats.rows_pruned_by_join_filter, 0u);
   }
 }
 
@@ -158,7 +154,6 @@ TEST_F(JoinFilterEngineTest, SemiAntiLeftOuterSemanticsUnchanged) {
                             JoinType::kLeftOuter};
   const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kSse42,
                               SimdLevel::kAvx2};
-  const SchedMode scheds[] = {SchedMode::kStatic, SchedMode::kMorsel};
   for (JoinType type : types) {
     QueryResult reference;
     {
@@ -167,14 +162,11 @@ TEST_F(JoinFilterEngineTest, SemiAntiLeftOuterSemanticsUnchanged) {
     }
     ASSERT_GT(reference.rows.num_rows(), 0u);
     for (SimdLevel level : levels) {
-      for (SchedMode sched : scheds) {
-        ScopedConfig simd(&Config::simd, level);
-        ScopedConfig mode(&Config::sched, sched);
-        ScopedConfig on(&Config::join_filter, JoinFilterMode::kAuto);
-        ASSERT_OK_AND_ASSIGN(QueryResult auto_run,
-                             engine_.Execute(SelectivePlan(type)));
-        ExpectSameRows(auto_run.rows, reference.rows);
-      }
+      ScopedConfig simd(&Config::simd, level);
+      ScopedConfig on(&Config::join_filter, JoinFilterMode::kAuto);
+      ASSERT_OK_AND_ASSIGN(QueryResult auto_run,
+                           engine_.Execute(SelectivePlan(type)));
+      ExpectSameRows(auto_run.rows, reference.rows);
     }
   }
   // Anti join output covers the pruned key range: pruning never

@@ -1,7 +1,7 @@
 // Tile-local memory subsystem tests: arena alignment/growth/reset,
 // tile-buffer-pool recycling (steady state allocates nothing new),
 // write-combining partition scatter bit-identity against the scalar
-// twin across SIMD levels and scheduling modes, the dmem.alloc fault
+// twin across SIMD levels, the dmem.alloc fault
 // path with pooled operators, and host-fallback reuse of completed
 // DPU subtree results.
 
@@ -338,13 +338,10 @@ TEST_F(MemoryEngineTest, ScatterPathBitIdenticalAcrossSimdAndSched) {
   ScopedConfig config;
   std::vector<std::vector<std::vector<int64_t>>> results;
   for (int l = 0; l <= static_cast<int>(SimdLevelSupported()); ++l) {
-    for (SchedMode mode : {SchedMode::kStatic, SchedMode::kMorsel}) {
-      config.Set(&Config::simd, static_cast<SimdLevel>(l));
-      config.Set(&Config::sched, mode);
-      auto result = engine_.Execute(JoinPlan(), options);
-      ASSERT_OK(result.status());
-      results.push_back(SortedRows(result.value().rows));
-    }
+    config.Set(&Config::simd, static_cast<SimdLevel>(l));
+    auto result = engine_.Execute(JoinPlan(), options);
+    ASSERT_OK(result.status());
+    results.push_back(SortedRows(result.value().rows));
   }
   for (size_t i = 1; i < results.size(); ++i) {
     EXPECT_EQ(results[0], results[i]) << "combination " << i;

@@ -3,14 +3,15 @@
 // EXPLAIN ANALYZE and QueryReport::Summary(). Contracts under test:
 //
 //   - tracing is off by default and bit-identical across
-//     off|summary|full, SIMD tiers, schedulers and injected DMS faults
-//     (spans never poll fault sites or touch DMEM/tile pools);
+//     off|summary|full, SIMD tiers, pooled vs inline execution and
+//     injected DMS faults (spans never poll fault sites or touch
+//     DMEM/tile pools);
 //   - traces are well-formed: every begin has an end (open_depth back
 //     to zero), per-core virtual time is monotone, and the steps-track
 //     span durations reconcile exactly with modeled_seconds;
 //   - stats invariants that were previously unchecked: plain bytes
-//     dominate encoded bytes when encoding is on, static scheduling
-//     never steals, fallback zeroes the DPU-side counters.
+//     dominate encoded bytes when encoding is on, fallback zeroes the
+//     DPU-side counters.
 
 #include <cstdio>
 #include <string>
@@ -120,17 +121,21 @@ TEST_F(ObservabilityTest, BitIdenticalAcrossTraceModesTiersAndSchedulers) {
   const TraceMode modes[] = {TraceMode::kOff, TraceMode::kSummary,
                              TraceMode::kFull};
   const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kAvx2};
-  const SchedMode scheds[] = {SchedMode::kStatic, SchedMode::kMorsel};
+  // The morsel schedule is a function of the plan's weights, so the
+  // dpCores running on the worker pool or one after another on the
+  // calling thread model the same time.
   for (TraceMode mode : modes) {
     for (SimdLevel level : levels) {
-      for (SchedMode sched : scheds) {
+      for (const bool inline_exec : {false, true}) {
         ScopedConfig trace(&Config::trace, mode);
         ScopedConfig simd(&Config::simd, level);
-        ScopedConfig scheduling(&Config::sched, sched);
+        engine_.dpu().SetInlineExecution(inline_exec);
         ASSERT_OK_AND_ASSIGN(QueryResult run, engine_.Execute(JoinPlan()));
+        engine_.dpu().SetInlineExecution(false);
         ExpectSameRows(run.rows, reference.rows);
         EXPECT_EQ(run.stats.modeled_seconds, reference.stats.modeled_seconds)
-            << TraceModeName(mode) << "/" << SimdLevelName(level);
+            << TraceModeName(mode) << "/" << SimdLevelName(level)
+            << (inline_exec ? "/inline" : "/pooled");
       }
     }
   }
@@ -251,12 +256,6 @@ TEST_F(ObservabilityTest, PlainBytesDominateEncodedBytesWhenEncodingOn) {
   ASSERT_OK_AND_ASSIGN(QueryResult r, engine_.Execute(ScanPlan()));
   ASSERT_GT(r.stats.encoded_bytes_moved, 0u);
   EXPECT_GE(r.stats.plain_bytes_moved, r.stats.encoded_bytes_moved);
-}
-
-TEST_F(ObservabilityTest, StaticSchedulingNeverSteals) {
-  ScopedConfig sched(&Config::sched, SchedMode::kStatic);
-  ASSERT_OK_AND_ASSIGN(QueryResult r, engine_.Execute(JoinPlan()));
-  EXPECT_EQ(r.stats.imbalance.steal_count, 0u);
 }
 
 TEST_F(ObservabilityTest, FallbackZeroesDpuCountersInReport) {

@@ -445,42 +445,39 @@ TEST_F(OpsTest, SkewedPartitionLayoutMatchesStableReferenceAcrossModes) {
       testing::StablePartitionOf(input, {0}, scheme, 2);
 
   for (int l = 0; l <= static_cast<int>(SimdLevelSupported()); ++l) {
-    for (SchedMode mode : {SchedMode::kStatic, SchedMode::kMorsel}) {
-      ScopedConfig config(&Config::simd, static_cast<SimdLevel>(l));
-      config.Set(&Config::sched, mode);
-      ASSERT_OK_AND_ASSIGN(
-          PartitionedData out,
-          PartitionExec::Execute(dpu_, input, {0}, scheme, 50));
-      ASSERT_EQ(out.partitions.size(), ref.buckets.size());
-      for (size_t b = 0; b < ref.buckets.size(); ++b) {
-        EXPECT_EQ(Rows(out.partitions[b]), Rows(ref.buckets[b]))
-            << "level " << l << " bucket " << b;
-      }
+    ScopedConfig config(&Config::simd, static_cast<SimdLevel>(l));
+    ASSERT_OK_AND_ASSIGN(
+        PartitionedData out,
+        PartitionExec::Execute(dpu_, input, {0}, scheme, 50));
+    ASSERT_EQ(out.partitions.size(), ref.buckets.size());
+    for (size_t b = 0; b < ref.buckets.size(); ++b) {
+      EXPECT_EQ(Rows(out.partitions[b]), Rows(ref.buckets[b]))
+          << "level " << l << " bucket " << b;
+    }
 
-      // The hashes carried out of round 2 come back through the
-      // checkpoint when every round-3 descriptor fails.
-      const uint64_t round12_polls = CleanPollCount(faults::kDmsPartition, [&] {
-        ASSERT_OK(
-            PartitionExec::Execute(dpu_, input, {0}, first_two, 50).status());
-      });
-      PartitionProgress progress;
-      {
-        ScopedFaultInjection fi(5);
-        FaultInjector::SiteSpec spec;
-        spec.skip_first = round12_polls;
-        fi.Arm(faults::kDmsPartition, spec);
-        ASSERT_FALSE(PartitionExec::Execute(dpu_, input, {0}, scheme, 50,
-                                            nullptr, &progress)
-                         .ok());
-      }
-      ASSERT_EQ(progress.rounds_done, 2);
-      ASSERT_EQ(progress.buckets.size(), ref2.buckets.size());
-      for (size_t b = 0; b < ref2.buckets.size(); ++b) {
-        EXPECT_EQ(Rows(progress.buckets[b]), Rows(ref2.buckets[b]))
-            << "level " << l << " bucket " << b;
-        EXPECT_EQ(progress.bucket_hashes[b], ref2.hashes[b])
-            << "level " << l << " bucket " << b;
-      }
+    // The hashes carried out of round 2 come back through the
+    // checkpoint when every round-3 descriptor fails.
+    const uint64_t round12_polls = CleanPollCount(faults::kDmsPartition, [&] {
+      ASSERT_OK(
+          PartitionExec::Execute(dpu_, input, {0}, first_two, 50).status());
+    });
+    PartitionProgress progress;
+    {
+      ScopedFaultInjection fi(5);
+      FaultInjector::SiteSpec spec;
+      spec.skip_first = round12_polls;
+      fi.Arm(faults::kDmsPartition, spec);
+      ASSERT_FALSE(PartitionExec::Execute(dpu_, input, {0}, scheme, 50,
+                                          nullptr, &progress)
+                       .ok());
+    }
+    ASSERT_EQ(progress.rounds_done, 2);
+    ASSERT_EQ(progress.buckets.size(), ref2.buckets.size());
+    for (size_t b = 0; b < ref2.buckets.size(); ++b) {
+      EXPECT_EQ(Rows(progress.buckets[b]), Rows(ref2.buckets[b]))
+          << "level " << l << " bucket " << b;
+      EXPECT_EQ(progress.bucket_hashes[b], ref2.hashes[b])
+          << "level " << l << " bucket " << b;
     }
   }
 }

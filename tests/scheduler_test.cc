@@ -1,12 +1,12 @@
-// Morsel-driven scheduler tests: WorkQueue unit behavior (static
-// striding, LPT seeding, virtual-time stealing, the balanced-makespan
-// bound) and the determinism suite — query results must stay
-// bit-identical across scheduling modes (RAPID_SCHED static|morsel),
-// core counts {1, 4, 32}, inline vs pooled execution, and under
-// transient fault injection at dms.transfer, because every operator
-// indexes its output slots by morsel id, never by the core that
-// happened to run the morsel.
+// Morsel scheduler tests: LptSchedule unit behavior (LPT dealing, the
+// balanced-makespan bound, morsel phases) and the determinism suite —
+// query results and modeled time must stay bit-identical across core
+// counts {1, 4, 32}, inline vs pooled execution, and under transient
+// fault injection at dms.transfer, because the schedule is a function
+// of the morsel weights alone and every operator indexes its output
+// slots by morsel id, never by the core that ran the morsel.
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,84 +31,68 @@ using core::LogicalNode;
 using core::LogicalPtr;
 using core::Predicate;
 using core::QueryResult;
-using dpu::WorkQueue;
+using dpu::MorselSchedule;
 using hostdb::HostDatabase;
 using primitives::CmpOp;
 
-// Drains `core_id`'s share of the queue, returning the morsel ids in
-// hand-out order.
-std::vector<size_t> Drain(WorkQueue& queue, int core_id) {
-  std::vector<size_t> got;
-  size_t m = 0;
-  while (queue.Next(core_id, &m)) got.push_back(m);
-  return got;
+// Core `c`'s segment of the schedule, in run order.
+std::vector<size_t> Segment(const MorselSchedule& schedule, size_t c) {
+  const auto segment = schedule.core(c);
+  return {segment.begin(), segment.end()};
 }
 
-// ---- WorkQueue unit behavior ----------------------------------------------
-
-TEST(WorkQueueTest, StaticModeStridesRoundRobin) {
-  WorkQueue queue(10, 4, SchedMode::kStatic);
-  EXPECT_EQ(Drain(queue, 0), (std::vector<size_t>{0, 4, 8}));
-  EXPECT_EQ(Drain(queue, 1), (std::vector<size_t>{1, 5, 9}));
-  EXPECT_EQ(Drain(queue, 2), (std::vector<size_t>{2, 6}));
-  EXPECT_EQ(Drain(queue, 3), (std::vector<size_t>{3, 7}));
-  EXPECT_EQ(queue.steal_count(), 0u);
-}
+// ---- LptSchedule unit behavior --------------------------------------------
 
 TEST(WorkQueueTest, UnweightedMorselSeedingDealsRoundRobin) {
   // Unit weights: LPT's stable largest-first order is morsel-id order,
-  // so the deal is exactly m -> core m % P and perfectly balanced —
-  // nothing is worth stealing.
-  WorkQueue queue(8, 4, SchedMode::kMorsel);
-  EXPECT_EQ(Drain(queue, 0), (std::vector<size_t>{0, 4}));
-  EXPECT_EQ(Drain(queue, 1), (std::vector<size_t>{1, 5}));
-  EXPECT_EQ(Drain(queue, 2), (std::vector<size_t>{2, 6}));
-  EXPECT_EQ(Drain(queue, 3), (std::vector<size_t>{3, 7}));
-  EXPECT_EQ(queue.steal_count(), 0u);
+  // so the deal is exactly m -> core m % P and perfectly balanced.
+  const MorselSchedule schedule =
+      dpu::LptSchedule(std::vector<double>(8, 1.0), 4);
+  EXPECT_EQ(Segment(schedule, 0), (std::vector<size_t>{0, 4}));
+  EXPECT_EQ(Segment(schedule, 1), (std::vector<size_t>{1, 5}));
+  EXPECT_EQ(Segment(schedule, 2), (std::vector<size_t>{2, 6}));
+  EXPECT_EQ(Segment(schedule, 3), (std::vector<size_t>{3, 7}));
 }
 
 TEST(WorkQueueTest, WeightedLptSeedsLargestFirstToLeastLoaded) {
   // Sorted descending: m0(8), m4(7), m5(6), m1, m2, m3 (unit tail in
   // id order). Dealing to the least-loaded core leaves
   //   core0: [0]  core1: [4, 2]  core2: [5, 1, 3]
-  // and owners pop their biggest morsel first.
-  WorkQueue queue({8, 1, 1, 1, 7, 6}, 3, SchedMode::kMorsel);
-  EXPECT_EQ(Drain(queue, 1), (std::vector<size_t>{4, 2}));
-  EXPECT_EQ(Drain(queue, 2), (std::vector<size_t>{5, 1, 3}));
-  EXPECT_EQ(Drain(queue, 0), (std::vector<size_t>{0}));
-  EXPECT_EQ(queue.steal_count(), 0u);
+  // and each core runs its biggest morsel first.
+  const MorselSchedule schedule = dpu::LptSchedule({8, 1, 1, 1, 7, 6}, 3);
+  EXPECT_EQ(Segment(schedule, 0), (std::vector<size_t>{0}));
+  EXPECT_EQ(Segment(schedule, 1), (std::vector<size_t>{4, 2}));
+  EXPECT_EQ(Segment(schedule, 2), (std::vector<size_t>{5, 1, 3}));
 }
 
-TEST(WorkQueueTest, AccurateWeightsLeaveNothingWorthStealing) {
-  // A drained core may only steal when it would finish the victim's
-  // tail morsel before the victim, in virtual time. With accurate
-  // weights the LPT plan is already balanced: core 0 finishes its one
-  // big morsel and must NOT pull work that core 1 would finish at the
-  // same virtual instant.
-  WorkQueue queue({3, 1, 1, 1}, 2, SchedMode::kMorsel);
-  EXPECT_EQ(Drain(queue, 0), (std::vector<size_t>{0}));  // load 3
-  EXPECT_EQ(queue.steal_count(), 0u);
-  EXPECT_EQ(Drain(queue, 1), (std::vector<size_t>{1, 2, 3}));  // load 3
-}
-
-TEST(WorkQueueTest, CycleFeedbackStealsFromRealStraggler) {
-  // Weights predict core 0's morsel to be the heaviest (50 vs 40+10),
-  // but Charge() reports it actually cost 1 cycle while core 1's
-  // first morsel cost its full 40. Core 0's virtual clock is now far
-  // ahead of core 1's completion, so it steals the straggler's tail.
-  WorkQueue queue({50, 40, 10}, 2, SchedMode::kMorsel);
-  size_t m = 0;
-  ASSERT_TRUE(queue.Next(0, &m));
-  EXPECT_EQ(m, 0u);
-  queue.Charge(0, 0, 1.0);  // mispredicted: 50 weight -> 1 cycle
-  ASSERT_TRUE(queue.Next(1, &m));
-  EXPECT_EQ(m, 1u);
-  queue.Charge(1, 1, 40.0);  // on-target straggler
-  ASSERT_TRUE(queue.Next(0, &m));  // own deque empty -> steal
-  EXPECT_EQ(m, 2u);
-  EXPECT_EQ(queue.steal_count(), 1u);
-  EXPECT_FALSE(queue.Next(1, &m));
-  EXPECT_FALSE(queue.Next(0, &m));
+TEST(WorkQueueTest, LptScheduleDealsEveryMorselOnceLargestFirst) {
+  Rng rng(17);
+  std::vector<double> weights(200);
+  for (double& w : weights) w = static_cast<double>(rng.NextInRange(0, 999));
+  const MorselSchedule schedule = dpu::LptSchedule(weights, 7);
+  ASSERT_EQ(schedule.begin.size(), 8u);
+  std::vector<int> seen(weights.size(), 0);
+  double max_load = 0;
+  double total = 0;
+  for (size_t c = 0; c < 7; ++c) {
+    double load = 0;
+    const std::vector<size_t> segment = Segment(schedule, c);
+    for (size_t i = 0; i < segment.size(); ++i) {
+      ++seen[segment[i]];
+      load += weights[segment[i]];
+      if (i > 0) {
+        EXPECT_GE(weights[segment[i - 1]], weights[segment[i]]);
+      }
+    }
+    max_load = std::max(max_load, load);
+    total += load;
+  }
+  EXPECT_EQ(seen, std::vector<int>(weights.size(), 1));
+  // LPT is a list schedule, so Graham's bound holds.
+  const double largest = *std::max_element(weights.begin(), weights.end());
+  EXPECT_LE(max_load, dpu::BalancedMakespanCycles(total, largest, 7));
+  // A non-positive core count clamps to one core that runs everything.
+  EXPECT_EQ(dpu::LptSchedule(weights, 0).core(0).size(), weights.size());
 }
 
 TEST(WorkQueueTest, BalancedMakespanBound) {
@@ -124,8 +108,8 @@ TEST(WorkQueueTest, BalancedMakespanBound) {
 
 TEST(WorkQueueTest, MorselPhaseTracksImbalanceAndAbortsOnError) {
   dpu::Dpu dpu{dpu::DpuConfig{}};
-  WorkQueue queue(64, dpu.num_cores(), SchedMode::kMorsel);
-  ASSERT_TRUE(dpu.ParallelForMorsels(queue, nullptr,
+  const std::vector<double> unit(64, 1.0);
+  ASSERT_TRUE(dpu.ParallelForMorsels(unit, nullptr,
                                      [](dpu::DpCore& core, size_t) {
                                        core.cycles().ChargeCompute(100);
                                        return Status::OK();
@@ -134,9 +118,8 @@ TEST(WorkQueueTest, MorselPhaseTracksImbalanceAndAbortsOnError) {
   EXPECT_EQ(dpu.imbalance().phases, 1u);
   EXPECT_GE(dpu.imbalance().Ratio(), 1.0);
 
-  WorkQueue poisoned(64, dpu.num_cores(), SchedMode::kMorsel);
   const Status st = dpu.ParallelForMorsels(
-      poisoned, nullptr, [](dpu::DpCore&, size_t m) {
+      unit, nullptr, [](dpu::DpCore&, size_t m) {
         return m == 7 ? Status::Internal("injected") : Status::OK();
       });
   EXPECT_FALSE(st.ok());
@@ -147,9 +130,9 @@ TEST(WorkQueueTest, MorselPhaseHonorsCancellation) {
   dpu::Dpu dpu{dpu::DpuConfig{}};
   CancelToken token;
   token.Cancel();
-  WorkQueue queue(64, dpu.num_cores(), SchedMode::kMorsel);
-  const Status st = dpu.ParallelForMorsels(
-      queue, &token, [](dpu::DpCore&, size_t) { return Status::OK(); });
+  const Status st =
+      dpu.ParallelForMorsels(std::vector<double>(64, 1.0), &token,
+                             [](dpu::DpCore&, size_t) { return Status::OK(); });
   EXPECT_TRUE(st.IsCancelled()) << st.ToString();
 }
 
@@ -224,21 +207,35 @@ class SchedulerDeterminismTest : public ::testing::Test {
     return queries;
   }
 
+  // Each query's result columns and modeled DPU time.
+  struct Run {
+    std::vector<ColumnSet> rows;
+    std::vector<double> modeled_seconds;
+  };
+
   // Executes the whole query set on `engine`. The join fan-out is
   // pinned so the physical plan shape does not change with the
   // engine's core count — this suite isolates *scheduling* from
   // planning.
-  static std::vector<ColumnSet> RunAll(core::RapidEngine& engine) {
+  static Run RunAll(core::RapidEngine& engine) {
     ExecOptions options;
     options.planner.force_join_fanout = 32;
-    std::vector<ColumnSet> results;
+    Run run;
     for (const LogicalPtr& q : Queries()) {
       auto result = engine.Execute(q, options);
       EXPECT_OK(result.status());
-      results.push_back(result.ok() ? std::move(result.value().rows)
-                                    : ColumnSet());
+      run.modeled_seconds.push_back(
+          result.ok() ? result.value().stats.modeled_seconds : -1.0);
+      run.rows.push_back(result.ok() ? std::move(result.value().rows)
+                                     : ColumnSet());
     }
-    return results;
+    return run;
+  }
+
+  Run RunOn(int cores, bool inline_exec) {
+    auto engine = MakeEngine(cores);
+    engine->dpu().SetInlineExecution(inline_exec);
+    return RunAll(*engine);
   }
 
   // Bit-identity: exact column vectors, not sorted-row equivalence.
@@ -256,53 +253,49 @@ class SchedulerDeterminismTest : public ::testing::Test {
     }
   }
 
-  std::vector<ColumnSet> Baseline() {
-    ScopedConfig mode(&Config::sched, SchedMode::kMorsel);
-    return RunAll(*MakeEngine(32));
+  // Modeled time is a function of the plan: exact equality, no
+  // tolerance.
+  static void ExpectSameModeledTime(const Run& expected, const Run& actual,
+                                    const std::string& label) {
+    ASSERT_EQ(expected.modeled_seconds.size(), actual.modeled_seconds.size())
+        << label;
+    for (size_t q = 0; q < expected.modeled_seconds.size(); ++q) {
+      EXPECT_EQ(expected.modeled_seconds[q], actual.modeled_seconds[q])
+          << label << " query " << q;
+    }
   }
+
+  Run Baseline() { return RunOn(32, /*inline_exec=*/false); }
 
   HostDatabase host_;
 };
 
-TEST_F(SchedulerDeterminismTest, StaticAndMorselModesAgree) {
-  const std::vector<ColumnSet> baseline = Baseline();
-  ScopedConfig mode(&Config::sched, SchedMode::kStatic);
-  ExpectBitIdentical(baseline, RunAll(*MakeEngine(32)), "static sched");
-}
-
 TEST_F(SchedulerDeterminismTest, CoreCountsAgree) {
-  const std::vector<ColumnSet> baseline = Baseline();
+  const Run baseline = Baseline();
   for (const int cores : {1, 4}) {
-    {
-      ScopedConfig mode(&Config::sched, SchedMode::kMorsel);
-      ExpectBitIdentical(baseline, RunAll(*MakeEngine(cores)),
-                         "morsel cores=" + std::to_string(cores));
-    }
-    {
-      ScopedConfig mode(&Config::sched, SchedMode::kStatic);
-      ExpectBitIdentical(baseline, RunAll(*MakeEngine(cores)),
-                         "static cores=" + std::to_string(cores));
-    }
+    const std::string label = "cores=" + std::to_string(cores);
+    const Run pooled = RunOn(cores, /*inline_exec=*/false);
+    ExpectBitIdentical(baseline.rows, pooled.rows, label);
+    ExpectSameModeledTime(RunOn(cores, /*inline_exec=*/true), pooled,
+                          label + " inline vs pooled");
   }
 }
 
 TEST_F(SchedulerDeterminismTest, InlineExecutionAgrees) {
-  const std::vector<ColumnSet> baseline = Baseline();
-  ScopedConfig mode(&Config::sched, SchedMode::kMorsel);
-  auto engine = MakeEngine(32);
-  engine->dpu().SetInlineExecution(true);
-  ExpectBitIdentical(baseline, RunAll(*engine), "inline execution");
+  const Run baseline = Baseline();
+  const Run inlined = RunOn(32, /*inline_exec=*/true);
+  ExpectBitIdentical(baseline.rows, inlined.rows, "inline execution");
+  ExpectSameModeledTime(baseline, inlined, "inline execution");
 }
 
 TEST_F(SchedulerDeterminismTest, TransientDmsFaultsDoNotChangeBytes) {
-  const std::vector<ColumnSet> baseline = Baseline();
-  ScopedConfig mode(&Config::sched, SchedMode::kMorsel);
+  const Run baseline = Baseline();
   ScopedFaultInjection fi(51);
   FaultInjector::SiteSpec spec;
   spec.probability = 0.2;
   spec.max_failures = 3;  // within the DMS descriptor retry budget
   fi.Arm(faults::kDmsTransfer, spec);
-  ExpectBitIdentical(baseline, RunAll(*MakeEngine(32)),
+  ExpectBitIdentical(baseline.rows, RunAll(*MakeEngine(32)).rows,
                      "dms.transfer faults");
 }
 
