@@ -1,14 +1,37 @@
 #include "core/ops/groupby_op.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "primitives/hash.h"
 
 namespace rapid::core {
 
-GroupHashTable::GroupHashTable(size_t num_keys, size_t num_aggs)
-    : num_keys_(num_keys), keys_(num_keys), states_(num_aggs),
+GroupHashTable::GroupHashTable(size_t num_keys, std::vector<AggFunc> funcs)
+    : num_keys_(num_keys),
+      funcs_(std::move(funcs)),
+      keys_(num_keys),
+      states_(funcs_.size()),
       heads_(64, -1) {}
+
+void GroupHashTable::Reset(size_t expected_rows) {
+  num_groups_ = 0;
+  for (auto& k : keys_) {
+    k.clear();
+    k.reserve(expected_rows);
+  }
+  for (auto& st : states_) {
+    st.clear();
+    st.reserve(expected_rows);
+  }
+  next_.clear();
+  next_.reserve(expected_rows);
+  hashes_.clear();
+  hashes_.reserve(expected_rows);
+  heads_.assign(std::bit_ceil(std::max<size_t>(expected_rows, 64)), -1);
+}
 
 void GroupHashTable::MaybeGrow() {
   if (num_groups_ < heads_.size()) return;
@@ -42,7 +65,9 @@ size_t GroupHashTable::Probe(uint32_t hash, const KeyAt& key_at,
   const auto group = static_cast<uint32_t>(num_groups_);
   ++num_groups_;
   for (size_t k = 0; k < num_keys_; ++k) keys_[k].push_back(key_at(k));
-  for (auto& st : states_) st.emplace_back();
+  for (size_t a = 0; a < funcs_.size(); ++a) {
+    states_[a].push_back(primitives::AggInit(funcs_[a]));
+  }
   hashes_.push_back(hash);
   next_.push_back(heads_[hash & mask]);
   heads_[hash & mask] = static_cast<int32_t>(group);
@@ -66,50 +91,63 @@ size_t GroupHashTable::GroupFor(
       chain_steps);
 }
 
-void GroupHashTable::MergeFrom(const GroupHashTable& other,
-                               const std::vector<AggFunc>& funcs) {
-  std::vector<int64_t> key_row(num_keys_);
-  for (size_t g = 0; g < other.num_groups(); ++g) {
-    for (size_t k = 0; k < num_keys_; ++k) key_row[k] = other.key(g, k);
-    const size_t mine = GroupFor(key_row.data());
-    for (size_t a = 0; a < states_.size(); ++a) {
-      const primitives::AggState& theirs = other.state(g, a);
-      primitives::AggState& st = states_[a][mine];
-      switch (funcs[a]) {
-        case AggFunc::kSum:
-          st.sum += theirs.sum;
-          break;
-        case AggFunc::kMin:
-          if (theirs.min < st.min) st.min = theirs.min;
-          break;
-        case AggFunc::kMax:
-          if (theirs.max > st.max) st.max = theirs.max;
-          break;
-        case AggFunc::kCount:
-          st.count += theirs.count;
-          break;
-      }
-    }
+void GroupHashTable::UpdateColumn(size_t agg, const int64_t* values,
+                                  const uint32_t* groups, size_t n,
+                                  const BitVector* selected) {
+  primitives::AggGrouped(funcs_[agg], values, groups, n, selected,
+                         states_[agg].data());
+}
+
+void GroupHashTable::MergeFrom(const GroupHashTable& other) {
+  // Phase 1: find (or insert) each of `other`'s groups here, in its
+  // group order, reusing its stored hash. Phase 2: fold its state
+  // columns in; partial counts add like sums.
+  const size_t n = other.num_groups_;
+  std::vector<uint32_t> mine(n);
+  for (size_t g = 0; g < n; ++g) {
+    mine[g] = static_cast<uint32_t>(Probe(
+        other.hashes_[g], [&other, g](size_t k) { return other.keys_[k][g]; },
+        nullptr));
+  }
+  for (size_t a = 0; a < funcs_.size(); ++a) {
+    const AggFunc merge =
+        funcs_[a] == AggFunc::kCount ? AggFunc::kSum : funcs_[a];
+    primitives::AggGrouped(merge, other.states_[a].data(), mine.data(), n,
+                           nullptr, states_[a].data());
   }
 }
 
-size_t GroupHashTable::ByteSize() const {
-  size_t bytes = 0;
-  for (const auto& k : keys_) bytes += k.size() * sizeof(int64_t);
-  for (const auto& s : states_) bytes += s.size() * sizeof(primitives::AggState);
-  bytes += heads_.size() * sizeof(int32_t) + next_.size() * sizeof(int32_t) +
-           hashes_.size() * sizeof(uint32_t);
-  return bytes;
+namespace {
+
+std::vector<AggFunc> FuncsOf(const std::vector<AggSpec>& aggs) {
+  std::vector<AggFunc> funcs;
+  funcs.reserve(aggs.size());
+  for (const AggSpec& a : aggs) funcs.push_back(a.func);
+  return funcs;
 }
 
+}  // namespace
+
 GroupByOp::GroupByOp(std::vector<ExprPtr> keys, std::vector<AggSpec> aggs,
-                     ColumnBinding binding)
+                     ColumnBinding binding, int hash_shift)
     : keys_(std::move(keys)),
       aggs_(std::move(aggs)),
       binding_(std::move(binding)),
-      table_(keys_.size(), aggs_.size()),
+      hash_shift_(hash_shift),
+      table_(keys_.size(), FuncsOf(aggs_)),
       key_scales_(keys_.size(), 0),
-      agg_scales_(aggs_.size(), 0) {}
+      agg_scales_(aggs_.size(), 0),
+      key_scratch_(keys_.size()),
+      agg_scratch_(aggs_.size()),
+      agg_filters_(aggs_.size()) {}
+
+void GroupByOp::Reset(int hash_shift, size_t expected_rows) {
+  hash_shift_ = hash_shift;
+  table_.Reset(expected_rows);
+  chain_steps_ = 0;
+  std::fill(key_scales_.begin(), key_scales_.end(), 0);
+  std::fill(agg_scales_.begin(), agg_scales_.end(), 0);
+}
 
 size_t GroupByOp::DmemBytes(size_t tile_rows) const {
   // Key/aggregate input staging for one tile plus a hash-table
@@ -117,11 +155,7 @@ size_t GroupByOp::DmemBytes(size_t tile_rows) const {
   return (keys_.size() + aggs_.size()) * tile_rows * sizeof(int64_t);
 }
 
-Status GroupByOp::Open(ExecCtx&) {
-  key_scratch_.assign(keys_.size(), {});
-  agg_scratch_.assign(aggs_.size(), {});
-  return Status::OK();
-}
+Status GroupByOp::Open(ExecCtx&) { return Status::OK(); }
 
 Status GroupByOp::Consume(ExecCtx& ctx, const Tile& tile) {
   const size_t n = tile.rows;
@@ -136,44 +170,37 @@ Status GroupByOp::Consume(ExecCtx& ctx, const Tile& tile) {
           agg_scales_[a],
           EvalExpr(ctx, tile, binding_, *aggs_[a].expr, &agg_scratch_[a]));
     }
-  }
-
-  // Evaluate aggregate FILTER clauses vectorized, once per tile.
-  std::vector<BitVector> agg_filters(aggs_.size());
-  for (size_t a = 0; a < aggs_.size(); ++a) {
+    // Aggregate FILTER clauses evaluate vectorized, once per tile.
     if (aggs_[a].filter != nullptr) {
       RAPID_RETURN_NOT_OK(EvalPredicate(ctx, tile, binding_,
-                                        *aggs_[a].filter, &agg_filters[a]));
+                                        *aggs_[a].filter, &agg_filters_[a]));
     }
   }
 
-  // Hash the tile's keys column at a time with the batch CRC32
-  // kernel, then probe in row order.
+  // Phase 1: hash the tile's keys column at a time with the batch
+  // CRC32 kernel, drop the bits that picked this partition (the join's
+  // mask-and-shift, Section 6.3), and resolve every row's group in row
+  // order, so groups keep their first-appearance order.
   hash_scratch_.assign(n, 0xFFFFFFFFu);
   for (const auto& col : key_scratch_) {
     primitives::HashCombineTile(col.data(), n, hash_scratch_.data());
   }
+  if (hash_shift_ > 0) {
+    for (uint32_t& h : hash_scratch_) h >>= hash_shift_;
+  }
+  group_ids_.resize(n);
   uint64_t chain_steps = 0;
   for (size_t i = 0; i < n; ++i) {
-    const size_t group =
-        table_.GroupFor(hash_scratch_[i], key_scratch_, i, &chain_steps);
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      if (aggs_[a].filter != nullptr && !agg_filters[a].Test(i)) continue;
-      switch (aggs_[a].func) {
-        case AggFunc::kSum:
-          table_.UpdateSum(group, a, agg_scratch_[a][i]);
-          break;
-        case AggFunc::kMin:
-          table_.UpdateMin(group, a, agg_scratch_[a][i]);
-          break;
-        case AggFunc::kMax:
-          table_.UpdateMax(group, a, agg_scratch_[a][i]);
-          break;
-        case AggFunc::kCount:
-          table_.UpdateCount(group, a);
-          break;
-      }
-    }
+    group_ids_[i] = static_cast<uint32_t>(
+        table_.GroupFor(hash_scratch_[i], key_scratch_, i, &chain_steps));
+  }
+  chain_steps_ += chain_steps;
+
+  // Phase 2: one typed loop per aggregate over the tile's group ids.
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    table_.UpdateColumn(a, agg_scratch_[a].data(), group_ids_.data(), n,
+                        aggs_[a].filter != nullptr ? &agg_filters_[a]
+                                                   : nullptr);
   }
   // Aggregate updates take the SIMD-dispatched agg kernels' rate; the
   // bucket walk (groupby + chain steps) is pointer chasing and scalar.
@@ -189,13 +216,6 @@ Status GroupByOp::Consume(ExecCtx& ctx, const Tile& tile) {
 
 Status GroupByOp::Finish(ExecCtx&) { return Status::OK(); }
 
-const std::vector<AggFunc> GroupByOp::funcs() const {
-  std::vector<AggFunc> out;
-  out.reserve(aggs_.size());
-  for (const AggSpec& a : aggs_) out.push_back(a.func);
-  return out;
-}
-
 Status GroupByOp::EmitInto(ColumnSet* out) const {
   RAPID_CHECK(out->num_columns() == keys_.size() + aggs_.size());
   const size_t groups = table_.num_groups();
@@ -205,25 +225,9 @@ Status GroupByOp::EmitInto(ColumnSet* out) const {
     for (size_t g = 0; g < groups; ++g) col.push_back(table_.key(g, k));
   }
   for (size_t a = 0; a < aggs_.size(); ++a) {
+    const std::vector<int64_t>& st = table_.agg_column(a);
     std::vector<int64_t>& col = out->column(keys_.size() + a);
-    col.reserve(col.size() + groups);
-    for (size_t g = 0; g < groups; ++g) {
-      const primitives::AggState& st = table_.state(g, a);
-      switch (aggs_[a].func) {
-        case AggFunc::kSum:
-          col.push_back(st.sum);
-          break;
-        case AggFunc::kMin:
-          col.push_back(st.min);
-          break;
-        case AggFunc::kMax:
-          col.push_back(st.max);
-          break;
-        case AggFunc::kCount:
-          col.push_back(static_cast<int64_t>(st.count));
-          break;
-      }
-    }
+    col.insert(col.end(), st.begin(), st.end());
   }
   // Record scales on the output metadata.
   for (size_t k = 0; k < keys_.size(); ++k) {

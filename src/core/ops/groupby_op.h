@@ -26,7 +26,9 @@
 
 namespace rapid::core {
 
-enum class AggFunc { kSum, kMin, kMax, kCount };
+// The aggregate functions are the primitive layer's: the operator
+// hands each one straight to its grouped loop.
+using AggFunc = primitives::AggOp;
 
 struct AggSpec {
   std::string name;
@@ -38,11 +40,19 @@ struct AggSpec {
   std::shared_ptr<Predicate> filter;
 };
 
-// Chained hash table over columnar key/aggregate storage. Sized by
-// the planner's NDV estimate; lives in DMEM in the real system.
+// Chained hash table over columnar key/aggregate storage; lives in
+// DMEM in the real system. Starts at 64 buckets (or at the size Reset
+// asks for) and doubles whenever the groups outnumber the buckets.
+// The caller picks which hash bits the table sees: a high-NDV
+// partition passes its CRCs shifted past the bits that chose the
+// partition, or every group would share one bucket.
 class GroupHashTable {
  public:
-  GroupHashTable(size_t num_keys, size_t num_aggs);
+  GroupHashTable(size_t num_keys, std::vector<AggFunc> funcs);
+
+  // Empties the table, keeping its allocations, and presizes it for
+  // up to `expected_rows` groups (at least 64 buckets).
+  void Reset(size_t expected_rows);
 
   // Returns the group index for `keys`, inserting a new group if
   // needed. `chain_steps` (optional) accumulates collision-chain
@@ -55,31 +65,22 @@ class GroupHashTable {
                   const std::vector<std::vector<int64_t>>& key_cols,
                   size_t row, uint64_t* chain_steps);
 
-  void UpdateSum(size_t group, size_t agg, int64_t value) {
-    states_[agg][group].sum += value;
-  }
-  void UpdateMin(size_t group, size_t agg, int64_t value) {
-    auto& st = states_[agg][group];
-    if (value < st.min) st.min = value;
-  }
-  void UpdateMax(size_t group, size_t agg, int64_t value) {
-    auto& st = states_[agg][group];
-    if (value > st.max) st.max = value;
-  }
-  void UpdateCount(size_t group, size_t agg) { ++states_[agg][group].count; }
+  // Folds rows [0, n) of `values` (or those set in `selected`, if
+  // non-null) into aggregate `agg` of the groups `groups` names.
+  void UpdateColumn(size_t agg, const int64_t* values, const uint32_t* groups,
+                    size_t n, const BitVector* selected);
 
   size_t num_groups() const { return num_groups_; }
   int64_t key(size_t group, size_t k) const { return keys_[k][group]; }
-  const primitives::AggState& state(size_t group, size_t agg) const {
-    return states_[agg][group];
+  // Aggregate `agg` of every group, by group id. A MIN or MAX that no
+  // row reached holds its AggInit value.
+  const std::vector<int64_t>& agg_column(size_t agg) const {
+    return states_[agg];
   }
 
-  // Merge operator (low-NDV strategy): folds `other` into this table.
-  void MergeFrom(const GroupHashTable& other,
-                 const std::vector<AggFunc>& funcs);
-
-  // Approximate DMEM footprint (keys + states + buckets).
-  size_t ByteSize() const;
+  // Merge operator (low-NDV strategy): folds `other`, built with the
+  // same functions and hash shift, into this table.
+  void MergeFrom(const GroupHashTable& other);
 
  private:
   template <typename KeyAt>
@@ -87,9 +88,10 @@ class GroupHashTable {
   void MaybeGrow();
 
   size_t num_keys_;
+  std::vector<AggFunc> funcs_;
   size_t num_groups_ = 0;
-  std::vector<std::vector<int64_t>> keys_;  // [key][group]
-  std::vector<std::vector<primitives::AggState>> states_;  // [agg][group]
+  std::vector<std::vector<int64_t>> keys_;    // [key][group]
+  std::vector<std::vector<int64_t>> states_;  // [agg][group]
   // Compact chained table (DMEM-style integer arrays, like the join
   // kernel): heads_ maps hash buckets to the last group inserted,
   // next_ chains groups with colliding hashes.
@@ -100,20 +102,24 @@ class GroupHashTable {
 
 class GroupByOp : public PipelineOp {
  public:
+  // `hash_shift` drops the low key-hash bits before bucketing: the
+  // bits an upstream partitioning already spent (0 when unpartitioned).
   GroupByOp(std::vector<ExprPtr> keys, std::vector<AggSpec> aggs,
-            ColumnBinding binding);
+            ColumnBinding binding, int hash_shift = 0);
 
   size_t DmemBytes(size_t tile_rows) const override;
   Status Open(ExecCtx& ctx) override;
   Status Consume(ExecCtx& ctx, const Tile& tile) override;
   Status Finish(ExecCtx& ctx) override;
 
+  // Readies the operator for a new input of `expected_rows` rows whose
+  // keys share their low `hash_shift` hash bits. Keeps every
+  // allocation, so one operator serves all of a core's partitions.
+  void Reset(int hash_shift, size_t expected_rows);
+
   GroupHashTable& table() { return table_; }
-  const std::vector<AggFunc> funcs() const;
-  // DSB scales of key columns / aggregate results observed during
-  // execution (needed to decode the output).
-  const std::vector<int>& key_scales() const { return key_scales_; }
-  const std::vector<int>& agg_scales() const { return agg_scales_; }
+  // Collision-chain steps walked since construction or Reset.
+  uint64_t chain_steps() const { return chain_steps_; }
 
   // Emits groups + aggregates into `out` (columns: keys then aggs).
   Status EmitInto(ColumnSet* out) const;
@@ -122,12 +128,20 @@ class GroupByOp : public PipelineOp {
   std::vector<ExprPtr> keys_;
   std::vector<AggSpec> aggs_;
   ColumnBinding binding_;
+  int hash_shift_;
   GroupHashTable table_;
+  uint64_t chain_steps_ = 0;
+  // DSB scales of key columns / aggregate results observed during
+  // execution; EmitInto writes them to the output metadata.
   std::vector<int> key_scales_;
   std::vector<int> agg_scales_;
+  // Per-tile scratch, sized on first use and kept across tiles and
+  // Resets.
   std::vector<std::vector<int64_t>> key_scratch_;
   std::vector<std::vector<int64_t>> agg_scratch_;
+  std::vector<BitVector> agg_filters_;
   std::vector<uint32_t> hash_scratch_;
+  std::vector<uint32_t> group_ids_;
 };
 
 }  // namespace rapid::core

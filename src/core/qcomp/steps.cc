@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -1003,9 +1004,11 @@ Status GroupByStep::ExecuteLowNdv(ExecEnv& env, const ColumnSet& input,
 
   // Merge operator: fold per-morsel tables (aggregated data, low
   // overhead) in morsel order, charged to core 0.
-  const std::vector<AggFunc> funcs = ops[0]->funcs();
+  for (const auto& op : ops) {
+    env.counters.groupby_chain_steps += op->chain_steps();
+  }
   for (size_t m = 1; m < ops.size(); ++m) {
-    ops[0]->table().MergeFrom(ops[m]->table(), funcs);
+    ops[0]->table().MergeFrom(ops[m]->table());
     env.dpu->core(0).cycles().ChargeCompute(
         env.dpu->params().groupby_cycles_per_row *
         static_cast<double>(ops[m]->table().num_groups()));
@@ -1054,6 +1057,11 @@ Status GroupByStep::ExecuteHighNdv(ExecEnv& env, const PartitionedData& input,
   }
 
   std::atomic<uint64_t> repartitions{0};
+  std::atomic<uint64_t> chain_steps{0};
+  // One operator per core, created on the core's first partition and
+  // Reset for each later one: the table keeps its allocations.
+  std::vector<std::unique_ptr<GroupByOp>> core_ops(
+      static_cast<size_t>(env.dpu->num_cores()));
   // One morsel per partition, weighted by row count: the LPT deal
   // spreads the heavy (skewed) partitions first and fills the
   // remaining cores with the light ones.
@@ -1064,25 +1072,38 @@ Status GroupByStep::ExecuteHighNdv(ExecEnv& env, const PartitionedData& input,
   }
   RAPID_RETURN_NOT_OK(env.dpu->ParallelForMorsels(
       part_weights, env.cancel, [&](dpu::DpCore& core, size_t p) -> Status {
+        const ColumnSet& part = input.partitions[p];
+        // An empty partition holds no group: skip it before building
+        // anything. It moves no DMS bytes and the scheduler charges
+        // nothing per morsel, so modeled time does not change.
+        if (part.num_rows() == 0) return Status::OK();
         TraceSpan span(TraceMode::kFull, core.id(), "groupby.partition",
                        &dpu::TraceClockNow, &core.cycles());
         span.Annotate("partition", static_cast<int64_t>(p));
-        // Aggregates one ColumnSet into `agg_out` on this core.
-        auto aggregate = [&](const ColumnSet& part,
+        std::unique_ptr<GroupByOp>& op =
+            core_ops[static_cast<size_t>(core.id())];
+        if (op == nullptr) {
+          op = std::make_unique<GroupByOp>(key_exprs, aggs_, binding);
+        }
+        // Aggregates one ColumnSet, whose keys share their low
+        // `hash_shift` hash bits, into `agg_out` on this core.
+        auto aggregate = [&](const ColumnSet& rows, int hash_shift,
                              ColumnSet* agg_out) -> Status {
+          if (rows.num_rows() == 0) return Status::OK();
           core.dmem().Reset();
-          GroupByOp op(key_exprs, aggs_, binding);
+          op->Reset(std::min(hash_shift, 31), rows.num_rows());
           ExecCtx ctx{&core, &env.dpu->dms(), &env.dpu->params(),
                       env.vectorized, env.cancel};
-          RAPID_RETURN_NOT_OK(op.Open(ctx));
+          RAPID_RETURN_NOT_OK(op->Open(ctx));
           RAPID_RETURN_NOT_OK(RelationAccessor::PushColumnSet(
-              ctx, part, col_indices, 0, part.num_rows(), tile_rows, &op));
-          RAPID_RETURN_NOT_OK(op.EmitInto(agg_out));
+              ctx, rows, col_indices, 0, rows.num_rows(), tile_rows,
+              op.get()));
+          chain_steps.fetch_add(op->chain_steps());
+          RAPID_RETURN_NOT_OK(op->EmitInto(agg_out));
           core.dmem().Reset();
           return Status::OK();
         };
 
-        const ColumnSet& part = input.partitions[p];
         // Runtime re-partition (Section 5.4): if this partition exceeds
         // the estimate, its hash table would spill DMEM — split it
         // further before aggregating. Sub-partitions hold disjoint keys,
@@ -1100,14 +1121,18 @@ Status GroupByStep::ExecuteHighNdv(ExecEnv& env, const PartitionedData& input,
               static_cast<int>(extra), input.bits_used, tile_rows);
           if (sub.ok()) {
             repartitions.fetch_add(1);
+            const int sub_shift =
+                input.bits_used + std::countr_zero(extra);
             for (const ColumnSet& sub_part : sub.value()) {
-              RAPID_RETURN_NOT_OK(aggregate(sub_part, &partials[p]));
+              RAPID_RETURN_NOT_OK(
+                  aggregate(sub_part, sub_shift, &partials[p]));
             }
             return Status::OK();
           }
         }
-        return aggregate(part, &partials[p]);
+        return aggregate(part, input.bits_used, &partials[p]);
       }));
+  env.counters.groupby_chain_steps += chain_steps.load();
   env.counters.groupby_repartitions += repartitions.load();
   for (ColumnSet& cs : partials) {
     for (size_t col = 0; col < out->num_columns(); ++col) {

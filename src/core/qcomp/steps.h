@@ -43,6 +43,7 @@ struct StepOutput {
 struct WorkloadCounters {
   uint64_t scanned_rows = 0;
   uint64_t groupby_repartitions = 0;  // runtime re-partitions (§5.4)
+  uint64_t groupby_chain_steps = 0;   // group-table collision steps
   uint64_t scanned_bytes = 0;
   uint64_t partitioned_rows = 0;
   uint64_t join_build_rows = 0;
@@ -53,6 +54,7 @@ struct WorkloadCounters {
   void Accumulate(const WorkloadCounters& other) {
     scanned_rows += other.scanned_rows;
     groupby_repartitions += other.groupby_repartitions;
+    groupby_chain_steps += other.groupby_chain_steps;
     scanned_bytes += other.scanned_bytes;
     partitioned_rows += other.partitioned_rows;
     join_build_rows += other.join_build_rows;

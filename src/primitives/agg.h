@@ -68,20 +68,68 @@ void AggTileSelected(const T* values, const BitVector& selected,
   }
 }
 
-// Grouped aggregation update: state[group[i]] += values[i] etc.
-// Group ids must be < num_groups; state arrays are caller-allocated
-// (typically in DMEM). Stays scalar: the per-row state gather/scatter
-// is data-dependent (no AVX2 scatter exists).
-template <typename T>
-void AggTileGrouped(const T* values, const uint32_t* groups, size_t n,
-                    AggState* states) {
-  for (size_t i = 0; i < n; ++i) {
-    AggState& st = states[groups[i]];
-    const int64_t v = static_cast<int64_t>(values[i]);
-    st.sum += v;
-    if (v < st.min) st.min = v;
-    if (v > st.max) st.max = v;
-    ++st.count;
+// Grouped aggregation: one int64 state column per aggregate, indexed
+// by group id. A column starts at AggInit(op) per group; AggGrouped
+// folds values[i] into states[groups[i]] for every row, or only for
+// the rows set in `selected` when it is non-null. COUNT ignores
+// `values` (may be null). The function is switched once per call, not
+// per row. Stays scalar: the state update is a data-dependent scatter
+// and AVX2 has no scatter.
+constexpr int64_t AggInit(AggOp op) {
+  return op == AggOp::kMin   ? INT64_MAX
+         : op == AggOp::kMax ? INT64_MIN
+                             : 0;
+}
+
+template <AggOp op>
+inline void AggUpdate(int64_t* state, const int64_t* values, size_t row) {
+  if constexpr (op == AggOp::kSum) {
+    *state += values[row];
+  } else if constexpr (op == AggOp::kMin) {
+    if (values[row] < *state) *state = values[row];
+  } else if constexpr (op == AggOp::kMax) {
+    if (values[row] > *state) *state = values[row];
+  } else {
+    ++*state;
+  }
+}
+
+template <AggOp op>
+void AggGrouped(const int64_t* values, const uint32_t* groups, size_t n,
+                const BitVector* selected, int64_t* states) {
+  if (selected == nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      AggUpdate<op>(&states[groups[i]], values, i);
+    }
+    return;
+  }
+  for (size_t wi = 0; wi < selected->num_words(); ++wi) {
+    uint64_t w = selected->words()[wi];
+    while (w != 0) {
+      const size_t row = wi * 64 + static_cast<size_t>(__builtin_ctzll(w));
+      AggUpdate<op>(&states[groups[row]], values, row);
+      w &= (w - 1);
+    }
+  }
+}
+
+// Same, with the function chosen at run time: one switch per call.
+inline void AggGrouped(AggOp op, const int64_t* values,
+                       const uint32_t* groups, size_t n,
+                       const BitVector* selected, int64_t* states) {
+  switch (op) {
+    case AggOp::kSum:
+      AggGrouped<AggOp::kSum>(values, groups, n, selected, states);
+      break;
+    case AggOp::kMin:
+      AggGrouped<AggOp::kMin>(values, groups, n, selected, states);
+      break;
+    case AggOp::kMax:
+      AggGrouped<AggOp::kMax>(values, groups, n, selected, states);
+      break;
+    case AggOp::kCount:
+      AggGrouped<AggOp::kCount>(values, groups, n, selected, states);
+      break;
   }
 }
 

@@ -235,7 +235,7 @@ TEST_F(OpsTest, GroupByAggregatesAndMerges) {
   ASSERT_OK(RelationAccessor::PushColumnSet(ctx, input, {0, 1}, 3, 5, 64,
                                             &op2));
   // Merge operator folds op2's table into op1's.
-  op1.table().MergeFrom(op2.table(), op1.funcs());
+  op1.table().MergeFrom(op2.table());
 
   std::vector<ColumnMeta> metas;
   for (const char* n : {"g", "sum_v", "min_v", "max_v", "cnt"}) {
@@ -264,8 +264,8 @@ TEST_F(OpsTest, BatchedGroupForMatchesPerRowLookup) {
   for (const auto& col : keys) {
     primitives::HashCombineTile(col.data(), n, hashes.data());
   }
-  GroupHashTable per_row(2, 0);
-  GroupHashTable batched(2, 0);
+  GroupHashTable per_row(2, {});
+  GroupHashTable batched(2, {});
   uint64_t per_row_steps = 0;
   uint64_t batched_steps = 0;
   for (size_t i = 0; i < n; ++i) {

@@ -289,11 +289,40 @@ TEST(AggTest, SelectedRowsOnly) {
 TEST(AggTest, GroupedUpdates) {
   std::vector<int64_t> values = {1, 2, 3, 4};
   std::vector<uint32_t> groups = {0, 1, 0, 1};
-  std::vector<AggState> states(2);
-  AggTileGrouped(values.data(), groups.data(), 4, states.data());
-  EXPECT_EQ(states[0].sum, 4);
-  EXPECT_EQ(states[1].sum, 6);
-  EXPECT_EQ(states[0].count, 2u);
+  std::vector<int64_t> sums(2, AggInit(AggOp::kSum));
+  std::vector<int64_t> counts(2, AggInit(AggOp::kCount));
+  AggGrouped<AggOp::kSum>(values.data(), groups.data(), 4, nullptr,
+                          sums.data());
+  AggGrouped<AggOp::kCount>(nullptr, groups.data(), 4, nullptr,
+                            counts.data());
+  EXPECT_EQ(sums[0], 4);
+  EXPECT_EQ(sums[1], 6);
+  EXPECT_EQ(counts[0], 2);
+}
+
+TEST(AggTest, GroupedSelectedSkipsUnsetRows) {
+  // Row 70 sits in the second bit-vector word; group 2 gets no
+  // selected row and keeps its initial MIN/MAX.
+  std::vector<int64_t> values(80, 100);
+  std::vector<uint32_t> groups(80, 2);
+  values[3] = -5;
+  groups[3] = 0;
+  values[70] = 9;
+  groups[70] = 1;
+  values[71] = 4;
+  groups[71] = 1;
+  BitVector sel(80);
+  sel.Set(3);
+  sel.Set(70);
+  sel.Set(71);
+  std::vector<int64_t> mins(3, AggInit(AggOp::kMin));
+  std::vector<int64_t> maxs(3, AggInit(AggOp::kMax));
+  AggGrouped<AggOp::kMin>(values.data(), groups.data(), 80, &sel,
+                          mins.data());
+  AggGrouped<AggOp::kMax>(values.data(), groups.data(), 80, &sel,
+                          maxs.data());
+  EXPECT_EQ(mins, (std::vector<int64_t>{-5, 4, INT64_MAX}));
+  EXPECT_EQ(maxs, (std::vector<int64_t>{-5, 9, INT64_MIN}));
 }
 
 TEST(AggTest, MergeCombinesStates) {
