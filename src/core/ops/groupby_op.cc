@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "common/crc32.h"
 #include "common/logging.h"
@@ -15,6 +16,12 @@ GroupHashTable::GroupHashTable(size_t num_keys, std::vector<AggFunc> funcs)
       keys_(num_keys),
       states_(funcs_.size()),
       heads_(64, -1) {}
+
+size_t GroupHashTable::DmemBytes(size_t num_keys, size_t num_aggs,
+                                 size_t groups) {
+  return groups * (8 * (num_keys + num_aggs) + 16) +
+         4 * std::bit_ceil(std::max<size_t>(groups, 64));
+}
 
 void GroupHashTable::Reset(size_t expected_rows) {
   num_groups_ = 0;
@@ -30,6 +37,7 @@ void GroupHashTable::Reset(size_t expected_rows) {
   next_.reserve(expected_rows);
   hashes_.clear();
   hashes_.reserve(expected_rows);
+  stamps_.clear();
   heads_.assign(std::bit_ceil(std::max<size_t>(expected_rows, 64)), -1);
 }
 
@@ -100,8 +108,8 @@ void GroupHashTable::UpdateColumn(size_t agg, const int64_t* values,
 
 void GroupHashTable::MergeFrom(const GroupHashTable& other) {
   // Phase 1: find (or insert) each of `other`'s groups here, in its
-  // group order, reusing its stored hash. Phase 2: fold its state
-  // columns in; partial counts add like sums.
+  // group order, reusing its stored hash, and fold its stamps in.
+  // Phase 2: fold its state columns in; partial counts add like sums.
   const size_t n = other.num_groups_;
   std::vector<uint32_t> mine(n);
   for (size_t g = 0; g < n; ++g) {
@@ -109,12 +117,36 @@ void GroupHashTable::MergeFrom(const GroupHashTable& other) {
         other.hashes_[g], [&other, g](size_t k) { return other.keys_[k][g]; },
         nullptr));
   }
+  if (!other.stamps_.empty()) {
+    stamps_.resize(num_groups_, kUnstamped);
+    for (size_t g = 0; g < other.stamps_.size(); ++g) {
+      stamps_[mine[g]] = std::min(stamps_[mine[g]], other.stamps_[g]);
+    }
+  }
   for (size_t a = 0; a < funcs_.size(); ++a) {
     const AggFunc merge =
         funcs_[a] == AggFunc::kCount ? AggFunc::kSum : funcs_[a];
     primitives::AggGrouped(merge, other.states_[a].data(), mine.data(), n,
                            nullptr, states_[a].data());
   }
+}
+
+void GroupHashTable::Stamp(const uint32_t* groups, size_t n,
+                           uint64_t position) {
+  stamps_.resize(num_groups_, kUnstamped);
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t& stamp = stamps_[groups[i]];
+    stamp = std::min(stamp, position + i);
+  }
+}
+
+std::vector<uint32_t> GroupHashTable::GroupsByStamp() const {
+  std::vector<uint32_t> order(num_groups_);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
+    return stamps_[a] < stamps_[b];
+  });
+  return order;
 }
 
 namespace {
@@ -145,6 +177,7 @@ void GroupByOp::Reset(int hash_shift, size_t expected_rows) {
   hash_shift_ = hash_shift;
   table_.Reset(expected_rows);
   chain_steps_ = 0;
+  rows_ = 0;
   std::fill(key_scales_.begin(), key_scales_.end(), 0);
   std::fill(agg_scales_.begin(), agg_scales_.end(), 0);
 }
@@ -159,6 +192,7 @@ Status GroupByOp::Open(ExecCtx&) { return Status::OK(); }
 
 Status GroupByOp::Consume(ExecCtx& ctx, const Tile& tile) {
   const size_t n = tile.rows;
+  rows_ += n;
   for (size_t k = 0; k < keys_.size(); ++k) {
     RAPID_ASSIGN_OR_RETURN(
         key_scales_[k],
@@ -181,13 +215,11 @@ Status GroupByOp::Consume(ExecCtx& ctx, const Tile& tile) {
   // CRC32 kernel, drop the bits that picked this partition (the join's
   // mask-and-shift, Section 6.3), and resolve every row's group in row
   // order, so groups keep their first-appearance order.
-  hash_scratch_.assign(n, 0xFFFFFFFFu);
-  for (const auto& col : key_scratch_) {
-    primitives::HashCombineTile(col.data(), n, hash_scratch_.data());
-  }
-  if (hash_shift_ > 0) {
-    for (uint32_t& h : hash_scratch_) h >>= hash_shift_;
-  }
+  key_cols_.clear();
+  for (const auto& col : key_scratch_) key_cols_.push_back(col.data());
+  hash_scratch_.resize(n);
+  primitives::HashKeysTile(key_cols_.data(), key_cols_.size(), 0, n,
+                           hash_shift_, hash_scratch_.data());
   group_ids_.resize(n);
   uint64_t chain_steps = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -195,6 +227,10 @@ Status GroupByOp::Consume(ExecCtx& ctx, const Tile& tile) {
         table_.GroupFor(hash_scratch_[i], key_scratch_, i, &chain_steps));
   }
   chain_steps_ += chain_steps;
+  if (stamped_) {
+    table_.Stamp(group_ids_.data(), n, next_position_);
+    next_position_ += n;
+  }
 
   // Phase 2: one typed loop per aggregate over the tile's group ids.
   for (size_t a = 0; a < aggs_.size(); ++a) {
@@ -216,18 +252,34 @@ Status GroupByOp::Consume(ExecCtx& ctx, const Tile& tile) {
 
 Status GroupByOp::Finish(ExecCtx&) { return Status::OK(); }
 
+void GroupByOp::MergeFrom(const GroupByOp& other) {
+  table_.MergeFrom(other.table_);
+  if (rows_ == 0 && other.rows_ > 0) {
+    key_scales_ = other.key_scales_;
+    agg_scales_ = other.agg_scales_;
+  }
+  rows_ += other.rows_;
+  stamped_ = stamped_ || other.stamped_;
+}
+
 Status GroupByOp::EmitInto(ColumnSet* out) const {
   RAPID_CHECK(out->num_columns() == keys_.size() + aggs_.size());
   const size_t groups = table_.num_groups();
-  for (size_t k = 0; k < keys_.size(); ++k) {
-    std::vector<int64_t>& col = out->column(k);
+  // Appends one column, in stamp order or in table order.
+  const std::vector<uint32_t> order =
+      stamped_ ? table_.GroupsByStamp() : std::vector<uint32_t>{};
+  auto append = [&](std::vector<int64_t>& col, auto value_of) {
     col.reserve(col.size() + groups);
-    for (size_t g = 0; g < groups; ++g) col.push_back(table_.key(g, k));
+    for (size_t i = 0; i < groups; ++i) {
+      col.push_back(value_of(stamped_ ? order[i] : i));
+    }
+  };
+  for (size_t k = 0; k < keys_.size(); ++k) {
+    append(out->column(k), [&](size_t g) { return table_.key(g, k); });
   }
   for (size_t a = 0; a < aggs_.size(); ++a) {
     const std::vector<int64_t>& st = table_.agg_column(a);
-    std::vector<int64_t>& col = out->column(keys_.size() + a);
-    col.insert(col.end(), st.begin(), st.end());
+    append(out->column(keys_.size() + a), [&](size_t g) { return st[g]; });
   }
   // Record scales on the output metadata.
   for (size_t k = 0; k < keys_.size(); ++k) {

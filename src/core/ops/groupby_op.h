@@ -10,7 +10,10 @@
 //    tables afterwards (merge works on aggregated data, low overhead).
 //
 // Both strategies use this operator; the strategy decides what input
-// each core sees and whether MergeFrom runs afterwards.
+// each core sees and whether MergeFrom runs afterwards. A low-NDV
+// group-by fused into a scan pipeline is the chain's sink: one
+// operator per core over that core's morsels, merged afterwards and
+// emitted in first-appearance order by position stamps.
 
 #ifndef RAPID_CORE_OPS_GROUPBY_OP_H_
 #define RAPID_CORE_OPS_GROUPBY_OP_H_
@@ -50,6 +53,12 @@ class GroupHashTable {
  public:
   GroupHashTable(size_t num_keys, std::vector<AggFunc> funcs);
 
+  // DMEM a stamped table of `groups` groups occupies (a fused
+  // aggregate's): keys and aggregate states, a chain link, stored hash
+  // and first-appearance stamp per group, and one bucket head per
+  // bucket at its load (at least 64 buckets).
+  static size_t DmemBytes(size_t num_keys, size_t num_aggs, size_t groups);
+
   // Empties the table, keeping its allocations, and presizes it for
   // up to `expected_rows` groups (at least 64 buckets).
   void Reset(size_t expected_rows);
@@ -60,7 +69,7 @@ class GroupHashTable {
   size_t GroupFor(const int64_t* keys, uint64_t* chain_steps = nullptr);
   // Batched form: row `row` of the key columns `key_cols`, whose
   // chained CRC32 `hash` a batch kernel already computed (e.g.
-  // primitives::HashCombineTile). Same groups, same chain steps.
+  // primitives::HashKeysTile). Same groups, same chain steps.
   size_t GroupFor(uint32_t hash,
                   const std::vector<std::vector<int64_t>>& key_cols,
                   size_t row, uint64_t* chain_steps);
@@ -79,8 +88,17 @@ class GroupHashTable {
   }
 
   // Merge operator (low-NDV strategy): folds `other`, built with the
-  // same functions and hash shift, into this table.
+  // same functions and hash shift, into this table. First-appearance
+  // stamps fold as a minimum.
   void MergeFrom(const GroupHashTable& other);
+
+  // Lowers the first-appearance stamp of each of `groups`' n groups to
+  // its row's input position: `position` for row 0, one more per row.
+  // A table holds stamps only once this (or a MergeFrom of a stamped
+  // table) runs; groups no row stamped keep kUnstamped.
+  void Stamp(const uint32_t* groups, size_t n, uint64_t position);
+  // Group ids of a stamped table in ascending stamp order.
+  std::vector<uint32_t> GroupsByStamp() const;
 
  private:
   template <typename KeyAt>
@@ -98,6 +116,9 @@ class GroupHashTable {
   std::vector<int32_t> heads_;
   std::vector<int32_t> next_;
   std::vector<uint32_t> hashes_;  // per group, for cheap rehashing
+  static constexpr uint64_t kUnstamped = ~uint64_t{0};
+  // Per group, first input position; empty in an unstamped table.
+  std::vector<uint64_t> stamps_;
 };
 
 class GroupByOp : public PipelineOp {
@@ -117,11 +138,29 @@ class GroupByOp : public PipelineOp {
   // allocation, so one operator serves all of a core's partitions.
   void Reset(int hash_shift, size_t expected_rows);
 
+  // Stamps the groups of the following tiles with their input
+  // position, `position` for the next row and one more per row, and
+  // makes EmitInto emit groups in stamp order. A fused pipeline calls
+  // it at each morsel with (morsel << 32), so stamps order rows as the
+  // morsel-ordered materialized input would.
+  void StampFrom(uint64_t position) {
+    stamped_ = true;
+    next_position_ = position;
+  }
+
+  // Folds another core's operator (same keys, aggregates and shift)
+  // into this one. The output scales come from whichever operator saw
+  // a row: a core whose input was all filtered out never sets them.
+  void MergeFrom(const GroupByOp& other);
+
   GroupHashTable& table() { return table_; }
   // Collision-chain steps walked since construction or Reset.
   uint64_t chain_steps() const { return chain_steps_; }
+  // Input rows consumed since construction or Reset.
+  uint64_t rows() const { return rows_; }
 
-  // Emits groups + aggregates into `out` (columns: keys then aggs).
+  // Emits groups + aggregates into `out` (columns: keys then aggs), in
+  // stamp order once StampFrom was called, else in table order.
   Status EmitInto(ColumnSet* out) const;
 
  private:
@@ -131,6 +170,9 @@ class GroupByOp : public PipelineOp {
   int hash_shift_;
   GroupHashTable table_;
   uint64_t chain_steps_ = 0;
+  uint64_t rows_ = 0;
+  bool stamped_ = false;
+  uint64_t next_position_ = 0;
   // DSB scales of key columns / aggregate results observed during
   // execution; EmitInto writes them to the output metadata.
   std::vector<int> key_scales_;
@@ -140,6 +182,7 @@ class GroupByOp : public PipelineOp {
   std::vector<std::vector<int64_t>> key_scratch_;
   std::vector<std::vector<int64_t>> agg_scratch_;
   std::vector<BitVector> agg_filters_;
+  std::vector<const int64_t*> key_cols_;
   std::vector<uint32_t> hash_scratch_;
   std::vector<uint32_t> group_ids_;
 };

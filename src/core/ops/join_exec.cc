@@ -6,11 +6,11 @@
 #include <unordered_set>
 
 #include "common/config.h"
-#include "common/crc32.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/trace.h"
 #include "primitives/bloom.h"
+#include "primitives/hash.h"
 #include "primitives/join_kernel.h"
 
 namespace rapid::core {
@@ -23,22 +23,19 @@ size_t NextPow2(size_t n) {
   return p;
 }
 
-uint32_t HashRow(const ColumnSet& set, const std::vector<size_t>& keys,
-                 size_t row) {
-  uint32_t h = 0xFFFFFFFFu;
-  for (size_t k : keys) {
-    h = Crc32Combine(h, static_cast<uint64_t>(set.Value(row, k)));
-  }
-  return h;
+// The key columns `keys` of `set`, resolved once per join pair.
+std::vector<const int64_t*> KeyColumns(const ColumnSet& set,
+                                       const std::vector<size_t>& keys) {
+  std::vector<const int64_t*> cols;
+  cols.reserve(keys.size());
+  for (size_t k : keys) cols.push_back(set.column(k).data());
+  return cols;
 }
 
-bool KeysEqual(const ColumnSet& build, const std::vector<size_t>& bkeys,
-               size_t brow, const ColumnSet& probe,
-               const std::vector<size_t>& pkeys, size_t prow) {
-  for (size_t k = 0; k < bkeys.size(); ++k) {
-    if (build.Value(brow, bkeys[k]) != probe.Value(prow, pkeys[k])) {
-      return false;
-    }
+bool KeysEqual(const std::vector<const int64_t*>& bcols, size_t brow,
+               const std::vector<const int64_t*>& pcols, size_t prow) {
+  for (size_t k = 0; k < bcols.size(); ++k) {
+    if (bcols[k][brow] != pcols[k][prow]) return false;
   }
   return true;
 }
@@ -254,6 +251,8 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
   // must come from the bits above them or every row aliases into the
   // same few buckets.
   const int shift = std::min(bits_used, 31);
+  const std::vector<const int64_t*> bcols = KeyColumns(build, spec.build_keys);
+  const std::vector<const int64_t*> pcols = KeyColumns(probe, spec.probe_keys);
   primitives::CompactJoinTable table(build_rows, num_buckets,
                                      std::min(spec.dmem_capacity_rows,
                                               build_rows));
@@ -266,9 +265,12 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
                          &dpu::TraceClockNow, &core.cycles());
     build_span.Annotate("rows", static_cast<uint64_t>(build_rows));
     const std::vector<size_t>& bkeys = spec.build_keys;
+    std::vector<uint32_t> hashes(std::min(spec.tile_rows, build_rows));
     for (size_t start = 0; start < build_rows; start += spec.tile_rows) {
       RAPID_RETURN_NOT_OK(CancelToken::Check(cancel));
       const size_t rows = std::min(spec.tile_rows, build_rows - start);
+      primitives::HashKeysTile(bcols.data(), bcols.size(), start, rows, shift,
+                               hashes.data());
       for (size_t i = 0; i < rows; ++i) {
         const size_t row = start + i;
         if (!heavy_rows.empty() && bkeys.size() == 1) {
@@ -280,7 +282,7 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
             continue;
           }
         }
-        table.Insert(HashRow(build, bkeys, row) >> shift, row);
+        table.Insert(hashes[i], row);
       }
       core.cycles().ChargeCompute(dpu::JoinBuildTileCycles(params, rows));
       if (!spec.vectorized) {
@@ -335,12 +337,11 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
   // keep the per-row loop.
   const bool batched =
       heavy_rows.empty() && spec.type != JoinType::kLeftOuter;
-  std::vector<uint32_t> tile_hashes;
+  std::vector<uint32_t> tile_hashes(std::min(spec.tile_rows, probe_rows));
   std::vector<uint32_t> tile_match_counts;
   std::vector<uint32_t> keep_idx;
   std::vector<uint32_t> kept_counts;
   if (batched) {
-    tile_hashes.resize(spec.tile_rows);
     tile_match_counts.resize(spec.tile_rows);
     keep_idx.resize(spec.tile_rows);
     kept_counts.resize(spec.tile_rows);
@@ -353,11 +354,14 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
     const size_t rows = std::min(spec.tile_rows, probe_rows - start);
     primitives::ProbeStats tile_stats;
     size_t tile_pruned = 0;
+    primitives::HashKeysTile(pcols.data(), pcols.size(), start, rows, shift,
+                             tile_hashes.data());
     if (batched) {
-      // Bloom-prune before hashing: pruned rows keep match_count 0 (so
+      // Bloom-prune before probing: pruned rows keep match_count 0 (so
       // the anti post-loop still emits them in row order) and drop out
       // of the ProbeBatch entirely. Kept rows probe in row order, so
       // inner/semi emission order is identical with the filter off.
+      // Kept hashes compact in place (kept <= i).
       size_t kept = 0;
       for (size_t i = 0; i < rows; ++i) {
         tile_match_counts[i] = 0;
@@ -366,15 +370,14 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
           continue;
         }
         keep_idx[kept] = static_cast<uint32_t>(i);
-        tile_hashes[kept] = HashRow(probe, pkeys, start + i) >> shift;
+        tile_hashes[kept] = tile_hashes[i];
         ++kept;
       }
       tile_pruned = rows - kept;
       table.ProbeBatch(
           tile_hashes.data(), kept,
           [&](size_t i, size_t brow) {
-            return KeysEqual(build, spec.build_keys, brow, probe, pkeys,
-                             start + keep_idx[i]);
+            return KeysEqual(bcols, brow, pcols, start + keep_idx[i]);
           },
           [&](size_t i, size_t brow) {
             if (spec.type == JoinType::kInner) {
@@ -408,12 +411,10 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
         if (pruned) {
           ++tile_pruned;
         } else {
-          const uint32_t hash = HashRow(probe, pkeys, prow) >> shift;
           table.Probe(
-              hash,
+              tile_hashes[i],
               [&](size_t brow) {
-                return KeysEqual(build, spec.build_keys, brow, probe, pkeys,
-                                 prow);
+                return KeysEqual(bcols, brow, pcols, prow);
               },
               [&](size_t brow) {
                 ++match_count;

@@ -180,11 +180,11 @@ bool PartitionProgress::CompatibleWith(const PartitionScheme& scheme) const {
 
 std::vector<uint32_t> PartitionExec::HashColumn(
     const ColumnSet& input, const std::vector<size_t>& key_cols) {
-  std::vector<uint32_t> hashes(input.num_rows(), 0xFFFFFFFFu);
-  for (size_t kc : key_cols) {
-    primitives::HashCombineTile(input.column(kc).data(), hashes.size(),
-                                hashes.data());
-  }
+  std::vector<const int64_t*> cols;
+  for (size_t kc : key_cols) cols.push_back(input.column(kc).data());
+  std::vector<uint32_t> hashes(input.num_rows());
+  primitives::HashKeysTile(cols.data(), cols.size(), 0, hashes.size(), 0,
+                           hashes.data());
   return hashes;
 }
 

@@ -44,6 +44,12 @@ struct Desc {
   bool use_rid_list = false;
   size_t fused_steps = 1;  // original steps absorbed into this chain
   int original = -1;       // old id of the sole step when fused_steps == 1
+
+  // A chain ending in an aggregate stage emits groups, not tiles:
+  // nothing further can be appended to it.
+  bool Extendable() const {
+    return stages.back().kind != PipelineStageSpec::Kind::kAggregate;
+  }
 };
 
 class Fuser {
@@ -64,6 +70,7 @@ class Fuser {
  private:
   Result<int> Materialize(int old_id);
   Status HandleJoin(int id, JoinStep* join);
+  bool FuseAggregate(int id, const GroupByStep& group_by);
   bool ChainFitsDmem(const Desc& desc, const PipelineStageSpec* extra) const;
 
   PhysicalPlan plan_;
@@ -144,13 +151,24 @@ bool Fuser::ChainFitsDmem(const Desc& desc,
           {"project", 64, 8 * std::max<size_t>(1, stage.projections.size()),
            1.0, 8 * std::max<size_t>(1, stage.projections.size()),
            arith_rate});
-    } else {
+    } else if (stage.kind == PipelineStageSpec::Kind::kProbe) {
       // Broadcast table: ~6 bytes/build row covers bucket heads plus
       // chain links at the capacities the gate admits.
       const size_t table_bytes = 6 * std::max<size_t>(64, stage.join_spec.est_build_rows);
       const size_t out_width = 8 * std::max<size_t>(1, stage.output_columns.size());
       profiles.push_back(
           {"probe", table_bytes, out_width + 8, 1.0, out_width, probe_rate});
+    } else {
+      // The estimated group table stays resident beside the chain;
+      // per row, the evaluated key and aggregate inputs.
+      const size_t width =
+          8 * (stage.group_keys.size() + stage.aggregates.size());
+      profiles.push_back(
+          {"aggregate",
+           GroupHashTable::DmemBytes(stage.group_keys.size(),
+                                     stage.aggregates.size(),
+                                     stage.est_groups),
+           width, 0.0, width, params_.groupby_cycles_per_row});
     }
   };
   for (const auto& stage : desc.stages) add_stage(stage);
@@ -220,6 +238,31 @@ Result<int> Fuser::Materialize(int old_id) {
                           " has no pending chain and was never emitted");
 }
 
+// A low-NDV group-by over a pending single-consumer chain becomes the
+// chain's terminal aggregate stage when its group table fits DMEM
+// beside the chain; otherwise it stays a breaker.
+bool Fuser::FuseAggregate(int id, const GroupByStep& group_by) {
+  if (!group_by.low_ndv()) return false;
+  const int in = group_by.input();
+  auto pit = pending_.find(in);
+  if (pit == pending_.end() || consumers_[static_cast<size_t>(in)] != 1 ||
+      !pit->second.Extendable()) {
+    return false;
+  }
+  PipelineStageSpec stage;
+  stage.kind = PipelineStageSpec::Kind::kAggregate;
+  stage.group_keys = group_by.keys();
+  stage.aggregates = group_by.aggs();
+  stage.est_groups = group_by.est_groups();
+  if (!ChainFitsDmem(pit->second, &stage)) return false;
+  Desc desc = std::move(pit->second);
+  pending_.erase(pit);
+  desc.stages.push_back(std::move(stage));
+  ++desc.fused_steps;
+  pending_.emplace(id, std::move(desc));
+  return true;
+}
+
 Status Fuser::HandleJoin(int id, JoinStep* join) {
   const int build_part = join->build_input();
   const int probe_part = join->probe_input();
@@ -257,6 +300,7 @@ Status Fuser::HandleJoin(int id, JoinStep* join) {
     const size_t broadcast_rows = participating * spec.est_build_rows;
     const size_t saved_rows = 3 * spec.est_build_rows + 2 * spec.est_probe_rows;
     fuse = pending_.count(probe_src) > 0 &&
+           pending_.at(probe_src).Extendable() &&
            consumers_[static_cast<size_t>(probe_src)] == 1 &&
            spec.est_build_rows > 0 &&
            spec.est_build_rows <= max_build_rows_ &&
@@ -349,7 +393,7 @@ Result<PhysicalPlan> Fuser::Run() {
       const int in = pipe->input();
       auto pit = pending_.find(in);
       if (pit != pending_.end() && consumers_[static_cast<size_t>(in)] == 1 &&
-          ChainFitsDmem(pit->second, &stage)) {
+          pit->second.Extendable() && ChainFitsDmem(pit->second, &stage)) {
         Desc desc = std::move(pit->second);
         pending_.erase(pit);
         desc.stages.push_back(std::move(stage));
@@ -379,8 +423,13 @@ Result<PhysicalPlan> Fuser::Run() {
       continue;
     }
 
-    // Pipeline breaker (group-by, sort, top-k, set op, window, ...):
-    // materialize its inputs and re-emit it unchanged.
+    if (auto* group_by = dynamic_cast<GroupByStep*>(step)) {
+      if (FuseAggregate(static_cast<int>(id), *group_by)) continue;
+    }
+
+    // Pipeline breaker (high-NDV or oversized group-by, sort, top-k,
+    // set op, window, ...): materialize its inputs and re-emit it
+    // unchanged.
     for (int in : step->Inputs()) {
       RAPID_RETURN_NOT_OK(Materialize(in).status());
     }

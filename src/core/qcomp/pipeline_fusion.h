@@ -3,8 +3,9 @@
 // Rewrites a lowered PhysicalPlan, grouping maximal runs of
 // pipeline-safe steps — scan, filter, project and small-build
 // hash-join probes — into fused PipelineSteps that execute as a single
-// ParallelFor round with the whole operator chain DMEM-resident.
-// Pipeline breakers (join build, partition, group-by, sort, set ops,
+// ParallelFor round with the whole operator chain DMEM-resident. A
+// low-NDV group-by can end such a run as its aggregate sink. Pipeline
+// breakers (join build, partition, high-NDV group-by, sort, set ops,
 // windows) remain barriers.
 //
 // Fusion rules:
@@ -15,9 +16,14 @@
 //     larger than the probe side): both PartitionSteps and the
 //     JoinStep disappear, the build producer stays materialized, and
 //     each dpCore builds a private DMEM hash table over it.
+//   * A low-NDV group-by over a single-consumer chain becomes the
+//     chain's terminal aggregate stage: no rows are materialized
+//     between scan and aggregation. The chain then ends; its output is
+//     the group-by's.
 //   * A candidate chain is only fused if task formation's MaxTileRows
 //     confirms the whole chain's working set fits the DMEM budget at
-//     some tile size.
+//     some tile size. An aggregate stage budgets its estimated group
+//     table (keys, states, buckets and links) as resident state.
 
 #ifndef RAPID_CORE_QCOMP_PIPELINE_FUSION_H_
 #define RAPID_CORE_QCOMP_PIPELINE_FUSION_H_

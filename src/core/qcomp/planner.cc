@@ -542,9 +542,12 @@ Result<Planner::Lowered> Planner::LowerImpl(const LogicalNode& node,
     case LogicalNode::Kind::kGroupBy: {
       RAPID_ASSIGN_OR_RETURN(Lowered in, Lower(*node.input, catalog, plan, path + "0"));
 
-      // Group count estimate: NDV statistics when keys are plain base
-      // columns, a fraction of the input otherwise.
-      double est_groups = std::max(1.0, in.est_rows / 10.0);
+      // Group count estimate: one group without keys, NDV statistics
+      // when keys are plain base columns, a fraction of the input
+      // otherwise.
+      double est_groups = node.group_keys.empty()
+                              ? 1.0
+                              : std::max(1.0, in.est_rows / 10.0);
       bool keys_are_plain = true;
       for (const auto& [name, expr] : node.group_keys) {
         if (expr->kind != Expr::Kind::kColumn) keys_are_plain = false;
@@ -606,10 +609,10 @@ Result<Planner::Lowered> Planner::LowerImpl(const LogicalNode& node,
                                                       1, row_bytes);
       }
       const int id = NextId(*plan);
-      AddStep(plan, std::make_unique<GroupByStep>(id, input_step, low_ndv,
-                                                  node.group_keys,
-                                                  node.aggregates, 1024,
-                                                  max_rows));
+      AddStep(plan, std::make_unique<GroupByStep>(
+                        id, input_step, low_ndv, node.group_keys,
+                        node.aggregates, 1024, max_rows,
+                        static_cast<size_t>(std::ceil(est_groups))));
       Lowered out;
       out.step = id;
       out.est_rows = est_groups;

@@ -5,6 +5,7 @@
 #include <bit>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 
 #include "common/config.h"
@@ -152,6 +153,53 @@ bool BuildJoinFilter(ExecEnv& env, const JoinFilterRef& ref,
   });
   span.Annotate("filter_bytes", static_cast<int64_t>(filter->bytes()));
   return true;
+}
+
+// A group-by's output schema: its keys, then its aggregates. A key
+// that names an input column keeps that column's type and dictionary;
+// `input_meta(name)` returns the input's meta for `name`, or null.
+template <typename InputMeta>
+std::vector<ColumnMeta> GroupByOutputMetas(
+    const std::vector<std::pair<std::string, ExprPtr>>& keys,
+    const std::vector<AggSpec>& aggs, const InputMeta& input_meta) {
+  std::vector<ColumnMeta> metas;
+  for (const auto& [name, expr] : keys) {
+    ColumnMeta m;
+    m.name = name;
+    if (expr->kind == Expr::Kind::kColumn) {
+      if (const ColumnMeta* in = input_meta(expr->column)) {
+        m.type = in->type;
+        m.dict = in->dict;
+      }
+    }
+    metas.push_back(m);
+  }
+  for (const AggSpec& a : aggs) {
+    ColumnMeta m;
+    m.name = a.name;
+    metas.push_back(m);
+  }
+  return metas;
+}
+
+// Merge operator of the low-NDV strategy: folds each partial table
+// into the first, in order, charging core 0 per merged group
+// (aggregated data, low overhead), and counts the partials' chain
+// steps. Returns the merged operator, or null when there is none.
+GroupByOp* MergeLowNdv(ExecEnv& env, const std::vector<GroupByOp*>& partials) {
+  GroupByOp* merged = nullptr;
+  for (GroupByOp* op : partials) {
+    env.counters.groupby_chain_steps += op->chain_steps();
+    if (merged == nullptr) {
+      merged = op;
+      continue;
+    }
+    merged->MergeFrom(*op);
+    env.dpu->core(0).cycles().ChargeCompute(
+        env.dpu->params().groupby_cycles_per_row *
+        static_cast<double>(op->table().num_groups()));
+  }
+  return merged;
 }
 
 }  // namespace
@@ -563,6 +611,7 @@ struct ResolvedStage {
   ColumnBinding in_binding;                // stage input: name -> tile pos
   std::vector<std::string> pass_through;   // kFilterProject
   ProbeOpSpec probe;                       // kProbe
+  std::vector<ExprPtr> key_exprs;          // kAggregate
 };
 
 }  // namespace
@@ -652,6 +701,7 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   ColumnBinding cur_binding = binding;
   size_t chain_row_bytes = 2 * src_width;  // accessor double buffer
   size_t num_probe_stages = 0;
+  size_t table_bytes = 0;  // resident group table of an aggregate stage
 
   for (const PipelineStageSpec& stage : stages_) {
     ResolvedStage rs;
@@ -673,7 +723,7 @@ Status PipelineStep::Execute(ExecEnv& env) const {
       }
       chain_row_bytes += 8 * (rs.pass_through.size() +
                               stage.projections.size()) + 8;
-    } else {
+    } else if (stage.kind == PipelineStageSpec::Kind::kProbe) {
       ++num_probe_stages;
       const StepOutput& bout =
           env.outputs[static_cast<size_t>(stage.build_input)];
@@ -722,6 +772,20 @@ Status PipelineStep::Execute(ExecEnv& env) const {
       }
       env.counters.join_build_rows += bset.num_rows();
       chain_row_bytes += 8 * stage.output_columns.size() + 8;
+    } else {
+      for (const auto& key : stage.group_keys) {
+        rs.key_exprs.push_back(key.second);
+      }
+      metas = GroupByOutputMetas(
+          stage.group_keys, stage.aggregates,
+          [&avail](const std::string& name) -> const ColumnMeta* {
+            auto it = avail.find(name);
+            return it != avail.end() ? &it->second : nullptr;
+          });
+      chain_row_bytes +=
+          8 * (stage.group_keys.size() + stage.aggregates.size());
+      table_bytes = GroupHashTable::DmemBytes(
+          stage.group_keys.size(), stage.aggregates.size(), stage.est_groups);
     }
     // Stage output becomes the next stage's input.
     cur_binding.clear();
@@ -735,10 +799,14 @@ Status PipelineStep::Execute(ExecEnv& env) const {
 
   // ---- Tile size: the whole chain's working set shares the 32 KiB
   // scratchpad; probe stages additionally reserve room for their DMEM
-  // hash tables (their Open() degrades capacity to what is left).
+  // hash tables (their Open() degrades capacity to what is left), an
+  // aggregate stage for its group table.
   size_t budget = env.dpu->config().dmem_bytes;
   if (num_probe_stages > 0) budget /= 2;
+  budget -= std::min(budget, table_bytes);
   const size_t tile_rows = FitTileRows(tile_rows_, chain_row_bytes, budget);
+  const bool aggregate =
+      stages_.back().kind == PipelineStageSpec::Kind::kAggregate;
 
   const int num_cores = env.dpu->num_cores();
   const size_t n_input = table_source ? 0 : input_set->num_rows();
@@ -759,7 +827,10 @@ Status PipelineStep::Execute(ExecEnv& env) const {
     weights = RangeWeights(ranges);
   }
   const size_t num_morsels = table_source ? all_chunks.size() : ranges.size();
-  std::vector<ColumnSet> per_morsel(num_morsels, ColumnSet(metas));
+  // An aggregate pipeline keeps no per-morsel output: its rows end in
+  // the cores' group tables.
+  std::vector<ColumnSet> per_morsel(aggregate ? 0 : num_morsels,
+                                    ColumnSet(metas));
 
   // Mid-pipeline resume: a failed earlier attempt left completed
   // morsel slots (the per-morsel high-water mark) in the checkpoint.
@@ -767,12 +838,13 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   // had not finished stay freshly constructed, discarding any
   // partially written output from the failed attempt. The morsel
   // decomposition is a deterministic function of the input, so slot
-  // indices line up across attempts.
+  // indices line up across attempts. An aggregate pipeline never
+  // saves slots (see StepProgress), so it always starts over.
   StepProgress* sp = env.progress != nullptr
                          ? &(*env.progress)[static_cast<size_t>(id_)]
                          : nullptr;
   std::vector<uint8_t> morsel_done(num_morsels, 0);
-  if (sp != nullptr && sp->has_morsels &&
+  if (!aggregate && sp != nullptr && sp->has_morsels &&
       sp->per_morsel.size() == num_morsels &&
       sp->morsel_done.size() == num_morsels) {
     size_t resumed = 0;
@@ -827,11 +899,14 @@ Status PipelineStep::Execute(ExecEnv& env) const {
                   rs.spec->projections, filter->OutputBinding(), tile_rows);
               chain.ops.push_back(std::move(filter));
               chain.ops.push_back(std::move(project));
-            } else {
+            } else if (rs.spec->kind == PipelineStageSpec::Kind::kProbe) {
               ProbeOpSpec pspec = rs.probe;
               pspec.tile_rows = tile_rows;
               chain.ops.push_back(
                   std::make_unique<HashJoinProbeOp>(std::move(pspec)));
+            } else {
+              chain.ops.push_back(std::make_unique<GroupByOp>(
+                  rs.key_exprs, rs.spec->aggregates, rs.in_binding));
             }
           }
           for (size_t i = 0; i + 1 < chain.ops.size(); ++i) {
@@ -847,9 +922,18 @@ Status PipelineStep::Execute(ExecEnv& env) const {
         RAPID_RETURN_NOT_OK(chain.open_status);
         core.dmem().TruncateTo(chain.dmem_mark);
 
-        MaterializeSink sink(&per_morsel[m]);
-        chain.ops.back()->set_downstream(&sink);
-        Status st = sink.Open(ctx);
+        // The chain's sink: the core's group table, stamped with this
+        // morsel's positions, or a DMS store into the morsel's slot.
+        std::optional<MaterializeSink> sink;
+        Status st = Status::OK();
+        if (aggregate) {
+          static_cast<GroupByOp&>(*chain.ops.back())
+              .StampFrom(static_cast<uint64_t>(m) << 32);
+        } else {
+          sink.emplace(&per_morsel[m]);
+          chain.ops.back()->set_downstream(&*sink);
+          st = sink->Open(ctx);
+        }
         if (st.ok()) {
           if (table_source) {
             const std::vector<const storage::Chunk*> mine{all_chunks[m]};
@@ -866,7 +950,7 @@ Status PipelineStep::Execute(ExecEnv& env) const {
         // High-water mark: the slot holds this morsel's complete
         // output. Distinct workers write distinct bytes, so the bitmap
         // needs no synchronization beyond the phase barrier.
-        if (st.ok()) morsel_done[m] = 1;
+        if (st.ok() && !aggregate) morsel_done[m] = 1;
         return st;
       });
   if (!loop_status.ok()) {
@@ -875,7 +959,7 @@ Status PipelineStep::Execute(ExecEnv& env) const {
     // in flight when the abort landed either finished (their done bit
     // is set, output complete) or never ran — partially written slots
     // are never marked done. Cancellation checkpoints nothing.
-    if (sp != nullptr && !loop_status.IsCancellation()) {
+    if (sp != nullptr && !aggregate && !loop_status.IsCancellation()) {
       sp->per_morsel = std::move(per_morsel);
       sp->morsel_done = std::move(morsel_done);
       sp->has_morsels = true;
@@ -901,6 +985,18 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   StepOutput& out = env.outputs[static_cast<size_t>(id_)];
   out.partitioned = false;
   out.set = ColumnSet(metas);
+  if (aggregate) {
+    // The cores' tables merge in core order; their stamps restore
+    // global first-appearance order on emission.
+    std::vector<GroupByOp*> partials;
+    for (const CoreChain& chain : chains) {
+      if (chain.ops.empty()) continue;  // the core ran no morsel
+      partials.push_back(static_cast<GroupByOp*>(chain.ops.back().get()));
+      env.counters.agg_rows += partials.back()->rows();
+    }
+    GroupByOp* merged = MergeLowNdv(env, partials);
+    return merged != nullptr ? merged->EmitInto(&out.set) : Status::OK();
+  }
   for (const ColumnSet& cs : per_morsel) {
     for (size_t col = 0; col < metas.size(); ++col) {
       if (cs.num_rows() > 0) out.set.meta(col) = cs.meta(col);
@@ -926,6 +1022,9 @@ std::string PipelineStep::Describe() const {
         os << " joinfilter=#" << s.join_filter.build_step << "("
            << s.join_filter.probe_column << ")";
       }
+    } else if (s.kind == PipelineStageSpec::Kind::kAggregate) {
+      os << " | aggregate low-ndv keys=" << s.group_keys.size()
+         << " aggs=" << s.aggregates.size();
     } else {
       os << " | probe build=#" << s.build_input << " keys=(";
       for (size_t i = 0; i < s.build_keys.size(); ++i) {
@@ -1002,18 +1101,9 @@ Status GroupByStep::ExecuteLowNdv(ExecEnv& env, const ColumnSet& input,
         return st;
       }));
 
-  // Merge operator: fold per-morsel tables (aggregated data, low
-  // overhead) in morsel order, charged to core 0.
-  for (const auto& op : ops) {
-    env.counters.groupby_chain_steps += op->chain_steps();
-  }
-  for (size_t m = 1; m < ops.size(); ++m) {
-    ops[0]->table().MergeFrom(ops[m]->table());
-    env.dpu->core(0).cycles().ChargeCompute(
-        env.dpu->params().groupby_cycles_per_row *
-        static_cast<double>(ops[m]->table().num_groups()));
-  }
-  return ops[0]->EmitInto(out);
+  std::vector<GroupByOp*> partials;
+  for (const auto& op : ops) partials.push_back(op.get());
+  return MergeLowNdv(env, partials)->EmitInto(out);
 }
 
 Status GroupByStep::ExecuteHighNdv(ExecEnv& env, const PartitionedData& input,
@@ -1146,30 +1236,17 @@ Status GroupByStep::ExecuteHighNdv(ExecEnv& env, const PartitionedData& input,
 Status GroupByStep::Execute(ExecEnv& env) const {
   const StepOutput& in = env.outputs[static_cast<size_t>(input_)];
 
-  std::vector<ColumnMeta> metas;
   const ColumnSet& meta_source =
       in.partitioned ? (in.parts.partitions.empty()
                             ? in.set
                             : in.parts.partitions[0])
                      : in.set;
-  for (const auto& [name, expr] : keys_) {
-    ColumnMeta m;
-    m.name = name;
-    if (expr->kind == Expr::Kind::kColumn) {
-      auto idx = meta_source.IndexOf(expr->column);
-      if (idx.ok()) {
-        m.type = meta_source.meta(idx.value()).type;
-        m.dict = meta_source.meta(idx.value()).dict;
-      }
-    }
-    metas.push_back(m);
-  }
-  for (const AggSpec& a : aggs_) {
-    ColumnMeta m;
-    m.name = a.name;
-    metas.push_back(m);
-  }
-  ColumnSet result(metas);
+  ColumnSet result(GroupByOutputMetas(
+      keys_, aggs_,
+      [&meta_source](const std::string& name) -> const ColumnMeta* {
+        auto idx = meta_source.IndexOf(name);
+        return idx.ok() ? &meta_source.meta(idx.value()) : nullptr;
+      }));
 
   if (in.partitioned) {
     for (const ColumnSet& p : in.parts.partitions) {

@@ -89,7 +89,9 @@ struct RecoveryCounters {
 //    carried hash columns) and restarts at the failed round;
 //  - PipelineStep keeps its morsel-id-indexed output slots plus a
 //    per-morsel done bitmap — the high-water mark — and skips
-//    completed morsels on the next attempt.
+//    completed morsels on the next attempt. A pipeline ending in an
+//    aggregate stage saves nothing: a core's table mixes its finished
+//    morsels with the one that failed, so the retry restarts the step.
 // Both resumes are bit-identical to from-scratch runs because morsel
 // decomposition and each round's histogram-then-exact-offset bucket
 // layout are deterministic.
@@ -360,14 +362,15 @@ class GroupByStep : public PlanStep {
   GroupByStep(int id, int input, bool low_ndv,
               std::vector<std::pair<std::string, ExprPtr>> keys,
               std::vector<AggSpec> aggs, size_t tile_rows,
-              size_t max_partition_rows = 0)
+              size_t max_partition_rows = 0, size_t est_groups = 0)
       : PlanStep(id),
         input_(input),
         low_ndv_(low_ndv),
         keys_(std::move(keys)),
         aggs_(std::move(aggs)),
         tile_rows_(tile_rows),
-        max_partition_rows_(max_partition_rows) {}
+        max_partition_rows_(max_partition_rows),
+        est_groups_(est_groups) {}
 
   Status Execute(ExecEnv& env) const override;
   std::string Describe() const override;
@@ -375,6 +378,15 @@ class GroupByStep : public PlanStep {
   void RemapInputs(const std::vector<int>& old_to_new) override {
     input_ = old_to_new[static_cast<size_t>(input_)];
   }
+
+  int input() const { return input_; }
+  bool low_ndv() const { return low_ndv_; }
+  const std::vector<std::pair<std::string, ExprPtr>>& keys() const {
+    return keys_;
+  }
+  const std::vector<AggSpec>& aggs() const { return aggs_; }
+  // The planner's group-count estimate (sizes the fusion DMEM gate).
+  size_t est_groups() const { return est_groups_; }
 
  private:
   Status ExecuteLowNdv(ExecEnv& env, const ColumnSet& input,
@@ -391,6 +403,7 @@ class GroupByStep : public PlanStep {
   // (Section 5.4: partitions larger than the estimate are
   // re-partitioned as needed so hash tables fit DMEM). 0 = off.
   size_t max_partition_rows_;
+  size_t est_groups_;
 };
 
 class SortStep : public PlanStep {
@@ -467,7 +480,7 @@ class WindowStep : public PlanStep {
 
 // One stage of a fused pipeline (see PipelineStep).
 struct PipelineStageSpec {
-  enum class Kind { kFilterProject, kProbe };
+  enum class Kind { kFilterProject, kProbe, kAggregate };
   Kind kind = Kind::kFilterProject;
 
   // kFilterProject: ordered predicates + projection expressions,
@@ -488,19 +501,30 @@ struct PipelineStageSpec {
   std::vector<std::string> output_columns;
   JoinType join_type = JoinType::kInner;
   JoinSpec join_spec;
+
+  // kAggregate (last stage only): a low-NDV group-by as the chain's
+  // sink. Each core aggregates its morsels into one table; the tables
+  // merge after the round and the groups come out in first-appearance
+  // order, exactly as the unfused GroupByStep emits them.
+  std::vector<std::pair<std::string, ExprPtr>> group_keys;
+  std::vector<AggSpec> aggregates;
+  size_t est_groups = 0;
 };
 
 // A fused run of pipeline-safe steps (scan/filter/project/probe),
 // executed as ONE ParallelFor round: every dpCore streams its share of
 // input tiles through the whole operator chain DMEM-resident — one DMS
 // load per input tile, one DMS store per output tile, no intermediate
-// ColumnSet and no per-step barrier. Pipeline breakers (join build,
-// partition, group-by, sort) stay separate steps.
+// ColumnSet and no per-step barrier. A trailing low-NDV aggregate stage
+// replaces the DMS store: the chain ends in one GroupByOp per core.
+// Pipeline breakers (join build, partition, high-NDV group-by, sort)
+// stay separate steps.
 class PipelineStep : public PlanStep {
  public:
   // Source is either a base table (`!table.empty()`, input == -1) or a
   // materialized intermediate (`input` >= 0). The first stage must be
-  // kFilterProject; stages[i]'s output feeds stages[i+1].
+  // kFilterProject; stages[i]'s output feeds stages[i+1]. Only the last
+  // stage may be kAggregate.
   PipelineStep(int id, std::string table, std::vector<std::string> base_columns,
                int input, std::vector<PipelineStageSpec> stages,
                size_t tile_rows, bool use_rid_list)

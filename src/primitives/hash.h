@@ -8,6 +8,7 @@
 #ifndef RAPID_PRIMITIVES_HASH_H_
 #define RAPID_PRIMITIVES_HASH_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -38,6 +39,20 @@ void HashCombineTile(const T* keys, size_t n, uint32_t* inout) {
     for (size_t i = 0; i < n; ++i) {
       inout[i] = Crc32Combine(inout[i], static_cast<uint64_t>(keys[i]));
     }
+  }
+}
+
+// The key hash the partitioner, the partitioned join kernel and the
+// group-by place rows by: rows [start, start + n) of the `ncols` key columns `cols`,
+// chained CRC32 seeded 0xFFFFFFFF (one HashCombineTile per column,
+// the values Crc32Combine gives row by row), shifted right by `shift`
+// (the bits an upstream partitioning already spent; 0 for none).
+inline void HashKeysTile(const int64_t* const* cols, size_t ncols,
+                         size_t start, size_t n, int shift, uint32_t* out) {
+  std::fill_n(out, n, 0xFFFFFFFFu);
+  for (size_t c = 0; c < ncols; ++c) HashCombineTile(cols[c] + start, n, out);
+  if (shift > 0) {
+    for (size_t i = 0; i < n; ++i) out[i] >>= shift;
   }
 }
 

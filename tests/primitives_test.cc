@@ -210,6 +210,24 @@ TEST(HashTest, CombineChainsColumns) {
   EXPECT_NE(hashes[0], hashes[1]);  // second key differentiates
 }
 
+TEST(HashTest, KeysTileChainsColumnsFromStartThenShifts) {
+  // Rows [start, start + n) of two key columns hash to the row-by-row
+  // Crc32Combine chain, shifted right.
+  const std::vector<int64_t> k1 = {7, -1, 3, 3, 1 << 20, 42};
+  const std::vector<int64_t> k2 = {0, 5, 5, 6, -9, 42};
+  const int64_t* cols[] = {k1.data(), k2.data()};
+  for (int shift : {0, 10, 31}) {
+    std::vector<uint32_t> out(4);
+    HashKeysTile(cols, 2, 2, 4, shift, out.data());
+    for (size_t i = 0; i < 4; ++i) {
+      const uint32_t crc = Crc32Combine(
+          Crc32Combine(0xFFFFFFFFu, static_cast<uint64_t>(k1[2 + i])),
+          static_cast<uint64_t>(k2[2 + i]));
+      EXPECT_EQ(out[i], crc >> shift) << "row " << i << " shift " << shift;
+    }
+  }
+}
+
 // ---- Partition map (Listings 2 and 3) ----------------------------------
 
 TEST(PartitionMapTest, MapMatchesHashBits) {

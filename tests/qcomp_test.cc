@@ -447,22 +447,57 @@ TEST_F(PlannerTest, SkewKnobsDisableFusion) {
 }
 
 TEST_F(PlannerTest, FusionStopsAtPipelineBreakers) {
-  // Sort and group-by are barriers: the chain beneath fuses, the
-  // breaker stays its own step and ids stay consecutive.
+  // A low-NDV group-by (grp: 4 groups) ends the scan chain as its
+  // aggregate sink; sort and top-k above it stay barriers, and ids stay
+  // consecutive.
   auto agg = LogicalNode::GroupBy(
       LogicalNode::Filter(LogicalNode::Scan("t", {"grp", "val"}),
                           {Predicate::CmpConst("val", CmpOp::kLt, 50)}),
       {{"grp", Expr::Col("grp")}},
       {{"s", AggFunc::kSum, Expr::Col("val"), {}}});
-  auto sorted = LogicalNode::Sort(agg, {{"grp", true}});
-  ASSERT_OK_AND_ASSIGN(PhysicalPlan plan, Plan(sorted));
-  const std::string desc = plan.Describe();
-  EXPECT_NE(desc.find("GROUPBY"), std::string::npos) << desc;
-  EXPECT_NE(desc.find("SORT"), std::string::npos) << desc;
-  for (size_t i = 0; i < plan.steps.size(); ++i) {
-    EXPECT_EQ(plan.steps[i]->id(), static_cast<int>(i));
+  for (const LogicalPtr& root :
+       {LogicalNode::Sort(agg, {{"grp", true}}),
+        LogicalNode::TopK(agg, {{"s", false}}, 2)}) {
+    ASSERT_OK_AND_ASSIGN(PhysicalPlan plan, Plan(root));
+    const std::string desc = plan.Describe();
+    ASSERT_EQ(plan.steps.size(), 2u) << desc;
+    EXPECT_EQ(plan.steps[0]->Describe().rfind(
+                  "PIPELINE scan t | filter+project preds=1 proj=2 | "
+                  "aggregate low-ndv keys=1 aggs=1 tile=",
+                  0),
+              0u)
+        << desc;
+    EXPECT_EQ(desc.find("GROUPBY"), std::string::npos) << desc;
+    EXPECT_NE(plan.steps[1]->Describe().find(" #0"), std::string::npos)
+        << desc;
+    for (size_t i = 0; i < plan.steps.size(); ++i) {
+      EXPECT_EQ(plan.steps[i]->id(), static_cast<int>(i));
+    }
+    EXPECT_EQ(plan.root, 1);
   }
-  EXPECT_EQ(plan.root, static_cast<int>(plan.steps.size()) - 1);
+
+  // High NDV (id: 10000 groups over a 1000 threshold) partitions, so
+  // the group-by stays a breaker behind its partition step.
+  auto by_id = LogicalNode::GroupBy(
+      LogicalNode::Scan("t", {"id", "val"}), {{"id", Expr::Col("id")}},
+      {{"s", AggFunc::kSum, Expr::Col("val"), {}}});
+  Planner high(dpu::DpuConfig::Default(), dpu::CostParams::Default(),
+               PlannerOptions{.low_ndv_threshold = 1000});
+  ASSERT_OK_AND_ASSIGN(PhysicalPlan p_high, high.Plan(by_id, catalog_));
+  EXPECT_NE(p_high.Describe().find("PARTITION"), std::string::npos);
+  EXPECT_NE(p_high.Describe().find("GROUPBY #1 high-ndv"), std::string::npos)
+      << p_high.Describe();
+
+  // The same keys forced low-NDV: 10000 estimated groups do not fit
+  // DMEM beside the chain, so the group-by stays a breaker.
+  Planner low(dpu::DpuConfig::Default(), dpu::CostParams::Default(),
+              PlannerOptions{.low_ndv_threshold = 1u << 20});
+  ASSERT_OK_AND_ASSIGN(PhysicalPlan p_low, low.Plan(by_id, catalog_));
+  ASSERT_EQ(p_low.steps.size(), 2u) << p_low.Describe();
+  EXPECT_NE(p_low.steps[1]->Describe().find("GROUPBY #0 low-ndv"),
+            std::string::npos)
+      << p_low.Describe();
+  EXPECT_EQ(p_low.Describe().find("aggregate"), std::string::npos);
 }
 
 }  // namespace
