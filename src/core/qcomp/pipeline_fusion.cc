@@ -15,42 +15,14 @@ namespace rapid::core {
 
 namespace {
 
-// Column names an expression list reads (deduplicated, in order).
-std::vector<std::string> ExprColumns(
-    const std::vector<std::pair<std::string, ExprPtr>>& projections) {
-  std::vector<std::string> cols;
-  for (const auto& [name, expr] : projections) {
-    std::vector<std::string> refs;
-    expr->CollectColumns(&refs);
-    for (const auto& r : refs) {
-      if (std::find(cols.begin(), cols.end(), r) == cols.end()) {
-        cols.push_back(r);
-      }
-    }
-  }
-  return cols;
+// A pipeline-safe chain accumulated but not yet emitted is kept as the
+// spec of the PipelineStep it will become, keyed by the old id of its
+// last absorbed step, and flushed the first time a non-fusable
+// consumer needs it. A chain ending in an aggregate stage emits groups,
+// not tiles: nothing further can be appended to it.
+bool Extendable(const PipelineSpec& chain) {
+  return chain.stages.back().kind != PipelineStageSpec::Kind::kAggregate;
 }
-
-// A pipeline-safe chain accumulated but not yet emitted. Keyed by the
-// old id of the last absorbed step; flushed (as the original step when
-// nothing fused, as a PipelineStep otherwise) the first time a
-// non-fusable consumer needs it.
-struct Desc {
-  std::string table;                     // base-table source, or
-  int input = -1;                        // old id of intermediate source
-  std::vector<std::string> base_columns;
-  std::vector<PipelineStageSpec> stages;
-  size_t tile_rows = 1024;
-  bool use_rid_list = false;
-  size_t fused_steps = 1;  // original steps absorbed into this chain
-  int original = -1;       // old id of the sole step when fused_steps == 1
-
-  // A chain ending in an aggregate stage emits groups, not tiles:
-  // nothing further can be appended to it.
-  bool Extendable() const {
-    return stages.back().kind != PipelineStageSpec::Kind::kAggregate;
-  }
-};
 
 class Fuser {
  public:
@@ -71,7 +43,8 @@ class Fuser {
   Result<int> Materialize(int old_id);
   Status HandleJoin(int id, JoinStep* join);
   bool FuseAggregate(int id, const GroupByStep& group_by);
-  bool ChainFitsDmem(const Desc& desc, const PipelineStageSpec* extra) const;
+  bool ChainFitsDmem(const PipelineSpec& desc,
+                     const PipelineStageSpec* extra) const;
 
   PhysicalPlan plan_;
   const dpu::DpuConfig& config_;
@@ -82,13 +55,13 @@ class Fuser {
   PhysicalPlan out_;
   std::vector<int> old_to_new_;
   std::vector<int> consumers_;
-  std::unordered_map<int, Desc> pending_;
+  std::unordered_map<int, PipelineSpec> pending_;
   std::unordered_set<int> deferred_partitions_;
 };
 
 // Checks via task formation that the chain (plus an optional extra
 // stage) fits the per-core DMEM budget at some tile size.
-bool Fuser::ChainFitsDmem(const Desc& desc,
+bool Fuser::ChainFitsDmem(const PipelineSpec& desc,
                           const PipelineStageSpec* extra) const {
   std::vector<OpProfile> profiles;
   const size_t src_cols =
@@ -130,7 +103,7 @@ bool Fuser::ChainFitsDmem(const Desc& desc,
                             params_.hash_cycles_per_row / params_.simd.hash;
   auto add_stage = [&](const PipelineStageSpec& stage) {
     if (stage.kind == PipelineStageSpec::Kind::kFilterProject) {
-      const size_t pass = ExprColumns(stage.projections).size();
+      const size_t pass = ProjectionInputs(stage.projections).size();
       // A pushed join filter keeps its blocked Bloom filter resident
       // beside the tiles and adds one probe per row. Budgeted here
       // whether or not the runtime gate is on, so fusion decisions
@@ -184,38 +157,21 @@ Result<int> Fuser::Materialize(int old_id) {
 
   auto pit = pending_.find(old_id);
   if (pit != pending_.end()) {
-    Desc desc = std::move(pit->second);
+    PipelineSpec desc = std::move(pit->second);
     pending_.erase(pit);
-    int new_input = -1;
     if (desc.table.empty()) {
-      RAPID_ASSIGN_OR_RETURN(new_input, Materialize(desc.input));
+      RAPID_ASSIGN_OR_RETURN(desc.input, Materialize(desc.input));
     }
     // A pushed join-filter ref must resolve before this chain is
     // numbered: the build terminal has to be emitted — and therefore
-    // execute — ahead of the scan that reads its output. The ScanStep
-    // re-emission path below resolves through RemapInputs instead;
-    // materializing here makes the old->new mapping valid for both.
-    if (!desc.stages.empty() && desc.stages.front().join_filter.enabled()) {
-      RAPID_ASSIGN_OR_RETURN(
-          desc.stages.front().join_filter.build_step,
-          Materialize(desc.stages.front().join_filter.build_step));
+    // execute — ahead of the scan that reads its output.
+    JoinFilterRef& join_filter = desc.stages.front().join_filter;
+    if (join_filter.enabled()) {
+      RAPID_ASSIGN_OR_RETURN(join_filter.build_step,
+                             Materialize(join_filter.build_step));
     }
     const int nid = static_cast<int>(out_.steps.size());
-    const bool has_probe = std::any_of(
-        desc.stages.begin(), desc.stages.end(), [](const PipelineStageSpec& s) {
-          return s.kind == PipelineStageSpec::Kind::kProbe;
-        });
-    if (desc.fused_steps == 1 && !has_probe) {
-      // Nothing fused: keep the original step (renumbered).
-      auto step = std::move(plan_.steps[static_cast<size_t>(desc.original)]);
-      step->RemapInputs(old_to_new_);
-      step->set_id(nid);
-      out_.steps.push_back(std::move(step));
-    } else {
-      out_.steps.push_back(std::make_unique<PipelineStep>(
-          nid, desc.table, std::move(desc.base_columns), new_input,
-          std::move(desc.stages), desc.tile_rows, desc.use_rid_list));
-    }
+    out_.steps.push_back(std::make_unique<PipelineStep>(nid, std::move(desc)));
     old_to_new_[static_cast<size_t>(old_id)] = nid;
     return nid;
   }
@@ -246,7 +202,7 @@ bool Fuser::FuseAggregate(int id, const GroupByStep& group_by) {
   const int in = group_by.input();
   auto pit = pending_.find(in);
   if (pit == pending_.end() || consumers_[static_cast<size_t>(in)] != 1 ||
-      !pit->second.Extendable()) {
+      !Extendable(pit->second)) {
     return false;
   }
   PipelineStageSpec stage;
@@ -255,10 +211,9 @@ bool Fuser::FuseAggregate(int id, const GroupByStep& group_by) {
   stage.aggregates = group_by.aggs();
   stage.est_groups = group_by.est_groups();
   if (!ChainFitsDmem(pit->second, &stage)) return false;
-  Desc desc = std::move(pit->second);
+  PipelineSpec desc = std::move(pit->second);
   pending_.erase(pit);
   desc.stages.push_back(std::move(stage));
-  ++desc.fused_steps;
   pending_.emplace(id, std::move(desc));
   return true;
 }
@@ -300,7 +255,7 @@ Status Fuser::HandleJoin(int id, JoinStep* join) {
     const size_t broadcast_rows = participating * spec.est_build_rows;
     const size_t saved_rows = 3 * spec.est_build_rows + 2 * spec.est_probe_rows;
     fuse = pending_.count(probe_src) > 0 &&
-           pending_.at(probe_src).Extendable() &&
+           Extendable(pending_.at(probe_src)) &&
            consumers_[static_cast<size_t>(probe_src)] == 1 &&
            spec.est_build_rows > 0 &&
            spec.est_build_rows <= max_build_rows_ &&
@@ -331,10 +286,9 @@ Status Fuser::HandleJoin(int id, JoinStep* join) {
     fuse = ChainFitsDmem(pending_.at(probe_src), &stage);
     if (fuse) {
       RAPID_ASSIGN_OR_RETURN(stage.build_input, Materialize(build_src));
-      Desc desc = std::move(pending_.at(probe_src));
+      PipelineSpec desc = std::move(pending_.at(probe_src));
       pending_.erase(probe_src);
       desc.stages.push_back(std::move(stage));
-      desc.fused_steps += 3;  // both partitions + the join itself
       deferred_partitions_.erase(build_part);
       deferred_partitions_.erase(probe_part);
       plan_.steps[static_cast<size_t>(build_part)].reset();
@@ -370,44 +324,24 @@ Result<PhysicalPlan> Fuser::Run() {
     PlanStep* step = plan_.steps[id].get();
     if (step == nullptr) continue;  // partition absorbed by a fused probe
 
-    if (auto* scan = dynamic_cast<ScanStep*>(step)) {
-      Desc desc;
-      desc.table = scan->table();
-      desc.base_columns = scan->base_columns();
-      desc.tile_rows = scan->tile_rows();
-      desc.use_rid_list = scan->use_rid_list();
-      desc.original = static_cast<int>(id);
-      PipelineStageSpec stage;
-      stage.predicates = scan->predicates();
-      stage.projections = scan->projections();
-      stage.join_filter = scan->join_filter();
-      desc.stages.push_back(std::move(stage));
-      pending_.emplace(static_cast<int>(id), std::move(desc));
-      continue;
-    }
-
-    if (auto* pipe = dynamic_cast<PipeStep*>(step)) {
-      PipelineStageSpec stage;
-      stage.predicates = pipe->predicates();
-      stage.projections = pipe->projections();
-      const int in = pipe->input();
-      auto pit = pending_.find(in);
-      if (pit != pending_.end() && consumers_[static_cast<size_t>(in)] == 1 &&
-          pit->second.Extendable() && ChainFitsDmem(pit->second, &stage)) {
-        Desc desc = std::move(pit->second);
+    if (auto* lone = dynamic_cast<PipelineStep*>(step)) {
+      // The planner emits one-stage pipelines: a scan starts a chain; a
+      // filter/project over a pending single-consumer chain extends it
+      // when the longer chain still fits DMEM, and starts its own
+      // chain otherwise.
+      PipelineSpec spec = lone->spec();
+      auto pit = pending_.find(spec.input);
+      if (spec.table.empty() && pit != pending_.end() &&
+          consumers_[static_cast<size_t>(spec.input)] == 1 &&
+          Extendable(pit->second) &&
+          ChainFitsDmem(pit->second, &spec.stages.front())) {
+        PipelineSpec desc = std::move(pit->second);
         pending_.erase(pit);
-        desc.stages.push_back(std::move(stage));
-        desc.tile_rows = std::min(desc.tile_rows, pipe->tile_rows());
-        ++desc.fused_steps;
-        pending_.emplace(static_cast<int>(id), std::move(desc));
-      } else {
-        Desc desc;
-        desc.input = in;
-        desc.tile_rows = pipe->tile_rows();
-        desc.original = static_cast<int>(id);
-        desc.stages.push_back(std::move(stage));
-        pending_.emplace(static_cast<int>(id), std::move(desc));
+        desc.stages.push_back(std::move(spec.stages.front()));
+        desc.tile_rows = std::min(desc.tile_rows, spec.tile_rows);
+        spec = std::move(desc);
       }
+      pending_.emplace(static_cast<int>(id), std::move(spec));
       continue;
     }
 

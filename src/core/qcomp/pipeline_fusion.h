@@ -1,16 +1,19 @@
 // Pipeline fusion (QComp post-pass).
 //
-// Rewrites a lowered PhysicalPlan, grouping maximal runs of
-// pipeline-safe steps — scan, filter, project and small-build
-// hash-join probes — into fused PipelineSteps that execute as a single
-// ParallelFor round with the whole operator chain DMEM-resident. A
-// low-NDV group-by can end such a run as its aggregate sink. Pipeline
-// breakers (join build, partition, high-NDV group-by, sort, set ops,
-// windows) remain barriers.
+// Rewrites a lowered PhysicalPlan. The planner emits every scan and
+// every filter/project over an intermediate as a one-stage
+// PipelineStep; this pass extends those into maximal runs of
+// pipeline-safe stages — filter, project and small-build hash-join
+// probes — that execute as a single ParallelFor round with the whole
+// operator chain DMEM-resident. A low-NDV group-by can end such a run
+// as its aggregate sink. Pipeline breakers (join build, partition,
+// high-NDV group-by, sort, set ops, windows) remain barriers. A chain
+// nothing fused into is emitted as the one-stage pipeline it was.
 //
 // Fusion rules:
-//   * Scan -> Pipe chains fuse when every intermediate step has exactly
-//     one consumer (its output is never re-read).
+//   * A filter/project extends the chain below it when every
+//     intermediate step has exactly one consumer (its output is never
+//     re-read).
 //   * A partitioned join collapses into a broadcast probe stage when
 //     the estimated build side is small (<= max_build_rows and no
 //     larger than the probe side): both PartitionSteps and the

@@ -25,6 +25,20 @@ int NextId(const PhysicalPlan& plan) {
   return static_cast<int>(plan.steps.size());
 }
 
+// A lone filter/project over an intermediate: a one-stage pipeline at
+// the executor's default tile size (its input width is only known at
+// execution time, where the tile shrinks to fit DMEM).
+int AddPipe(PhysicalPlan* plan, int input, std::vector<Predicate> predicates,
+            std::vector<std::pair<std::string, ExprPtr>> projections) {
+  PipelineSpec spec;
+  spec.input = input;
+  PipelineStageSpec& stage = spec.stages.emplace_back();
+  stage.predicates = std::move(predicates);
+  stage.projections = std::move(projections);
+  return AddStep(plan,
+                 std::make_unique<PipelineStep>(NextId(*plan), std::move(spec)));
+}
+
 // Largest chunk's share of a base table's rows (0 when the table is
 // unknown or derived): seeds the balanced-makespan cost of partition
 // rounds, where the biggest chunk is the biggest morsel.
@@ -218,12 +232,18 @@ Result<Planner::Lowered> Planner::LowerScan(
 
   std::vector<std::string> out_names;
   for (const auto& [name, expr] : projections) out_names.push_back(name);
-  const int id = NextId(*plan);
-  AddStep(plan, std::make_unique<ScanStep>(id, node.table, base_cols, preds,
-                                           std::move(projections), tile_rows,
-                                           use_rid));
+  // A one-stage pipeline: relation accessor -> filter -> project.
+  PipelineSpec spec;
+  spec.table = node.table;
+  spec.base_columns = std::move(base_cols);
+  spec.tile_rows = tile_rows;
+  spec.use_rid_list = use_rid;
+  PipelineStageSpec& stage = spec.stages.emplace_back();
+  stage.predicates = std::move(preds);
+  stage.projections = std::move(projections);
   Lowered out;
-  out.step = id;
+  out.step = AddStep(
+      plan, std::make_unique<PipelineStep>(NextId(*plan), std::move(spec)));
   out.est_rows = static_cast<double>(table.num_rows()) * combined;
   out.base_table = node.table;
   out.columns = std::move(out_names);
@@ -272,12 +292,8 @@ Result<Planner::Lowered> Planner::LowerImpl(const LogicalNode& node,
         return LowerScan(*node.input, catalog, plan, node.projections);
       }
       RAPID_ASSIGN_OR_RETURN(Lowered in, Lower(*node.input, catalog, plan, path + "0"));
-      const int id = NextId(*plan);
-      AddStep(plan, std::make_unique<PipeStep>(id, in.step,
-                                               std::vector<Predicate>{},
-                                               node.projections, 1024));
       Lowered out;
-      out.step = id;
+      out.step = AddPipe(plan, in.step, {}, node.projections);
       out.est_rows = in.est_rows;
       for (const auto& [name, expr] : node.projections) {
         out.columns.push_back(name);
@@ -305,11 +321,8 @@ Result<Planner::Lowered> Planner::LowerImpl(const LogicalNode& node,
       }
       double sel = 1.0;
       for (const Predicate& p : node.predicates) sel *= p.selectivity;
-      const int id = NextId(*plan);
-      AddStep(plan, std::make_unique<PipeStep>(id, in.step, node.predicates,
-                                               std::move(identity), 1024));
       Lowered out;
-      out.step = id;
+      out.step = AddPipe(plan, in.step, node.predicates, std::move(identity));
       out.est_rows = in.est_rows * sel;
       out.columns = keep;
       return out;
@@ -423,20 +436,22 @@ Result<Planner::Lowered> Planner::LowerImpl(const LogicalNode& node,
           (node.join_type == JoinType::kInner ||
            node.join_type == JoinType::kSemi) &&
           build.step < probe.step) {
-        auto* scan = dynamic_cast<ScanStep*>(
+        auto* scan = dynamic_cast<PipelineStep*>(
             plan->steps[static_cast<size_t>(probe.step)].get());
-        if (scan != nullptr && !scan->join_filter().enabled()) {
+        if (scan != nullptr && !scan->spec().table.empty() &&
+            !scan->spec().stages.front().join_filter.enabled()) {
           // The predicate evaluates before projection, so resolve the
           // probe key back to the scan's base column.
           std::string probe_col;
-          for (const auto& [name, expr] : scan->projections()) {
+          for (const auto& [name, expr] :
+               scan->spec().stages.front().projections) {
             if (name == probe_keys[0] && expr->kind == Expr::Kind::kColumn) {
               probe_col = expr->column;
               break;
             }
           }
           bool probe_bound = false;
-          for (const std::string& c : scan->base_columns()) {
+          for (const std::string& c : scan->spec().base_columns) {
             probe_bound = probe_bound || c == probe_col;
           }
           bool build_key_out = false;

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "common/config.h"
 #include "common/trace.h"
@@ -21,22 +22,6 @@ namespace rapid::core {
 
 namespace {
 
-// Columns the filter must pass through to the projection stage.
-std::vector<std::string> ProjectionInputs(
-    const std::vector<std::pair<std::string, ExprPtr>>& projections) {
-  std::vector<std::string> cols;
-  for (const auto& [name, expr] : projections) {
-    std::vector<std::string> refs;
-    expr->CollectColumns(&refs);
-    for (const auto& r : refs) {
-      if (std::find(cols.begin(), cols.end(), r) == cols.end()) {
-        cols.push_back(r);
-      }
-    }
-  }
-  return cols;
-}
-
 std::vector<ColumnMeta> ProjectionMetas(
     const std::vector<std::pair<std::string, ExprPtr>>& projections) {
   std::vector<ColumnMeta> metas;
@@ -47,10 +32,6 @@ std::vector<ColumnMeta> ProjectionMetas(
     metas.push_back(m);
   }
   return metas;
-}
-
-Result<size_t> FindColumn(const ColumnSet& set, const std::string& name) {
-  return set.IndexOf(name);
 }
 
 // Largest power-of-two tile (>= 64, <= requested) whose DMEM footprint
@@ -212,237 +193,19 @@ std::string PhysicalPlan::Describe() const {
   return os.str();
 }
 
-// ---- ScanStep --------------------------------------------------------------
-
-Status ScanStep::Execute(ExecEnv& env) const {
-  auto table_it = env.catalog->find(table_);
-  if (table_it == env.catalog->end()) {
-    return Status::NotFound("table '" + table_ + "' not loaded");
-  }
-  const storage::Table& table = table_it->second;
-
-  // Resolve base columns to table indices and target DSB scales.
-  std::vector<size_t> col_indices;
-  std::vector<int> target_scales;
-  ColumnBinding base_binding;
-  for (size_t c = 0; c < base_columns_.size(); ++c) {
-    RAPID_ASSIGN_OR_RETURN(size_t idx,
-                           table.schema().IndexOf(base_columns_[c]));
-    col_indices.push_back(idx);
-    target_scales.push_back(table.stats(idx).dsb_scale);
-    base_binding[base_columns_[c]] = c;
-  }
-
-  // Assign chunks to cores round-robin across all horizontal
-  // partitions.
-  std::vector<const storage::Chunk*> all_chunks;
-  for (size_t p = 0; p < table.num_partitions(); ++p) {
-    const storage::Partition& part = table.partition(p);
-    for (size_t c = 0; c < part.num_chunks(); ++c) {
-      all_chunks.push_back(&part.chunk(c));
-    }
-  }
-
-  size_t scan_rows = 0;
-  size_t scan_width = 0;
-  for (size_t c = 0; c < col_indices.size(); ++c) {
-    scan_width +=
-        storage::WidthOf(table.schema().field(col_indices[c]).type);
-  }
-  for (const storage::Chunk* chunk : all_chunks) scan_rows += chunk->num_rows();
-  env.counters.scanned_rows += scan_rows;
-  env.counters.scanned_bytes += scan_rows * scan_width;
-
-  std::vector<ColumnMeta> metas = ProjectionMetas(projections_);
-  // Plain column projections carry the source column's logical type
-  // (so dates format and downstream cycle charges use encoded widths)
-  // and its dictionary (so results can decode to strings).
-  for (size_t c = 0; c < projections_.size(); ++c) {
-    const Expr& expr = *projections_[c].second;
-    if (expr.kind == Expr::Kind::kColumn) {
-      auto idx = table.schema().IndexOf(expr.column);
-      if (idx.ok()) {
-        metas[c].type = table.schema().field(idx.value()).type;
-        metas[c].dict = table.dictionary(idx.value());
+std::vector<std::string> ProjectionInputs(
+    const std::vector<std::pair<std::string, ExprPtr>>& projections) {
+  std::vector<std::string> cols;
+  for (const auto& [name, expr] : projections) {
+    std::vector<std::string> refs;
+    expr->CollectColumns(&refs);
+    for (const auto& r : refs) {
+      if (std::find(cols.begin(), cols.end(), r) == cols.end()) {
+        cols.push_back(r);
       }
     }
   }
-  const std::vector<std::string> pass_through = ProjectionInputs(projections_);
-
-  // Join-filter pushdown: when a ref is attached and the runtime gate
-  // is on, evaluate the build side's Bloom filter as one more
-  // predicate inside the fused tile loop — pruned rows never reach
-  // projection, materialization or the downstream partition step.
-  primitives::BlockedBloomFilter join_bloom;
-  std::vector<Predicate> predicates = predicates_;
-  if (BuildJoinFilter(env, join_filter_, &join_bloom)) {
-    predicates.push_back(Predicate::Bloom(join_filter_.probe_column,
-                                          &join_bloom,
-                                          join_filter_.selectivity));
-  }
-
-  // Morsel-driven scan: one morsel per chunk, seeded largest-first by
-  // row count so one core never drags a tail of fat chunks. Outputs
-  // are indexed by chunk id, so the merged result is independent of
-  // which core ran which chunk.
-  std::vector<ColumnSet> per_morsel(all_chunks.size(), ColumnSet(metas));
-  std::vector<double> weights;
-  weights.reserve(all_chunks.size());
-  for (const storage::Chunk* chunk : all_chunks) {
-    weights.push_back(static_cast<double>(chunk->num_rows()));
-  }
-  RAPID_RETURN_NOT_OK(env.dpu->ParallelForMorsels(
-      weights, env.cancel, [&](dpu::DpCore& core, size_t m) -> Status {
-        TraceSpan span(TraceMode::kFull, core.id(), "scan.morsel",
-                       &dpu::TraceClockNow, &core.cycles());
-        span.Annotate("chunk", static_cast<int64_t>(m));
-        core.dmem().Reset();
-
-        // Build this morsel's pipeline: filter -> project -> sink.
-        FilterOp filter(predicates, pass_through, base_binding, tile_rows_,
-                        use_rid_list_);
-        ProjectOp project(projections_, filter.OutputBinding(), tile_rows_);
-        MaterializeSink sink(&per_morsel[m]);
-        filter.set_downstream(&project);
-        project.set_downstream(&sink);
-
-        ExecCtx ctx{&core, &env.dpu->dms(), &env.dpu->params(),
-                    env.vectorized, env.cancel};
-        Status st = filter.Open(ctx);
-        if (st.ok()) st = project.Open(ctx);
-        if (st.ok()) st = sink.Open(ctx);
-        if (st.ok()) {
-          const std::vector<const storage::Chunk*> mine{all_chunks[m]};
-          st = RelationAccessor::PushChunks(ctx, mine, col_indices,
-                                            target_scales, tile_rows_,
-                                            &filter);
-        }
-        core.dmem().Reset();
-        span.Annotate("rows_out",
-                      static_cast<uint64_t>(per_morsel[m].num_rows()));
-        return st;
-      }));
-
-  StepOutput& out = env.outputs[static_cast<size_t>(id_)];
-  out.partitioned = false;
-  out.set = ColumnSet(metas);
-  for (size_t m = 0; m < per_morsel.size(); ++m) {
-    // Propagate observed types/scales to the merged output.
-    for (size_t col = 0; col < metas.size(); ++col) {
-      if (per_morsel[m].num_rows() > 0) {
-        out.set.meta(col) = per_morsel[m].meta(col);
-      }
-    }
-  }
-  for (ColumnSet& cs : per_morsel) out.set.Append(cs);
-  return Status::OK();
-}
-
-std::string ScanStep::Describe() const {
-  std::ostringstream os;
-  os << "SCAN " << table_ << " preds=" << predicates_.size()
-     << " proj=" << projections_.size() << " tile=" << tile_rows_
-     << (use_rid_list_ ? " rid" : " bv");
-  if (join_filter_.enabled()) {
-    os << " joinfilter=#" << join_filter_.build_step << "("
-       << join_filter_.probe_column << ")";
-  }
-  return os.str();
-}
-
-// ---- PipeStep --------------------------------------------------------------
-
-Status PipeStep::Execute(ExecEnv& env) const {
-  const StepOutput& in = env.outputs[static_cast<size_t>(input_)];
-  if (in.partitioned) {
-    return Status::InvalidArgument("pipe step needs an unpartitioned input");
-  }
-  const ColumnSet& input = in.set;
-  env.counters.scanned_rows += input.num_rows();
-  env.counters.scanned_bytes +=
-      input.num_rows() * input.num_columns() * sizeof(int64_t);
-
-  ColumnBinding binding;
-  std::vector<size_t> col_indices;
-  for (size_t c = 0; c < input.num_columns(); ++c) {
-    binding[input.meta(c).name] = c;
-    col_indices.push_back(c);
-  }
-
-  const int num_cores = env.dpu->num_cores();
-  std::vector<ColumnMeta> metas = ProjectionMetas(projections_);
-  for (size_t c = 0; c < projections_.size(); ++c) {
-    const Expr& expr = *projections_[c].second;
-    if (expr.kind == Expr::Kind::kColumn) {
-      auto idx = input.IndexOf(expr.column);
-      if (idx.ok()) {
-        metas[c].type = input.meta(idx.value()).type;
-        metas[c].dsb_scale = input.meta(idx.value()).dsb_scale;
-        metas[c].dict = input.meta(idx.value()).dict;
-      }
-    }
-  }
-  const std::vector<std::string> pass_through = ProjectionInputs(projections_);
-  const size_t n = input.num_rows();
-  // Accessor double buffers, filter materializes pass-through columns
-  // plus the selection, project its outputs — all widened to 8 bytes.
-  const size_t bytes_per_row =
-      8 * (2 * col_indices.size() + pass_through.size() +
-           projections_.size()) + 8;
-  const size_t tile_rows = FitTileRows(
-      tile_rows_, bytes_per_row, env.dpu->config().dmem_bytes);
-
-  // Row-range morsels; per-range outputs concatenate in range order,
-  // which reproduces the input order no matter how the split landed.
-  const std::vector<RowRange> ranges = RowMorsels(n, num_cores);
-  std::vector<ColumnSet> per_morsel(ranges.size(), ColumnSet(metas));
-  RAPID_RETURN_NOT_OK(env.dpu->ParallelForMorsels(
-      RangeWeights(ranges), env.cancel,
-      [&](dpu::DpCore& core, size_t m) -> Status {
-        TraceSpan span(TraceMode::kFull, core.id(), "pipe.morsel",
-                       &dpu::TraceClockNow, &core.cycles());
-        span.Annotate("morsel", static_cast<int64_t>(m));
-        const RowRange& range = ranges[m];
-        core.dmem().Reset();
-
-        FilterOp filter(predicates_, pass_through, binding, tile_rows,
-                        /*use_rid_list=*/false);
-        ProjectOp project(projections_, filter.OutputBinding(), tile_rows);
-        MaterializeSink sink(&per_morsel[m]);
-        filter.set_downstream(&project);
-        project.set_downstream(&sink);
-
-        ExecCtx ctx{&core, &env.dpu->dms(), &env.dpu->params(),
-                    env.vectorized, env.cancel};
-        Status st = filter.Open(ctx);
-        if (st.ok()) st = project.Open(ctx);
-        if (st.ok()) st = sink.Open(ctx);
-        if (st.ok() && range.begin < range.end) {
-          st = RelationAccessor::PushColumnSet(ctx, input, col_indices,
-                                               range.begin, range.end,
-                                               tile_rows, &filter);
-        }
-        core.dmem().Reset();
-        return st;
-      }));
-
-  StepOutput& out = env.outputs[static_cast<size_t>(id_)];
-  out.partitioned = false;
-  out.set = ColumnSet(metas);
-  for (const ColumnSet& cs : per_morsel) {
-    for (size_t col = 0; col < metas.size(); ++col) {
-      if (cs.num_rows() > 0) out.set.meta(col) = cs.meta(col);
-    }
-  }
-  for (ColumnSet& cs : per_morsel) out.set.Append(cs);
-  return Status::OK();
-}
-
-std::string PipeStep::Describe() const {
-  std::ostringstream os;
-  os << "PIPE #" << input_ << " preds=" << predicates_.size()
-     << " proj=" << projections_.size() << " tile=" << tile_rows_;
-  return os.str();
+  return cols;
 }
 
 // ---- PartitionStep ---------------------------------------------------------
@@ -454,7 +217,7 @@ Status PartitionStep::Execute(ExecEnv& env) const {
   }
   std::vector<size_t> key_cols;
   for (const std::string& name : key_columns_) {
-    RAPID_ASSIGN_OR_RETURN(size_t idx, FindColumn(in.set, name));
+    RAPID_ASSIGN_OR_RETURN(size_t idx, in.set.IndexOf(name));
     key_cols.push_back(idx);
   }
   // Checkpointed rounds (from a failed earlier attempt) are consumed
@@ -515,11 +278,11 @@ Status JoinStep::Execute(ExecEnv& env) const {
   spec.type = type_;
   spec.vectorized = env.vectorized;
   for (const std::string& k : build_keys_) {
-    RAPID_ASSIGN_OR_RETURN(size_t idx, FindColumn(bproto, k));
+    RAPID_ASSIGN_OR_RETURN(size_t idx, bproto.IndexOf(k));
     spec.build_keys.push_back(idx);
   }
   for (const std::string& k : probe_keys_) {
-    RAPID_ASSIGN_OR_RETURN(size_t idx, FindColumn(pproto, k));
+    RAPID_ASSIGN_OR_RETURN(size_t idx, pproto.IndexOf(k));
     spec.probe_keys.push_back(idx);
   }
   // Output columns resolve against build first, then probe, and are
@@ -580,8 +343,8 @@ std::string JoinStep::Describe() const {
 
 std::vector<int> PipelineStep::Inputs() const {
   std::vector<int> in;
-  if (input_ >= 0) in.push_back(input_);
-  for (const PipelineStageSpec& s : stages_) {
+  if (spec_.input >= 0) in.push_back(spec_.input);
+  for (const PipelineStageSpec& s : spec_.stages) {
     if (s.kind == PipelineStageSpec::Kind::kProbe) {
       in.push_back(s.build_input);
     } else if (s.join_filter.enabled()) {
@@ -592,8 +355,10 @@ std::vector<int> PipelineStep::Inputs() const {
 }
 
 void PipelineStep::RemapInputs(const std::vector<int>& old_to_new) {
-  if (input_ >= 0) input_ = old_to_new[static_cast<size_t>(input_)];
-  for (PipelineStageSpec& s : stages_) {
+  if (spec_.input >= 0) {
+    spec_.input = old_to_new[static_cast<size_t>(spec_.input)];
+  }
+  for (PipelineStageSpec& s : spec_.stages) {
     if (s.kind == PipelineStageSpec::Kind::kProbe) {
       s.build_input = old_to_new[static_cast<size_t>(s.build_input)];
     } else if (s.join_filter.enabled()) {
@@ -617,12 +382,12 @@ struct ResolvedStage {
 }  // namespace
 
 Status PipelineStep::Execute(ExecEnv& env) const {
-  if (stages_.empty() ||
-      stages_.front().kind != PipelineStageSpec::Kind::kFilterProject) {
+  if (spec_.stages.empty() ||
+      spec_.stages.front().kind != PipelineStageSpec::Kind::kFilterProject) {
     return Status::InvalidArgument(
         "pipeline step needs a leading filter/project stage");
   }
-  const bool table_source = !table_.empty();
+  const bool table_source = !spec_.table.empty();
 
   // ---- Resolve the source: binding + metadata of the incoming columns.
   const storage::Table* table = nullptr;
@@ -635,19 +400,19 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   size_t src_width = 0;
 
   if (table_source) {
-    auto table_it = env.catalog->find(table_);
+    auto table_it = env.catalog->find(spec_.table);
     if (table_it == env.catalog->end()) {
-      return Status::NotFound("table '" + table_ + "' not loaded");
+      return Status::NotFound("table '" + spec_.table + "' not loaded");
     }
     table = &table_it->second;
-    for (size_t c = 0; c < base_columns_.size(); ++c) {
+    for (size_t c = 0; c < spec_.base_columns.size(); ++c) {
       RAPID_ASSIGN_OR_RETURN(size_t idx,
-                             table->schema().IndexOf(base_columns_[c]));
+                             table->schema().IndexOf(spec_.base_columns[c]));
       col_indices.push_back(idx);
       target_scales.push_back(table->stats(idx).dsb_scale);
-      binding[base_columns_[c]] = c;
+      binding[spec_.base_columns[c]] = c;
       ColumnMeta m;
-      m.name = base_columns_[c];
+      m.name = spec_.base_columns[c];
       m.type = table->schema().field(idx).type;
       m.dsb_scale = table->stats(idx).dsb_scale;
       m.dict = table->dictionary(idx);
@@ -667,7 +432,7 @@ Status PipelineStep::Execute(ExecEnv& env) const {
     env.counters.scanned_rows += scan_rows;
     env.counters.scanned_bytes += scan_rows * src_width;
   } else {
-    const StepOutput& in = env.outputs[static_cast<size_t>(input_)];
+    const StepOutput& in = env.outputs[static_cast<size_t>(spec_.input)];
     if (in.partitioned) {
       return Status::InvalidArgument(
           "pipeline step needs an unpartitioned input");
@@ -683,16 +448,17 @@ Status PipelineStep::Execute(ExecEnv& env) const {
     env.counters.scanned_bytes += input_set->num_rows() * src_width;
   }
 
-  // Join-filter pushdown survives fusion: the absorbed scan's ref
-  // rides on stage 0. Build once (shared, read-only) and hand every
-  // core's stage-0 FilterOp the augmented predicate list.
+  // Join-filter pushdown: the planner's ref rides on stage 0. Build
+  // once (shared, read-only) and hand every core's stage-0 FilterOp
+  // the augmented predicate list, so pruned rows never reach
+  // projection, materialization or a downstream partition step.
   primitives::BlockedBloomFilter join_bloom;
-  std::vector<Predicate> stage0_predicates = stages_.front().predicates;
-  if (BuildJoinFilter(env, stages_.front().join_filter, &join_bloom)) {
+  std::vector<Predicate> stage0_predicates = spec_.stages.front().predicates;
+  if (BuildJoinFilter(env, spec_.stages.front().join_filter, &join_bloom)) {
     stage0_predicates.push_back(
-        Predicate::Bloom(stages_.front().join_filter.probe_column,
+        Predicate::Bloom(spec_.stages.front().join_filter.probe_column,
                          &join_bloom,
-                         stages_.front().join_filter.selectivity));
+                         spec_.stages.front().join_filter.selectivity));
   }
 
   // ---- Walk the stages, resolving bindings and output metadata.
@@ -703,12 +469,15 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   size_t num_probe_stages = 0;
   size_t table_bytes = 0;  // resident group table of an aggregate stage
 
-  for (const PipelineStageSpec& stage : stages_) {
+  for (const PipelineStageSpec& stage : spec_.stages) {
     ResolvedStage rs;
     rs.spec = &stage;
     rs.in_binding = cur_binding;
     if (stage.kind == PipelineStageSpec::Kind::kFilterProject) {
       rs.pass_through = ProjectionInputs(stage.projections);
+      // A plain column projection carries its source column's type,
+      // DSB scale and dictionary, so dates format, decimals decode and
+      // codes map to strings even when no morsel produced a row.
       metas = ProjectionMetas(stage.projections);
       for (size_t c = 0; c < stage.projections.size(); ++c) {
         const Expr& expr = *stage.projections[c].second;
@@ -804,9 +573,10 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   size_t budget = env.dpu->config().dmem_bytes;
   if (num_probe_stages > 0) budget /= 2;
   budget -= std::min(budget, table_bytes);
-  const size_t tile_rows = FitTileRows(tile_rows_, chain_row_bytes, budget);
+  const size_t tile_rows =
+      FitTileRows(spec_.tile_rows, chain_row_bytes, budget);
   const bool aggregate =
-      stages_.back().kind == PipelineStageSpec::Kind::kAggregate;
+      spec_.stages.back().kind == PipelineStageSpec::Kind::kAggregate;
 
   const int num_cores = env.dpu->num_cores();
   const size_t n_input = table_source ? 0 : input_set->num_rows();
@@ -829,45 +599,44 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   const size_t num_morsels = table_source ? all_chunks.size() : ranges.size();
   // An aggregate pipeline keeps no per-morsel output: its rows end in
   // the cores' group tables.
-  std::vector<ColumnSet> per_morsel(aggregate ? 0 : num_morsels,
-                                    ColumnSet(metas));
+  std::vector<MorselSlot> slots(aggregate ? 0 : num_morsels);
+  for (MorselSlot& slot : slots) slot.rows = ColumnSet(metas);
 
   // Mid-pipeline resume: a failed earlier attempt left completed
   // morsel slots (the per-morsel high-water mark) in the checkpoint.
-  // Reclaim them and skip those morsels below — slots of morsels that
-  // had not finished stay freshly constructed, discarding any
-  // partially written output from the failed attempt. The morsel
+  // Reclaim them and skip those morsels' work below — slots of morsels
+  // that had not finished are rebuilt empty, discarding any partially
+  // written output from the failed attempt. The morsel
   // decomposition is a deterministic function of the input, so slot
-  // indices line up across attempts. An aggregate pipeline never
-  // saves slots (see StepProgress), so it always starts over.
+  // indices line up across attempts; slots saved by another pipeline
+  // at this address (the fused plan before a demotion) are dropped.
+  // The schedule keeps every morsel where a from-scratch run puts it,
+  // and a resumed morsel replays its recorded charges there. An
+  // aggregate pipeline never saves slots (see StepProgress), so it
+  // always starts over.
   StepProgress* sp = env.progress != nullptr
                          ? &(*env.progress)[static_cast<size_t>(id_)]
                          : nullptr;
-  std::vector<uint8_t> morsel_done(num_morsels, 0);
-  if (!aggregate && sp != nullptr && sp->has_morsels &&
-      sp->per_morsel.size() == num_morsels &&
-      sp->morsel_done.size() == num_morsels) {
-    size_t resumed = 0;
-    for (size_t m = 0; m < num_morsels; ++m) {
-      if (sp->morsel_done[m] == 0) continue;
-      per_morsel[m] = std::move(sp->per_morsel[m]);
-      morsel_done[m] = 1;
-      weights[m] = 0;  // nothing left to schedule for this morsel
-      ++resumed;
+  if (!aggregate && sp != nullptr && sp->morsel_owner == Describe() &&
+      sp->morsels.size() == num_morsels) {
+    slots = std::move(sp->morsels);
+    for (MorselSlot& slot : slots) {
+      if (slot.done) {
+        ++env.recovery.resumed_morsels;
+        continue;
+      }
+      slot = MorselSlot();  // drop a failed morsel's partial output
+      slot.rows = ColumnSet(metas);
     }
-    env.recovery.resumed_morsels += resumed;
   }
-  if (sp != nullptr) {
-    sp->per_morsel.clear();
-    sp->morsel_done.clear();
-    sp->has_morsels = false;
-  }
+  if (sp != nullptr) sp->clear();
 
-  // A core's fused chain (with its resident broadcast hash tables) is
-  // built lazily on the first morsel the core pulls and reused for the
-  // rest: the build cost is paid once per participating core, exactly
-  // as with the static per-core split. Per-morsel accessor buffers
-  // stack on top of the chain state and are truncated between morsels.
+  // A core's chain (with its resident broadcast hash tables) is built
+  // lazily on the first morsel the core pulls, resumed or not, and
+  // reused for the rest: the build cost is paid once per participating
+  // core, exactly as with the static per-core split. Per-morsel
+  // accessor buffers stack on top of the chain state and are truncated
+  // between morsels.
   struct CoreChain {
     std::vector<std::unique_ptr<PipelineOp>> ops;
     bool opened = false;
@@ -878,7 +647,6 @@ Status PipelineStep::Execute(ExecEnv& env) const {
 
   const Status loop_status = env.dpu->ParallelForMorsels(
       weights, env.cancel, [&](dpu::DpCore& core, size_t m) -> Status {
-        if (morsel_done[m] != 0) return Status::OK();  // resumed slot
         TraceSpan span(TraceMode::kFull, core.id(), "pipeline.morsel",
                        &dpu::TraceClockNow, &core.cycles());
         span.Annotate("morsel", static_cast<int64_t>(m));
@@ -894,7 +662,7 @@ Status PipelineStep::Execute(ExecEnv& env) const {
               auto filter = std::make_unique<FilterOp>(
                   s == 0 ? stage0_predicates : rs.spec->predicates,
                   rs.pass_through, rs.in_binding, tile_rows,
-                  s == 0 && use_rid_list_);
+                  s == 0 && spec_.use_rid_list);
               auto project = std::make_unique<ProjectOp>(
                   rs.spec->projections, filter->OutputBinding(), tile_rows);
               chain.ops.push_back(std::move(filter));
@@ -920,19 +688,29 @@ Status PipelineStep::Execute(ExecEnv& env) const {
           chain.dmem_mark = core.dmem().used();
         }
         RAPID_RETURN_NOT_OK(chain.open_status);
+        MorselSlot* slot = aggregate ? nullptr : &slots[m];
+        if (slot != nullptr && slot->done) {  // resumed
+          core.cycles().Replay(slot->charges);
+          core.counters().Accumulate(slot->counters);
+          return Status::OK();
+        }
         core.dmem().TruncateTo(chain.dmem_mark);
 
         // The chain's sink: the core's group table, stamped with this
-        // morsel's positions, or a DMS store into the morsel's slot.
+        // morsel's positions, or a DMS store into the morsel's slot,
+        // which also records what the morsel charges.
         std::optional<MaterializeSink> sink;
+        dpu::CoreCounters outer_counters;
         Status st = Status::OK();
         if (aggregate) {
           static_cast<GroupByOp&>(*chain.ops.back())
               .StampFrom(static_cast<uint64_t>(m) << 32);
         } else {
-          sink.emplace(&per_morsel[m]);
+          sink.emplace(&slot->rows);
           chain.ops.back()->set_downstream(&*sink);
           st = sink->Open(ctx);
+          core.cycles().set_log(&slot->charges);
+          outer_counters = std::exchange(core.counters(), {});
         }
         if (st.ok()) {
           if (table_source) {
@@ -947,10 +725,15 @@ Status PipelineStep::Execute(ExecEnv& env) const {
                                                  chain.ops.front().get());
           }
         }
-        // High-water mark: the slot holds this morsel's complete
-        // output. Distinct workers write distinct bytes, so the bitmap
-        // needs no synchronization beyond the phase barrier.
-        if (st.ok() && !aggregate) morsel_done[m] = 1;
+        if (slot != nullptr) {
+          core.cycles().set_log(nullptr);
+          slot->counters = std::exchange(core.counters(), outer_counters);
+          core.counters().Accumulate(slot->counters);
+          // High-water mark: the slot holds this morsel's complete
+          // output. Distinct workers write distinct slots, so the done
+          // flags need no synchronization beyond the phase barrier.
+          slot->done = st.ok();
+        }
         return st;
       });
   if (!loop_status.ok()) {
@@ -960,9 +743,8 @@ Status PipelineStep::Execute(ExecEnv& env) const {
     // is set, output complete) or never ran — partially written slots
     // are never marked done. Cancellation checkpoints nothing.
     if (sp != nullptr && !aggregate && !loop_status.IsCancellation()) {
-      sp->per_morsel = std::move(per_morsel);
-      sp->morsel_done = std::move(morsel_done);
-      sp->has_morsels = true;
+      sp->morsels = std::move(slots);
+      sp->morsel_owner = Describe();
     }
     for (int c = 0; c < num_cores; ++c) env.dpu->core(c).dmem().Reset();
     return loop_status;
@@ -997,24 +779,42 @@ Status PipelineStep::Execute(ExecEnv& env) const {
     GroupByOp* merged = MergeLowNdv(env, partials);
     return merged != nullptr ? merged->EmitInto(&out.set) : Status::OK();
   }
-  for (const ColumnSet& cs : per_morsel) {
+  for (const MorselSlot& slot : slots) {
     for (size_t col = 0; col < metas.size(); ++col) {
-      if (cs.num_rows() > 0) out.set.meta(col) = cs.meta(col);
+      if (slot.rows.num_rows() > 0) out.set.meta(col) = slot.rows.meta(col);
     }
   }
-  for (ColumnSet& cs : per_morsel) out.set.Append(cs);
+  for (MorselSlot& slot : slots) out.set.Append(slot.rows);
   return Status::OK();
 }
 
 std::string PipelineStep::Describe() const {
   std::ostringstream os;
-  os << "PIPELINE ";
-  if (!table_.empty()) {
-    os << "scan " << table_;
-  } else {
-    os << "#" << input_;
+  if (spec_.stages.size() == 1) {
+    // A lone scan or pipe keeps its own name in plans and reports.
+    const PipelineStageSpec& s = spec_.stages.front();
+    if (spec_.table.empty()) {
+      os << "PIPE #" << spec_.input;
+    } else {
+      os << "SCAN " << spec_.table;
+    }
+    os << " preds=" << s.predicates.size() << " proj=" << s.projections.size()
+       << " tile=" << spec_.tile_rows;
+    if (spec_.table.empty()) return os.str();
+    os << (spec_.use_rid_list ? " rid" : " bv");
+    if (s.join_filter.enabled()) {
+      os << " joinfilter=#" << s.join_filter.build_step << "("
+         << s.join_filter.probe_column << ")";
+    }
+    return os.str();
   }
-  for (const PipelineStageSpec& s : stages_) {
+  os << "PIPELINE ";
+  if (!spec_.table.empty()) {
+    os << "scan " << spec_.table;
+  } else {
+    os << "#" << spec_.input;
+  }
+  for (const PipelineStageSpec& s : spec_.stages) {
     if (s.kind == PipelineStageSpec::Kind::kFilterProject) {
       os << " | filter+project preds=" << s.predicates.size()
          << " proj=" << s.projections.size();
@@ -1047,7 +847,7 @@ std::string PipelineStep::Describe() const {
       }
     }
   }
-  os << " tile=" << tile_rows_ << (use_rid_list_ ? " rid" : " bv");
+  os << " tile=" << spec_.tile_rows << (spec_.use_rid_list ? " rid" : " bv");
   return os.str();
 }
 

@@ -65,7 +65,7 @@ struct WorkloadCounters {
 };
 
 // Fragment-checkpoint accounting: partition rounds restored instead
-// of re-executed, fused-pipeline morsels skipped by mid-step resume,
+// of re-executed, pipeline morsels skipped by mid-step resume,
 // and fragment-level DPU retries spent (bounded by
 // ExecOptions::retry_budget). Steps tally one attempt in
 // ExecEnv::recovery; FragmentCheckpoint sums the attempts of a query;
@@ -82,31 +82,45 @@ struct RecoveryCounters {
   }
 };
 
+// One morsel's output slot in a PipelineStep. A completed slot also
+// keeps the modeled charges and core counters its morsel produced: a
+// resumed attempt replays them in place of the work, so the step's
+// modeled time does not depend on which morsels happened to finish
+// before a failure.
+struct MorselSlot {
+  ColumnSet rows;
+  std::vector<dpu::CycleCounter::Charge> charges;
+  dpu::CoreCounters counters;
+  bool done = false;
+};
+
 // Mid-step state salvaged from a failed attempt, indexed by step id
 // (ExecEnv::progress). An in-place retry of the same plan resumes
 // from it instead of recomputing:
 //  - PartitionStep keeps completed partition rounds (buckets +
 //    carried hash columns) and restarts at the failed round;
-//  - PipelineStep keeps its morsel-id-indexed output slots plus a
-//    per-morsel done bitmap — the high-water mark — and skips
-//    completed morsels on the next attempt. A pipeline ending in an
-//    aggregate stage saves nothing: a core's table mixes its finished
-//    morsels with the one that failed, so the retry restarts the step.
+//  - PipelineStep — a lone scan or pipe as much as a fused chain —
+//    keeps its morsel-id-indexed slots, the completed ones marked
+//    done (the high-water mark), and skips completed morsels on the
+//    next attempt. The slots carry the Describe() of the pipeline
+//    that filled them: a demotion replan can put a different chain at
+//    the same subtree address, and its morsels are other rows. A
+//    pipeline ending in an aggregate stage saves nothing: a core's
+//    table mixes its finished morsels with the one that failed, so the
+//    retry restarts the step.
 // Both resumes are bit-identical to from-scratch runs because morsel
 // decomposition and each round's histogram-then-exact-offset bucket
 // layout are deterministic.
 struct StepProgress {
   PartitionProgress partition;
-  std::vector<ColumnSet> per_morsel;
-  std::vector<uint8_t> morsel_done;  // 1 = slot holds a completed morsel
-  bool has_morsels = false;
+  std::vector<MorselSlot> morsels;
+  std::string morsel_owner;  // Describe() of the pipeline that filled them
 
-  bool empty() const { return partition.empty() && !has_morsels; }
+  bool empty() const { return partition.empty() && morsels.empty(); }
   void clear() {
     partition.clear();
-    per_morsel.clear();
-    morsel_done.clear();
-    has_morsels = false;
+    morsels.clear();
+    morsel_owner.clear();
   }
 };
 
@@ -177,11 +191,11 @@ struct PhysicalPlan {
 // ---- Step implementations --------------------------------------------------
 
 // Sideways information passing (join-filter pushdown): the planner
-// attaches one of these to the probe-side scan of a hash join when
-// the build side is small enough that a blocked Bloom filter over its
-// keys pays for itself. The scan builds the filter from the build
-// step's materialized output and evaluates it as an extra predicate
-// inside the fused tile loop, dropping pruned rows before
+// attaches one of these to stage 0 of the probe-side scan pipeline of
+// a hash join when the build side is small enough that a blocked
+// Bloom filter over its keys pays for itself. The pipeline builds the
+// filter from the build step's materialized output and evaluates it as
+// an extra predicate inside its tile loop, dropping pruned rows before
 // partitioning and payload materialization.
 //
 // The ref is attached whenever the rewrite is structurally eligible
@@ -197,92 +211,6 @@ struct JoinFilterRef {
   double selectivity = 0.5;  // estimated pass rate incl. false positives
 
   bool enabled() const { return build_step >= 0; }
-};
-
-// Base-table scan task: relation accessor -> filter -> project,
-// pipelined through DMEM, materializing to a ColumnSet.
-class ScanStep : public PlanStep {
- public:
-  ScanStep(int id, std::string table, std::vector<std::string> base_columns,
-           std::vector<Predicate> predicates,
-           std::vector<std::pair<std::string, ExprPtr>> projections,
-           size_t tile_rows, bool use_rid_list)
-      : PlanStep(id),
-        table_(std::move(table)),
-        base_columns_(std::move(base_columns)),
-        predicates_(std::move(predicates)),
-        projections_(std::move(projections)),
-        tile_rows_(tile_rows),
-        use_rid_list_(use_rid_list) {}
-
-  Status Execute(ExecEnv& env) const override;
-  std::string Describe() const override;
-  std::vector<int> Inputs() const override {
-    if (join_filter_.enabled()) return {join_filter_.build_step};
-    return {};
-  }
-  void RemapInputs(const std::vector<int>& old_to_new) override {
-    if (join_filter_.enabled()) {
-      join_filter_.build_step =
-          old_to_new[static_cast<size_t>(join_filter_.build_step)];
-    }
-  }
-
-  const std::string& table() const { return table_; }
-  const std::vector<std::string>& base_columns() const {
-    return base_columns_;
-  }
-  const std::vector<Predicate>& predicates() const { return predicates_; }
-  const std::vector<std::pair<std::string, ExprPtr>>& projections() const {
-    return projections_;
-  }
-  size_t tile_rows() const { return tile_rows_; }
-  bool use_rid_list() const { return use_rid_list_; }
-  void set_join_filter(JoinFilterRef ref) { join_filter_ = std::move(ref); }
-  const JoinFilterRef& join_filter() const { return join_filter_; }
-
- private:
-  std::string table_;
-  std::vector<std::string> base_columns_;  // columns read from the table
-  std::vector<Predicate> predicates_;      // ordered most-selective-first
-  std::vector<std::pair<std::string, ExprPtr>> projections_;
-  size_t tile_rows_;
-  bool use_rid_list_;
-  JoinFilterRef join_filter_;  // disabled unless the planner pushed one
-};
-
-// Same pipeline over a DRAM intermediate (e.g. filtering/projecting a
-// join result).
-class PipeStep : public PlanStep {
- public:
-  PipeStep(int id, int input, std::vector<Predicate> predicates,
-           std::vector<std::pair<std::string, ExprPtr>> projections,
-           size_t tile_rows)
-      : PlanStep(id),
-        input_(input),
-        predicates_(std::move(predicates)),
-        projections_(std::move(projections)),
-        tile_rows_(tile_rows) {}
-
-  Status Execute(ExecEnv& env) const override;
-  std::string Describe() const override;
-  std::vector<int> Inputs() const override { return {input_}; }
-  void RemapInputs(const std::vector<int>& old_to_new) override {
-    input_ = old_to_new[static_cast<size_t>(input_)];
-  }
-
-  int input() const { return input_; }
-  const std::vector<Predicate>& predicates() const { return predicates_; }
-  const std::vector<std::pair<std::string, ExprPtr>>& projections() const {
-    return projections_;
-  }
-  size_t tile_rows() const { return tile_rows_; }
-
- private:
-  int input_;
-  std::vector<Predicate> predicates_;
-  std::vector<std::pair<std::string, ExprPtr>> projections_;
-  size_t tile_rows_;
 };
 
 class PartitionStep : public PlanStep {
@@ -478,16 +406,15 @@ class WindowStep : public PlanStep {
   std::vector<LogicalWindow> windows_;
 };
 
-// One stage of a fused pipeline (see PipelineStep).
+// One stage of a pipeline (see PipelineStep).
 struct PipelineStageSpec {
   enum class Kind { kFilterProject, kProbe, kAggregate };
   Kind kind = Kind::kFilterProject;
 
-  // kFilterProject: ordered predicates + projection expressions,
-  // exactly the payload of a ScanStep/PipeStep. `join_filter` (stage 0
-  // only) carries a pushed-down Bloom-filter ref from the absorbed
-  // ScanStep; the fused tile loop evaluates it after the ordinary
-  // predicates.
+  // kFilterProject: ordered predicates + projection expressions.
+  // `join_filter` (stage 0 of a table source only) carries the Bloom
+  // filter the planner pushed into the probe-side scan; the tile loop
+  // evaluates it after the ordinary predicates.
   std::vector<Predicate> predicates;
   std::vector<std::pair<std::string, ExprPtr>> projections;
   JoinFilterRef join_filter;
@@ -511,49 +438,55 @@ struct PipelineStageSpec {
   size_t est_groups = 0;
 };
 
-// A fused run of pipeline-safe steps (scan/filter/project/probe),
-// executed as ONE ParallelFor round: every dpCore streams its share of
-// input tiles through the whole operator chain DMEM-resident — one DMS
-// load per input tile, one DMS store per output tile, no intermediate
-// ColumnSet and no per-step barrier. A trailing low-NDV aggregate stage
-// replaces the DMS store: the chain ends in one GroupByOp per core.
-// Pipeline breakers (join build, partition, high-NDV group-by, sort)
-// stay separate steps.
+// A pipeline's source and operator chain. The source is either a base
+// table (`!table.empty()`, input == -1) or a materialized intermediate
+// (`input` >= 0). The first stage must be kFilterProject; stages[i]'s
+// output feeds stages[i+1]. Only the last stage may be kAggregate.
+struct PipelineSpec {
+  std::string table;
+  std::vector<std::string> base_columns;  // columns read from the table
+  int input = -1;
+  std::vector<PipelineStageSpec> stages;
+  size_t tile_rows = 1024;  // planned tile; execution fits it to DMEM
+  bool use_rid_list = false;
+};
+
+// A task in the paper's sense: a chain of pipeline-safe operators
+// (scan/filter/project/probe), executed as ONE ParallelFor round.
+// Every dpCore streams its share of input tiles through the whole
+// chain DMEM-resident — one DMS load per input tile, one DMS store per
+// output tile, no intermediate ColumnSet and no per-step barrier. A
+// trailing low-NDV aggregate stage replaces the DMS store: the chain
+// ends in one GroupByOp per core. The planner lowers every scan and
+// every filter/project over an intermediate as a one-stage pipeline
+// (printed `SCAN ...` / `PIPE #n ...`); pipeline fusion extends those
+// into longer chains. Pipeline breakers (join build, partition,
+// high-NDV group-by, sort) stay separate steps.
 class PipelineStep : public PlanStep {
  public:
-  // Source is either a base table (`!table.empty()`, input == -1) or a
-  // materialized intermediate (`input` >= 0). The first stage must be
-  // kFilterProject; stages[i]'s output feeds stages[i+1]. Only the last
-  // stage may be kAggregate.
-  PipelineStep(int id, std::string table, std::vector<std::string> base_columns,
-               int input, std::vector<PipelineStageSpec> stages,
-               size_t tile_rows, bool use_rid_list)
-      : PlanStep(id),
-        table_(std::move(table)),
-        base_columns_(std::move(base_columns)),
-        input_(input),
-        stages_(std::move(stages)),
-        tile_rows_(tile_rows),
-        use_rid_list_(use_rid_list) {}
+  PipelineStep(int id, PipelineSpec spec)
+      : PlanStep(id), spec_(std::move(spec)) {}
 
   Status Execute(ExecEnv& env) const override;
   std::string Describe() const override;
   std::vector<int> Inputs() const override;
   void RemapInputs(const std::vector<int>& old_to_new) override;
 
-  const std::vector<PipelineStageSpec>& stages() const { return stages_; }
-  size_t tile_rows() const { return tile_rows_; }
+  const PipelineSpec& spec() const { return spec_; }
+  // Attaches the planner's join-filter pushdown to the scan stage.
+  void set_join_filter(JoinFilterRef ref) {
+    spec_.stages.front().join_filter = std::move(ref);
+  }
 
  private:
-  std::string table_;
-  std::vector<std::string> base_columns_;
-  int input_;
-  std::vector<PipelineStageSpec> stages_;
-  size_t tile_rows_;
-  bool use_rid_list_;
+  PipelineSpec spec_;
 };
 
 // Shared helpers.
+// Column names a projection list reads (deduplicated, in order): the
+// columns a filter passes through to the projection that follows it.
+std::vector<std::string> ProjectionInputs(
+    const std::vector<std::pair<std::string, ExprPtr>>& projections);
 Result<std::vector<SortKey>> ResolveSortKeys(
     const ColumnSet& set, const std::vector<std::pair<std::string, bool>>& keys);
 

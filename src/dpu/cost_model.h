@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace rapid::dpu {
 
@@ -152,8 +153,32 @@ struct CostParams {
 // two streams, not the sum.
 class CycleCounter {
  public:
-  void ChargeCompute(double cycles) { compute_cycles_ += cycles; }
-  void ChargeDms(double cycles) { dms_cycles_ += cycles; }
+  // One charge, as recorded while a log is attached.
+  struct Charge {
+    double cycles = 0;
+    bool dms = false;
+  };
+
+  void ChargeCompute(double cycles) {
+    compute_cycles_ += cycles;
+    if (log_ != nullptr) log_->push_back(Charge{cycles, false});
+  }
+  void ChargeDms(double cycles) {
+    dms_cycles_ += cycles;
+    if (log_ != nullptr) log_->push_back(Charge{cycles, true});
+  }
+
+  // Appends every later charge to `log` until set_log(nullptr).
+  void set_log(std::vector<Charge>* log) { log_ = log; }
+  // Re-applies recorded charges in their original order. Floating-point
+  // sums depend on the order of their terms, so replaying the sequence
+  // (not its total) leaves the counter bit-identical to running the
+  // recorded work again.
+  void Replay(const std::vector<Charge>& log) {
+    for (const Charge& c : log) {
+      (c.dms ? dms_cycles_ : compute_cycles_) += c.cycles;
+    }
+  }
 
   double compute_cycles() const { return compute_cycles_; }
   double dms_cycles() const { return dms_cycles_; }
@@ -183,6 +208,7 @@ class CycleCounter {
  private:
   double compute_cycles_ = 0;
   double dms_cycles_ = 0;
+  std::vector<Charge>* log_ = nullptr;
 };
 
 // TraceSpan clock callback for core tracks: a core's virtual time is

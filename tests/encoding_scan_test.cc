@@ -136,8 +136,9 @@ TEST(EncodedScanTest, TypedRleDecodeRoundTripsAtNativeWidth) {
 
 // ---- QComp code-space rewrite ----------------------------------------------
 
-// Lowers a single scan and returns its predicates (fusion disabled so
-// the ScanStep is inspectable).
+// Lowers a single scan and returns its predicates: stage 0 of the
+// table-source pipeline (fusion disabled so the scan stays a lone
+// one-stage chain).
 std::vector<Predicate> LowerScanPredicates(const core::Catalog& catalog,
                                            const LogicalPtr& plan) {
   core::PlannerOptions options;
@@ -148,11 +149,12 @@ std::vector<Predicate> LowerScanPredicates(const core::Catalog& catalog,
   EXPECT_TRUE(lowered.ok()) << lowered.status().ToString();
   if (!lowered.ok()) return {};
   for (const auto& step : lowered.value().steps) {
-    if (auto* scan = dynamic_cast<core::ScanStep*>(step.get())) {
-      return scan->predicates();
+    auto* scan = dynamic_cast<core::PipelineStep*>(step.get());
+    if (scan != nullptr && !scan->spec().table.empty()) {
+      return scan->spec().stages.front().predicates;
     }
   }
-  ADD_FAILURE() << "no ScanStep in lowered plan";
+  ADD_FAILURE() << "no table-source pipeline in lowered plan";
   return {};
 }
 

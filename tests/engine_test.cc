@@ -466,5 +466,42 @@ TEST_F(EngineTest, EmptyResultQueries) {
       LogicalNode::Join(none, dims, {"f_dim"}, {"d_id"}, {"d_id"}));
 }
 
+// A scan that matches no row still reports its columns' types, DSB
+// scales and dictionaries: the output schema comes from the table,
+// not from the morsels that happened to produce rows. Checked fused
+// and unfused: names, types and scales against Volcano, dictionaries
+// against the engine's table (Volcano results carry none).
+TEST_F(EngineTest, EmptyScanKeepsColumnMetas) {
+  auto plan = LogicalNode::Scan(
+      "facts", {"f_id", "f_price", "f_cat", "f_day"},
+      {Predicate::CmpConst("f_qty", CmpOp::kGt, 100)});
+  auto host = hostdb::VolcanoExecutor::Execute(plan, host_catalog_);
+  ASSERT_TRUE(host.ok()) << host.status().ToString();
+  const ColumnSet& want = host.value();
+  ASSERT_EQ(want.num_rows(), 0u);
+  ASSERT_EQ(want.meta(1).type, storage::DataType::kDecimal);
+  for (const bool fusion : {true, false}) {
+    ExecOptions options;
+    options.planner.enable_fusion = fusion;
+    auto result = engine_.Execute(plan, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const ColumnSet& got = result.value().rows;
+    EXPECT_EQ(got.num_rows(), 0u);
+    ASSERT_EQ(got.num_columns(), want.num_columns());
+    for (size_t c = 0; c < want.num_columns(); ++c) {
+      const std::string what =
+          want.meta(c).name + (fusion ? " fused" : " unfused");
+      EXPECT_EQ(got.meta(c).name, want.meta(c).name) << what;
+      EXPECT_EQ(got.meta(c).type, want.meta(c).type) << what;
+      EXPECT_EQ(got.meta(c).dsb_scale, want.meta(c).dsb_scale) << what;
+      const storage::Table* table = engine_.GetTable("facts");
+      EXPECT_EQ(got.meta(c).dict,
+                table->dictionary(
+                    table->schema().IndexOf(want.meta(c).name).value()))
+          << what;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rapid::core

@@ -734,6 +734,129 @@ TEST_F(FaultEngineTest, PersistentPipelineFaultFallsBackWithMorselResume) {
   EXPECT_EQ(SortedRows(report.rows), clean_rows);
 }
 
+// Lone scans and pipes are one-stage pipelines, so they checkpoint by
+// morsel too: on an unfused SCAN + PIPE plan, a DMS descriptor that
+// exhausts its attempts costs one in-place retry, which restores the
+// completed morsels of the failed step and returns the clean rows and
+// metas. Each morsel is one 64-row tile and polls `dms.transfer`
+// once, so every morsel that polled before the failure completes: the
+// retry resumes morsels unless the failure hits a step's first poll.
+// Resumed morsels replay their recorded charges, so a retry whose
+// failure hit the first step models exactly the clean run's time and
+// bytes, however many morsels finished before the failure.
+TEST_F(FaultEngineTest, LoneScanAndPipeResumeByMorsel) {
+  storage::LoadOptions geometry;
+  geometry.rows_per_chunk = 64;
+  auto [specs, data] = TableData(6400);
+  ASSERT_OK(host_.CreateTable("bigt", specs, data, geometry));
+  ASSERT_OK(host_.LoadToRapid("bigt", &engine_));
+  // The filter over a projection stays a PIPE over the scan's output.
+  LogicalPtr scan = LogicalNode::Scan(
+      "bigt", {"id", "v"}, {Predicate::CmpConst("v", CmpOp::kLt, 32)});
+  LogicalPtr plan = LogicalNode::Filter(
+      LogicalNode::Project(scan, {{"id", core::Expr::Col("id")},
+                                  {"v2", core::Expr::Add(
+                                             core::Expr::Col("v"),
+                                             core::Expr::Col("v"))}}),
+      {Predicate::CmpConst("v2", CmpOp::kGe, 10)});
+
+  ExecOptions options;
+  options.planner.enable_fusion = false;
+  options.retry_budget = 2;
+  ASSERT_OK_AND_ASSIGN(QueryResult clean, engine_.Execute(plan, options));
+  ASSERT_NE(clean.plan_text.find("SCAN bigt"), std::string::npos)
+      << clean.plan_text;
+  ASSERT_NE(clean.plan_text.find("PIPE #"), std::string::npos)
+      << clean.plan_text;
+
+  const uint64_t scan_polls = CleanPollCount(faults::kDmsTransfer, [&] {
+    ASSERT_OK(engine_.Execute(scan, options).status());
+  });
+  const uint64_t polls = CleanPollCount(faults::kDmsTransfer, [&] {
+    ASSERT_OK(engine_.Execute(plan, options).status());
+  });
+  ASSERT_GT(scan_polls, 8u);
+  ASSERT_GT(polls, scan_polls + 8);
+  for (const uint64_t skip : {polls / 4, polls / 2, polls - 2}) {
+    ScopedFaultInjection fi(41);
+    FaultInjector::SiteSpec spec;
+    spec.skip_first = skip;
+    spec.max_failures = 4;  // exhausts exactly one descriptor
+    fi.Arm(faults::kDmsTransfer, spec);
+    ASSERT_OK_AND_ASSIGN(QueryResult retried, engine_.Execute(plan, options));
+    const std::string what = "skip " + std::to_string(skip);
+    EXPECT_EQ(retried.stats.dpu_retries, 1u) << what;
+    if (skip != 0 && skip != scan_polls) {
+      EXPECT_GT(retried.stats.resumed_morsels, 0u) << what;
+    }
+    if (skip < scan_polls) {
+      EXPECT_EQ(retried.stats.modeled_seconds, clean.stats.modeled_seconds)
+          << what;
+      EXPECT_EQ(retried.stats.plain_bytes_moved,
+                clean.stats.plain_bytes_moved)
+          << what;
+    }
+    rapid::testing::ExpectIdentical(retried.rows, clean.rows, what);
+  }
+}
+
+// A DMEM OOM in a fused chain demotes to the unfused plan, and the
+// checkpoint carries over by subtree address. Here the fused
+// `scan | filter+project | filter+project` chain and the unfused PIPE
+// over the SCAN sit at the same address with the same morsel count
+// (50 chunks vs 50 64-row ranges), but chunk m keeps 96 or 32 rows, so
+// the fused slots are not the PIPE's row ranges. The PIPE must start
+// over instead of resuming them.
+TEST_F(FaultEngineTest, DemotedPipeDoesNotResumeFusedChainSlots) {
+  storage::LoadOptions geometry;
+  geometry.rows_per_chunk = 128;
+  std::vector<storage::ColumnSpec> specs = {
+      {"id", storage::ColumnKind::kInt64},
+      {"keep", storage::ColumnKind::kInt32}};
+  std::vector<storage::ColumnData> data(2);
+  for (int i = 0; i < 50 * 128; ++i) {
+    const int chunk = i / 128;
+    data[0].ints.push_back(i);
+    data[1].ints.push_back(i % 128 < (chunk % 2 == 0 ? 96 : 32) ? 1 : 0);
+  }
+  ASSERT_OK(host_.CreateTable("skewed", specs, data, geometry));
+  ASSERT_OK(host_.LoadToRapid("skewed", &engine_));
+  LogicalPtr plan = LogicalNode::Filter(
+      LogicalNode::Project(
+          LogicalNode::Scan("skewed", {"id", "keep"},
+                            {Predicate::CmpConst("keep", CmpOp::kEq, 1)}),
+          {{"id", core::Expr::Col("id")},
+           {"id2", core::Expr::Add(core::Expr::Col("id"),
+                                   core::Expr::Col("id"))}}),
+      {Predicate::CmpConst("id2", CmpOp::kGe, 0)});
+
+  ExecOptions options;
+  options.retry_budget = 2;
+  ASSERT_OK_AND_ASSIGN(QueryResult clean, engine_.Execute(plan, options));
+  ASSERT_NE(clean.plan_text.find("PIPELINE scan skewed"), std::string::npos)
+      << clean.plan_text;
+
+  const uint64_t allocs = CleanPollCount(faults::kDmemAlloc, [&] {
+    ASSERT_OK(engine_.Execute(plan, options).status());
+  });
+  ASSERT_GT(allocs, 8u);
+  bool demoted_once = false;
+  for (const uint64_t skip : {allocs / 2, allocs * 3 / 4, allocs - 1}) {
+    ScopedFaultInjection fi(43);
+    FaultInjector::SiteSpec spec;
+    spec.code = StatusCode::kOutOfMemory;
+    spec.skip_first = skip;
+    spec.max_failures = 1;
+    fi.Arm(faults::kDmemAlloc, spec);
+    ASSERT_OK_AND_ASSIGN(QueryResult demoted, engine_.Execute(plan, options));
+    const std::string what = "alloc skip " + std::to_string(skip);
+    demoted_once = demoted_once || demoted.stats.demoted_to_unfused;
+    EXPECT_EQ(demoted.stats.resumed_morsels, 0u) << what;
+    rapid::testing::ExpectIdentical(demoted.rows, clean.rows, what);
+  }
+  EXPECT_TRUE(demoted_once);
+}
+
 TEST_F(FaultEngineTest, PoolAcquireFaultGetsInPlaceRetry) {
   ExecOptions options;
   options.planner.enable_fusion = false;

@@ -34,7 +34,7 @@ using core::Predicate;
 using core::QueryResult;
 using primitives::CmpOp;
 using rapid::testing::CleanPollCount;
-using rapid::testing::Rows;
+using rapid::testing::ExpectIdentical;
 
 constexpr int kCoreCounts[] = {1, 4, 32};
 
@@ -42,20 +42,6 @@ ExecOptions Fused(bool on) {
   ExecOptions options;
   options.planner.enable_fusion = on;
   return options;
-}
-
-// Rows in order, then every column's name, type, scale and dictionary.
-void ExpectIdentical(const ColumnSet& fused, const ColumnSet& unfused,
-                     const std::string& what) {
-  ASSERT_EQ(fused.num_columns(), unfused.num_columns()) << what;
-  EXPECT_EQ(Rows(fused), Rows(unfused)) << what;
-  for (size_t c = 0; c < fused.num_columns(); ++c) {
-    EXPECT_EQ(fused.meta(c).name, unfused.meta(c).name) << what << " col " << c;
-    EXPECT_EQ(fused.meta(c).type, unfused.meta(c).type) << what << " col " << c;
-    EXPECT_EQ(fused.meta(c).dsb_scale, unfused.meta(c).dsb_scale)
-        << what << " col " << c;
-    EXPECT_EQ(fused.meta(c).dict, unfused.meta(c).dict) << what << " col " << c;
-  }
 }
 
 bool HasAggregateStage(const QueryResult& result) {

@@ -232,7 +232,8 @@ TEST_F(JoinFilterEngineTest, QueryReportExposesCountersAndZerosOnFallback) {
 // ---- Plan shape ------------------------------------------------------------
 
 // Lowers a plan (fusion disabled so steps stay inspectable) and
-// returns the probe-side ScanStep's filter ref state.
+// returns the filter ref state of stage 0 of the probe-side
+// table-source pipeline.
 bool ProbeScanHasFilterRef(const core::Catalog& catalog,
                            const LogicalPtr& plan) {
   core::PlannerOptions options;
@@ -243,8 +244,10 @@ bool ProbeScanHasFilterRef(const core::Catalog& catalog,
   EXPECT_TRUE(lowered.ok()) << lowered.status().ToString();
   if (!lowered.ok()) return false;
   for (const auto& step : lowered.value().steps) {
-    if (auto* scan = dynamic_cast<core::ScanStep*>(step.get())) {
-      if (scan->join_filter().enabled()) return true;
+    auto* scan = dynamic_cast<core::PipelineStep*>(step.get());
+    if (scan != nullptr && !scan->spec().table.empty() &&
+        scan->spec().stages.front().join_filter.enabled()) {
+      return true;
     }
   }
   return false;

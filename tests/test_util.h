@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -40,6 +41,20 @@ inline std::vector<std::vector<int64_t>> Rows(const core::ColumnSet& set) {
     rows.push_back(std::move(row));
   }
   return rows;
+}
+
+// Rows in order, then every column's name, type, scale and dictionary.
+inline void ExpectIdentical(const core::ColumnSet& a, const core::ColumnSet& b,
+                            const std::string& what) {
+  ASSERT_EQ(a.num_columns(), b.num_columns()) << what;
+  EXPECT_EQ(Rows(a), Rows(b)) << what;
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    EXPECT_EQ(a.meta(c).name, b.meta(c).name) << what << " col " << c;
+    EXPECT_EQ(a.meta(c).type, b.meta(c).type) << what << " col " << c;
+    EXPECT_EQ(a.meta(c).dsb_scale, b.meta(c).dsb_scale)
+        << what << " col " << c;
+    EXPECT_EQ(a.meta(c).dict, b.meta(c).dict) << what << " col " << c;
+  }
 }
 
 // Asserts two result sets hold the same bag of rows (sorted compare)
