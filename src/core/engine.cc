@@ -492,14 +492,25 @@ const std::string& RapidEngine::LastTrace() {
 namespace {
 
 // Physical tree render with per-node actuals, following PlanStep
-// input edges down from the root.
+// input edges down from the root. A step read by several consumers (a
+// shared scan under its BRANCH steps) renders its subtree once; later
+// visits print its first line only. A shared scan's branches follow
+// its line, one per line.
 void RenderStepTree(const PhysicalPlan& plan, int id,
                     const std::unordered_map<int, const StepTiming*>& timings,
-                    int indent, std::string* out) {
+                    int indent, std::vector<uint8_t>* shown,
+                    std::string* out) {
   if (id < 0 || static_cast<size_t>(id) >= plan.steps.size()) return;
   const auto& step = plan.steps[static_cast<size_t>(id)];
-  out->append(static_cast<size_t>(indent) * 2, ' ');
-  *out += "#" + std::to_string(id) + " " + step->Describe();
+  const std::string pad(static_cast<size_t>(indent) * 2, ' ');
+  const std::string desc = step->Describe();
+  size_t eol = desc.find('\n');
+  *out += pad + "#" + std::to_string(id) + " " + desc.substr(0, eol);
+  if ((*shown)[static_cast<size_t>(id)] != 0) {
+    *out += "  (shown above)\n";
+    return;
+  }
+  (*shown)[static_cast<size_t>(id)] = 1;
   auto it = timings.find(id);
   if (it != timings.end()) {
     const StepTiming& t = *it->second;
@@ -517,6 +528,11 @@ void RenderStepTree(const PhysicalPlan& plan, int id,
     *out += "  (restored from checkpoint)";
   }
   *out += "\n";
+  while (eol != std::string::npos) {
+    const size_t next = desc.find('\n', eol + 1);
+    *out += pad + "  " + desc.substr(eol + 1, next - eol - 1) + "\n";
+    eol = next;
+  }
   // A step can reference the same input through several edges (e.g. a
   // probe's build input doubling as its join-filter source); render
   // the shared subtree once.
@@ -528,7 +544,7 @@ void RenderStepTree(const PhysicalPlan& plan, int id,
     }
   }
   for (int child : children) {
-    RenderStepTree(plan, child, timings, indent + 1, out);
+    RenderStepTree(plan, child, timings, indent + 1, shown, out);
   }
 }
 
@@ -566,7 +582,8 @@ Result<std::string> RapidEngine::ExplainAnalyze(const LogicalPtr& plan,
                 static_cast<unsigned long long>(s.reused_rounds),
                 static_cast<unsigned long long>(s.dpu_retries));
   out += buf;
-  RenderStepTree(physical, physical.root, timings, 0, &out);
+  std::vector<uint8_t> shown(physical.steps.size(), 0);
+  RenderStepTree(physical, physical.root, timings, 0, &shown, &out);
   return out;
 }
 

@@ -281,7 +281,10 @@ Status GroupByOp::EmitInto(ColumnSet* out) const {
     const std::vector<int64_t>& st = table_.agg_column(a);
     append(out->column(keys_.size() + a), [&](size_t g) { return st[g]; });
   }
-  // Record scales on the output metadata.
+  // Record scales on the output metadata. Without a group there is no
+  // observed scale: the output keeps the metas its caller derived from
+  // the input (a bare column key's scale).
+  if (groups == 0) return Status::OK();
   for (size_t k = 0; k < keys_.size(); ++k) {
     out->meta(k).dsb_scale = key_scales_[k];
     if (key_scales_[k] != 0) out->meta(k).type = storage::DataType::kDecimal;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <queue>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -18,10 +19,80 @@ namespace {
 // A pipeline-safe chain accumulated but not yet emitted is kept as the
 // spec of the PipelineStep it will become, keyed by the old id of its
 // last absorbed step, and flushed the first time a non-fusable
-// consumer needs it. A chain ending in an aggregate stage emits groups,
-// not tiles: nothing further can be appended to it.
+// consumer needs it. A pending chain is a lone branch.
+std::vector<PipelineStageSpec>& Stages(PipelineSpec& chain) {
+  return chain.branches.front().stages;
+}
+const std::vector<PipelineStageSpec>& Stages(const PipelineSpec& chain) {
+  return chain.branches.front().stages;
+}
+
+// A chain ending in an aggregate stage emits groups, not tiles: nothing
+// further can be appended to it, and it shares no scan.
 bool Extendable(const PipelineSpec& chain) {
-  return chain.stages.back().kind != PipelineStageSpec::Kind::kAggregate;
+  return Stages(chain).back().kind != PipelineStageSpec::Kind::kAggregate;
+}
+
+// DMEM a part of a pipeline holds: fixed state plus bytes per tile row.
+struct Footprint {
+  size_t state = 0;
+  size_t per_row = 0;
+
+  void Add(size_t state_bytes, size_t row_bytes) {
+    state += state_bytes;
+    per_row += row_bytes;
+  }
+  size_t BytesAt(size_t tile_rows) const { return state + per_row * tile_rows; }
+};
+
+bool SameExpr(const ExprPtr& a, const ExprPtr& b) {
+  if (a == nullptr || b == nullptr) return a == b;
+  return a->kind == b->kind && a->column == b->column &&
+         a->value == b->value && a->scale == b->scale && a->op == b->op &&
+         SameExpr(a->left, b->left) && SameExpr(a->right, b->right);
+}
+
+bool SamePredicate(const Predicate& a, const Predicate& b) {
+  return a.kind == b.kind && a.column == b.column && a.op == b.op &&
+         a.value == b.value && a.value2 == b.value2 &&
+         a.in_set == b.in_set && a.column2 == b.column2 &&
+         a.bloom == b.bloom && a.selectivity == b.selectivity;
+}
+
+bool SameJoinFilter(const JoinFilterRef& a, const JoinFilterRef& b) {
+  return a.build_step == b.build_step && a.build_key == b.build_key &&
+         a.probe_column == b.probe_column &&
+         a.est_build_ndv == b.est_build_ndv && a.selectivity == b.selectivity;
+}
+
+// Whether two branches over one source compute the same rows: the same
+// filter/project stages, join filter and rid flag. A probe stage reads
+// a build step of its own, so a branch with one never equals another.
+bool SameBranch(const PipelineBranch& a, const PipelineBranch& b) {
+  if (a.use_rid_list != b.use_rid_list || a.stages.size() != b.stages.size()) {
+    return false;
+  }
+  for (size_t s = 0; s < a.stages.size(); ++s) {
+    const PipelineStageSpec& x = a.stages[s];
+    const PipelineStageSpec& y = b.stages[s];
+    if (x.kind != PipelineStageSpec::Kind::kFilterProject ||
+        y.kind != PipelineStageSpec::Kind::kFilterProject ||
+        x.predicates.size() != y.predicates.size() ||
+        x.projections.size() != y.projections.size() ||
+        !SameJoinFilter(x.join_filter, y.join_filter)) {
+      return false;
+    }
+    for (size_t p = 0; p < x.predicates.size(); ++p) {
+      if (!SamePredicate(x.predicates[p], y.predicates[p])) return false;
+    }
+    for (size_t p = 0; p < x.projections.size(); ++p) {
+      if (x.projections[p].first != y.projections[p].first ||
+          !SameExpr(x.projections[p].second, y.projections[p].second)) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 class Fuser {
@@ -43,8 +114,21 @@ class Fuser {
   Result<int> Materialize(int old_id);
   Status HandleJoin(int id, JoinStep* join);
   bool FuseAggregate(int id, const GroupByStep& group_by);
+  void ShareScans();
+
+  Footprint SourceFootprint(const PipelineSpec& desc) const;
+  Footprint BranchFootprint(const std::vector<PipelineStageSpec>& stages,
+                            const PipelineStageSpec* extra) const;
+  bool FitsDmem(const Footprint& source,
+                const std::vector<Footprint>& branches) const;
   bool ChainFitsDmem(const PipelineSpec& desc,
-                     const PipelineStageSpec* extra) const;
+                     const PipelineStageSpec* extra) const {
+    return FitsDmem(SourceFootprint(desc),
+                    {BranchFootprint(Stages(desc), extra)});
+  }
+  double TransferCycles(const std::string& table,
+                        const std::vector<std::string>& columns,
+                        size_t tile_rows) const;
 
   PhysicalPlan plan_;
   const dpu::DpuConfig& config_;
@@ -59,19 +143,15 @@ class Fuser {
   std::unordered_set<int> deferred_partitions_;
 };
 
-// Checks via task formation that the chain (plus an optional extra
-// stage) fits the per-core DMEM budget at some tile size.
-bool Fuser::ChainFitsDmem(const PipelineSpec& desc,
-                          const PipelineStageSpec* extra) const {
-  std::vector<OpProfile> profiles;
+// The accessor's double-buffered tiles. Encoded scans stage each
+// compressed base column's runs (values + lengths, double-buffered)
+// alongside the plain tile; the gate must budget that extra DMEM or
+// fusion could admit a chain the accessor then degrades to plain
+// transfers.
+Footprint Fuser::SourceFootprint(const PipelineSpec& desc) const {
   const size_t src_cols =
       desc.table.empty() ? 4 : std::max<size_t>(1, desc.base_columns.size());
-  // Encoded scans stage each compressed base column's runs (values +
-  // lengths, double-buffered) alongside the plain tile; the gate must
-  // budget that extra DMEM or fusion could admit a chain the accessor
-  // then degrades to plain transfers.
   size_t staging_bytes = 0;
-  double decode_rate = 0.0;
   if (catalog_ != nullptr && !desc.table.empty() &&
       GetConfig().encoded_scan == EncodedScanMode::kAuto) {
     auto it = catalog_->find(desc.table);
@@ -86,68 +166,102 @@ bool Fuser::ChainFitsDmem(const PipelineSpec& desc,
             storage::WidthOf(t.schema().field(idx.value()).type);
         staging_bytes += static_cast<size_t>(
             2.0 * static_cast<double>(w) / ratio + 1.0);
-        decode_rate +=
-            params_.rle_decode_cycles_per_row / params_.simd.rle;
       }
     }
   }
-  profiles.push_back({"accessor", 64, 2 * 8 * src_cols + staging_bytes, 1.0,
-                      8 * src_cols, decode_rate});
+  Footprint source;
+  source.Add(64, 2 * 8 * src_cols + staging_bytes);
+  return source;
+}
 
-  // Per-row compute rates reflect the dispatched SIMD kernels so the
-  // gate's formation profiles match what execution will charge.
-  const double filter_rate =
-      params_.filter_cycles_per_row / params_.simd.filter;
-  const double arith_rate = params_.arith_cycles_per_row / params_.simd.arith;
-  const double probe_rate = params_.join_probe_cycles_per_row +
-                            params_.hash_cycles_per_row / params_.simd.hash;
+// One branch's operators (plus an optional extra stage): resident
+// state (broadcast tables, join filters, group tables) and per-row
+// tile scratch, as each operator declares them.
+Footprint Fuser::BranchFootprint(const std::vector<PipelineStageSpec>& stages,
+                                 const PipelineStageSpec* extra) const {
+  Footprint branch;
   auto add_stage = [&](const PipelineStageSpec& stage) {
     if (stage.kind == PipelineStageSpec::Kind::kFilterProject) {
       const size_t pass = ProjectionInputs(stage.projections).size();
       // A pushed join filter keeps its blocked Bloom filter resident
-      // beside the tiles and adds one probe per row. Budgeted here
-      // whether or not the runtime gate is on, so fusion decisions
-      // are identical off/on.
+      // beside the tiles. Budgeted here whether or not the runtime gate
+      // is on, so fusion decisions are identical off/on.
       size_t jf_bytes = 0;
-      double rate = filter_rate;
       if (stage.join_filter.enabled()) {
         const auto ndv = static_cast<size_t>(
             std::max(1.0, stage.join_filter.est_build_ndv));
         jf_bytes = primitives::kBloomBlockBytes *
                    primitives::BlockedBloomFilter::BlocksForNdv(
                        ndv, config_.dmem_bytes / 4);
-        rate += params_.bloom_probe_cycles_per_row / params_.simd.bloom;
       }
-      profiles.push_back(
-          {"filter", 64 + jf_bytes, 8 * (pass + 1), 1.0, 8, rate});
-      profiles.push_back(
-          {"project", 64, 8 * std::max<size_t>(1, stage.projections.size()),
-           1.0, 8 * std::max<size_t>(1, stage.projections.size()),
-           arith_rate});
+      branch.Add(64 + jf_bytes, 8 * (pass + 1));
+      branch.Add(64, 8 * std::max<size_t>(1, stage.projections.size()));
     } else if (stage.kind == PipelineStageSpec::Kind::kProbe) {
       // Broadcast table: ~6 bytes/build row covers bucket heads plus
       // chain links at the capacities the gate admits.
-      const size_t table_bytes = 6 * std::max<size_t>(64, stage.join_spec.est_build_rows);
-      const size_t out_width = 8 * std::max<size_t>(1, stage.output_columns.size());
-      profiles.push_back(
-          {"probe", table_bytes, out_width + 8, 1.0, out_width, probe_rate});
+      const size_t table_bytes =
+          6 * std::max<size_t>(64, stage.join_spec.est_build_rows);
+      const size_t out_width =
+          8 * std::max<size_t>(1, stage.output_columns.size());
+      branch.Add(table_bytes, out_width + 8);
     } else {
       // The estimated group table stays resident beside the chain;
       // per row, the evaluated key and aggregate inputs.
-      const size_t width =
-          8 * (stage.group_keys.size() + stage.aggregates.size());
-      profiles.push_back(
-          {"aggregate",
-           GroupHashTable::DmemBytes(stage.group_keys.size(),
-                                     stage.aggregates.size(),
-                                     stage.est_groups),
-           width, 0.0, width, params_.groupby_cycles_per_row});
+      branch.Add(GroupHashTable::DmemBytes(stage.group_keys.size(),
+                                           stage.aggregates.size(),
+                                           stage.est_groups),
+                 8 * (stage.group_keys.size() + stage.aggregates.size()));
     }
   };
-  for (const auto& stage : desc.stages) add_stage(stage);
+  for (const auto& stage : stages) add_stage(stage);
   if (extra != nullptr) add_stage(*extra);
+  return branch;
+}
 
-  return MaxTileRows(profiles, 0, profiles.size() - 1, config_.dmem_bytes).ok();
+// Checks via task formation that a pipeline fits the per-core DMEM
+// budget at some tile size. Branches run one after another on a tile,
+// so their resident state adds up while their tile scratch overlays:
+// only the largest branch's per-row bytes count. For a lone branch
+// this is the whole chain's footprint.
+bool Fuser::FitsDmem(const Footprint& source,
+                     const std::vector<Footprint>& branches) const {
+  OpProfile accessor;
+  accessor.name = "accessor";
+  accessor.state_bytes = source.state;
+  accessor.bytes_per_row = source.per_row;
+  OpProfile chains;
+  chains.name = "branches";
+  chains.state_bytes = 0;
+  chains.bytes_per_row = 0;
+  for (const Footprint& b : branches) {
+    chains.state_bytes += b.state;
+    chains.bytes_per_row = std::max(chains.bytes_per_row, b.per_row);
+  }
+  return MaxTileRows({accessor, chains}, 0, 1, config_.dmem_bytes).ok();
+}
+
+// Modeled DMS cycles of one plain `tile_rows`-row transfer of `columns`
+// of `table`, as Dms::TransferTile charges its descriptor chain.
+double Fuser::TransferCycles(const std::string& table,
+                             const std::vector<std::string>& columns,
+                             size_t tile_rows) const {
+  const storage::Table* t = nullptr;
+  if (catalog_ != nullptr) {
+    auto it = catalog_->find(table);
+    if (it != catalog_->end()) t = &it->second;
+  }
+  size_t bytes = 0;
+  for (const std::string& c : columns) {
+    size_t width = 8;
+    if (t != nullptr) {
+      auto idx = t->schema().IndexOf(c);
+      if (idx.ok()) width = storage::WidthOf(t->schema().field(idx.value()).type);
+    }
+    bytes += width * tile_rows;
+  }
+  const size_t cols = std::max<size_t>(1, columns.size());
+  return dpu::DmsTileTransferCycles(params_, static_cast<int>(cols),
+                                    bytes / cols, 1, /*read_write=*/false);
 }
 
 Result<int> Fuser::Materialize(int old_id) {
@@ -165,7 +279,7 @@ Result<int> Fuser::Materialize(int old_id) {
     // A pushed join-filter ref must resolve before this chain is
     // numbered: the build terminal has to be emitted — and therefore
     // execute — ahead of the scan that reads its output.
-    JoinFilterRef& join_filter = desc.stages.front().join_filter;
+    JoinFilterRef& join_filter = Stages(desc).front().join_filter;
     if (join_filter.enabled()) {
       RAPID_ASSIGN_OR_RETURN(join_filter.build_step,
                              Materialize(join_filter.build_step));
@@ -213,7 +327,7 @@ bool Fuser::FuseAggregate(int id, const GroupByStep& group_by) {
   if (!ChainFitsDmem(pit->second, &stage)) return false;
   PipelineSpec desc = std::move(pit->second);
   pending_.erase(pit);
-  desc.stages.push_back(std::move(stage));
+  Stages(desc).push_back(std::move(stage));
   pending_.emplace(id, std::move(desc));
   return true;
 }
@@ -288,7 +402,7 @@ Status Fuser::HandleJoin(int id, JoinStep* join) {
       RAPID_ASSIGN_OR_RETURN(stage.build_input, Materialize(build_src));
       PipelineSpec desc = std::move(pending_.at(probe_src));
       pending_.erase(probe_src);
-      desc.stages.push_back(std::move(stage));
+      Stages(desc).push_back(std::move(stage));
       deferred_partitions_.erase(build_part);
       deferred_partitions_.erase(probe_part);
       plan_.steps[static_cast<size_t>(build_part)].reset();
@@ -334,10 +448,10 @@ Result<PhysicalPlan> Fuser::Run() {
       if (spec.table.empty() && pit != pending_.end() &&
           consumers_[static_cast<size_t>(spec.input)] == 1 &&
           Extendable(pit->second) &&
-          ChainFitsDmem(pit->second, &spec.stages.front())) {
+          ChainFitsDmem(pit->second, &Stages(spec).front())) {
         PipelineSpec desc = std::move(pit->second);
         pending_.erase(pit);
-        desc.stages.push_back(std::move(spec.stages.front()));
+        Stages(desc).push_back(std::move(Stages(spec).front()));
         desc.tile_rows = std::min(desc.tile_rows, spec.tile_rows);
         spec = std::move(desc);
       }
@@ -397,7 +511,231 @@ Result<PhysicalPlan> Fuser::Run() {
     const int nid = old_to_new_[static_cast<size_t>(old_id)];
     if (nid >= 0) out_.subtree_steps.emplace_back(path, nid);
   }
+  ShareScans();
   return std::move(out_);
+}
+
+// A stable topological order of the DAG in which node v reads the
+// nodes inputs[v]: among the ready nodes, the lowest priority goes
+// first. Empty when the graph has a cycle.
+std::vector<size_t> StableTopoOrder(
+    const std::vector<std::vector<size_t>>& inputs,
+    const std::vector<size_t>& priority) {
+  const size_t n = inputs.size();
+  std::vector<std::vector<size_t>> readers(n);
+  std::vector<size_t> pending(n, 0);
+  for (size_t v = 0; v < n; ++v) {
+    for (size_t in : inputs[v]) {
+      if (in == v) return {};
+      readers[in].push_back(v);
+      ++pending[v];
+    }
+  }
+  using Ready = std::pair<size_t, size_t>;  // (priority, node)
+  std::priority_queue<Ready, std::vector<Ready>, std::greater<Ready>> ready;
+  for (size_t v = 0; v < n; ++v) {
+    if (pending[v] == 0) ready.emplace(priority[v], v);
+  }
+  std::vector<size_t> order;
+  while (!ready.empty()) {
+    const size_t v = ready.top().second;
+    ready.pop();
+    order.push_back(v);
+    for (size_t r : readers[v]) {
+      if (--pending[r] == 0) ready.emplace(priority[r], r);
+    }
+  }
+  if (order.size() != n) order.clear();
+  return order;
+}
+
+// Shared scans (cooperative scans): table-source chains that read the
+// same table merge into one multi-branch PipelineStep, so the DMS moves
+// each tile once for all of them. Chains are taken greedily in plan
+// order; a chain joins the first group over its table that
+//  - it does not feed and is not fed by (merging must not close a
+//    cycle in the step DAG — e.g. a self-join whose build side scans
+//    the same table),
+//  - it makes cheaper to move: one tile transfer of the union of the
+//    columns must cost fewer DMS cycles than a transfer per member,
+//    so chains over disjoint columns stay apart, and
+//  - it leaves fitting DMEM, with the branches' tile scratch
+//    overlaid (FitsDmem).
+// A chain equal to a branch already in the group (SameBranch) adds no
+// branch: it runs once and its consumers read that branch's rows.
+// Aggregate-terminated chains and chains without a subtree address
+// stay alone. A stable topological re-sort of the plan with each group
+// contracted to one node, placed at its first member, renumbers the
+// steps; a group expands to its shared step followed by one BranchStep
+// per extra branch. Plans without a group keep their exact numbering.
+void Fuser::ShareScans() {
+  const size_t n = out_.steps.size();
+  std::vector<bool> addressed(n, false);
+  for (const auto& [path, id] : out_.subtree_steps) {
+    addressed[static_cast<size_t>(id)] = true;
+  }
+
+  struct Group {
+    PipelineSpec spec;                 // union columns, distinct branches
+    std::vector<size_t> members;       // step ids, in plan order
+    std::vector<size_t> branch_of;     // each member's branch in `spec`
+    std::vector<std::vector<std::string>> member_columns;
+  };
+  std::vector<Group> groups;
+  std::vector<int> group_of(n, -1);
+
+  // The plan's order with every group contracted to node n + g, at its
+  // first member's place (a grouped step's own node stands alone);
+  // empty when the contraction closes a cycle.
+  auto contracted_order = [&] {
+    const size_t nodes = n + groups.size();
+    std::vector<std::vector<size_t>> inputs(nodes);
+    std::vector<size_t> priority(nodes);
+    for (size_t i = 0; i < n; ++i) priority[i] = i;
+    for (size_t g = 0; g < groups.size(); ++g) {
+      priority[n + g] = groups[g].members.front();
+    }
+    auto node = [&](size_t i) {
+      return group_of[i] >= 0 ? n + static_cast<size_t>(group_of[i]) : i;
+    };
+    for (size_t i = 0; i < n; ++i) {
+      for (int in : out_.steps[i]->Inputs()) {
+        inputs[node(i)].push_back(node(static_cast<size_t>(in)));
+      }
+    }
+    return StableTopoOrder(inputs, priority);
+  };
+
+  // Evaluates the gate for step `id` joining group `g`, and joins it
+  // when the gate passes.
+  auto try_join = [&](size_t g, size_t id, const PipelineSpec& chain) {
+    Group& group = groups[g];
+    PipelineSpec merged = group.spec;
+    for (const std::string& c : chain.base_columns) {
+      if (std::find(merged.base_columns.begin(), merged.base_columns.end(),
+                    c) == merged.base_columns.end()) {
+        merged.base_columns.push_back(c);
+      }
+    }
+    merged.tile_rows = std::min(merged.tile_rows, chain.tile_rows);
+    size_t branch = 0;
+    while (branch < merged.branches.size() &&
+           !SameBranch(merged.branches[branch], chain.branches.front())) {
+      ++branch;
+    }
+    if (branch == merged.branches.size()) {
+      merged.branches.push_back(chain.branches.front());
+    }
+
+    const double union_cycles = TransferCycles(
+        merged.table, merged.base_columns, merged.tile_rows);
+    double summed_cycles =
+        TransferCycles(chain.table, chain.base_columns, merged.tile_rows);
+    for (const auto& columns : group.member_columns) {
+      summed_cycles += TransferCycles(merged.table, columns, merged.tile_rows);
+    }
+    const Footprint source = SourceFootprint(merged);
+    std::vector<Footprint> branches;
+    size_t max_per_row = 0;
+    size_t resident = 0;
+    size_t summed_bytes = source.BytesAt(64);
+    for (const PipelineBranch& b : merged.branches) {
+      branches.push_back(BranchFootprint(b.stages, nullptr));
+      summed_bytes += branches.back().BytesAt(64);
+      max_per_row = std::max(max_per_row, branches.back().per_row);
+      resident += branches.back().state;
+    }
+    const size_t overlaid_bytes =
+        source.BytesAt(64) + resident + 64 * max_per_row;
+
+    group_of[id] = static_cast<int>(g);
+    const bool share = union_cycles < summed_cycles &&
+                       FitsDmem(source, branches) &&
+                       !contracted_order().empty();
+    // The numbers behind the decision, on the planner track.
+    TraceSpan span(TraceMode::kSummary, TraceCollector::kTrackPlanner,
+                   "fusion.shared_scan");
+    span.Annotate("members", static_cast<int64_t>(group.members.size() + 1));
+    span.Annotate("union_cycles", union_cycles);
+    span.Annotate("summed_cycles", summed_cycles);
+    span.Annotate("overlaid_bytes", static_cast<int64_t>(overlaid_bytes));
+    span.Annotate("summed_bytes", static_cast<int64_t>(summed_bytes));
+    span.Annotate("share", share ? int64_t{1} : int64_t{0});
+    if (!share) {
+      group_of[id] = -1;
+      return false;
+    }
+    group.spec = std::move(merged);
+    group.members.push_back(id);
+    group.branch_of.push_back(branch);
+    group.member_columns.push_back(chain.base_columns);
+    return true;
+  };
+
+  bool shared = false;
+  for (size_t i = 0; i < n; ++i) {
+    const auto* chain = dynamic_cast<const PipelineStep*>(out_.steps[i].get());
+    if (chain == nullptr || chain->spec().table.empty() ||
+        chain->spec().branches.size() != 1 || !Extendable(chain->spec()) ||
+        !addressed[i]) {
+      continue;
+    }
+    const PipelineSpec& spec = chain->spec();
+    bool joined = false;
+    for (size_t g = 0; g < groups.size() && !joined; ++g) {
+      if (groups[g].spec.table == spec.table) joined = try_join(g, i, spec);
+    }
+    shared = shared || joined;
+    if (!joined) {
+      group_of[i] = static_cast<int>(groups.size());
+      groups.push_back(Group{spec, {i}, {0}, {spec.base_columns}});
+    }
+  }
+  if (!shared) return;
+
+  // Emit in contracted order. A group of one is its step; a shared
+  // group is its PipelineStep, then BRANCH 1..K-1. Steps are built
+  // with old ids (a BranchStep reads its group's first member, which
+  // maps to the shared step) and renumbered together.
+  std::vector<std::unique_ptr<PlanStep>> steps;
+  std::vector<int> old_to_new(n, -1);
+  for (const size_t v : contracted_order()) {
+    if (v < n) {
+      if (group_of[v] >= 0) continue;  // emitted with its group
+      old_to_new[v] = static_cast<int>(steps.size());
+      steps.push_back(std::move(out_.steps[v]));
+      continue;
+    }
+    Group& group = groups[v - n];
+    if (group.members.size() == 1) {
+      old_to_new[group.members.front()] = static_cast<int>(steps.size());
+      steps.push_back(std::move(out_.steps[group.members.front()]));
+      continue;
+    }
+    std::vector<int> branch_id(group.spec.branches.size());
+    for (size_t b = 0; b < branch_id.size(); ++b) {
+      branch_id[b] = static_cast<int>(steps.size());
+      if (b == 0) {
+        steps.push_back(
+            std::make_unique<PipelineStep>(-1, std::move(group.spec)));
+      } else {
+        steps.push_back(std::make_unique<BranchStep>(
+            -1, static_cast<int>(group.members.front()), b));
+      }
+    }
+    for (size_t k = 0; k < group.members.size(); ++k) {
+      old_to_new[group.members[k]] = branch_id[group.branch_of[k]];
+    }
+  }
+  for (size_t i = 0; i < steps.size(); ++i) {
+    steps[i]->RemapInputs(old_to_new);
+    steps[i]->set_id(static_cast<int>(i));
+  }
+  out_.steps = std::move(steps);
+  out_.root = old_to_new[static_cast<size_t>(out_.root)];
+  for (auto& [path, id] : out_.subtree_steps) {
+    id = old_to_new[static_cast<size_t>(id)];
+  }
 }
 
 }  // namespace

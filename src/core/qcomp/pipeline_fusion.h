@@ -27,6 +27,15 @@
 //     confirms the whole chain's working set fits the DMEM budget at
 //     some tile size. An aggregate stage budgets its estimated group
 //     table (keys, states, buckets and links) as resident state.
+//   * Shared scans: the finished table-source chains that read the
+//     same table merge into one PipelineStep with one branch per chain
+//     (identical chains collapse into one branch), so the DMS moves
+//     each tile once for all of them. A chain joins a group only if the
+//     merge leaves the step DAG acyclic, one tile transfer of the union
+//     of the columns costs fewer DMS cycles than one per member, and
+//     the group fits DMEM with the branches' tile scratch overlaid.
+//     Aggregate-terminated chains are never shared. Branch k >= 1's
+//     rows move to a BranchStep of their own.
 
 #ifndef RAPID_CORE_QCOMP_PIPELINE_FUSION_H_
 #define RAPID_CORE_QCOMP_PIPELINE_FUSION_H_
@@ -44,10 +53,10 @@ namespace rapid::core {
 // Returns the fused plan (steps renumbered 0..n-1 in execution order).
 // `max_build_rows` gates broadcast-probe fusion; 0 disables probe
 // fusion but still fuses scan/filter/project chains. `params` supplies
-// the per-row rates (including SIMD throughput multipliers) used in
-// the gate's task-formation profiles. `catalog` (optional) lets the
-// gate budget DMEM for the encoded scan path's run-staging buffers on
-// compressed base columns; without it the gate assumes plain tiles.
+// the DMS cost the shared-scan gate compares. `catalog` (optional)
+// lets the gates budget DMEM for the encoded scan path's run-staging
+// buffers on compressed base columns and price transfers at the
+// columns' widths; without it they assume plain 8-byte tiles.
 Result<PhysicalPlan> FusePipelines(
     PhysicalPlan plan, const dpu::DpuConfig& config, size_t max_build_rows,
     const dpu::CostParams& params,

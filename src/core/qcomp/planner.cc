@@ -32,7 +32,8 @@ int AddPipe(PhysicalPlan* plan, int input, std::vector<Predicate> predicates,
             std::vector<std::pair<std::string, ExprPtr>> projections) {
   PipelineSpec spec;
   spec.input = input;
-  PipelineStageSpec& stage = spec.stages.emplace_back();
+  PipelineStageSpec& stage =
+      spec.branches.emplace_back().stages.emplace_back();
   stage.predicates = std::move(predicates);
   stage.projections = std::move(projections);
   return AddStep(plan,
@@ -237,8 +238,9 @@ Result<Planner::Lowered> Planner::LowerScan(
   spec.table = node.table;
   spec.base_columns = std::move(base_cols);
   spec.tile_rows = tile_rows;
-  spec.use_rid_list = use_rid;
-  PipelineStageSpec& stage = spec.stages.emplace_back();
+  PipelineBranch& branch = spec.branches.emplace_back();
+  branch.use_rid_list = use_rid;
+  PipelineStageSpec& stage = branch.stages.emplace_back();
   stage.predicates = std::move(preds);
   stage.projections = std::move(projections);
   Lowered out;
@@ -439,12 +441,13 @@ Result<Planner::Lowered> Planner::LowerImpl(const LogicalNode& node,
         auto* scan = dynamic_cast<PipelineStep*>(
             plan->steps[static_cast<size_t>(probe.step)].get());
         if (scan != nullptr && !scan->spec().table.empty() &&
-            !scan->spec().stages.front().join_filter.enabled()) {
+            !scan->spec().branches.front().stages.front().join_filter
+                 .enabled()) {
           // The predicate evaluates before projection, so resolve the
           // probe key back to the scan's base column.
           std::string probe_col;
           for (const auto& [name, expr] :
-               scan->spec().stages.front().projections) {
+               scan->spec().branches.front().stages.front().projections) {
             if (name == probe_keys[0] && expr->kind == Expr::Kind::kColumn) {
               probe_col = expr->column;
               break;

@@ -5,7 +5,6 @@
 #include <bit>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -137,8 +136,9 @@ bool BuildJoinFilter(ExecEnv& env, const JoinFilterRef& ref,
 }
 
 // A group-by's output schema: its keys, then its aggregates. A key
-// that names an input column keeps that column's type and dictionary;
-// `input_meta(name)` returns the input's meta for `name`, or null.
+// that names an input column keeps that column's type, scale and
+// dictionary; `input_meta(name)` returns the input's meta for `name`,
+// or null.
 template <typename InputMeta>
 std::vector<ColumnMeta> GroupByOutputMetas(
     const std::vector<std::pair<std::string, ExprPtr>>& keys,
@@ -150,6 +150,7 @@ std::vector<ColumnMeta> GroupByOutputMetas(
     if (expr->kind == Expr::Kind::kColumn) {
       if (const ColumnMeta* in = input_meta(expr->column)) {
         m.type = in->type;
+        m.dsb_scale = in->dsb_scale;
         m.dict = in->dict;
       }
     }
@@ -344,11 +345,13 @@ std::string JoinStep::Describe() const {
 std::vector<int> PipelineStep::Inputs() const {
   std::vector<int> in;
   if (spec_.input >= 0) in.push_back(spec_.input);
-  for (const PipelineStageSpec& s : spec_.stages) {
-    if (s.kind == PipelineStageSpec::Kind::kProbe) {
-      in.push_back(s.build_input);
-    } else if (s.join_filter.enabled()) {
-      in.push_back(s.join_filter.build_step);
+  for (const PipelineBranch& branch : spec_.branches) {
+    for (const PipelineStageSpec& s : branch.stages) {
+      if (s.kind == PipelineStageSpec::Kind::kProbe) {
+        in.push_back(s.build_input);
+      } else if (s.join_filter.enabled()) {
+        in.push_back(s.join_filter.build_step);
+      }
     }
   }
   return in;
@@ -358,12 +361,14 @@ void PipelineStep::RemapInputs(const std::vector<int>& old_to_new) {
   if (spec_.input >= 0) {
     spec_.input = old_to_new[static_cast<size_t>(spec_.input)];
   }
-  for (PipelineStageSpec& s : spec_.stages) {
-    if (s.kind == PipelineStageSpec::Kind::kProbe) {
-      s.build_input = old_to_new[static_cast<size_t>(s.build_input)];
-    } else if (s.join_filter.enabled()) {
-      s.join_filter.build_step =
-          old_to_new[static_cast<size_t>(s.join_filter.build_step)];
+  for (PipelineBranch& branch : spec_.branches) {
+    for (PipelineStageSpec& s : branch.stages) {
+      if (s.kind == PipelineStageSpec::Kind::kProbe) {
+        s.build_input = old_to_new[static_cast<size_t>(s.build_input)];
+      } else if (s.join_filter.enabled()) {
+        s.join_filter.build_step =
+            old_to_new[static_cast<size_t>(s.join_filter.build_step)];
+      }
     }
   }
 }
@@ -379,97 +384,39 @@ struct ResolvedStage {
   std::vector<ExprPtr> key_exprs;          // kAggregate
 };
 
-}  // namespace
+// One branch resolved against the pipeline's source (shared by all
+// cores).
+struct ResolvedBranch {
+  std::vector<ResolvedStage> stages;
+  std::vector<ColumnMeta> metas;  // the branch's output schema
+  // Stage 0's predicates plus the pushed join filter, when it was built.
+  std::vector<Predicate> stage0_predicates;
+  primitives::BlockedBloomFilter join_bloom;
+  size_t row_bytes = 0;    // DMEM per tile row, past the accessor's
+  bool probes = false;     // a probe stage hosts a broadcast table
+  size_t table_bytes = 0;  // resident group table of an aggregate stage
+};
 
-Status PipelineStep::Execute(ExecEnv& env) const {
-  if (spec_.stages.empty() ||
-      spec_.stages.front().kind != PipelineStageSpec::Kind::kFilterProject) {
-    return Status::InvalidArgument(
-        "pipeline step needs a leading filter/project stage");
-  }
-  const bool table_source = !spec_.table.empty();
-
-  // ---- Resolve the source: binding + metadata of the incoming columns.
-  const storage::Table* table = nullptr;
-  const ColumnSet* input_set = nullptr;
-  std::vector<const storage::Chunk*> all_chunks;
-  std::vector<size_t> col_indices;
-  std::vector<int> target_scales;
-  ColumnBinding binding;
-  std::unordered_map<std::string, ColumnMeta> avail;  // name -> meta
-  size_t src_width = 0;
-
-  if (table_source) {
-    auto table_it = env.catalog->find(spec_.table);
-    if (table_it == env.catalog->end()) {
-      return Status::NotFound("table '" + spec_.table + "' not loaded");
-    }
-    table = &table_it->second;
-    for (size_t c = 0; c < spec_.base_columns.size(); ++c) {
-      RAPID_ASSIGN_OR_RETURN(size_t idx,
-                             table->schema().IndexOf(spec_.base_columns[c]));
-      col_indices.push_back(idx);
-      target_scales.push_back(table->stats(idx).dsb_scale);
-      binding[spec_.base_columns[c]] = c;
-      ColumnMeta m;
-      m.name = spec_.base_columns[c];
-      m.type = table->schema().field(idx).type;
-      m.dsb_scale = table->stats(idx).dsb_scale;
-      m.dict = table->dictionary(idx);
-      avail[m.name] = m;
-      src_width += storage::WidthOf(m.type);
-    }
-    for (size_t p = 0; p < table->num_partitions(); ++p) {
-      const storage::Partition& part = table->partition(p);
-      for (size_t c = 0; c < part.num_chunks(); ++c) {
-        all_chunks.push_back(&part.chunk(c));
-      }
-    }
-    size_t scan_rows = 0;
-    for (const storage::Chunk* chunk : all_chunks) {
-      scan_rows += chunk->num_rows();
-    }
-    env.counters.scanned_rows += scan_rows;
-    env.counters.scanned_bytes += scan_rows * src_width;
-  } else {
-    const StepOutput& in = env.outputs[static_cast<size_t>(spec_.input)];
-    if (in.partitioned) {
-      return Status::InvalidArgument(
-          "pipeline step needs an unpartitioned input");
-    }
-    input_set = &in.set;
-    for (size_t c = 0; c < input_set->num_columns(); ++c) {
-      binding[input_set->meta(c).name] = c;
-      col_indices.push_back(c);
-      avail[input_set->meta(c).name] = input_set->meta(c);
-    }
-    src_width = 8 * input_set->num_columns();
-    env.counters.scanned_rows += input_set->num_rows();
-    env.counters.scanned_bytes += input_set->num_rows() * src_width;
-  }
-
+// Resolves `branch`'s stages, input bindings and output metadata
+// against the source columns (`binding`, name -> meta `avail`).
+Status ResolveBranch(ExecEnv& env, const PipelineBranch& branch,
+                     ColumnBinding cur_binding,
+                     std::unordered_map<std::string, ColumnMeta> avail,
+                     ResolvedBranch* out) {
   // Join-filter pushdown: the planner's ref rides on stage 0. Build
   // once (shared, read-only) and hand every core's stage-0 FilterOp
   // the augmented predicate list, so pruned rows never reach
   // projection, materialization or a downstream partition step.
-  primitives::BlockedBloomFilter join_bloom;
-  std::vector<Predicate> stage0_predicates = spec_.stages.front().predicates;
-  if (BuildJoinFilter(env, spec_.stages.front().join_filter, &join_bloom)) {
-    stage0_predicates.push_back(
-        Predicate::Bloom(spec_.stages.front().join_filter.probe_column,
-                         &join_bloom,
-                         spec_.stages.front().join_filter.selectivity));
+  const PipelineStageSpec& stage0 = branch.stages.front();
+  out->stage0_predicates = stage0.predicates;
+  if (BuildJoinFilter(env, stage0.join_filter, &out->join_bloom)) {
+    out->stage0_predicates.push_back(
+        Predicate::Bloom(stage0.join_filter.probe_column, &out->join_bloom,
+                         stage0.join_filter.selectivity));
   }
 
-  // ---- Walk the stages, resolving bindings and output metadata.
-  std::vector<ResolvedStage> resolved;
-  std::vector<ColumnMeta> metas;  // metas of the running stage output
-  ColumnBinding cur_binding = binding;
-  size_t chain_row_bytes = 2 * src_width;  // accessor double buffer
-  size_t num_probe_stages = 0;
-  size_t table_bytes = 0;  // resident group table of an aggregate stage
-
-  for (const PipelineStageSpec& stage : spec_.stages) {
+  std::vector<ColumnMeta>& metas = out->metas;  // running stage output
+  for (const PipelineStageSpec& stage : branch.stages) {
     ResolvedStage rs;
     rs.spec = &stage;
     rs.in_binding = cur_binding;
@@ -490,10 +437,10 @@ Status PipelineStep::Execute(ExecEnv& env) const {
           }
         }
       }
-      chain_row_bytes += 8 * (rs.pass_through.size() +
-                              stage.projections.size()) + 8;
+      out->row_bytes +=
+          8 * (rs.pass_through.size() + stage.projections.size()) + 8;
     } else if (stage.kind == PipelineStageSpec::Kind::kProbe) {
-      ++num_probe_stages;
+      out->probes = true;
       const StepOutput& bout =
           env.outputs[static_cast<size_t>(stage.build_input)];
       if (bout.partitioned) {
@@ -540,7 +487,7 @@ Status PipelineStep::Execute(ExecEnv& env) const {
                                 "' not found");
       }
       env.counters.join_build_rows += bset.num_rows();
-      chain_row_bytes += 8 * stage.output_columns.size() + 8;
+      out->row_bytes += 8 * stage.output_columns.size() + 8;
     } else {
       for (const auto& key : stage.group_keys) {
         rs.key_exprs.push_back(key.second);
@@ -551,9 +498,9 @@ Status PipelineStep::Execute(ExecEnv& env) const {
             auto it = avail.find(name);
             return it != avail.end() ? &it->second : nullptr;
           });
-      chain_row_bytes +=
+      out->row_bytes +=
           8 * (stage.group_keys.size() + stage.aggregates.size());
-      table_bytes = GroupHashTable::DmemBytes(
+      out->table_bytes = GroupHashTable::DmemBytes(
           stage.group_keys.size(), stage.aggregates.size(), stage.est_groups);
     }
     // Stage output becomes the next stage's input.
@@ -563,20 +510,174 @@ Status PipelineStep::Execute(ExecEnv& env) const {
       cur_binding[metas[c].name] = c;
       avail[metas[c].name] = metas[c];
     }
-    resolved.push_back(std::move(rs));
+    out->stages.push_back(std::move(rs));
+  }
+  return Status::OK();
+}
+
+// A shared scan's tile fan-out: pushes each source tile through every
+// branch in turn. The tile stays in the accessor's buffer until the
+// last branch is done with it.
+class FanOutOp : public PipelineOp {
+ public:
+  explicit FanOutOp(std::vector<PipelineOp*> heads)
+      : heads_(std::move(heads)) {}
+
+  size_t DmemBytes(size_t) const override { return 0; }
+  Status Open(ExecCtx&) override { return Status::OK(); }
+  Status Consume(ExecCtx& ctx, const Tile& tile) override {
+    for (PipelineOp* head : heads_) {
+      RAPID_RETURN_NOT_OK(head->Consume(ctx, tile));
+    }
+    return Status::OK();
+  }
+  Status Finish(ExecCtx& ctx) override {
+    for (PipelineOp* head : heads_) RAPID_RETURN_NOT_OK(head->Finish(ctx));
+    return Status::OK();
   }
 
-  // ---- Tile size: the whole chain's working set shares the 32 KiB
-  // scratchpad; probe stages additionally reserve room for their DMEM
-  // hash tables (their Open() degrades capacity to what is left), an
-  // aggregate stage for its group table.
+ private:
+  std::vector<PipelineOp*> heads_;
+};
+
+using BranchOps = std::vector<std::unique_ptr<PipelineOp>>;
+
+// Opens a core's branch chains. A lone branch opens as a plain chain.
+// The branches of a shared scan run one after another on each tile, so
+// their per-tile scratch (PipelineOp::DmemBytes) overlays: each branch
+// opens on top of the resident state (broadcast tables) of the
+// branches before it and gives its scratch back, and the largest
+// branch's scratch is reserved once after the last. The operators'
+// buffers live in the tile pool; the arena only budgets them, so
+// handing the scratch bytes back frees exactly that budget.
+Status OpenBranches(ExecCtx& ctx, size_t tile_rows,
+                    const std::vector<BranchOps>& branches) {
+  if (branches.size() == 1) {
+    for (const auto& op : branches.front()) RAPID_RETURN_NOT_OK(op->Open(ctx));
+    return Status::OK();
+  }
+  dpu::Dmem& dmem = ctx.dmem();
+  size_t max_scratch = 0;
+  for (const BranchOps& ops : branches) {
+    size_t scratch = 0;
+    for (const auto& op : ops) {
+      RAPID_RETURN_NOT_OK(op->Open(ctx));
+      scratch += (op->DmemBytes(tile_rows) + 7) & ~size_t{7};
+    }
+    dmem.TruncateTo(dmem.used() - scratch);
+    max_scratch = std::max(max_scratch, scratch);
+  }
+  return dmem.Allocate(max_scratch).status();
+}
+
+}  // namespace
+
+Status PipelineStep::Execute(ExecEnv& env) const {
+  if (spec_.branches.empty()) {
+    return Status::InvalidArgument("pipeline step needs a branch");
+  }
+  for (const PipelineBranch& branch : spec_.branches) {
+    if (branch.stages.empty() ||
+        branch.stages.front().kind != PipelineStageSpec::Kind::kFilterProject) {
+      return Status::InvalidArgument(
+          "pipeline step needs a leading filter/project stage");
+    }
+  }
+  const size_t num_branches = spec_.branches.size();
+  const bool aggregate = spec_.branches.front().stages.back().kind ==
+                         PipelineStageSpec::Kind::kAggregate;
+  if (aggregate && num_branches > 1) {
+    return Status::InvalidArgument(
+        "only a lone pipeline branch may end in an aggregate");
+  }
+  const bool table_source = !spec_.table.empty();
+
+  // ---- Resolve the source: binding + metadata of the incoming columns.
+  const storage::Table* table = nullptr;
+  const ColumnSet* input_set = nullptr;
+  std::vector<const storage::Chunk*> all_chunks;
+  std::vector<size_t> col_indices;
+  std::vector<int> target_scales;
+  ColumnBinding binding;
+  std::unordered_map<std::string, ColumnMeta> avail;  // name -> meta
+  size_t src_width = 0;
+
+  if (table_source) {
+    auto table_it = env.catalog->find(spec_.table);
+    if (table_it == env.catalog->end()) {
+      return Status::NotFound("table '" + spec_.table + "' not loaded");
+    }
+    table = &table_it->second;
+    for (size_t c = 0; c < spec_.base_columns.size(); ++c) {
+      RAPID_ASSIGN_OR_RETURN(size_t idx,
+                             table->schema().IndexOf(spec_.base_columns[c]));
+      col_indices.push_back(idx);
+      target_scales.push_back(table->stats(idx).dsb_scale);
+      binding[spec_.base_columns[c]] = c;
+      ColumnMeta m;
+      m.name = spec_.base_columns[c];
+      m.type = table->schema().field(idx).type;
+      m.dsb_scale = table->stats(idx).dsb_scale;
+      m.dict = table->dictionary(idx);
+      avail[m.name] = m;
+      src_width += storage::WidthOf(m.type);
+    }
+    for (size_t p = 0; p < table->num_partitions(); ++p) {
+      const storage::Partition& part = table->partition(p);
+      for (size_t c = 0; c < part.num_chunks(); ++c) {
+        all_chunks.push_back(&part.chunk(c));
+      }
+    }
+    // A shared scan reads each row once, whatever its branches number.
+    size_t scan_rows = 0;
+    for (const storage::Chunk* chunk : all_chunks) {
+      scan_rows += chunk->num_rows();
+    }
+    env.counters.scanned_rows += scan_rows;
+    env.counters.scanned_bytes += scan_rows * src_width;
+  } else {
+    const StepOutput& in = env.outputs[static_cast<size_t>(spec_.input)];
+    if (in.partitioned) {
+      return Status::InvalidArgument(
+          "pipeline step needs an unpartitioned input");
+    }
+    input_set = &in.set;
+    for (size_t c = 0; c < input_set->num_columns(); ++c) {
+      binding[input_set->meta(c).name] = c;
+      col_indices.push_back(c);
+      avail[input_set->meta(c).name] = input_set->meta(c);
+    }
+    src_width = 8 * input_set->num_columns();
+    env.counters.scanned_rows += input_set->num_rows();
+    env.counters.scanned_bytes += input_set->num_rows() * src_width;
+  }
+
+  // ---- Resolve every branch against the source. Sized up front: the
+  // branches' stage-0 predicates point at their own join filters.
+  std::vector<ResolvedBranch> resolved(num_branches);
+  for (size_t b = 0; b < num_branches; ++b) {
+    RAPID_RETURN_NOT_OK(
+        ResolveBranch(env, spec_.branches[b], binding, avail, &resolved[b]));
+  }
+
+  // ---- Tile size: the accessor's double buffer plus the largest
+  // branch's per-row working set share the 32 KiB scratchpad (branches
+  // overlay, see OpenBranches); probe stages additionally reserve room
+  // for their DMEM hash tables (their Open() degrades capacity to what
+  // is left), an aggregate stage for its group table.
+  size_t branch_row_bytes = 0;
+  bool probes = false;
+  size_t table_bytes = 0;
+  for (const ResolvedBranch& rb : resolved) {
+    branch_row_bytes = std::max(branch_row_bytes, rb.row_bytes);
+    probes = probes || rb.probes;
+    table_bytes += rb.table_bytes;
+  }
   size_t budget = env.dpu->config().dmem_bytes;
-  if (num_probe_stages > 0) budget /= 2;
+  if (probes) budget /= 2;
   budget -= std::min(budget, table_bytes);
-  const size_t tile_rows =
-      FitTileRows(spec_.tile_rows, chain_row_bytes, budget);
-  const bool aggregate =
-      spec_.stages.back().kind == PipelineStageSpec::Kind::kAggregate;
+  const size_t tile_rows = FitTileRows(
+      spec_.tile_rows, 2 * src_width + branch_row_bytes, budget);
 
   const int num_cores = env.dpu->num_cores();
   const size_t n_input = table_source ? 0 : input_set->num_rows();
@@ -597,10 +698,16 @@ Status PipelineStep::Execute(ExecEnv& env) const {
     weights = RangeWeights(ranges);
   }
   const size_t num_morsels = table_source ? all_chunks.size() : ranges.size();
-  // An aggregate pipeline keeps no per-morsel output: its rows end in
-  // the cores' group tables.
+  // A slot holds one ColumnSet per branch. An aggregate pipeline keeps
+  // no per-morsel output: its rows end in the cores' group tables.
+  auto empty_rows = [&resolved] {
+    std::vector<ColumnSet> rows;
+    rows.reserve(resolved.size());
+    for (const ResolvedBranch& rb : resolved) rows.emplace_back(rb.metas);
+    return rows;
+  };
   std::vector<MorselSlot> slots(aggregate ? 0 : num_morsels);
-  for (MorselSlot& slot : slots) slot.rows = ColumnSet(metas);
+  for (MorselSlot& slot : slots) slot.rows = empty_rows();
 
   // Mid-pipeline resume: a failed earlier attempt left completed
   // morsel slots (the per-morsel high-water mark) in the checkpoint.
@@ -626,19 +733,21 @@ Status PipelineStep::Execute(ExecEnv& env) const {
         continue;
       }
       slot = MorselSlot();  // drop a failed morsel's partial output
-      slot.rows = ColumnSet(metas);
+      slot.rows = empty_rows();
     }
   }
   if (sp != nullptr) sp->clear();
 
-  // A core's chain (with its resident broadcast hash tables) is built
-  // lazily on the first morsel the core pulls, resumed or not, and
-  // reused for the rest: the build cost is paid once per participating
-  // core, exactly as with the static per-core split. Per-morsel
-  // accessor buffers stack on top of the chain state and are truncated
-  // between morsels.
+  // A core's chains (with their resident broadcast hash tables) are
+  // built lazily on the first morsel the core pulls, resumed or not,
+  // and reused for the rest: the build cost is paid once per
+  // participating core, exactly as with the static per-core split.
+  // Per-morsel accessor buffers stack on top of the chain state and are
+  // truncated between morsels.
   struct CoreChain {
-    std::vector<std::unique_ptr<PipelineOp>> ops;
+    std::vector<BranchOps> branches;
+    std::unique_ptr<FanOutOp> fan_out;  // shared scans only
+    PipelineOp* head = nullptr;         // what the accessor pushes into
     bool opened = false;
     Status open_status;
     size_t dmem_mark = 0;
@@ -656,35 +765,43 @@ Status PipelineStep::Execute(ExecEnv& env) const {
         if (!chain.opened) {
           chain.opened = true;
           core.dmem().Reset();
-          for (size_t s = 0; s < resolved.size(); ++s) {
-            const ResolvedStage& rs = resolved[s];
-            if (rs.spec->kind == PipelineStageSpec::Kind::kFilterProject) {
-              auto filter = std::make_unique<FilterOp>(
-                  s == 0 ? stage0_predicates : rs.spec->predicates,
-                  rs.pass_through, rs.in_binding, tile_rows,
-                  s == 0 && spec_.use_rid_list);
-              auto project = std::make_unique<ProjectOp>(
-                  rs.spec->projections, filter->OutputBinding(), tile_rows);
-              chain.ops.push_back(std::move(filter));
-              chain.ops.push_back(std::move(project));
-            } else if (rs.spec->kind == PipelineStageSpec::Kind::kProbe) {
-              ProbeOpSpec pspec = rs.probe;
-              pspec.tile_rows = tile_rows;
-              chain.ops.push_back(
-                  std::make_unique<HashJoinProbeOp>(std::move(pspec)));
-            } else {
-              chain.ops.push_back(std::make_unique<GroupByOp>(
-                  rs.key_exprs, rs.spec->aggregates, rs.in_binding));
+          std::vector<PipelineOp*> heads;
+          for (size_t b = 0; b < num_branches; ++b) {
+            BranchOps& ops = chain.branches.emplace_back();
+            for (size_t s = 0; s < resolved[b].stages.size(); ++s) {
+              const ResolvedStage& rs = resolved[b].stages[s];
+              if (rs.spec->kind == PipelineStageSpec::Kind::kFilterProject) {
+                auto filter = std::make_unique<FilterOp>(
+                    s == 0 ? resolved[b].stage0_predicates
+                           : rs.spec->predicates,
+                    rs.pass_through, rs.in_binding, tile_rows,
+                    s == 0 && spec_.branches[b].use_rid_list);
+                auto project = std::make_unique<ProjectOp>(
+                    rs.spec->projections, filter->OutputBinding(), tile_rows);
+                ops.push_back(std::move(filter));
+                ops.push_back(std::move(project));
+              } else if (rs.spec->kind == PipelineStageSpec::Kind::kProbe) {
+                ProbeOpSpec pspec = rs.probe;
+                pspec.tile_rows = tile_rows;
+                ops.push_back(
+                    std::make_unique<HashJoinProbeOp>(std::move(pspec)));
+              } else {
+                ops.push_back(std::make_unique<GroupByOp>(
+                    rs.key_exprs, rs.spec->aggregates, rs.in_binding));
+              }
             }
+            for (size_t i = 0; i + 1 < ops.size(); ++i) {
+              ops[i]->set_downstream(ops[i + 1].get());
+            }
+            heads.push_back(ops.front().get());
           }
-          for (size_t i = 0; i + 1 < chain.ops.size(); ++i) {
-            chain.ops[i]->set_downstream(chain.ops[i + 1].get());
+          if (num_branches == 1) {
+            chain.head = heads.front();
+          } else {
+            chain.fan_out = std::make_unique<FanOutOp>(std::move(heads));
+            chain.head = chain.fan_out.get();
           }
-          Status st = Status::OK();
-          for (auto& op : chain.ops) {
-            if (st.ok()) st = op->Open(ctx);
-          }
-          chain.open_status = st;
+          chain.open_status = OpenBranches(ctx, tile_rows, chain.branches);
           chain.dmem_mark = core.dmem().used();
         }
         RAPID_RETURN_NOT_OK(chain.open_status);
@@ -696,19 +813,22 @@ Status PipelineStep::Execute(ExecEnv& env) const {
         }
         core.dmem().TruncateTo(chain.dmem_mark);
 
-        // The chain's sink: the core's group table, stamped with this
-        // morsel's positions, or a DMS store into the morsel's slot,
-        // which also records what the morsel charges.
-        std::optional<MaterializeSink> sink;
+        // Each branch's sink: the core's group table, stamped with this
+        // morsel's positions, or a DMS store into the branch's rows of
+        // the morsel's slot, which also records what the morsel charges.
+        std::vector<MaterializeSink> sinks;
         dpu::CoreCounters outer_counters;
         Status st = Status::OK();
         if (aggregate) {
-          static_cast<GroupByOp&>(*chain.ops.back())
+          static_cast<GroupByOp&>(*chain.branches.front().back())
               .StampFrom(static_cast<uint64_t>(m) << 32);
         } else {
-          sink.emplace(&slot->rows);
-          chain.ops.back()->set_downstream(&*sink);
-          st = sink->Open(ctx);
+          sinks.reserve(num_branches);  // the ops point at the sinks
+          for (size_t b = 0; b < num_branches; ++b) {
+            MaterializeSink& sink = sinks.emplace_back(&slot->rows[b]);
+            chain.branches[b].back()->set_downstream(&sink);
+            if (st.ok()) st = sink.Open(ctx);
+          }
           core.cycles().set_log(&slot->charges);
           outer_counters = std::exchange(core.counters(), {});
         }
@@ -717,12 +837,12 @@ Status PipelineStep::Execute(ExecEnv& env) const {
             const std::vector<const storage::Chunk*> mine{all_chunks[m]};
             st = RelationAccessor::PushChunks(ctx, mine, col_indices,
                                               target_scales, tile_rows,
-                                              chain.ops.front().get());
+                                              chain.head);
           } else if (ranges[m].begin < ranges[m].end) {
             st = RelationAccessor::PushColumnSet(ctx, *input_set, col_indices,
                                                  ranges[m].begin,
                                                  ranges[m].end, tile_rows,
-                                                 chain.ops.front().get());
+                                                 chain.head);
           }
         }
         if (slot != nullptr) {
@@ -730,8 +850,9 @@ Status PipelineStep::Execute(ExecEnv& env) const {
           slot->counters = std::exchange(core.counters(), outer_counters);
           core.counters().Accumulate(slot->counters);
           // High-water mark: the slot holds this morsel's complete
-          // output. Distinct workers write distinct slots, so the done
-          // flags need no synchronization beyond the phase barrier.
+          // output, every branch's. Distinct workers write distinct
+          // slots, so the done flags need no synchronization beyond the
+          // phase barrier.
           slot->done = st.ok();
         }
         return st;
@@ -755,10 +876,12 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   // assignment-independent.
   JoinStats probe_stats;
   for (const CoreChain& chain : chains) {
-    for (const auto& op : chain.ops) {
-      if (const auto* probe =
-              dynamic_cast<const HashJoinProbeOp*>(op.get())) {
-        probe_stats += probe->stats();
+    for (const BranchOps& ops : chain.branches) {
+      for (const auto& op : ops) {
+        if (const auto* probe =
+                dynamic_cast<const HashJoinProbeOp*>(op.get())) {
+          probe_stats += probe->stats();
+        }
       }
     }
   }
@@ -766,89 +889,163 @@ Status PipelineStep::Execute(ExecEnv& env) const {
 
   StepOutput& out = env.outputs[static_cast<size_t>(id_)];
   out.partitioned = false;
-  out.set = ColumnSet(metas);
+  out.branch_rows.clear();
   if (aggregate) {
     // The cores' tables merge in core order; their stamps restore
     // global first-appearance order on emission.
+    out.set = ColumnSet(resolved.front().metas);
     std::vector<GroupByOp*> partials;
     for (const CoreChain& chain : chains) {
-      if (chain.ops.empty()) continue;  // the core ran no morsel
-      partials.push_back(static_cast<GroupByOp*>(chain.ops.back().get()));
+      if (chain.branches.empty()) continue;  // the core ran no morsel
+      partials.push_back(
+          static_cast<GroupByOp*>(chain.branches.front().back().get()));
       env.counters.agg_rows += partials.back()->rows();
     }
     GroupByOp* merged = MergeLowNdv(env, partials);
     return merged != nullptr ? merged->EmitInto(&out.set) : Status::OK();
   }
-  for (const MorselSlot& slot : slots) {
-    for (size_t col = 0; col < metas.size(); ++col) {
-      if (slot.rows.num_rows() > 0) out.set.meta(col) = slot.rows.meta(col);
+  // A branch's rows concatenate in morsel order; the last morsel that
+  // produced rows sets the scales its columns report.
+  auto gather = [&](size_t b) {
+    ColumnSet rows(resolved[b].metas);
+    for (const MorselSlot& slot : slots) {
+      for (size_t col = 0; col < rows.num_columns(); ++col) {
+        if (slot.rows[b].num_rows() > 0) rows.meta(col) = slot.rows[b].meta(col);
+      }
     }
+    for (const MorselSlot& slot : slots) rows.Append(slot.rows[b]);
+    return rows;
+  };
+  out.set = gather(0);
+  for (size_t b = 1; b < num_branches; ++b) {
+    out.branch_rows.push_back(gather(b));
   }
-  for (MorselSlot& slot : slots) out.set.Append(slot.rows);
   return Status::OK();
 }
 
-std::string PipelineStep::Describe() const {
+namespace {
+
+// One stage as plan text, e.g. "filter+project preds=3 proj=5".
+std::string DescribeStage(const PipelineStageSpec& s) {
   std::ostringstream os;
-  if (spec_.stages.size() == 1) {
-    // A lone scan or pipe keeps its own name in plans and reports.
-    const PipelineStageSpec& s = spec_.stages.front();
-    if (spec_.table.empty()) {
-      os << "PIPE #" << spec_.input;
-    } else {
-      os << "SCAN " << spec_.table;
-    }
-    os << " preds=" << s.predicates.size() << " proj=" << s.projections.size()
-       << " tile=" << spec_.tile_rows;
-    if (spec_.table.empty()) return os.str();
-    os << (spec_.use_rid_list ? " rid" : " bv");
+  if (s.kind == PipelineStageSpec::Kind::kFilterProject) {
+    os << "filter+project preds=" << s.predicates.size()
+       << " proj=" << s.projections.size();
     if (s.join_filter.enabled()) {
       os << " joinfilter=#" << s.join_filter.build_step << "("
          << s.join_filter.probe_column << ")";
     }
-    return os.str();
-  }
-  os << "PIPELINE ";
-  if (!spec_.table.empty()) {
-    os << "scan " << spec_.table;
+  } else if (s.kind == PipelineStageSpec::Kind::kAggregate) {
+    os << "aggregate low-ndv keys=" << s.group_keys.size()
+       << " aggs=" << s.aggregates.size();
   } else {
-    os << "#" << spec_.input;
-  }
-  for (const PipelineStageSpec& s : spec_.stages) {
-    if (s.kind == PipelineStageSpec::Kind::kFilterProject) {
-      os << " | filter+project preds=" << s.predicates.size()
-         << " proj=" << s.projections.size();
-      if (s.join_filter.enabled()) {
-        os << " joinfilter=#" << s.join_filter.build_step << "("
-           << s.join_filter.probe_column << ")";
-      }
-    } else if (s.kind == PipelineStageSpec::Kind::kAggregate) {
-      os << " | aggregate low-ndv keys=" << s.group_keys.size()
-         << " aggs=" << s.aggregates.size();
-    } else {
-      os << " | probe build=#" << s.build_input << " keys=(";
-      for (size_t i = 0; i < s.build_keys.size(); ++i) {
-        os << (i ? "," : "") << s.build_keys[i] << "=" << s.probe_keys[i];
-      }
-      os << ")";
-      switch (s.join_type) {
-        case JoinType::kInner:
-          os << " inner";
-          break;
-        case JoinType::kSemi:
-          os << " semi";
-          break;
-        case JoinType::kAnti:
-          os << " anti";
-          break;
-        case JoinType::kLeftOuter:
-          os << " left-outer";
-          break;
-      }
+    os << "probe build=#" << s.build_input << " keys=(";
+    for (size_t i = 0; i < s.build_keys.size(); ++i) {
+      os << (i ? "," : "") << s.build_keys[i] << "=" << s.probe_keys[i];
+    }
+    os << ")";
+    switch (s.join_type) {
+      case JoinType::kInner:
+        os << " inner";
+        break;
+      case JoinType::kSemi:
+        os << " semi";
+        break;
+      case JoinType::kAnti:
+        os << " anti";
+        break;
+      case JoinType::kLeftOuter:
+        os << " left-outer";
+        break;
     }
   }
-  os << " tile=" << spec_.tile_rows << (spec_.use_rid_list ? " rid" : " bv");
   return os.str();
+}
+
+}  // namespace
+
+std::string PipelineStep::Describe() const {
+  std::ostringstream os;
+  // A branch of one stage reads as a lone scan or pipe, in plans and
+  // reports alike.
+  bool lone = true;
+  for (const PipelineBranch& branch : spec_.branches) {
+    lone = lone && branch.stages.size() == 1;
+  }
+  auto describe_lone = [&os](const PipelineBranch& branch) {
+    const PipelineStageSpec& s = branch.stages.front();
+    os << "preds=" << s.predicates.size() << " proj=" << s.projections.size();
+  };
+  auto describe_scan_tail = [&os](const PipelineBranch& branch) {
+    const PipelineStageSpec& s = branch.stages.front();
+    os << (branch.use_rid_list ? " rid" : " bv");
+    if (s.join_filter.enabled()) {
+      os << " joinfilter=#" << s.join_filter.build_step << "("
+         << s.join_filter.probe_column << ")";
+    }
+  };
+  const PipelineBranch& first = spec_.branches.front();
+  if (spec_.branches.size() == 1) {
+    if (lone) {
+      if (spec_.table.empty()) {
+        os << "PIPE #" << spec_.input << " ";
+      } else {
+        os << "SCAN " << spec_.table << " ";
+      }
+      describe_lone(first);
+      os << " tile=" << spec_.tile_rows;
+      if (!spec_.table.empty()) describe_scan_tail(first);
+      return os.str();
+    }
+    os << "PIPELINE ";
+    if (!spec_.table.empty()) {
+      os << "scan " << spec_.table;
+    } else {
+      os << "#" << spec_.input;
+    }
+    for (const PipelineStageSpec& s : first.stages) {
+      os << " | " << DescribeStage(s);
+    }
+    os << " tile=" << spec_.tile_rows << (first.use_rid_list ? " rid" : " bv");
+    return os.str();
+  }
+  // A shared scan: the source once, then one line per branch.
+  os << (lone ? "SCAN " : "PIPELINE scan ") << spec_.table
+     << " tile=" << spec_.tile_rows << " branches=" << spec_.branches.size();
+  for (size_t b = 0; b < spec_.branches.size(); ++b) {
+    const PipelineBranch& branch = spec_.branches[b];
+    os << "\n  [" << b << "] ";
+    if (lone) {
+      describe_lone(branch);
+      describe_scan_tail(branch);
+      continue;
+    }
+    for (size_t s = 0; s < branch.stages.size(); ++s) {
+      os << (s ? " | " : "") << DescribeStage(branch.stages[s]);
+    }
+    os << (branch.use_rid_list ? " rid" : " bv");
+  }
+  return os.str();
+}
+
+// ---- BranchStep ------------------------------------------------------------
+
+Status BranchStep::Execute(ExecEnv& env) const {
+  StepOutput& shared = env.outputs[static_cast<size_t>(shared_)];
+  if (branch_ == 0 || branch_ > shared.branch_rows.size()) {
+    return Status::Internal("shared scan #" + std::to_string(shared_) +
+                            " has no rows for branch " +
+                            std::to_string(branch_));
+  }
+  StepOutput& out = env.outputs[static_cast<size_t>(id_)];
+  out.partitioned = false;
+  out.set = std::move(shared.branch_rows[branch_ - 1]);
+  return Status::OK();
+}
+
+std::string BranchStep::Describe() const {
+  return "BRANCH " + std::to_string(branch_) + " of #" +
+         std::to_string(shared_);
 }
 
 // ---- GroupByStep -----------------------------------------------------------

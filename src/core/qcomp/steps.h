@@ -35,6 +35,10 @@ struct StepOutput {
   ColumnSet set;
   PartitionedData parts;
   bool partitioned = false;
+  // A shared scan (a PipelineStep with several branches) leaves branch
+  // k's rows at branch_rows[k - 1] until its BranchStep moves them out;
+  // `set` holds branch 0's.
+  std::vector<ColumnSet> branch_rows;
 };
 
 // Workload volume counters accumulated across steps; the benchmark
@@ -82,13 +86,13 @@ struct RecoveryCounters {
   }
 };
 
-// One morsel's output slot in a PipelineStep. A completed slot also
-// keeps the modeled charges and core counters its morsel produced: a
-// resumed attempt replays them in place of the work, so the step's
-// modeled time does not depend on which morsels happened to finish
-// before a failure.
+// One morsel's output slot in a PipelineStep: its rows, one ColumnSet
+// per branch. A completed slot also keeps the modeled charges and core
+// counters its morsel produced: a resumed attempt replays them in place
+// of the work, so the step's modeled time does not depend on which
+// morsels happened to finish before a failure.
 struct MorselSlot {
-  ColumnSet rows;
+  std::vector<ColumnSet> rows;
   std::vector<dpu::CycleCounter::Charge> charges;
   dpu::CoreCounters counters;
   bool done = false;
@@ -99,13 +103,15 @@ struct MorselSlot {
 // from it instead of recomputing:
 //  - PartitionStep keeps completed partition rounds (buckets +
 //    carried hash columns) and restarts at the failed round;
-//  - PipelineStep — a lone scan or pipe as much as a fused chain —
-//    keeps its morsel-id-indexed slots, the completed ones marked
-//    done (the high-water mark), and skips completed morsels on the
-//    next attempt. The slots carry the Describe() of the pipeline
-//    that filled them: a demotion replan can put a different chain at
-//    the same subtree address, and its morsels are other rows. A
-//    pipeline ending in an aggregate stage saves nothing: a core's
+//  - PipelineStep — a lone scan or pipe as much as a fused chain or a
+//    shared scan — keeps its morsel-id-indexed slots, the completed
+//    ones marked done (the high-water mark), and skips completed
+//    morsels on the next attempt. A shared scan's morsel is done only
+//    once every branch's rows for it are in the slot, and a resume
+//    replays the whole morsel. The slots carry the Describe() of the
+//    pipeline that filled them: a demotion replan can put a different
+//    chain at the same subtree address, and its morsels are other rows.
+//    A pipeline ending in an aggregate stage saves nothing: a core's
 //    table mixes its finished morsels with the one that failed, so the
 //    retry restarts the step.
 // Both resumes are bit-identical to from-scratch runs because morsel
@@ -438,17 +444,27 @@ struct PipelineStageSpec {
   size_t est_groups = 0;
 };
 
-// A pipeline's source and operator chain. The source is either a base
+// One operator chain over a pipeline's source. The first stage must be
+// kFilterProject; stages[i]'s output feeds stages[i+1]. Only the last
+// stage of a lone branch may be kAggregate. `use_rid_list` picks the
+// first filter's qualifying-row representation.
+struct PipelineBranch {
+  std::vector<PipelineStageSpec> stages;
+  bool use_rid_list = false;
+};
+
+// A pipeline's source and its branches. The source is either a base
 // table (`!table.empty()`, input == -1) or a materialized intermediate
-// (`input` >= 0). The first stage must be kFilterProject; stages[i]'s
-// output feeds stages[i+1]. Only the last stage may be kAggregate.
+// (`input` >= 0). A pipeline has one branch, except a shared scan:
+// pipeline fusion gives one table-source pipeline several branches
+// (one per chain that read the same table), and each tile the DMS
+// loads then runs through every branch in turn.
 struct PipelineSpec {
   std::string table;
   std::vector<std::string> base_columns;  // columns read from the table
   int input = -1;
-  std::vector<PipelineStageSpec> stages;
+  std::vector<PipelineBranch> branches;
   size_t tile_rows = 1024;  // planned tile; execution fits it to DMEM
-  bool use_rid_list = false;
 };
 
 // A task in the paper's sense: a chain of pipeline-safe operators
@@ -460,8 +476,11 @@ struct PipelineSpec {
 // ends in one GroupByOp per core. The planner lowers every scan and
 // every filter/project over an intermediate as a one-stage pipeline
 // (printed `SCAN ...` / `PIPE #n ...`); pipeline fusion extends those
-// into longer chains. Pipeline breakers (join build, partition,
-// high-NDV group-by, sort) stay separate steps.
+// into longer chains and merges chains over one table into a shared
+// scan: one DMS load per tile feeds K branches, each with its own
+// stages and output (branch 0's is this step's; branch k's moves to a
+// BranchStep). Pipeline breakers (join build, partition, high-NDV
+// group-by, sort) stay separate steps.
 class PipelineStep : public PlanStep {
  public:
   PipelineStep(int id, PipelineSpec spec)
@@ -475,11 +494,32 @@ class PipelineStep : public PlanStep {
   const PipelineSpec& spec() const { return spec_; }
   // Attaches the planner's join-filter pushdown to the scan stage.
   void set_join_filter(JoinFilterRef ref) {
-    spec_.stages.front().join_filter = std::move(ref);
+    spec_.branches.front().stages.front().join_filter = std::move(ref);
   }
 
  private:
   PipelineSpec spec_;
+};
+
+// Branch k >= 1 of a shared scan: a zero-cost step that moves (not
+// copies) the branch's rows out of the shared PipelineStep's output,
+// so every branch's rows live at a step id — and a checkpoint address
+// — of their own.
+class BranchStep : public PlanStep {
+ public:
+  BranchStep(int id, int shared, size_t branch)
+      : PlanStep(id), shared_(shared), branch_(branch) {}
+
+  Status Execute(ExecEnv& env) const override;
+  std::string Describe() const override;
+  std::vector<int> Inputs() const override { return {shared_}; }
+  void RemapInputs(const std::vector<int>& old_to_new) override {
+    shared_ = old_to_new[static_cast<size_t>(shared_)];
+  }
+
+ private:
+  int shared_;
+  size_t branch_;
 };
 
 // Shared helpers.

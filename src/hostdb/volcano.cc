@@ -17,6 +17,30 @@ using core::ColumnSet;
 using core::LogicalNode;
 using core::LogicalPtr;
 
+// Output meta of a projection or group key named `name` computing
+// `expr` over `input`: a bare column keeps its source column's type,
+// scale and dictionary, as in RAPID; an expression gets its static
+// scale (derived from a zero row) and is decimal when scaled.
+Result<ColumnMeta> DerivedMeta(const std::string& name, const core::Expr& expr,
+                               const Row& zero,
+                               const std::vector<ColumnMeta>& input) {
+  if (expr.kind == core::Expr::Kind::kColumn) {
+    for (const ColumnMeta& in : input) {
+      if (in.name != expr.column) continue;
+      ColumnMeta m = in;
+      m.name = name;
+      return m;
+    }
+  }
+  int scale = 0;
+  RAPID_RETURN_NOT_OK(EvalExprRow(expr, zero, input, &scale).status());
+  ColumnMeta m;
+  m.name = name;
+  m.dsb_scale = scale;
+  m.type = scale != 0 ? storage::DataType::kDecimal : storage::DataType::kInt64;
+  return m;
+}
+
 // ---- Scan ------------------------------------------------------------------
 
 class ScanIter : public Iterator {
@@ -49,6 +73,7 @@ class ScanIter : public Iterator {
       m.name = name;
       m.type = table_->schema().field(idx).type;
       m.dsb_scale = table_->stats(idx).dsb_scale;
+      m.dict = table_->dictionary(idx);
       schema_.push_back(m);
     }
     partition_ = 0;
@@ -165,14 +190,8 @@ class ProjectIter : public Iterator {
     // Scales are value-independent; derive them from a zero row.
     Row zero(child_->schema().size(), 0);
     for (const auto& [name, expr] : projections_) {
-      int scale = 0;
-      RAPID_RETURN_NOT_OK(
-          EvalExprRow(*expr, zero, child_->schema(), &scale).status());
-      ColumnMeta m;
-      m.name = name;
-      m.dsb_scale = scale;
-      m.type = scale != 0 ? storage::DataType::kDecimal
-                          : storage::DataType::kInt64;
+      RAPID_ASSIGN_OR_RETURN(ColumnMeta m,
+                             DerivedMeta(name, *expr, zero, child_->schema()));
       schema_.push_back(m);
     }
     return Status::OK();
@@ -367,14 +386,8 @@ class HashAggIter : public Iterator {
     schema_.clear();
     Row zero(child_->schema().size(), 0);
     for (const auto& [name, expr] : keys_) {
-      int scale = 0;
-      RAPID_RETURN_NOT_OK(
-          EvalExprRow(*expr, zero, child_->schema(), &scale).status());
-      ColumnMeta m;
-      m.name = name;
-      m.dsb_scale = scale;
-      m.type = scale != 0 ? storage::DataType::kDecimal
-                          : storage::DataType::kInt64;
+      RAPID_ASSIGN_OR_RETURN(ColumnMeta m,
+                             DerivedMeta(name, *expr, zero, child_->schema()));
       schema_.push_back(m);
     }
     for (const core::AggSpec& a : aggs_) {

@@ -151,7 +151,7 @@ std::vector<Predicate> LowerScanPredicates(const core::Catalog& catalog,
   for (const auto& step : lowered.value().steps) {
     auto* scan = dynamic_cast<core::PipelineStep*>(step.get());
     if (scan != nullptr && !scan->spec().table.empty()) {
-      return scan->spec().stages.front().predicates;
+      return scan->spec().branches.front().stages.front().predicates;
     }
   }
   ADD_FAILURE() << "no table-source pipeline in lowered plan";

@@ -246,7 +246,7 @@ bool ProbeScanHasFilterRef(const core::Catalog& catalog,
   for (const auto& step : lowered.value().steps) {
     auto* scan = dynamic_cast<core::PipelineStep*>(step.get());
     if (scan != nullptr && !scan->spec().table.empty() &&
-        scan->spec().stages.front().join_filter.enabled()) {
+        scan->spec().branches.front().stages.front().join_filter.enabled()) {
       return true;
     }
   }
