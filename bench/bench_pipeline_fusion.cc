@@ -15,6 +15,14 @@
 // movement eliminated by not materializing intermediates and not
 // partitioning — and must not come with a wall-clock regression.
 //
+// A partition case ends the chain in a high-NDV group-by's partition
+// round: fused, the round is the pipeline's sink and the projected rows
+// scatter straight into their buckets; unfused, they are stored and a
+// PARTITION step reads them back. With RAPID_CHECK=1 the fused plan's
+// scan -> partition path must move at most 0.75x the unfused path's DMS
+// cycles (the group-by above reads the same buckets in both plans), and
+// the rows must be bit-identical.
+//
 // A last case is a shared scan: a UNION of three filtered scans of one
 // table. Fused, the three chains become branches of one pipeline that
 // moves the table through the DMS once; unfused, each scan moves it on
@@ -80,7 +88,19 @@ struct ChainResult {
   double wall_ms = 0;
   double modeled_ms = 0;
   double dms_cycles = 0;
+  double groupby_dms_cycles = 0;  // of the plan's GROUPBY steps
+  std::string plan_text;
 };
+
+// Rows, row order and scales agree.
+bool Identical(const ColumnSet& a, const ColumnSet& b) {
+  bool same = a.num_columns() == b.num_columns();
+  for (size_t c = 0; same && c < a.num_columns(); ++c) {
+    same = a.column(c) == b.column(c) &&
+           a.meta(c).dsb_scale == b.meta(c).dsb_scale;
+  }
+  return same;
+}
 
 ChainResult Run(RapidEngine& engine, const LogicalPtr& plan, bool fused) {
   ExecOptions options;
@@ -94,6 +114,12 @@ ChainResult Run(RapidEngine& engine, const LogicalPtr& plan, bool fused) {
   r.wall_ms = result.value().stats.wall_seconds * 1e3;
   r.modeled_ms = result.value().stats.modeled_seconds * 1e3;
   r.dms_cycles = result.value().stats.total_dms_cycles;
+  for (const StepTiming& step : result.value().stats.steps) {
+    if (step.description.rfind("GROUPBY", 0) == 0) {
+      r.groupby_dms_cycles += step.dms_cycles;
+    }
+  }
+  r.plan_text = std::move(result.value().plan_text);
   return r;
 }
 
@@ -161,11 +187,7 @@ int main() {
     const ChainResult fused = Run(engine, plan, true);
     RAPID_CHECK(fused.rows == unfused.rows);
     if (std::find(ordered.begin(), ordered.end(), name) != ordered.end()) {
-      for (size_t c = 0; c < fused.out.num_columns(); ++c) {
-        RAPID_CHECK(fused.out.column(c) == unfused.out.column(c));
-        RAPID_CHECK(fused.out.meta(c).dsb_scale ==
-                    unfused.out.meta(c).dsb_scale);
-      }
+      RAPID_CHECK(Identical(fused.out, unfused.out));
     }
     const double dms_ratio =
         fused.dms_cycles > 0 ? unfused.dms_cycles / fused.dms_cycles : 0;
@@ -182,6 +204,42 @@ int main() {
     if (dms_ratio < 1.3) ok = false;
   }
 
+  // scan -> filter -> project -> partition: one group per f_id is far
+  // above the low-NDV threshold, so the group-by partitions on f_id.
+  const LogicalPtr partition_plan = LogicalNode::GroupBy(
+      LogicalNode::Project(
+          LogicalNode::Scan("facts", {"f_id", "f_dim", "f_price", "f_qty"},
+                            {Predicate::CmpConst("f_qty", CmpOp::kGe, 2)}),
+          {{"f_id", Expr::Col("f_id")},
+           {"f_dim", Expr::Col("f_dim")},
+           {"gross", Expr::Mul(Expr::Col("f_price"), Expr::Col("f_qty"))},
+           {"f_qty", Expr::Col("f_qty")}}),
+      {{"f_id", Expr::Col("f_id")}},
+      {{"revenue", AggFunc::kSum, Expr::Col("gross"), {}},
+       {"quantity", AggFunc::kSum, Expr::Col("f_qty"), {}},
+       {"dim", AggFunc::kMax, Expr::Col("f_dim"), {}}});
+  const ChainResult unsunk = Run(engine, partition_plan, false);
+  const ChainResult sunk = Run(engine, partition_plan, true);
+  // The gate compares the scan -> partition path the sink replaces; the
+  // group-by above reads the same buckets in both plans.
+  const double unsunk_path = unsunk.dms_cycles - unsunk.groupby_dms_cycles;
+  const double sunk_path = sunk.dms_cycles - sunk.groupby_dms_cycles;
+  const double sink_ratio = unsunk_path > 0 ? sunk_path / unsunk_path : 0;
+  std::printf("%-26s | %5zu | %5zu | %9.3f | %9.3f | %7.2fM | %7.2fM |"
+              " %4.2fx of unfused\n",
+              "scan>filter>project>partition", unsunk.steps, sunk.steps,
+              unsunk.modeled_ms, sunk.modeled_ms, unsunk.dms_cycles / 1e6,
+              sunk.dms_cycles / 1e6, sunk.dms_cycles / unsunk.dms_cycles);
+  std::printf("%-26s   scan+partition %.2fM vs %.2fM DMS cycles (%.2fx);"
+              " %zu groups; wall %0.1f ms vs %0.1f ms\n",
+              "", sunk_path / 1e6, unsunk_path / 1e6, sink_ratio, sunk.rows,
+              sunk.wall_ms, unsunk.wall_ms);
+  const bool sink_ok = Identical(sunk.out, unsunk.out) &&
+                       sunk.rows == unsunk.rows &&
+                       sunk.plan_text.find("| partition keys=(f_id)") !=
+                           std::string::npos &&
+                       sink_ratio <= 0.75;
+
   // Shared scan: three narrow slices of facts (one f_qty value each, on
   // the lower half of the dimension keys), UNIONed. Each slice reads
   // four columns and keeps two, so moving the table dominates storing
@@ -197,11 +255,7 @@ int main() {
       LogicalNode::SetOp(SetOpKind::kUnion, slice(7), slice(21)), slice(42));
   const ChainResult unshared = Run(engine, shared_plan, false);
   const ChainResult shared = Run(engine, shared_plan, true);
-  bool identical = shared.out.num_columns() == unshared.out.num_columns();
-  for (size_t c = 0; identical && c < shared.out.num_columns(); ++c) {
-    identical = shared.out.column(c) == unshared.out.column(c) &&
-                shared.out.meta(c).dsb_scale == unshared.out.meta(c).dsb_scale;
-  }
+  const bool identical = Identical(shared.out, unshared.out);
   const double shared_ratio =
       unshared.dms_cycles > 0 ? shared.dms_cycles / unshared.dms_cycles : 0;
   std::printf("%-26s | %5zu | %5zu | %9.3f | %9.3f | %7.2fM | %7.2fM |"
@@ -216,10 +270,13 @@ int main() {
               "aggregate chain); every fused chain moves >=1.3x fewer\n"
               "modeled DMS cycles than the step-materialized plan: %s\n",
               ok ? "PASS" : "FAIL");
+  std::printf("Partition sink: bit-identical rows, fused scan+partition"
+              " DMS <= 0.75x unfused (got %.2fx): %s\n",
+              sink_ratio, sink_ok ? "PASS" : "FAIL");
   std::printf("Shared scan: bit-identical rows, fused DMS <= 0.4x unfused"
               " (got %.2fx): %s\n",
               shared_ratio, shared_ok ? "PASS" : "FAIL");
-  ok = ok && shared_ok;
+  ok = ok && sink_ok && shared_ok;
   // Modeled cycles are deterministic, so the gate is safe to enforce
   // on any machine (opt-in, RAPID_CHECK=1).
   if (const char* check = std::getenv("RAPID_CHECK");

@@ -363,7 +363,11 @@ Result<QueryResult> RapidEngine::ExecutePhysical(const PhysicalPlan& plan,
       before_dms[c] = dpu_->core(static_cast<int>(c)).cycles().dms_cycles();
     }
     const dpu::ImbalanceStats imb_before = dpu_->imbalance();
+    const auto step_start = std::chrono::steady_clock::now();
     step_status = step->Execute(env);
+    const double step_wall = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - step_start)
+                                 .count();
     if (!step_status.ok()) break;
     done[static_cast<size_t>(step->id())] = 1;
     // Modeled step time: cores compute concurrently (slowest bounds
@@ -399,7 +403,7 @@ Result<QueryResult> RapidEngine::ExecutePhysical(const PhysicalPlan& plan,
     }
     result.stats.steps.push_back(StepTiming{
         step->Describe(), step_seconds, max_compute, sum_dms,
-        step_imb.Ratio(), step->id(), rows_out});
+        step_imb.Ratio(), step->id(), rows_out, step_wall});
     result.stats.modeled_seconds += step_seconds;
     result.stats.total_dms_cycles += sum_dms;
     // Steps-track span: duration = this step's modeled cycles, so the
@@ -514,13 +518,18 @@ void RenderStepTree(const PhysicalPlan& plan, int id,
   auto it = timings.find(id);
   if (it != timings.end()) {
     const StepTiming& t = *it->second;
-    char buf[176];
+    // Wall time over modeled time: how much slower the host runs the
+    // step than the modeled DPU would (0 when the step models no time).
+    const double wall_ratio =
+        t.modeled_seconds > 0 ? t.wall_seconds / t.modeled_seconds : 0;
+    char buf[240];
     std::snprintf(buf, sizeof(buf),
                   "  (rows=%llu modeled_ms=%.4f compute_cycles=%.0f"
-                  " dms_cycles=%.0f imbalance=%.2f)",
+                  " dms_cycles=%.0f imbalance=%.2f wall_ms=%.4f"
+                  " wall/modeled=%.1f)",
                   static_cast<unsigned long long>(t.rows_out),
                   t.modeled_seconds * 1e3, t.compute_cycles, t.dms_cycles,
-                  t.imbalance_ratio);
+                  t.imbalance_ratio, t.wall_seconds * 1e3, wall_ratio);
     *out += buf;
   } else {
     // Only possible when a checkpoint restored the step's output: the

@@ -54,6 +54,9 @@ struct StepTiming {
   // joins the timings back to the plan tree with.
   int step_id = -1;
   uint64_t rows_out = 0;
+  // Host wall-clock time of the step's Execute (steady_clock read at
+  // the step boundaries): the x86 clock beside the modeled one.
+  double wall_seconds = 0;
 };
 
 // The one per-query counter set. Everything the engine, the offload

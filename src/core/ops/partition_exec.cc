@@ -13,11 +13,21 @@
 
 namespace rapid::core {
 
-namespace {
+Status ValidatePartitionScheme(const PartitionScheme& scheme) {
+  if (scheme.rounds.empty()) {
+    return Status::InvalidArgument("partition scheme needs >= 1 round");
+  }
+  for (const PartitionRound& r : scheme.rounds) {
+    if (r.fanout < 2 || (r.fanout & (r.fanout - 1)) != 0) {
+      return Status::InvalidArgument("round fan-out must be a power of two");
+    }
+    if (r.hw_fanout < 1 || r.fanout % r.hw_fanout != 0) {
+      return Status::InvalidArgument("hw fan-out must divide the round");
+    }
+  }
+  return Status::OK();
+}
 
-// Logical row width of a ColumnSet: physical widths of the logical
-// types (intermediates are stored widened, but the DMS moves the
-// encoded widths on the real machine, so cycle charges use these).
 size_t LogicalRowBytes(const ColumnSet& set) {
   size_t bytes = 0;
   for (size_t c = 0; c < set.num_columns(); ++c) {
@@ -25,6 +35,30 @@ size_t LogicalRowBytes(const ColumnSet& set) {
   }
   return bytes;
 }
+
+void ChargePartitionTile(dpu::CycleCounter& cycles,
+                         const dpu::CostParams& params,
+                         const PartitionRound& round, size_t rows,
+                         size_t num_cols, size_t row_bytes) {
+  // One partition-engine pass moves the tile's data (read + partitioned
+  // write); the dpCore's software stage runs the map/gather loops for
+  // the software share of the fan-out. A pure hardware round's dpCore
+  // only drains DMEM buffers.
+  const int sw_fanout = round.fanout / round.hw_fanout;
+  cycles.ChargeDms(
+      round.hw_fanout > 1
+          ? dpu::HwPartitionCycles(params, dpu::HwPartitionStrategy::kHash, 1,
+                                   rows, rows * row_bytes)
+          : static_cast<double>(rows * row_bytes) /
+                params.partition_bytes_per_cycle);
+  cycles.ChargeCompute(sw_fanout > 1
+                           ? dpu::SwPartitionTileCycles(
+                                 params, rows, static_cast<int>(num_cols),
+                                 sw_fanout)
+                           : static_cast<double>(rows));
+}
+
+namespace {
 
 // Rows [begin, end) of one input bucket: one partition-engine
 // descriptor chain, scattered by one core.
@@ -95,7 +129,6 @@ Status ScatterUnit(dpu::DpCore& core, const dpu::CostParams& params,
       out->hashes.empty() ? nullptr : &out->hashes[unit.bucket * ufanout];
   size_t* cursor = &out->cursors[u * ufanout];
   const size_t num_cols = bucket.num_columns();
-  const int sw_fanout = round.fanout / round.hw_fanout;
   const size_t row_bytes = LogicalRowBytes(bucket);
 
   const primitives::simd::PartitionKernelTable& kernels =
@@ -142,20 +175,8 @@ Status ScatterUnit(dpu::DpCore& core, const dpu::CostParams& params,
       }
     }
 
-    // Cycle charges. One partition-engine pass moves the tile's data
-    // (read + partitioned write); the dpCore's software stage runs the
-    // map/gather loops for the software share of the fan-out.
-    // A pure hardware round's dpCore only drains DMEM buffers.
-    core.cycles().ChargeDms(
-        round.hw_fanout > 1
-            ? dpu::HwPartitionCycles(params, dpu::HwPartitionStrategy::kHash,
-                                     1, rows, rows * row_bytes)
-            : static_cast<double>(rows * row_bytes) /
-                  params.partition_bytes_per_cycle);
-    core.cycles().ChargeCompute(
-        sw_fanout > 1 ? dpu::SwPartitionTileCycles(
-                            params, rows, static_cast<int>(num_cols), sw_fanout)
-                      : static_cast<double>(rows));
+    ChargePartitionTile(core.cycles(), params, round, rows, num_cols,
+                        row_bytes);
   }
   return Status::OK();
 }
@@ -193,17 +214,7 @@ Result<PartitionedData> PartitionExec::Execute(
     const std::vector<size_t>& key_cols, const PartitionScheme& scheme,
     size_t tile_rows, const CancelToken* cancel,
     PartitionProgress* progress) {
-  if (scheme.rounds.empty()) {
-    return Status::InvalidArgument("partition scheme needs >= 1 round");
-  }
-  for (const PartitionRound& r : scheme.rounds) {
-    if (r.fanout < 2 || (r.fanout & (r.fanout - 1)) != 0) {
-      return Status::InvalidArgument("round fan-out must be a power of two");
-    }
-    if (r.hw_fanout < 1 || r.fanout % r.hw_fanout != 0) {
-      return Status::InvalidArgument("hw fan-out must divide the round");
-    }
-  }
+  RAPID_RETURN_NOT_OK(ValidatePartitionScheme(scheme));
 
   // Current buckets plus their hash columns (hashes are computed once
   // by the DMS hash engine and carried across rounds); round 1 reads

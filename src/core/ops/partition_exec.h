@@ -84,6 +84,24 @@ struct PartitionProgress {
   bool CompatibleWith(const PartitionScheme& scheme) const;
 };
 
+// OK when every round's fan-out is a power of two >= 2 that its
+// hardware fan-out divides, and there is at least one round.
+Status ValidatePartitionScheme(const PartitionScheme& scheme);
+
+// Logical row width of a ColumnSet: physical widths of the logical
+// types (intermediates are stored widened, but the DMS moves the
+// encoded widths on the real machine, so cycle charges use these).
+size_t LogicalRowBytes(const ColumnSet& set);
+
+// The modeled cost of partitioning one tile of `rows` rows (`num_cols`
+// columns, `row_bytes` logical bytes per row) in `round`: the partition
+// engine's pass on the DMS and the software fan-out on the dpCore.
+// PartitionExec's rounds and a pipeline's partition sink both pay it.
+void ChargePartitionTile(dpu::CycleCounter& cycles,
+                         const dpu::CostParams& params,
+                         const PartitionRound& round, size_t rows,
+                         size_t num_cols, size_t row_bytes);
+
 class PartitionExec {
  public:
   // Hash-partitions `input` by CRC32 over `key_cols` according to

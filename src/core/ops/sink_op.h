@@ -12,6 +12,24 @@
 
 namespace rapid::core {
 
+// Widens the tile's rows onto the end of `out` (columns matched
+// positionally) and records each column's observed scale, so
+// downstream readers decode decimals correctly.
+inline void AppendTile(const Tile& tile, ColumnSet* out) {
+  RAPID_DCHECK(tile.columns.size() == out->num_columns());
+  for (size_t c = 0; c < tile.columns.size(); ++c) {
+    std::vector<int64_t>& dst = out->column(c);
+    const TileColumn& src = tile.columns[c];
+    const size_t old = dst.size();
+    dst.resize(old + tile.rows);
+    WidenColumn(src, nullptr, tile.rows, dst.data() + old);
+    out->meta(c).dsb_scale = src.dsb_scale;
+    if (src.type == storage::DataType::kDecimal) {
+      out->meta(c).type = storage::DataType::kDecimal;
+    }
+  }
+}
+
 class MaterializeSink : public PipelineOp {
  public:
   // `out` is the per-core destination; metas define the output schema
@@ -26,20 +44,7 @@ class MaterializeSink : public PipelineOp {
   Status Open(ExecCtx&) override { return Status::OK(); }
 
   Status Consume(ExecCtx& ctx, const Tile& tile) override {
-    RAPID_DCHECK(tile.columns.size() == out_->num_columns());
-    for (size_t c = 0; c < tile.columns.size(); ++c) {
-      std::vector<int64_t>& dst = out_->column(c);
-      const TileColumn& src = tile.columns[c];
-      const size_t old = dst.size();
-      dst.resize(old + tile.rows);
-      WidenColumn(src, nullptr, tile.rows, dst.data() + old);
-      // Record the observed scale so downstream readers decode
-      // decimals correctly.
-      out_->meta(c).dsb_scale = src.dsb_scale;
-      if (src.type == storage::DataType::kDecimal) {
-        out_->meta(c).type = storage::DataType::kDecimal;
-      }
-    }
+    AppendTile(tile, out_);
     // DMS write stream: one descriptor chain per tile.
     ctx.ChargeDms(dpu::DmsTileTransferCycles(
         *ctx.params, static_cast<int>(tile.columns.size()), tile.rows,

@@ -9,6 +9,7 @@
 
 #include "common/config.h"
 #include "common/trace.h"
+#include "core/ops/partition_sink.h"
 #include "core/qcomp/task_formation.h"
 #include "primitives/bloom.h"
 
@@ -27,10 +28,13 @@ const std::vector<PipelineStageSpec>& Stages(const PipelineSpec& chain) {
   return chain.branches.front().stages;
 }
 
-// A chain ending in an aggregate stage emits groups, not tiles: nothing
-// further can be appended to it, and it shares no scan.
+// A chain ending in an aggregate stage emits groups, and one ending in
+// a partition stage emits buckets, not tiles: nothing further can be
+// appended to either, and neither shares a scan.
 bool Extendable(const PipelineSpec& chain) {
-  return Stages(chain).back().kind != PipelineStageSpec::Kind::kAggregate;
+  const PipelineStageSpec::Kind last = Stages(chain).back().kind;
+  return last != PipelineStageSpec::Kind::kAggregate &&
+         last != PipelineStageSpec::Kind::kPartition;
 }
 
 // DMEM a part of a pipeline holds: fixed state plus bytes per tile row.
@@ -114,6 +118,7 @@ class Fuser {
   Result<int> Materialize(int old_id);
   Status HandleJoin(int id, JoinStep* join);
   bool FuseAggregate(int id, const GroupByStep& group_by);
+  bool FusePartition(int id, const PartitionStep& part);
   void ShareScans();
 
   Footprint SourceFootprint(const PipelineSpec& desc) const;
@@ -141,6 +146,8 @@ class Fuser {
   std::vector<int> consumers_;
   std::unordered_map<int, PipelineSpec> pending_;
   std::unordered_set<int> deferred_partitions_;
+  // Table-source chains of the input plan per table.
+  std::unordered_map<std::string, int> table_chains_;
 };
 
 // The accessor's double-buffered tiles. Encoded scans stage each
@@ -204,6 +211,12 @@ Footprint Fuser::BranchFootprint(const std::vector<PipelineStageSpec>& stages,
       const size_t out_width =
           8 * std::max<size_t>(1, stage.output_columns.size());
       branch.Add(table_bytes, out_width + 8);
+    } else if (stage.kind == PipelineStageSpec::Kind::kPartition) {
+      // The round's software fan-out staging stays resident; per row,
+      // the key hash and partition index.
+      branch.Add(
+          PartitionSink::StagingBytes(stage.partition_scheme.rounds.front()),
+          PartitionSink::kBytesPerRow);
     } else {
       // The estimated group table stays resident beside the chain;
       // per row, the evaluated key and aggregate inputs.
@@ -294,6 +307,7 @@ Result<int> Fuser::Materialize(int old_id) {
     deferred_partitions_.erase(old_id);
     auto* part =
         static_cast<PartitionStep*>(plan_.steps[static_cast<size_t>(old_id)].get());
+    if (FusePartition(old_id, *part)) return Materialize(old_id);
     RAPID_RETURN_NOT_OK(Materialize(part->input()).status());
     auto step = std::move(plan_.steps[static_cast<size_t>(old_id)]);
     const int nid = static_cast<int>(out_.steps.size());
@@ -325,6 +339,42 @@ bool Fuser::FuseAggregate(int id, const GroupByStep& group_by) {
   stage.aggregates = group_by.aggs();
   stage.est_groups = group_by.est_groups();
   if (!ChainFitsDmem(pit->second, &stage)) return false;
+  PipelineSpec desc = std::move(pit->second);
+  pending_.erase(pit);
+  Stages(desc).push_back(std::move(stage));
+  pending_.emplace(id, std::move(desc));
+  return true;
+}
+
+// A partition pass that no broadcast probe absorbed, over a pending
+// single-consumer chain, becomes the chain's terminal partition stage
+// when the round's fan-out staging fits DMEM beside the chain; the
+// chain's tiles then scatter into round 1's buckets instead of being
+// stored and read back. A table-source chain over a table another chain
+// of the plan also reads stays unfused: it may share its scan.
+bool Fuser::FusePartition(int id, const PartitionStep& part) {
+  const int in = part.input();
+  const PartitionScheme& scheme = part.scheme();
+  auto pit = pending_.find(in);
+  if (pit == pending_.end() || consumers_[static_cast<size_t>(in)] != 1 ||
+      !Extendable(pit->second) || scheme.rounds.empty()) {
+    return false;
+  }
+  const std::string& table = pit->second.table;
+  if (!table.empty() && table_chains_[table] > 1) return false;
+  PipelineStageSpec stage;
+  stage.kind = PipelineStageSpec::Kind::kPartition;
+  stage.partition_keys = part.key_columns();
+  stage.partition_scheme = scheme;
+  stage.partition_tile_rows = part.tile_rows();
+  const bool fits = ChainFitsDmem(pit->second, &stage);
+  // The gate's inputs and decision, on the planner track.
+  TraceSpan span(TraceMode::kSummary, TraceCollector::kTrackPlanner,
+                 "fusion.partition_sink");
+  span.Annotate("fanout", static_cast<int64_t>(scheme.rounds.front().fanout));
+  span.Annotate("rounds", static_cast<int64_t>(scheme.NumRounds()));
+  span.Annotate("fuse", fits ? int64_t{1} : int64_t{0});
+  if (!fits) return false;
   PipelineSpec desc = std::move(pit->second);
   pending_.erase(pit);
   Stages(desc).push_back(std::move(stage));
@@ -433,6 +483,12 @@ Result<PhysicalPlan> Fuser::Run() {
     for (int in : step->Inputs()) ++consumers_[static_cast<size_t>(in)];
   }
   ++consumers_[static_cast<size_t>(plan_.root)];  // the query result itself
+  for (const auto& step : plan_.steps) {
+    const auto* chain = dynamic_cast<const PipelineStep*>(step.get());
+    if (chain != nullptr && !chain->spec().table.empty()) {
+      ++table_chains_[chain->spec().table];
+    }
+  }
 
   for (size_t id = 0; id < n; ++id) {
     PlanStep* step = plan_.steps[id].get();
@@ -506,7 +562,9 @@ Result<PhysicalPlan> Fuser::Run() {
   // steps absorbed mid-pipeline never materialize their rows, so
   // their subtree entries are dropped. "#p" partition addresses ride
   // the same remap: a partition step absorbed by a broadcast-probe
-  // rewrite maps to -1 and its checkpoint address disappears with it.
+  // rewrite maps to -1 and its checkpoint address disappears with it,
+  // and one that ends a chain as its sink maps to the chain's pipeline,
+  // whose own address is dropped.
   for (const auto& [path, old_id] : plan_.subtree_steps) {
     const int nid = old_to_new_[static_cast<size_t>(old_id)];
     if (nid >= 0) out_.subtree_steps.emplace_back(path, nid);
@@ -563,11 +621,12 @@ std::vector<size_t> StableTopoOrder(
 //    overlaid (FitsDmem).
 // A chain equal to a branch already in the group (SameBranch) adds no
 // branch: it runs once and its consumers read that branch's rows.
-// Aggregate-terminated chains and chains without a subtree address
-// stay alone. A stable topological re-sort of the plan with each group
-// contracted to one node, placed at its first member, renumbers the
-// steps; a group expands to its shared step followed by one BranchStep
-// per extra branch. Plans without a group keep their exact numbering.
+// Aggregate- and partition-terminated chains and chains without a
+// subtree address stay alone. A stable topological re-sort of the plan
+// with each group contracted to one node, placed at its first member,
+// renumbers the steps; a group expands to its shared step followed by
+// one BranchStep per extra branch. Plans without a group keep their
+// exact numbering.
 void Fuser::ShareScans() {
   const size_t n = out_.steps.size();
   std::vector<bool> addressed(n, false);

@@ -6,9 +6,10 @@
 // pipeline-safe stages — filter, project and small-build hash-join
 // probes — that execute as a single ParallelFor round with the whole
 // operator chain DMEM-resident. A low-NDV group-by can end such a run
-// as its aggregate sink. Pipeline breakers (join build, partition,
-// high-NDV group-by, sort, set ops, windows) remain barriers. A chain
-// nothing fused into is emitted as the one-stage pipeline it was.
+// as its aggregate sink, a partition pass as its partition sink.
+// Pipeline breakers (join build, a partition pass over a breaker's
+// output, high-NDV group-by, sort, set ops, windows) remain barriers. A
+// chain nothing fused into is emitted as the one-stage pipeline it was.
 //
 // Fusion rules:
 //   * A filter/project extends the chain below it when every
@@ -23,10 +24,20 @@
 //     chain's terminal aggregate stage: no rows are materialized
 //     between scan and aggregation. The chain then ends; its output is
 //     the group-by's.
+//   * A partition pass that no broadcast probe absorbs, over a
+//     single-consumer chain, becomes the chain's terminal partition
+//     stage: the chain's tiles scatter into the first round's buckets
+//     instead of being stored and read back, and later rounds run as
+//     the step's tail. The step's output is the partition step's, and
+//     so is its "X#p" checkpoint address; the chain's own "X" address
+//     disappears. A table-source chain over a table another chain of
+//     the plan also reads keeps its partition apart, so it can still
+//     share its scan.
 //   * A candidate chain is only fused if task formation's MaxTileRows
 //     confirms the whole chain's working set fits the DMEM budget at
 //     some tile size. An aggregate stage budgets its estimated group
-//     table (keys, states, buckets and links) as resident state.
+//     table (keys, states, buckets and links) as resident state, a
+//     partition stage its round's software fan-out staging.
 //   * Shared scans: the finished table-source chains that read the
 //     same table merge into one PipelineStep with one branch per chain
 //     (identical chains collapse into one branch), so the DMS moves
@@ -34,8 +45,8 @@
 //     merge leaves the step DAG acyclic, one tile transfer of the union
 //     of the columns costs fewer DMS cycles than one per member, and
 //     the group fits DMEM with the branches' tile scratch overlaid.
-//     Aggregate-terminated chains are never shared. Branch k >= 1's
-//     rows move to a BranchStep of their own.
+//     Aggregate- and partition-terminated chains are never shared.
+//     Branch k >= 1's rows move to a BranchStep of their own.
 
 #ifndef RAPID_CORE_QCOMP_PIPELINE_FUSION_H_
 #define RAPID_CORE_QCOMP_PIPELINE_FUSION_H_

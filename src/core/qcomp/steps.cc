@@ -11,6 +11,7 @@
 #include "common/config.h"
 #include "common/trace.h"
 #include "core/ops/filter_op.h"
+#include "core/ops/partition_sink.h"
 #include "core/ops/probe_op.h"
 #include "core/ops/project_op.h"
 #include "core/ops/sink_op.h"
@@ -184,6 +185,25 @@ GroupByOp* MergeLowNdv(ExecEnv& env, const std::vector<GroupByOp*>& partials) {
   return merged;
 }
 
+// A partition step's key list and scheme as plan text, e.g.
+// "keys=(l_orderkey) scheme=64(hw32)".
+std::string DescribePartition(const std::vector<std::string>& keys,
+                              const PartitionScheme& scheme) {
+  std::ostringstream os;
+  os << "keys=(";
+  for (size_t i = 0; i < keys.size(); ++i) {
+    os << (i ? "," : "") << keys[i];
+  }
+  os << ") scheme=";
+  for (size_t r = 0; r < scheme.rounds.size(); ++r) {
+    os << (r ? "x" : "") << scheme.rounds[r].fanout;
+    if (scheme.rounds[r].hw_fanout > 1) {
+      os << "(hw" << scheme.rounds[r].hw_fanout << ")";
+    }
+  }
+  return os.str();
+}
+
 }  // namespace
 
 std::string PhysicalPlan::Describe() const {
@@ -246,19 +266,8 @@ Status PartitionStep::Execute(ExecEnv& env) const {
 }
 
 std::string PartitionStep::Describe() const {
-  std::ostringstream os;
-  os << "PARTITION #" << input_ << " keys=(";
-  for (size_t i = 0; i < key_columns_.size(); ++i) {
-    os << (i ? "," : "") << key_columns_[i];
-  }
-  os << ") scheme=";
-  for (size_t r = 0; r < scheme_.rounds.size(); ++r) {
-    os << (r ? "x" : "") << scheme_.rounds[r].fanout;
-    if (scheme_.rounds[r].hw_fanout > 1) {
-      os << "(hw" << scheme_.rounds[r].hw_fanout << ")";
-    }
-  }
-  return os.str();
+  return "PARTITION #" + std::to_string(input_) + " " +
+         DescribePartition(key_columns_, scheme_);
 }
 
 // ---- JoinStep --------------------------------------------------------------
@@ -382,6 +391,7 @@ struct ResolvedStage {
   std::vector<std::string> pass_through;   // kFilterProject
   ProbeOpSpec probe;                       // kProbe
   std::vector<ExprPtr> key_exprs;          // kAggregate
+  std::vector<size_t> partition_keys;      // kPartition: key positions
 };
 
 // One branch resolved against the pipeline's source (shared by all
@@ -394,7 +404,9 @@ struct ResolvedBranch {
   primitives::BlockedBloomFilter join_bloom;
   size_t row_bytes = 0;    // DMEM per tile row, past the accessor's
   bool probes = false;     // a probe stage hosts a broadcast table
-  size_t table_bytes = 0;  // resident group table of an aggregate stage
+  // Resident state of the branch's sink: an aggregate stage's group
+  // table or a partition stage's software fan-out staging.
+  size_t sink_bytes = 0;
 };
 
 // Resolves `branch`'s stages, input bindings and output metadata
@@ -488,6 +500,18 @@ Status ResolveBranch(ExecEnv& env, const PipelineBranch& branch,
       }
       env.counters.join_build_rows += bset.num_rows();
       out->row_bytes += 8 * stage.output_columns.size() + 8;
+    } else if (stage.kind == PipelineStageSpec::Kind::kPartition) {
+      // The stage passes its input through: the output schema stays.
+      for (const std::string& k : stage.partition_keys) {
+        auto it = cur_binding.find(k);
+        if (it == cur_binding.end()) {
+          return Status::NotFound("partition key '" + k + "' not in pipeline");
+        }
+        rs.partition_keys.push_back(it->second);
+      }
+      out->row_bytes += PartitionSink::kBytesPerRow;
+      out->sink_bytes =
+          PartitionSink::StagingBytes(stage.partition_scheme.rounds.front());
     } else {
       for (const auto& key : stage.group_keys) {
         rs.key_exprs.push_back(key.second);
@@ -500,7 +524,7 @@ Status ResolveBranch(ExecEnv& env, const PipelineBranch& branch,
           });
       out->row_bytes +=
           8 * (stage.group_keys.size() + stage.aggregates.size());
-      out->table_bytes = GroupHashTable::DmemBytes(
+      out->sink_bytes = GroupHashTable::DmemBytes(
           stage.group_keys.size(), stage.aggregates.size(), stage.est_groups);
     }
     // Stage output becomes the next stage's input.
@@ -584,13 +608,27 @@ Status PipelineStep::Execute(ExecEnv& env) const {
     }
   }
   const size_t num_branches = spec_.branches.size();
-  const bool aggregate = spec_.branches.front().stages.back().kind ==
-                         PipelineStageSpec::Kind::kAggregate;
-  if (aggregate && num_branches > 1) {
+  const PipelineStageSpec& last = spec_.branches.front().stages.back();
+  const bool aggregate = last.kind == PipelineStageSpec::Kind::kAggregate;
+  const bool partition = last.kind == PipelineStageSpec::Kind::kPartition;
+  if ((aggregate || partition) && num_branches > 1) {
     return Status::InvalidArgument(
-        "only a lone pipeline branch may end in an aggregate");
+        "only a lone pipeline branch may end in an aggregate or a partition");
   }
   const bool table_source = !spec_.table.empty();
+  StepProgress* sp = env.progress != nullptr
+                         ? &(*env.progress)[static_cast<size_t>(id_)]
+                         : nullptr;
+  if (partition) {
+    RAPID_RETURN_NOT_OK(ValidatePartitionScheme(last.partition_scheme));
+    // A later round failed in an earlier attempt: the rounds it
+    // completed stand in for the chain and round 1.
+    if (sp != nullptr && sp->partition.CompatibleWith(last.partition_scheme)) {
+      env.recovery.reused_rounds +=
+          static_cast<uint64_t>(sp->partition.rounds_done);
+      return RunLaterRounds(env, last, &sp->partition);
+    }
+  }
 
   // ---- Resolve the source: binding + metadata of the incoming columns.
   const storage::Table* table = nullptr;
@@ -664,18 +702,19 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   // branch's per-row working set share the 32 KiB scratchpad (branches
   // overlay, see OpenBranches); probe stages additionally reserve room
   // for their DMEM hash tables (their Open() degrades capacity to what
-  // is left), an aggregate stage for its group table.
+  // is left), an aggregate stage for its group table, a partition stage
+  // for its fan-out staging.
   size_t branch_row_bytes = 0;
   bool probes = false;
-  size_t table_bytes = 0;
+  size_t sink_bytes = 0;
   for (const ResolvedBranch& rb : resolved) {
     branch_row_bytes = std::max(branch_row_bytes, rb.row_bytes);
     probes = probes || rb.probes;
-    table_bytes += rb.table_bytes;
+    sink_bytes += rb.sink_bytes;
   }
   size_t budget = env.dpu->config().dmem_bytes;
   if (probes) budget /= 2;
-  budget -= std::min(budget, table_bytes);
+  budget -= std::min(budget, sink_bytes);
   const size_t tile_rows = FitTileRows(
       spec_.tile_rows, 2 * src_width + branch_row_bytes, budget);
 
@@ -721,9 +760,6 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   // and a resumed morsel replays its recorded charges there. An
   // aggregate pipeline never saves slots (see StepProgress), so it
   // always starts over.
-  StepProgress* sp = env.progress != nullptr
-                         ? &(*env.progress)[static_cast<size_t>(id_)]
-                         : nullptr;
   if (!aggregate && sp != nullptr && sp->morsel_owner == Describe() &&
       sp->morsels.size() == num_morsels) {
     slots = std::move(sp->morsels);
@@ -785,6 +821,12 @@ Status PipelineStep::Execute(ExecEnv& env) const {
                 pspec.tile_rows = tile_rows;
                 ops.push_back(
                     std::make_unique<HashJoinProbeOp>(std::move(pspec)));
+              } else if (rs.spec->kind ==
+                         PipelineStageSpec::Kind::kPartition) {
+                const PartitionScheme& scheme = rs.spec->partition_scheme;
+                ops.push_back(std::make_unique<PartitionSink>(
+                    rs.partition_keys, scheme.rounds.front(), tile_rows,
+                    rs.spec->partition_tile_rows, scheme.NumRounds() > 1));
               } else {
                 ops.push_back(std::make_unique<GroupByOp>(
                     rs.key_exprs, rs.spec->aggregates, rs.in_binding));
@@ -814,8 +856,9 @@ Status PipelineStep::Execute(ExecEnv& env) const {
         core.dmem().TruncateTo(chain.dmem_mark);
 
         // Each branch's sink: the core's group table, stamped with this
-        // morsel's positions, or a DMS store into the branch's rows of
-        // the morsel's slot, which also records what the morsel charges.
+        // morsel's positions, the core's partition sink, pointed at the
+        // morsel's slot, or a DMS store into the branch's rows of the
+        // slot. The slot also records what the morsel charges.
         std::vector<MaterializeSink> sinks;
         dpu::CoreCounters outer_counters;
         Status st = Status::OK();
@@ -823,14 +866,20 @@ Status PipelineStep::Execute(ExecEnv& env) const {
           static_cast<GroupByOp&>(*chain.branches.front().back())
               .StampFrom(static_cast<uint64_t>(m) << 32);
         } else {
-          sinks.reserve(num_branches);  // the ops point at the sinks
-          for (size_t b = 0; b < num_branches; ++b) {
-            MaterializeSink& sink = sinks.emplace_back(&slot->rows[b]);
-            chain.branches[b].back()->set_downstream(&sink);
-            if (st.ok()) st = sink.Open(ctx);
-          }
           core.cycles().set_log(&slot->charges);
           outer_counters = std::exchange(core.counters(), {});
+          if (partition) {
+            st = static_cast<PartitionSink&>(*chain.branches.front().back())
+                     .BeginMorsel(ctx, &slot->rows[0], &slot->part_counts,
+                                  &slot->hashes);
+          } else {
+            sinks.reserve(num_branches);  // the ops point at the sinks
+            for (size_t b = 0; b < num_branches; ++b) {
+              MaterializeSink& sink = sinks.emplace_back(&slot->rows[b]);
+              chain.branches[b].back()->set_downstream(&sink);
+              if (st.ok()) st = sink.Open(ctx);
+            }
+          }
         }
         if (st.ok()) {
           if (table_source) {
@@ -904,6 +953,10 @@ Status PipelineStep::Execute(ExecEnv& env) const {
     GroupByOp* merged = MergeLowNdv(env, partials);
     return merged != nullptr ? merged->EmitInto(&out.set) : Status::OK();
   }
+  if (partition) {
+    return LayOutFirstRound(env, last, resolved.front().metas, &slots,
+                            sp != nullptr ? &sp->partition : nullptr);
+  }
   // A branch's rows concatenate in morsel order; the last morsel that
   // produced rows sets the scales its columns report.
   auto gather = [&](size_t b) {
@@ -923,6 +976,93 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   return Status::OK();
 }
 
+Status PipelineStep::LayOutFirstRound(ExecEnv& env,
+                                      const PipelineStageSpec& stage,
+                                      std::vector<ColumnMeta> metas,
+                                      std::vector<MorselSlot>* slots,
+                                      PartitionProgress* checkpoint) const {
+  const PartitionScheme& scheme = stage.partition_scheme;
+  const auto fanout = static_cast<size_t>(scheme.rounds.front().fanout);
+  const bool carry = scheme.NumRounds() > 1;
+  // The materialized chain output's schema: the last morsel that
+  // produced rows sets the scales its columns report.
+  std::vector<size_t> sizes(fanout, 0);
+  size_t total = 0;
+  for (const MorselSlot& slot : *slots) {
+    if (slot.part_counts.size() != fanout) {
+      return Status::Internal("partition sink left no counts for a morsel");
+    }
+    if (slot.rows[0].num_rows() > 0) metas = slot.rows[0].metas();
+    for (size_t p = 0; p < fanout; ++p) sizes[p] += slot.part_counts[p];
+    total += slot.rows[0].num_rows();
+  }
+  // Every bucket is allocated once at its exact size, then filled with
+  // each morsel's range of its rows in morsel order. A slot is freed
+  // as soon as it is copied.
+  PartitionProgress local;
+  PartitionProgress& round1 = checkpoint != nullptr ? *checkpoint : local;
+  round1.clear();
+  round1.buckets.assign(fanout, ColumnSet(metas));
+  round1.bucket_hashes.resize(fanout);  // left empty unless carried
+  for (size_t p = 0; p < fanout; ++p) {
+    for (size_t c = 0; c < metas.size(); ++c) {
+      round1.buckets[p].column(c).reserve(sizes[p]);
+    }
+    if (carry) round1.bucket_hashes[p].reserve(sizes[p]);
+  }
+  for (MorselSlot& slot : *slots) {
+    const ColumnSet& rows = slot.rows[0];
+    size_t begin = 0;
+    for (size_t p = 0; p < fanout; ++p) {
+      const size_t end = begin + slot.part_counts[p];
+      for (size_t c = 0; c < metas.size(); ++c) {
+        const std::vector<int64_t>& src = rows.column(c);
+        std::vector<int64_t>& dst = round1.buckets[p].column(c);
+        dst.insert(dst.end(), src.begin() + static_cast<ptrdiff_t>(begin),
+                   src.begin() + static_cast<ptrdiff_t>(end));
+      }
+      if (carry) {
+        round1.bucket_hashes[p].insert(
+            round1.bucket_hashes[p].end(),
+            slot.hashes.begin() + static_cast<ptrdiff_t>(begin),
+            slot.hashes.begin() + static_cast<ptrdiff_t>(end));
+      }
+      begin = end;
+    }
+    slot = MorselSlot();
+  }
+  round1.rounds_done = 1;
+  round1.bits_used = std::countr_zero(static_cast<unsigned>(fanout));
+  env.counters.partitioned_rows += total;  // round 1; the rest below
+  return RunLaterRounds(env, stage, &round1);
+}
+
+Status PipelineStep::RunLaterRounds(ExecEnv& env,
+                                    const PipelineStageSpec& stage,
+                                    PartitionProgress* progress) const {
+  const PartitionScheme& scheme = stage.partition_scheme;
+  size_t rows = 0;
+  for (const ColumnSet& bucket : progress->buckets) rows += bucket.num_rows();
+  env.counters.partitioned_rows +=
+      rows * (scheme.NumRounds() - static_cast<size_t>(progress->rounds_done));
+  // The buckets carry the schema; resuming, PartitionExec reads nothing
+  // else of its input.
+  const ColumnSet proto(progress->buckets.front().metas());
+  std::vector<size_t> key_cols;
+  for (const std::string& name : stage.partition_keys) {
+    RAPID_ASSIGN_OR_RETURN(size_t idx, proto.IndexOf(name));
+    key_cols.push_back(idx);
+  }
+  RAPID_ASSIGN_OR_RETURN(
+      PartitionedData parts,
+      PartitionExec::Execute(*env.dpu, proto, key_cols, scheme,
+                             stage.partition_tile_rows, env.cancel, progress));
+  StepOutput& out = env.outputs[static_cast<size_t>(id_)];
+  out.partitioned = true;
+  out.parts = std::move(parts);
+  return Status::OK();
+}
+
 namespace {
 
 // One stage as plan text, e.g. "filter+project preds=3 proj=5".
@@ -938,6 +1078,9 @@ std::string DescribeStage(const PipelineStageSpec& s) {
   } else if (s.kind == PipelineStageSpec::Kind::kAggregate) {
     os << "aggregate low-ndv keys=" << s.group_keys.size()
        << " aggs=" << s.aggregates.size();
+  } else if (s.kind == PipelineStageSpec::Kind::kPartition) {
+    os << "partition " << DescribePartition(s.partition_keys,
+                                            s.partition_scheme);
   } else {
     os << "probe build=#" << s.build_input << " keys=(";
     for (size_t i = 0; i < s.build_keys.size(); ++i) {

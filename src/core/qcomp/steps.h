@@ -93,6 +93,10 @@ struct RecoveryCounters {
 // morsels happened to finish before a failure.
 struct MorselSlot {
   std::vector<ColumnSet> rows;
+  // A partition sink's morsel: rows[0] grouped by partition, the rows
+  // per partition, and the rows' key hashes when later rounds follow.
+  std::vector<size_t> part_counts;
+  std::vector<uint32_t> hashes;
   std::vector<dpu::CycleCounter::Charge> charges;
   dpu::CoreCounters counters;
   bool done = false;
@@ -113,7 +117,11 @@ struct MorselSlot {
 //    chain at the same subtree address, and its morsels are other rows.
 //    A pipeline ending in an aggregate stage saves nothing: a core's
 //    table mixes its finished morsels with the one that failed, so the
-//    retry restarts the step.
+//    retry restarts the step. A pipeline ending in a partition stage
+//    keeps its morsel slots like any other; once its first round's
+//    buckets are laid out, a later round's failure saves the completed
+//    rounds as PartitionStep does, and the retry resumes from them
+//    without running the chain again.
 // Both resumes are bit-identical to from-scratch runs because morsel
 // decomposition and each round's histogram-then-exact-offset bucket
 // layout are deterministic.
@@ -237,6 +245,9 @@ class PartitionStep : public PlanStep {
   }
 
   int input() const { return input_; }
+  const std::vector<std::string>& key_columns() const { return key_columns_; }
+  const PartitionScheme& scheme() const { return scheme_; }
+  size_t tile_rows() const { return tile_rows_; }
 
  private:
   int input_;
@@ -414,7 +425,7 @@ class WindowStep : public PlanStep {
 
 // One stage of a pipeline (see PipelineStep).
 struct PipelineStageSpec {
-  enum class Kind { kFilterProject, kProbe, kAggregate };
+  enum class Kind { kFilterProject, kProbe, kAggregate, kPartition };
   Kind kind = Kind::kFilterProject;
 
   // kFilterProject: ordered predicates + projection expressions.
@@ -442,12 +453,21 @@ struct PipelineStageSpec {
   std::vector<std::pair<std::string, ExprPtr>> group_keys;
   std::vector<AggSpec> aggregates;
   size_t est_groups = 0;
+
+  // kPartition (last stage only): a PARTITION step as the chain's sink.
+  // The scheme's first round runs on the chain's output tiles (see
+  // PartitionSink); later rounds run through PartitionExec. The step's
+  // output is partitioned, bit-identical to the unfused step's.
+  std::vector<std::string> partition_keys;
+  PartitionScheme partition_scheme;
+  size_t partition_tile_rows = 1024;
 };
 
 // One operator chain over a pipeline's source. The first stage must be
 // kFilterProject; stages[i]'s output feeds stages[i+1]. Only the last
-// stage of a lone branch may be kAggregate. `use_rid_list` picks the
-// first filter's qualifying-row representation.
+// stage of a lone branch may be kAggregate or kPartition.
+// `use_rid_list` picks the first filter's qualifying-row
+// representation.
 struct PipelineBranch {
   std::vector<PipelineStageSpec> stages;
   bool use_rid_list = false;
@@ -473,14 +493,17 @@ struct PipelineSpec {
 // chain DMEM-resident — one DMS load per input tile, one DMS store per
 // output tile, no intermediate ColumnSet and no per-step barrier. A
 // trailing low-NDV aggregate stage replaces the DMS store: the chain
-// ends in one GroupByOp per core. The planner lowers every scan and
-// every filter/project over an intermediate as a one-stage pipeline
-// (printed `SCAN ...` / `PIPE #n ...`); pipeline fusion extends those
-// into longer chains and merges chains over one table into a shared
-// scan: one DMS load per tile feeds K branches, each with its own
-// stages and output (branch 0's is this step's; branch k's moves to a
-// BranchStep). Pipeline breakers (join build, partition, high-NDV
-// group-by, sort) stay separate steps.
+// ends in one GroupByOp per core. A trailing partition stage replaces
+// it too: the chain's tiles scatter into the first partition round's
+// buckets, and the step's output is partitioned. The planner lowers
+// every scan and every filter/project over an intermediate as a
+// one-stage pipeline (printed `SCAN ...` / `PIPE #n ...`); pipeline
+// fusion extends those into longer chains and merges chains over one
+// table into a shared scan: one DMS load per tile feeds K branches,
+// each with its own stages and output (branch 0's is this step's;
+// branch k's moves to a BranchStep). Pipeline breakers (join build, a
+// partition pass over a breaker's output, high-NDV group-by, sort) stay
+// separate steps.
 class PipelineStep : public PlanStep {
  public:
   PipelineStep(int id, PipelineSpec spec)
@@ -498,6 +521,18 @@ class PipelineStep : public PlanStep {
   }
 
  private:
+  // A partition stage's first round: lays out its buckets from the
+  // morsels' slots (into `checkpoint` when checkpointing is on), then
+  // runs the later rounds.
+  Status LayOutFirstRound(ExecEnv& env, const PipelineStageSpec& stage,
+                          std::vector<ColumnMeta> metas,
+                          std::vector<MorselSlot>* slots,
+                          PartitionProgress* checkpoint) const;
+  // Runs the stage's rounds after the ones `progress` holds through
+  // PartitionExec and stores the step's partitioned output.
+  Status RunLaterRounds(ExecEnv& env, const PipelineStageSpec& stage,
+                        PartitionProgress* progress) const;
+
   PipelineSpec spec_;
 };
 

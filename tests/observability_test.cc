@@ -286,6 +286,9 @@ TEST_F(ObservabilityTest, ExplainAnalyzeRendersPerNodeActuals) {
   EXPECT_NE(text.find("rows="), std::string::npos);
   EXPECT_NE(text.find("modeled_ms="), std::string::npos);
   EXPECT_NE(text.find("compute_cycles="), std::string::npos);
+  // Every node reports its host wall time beside the modeled time.
+  EXPECT_NE(text.find(" wall_ms="), text.rfind(" wall_ms=")) << text;
+  EXPECT_NE(text.find(" wall/modeled="), std::string::npos) << text;
   // A join plan renders more than one physical node (lines are
   // indented two spaces per tree level, then "#<id> <describe>").
   size_t nodes = 0;

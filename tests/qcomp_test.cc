@@ -340,7 +340,8 @@ TEST_F(PlannerTest, GroupByStrategyByNdv) {
   }
   EXPECT_TRUE(found_low);
 
-  // id has 10000 distinct values -> high NDV with a partition step.
+  // id has 10000 distinct values -> high NDV over a partition round on
+  // id, which ends the scan's pipeline as its sink.
   Planner planner(dpu::DpuConfig::Default(), dpu::CostParams::Default(),
                   PlannerOptions{.low_ndv_threshold = 1000});
   auto high = LogicalNode::GroupBy(
@@ -350,15 +351,16 @@ TEST_F(PlannerTest, GroupByStrategyByNdv) {
   bool found_partition = false;
   bool found_high = false;
   for (const auto& s : p2.steps) {
-    if (s->Describe().find("PARTITION") != std::string::npos) {
+    if (s->Describe().find("| partition keys=(id) scheme=") !=
+        std::string::npos) {
       found_partition = true;
     }
     if (s->Describe().find("high-ndv") != std::string::npos) {
       found_high = true;
     }
   }
-  EXPECT_TRUE(found_partition);
-  EXPECT_TRUE(found_high);
+  EXPECT_TRUE(found_partition) << p2.Describe();
+  EXPECT_TRUE(found_high) << p2.Describe();
 }
 
 TEST_F(PlannerTest, JoinBuildsOnSmallerSide) {
@@ -476,16 +478,25 @@ TEST_F(PlannerTest, FusionStopsAtPipelineBreakers) {
     EXPECT_EQ(plan.root, 1);
   }
 
-  // High NDV (id: 10000 groups over a 1000 threshold) partitions, so
-  // the group-by stays a breaker behind its partition step.
+  // High NDV (id: 10000 groups over a 1000 threshold) partitions: the
+  // partition round ends the scan's chain as its sink, and the group-by
+  // stays a breaker behind it.
   auto by_id = LogicalNode::GroupBy(
       LogicalNode::Scan("t", {"id", "val"}), {{"id", Expr::Col("id")}},
       {{"s", AggFunc::kSum, Expr::Col("val"), {}}});
   Planner high(dpu::DpuConfig::Default(), dpu::CostParams::Default(),
                PlannerOptions{.low_ndv_threshold = 1000});
   ASSERT_OK_AND_ASSIGN(PhysicalPlan p_high, high.Plan(by_id, catalog_));
-  EXPECT_NE(p_high.Describe().find("PARTITION"), std::string::npos);
-  EXPECT_NE(p_high.Describe().find("GROUPBY #1 high-ndv"), std::string::npos)
+  ASSERT_EQ(p_high.steps.size(), 2u) << p_high.Describe();
+  EXPECT_EQ(p_high.steps[0]->Describe().rfind(
+                "PIPELINE scan t | filter+project preds=0 proj=2 | "
+                "partition keys=(id) scheme=",
+                0),
+            0u)
+      << p_high.Describe();
+  EXPECT_EQ(p_high.Describe().find("PARTITION"), std::string::npos)
+      << p_high.Describe();
+  EXPECT_NE(p_high.Describe().find("GROUPBY #0 high-ndv"), std::string::npos)
       << p_high.Describe();
 
   // The same keys forced low-NDV: 10000 estimated groups do not fit
