@@ -75,6 +75,43 @@ void Expr::CollectColumns(std::vector<std::string>* out) const {
   }
 }
 
+int ExprScale(const Expr& expr, const MetaLookup& input) {
+  switch (expr.kind) {
+    case Expr::Kind::kColumn: {
+      const ColumnMeta* meta = input(expr.column);
+      return meta != nullptr ? meta->dsb_scale : 0;
+    }
+    case Expr::Kind::kConst:
+      return expr.scale;
+    case Expr::Kind::kBinary: {
+      const int l = ExprScale(*expr.left, input);
+      const int r = ExprScale(*expr.right, input);
+      return expr.op == ArithOp::kMul ? l + r : std::max(l, r);
+    }
+  }
+  return 0;
+}
+
+ColumnMeta ScaledMeta(std::string name, int scale) {
+  ColumnMeta m;
+  m.name = std::move(name);
+  m.dsb_scale = scale;
+  m.type = scale != 0 ? storage::DataType::kDecimal : storage::DataType::kInt64;
+  return m;
+}
+
+ColumnMeta ExprMeta(std::string name, const Expr& expr,
+                    const MetaLookup& input) {
+  if (expr.kind == Expr::Kind::kColumn) {
+    if (const ColumnMeta* meta = input(expr.column)) {
+      ColumnMeta m = *meta;
+      m.name = std::move(name);
+      return m;
+    }
+  }
+  return ScaledMeta(std::move(name), ExprScale(expr, input));
+}
+
 Result<int> EvalExpr(ExecCtx& ctx, const Tile& tile,
                      const ColumnBinding& binding, const Expr& expr,
                      std::vector<int64_t>* out) {

@@ -10,6 +10,7 @@
 #define RAPID_CORE_EXPR_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -17,6 +18,7 @@
 
 #include "common/bitvector.h"
 #include "common/status.h"
+#include "core/qef/column_set.h"
 #include "core/qef/exec_ctx.h"
 #include "core/qef/tile.h"
 #include "primitives/arith.h"
@@ -59,6 +61,27 @@ struct Expr {
 
 // Maps column names to tile column positions for bound evaluation.
 using ColumnBinding = std::unordered_map<std::string, size_t>;
+
+// An operator input's schema by column name: the column's meta, or
+// null when the input has no such column.
+using MetaLookup = std::function<const ColumnMeta*(const std::string&)>;
+
+// The DSB scale EvalExpr returns for `expr` over an input whose column
+// metas `input` gives: a column's own scale (0 when unknown), a
+// constant's, the sum of a product's operand scales, the larger of a
+// sum's or difference's.
+int ExprScale(const Expr& expr, const MetaLookup& input);
+
+// A computed column's meta: decimal iff `scale` is not 0.
+ColumnMeta ScaledMeta(std::string name, int scale);
+
+// The meta of output column `name` computing `expr` over `input`: a
+// bare input column keeps its type, scale and dictionary; anything
+// else is ScaledMeta(name, ExprScale(expr, input)). Output schemas
+// come from here, never from the tiles that happened to carry rows,
+// so an empty result reports the same metas as a full one.
+ColumnMeta ExprMeta(std::string name, const Expr& expr,
+                    const MetaLookup& input);
 
 // Evaluates `expr` over a tile: writes tile.rows widened values into
 // `out` and returns the result's DSB scale. Charges arithmetic

@@ -167,8 +167,6 @@ GroupByOp::GroupByOp(std::vector<ExprPtr> keys, std::vector<AggSpec> aggs,
       binding_(std::move(binding)),
       hash_shift_(hash_shift),
       table_(keys_.size(), FuncsOf(aggs_)),
-      key_scales_(keys_.size(), 0),
-      agg_scales_(aggs_.size(), 0),
       key_scratch_(keys_.size()),
       agg_scratch_(aggs_.size()),
       agg_filters_(aggs_.size()) {}
@@ -178,8 +176,6 @@ void GroupByOp::Reset(int hash_shift, size_t expected_rows) {
   table_.Reset(expected_rows);
   chain_steps_ = 0;
   rows_ = 0;
-  std::fill(key_scales_.begin(), key_scales_.end(), 0);
-  std::fill(agg_scales_.begin(), agg_scales_.end(), 0);
 }
 
 size_t GroupByOp::DmemBytes(size_t tile_rows) const {
@@ -194,15 +190,14 @@ Status GroupByOp::Consume(ExecCtx& ctx, const Tile& tile) {
   const size_t n = tile.rows;
   rows_ += n;
   for (size_t k = 0; k < keys_.size(); ++k) {
-    RAPID_ASSIGN_OR_RETURN(
-        key_scales_[k],
-        EvalExpr(ctx, tile, binding_, *keys_[k], &key_scratch_[k]));
+    RAPID_RETURN_NOT_OK(
+        EvalExpr(ctx, tile, binding_, *keys_[k], &key_scratch_[k]).status());
   }
   for (size_t a = 0; a < aggs_.size(); ++a) {
     if (aggs_[a].expr != nullptr) {
-      RAPID_ASSIGN_OR_RETURN(
-          agg_scales_[a],
-          EvalExpr(ctx, tile, binding_, *aggs_[a].expr, &agg_scratch_[a]));
+      RAPID_RETURN_NOT_OK(
+          EvalExpr(ctx, tile, binding_, *aggs_[a].expr, &agg_scratch_[a])
+              .status());
     }
     // Aggregate FILTER clauses evaluate vectorized, once per tile.
     if (aggs_[a].filter != nullptr) {
@@ -254,10 +249,6 @@ Status GroupByOp::Finish(ExecCtx&) { return Status::OK(); }
 
 void GroupByOp::MergeFrom(const GroupByOp& other) {
   table_.MergeFrom(other.table_);
-  if (rows_ == 0 && other.rows_ > 0) {
-    key_scales_ = other.key_scales_;
-    agg_scales_ = other.agg_scales_;
-  }
   rows_ += other.rows_;
   stamped_ = stamped_ || other.stamped_;
 }
@@ -280,20 +271,6 @@ Status GroupByOp::EmitInto(ColumnSet* out) const {
   for (size_t a = 0; a < aggs_.size(); ++a) {
     const std::vector<int64_t>& st = table_.agg_column(a);
     append(out->column(keys_.size() + a), [&](size_t g) { return st[g]; });
-  }
-  // Record scales on the output metadata. Without a group there is no
-  // observed scale: the output keeps the metas its caller derived from
-  // the input (a bare column key's scale).
-  if (groups == 0) return Status::OK();
-  for (size_t k = 0; k < keys_.size(); ++k) {
-    out->meta(k).dsb_scale = key_scales_[k];
-    if (key_scales_[k] != 0) out->meta(k).type = storage::DataType::kDecimal;
-  }
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    const size_t c = keys_.size() + a;
-    const int scale = aggs_[a].func == AggFunc::kCount ? 0 : agg_scales_[a];
-    out->meta(c).dsb_scale = scale;
-    if (scale != 0) out->meta(c).type = storage::DataType::kDecimal;
   }
   return Status::OK();
 }

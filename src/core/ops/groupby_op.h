@@ -11,9 +11,11 @@
 //
 // Both strategies use this operator; the strategy decides what input
 // each core sees and whether MergeFrom runs afterwards. A low-NDV
-// group-by fused into a scan pipeline is the chain's sink: one
-// operator per core over that core's morsels, merged afterwards and
-// emitted in first-appearance order by position stamps.
+// group-by is always a pipeline's aggregate sink (PipelineStep), over
+// its fused chain or alone over a materialized input: one operator per
+// core over that core's morsels, merged afterwards and emitted in
+// first-appearance order by position stamps. The high-NDV strategy is
+// GroupByStep's, one operator per core Reset for each partition.
 
 #ifndef RAPID_CORE_OPS_GROUPBY_OP_H_
 #define RAPID_CORE_OPS_GROUPBY_OP_H_
@@ -149,8 +151,7 @@ class GroupByOp : public PipelineOp {
   }
 
   // Folds another core's operator (same keys, aggregates and shift)
-  // into this one. The output scales come from whichever operator saw
-  // a row: a core whose input was all filtered out never sets them.
+  // into this one.
   void MergeFrom(const GroupByOp& other);
 
   GroupHashTable& table() { return table_; }
@@ -160,7 +161,8 @@ class GroupByOp : public PipelineOp {
   uint64_t rows() const { return rows_; }
 
   // Emits groups + aggregates into `out` (columns: keys then aggs), in
-  // stamp order once StampFrom was called, else in table order.
+  // stamp order once StampFrom was called, else in table order. The
+  // caller derives `out`'s metas from the input (GroupByOutputMetas).
   Status EmitInto(ColumnSet* out) const;
 
  private:
@@ -173,10 +175,6 @@ class GroupByOp : public PipelineOp {
   uint64_t rows_ = 0;
   bool stamped_ = false;
   uint64_t next_position_ = 0;
-  // DSB scales of key columns / aggregate results observed during
-  // execution; EmitInto writes them to the output metadata.
-  std::vector<int> key_scales_;
-  std::vector<int> agg_scales_;
   // Per-tile scratch, sized on first use and kept across tiles and
   // Resets.
   std::vector<std::vector<int64_t>> key_scratch_;

@@ -13,20 +13,17 @@
 namespace rapid::core {
 
 // Widens the tile's rows onto the end of `out` (columns matched
-// positionally) and records each column's observed scale, so
-// downstream readers decode decimals correctly.
+// positionally). `out`'s metas were derived from the operator's input
+// before any tile ran (ExprMeta), so each column's scale is known.
 inline void AppendTile(const Tile& tile, ColumnSet* out) {
   RAPID_DCHECK(tile.columns.size() == out->num_columns());
   for (size_t c = 0; c < tile.columns.size(); ++c) {
     std::vector<int64_t>& dst = out->column(c);
     const TileColumn& src = tile.columns[c];
+    RAPID_DCHECK(src.dsb_scale == out->meta(c).dsb_scale);
     const size_t old = dst.size();
     dst.resize(old + tile.rows);
     WidenColumn(src, nullptr, tile.rows, dst.data() + old);
-    out->meta(c).dsb_scale = src.dsb_scale;
-    if (src.type == storage::DataType::kDecimal) {
-      out->meta(c).type = storage::DataType::kDecimal;
-    }
   }
 }
 

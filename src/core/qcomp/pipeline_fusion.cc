@@ -117,7 +117,6 @@ class Fuser {
  private:
   Result<int> Materialize(int old_id);
   Status HandleJoin(int id, JoinStep* join);
-  bool FuseAggregate(int id, const GroupByStep& group_by);
   bool FusePartition(int id, const PartitionStep& part);
   void ShareScans();
 
@@ -322,30 +321,6 @@ Result<int> Fuser::Materialize(int old_id) {
                           " has no pending chain and was never emitted");
 }
 
-// A low-NDV group-by over a pending single-consumer chain becomes the
-// chain's terminal aggregate stage when its group table fits DMEM
-// beside the chain; otherwise it stays a breaker.
-bool Fuser::FuseAggregate(int id, const GroupByStep& group_by) {
-  if (!group_by.low_ndv()) return false;
-  const int in = group_by.input();
-  auto pit = pending_.find(in);
-  if (pit == pending_.end() || consumers_[static_cast<size_t>(in)] != 1 ||
-      !Extendable(pit->second)) {
-    return false;
-  }
-  PipelineStageSpec stage;
-  stage.kind = PipelineStageSpec::Kind::kAggregate;
-  stage.group_keys = group_by.keys();
-  stage.aggregates = group_by.aggs();
-  stage.est_groups = group_by.est_groups();
-  if (!ChainFitsDmem(pit->second, &stage)) return false;
-  PipelineSpec desc = std::move(pit->second);
-  pending_.erase(pit);
-  Stages(desc).push_back(std::move(stage));
-  pending_.emplace(id, std::move(desc));
-  return true;
-}
-
 // A partition pass that no broadcast probe absorbed, over a pending
 // single-consumer chain, becomes the chain's terminal partition stage
 // when the round's fan-out staging fits DMEM beside the chain; the
@@ -496,23 +471,27 @@ Result<PhysicalPlan> Fuser::Run() {
 
     if (auto* lone = dynamic_cast<PipelineStep*>(step)) {
       // The planner emits one-stage pipelines: a scan starts a chain; a
-      // filter/project over a pending single-consumer chain extends it
-      // when the longer chain still fits DMEM, and starts its own
-      // chain otherwise.
+      // filter/project or a low-NDV aggregate over a pending
+      // single-consumer chain extends it when the longer chain still
+      // fits DMEM. A filter/project that cannot starts its own chain;
+      // an aggregate that cannot is a breaker.
       PipelineSpec spec = lone->spec();
       auto pit = pending_.find(spec.input);
-      if (spec.table.empty() && pit != pending_.end() &&
-          consumers_[static_cast<size_t>(spec.input)] == 1 &&
-          Extendable(pit->second) &&
-          ChainFitsDmem(pit->second, &Stages(spec).front())) {
+      const bool extend = spec.table.empty() && pit != pending_.end() &&
+                          consumers_[static_cast<size_t>(spec.input)] == 1 &&
+                          Extendable(pit->second) &&
+                          ChainFitsDmem(pit->second, &Stages(spec).front());
+      if (extend) {
         PipelineSpec desc = std::move(pit->second);
         pending_.erase(pit);
         Stages(desc).push_back(std::move(Stages(spec).front()));
         desc.tile_rows = std::min(desc.tile_rows, spec.tile_rows);
         spec = std::move(desc);
       }
-      pending_.emplace(static_cast<int>(id), std::move(spec));
-      continue;
+      if (extend || Extendable(spec)) {
+        pending_.emplace(static_cast<int>(id), std::move(spec));
+        continue;
+      }
     }
 
     if (dynamic_cast<PartitionStep*>(step) != nullptr) {
@@ -527,13 +506,8 @@ Result<PhysicalPlan> Fuser::Run() {
       continue;
     }
 
-    if (auto* group_by = dynamic_cast<GroupByStep*>(step)) {
-      if (FuseAggregate(static_cast<int>(id), *group_by)) continue;
-    }
-
-    // Pipeline breaker (high-NDV or oversized group-by, sort, top-k,
-    // set op, window, ...): materialize its inputs and re-emit it
-    // unchanged.
+    // Pipeline breaker (group-by, sort, top-k, set op, window, ...):
+    // materialize its inputs and re-emit it unchanged.
     for (int in : step->Inputs()) {
       RAPID_RETURN_NOT_OK(Materialize(in).status());
     }

@@ -1,8 +1,8 @@
 // Pipeline fusion (QComp post-pass).
 //
-// Rewrites a lowered PhysicalPlan. The planner emits every scan and
-// every filter/project over an intermediate as a one-stage
-// PipelineStep; this pass extends those into maximal runs of
+// Rewrites a lowered PhysicalPlan. The planner emits every scan, every
+// filter/project over an intermediate and every low-NDV group-by as a
+// one-stage PipelineStep; this pass extends those into maximal runs of
 // pipeline-safe stages — filter, project and small-build hash-join
 // probes — that execute as a single ParallelFor round with the whole
 // operator chain DMEM-resident. A low-NDV group-by can end such a run
@@ -20,10 +20,11 @@
 //     larger than the probe side): both PartitionSteps and the
 //     JoinStep disappear, the build producer stays materialized, and
 //     each dpCore builds a private DMEM hash table over it.
-//   * A low-NDV group-by over a single-consumer chain becomes the
-//     chain's terminal aggregate stage: no rows are materialized
-//     between scan and aggregation. The chain then ends; its output is
-//     the group-by's.
+//   * A low-NDV group-by's aggregate stage extends a single-consumer
+//     chain as a filter/project does, as the chain's terminal stage:
+//     no rows are materialized between scan and aggregation. The chain
+//     then ends; its output is the group-by's. A group-by that extends
+//     nothing is emitted in place, as a breaker is.
 //   * A partition pass that no broadcast probe absorbs, over a
 //     single-consumer chain, becomes the chain's terminal partition
 //     stage: the chain's tiles scatter into the first round's buckets

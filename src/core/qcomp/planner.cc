@@ -588,33 +588,51 @@ Result<Planner::Lowered> Planner::LowerImpl(const LogicalNode& node,
       const bool low_ndv =
           est_groups <= static_cast<double>(options_.low_ndv_threshold) ||
           !keys_are_plain;
-
-      int input_step = in.step;
-      if (!low_ndv) {
-        // High NDV: distribute distinct groups over dpCores by
-        // partitioning on the group-key columns.
-        std::vector<std::string> key_cols;
-        for (const auto& [name, expr] : node.group_keys) {
-          key_cols.push_back(expr->column);
-        }
-        PartitionPlanInput pin;
-        pin.total_rows = static_cast<size_t>(std::max(1.0, in.est_rows));
-        pin.row_bytes = 8 * (node.group_keys.size() + node.aggregates.size());
-        pin.num_columns = node.group_keys.size() + node.aggregates.size();
-        pin.dmem_budget_bytes = config_.dmem_bytes / 2;
-        pin.min_partitions = std::max(2, config_.num_cores);
-        pin.num_cores = config_.num_cores;
-        pin.largest_morsel_fraction =
-            LargestChunkFraction(catalog, in.base_table);
-        RAPID_ASSIGN_OR_RETURN(SchemeChoice choice,
-                               OptimizePartitionScheme(pin, params_));
-        const int part_id = NextId(*plan);
-        AddStep(plan, std::make_unique<PartitionStep>(
-                          part_id, in.step, key_cols, choice.scheme, 1024));
-        // Checkpoint address of the group-by input's partition rounds.
-        plan->subtree_steps.emplace_back(path + "0#p", part_id);
-        input_step = part_id;
+      Lowered out;
+      out.est_rows = est_groups;
+      for (const auto& [name, expr] : node.group_keys) {
+        out.columns.push_back(name);
       }
+      for (const AggSpec& a : node.aggregates) out.columns.push_back(a.name);
+
+      if (low_ndv) {
+        // Low NDV: on-the-fly aggregation, one table per dpCore, then a
+        // merge: a one-stage pipeline whose stage is the aggregate sink.
+        PipelineSpec spec;
+        spec.input = in.step;
+        PipelineStageSpec& stage =
+            spec.branches.emplace_back().stages.emplace_back();
+        stage.kind = PipelineStageSpec::Kind::kAggregate;
+        stage.group_keys = node.group_keys;
+        stage.aggregates = node.aggregates;
+        stage.est_groups = static_cast<size_t>(std::ceil(est_groups));
+        out.step = AddStep(plan, std::make_unique<PipelineStep>(
+                                     NextId(*plan), std::move(spec)));
+        return out;
+      }
+
+      // High NDV: distribute distinct groups over dpCores by
+      // partitioning on the group-key columns.
+      std::vector<std::string> key_cols;
+      for (const auto& [name, expr] : node.group_keys) {
+        key_cols.push_back(expr->column);
+      }
+      PartitionPlanInput pin;
+      pin.total_rows = static_cast<size_t>(std::max(1.0, in.est_rows));
+      pin.row_bytes = 8 * (node.group_keys.size() + node.aggregates.size());
+      pin.num_columns = node.group_keys.size() + node.aggregates.size();
+      pin.dmem_budget_bytes = config_.dmem_bytes / 2;
+      pin.min_partitions = std::max(2, config_.num_cores);
+      pin.num_cores = config_.num_cores;
+      pin.largest_morsel_fraction =
+          LargestChunkFraction(catalog, in.base_table);
+      RAPID_ASSIGN_OR_RETURN(SchemeChoice choice,
+                             OptimizePartitionScheme(pin, params_));
+      const int part_id = NextId(*plan);
+      AddStep(plan, std::make_unique<PartitionStep>(
+                        part_id, in.step, key_cols, choice.scheme, 1024));
+      // Checkpoint address of the group-by input's partition rounds.
+      plan->subtree_steps.emplace_back(path + "0#p", part_id);
 
       size_t max_rows = options_.groupby_max_partition_rows;
       if (max_rows == 0) {
@@ -626,18 +644,10 @@ Result<Planner::Lowered> Planner::LowerImpl(const LogicalNode& node,
         max_rows = 4 * (config_.dmem_bytes / 2) / std::max<size_t>(
                                                       1, row_bytes);
       }
-      const int id = NextId(*plan);
+      out.step = NextId(*plan);
       AddStep(plan, std::make_unique<GroupByStep>(
-                        id, input_step, low_ndv, node.group_keys,
-                        node.aggregates, 1024, max_rows,
-                        static_cast<size_t>(std::ceil(est_groups))));
-      Lowered out;
-      out.step = id;
-      out.est_rows = est_groups;
-      for (const auto& [name, expr] : node.group_keys) {
-        out.columns.push_back(name);
-      }
-      for (const AggSpec& a : node.aggregates) out.columns.push_back(a.name);
+                        out.step, part_id, node.group_keys, node.aggregates,
+                        1024, max_rows));
       return out;
     }
 

@@ -22,18 +22,6 @@ namespace rapid::core {
 
 namespace {
 
-std::vector<ColumnMeta> ProjectionMetas(
-    const std::vector<std::pair<std::string, ExprPtr>>& projections) {
-  std::vector<ColumnMeta> metas;
-  metas.reserve(projections.size());
-  for (const auto& [name, expr] : projections) {
-    ColumnMeta m;
-    m.name = name;
-    metas.push_back(m);
-  }
-  return metas;
-}
-
 // Largest power-of-two tile (>= 64, <= requested) whose DMEM footprint
 // fits the per-core scratchpad: the runtime equivalent of task
 // formation's vector-size selection for steps whose input width is
@@ -136,31 +124,18 @@ bool BuildJoinFilter(ExecEnv& env, const JoinFilterRef& ref,
   return true;
 }
 
-// A group-by's output schema: its keys, then its aggregates. A key
-// that names an input column keeps that column's type, scale and
-// dictionary; `input_meta(name)` returns the input's meta for `name`,
-// or null.
-template <typename InputMeta>
+// A group-by's output schema over `input`: its keys, then its
+// aggregates, each decimal iff its scale is not 0 (a COUNT's is).
 std::vector<ColumnMeta> GroupByOutputMetas(
     const std::vector<std::pair<std::string, ExprPtr>>& keys,
-    const std::vector<AggSpec>& aggs, const InputMeta& input_meta) {
+    const std::vector<AggSpec>& aggs, const MetaLookup& input) {
   std::vector<ColumnMeta> metas;
   for (const auto& [name, expr] : keys) {
-    ColumnMeta m;
-    m.name = name;
-    if (expr->kind == Expr::Kind::kColumn) {
-      if (const ColumnMeta* in = input_meta(expr->column)) {
-        m.type = in->type;
-        m.dsb_scale = in->dsb_scale;
-        m.dict = in->dict;
-      }
-    }
-    metas.push_back(m);
+    metas.push_back(ExprMeta(name, *expr, input));
   }
   for (const AggSpec& a : aggs) {
-    ColumnMeta m;
-    m.name = a.name;
-    metas.push_back(m);
+    const bool scaled = a.func != AggFunc::kCount && a.expr != nullptr;
+    metas.push_back(ScaledMeta(a.name, scaled ? ExprScale(*a.expr, input) : 0));
   }
   return metas;
 }
@@ -428,26 +403,20 @@ Status ResolveBranch(ExecEnv& env, const PipelineBranch& branch,
   }
 
   std::vector<ColumnMeta>& metas = out->metas;  // running stage output
+  const MetaLookup input_meta =
+      [&avail](const std::string& name) -> const ColumnMeta* {
+    auto it = avail.find(name);
+    return it != avail.end() ? &it->second : nullptr;
+  };
   for (const PipelineStageSpec& stage : branch.stages) {
     ResolvedStage rs;
     rs.spec = &stage;
     rs.in_binding = cur_binding;
     if (stage.kind == PipelineStageSpec::Kind::kFilterProject) {
       rs.pass_through = ProjectionInputs(stage.projections);
-      // A plain column projection carries its source column's type,
-      // DSB scale and dictionary, so dates format, decimals decode and
-      // codes map to strings even when no morsel produced a row.
-      metas = ProjectionMetas(stage.projections);
-      for (size_t c = 0; c < stage.projections.size(); ++c) {
-        const Expr& expr = *stage.projections[c].second;
-        if (expr.kind == Expr::Kind::kColumn) {
-          auto it = avail.find(expr.column);
-          if (it != avail.end()) {
-            metas[c].type = it->second.type;
-            metas[c].dsb_scale = it->second.dsb_scale;
-            metas[c].dict = it->second.dict;
-          }
-        }
+      metas.clear();
+      for (const auto& [name, expr] : stage.projections) {
+        metas.push_back(ExprMeta(name, *expr, input_meta));
       }
       out->row_bytes +=
           8 * (rs.pass_through.size() + stage.projections.size()) + 8;
@@ -516,12 +485,8 @@ Status ResolveBranch(ExecEnv& env, const PipelineBranch& branch,
       for (const auto& key : stage.group_keys) {
         rs.key_exprs.push_back(key.second);
       }
-      metas = GroupByOutputMetas(
-          stage.group_keys, stage.aggregates,
-          [&avail](const std::string& name) -> const ColumnMeta* {
-            auto it = avail.find(name);
-            return it != avail.end() ? &it->second : nullptr;
-          });
+      metas = GroupByOutputMetas(stage.group_keys, stage.aggregates,
+                                 input_meta);
       out->row_bytes +=
           8 * (stage.group_keys.size() + stage.aggregates.size());
       out->sink_bytes = GroupHashTable::DmemBytes(
@@ -600,9 +565,16 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   if (spec_.branches.empty()) {
     return Status::InvalidArgument("pipeline step needs a branch");
   }
+  const bool table_source = !spec_.table.empty();
   for (const PipelineBranch& branch : spec_.branches) {
-    if (branch.stages.empty() ||
-        branch.stages.front().kind != PipelineStageSpec::Kind::kFilterProject) {
+    // Over a table, stage 0 carries the join filter and the rid flag.
+    const bool leads =
+        !branch.stages.empty() &&
+        (branch.stages.front().kind ==
+             PipelineStageSpec::Kind::kFilterProject ||
+         (!table_source &&
+          branch.stages.front().kind == PipelineStageSpec::Kind::kAggregate));
+    if (!leads) {
       return Status::InvalidArgument(
           "pipeline step needs a leading filter/project stage");
     }
@@ -615,7 +587,6 @@ Status PipelineStep::Execute(ExecEnv& env) const {
     return Status::InvalidArgument(
         "only a lone pipeline branch may end in an aggregate or a partition");
   }
-  const bool table_source = !spec_.table.empty();
   StepProgress* sp = env.progress != nullptr
                          ? &(*env.progress)[static_cast<size_t>(id_)]
                          : nullptr;
@@ -686,8 +657,12 @@ Status PipelineStep::Execute(ExecEnv& env) const {
       avail[input_set->meta(c).name] = input_set->meta(c);
     }
     src_width = 8 * input_set->num_columns();
-    env.counters.scanned_rows += input_set->num_rows();
-    env.counters.scanned_bytes += input_set->num_rows() * src_width;
+    // A group-by reading its input is no scan; agg_rows counts it.
+    if (spec_.branches.front().stages.front().kind ==
+        PipelineStageSpec::Kind::kFilterProject) {
+      env.counters.scanned_rows += input_set->num_rows();
+      env.counters.scanned_bytes += input_set->num_rows() * src_width;
+    }
   }
 
   // ---- Resolve every branch against the source. Sized up front: the
@@ -957,15 +932,9 @@ Status PipelineStep::Execute(ExecEnv& env) const {
     return LayOutFirstRound(env, last, resolved.front().metas, &slots,
                             sp != nullptr ? &sp->partition : nullptr);
   }
-  // A branch's rows concatenate in morsel order; the last morsel that
-  // produced rows sets the scales its columns report.
+  // A branch's rows concatenate in morsel order.
   auto gather = [&](size_t b) {
     ColumnSet rows(resolved[b].metas);
-    for (const MorselSlot& slot : slots) {
-      for (size_t col = 0; col < rows.num_columns(); ++col) {
-        if (slot.rows[b].num_rows() > 0) rows.meta(col) = slot.rows[b].meta(col);
-      }
-    }
     for (const MorselSlot& slot : slots) rows.Append(slot.rows[b]);
     return rows;
   };
@@ -978,21 +947,18 @@ Status PipelineStep::Execute(ExecEnv& env) const {
 
 Status PipelineStep::LayOutFirstRound(ExecEnv& env,
                                       const PipelineStageSpec& stage,
-                                      std::vector<ColumnMeta> metas,
+                                      const std::vector<ColumnMeta>& metas,
                                       std::vector<MorselSlot>* slots,
                                       PartitionProgress* checkpoint) const {
   const PartitionScheme& scheme = stage.partition_scheme;
   const auto fanout = static_cast<size_t>(scheme.rounds.front().fanout);
   const bool carry = scheme.NumRounds() > 1;
-  // The materialized chain output's schema: the last morsel that
-  // produced rows sets the scales its columns report.
   std::vector<size_t> sizes(fanout, 0);
   size_t total = 0;
   for (const MorselSlot& slot : *slots) {
     if (slot.part_counts.size() != fanout) {
       return Status::Internal("partition sink left no counts for a morsel");
     }
-    if (slot.rows[0].num_rows() > 0) metas = slot.rows[0].metas();
     for (size_t p = 0; p < fanout; ++p) sizes[p] += slot.part_counts[p];
     total += slot.rows[0].num_rows();
   }
@@ -1109,8 +1075,8 @@ std::string DescribeStage(const PipelineStageSpec& s) {
 
 std::string PipelineStep::Describe() const {
   std::ostringstream os;
-  // A branch of one stage reads as a lone scan or pipe, in plans and
-  // reports alike.
+  // A branch of one stage reads as a lone scan, pipe or group-by, in
+  // plans and reports alike.
   bool lone = true;
   for (const PipelineBranch& branch : spec_.branches) {
     lone = lone && branch.stages.size() == 1;
@@ -1129,6 +1095,13 @@ std::string PipelineStep::Describe() const {
   };
   const PipelineBranch& first = spec_.branches.front();
   if (spec_.branches.size() == 1) {
+    if (lone && first.stages.front().kind ==
+                    PipelineStageSpec::Kind::kAggregate) {
+      const PipelineStageSpec& s = first.stages.front();
+      os << "GROUPBY #" << spec_.input << " low-ndv keys="
+         << s.group_keys.size() << " aggs=" << s.aggregates.size();
+      return os.str();
+    }
     if (lone) {
       if (spec_.table.empty()) {
         os << "PIPE #" << spec_.input << " ";
@@ -1193,61 +1166,13 @@ std::string BranchStep::Describe() const {
 
 // ---- GroupByStep -----------------------------------------------------------
 
-Status GroupByStep::ExecuteLowNdv(ExecEnv& env, const ColumnSet& input,
-                                  ColumnSet* out) const {
-  ColumnBinding binding;
-  std::vector<size_t> col_indices;
-  for (size_t c = 0; c < input.num_columns(); ++c) {
-    binding[input.meta(c).name] = c;
-    col_indices.push_back(c);
+Status GroupByStep::Execute(ExecEnv& env) const {
+  const StepOutput& in = env.outputs[static_cast<size_t>(input_)];
+  if (!in.partitioned) {
+    return Status::InvalidArgument(
+        "high-NDV group-by needs a partitioned input");
   }
-  std::vector<ExprPtr> key_exprs;
-  for (const auto& [name, expr] : keys_) key_exprs.push_back(expr);
-
-  const int num_cores = env.dpu->num_cores();
-  const size_t n = input.num_rows();
-  const std::vector<RowRange> ranges = RowMorsels(n, num_cores);
-  // One partial aggregate per morsel. Folding them in morsel order
-  // reproduces global first-appearance group order: a group's slot is
-  // fixed by the earliest range containing it, independent of range
-  // boundaries or which core aggregated which range.
-  std::vector<std::unique_ptr<GroupByOp>> ops(ranges.size());
-  for (auto& op : ops) {
-    op = std::make_unique<GroupByOp>(key_exprs, aggs_, binding);
-  }
-  const size_t bytes_per_row =
-      8 * (2 * col_indices.size() + keys_.size() + aggs_.size());
-  const size_t tile_rows = FitTileRows(
-      tile_rows_, bytes_per_row, env.dpu->config().dmem_bytes);
-
-  // On-the-fly aggregation over each morsel of the input.
-  RAPID_RETURN_NOT_OK(env.dpu->ParallelForMorsels(
-      RangeWeights(ranges), env.cancel,
-      [&](dpu::DpCore& core, size_t m) -> Status {
-        TraceSpan span(TraceMode::kFull, core.id(), "groupby.morsel",
-                       &dpu::TraceClockNow, &core.cycles());
-        span.Annotate("morsel", static_cast<int64_t>(m));
-        const RowRange& range = ranges[m];
-        core.dmem().Reset();
-        ExecCtx ctx{&core, &env.dpu->dms(), &env.dpu->params(),
-                    env.vectorized, env.cancel};
-        Status st = ops[m]->Open(ctx);
-        if (st.ok() && range.begin < range.end) {
-          st = RelationAccessor::PushColumnSet(ctx, input, col_indices,
-                                               range.begin, range.end,
-                                               tile_rows, ops[m].get());
-        }
-        core.dmem().Reset();
-        return st;
-      }));
-
-  std::vector<GroupByOp*> partials;
-  for (const auto& op : ops) partials.push_back(op.get());
-  return MergeLowNdv(env, partials)->EmitInto(out);
-}
-
-Status GroupByStep::ExecuteHighNdv(ExecEnv& env, const PartitionedData& input,
-                                   ColumnSet* out) const {
+  const PartitionedData& input = in.parts;
   if (input.partitions.empty()) {
     return Status::InvalidArgument("group-by input has no partitions");
   }
@@ -1260,11 +1185,19 @@ Status GroupByStep::ExecuteHighNdv(ExecEnv& env, const PartitionedData& input,
   }
   std::vector<ExprPtr> key_exprs;
   for (const auto& [name, expr] : keys_) key_exprs.push_back(expr);
+  const std::vector<ColumnMeta> metas = GroupByOutputMetas(
+      keys_, aggs_, [&proto](const std::string& name) -> const ColumnMeta* {
+        auto idx = proto.IndexOf(name);
+        return idx.ok() ? &proto.meta(idx.value()) : nullptr;
+      });
+  for (const ColumnSet& p : input.partitions) {
+    env.counters.agg_rows += p.num_rows();
+  }
 
   // Distinct groups live in disjoint partitions (partitioned on the
   // group keys), so per-partition tables concatenate with no merge.
   const size_t num_parts = input.partitions.size();
-  std::vector<ColumnSet> partials(num_parts, ColumnSet(out->metas()));
+  std::vector<ColumnSet> partials(num_parts, ColumnSet(metas));
   const size_t bytes_per_row =
       8 * (2 * col_indices.size() + keys_.size() + aggs_.size());
   const size_t tile_rows = FitTileRows(
@@ -1364,61 +1297,17 @@ Status GroupByStep::ExecuteHighNdv(ExecEnv& env, const PartitionedData& input,
       }));
   env.counters.groupby_chain_steps += chain_steps.load();
   env.counters.groupby_repartitions += repartitions.load();
-  for (ColumnSet& cs : partials) {
-    for (size_t col = 0; col < out->num_columns(); ++col) {
-      if (cs.num_rows() > 0) out->meta(col) = cs.meta(col);
-    }
-    out->Append(cs);
-  }
-  return Status::OK();
-}
-
-Status GroupByStep::Execute(ExecEnv& env) const {
-  const StepOutput& in = env.outputs[static_cast<size_t>(input_)];
-
-  const ColumnSet& meta_source =
-      in.partitioned ? (in.parts.partitions.empty()
-                            ? in.set
-                            : in.parts.partitions[0])
-                     : in.set;
-  ColumnSet result(GroupByOutputMetas(
-      keys_, aggs_,
-      [&meta_source](const std::string& name) -> const ColumnMeta* {
-        auto idx = meta_source.IndexOf(name);
-        return idx.ok() ? &meta_source.meta(idx.value()) : nullptr;
-      }));
-
-  if (in.partitioned) {
-    for (const ColumnSet& p : in.parts.partitions) {
-      env.counters.agg_rows += p.num_rows();
-    }
-  } else {
-    env.counters.agg_rows += in.set.num_rows();
-  }
-
-  if (low_ndv_) {
-    if (in.partitioned) {
-      return Status::InvalidArgument("low-NDV group-by takes a flat input");
-    }
-    RAPID_RETURN_NOT_OK(ExecuteLowNdv(env, in.set, &result));
-  } else {
-    if (!in.partitioned) {
-      return Status::InvalidArgument(
-          "high-NDV group-by needs a partitioned input");
-    }
-    RAPID_RETURN_NOT_OK(ExecuteHighNdv(env, in.parts, &result));
-  }
-
   StepOutput& out = env.outputs[static_cast<size_t>(id_)];
   out.partitioned = false;
-  out.set = std::move(result);
+  out.set = ColumnSet(metas);
+  for (const ColumnSet& cs : partials) out.set.Append(cs);
   return Status::OK();
 }
 
 std::string GroupByStep::Describe() const {
   std::ostringstream os;
-  os << "GROUPBY #" << input_ << (low_ndv_ ? " low-ndv" : " high-ndv")
-     << " keys=" << keys_.size() << " aggs=" << aggs_.size();
+  os << "GROUPBY #" << input_ << " high-ndv keys=" << keys_.size()
+     << " aggs=" << aggs_.size();
   return os.str();
 }
 

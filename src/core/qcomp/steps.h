@@ -302,20 +302,22 @@ class JoinStep : public PlanStep {
   JoinSpec spec_template_;
 };
 
+// The high-NDV group-by (Section 5.4) over a partitioned input: one
+// hash table per partition, runtime re-partitioning of oversized
+// partitions, and a plain concatenation of the disjoint partitions'
+// groups. A low-NDV group-by is an aggregate stage of a PipelineStep.
 class GroupByStep : public PlanStep {
  public:
-  GroupByStep(int id, int input, bool low_ndv,
+  GroupByStep(int id, int input,
               std::vector<std::pair<std::string, ExprPtr>> keys,
               std::vector<AggSpec> aggs, size_t tile_rows,
-              size_t max_partition_rows = 0, size_t est_groups = 0)
+              size_t max_partition_rows = 0)
       : PlanStep(id),
         input_(input),
-        low_ndv_(low_ndv),
         keys_(std::move(keys)),
         aggs_(std::move(aggs)),
         tile_rows_(tile_rows),
-        max_partition_rows_(max_partition_rows),
-        est_groups_(est_groups) {}
+        max_partition_rows_(max_partition_rows) {}
 
   Status Execute(ExecEnv& env) const override;
   std::string Describe() const override;
@@ -324,31 +326,15 @@ class GroupByStep : public PlanStep {
     input_ = old_to_new[static_cast<size_t>(input_)];
   }
 
-  int input() const { return input_; }
-  bool low_ndv() const { return low_ndv_; }
-  const std::vector<std::pair<std::string, ExprPtr>>& keys() const {
-    return keys_;
-  }
-  const std::vector<AggSpec>& aggs() const { return aggs_; }
-  // The planner's group-count estimate (sizes the fusion DMEM gate).
-  size_t est_groups() const { return est_groups_; }
-
  private:
-  Status ExecuteLowNdv(ExecEnv& env, const ColumnSet& input,
-                       ColumnSet* out) const;
-  Status ExecuteHighNdv(ExecEnv& env, const PartitionedData& input,
-                        ColumnSet* out) const;
-
   int input_;
-  bool low_ndv_;
   std::vector<std::pair<std::string, ExprPtr>> keys_;
   std::vector<AggSpec> aggs_;
   size_t tile_rows_;
-  // Runtime re-partition threshold for the high-NDV strategy
-  // (Section 5.4: partitions larger than the estimate are
-  // re-partitioned as needed so hash tables fit DMEM). 0 = off.
+  // Runtime re-partition threshold (Section 5.4: partitions larger
+  // than the estimate are re-partitioned as needed so hash tables fit
+  // DMEM). 0 = off.
   size_t max_partition_rows_;
-  size_t est_groups_;
 };
 
 class SortStep : public PlanStep {
@@ -446,10 +432,11 @@ struct PipelineStageSpec {
   JoinType join_type = JoinType::kInner;
   JoinSpec join_spec;
 
-  // kAggregate (last stage only): a low-NDV group-by as the chain's
+  // kAggregate (last stage only): a low-NDV group-by as the branch's
   // sink. Each core aggregates its morsels into one table; the tables
-  // merge after the round and the groups come out in first-appearance
-  // order, exactly as the unfused GroupByStep emits them.
+  // merge after the round and the groups come out in the input's
+  // first-appearance order. `est_groups` is the planner's group-count
+  // estimate, which sizes the table's DMEM reservation.
   std::vector<std::pair<std::string, ExprPtr>> group_keys;
   std::vector<AggSpec> aggregates;
   size_t est_groups = 0;
@@ -463,9 +450,10 @@ struct PipelineStageSpec {
   size_t partition_tile_rows = 1024;
 };
 
-// One operator chain over a pipeline's source. The first stage must be
-// kFilterProject; stages[i]'s output feeds stages[i+1]. Only the last
-// stage of a lone branch may be kAggregate or kPartition.
+// One operator chain over a pipeline's source; stages[i]'s output
+// feeds stages[i+1]. The first stage is kFilterProject, except that a
+// branch over an intermediate may be its kAggregate sink alone. Only
+// the last stage of a lone branch may be kAggregate or kPartition.
 // `use_rid_list` picks the first filter's qualifying-row
 // representation.
 struct PipelineBranch {
@@ -496,14 +484,15 @@ struct PipelineSpec {
 // ends in one GroupByOp per core. A trailing partition stage replaces
 // it too: the chain's tiles scatter into the first partition round's
 // buckets, and the step's output is partitioned. The planner lowers
-// every scan and every filter/project over an intermediate as a
-// one-stage pipeline (printed `SCAN ...` / `PIPE #n ...`); pipeline
-// fusion extends those into longer chains and merges chains over one
-// table into a shared scan: one DMS load per tile feeds K branches,
-// each with its own stages and output (branch 0's is this step's;
-// branch k's moves to a BranchStep). Pipeline breakers (join build, a
-// partition pass over a breaker's output, high-NDV group-by, sort) stay
-// separate steps.
+// every scan, every filter/project over an intermediate and every
+// low-NDV group-by as a one-stage pipeline (printed `SCAN ...`,
+// `PIPE #n ...`, `GROUPBY #n low-ndv ...`); pipeline fusion extends
+// those into longer chains and merges chains over one table into a
+// shared scan: one DMS load per tile feeds K branches, each with its
+// own stages and output (branch 0's is this step's; branch k's moves
+// to a BranchStep). Pipeline breakers (join build, a partition pass
+// over a breaker's output, high-NDV group-by, sort) stay separate
+// steps.
 class PipelineStep : public PlanStep {
  public:
   PipelineStep(int id, PipelineSpec spec)
@@ -525,7 +514,7 @@ class PipelineStep : public PlanStep {
   // morsels' slots (into `checkpoint` when checkpointing is on), then
   // runs the later rounds.
   Status LayOutFirstRound(ExecEnv& env, const PipelineStageSpec& stage,
-                          std::vector<ColumnMeta> metas,
+                          const std::vector<ColumnMeta>& metas,
                           std::vector<MorselSlot>* slots,
                           PartitionProgress* checkpoint) const;
   // Runs the stage's rounds after the ones `progress` holds through

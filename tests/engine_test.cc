@@ -503,5 +503,69 @@ TEST_F(EngineTest, EmptyScanKeepsColumnMetas) {
   }
 }
 
+// An empty result reports the metas a full one would: each output
+// column's type and scale derive from the input's metas, never from the
+// tiles that happened to carry rows. Derived group keys, aggregates
+// over expressions and projections of expressions, over a scan no row
+// passes: names, types and scales against Volcano, fused and unfused,
+// under the low- and the high-NDV group-by strategy.
+TEST_F(EngineTest, EmptyResultsKeepDerivedMetas) {
+  const auto none = [](std::vector<std::string> columns) {
+    return LogicalNode::Scan("facts", std::move(columns),
+                             {Predicate::CmpConst("f_qty", CmpOp::kGt, 100)});
+  };
+  const std::vector<std::string> cols = {"f_dim", "f_price", "f_qty", "f_day"};
+  const ExprPtr gross = Expr::Mul(Expr::Col("f_price"), Expr::Col("f_qty"));
+  const ExprPtr rebased = Expr::Add(Expr::Col("f_price"), Expr::Dec(0.5, 1));
+  const std::vector<AggSpec> aggs = {
+      {"sum_gross", AggFunc::kSum, gross, {}},
+      {"max_rebased", AggFunc::kMax, rebased, {}},
+      {"min_price", AggFunc::kMin, Expr::Col("f_price"), {}},
+      {"cnt", AggFunc::kCount, nullptr, {}}};
+  const std::vector<std::pair<std::string, ExprPtr>> projections = {
+      {"gross", gross}, {"rebased", rebased}, {"f_day", Expr::Col("f_day")}};
+  const std::vector<std::pair<std::string, LogicalPtr>> plans = {
+      {"keyed", LogicalNode::GroupBy(none(cols),
+                                     {{"f_dim", Expr::Col("f_dim")}}, aggs)},
+      {"expression key",
+       LogicalNode::GroupBy(none(cols),
+                            {{"k", rebased}, {"f_day", Expr::Col("f_day")}},
+                            aggs)},
+      {"keyless", LogicalNode::GroupBy(none(cols), {}, aggs)},
+      {"scan project", LogicalNode::Project(none(cols), projections)},
+      {"join project",
+       LogicalNode::Project(
+           LogicalNode::Join(none(cols), LogicalNode::Scan("dims", {"d_id"}),
+                             {"f_dim"}, {"d_id"},
+                             {"f_price", "f_qty", "f_day"}),
+           projections)}};
+  for (const auto& [name, plan] : plans) {
+    auto host = hostdb::VolcanoExecutor::Execute(plan, host_catalog_);
+    ASSERT_TRUE(host.ok()) << name << ": " << host.status().ToString();
+    const ColumnSet& want = host.value();
+    for (const bool fusion : {true, false}) {
+      for (const size_t low_ndv_threshold : {size_t{8192}, size_t{0}}) {
+        ExecOptions options;
+        options.planner.enable_fusion = fusion;
+        options.planner.low_ndv_threshold = low_ndv_threshold;
+        auto result = engine_.Execute(plan, options);
+        ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+        const ColumnSet& got = result.value().rows;
+        EXPECT_EQ(got.num_rows(), want.num_rows()) << name;
+        ASSERT_EQ(got.num_columns(), want.num_columns()) << name;
+        for (size_t c = 0; c < want.num_columns(); ++c) {
+          const std::string what = name + " " + want.meta(c).name +
+                                   (fusion ? " fused" : " unfused") +
+                                   " threshold " +
+                                   std::to_string(low_ndv_threshold);
+          EXPECT_EQ(got.meta(c).name, want.meta(c).name) << what;
+          EXPECT_EQ(got.meta(c).type, want.meta(c).type) << what;
+          EXPECT_EQ(got.meta(c).dsb_scale, want.meta(c).dsb_scale) << what;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rapid::core

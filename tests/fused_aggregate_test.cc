@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -123,7 +124,7 @@ TEST_F(FusedAggregateTpchTest, ScanQueriesMatchUnfusedOnEveryTierAndCoreCount) {
                                 std::to_string(kCoreCounts[e]);
       // Q1 and Q6 aggregate inside their lineitem scan, Q11's global
       // SUM inside its broadcast-probe pipeline (its keyed group-by
-      // stays a breaker).
+      // aggregates the probe's stored output in a step of its own).
       EXPECT_TRUE(CompareQuery(*engines_[e], "Q1", "Q1" + where));
       EXPECT_TRUE(CompareQuery(*engines_[e], "Q6", "Q6" + where));
       EXPECT_TRUE(CompareQuery(*engines_[e], "Q11", "Q11" + where));
@@ -153,6 +154,68 @@ TEST_F(FusedAggregateTpchTest, FusedQ1SkipsTheIntermediate) {
                          "proj=6 | aggregate low-ndv keys=2 aggs=6"),
             std::string::npos)
       << explain;
+}
+
+// Q4 and Q14 group a join's output, Q19 a UNION's: a group-by over a
+// breaker reads its input as aggregation, not as a scan. Its input rows
+// count once, in agg_rows. scanned_rows counts what the plan's steps
+// read by DMS scan: each table-source step's table, and each
+// filter/project over an intermediate's input. These volumes feed the
+// perf/watt model's Xeon side, fused and unfused alike. A 512-row
+// broadcast gate keeps Q14's join partitioned at SF 0.01, as it is at
+// SF 0.1.
+TEST_F(FusedAggregateTpchTest, GroupByOverABreakerCountsItsInputOnce) {
+  core::RapidEngine& engine = *engines_[1];
+  for (const std::string name : {"Q4", "Q14", "Q19"}) {
+    auto query = tpch::BuildQuery(name);
+    ASSERT_TRUE(query.ok());
+    auto plan = query.value().fragments[0](engine.catalog(), {});
+    ASSERT_TRUE(plan.ok());
+    for (const bool fusion : {true, false}) {
+      const std::string what = name + (fusion ? " fused" : " unfused");
+      ExecOptions options = Fused(fusion);
+      options.planner.fusion_max_build_rows = 512;
+      ASSERT_OK_AND_ASSIGN(QueryResult result,
+                           engine.Execute(plan.value(), options));
+      auto rows_out = [&result](const std::string& step) {
+        uint64_t rows = 0;
+        for (const core::StepTiming& t : result.stats.steps) {
+          if ("#" + std::to_string(t.step_id) == step) rows += t.rows_out;
+        }
+        return rows;
+      };
+      uint64_t scanned = 0;
+      uint64_t grouped = 0;
+      size_t group_bys = 0;
+      std::istringstream lines(result.plan_text);
+      for (std::string line; std::getline(lines, line);) {
+        // "#3 PIPELINE scan t ...", "#5 PIPE #4 ...", "#8 GROUPBY #7 ...";
+        // a shared scan's "  [k] ..." branch lines read nothing more.
+        std::istringstream words(line);
+        std::string id;
+        std::string kind;
+        std::string source;
+        words >> id >> kind >> source;
+        if (kind == "PIPELINE" && source == "scan") words >> source;
+        if (kind == "SCAN" || kind == "PIPELINE" || kind == "PIPE") {
+          if (source.rfind('#', 0) == 0) {
+            scanned += rows_out(source);
+          } else {
+            ASSERT_NE(engine.GetTable(source), nullptr) << what << ": " << line;
+            scanned += engine.GetTable(source)->num_rows();
+          }
+        } else if (kind == "GROUPBY") {
+          ++group_bys;
+          grouped += rows_out(source);
+        }
+      }
+      EXPECT_EQ(group_bys, 1u) << what << "\n" << result.plan_text;
+      EXPECT_GT(grouped, 0u) << what;
+      EXPECT_EQ(result.stats.workload.agg_rows, grouped) << what;
+      EXPECT_EQ(result.stats.workload.scanned_rows, scanned)
+          << what << "\n" << result.plan_text;
+    }
+  }
 }
 
 // ---- Synthetic tables ------------------------------------------------------

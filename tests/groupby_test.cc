@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -143,8 +144,10 @@ std::vector<std::pair<std::string, ExprPtr>> KeyExprs(size_t num_keys) {
   return keys;
 }
 
-// Runs one GroupByStep over `input` (flat for low-NDV, partitioned
-// for high-NDV) on `dpu`; returns the output and the step's counters.
+// Runs one group-by step over `input` on `dpu`: the low-NDV strategy
+// as a PipelineStep whose one stage is the aggregate sink over a flat
+// input, the high-NDV strategy as a GroupByStep over a partitioned
+// one. Returns the output and the step's counters.
 struct StepRun {
   ColumnSet out;
   WorkloadCounters counters;
@@ -157,9 +160,23 @@ StepRun RunStep(dpu::Dpu* dpu, StepOutput input, size_t num_keys,
   env.dpu = dpu;
   env.outputs.resize(2);
   env.outputs[0] = std::move(input);
-  const GroupByStep step(1, 0, low_ndv, KeyExprs(num_keys), std::move(aggs),
-                         /*tile_rows=*/256, max_partition_rows);
-  const Status st = step.Execute(env);
+  std::unique_ptr<PlanStep> step;
+  if (low_ndv) {
+    PipelineSpec spec;
+    spec.input = 0;
+    spec.tile_rows = 256;
+    PipelineStageSpec& stage =
+        spec.branches.emplace_back().stages.emplace_back();
+    stage.kind = PipelineStageSpec::Kind::kAggregate;
+    stage.group_keys = KeyExprs(num_keys);
+    stage.aggregates = std::move(aggs);
+    step = std::make_unique<PipelineStep>(1, std::move(spec));
+  } else {
+    step = std::make_unique<GroupByStep>(1, 0, KeyExprs(num_keys),
+                                         std::move(aggs), /*tile_rows=*/256,
+                                         max_partition_rows);
+  }
+  const Status st = step->Execute(env);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return StepRun{std::move(env.outputs[1].set), env.counters};
 }

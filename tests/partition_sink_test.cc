@@ -563,7 +563,7 @@ PhysicalPlan ScanPartitionGroupBy(const PartitionScheme& scheme,
   plan.steps.push_back(std::make_unique<PartitionStep>(
       1, 0, std::vector<std::string>{"k"}, scheme, 1024));
   plan.steps.push_back(std::make_unique<core::GroupByStep>(
-      2, 1, /*low_ndv=*/false,
+      2, 1,
       std::vector<std::pair<std::string, core::ExprPtr>>{{"k", Expr::Col("k")}},
       std::vector<core::AggSpec>{{"sum_v", AggFunc::kSum, Expr::Col("v"), {}}},
       1024));

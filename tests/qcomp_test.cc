@@ -500,7 +500,7 @@ TEST_F(PlannerTest, FusionStopsAtPipelineBreakers) {
       << p_high.Describe();
 
   // The same keys forced low-NDV: 10000 estimated groups do not fit
-  // DMEM beside the chain, so the group-by stays a breaker.
+  // DMEM beside the chain, so the group-by stays a step of its own.
   Planner low(dpu::DpuConfig::Default(), dpu::CostParams::Default(),
               PlannerOptions{.low_ndv_threshold = 1u << 20});
   ASSERT_OK_AND_ASSIGN(PhysicalPlan p_low, low.Plan(by_id, catalog_));
