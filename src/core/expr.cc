@@ -240,6 +240,20 @@ Predicate Predicate::Bloom(std::string column,
   return p;
 }
 
+bool SameExpr(const ExprPtr& a, const ExprPtr& b) {
+  if (a == nullptr || b == nullptr) return a == b;
+  return a->kind == b->kind && a->column == b->column &&
+         a->value == b->value && a->scale == b->scale && a->op == b->op &&
+         SameExpr(a->left, b->left) && SameExpr(a->right, b->right);
+}
+
+bool SamePredicate(const Predicate& a, const Predicate& b) {
+  return a.kind == b.kind && a.column == b.column && a.op == b.op &&
+         a.value == b.value && a.value2 == b.value2 &&
+         a.in_set == b.in_set && a.column2 == b.column2 &&
+         a.bloom == b.bloom && a.selectivity == b.selectivity;
+}
+
 namespace {
 
 // Dispatches a const-comparison filter primitive on (op, width).

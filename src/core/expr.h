@@ -59,6 +59,10 @@ struct Expr {
   void CollectColumns(std::vector<std::string>* out) const;
 };
 
+// Structural equality: same kind, column, constant, scale and operator
+// all the way down. Null equals only null.
+bool SameExpr(const ExprPtr& a, const ExprPtr& b);
+
 // Maps column names to tile column positions for bound evaluation.
 using ColumnBinding = std::unordered_map<std::string, size_t>;
 
@@ -133,6 +137,11 @@ struct Predicate {
                          const primitives::BlockedBloomFilter* filter,
                          double selectivity = 0.5);
 };
+
+// Whether two predicates test the same rows the same way: every field,
+// the selectivity estimate included (it orders predicates, so two
+// otherwise equal lists with different estimates may run differently).
+bool SamePredicate(const Predicate& a, const Predicate& b);
 
 // Evaluates one predicate over all rows of a tile into `out`
 // (bit-vector flavour). Charges filter primitive cycles.

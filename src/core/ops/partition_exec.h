@@ -32,6 +32,8 @@ namespace rapid::core {
 struct PartitionRound {
   int fanout = 32;
   int hw_fanout = 1;  // 1 = pure software round
+
+  bool operator==(const PartitionRound&) const = default;
 };
 
 struct PartitionScheme {

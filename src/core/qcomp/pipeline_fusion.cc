@@ -49,56 +49,6 @@ struct Footprint {
   size_t BytesAt(size_t tile_rows) const { return state + per_row * tile_rows; }
 };
 
-bool SameExpr(const ExprPtr& a, const ExprPtr& b) {
-  if (a == nullptr || b == nullptr) return a == b;
-  return a->kind == b->kind && a->column == b->column &&
-         a->value == b->value && a->scale == b->scale && a->op == b->op &&
-         SameExpr(a->left, b->left) && SameExpr(a->right, b->right);
-}
-
-bool SamePredicate(const Predicate& a, const Predicate& b) {
-  return a.kind == b.kind && a.column == b.column && a.op == b.op &&
-         a.value == b.value && a.value2 == b.value2 &&
-         a.in_set == b.in_set && a.column2 == b.column2 &&
-         a.bloom == b.bloom && a.selectivity == b.selectivity;
-}
-
-bool SameJoinFilter(const JoinFilterRef& a, const JoinFilterRef& b) {
-  return a.build_step == b.build_step && a.build_key == b.build_key &&
-         a.probe_column == b.probe_column &&
-         a.est_build_ndv == b.est_build_ndv && a.selectivity == b.selectivity;
-}
-
-// Whether two branches over one source compute the same rows: the same
-// filter/project stages, join filter and rid flag. A probe stage reads
-// a build step of its own, so a branch with one never equals another.
-bool SameBranch(const PipelineBranch& a, const PipelineBranch& b) {
-  if (a.use_rid_list != b.use_rid_list || a.stages.size() != b.stages.size()) {
-    return false;
-  }
-  for (size_t s = 0; s < a.stages.size(); ++s) {
-    const PipelineStageSpec& x = a.stages[s];
-    const PipelineStageSpec& y = b.stages[s];
-    if (x.kind != PipelineStageSpec::Kind::kFilterProject ||
-        y.kind != PipelineStageSpec::Kind::kFilterProject ||
-        x.predicates.size() != y.predicates.size() ||
-        x.projections.size() != y.projections.size() ||
-        !SameJoinFilter(x.join_filter, y.join_filter)) {
-      return false;
-    }
-    for (size_t p = 0; p < x.predicates.size(); ++p) {
-      if (!SamePredicate(x.predicates[p], y.predicates[p])) return false;
-    }
-    for (size_t p = 0; p < x.projections.size(); ++p) {
-      if (x.projections[p].first != y.projections[p].first ||
-          !SameExpr(x.projections[p].second, y.projections[p].second)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 class Fuser {
  public:
   Fuser(PhysicalPlan plan, const dpu::DpuConfig& config, size_t max_build_rows,
@@ -593,8 +543,8 @@ std::vector<size_t> StableTopoOrder(
 //    so chains over disjoint columns stay apart, and
 //  - it leaves fitting DMEM, with the branches' tile scratch
 //    overlaid (FitsDmem).
-// A chain equal to a branch already in the group (SameBranch) adds no
-// branch: it runs once and its consumers read that branch's rows.
+// Every member is a branch of its own: the planner lowers identical
+// scans once, so no two members are the same chain.
 // Aggregate- and partition-terminated chains and chains without a
 // subtree address stay alone. A stable topological re-sort of the plan
 // with each group contracted to one node, placed at its first member,
@@ -609,9 +559,8 @@ void Fuser::ShareScans() {
   }
 
   struct Group {
-    PipelineSpec spec;                 // union columns, distinct branches
-    std::vector<size_t> members;       // step ids, in plan order
-    std::vector<size_t> branch_of;     // each member's branch in `spec`
+    PipelineSpec spec;            // union columns, member k's branch at k
+    std::vector<size_t> members;  // step ids, in plan order
     std::vector<std::vector<std::string>> member_columns;
   };
   std::vector<Group> groups;
@@ -651,14 +600,7 @@ void Fuser::ShareScans() {
       }
     }
     merged.tile_rows = std::min(merged.tile_rows, chain.tile_rows);
-    size_t branch = 0;
-    while (branch < merged.branches.size() &&
-           !SameBranch(merged.branches[branch], chain.branches.front())) {
-      ++branch;
-    }
-    if (branch == merged.branches.size()) {
-      merged.branches.push_back(chain.branches.front());
-    }
+    merged.branches.push_back(chain.branches.front());
 
     const double union_cycles = TransferCycles(
         merged.table, merged.base_columns, merged.tile_rows);
@@ -700,7 +642,6 @@ void Fuser::ShareScans() {
     }
     group.spec = std::move(merged);
     group.members.push_back(id);
-    group.branch_of.push_back(branch);
     group.member_columns.push_back(chain.base_columns);
     return true;
   };
@@ -721,7 +662,7 @@ void Fuser::ShareScans() {
     shared = shared || joined;
     if (!joined) {
       group_of[i] = static_cast<int>(groups.size());
-      groups.push_back(Group{spec, {i}, {0}, {spec.base_columns}});
+      groups.push_back(Group{spec, {i}, {spec.base_columns}});
     }
   }
   if (!shared) return;
@@ -745,19 +686,15 @@ void Fuser::ShareScans() {
       steps.push_back(std::move(out_.steps[group.members.front()]));
       continue;
     }
-    std::vector<int> branch_id(group.spec.branches.size());
-    for (size_t b = 0; b < branch_id.size(); ++b) {
-      branch_id[b] = static_cast<int>(steps.size());
-      if (b == 0) {
+    for (size_t k = 0; k < group.members.size(); ++k) {
+      old_to_new[group.members[k]] = static_cast<int>(steps.size());
+      if (k == 0) {
         steps.push_back(
             std::make_unique<PipelineStep>(-1, std::move(group.spec)));
       } else {
         steps.push_back(std::make_unique<BranchStep>(
-            -1, static_cast<int>(group.members.front()), b));
+            -1, static_cast<int>(group.members.front()), k));
       }
-    }
-    for (size_t k = 0; k < group.members.size(); ++k) {
-      old_to_new[group.members[k]] = branch_id[group.branch_of[k]];
     }
   }
   for (size_t i = 0; i < steps.size(); ++i) {

@@ -40,12 +40,13 @@
 //     table (keys, states, buckets and links) as resident state, a
 //     partition stage its round's software fan-out staging.
 //   * Shared scans: the finished table-source chains that read the
-//     same table merge into one PipelineStep with one branch per chain
-//     (identical chains collapse into one branch), so the DMS moves
-//     each tile once for all of them. A chain joins a group only if the
-//     merge leaves the step DAG acyclic, one tile transfer of the union
-//     of the columns costs fewer DMS cycles than one per member, and
-//     the group fits DMEM with the branches' tile scratch overlaid.
+//     same table merge into one PipelineStep with one branch per chain,
+//     so the DMS moves each tile once for all of them (identical scans
+//     never get here: the planner lowers them to one step). A chain
+//     joins a group only if the merge leaves the step DAG acyclic, one
+//     tile transfer of the union of the columns costs fewer DMS cycles
+//     than one per member, and the group fits DMEM with the branches'
+//     tile scratch overlaid.
 //     Aggregate- and partition-terminated chains are never shared.
 //     Branch k >= 1's rows move to a BranchStep of their own.
 

@@ -63,6 +63,32 @@ double LargestChunkFraction(const Catalog& catalog,
                     : static_cast<double>(largest) / static_cast<double>(total);
 }
 
+// Whether two one-stage table-source scans read and return the same
+// rows the same way: table, base columns, tile, rid flag, predicates
+// (in order) and projections.
+bool SameScan(const PipelineSpec& a, const PipelineSpec& b) {
+  const PipelineBranch& x = a.branches.front();
+  const PipelineBranch& y = b.branches.front();
+  const PipelineStageSpec& s = x.stages.front();
+  const PipelineStageSpec& t = y.stages.front();
+  if (a.table != b.table || a.base_columns != b.base_columns ||
+      a.tile_rows != b.tile_rows || x.use_rid_list != y.use_rid_list ||
+      s.predicates.size() != t.predicates.size() ||
+      s.projections.size() != t.projections.size()) {
+    return false;
+  }
+  for (size_t p = 0; p < s.predicates.size(); ++p) {
+    if (!SamePredicate(s.predicates[p], t.predicates[p])) return false;
+  }
+  for (size_t p = 0; p < s.projections.size(); ++p) {
+    if (s.projections[p].first != t.projections[p].first ||
+        !SameExpr(s.projections[p].second, t.projections[p].second)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 double EstimateSelectivity(const storage::ColumnStats& stats,
@@ -243,13 +269,46 @@ Result<Planner::Lowered> Planner::LowerScan(
   PipelineStageSpec& stage = branch.stages.emplace_back();
   stage.predicates = std::move(preds);
   stage.projections = std::move(projections);
+
+  // Scan memo: a scan identical to one this plan already lowered reuses
+  // its step, so one pass over the table serves both consumers. The
+  // memo compares lowered specs, so Filter(Scan) meets a scan carrying
+  // the same predicates. A scan with a pushed join filter is never
+  // reused: the filter prunes rows only its own join may drop.
+  for (MemoScan& memo : scans_) {
+    const PipelineSpec& prior =
+        static_cast<const PipelineStep&>(
+            *plan->steps[static_cast<size_t>(memo.lowered.step)])
+            .spec();
+    if (!prior.branches.front().stages.front().join_filter.enabled() &&
+        SameScan(prior, spec)) {
+      memo.shared = true;
+      return memo.lowered;
+    }
+  }
   Lowered out;
   out.step = AddStep(
       plan, std::make_unique<PipelineStep>(NextId(*plan), std::move(spec)));
   out.est_rows = static_cast<double>(table.num_rows()) * combined;
   out.base_table = node.table;
   out.columns = std::move(out_names);
+  scans_.push_back(MemoScan{out, false});
   return out;
+}
+
+int Planner::AddPartition(PhysicalPlan* plan, int input,
+                          const std::vector<std::string>& keys,
+                          const PartitionScheme& scheme, int fanout) {
+  for (const PlannedPartition& p : partitions_) {
+    if (p.input == input && p.keys == keys &&
+        p.scheme.rounds == scheme.rounds) {
+      return p.step;
+    }
+  }
+  const int id = AddStep(plan, std::make_unique<PartitionStep>(
+                                   NextId(*plan), input, keys, scheme, 1024));
+  partitions_.push_back(PlannedPartition{id, input, keys, scheme, fanout});
+  return id;
 }
 
 Result<Planner::Lowered> Planner::Lower(const LogicalNode& node,
@@ -382,15 +441,64 @@ Result<Planner::Lowered> Planner::LowerImpl(const LogicalNode& node,
                                                      : int64_t{0});
       }
 
-      const int build_part_id = NextId(*plan);
-      AddStep(plan, std::make_unique<PartitionStep>(
-                        build_part_id, build.step, build_keys, scheme, 1024));
-      const int probe_part_id = NextId(*plan);
-      AddStep(plan, std::make_unique<PartitionStep>(
-                        probe_part_id, probe.step, probe_keys, scheme, 1024));
+      // Partition reuse (§5.3 plans schemes across operators): when a
+      // side already has a partition on exactly this join's keys, with
+      // at least the fan-out the join needs, the join reads it and
+      // partitions the other side with the same scheme, provided the
+      // pass it drops saves more cycles than the other side's wider or
+      // extra rounds add. A forced fan-out keeps its own scheme.
+      if (options_.force_join_fanout == 0) {
+        const PlannedPartition* reuse = nullptr;
+        for (const bool probe_side : {true, false}) {
+          const Lowered& side = probe_side ? probe : build;
+          const Lowered& other = probe_side ? build : probe;
+          const std::vector<std::string>& keys =
+              probe_side ? probe_keys : build_keys;
+          for (const PlannedPartition& existing : partitions_) {
+            if (reuse != nullptr || existing.input != side.step ||
+                existing.keys != keys) {
+              continue;
+            }
+            PartitionPlanInput side_in = pin;
+            side_in.total_rows =
+                static_cast<size_t>(std::max(1.0, side.est_rows));
+            side_in.largest_morsel_fraction =
+                LargestChunkFraction(catalog, side.base_table);
+            PartitionPlanInput other_in = pin;
+            other_in.total_rows =
+                static_cast<size_t>(std::max(1.0, other.est_rows));
+            other_in.largest_morsel_fraction =
+                LargestChunkFraction(catalog, other.base_table);
+            const double saved = SchemeCycles(scheme, side_in, params_);
+            const double added =
+                SchemeCycles(existing.scheme, other_in, params_) -
+                SchemeCycles(scheme, other_in, params_);
+            if (existing.fanout >= fanout && saved > added) reuse = &existing;
+            TraceSpan span(TraceMode::kSummary, TraceCollector::kTrackPlanner,
+                           "planner.partition_reuse");
+            span.Annotate("side", probe_side ? "probe" : "build");
+            span.Annotate("existing_fanout",
+                          static_cast<int64_t>(existing.fanout));
+            span.Annotate("required_fanout", static_cast<int64_t>(fanout));
+            span.Annotate("saved_cycles", saved);
+            span.Annotate("added_cycles", added);
+            span.Annotate("reuse",
+                          reuse != nullptr ? int64_t{1} : int64_t{0});
+          }
+        }
+        if (reuse != nullptr) {
+          scheme = reuse->scheme;
+          fanout = reuse->fanout;
+        }
+      }
+      const int build_part_id =
+          AddPartition(plan, build.step, build_keys, scheme, fanout);
+      const int probe_part_id =
+          AddPartition(plan, probe.step, probe_keys, scheme, fanout);
       // Partition addresses: the rounds over subtree X checkpoint
       // under "X#p" so a retry or demotion replan can restore them
-      // (fusion drops the entries when it absorbs the steps).
+      // (fusion drops the entries when it absorbs the steps). A reused
+      // partition answers to the address of every subtree it serves.
       plan->subtree_steps.emplace_back(
           path + (build_is_left ? "0" : "1") + "#p", build_part_id);
       plan->subtree_steps.emplace_back(
@@ -440,7 +548,14 @@ Result<Planner::Lowered> Planner::LowerImpl(const LogicalNode& node,
           build.step < probe.step) {
         auto* scan = dynamic_cast<PipelineStep*>(
             plan->steps[static_cast<size_t>(probe.step)].get());
-        if (scan != nullptr && !scan->spec().table.empty() &&
+        // A scan the memo shares never takes a join filter: it would
+        // prune rows its other consumer needs.
+        bool memo_shared = false;
+        for (const MemoScan& memo : scans_) {
+          memo_shared = memo_shared ||
+                        (memo.shared && memo.lowered.step == probe.step);
+        }
+        if (scan != nullptr && !scan->spec().table.empty() && !memo_shared &&
             !scan->spec().branches.front().stages.front().join_filter
                  .enabled()) {
           // The predicate evaluates before projection, so resolve the
@@ -628,9 +743,8 @@ Result<Planner::Lowered> Planner::LowerImpl(const LogicalNode& node,
           LargestChunkFraction(catalog, in.base_table);
       RAPID_ASSIGN_OR_RETURN(SchemeChoice choice,
                              OptimizePartitionScheme(pin, params_));
-      const int part_id = NextId(*plan);
-      AddStep(plan, std::make_unique<PartitionStep>(
-                        part_id, in.step, key_cols, choice.scheme, 1024));
+      const int part_id = AddPartition(plan, in.step, key_cols, choice.scheme,
+                                       choice.target_fanout);
       // Checkpoint address of the group-by input's partition rounds.
       plan->subtree_steps.emplace_back(path + "0#p", part_id);
 
@@ -710,6 +824,8 @@ Result<PhysicalPlan> Planner::Plan(const LogicalPtr& root,
     return Status::InvalidArgument("logical plan is null");
   }
   PhysicalPlan plan;
+  scans_.clear();
+  partitions_.clear();
   RAPID_ASSIGN_OR_RETURN(Lowered lowered, Lower(*root, catalog, &plan, ""));
   plan.root = lowered.step;
   // Tile-pipeline fusion pass. Skew/capacity overrides force the

@@ -6,6 +6,9 @@
 //     representation (RID list below 1/32 selectivity),
 //   * task formation / tile-size selection under the DMEM budget,
 //   * partition-scheme optimization for joins and high-NDV group-bys,
+//     across operators: a join reads a partition already planned over
+//     its input on its keys when that is cheaper than a pass of its own,
+//   * common scans: identical table-source scans lower to one step,
 //   * group-by strategy (low-NDV on-the-fly + merge vs partitioned),
 //   * build/probe side selection by estimated cardinality,
 //   * skew-resilience parameters (DMEM capacities, estimates).
@@ -94,9 +97,34 @@ class Planner {
                             std::vector<std::pair<std::string, ExprPtr>>
                                 projections);
 
+  // Returns the step partitioning `input` on `keys` with `scheme`,
+  // adding (and recording) one when the plan has none yet.
+  int AddPartition(PhysicalPlan* plan, int input,
+                   const std::vector<std::string>& keys,
+                   const PartitionScheme& scheme, int fanout);
+
+  // A table-source scan lowered in this plan: a later scan with an
+  // identical lowered spec reuses its step (the scan memo).
+  struct MemoScan {
+    Lowered lowered;
+    bool shared = false;  // a second consumer reuses the step
+  };
+  // A hash partition planned over a step: its input, key columns,
+  // scheme and target fan-out.
+  struct PlannedPartition {
+    int step = -1;
+    int input = -1;
+    std::vector<std::string> keys;
+    PartitionScheme scheme;
+    int fanout = 0;
+  };
+
   dpu::DpuConfig config_;
   dpu::CostParams params_;
   PlannerOptions options_;
+  // Per Plan() call.
+  std::vector<MemoScan> scans_;
+  std::vector<PlannedPartition> partitions_;
 };
 
 }  // namespace rapid::core

@@ -266,10 +266,11 @@ class PartitionSinkTpchTest : public ::testing::Test {
 hostdb::HostDatabase* PartitionSinkTpchTest::host_ = nullptr;
 std::vector<core::RapidEngine*> PartitionSinkTpchTest::engines_;
 
-// The lineitem chains of Q3, Q4, Q5 and Q10 end in their PARTITION
-// round. Q18's lineitem scan is shared by two partitions, so it stays
-// one materialized SCAN; its orders chain sinks. Every sink takes over
-// its partition's "#p" address, and no address names its chain.
+// The lineitem chains of Q3, Q4, Q5, Q10 and Q18 end in their
+// PARTITION round; Q18's one l_orderkey partition serves its group-by
+// and its join, so its lineitem scan has that sink as its only
+// consumer. Every sink takes over its partition's "#p" address, and no
+// address names its chain.
 TEST_F(PartitionSinkTpchTest, PlanShape) {
   core::RapidEngine& engine = *engines_[2];
   for (const char* name : kJoinQueries) {
@@ -292,11 +293,8 @@ TEST_F(PartitionSinkTpchTest, PlanShape) {
       EXPECT_TRUE(partition_address) << name << "\n" << text;
     }
     EXPECT_GT(sinks, 0u) << name << "\n" << text;
-    const std::string lineitem_sink =
-        std::string(name) == "Q18"
-            ? "PIPELINE scan orders | filter+project"
-            : "PIPELINE scan lineitem | filter+project";
-    EXPECT_NE(text.find(lineitem_sink), std::string::npos)
+    EXPECT_NE(text.find("PIPELINE scan lineitem | filter+project"),
+              std::string::npos)
         << name << "\n" << text;
     EXPECT_NE(text.find("| partition keys=("), std::string::npos)
         << name << "\n" << text;
@@ -312,8 +310,15 @@ TEST_F(PartitionSinkTpchTest, PlanShape) {
       << q5.Describe();
   ASSERT_OK_AND_ASSIGN(PhysicalPlan q18,
                        PlanOn(engine, Fragment(engine, "Q18")));
-  EXPECT_EQ(Count(q18.Describe(), "SCAN lineitem"), 1u) << q18.Describe();
-  EXPECT_EQ(q18.Describe().find("scan lineitem |"), std::string::npos)
+  EXPECT_EQ(Count(q18.Describe(), "SCAN lineitem"), 0u) << q18.Describe();
+  EXPECT_EQ(Count(q18.Describe(), "scan lineitem |"), 1u) << q18.Describe();
+  EXPECT_EQ(Count(q18.Describe(), "scan lineitem | filter+project preds=0 "
+                                  "proj=2 | partition keys=(l_orderkey)"),
+            1u)
+      << q18.Describe();
+  // The other l_orderkey partition is the semi-join build's, over the
+  // group-by's output.
+  EXPECT_EQ(Count(q18.Describe(), "keys=(l_orderkey) scheme="), 2u)
       << q18.Describe();
   // Queries without a scan -> partition edge plan no sink.
   for (const char* name : {"Q1", "Q6", "Q19"}) {

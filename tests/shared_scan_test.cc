@@ -294,7 +294,8 @@ core::RapidEngine* SharedScanTpchTest::engine_ = nullptr;
 
 // Q19's three UNION branches read the same lineitem columns: one
 // lineitem step with three branches, two BRANCH steps for branches 1
-// and 2. Q18's two identical lineitem scans collapse into one.
+// and 2. Q18's two identical lineitem scans lower to one step, fused
+// or not.
 TEST_F(SharedScanTpchTest, Q19SharesOneLineitemPassAndQ18ScansItOnce) {
   ASSERT_OK_AND_ASSIGN(PhysicalPlan q19, PlanOn(*engine_, Fragment("Q19")));
   const auto lineitem = TableSteps(q19, "lineitem");
@@ -310,11 +311,13 @@ TEST_F(SharedScanTpchTest, Q19SharesOneLineitemPassAndQ18ScansItOnce) {
   EXPECT_EQ(TableSteps(q19_unshared, "lineitem").size(), 3u);
 
   ASSERT_OK_AND_ASSIGN(PhysicalPlan q18, PlanOn(*engine_, Fragment("Q18")));
-  EXPECT_EQ(Count(q18.Describe(), "SCAN lineitem"), 1u) << q18.Describe();
+  EXPECT_EQ(Count(q18.Describe(), "scan lineitem |"), 1u) << q18.Describe();
   EXPECT_EQ(TableSteps(q18, "lineitem").size(), 1u);
-  ASSERT_OK_AND_ASSIGN(PhysicalPlan q18_unshared,
+  ASSERT_OK_AND_ASSIGN(PhysicalPlan q18_unfused,
                        PlanOn(*engine_, Fragment("Q18"), Fused(false)));
-  EXPECT_EQ(Count(q18_unshared.Describe(), "SCAN lineitem"), 2u);
+  EXPECT_EQ(Count(q18_unfused.Describe(), "SCAN lineitem"), 1u)
+      << q18_unfused.Describe();
+  EXPECT_EQ(TableSteps(q18_unfused, "lineitem").size(), 1u);
 
   // ExplainAnalyze prints the shared source once, its branches on
   // their own lines, and each BRANCH step's rows.
@@ -378,8 +381,8 @@ TEST_F(SharedScanTpchTest, MatchesUnsharedAndVolcanoOnEveryTier) {
               tpch::RunOnRapid(*engine_, query, Fused(false)));
           ExpectIdentical(on.result, off.result, name + where);
           if (q == 0) {
-            // Q18's collapsed scan feeds both of its partition rounds
-            // (its result at this scale is empty).
+            // Q18's one lineitem partition feeds its group-by and its
+            // join, fused or not (its result at this scale is empty).
             EXPECT_EQ(on.workload.partitioned_rows,
                       off.workload.partitioned_rows)
                 << where;
