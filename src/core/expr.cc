@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "common/arena.h"
 
@@ -282,74 +284,70 @@ void FilterConstDispatchTyped(CmpOp op, const T* data, size_t n, T constant,
   }
 }
 
-void FilterConstDispatch(const TileColumn& col, size_t n, CmpOp op,
-                         int64_t value, BitVector* out) {
-  using storage::DataType;
-  switch (col.type) {
-    case DataType::kInt8:
-      FilterConstDispatchTyped<int8_t>(op, reinterpret_cast<int8_t*>(col.data),
-                                       n, static_cast<int8_t>(value), out);
-      break;
-    case DataType::kInt16:
-      FilterConstDispatchTyped<int16_t>(
-          op, reinterpret_cast<int16_t*>(col.data), n,
-          static_cast<int16_t>(value), out);
-      break;
-    case DataType::kInt32:
-    case DataType::kDate:
-      FilterConstDispatchTyped<int32_t>(
-          op, reinterpret_cast<int32_t*>(col.data), n,
-          static_cast<int32_t>(value), out);
-      break;
-    case DataType::kDictCode:
-      FilterConstDispatchTyped<uint32_t>(
-          op, reinterpret_cast<uint32_t*>(col.data), n,
-          static_cast<uint32_t>(value), out);
-      break;
-    case DataType::kInt64:
-    case DataType::kDecimal:
-      FilterConstDispatchTyped<int64_t>(
-          op, reinterpret_cast<int64_t*>(col.data), n, value, out);
-      break;
-  }
+template <typename T>
+bool InRange(int64_t c) {
+  return c >= static_cast<int64_t>(std::numeric_limits<T>::min()) &&
+         c <= static_cast<int64_t>(std::numeric_limits<T>::max());
 }
 
+// Verdict of `v op c` for every v of an element type whose range the
+// constant c lies above (c > every v) or below. Predicates compare as
+// int64, so a constant outside a narrow column's range never wraps.
+bool OutOfRangeVerdict(CmpOp op, bool above) {
+  switch (op) {
+    case CmpOp::kEq:
+      return false;
+    case CmpOp::kNe:
+      return true;
+    case CmpOp::kLt:
+    case CmpOp::kLe:
+      return above;
+    case CmpOp::kGt:
+    case CmpOp::kGe:
+      return !above;
+  }
+  return false;
+}
+
+void FillVerdict(size_t n, bool verdict, BitVector* out) {
+  out->Resize(n);
+  if (verdict) out->SetAll();
+}
+
+void FilterConstDispatch(const TileColumn& col, size_t n, CmpOp op,
+                         int64_t value, BitVector* out) {
+  col.Visit([&](auto t) {
+    using T = decltype(t);
+    if (!InRange<T>(value)) {
+      return FillVerdict(n, OutOfRangeVerdict(op, value > 0), out);
+    }
+    FilterConstDispatchTyped<T>(op, reinterpret_cast<const T*>(col.data), n,
+                                static_cast<T>(value), out);
+  });
+}
+
+// [lo, hi] clipped to T's range; empty (lo > hi) when it misses it.
 template <typename T>
-void FilterBetweenTyped(const TileColumn& col, size_t n, int64_t lo,
-                        int64_t hi, BitVector* out) {
-  primitives::FilterBetweenBv<T>(reinterpret_cast<T*>(col.data), n,
-                                 static_cast<T>(lo), static_cast<T>(hi), out);
+std::pair<int64_t, int64_t> ClipToRange(int64_t lo, int64_t hi) {
+  return {std::max(lo, static_cast<int64_t>(std::numeric_limits<T>::min())),
+          std::min(hi, static_cast<int64_t>(std::numeric_limits<T>::max()))};
 }
 
 void FilterBetweenDispatch(const TileColumn& col, size_t n, int64_t lo,
                            int64_t hi, BitVector* out) {
-  using storage::DataType;
-  switch (col.type) {
-    case DataType::kInt8:
-      FilterBetweenTyped<int8_t>(col, n, lo, hi, out);
-      break;
-    case DataType::kInt16:
-      FilterBetweenTyped<int16_t>(col, n, lo, hi, out);
-      break;
-    case DataType::kInt32:
-    case DataType::kDate:
-      FilterBetweenTyped<int32_t>(col, n, lo, hi, out);
-      break;
-    case DataType::kDictCode:
-      FilterBetweenTyped<uint32_t>(col, n, lo, hi, out);
-      break;
-    case DataType::kInt64:
-    case DataType::kDecimal:
-      FilterBetweenTyped<int64_t>(col, n, lo, hi, out);
-      break;
-  }
+  col.Visit([&](auto t) {
+    using T = decltype(t);
+    const auto [clo, chi] = ClipToRange<T>(lo, hi);
+    if (clo > chi) return FillVerdict(n, false, out);
+    primitives::FilterBetweenBv<T>(reinterpret_cast<const T*>(col.data), n,
+                                   static_cast<T>(clo), static_cast<T>(chi),
+                                   out);
+  });
 }
 
 template <typename T>
-void FilterColColTyped(CmpOp op, const TileColumn& l, const TileColumn& r,
-                       size_t n, BitVector* out) {
-  const T* left = reinterpret_cast<const T*>(l.data);
-  const T* right = reinterpret_cast<const T*>(r.data);
+void FilterColColTyped(CmpOp op, const T* left, const T* right, size_t n,
+                       BitVector* out) {
   switch (op) {
     case CmpOp::kEq:
       primitives::FilterColColBv<CmpOp::kEq, T>(left, right, n, out);
@@ -372,6 +370,35 @@ void FilterColColTyped(CmpOp op, const TileColumn& l, const TileColumn& r,
   }
 }
 
+// True when two tile columns store one element type (VisitPhysical).
+bool SameElementType(const TileColumn& a, const TileColumn& b) {
+  using storage::DataType;
+  return a.width == b.width &&
+         (a.width != 4 ||
+          (a.type == DataType::kDictCode) == (b.type == DataType::kDictCode));
+}
+
+// Column-vs-column compare: one typed kernel when both sides store one
+// element type, else both sides widen into int64 buffers first (the
+// widening cast primitive the compiler inserts) and the int64 kernel
+// runs.
+void FilterColColDispatch(ExecCtx& ctx, CmpOp op, const TileColumn& l,
+                          const TileColumn& r, size_t n, BitVector* out) {
+  if (SameElementType(l, r)) {
+    l.Visit([&](auto t) {
+      using T = decltype(t);
+      FilterColColTyped<T>(op, reinterpret_cast<const T*>(l.data),
+                           reinterpret_cast<const T*>(r.data), n, out);
+    });
+    return;
+  }
+  TileBufferPool::Handle lhs = ctx.pool().AcquireArray<int64_t>(n);
+  TileBufferPool::Handle rhs = ctx.pool().AcquireArray<int64_t>(n);
+  WidenColumn(l, nullptr, n, lhs.as<int64_t>());
+  WidenColumn(r, nullptr, n, rhs.as<int64_t>());
+  FilterColColTyped<int64_t>(op, lhs.as<int64_t>(), rhs.as<int64_t>(), n, out);
+}
+
 // Dispatches the Bloom probe kernel on the column's physical width.
 // Keys widen through static_cast<uint64_t> of the native element —
 // identical to the build side's widened insert (sign-extension for
@@ -379,67 +406,22 @@ void FilterColColTyped(CmpOp op, const TileColumn& l, const TileColumn& r,
 void BloomProbeDispatch(const TileColumn& col, size_t n,
                         const primitives::BlockedBloomFilter& filter,
                         BitVector* out) {
-  using storage::DataType;
   out->Resize(n);
-  const uint64_t* blocks = filter.blocks();
-  const uint32_t mask = filter.block_mask();
-  uint64_t* words = out->mutable_words();
-  switch (col.type) {
-    case DataType::kInt8:
-      primitives::simd::bloom_kernels<int8_t>().probe_bv(
-          reinterpret_cast<const int8_t*>(col.data), n, blocks, mask, words);
-      break;
-    case DataType::kInt16:
-      primitives::simd::bloom_kernels<int16_t>().probe_bv(
-          reinterpret_cast<const int16_t*>(col.data), n, blocks, mask, words);
-      break;
-    case DataType::kInt32:
-    case DataType::kDate:
-      primitives::simd::bloom_kernels<int32_t>().probe_bv(
-          reinterpret_cast<const int32_t*>(col.data), n, blocks, mask, words);
-      break;
-    case DataType::kDictCode:
-      primitives::simd::bloom_kernels<uint32_t>().probe_bv(
-          reinterpret_cast<const uint32_t*>(col.data), n, blocks, mask, words);
-      break;
-    case DataType::kInt64:
-    case DataType::kDecimal:
-      primitives::simd::bloom_kernels<int64_t>().probe_bv(
-          reinterpret_cast<const int64_t*>(col.data), n, blocks, mask, words);
-      break;
-  }
+  col.Visit([&](auto t) {
+    using T = decltype(t);
+    primitives::simd::bloom_kernels<T>().probe_bv(
+        reinterpret_cast<const T*>(col.data), n, filter.blocks(),
+        filter.block_mask(), out->mutable_words());
+  });
 }
 
-// One Bloom probe for a whole run, widening the run value exactly as
-// the per-row kernel widens tile elements.
-bool RunMayContain(const TileColumn& col, const Predicate& pred, size_t r) {
-  using storage::DataType;
-  uint64_t key = 0;
-  switch (col.type) {
-    case DataType::kInt8:
-      key = static_cast<uint64_t>(
-          reinterpret_cast<const int8_t*>(col.run_values)[r]);
-      break;
-    case DataType::kInt16:
-      key = static_cast<uint64_t>(
-          reinterpret_cast<const int16_t*>(col.run_values)[r]);
-      break;
-    case DataType::kInt32:
-    case DataType::kDate:
-      key = static_cast<uint64_t>(
-          reinterpret_cast<const int32_t*>(col.run_values)[r]);
-      break;
-    case DataType::kDictCode:
-      key = static_cast<uint64_t>(
-          reinterpret_cast<const uint32_t*>(col.run_values)[r]);
-      break;
-    case DataType::kInt64:
-    case DataType::kDecimal:
-      key = static_cast<uint64_t>(
-          reinterpret_cast<const int64_t*>(col.run_values)[r]);
-      break;
-  }
-  return pred.bloom->MayContain(key);
+void InSetDispatch(const TileColumn& col, size_t n, const BitVector& set,
+                   BitVector* out) {
+  col.Visit([&](auto t) {
+    using T = decltype(t);
+    primitives::FilterDictSetBv(reinterpret_cast<const T*>(col.data), n, set,
+                                out);
+  });
 }
 
 Result<size_t> Bind(const ColumnBinding& binding, const std::string& name) {
@@ -450,84 +432,43 @@ Result<size_t> Bind(const ColumnBinding& binding, const std::string& name) {
   return it->second;
 }
 
-// One run's predicate verdict in the column's native type, matching
-// the per-row kernels' constant-cast semantics exactly (the constant
-// truncates to T, comparisons happen in T).
-template <typename T>
-bool RunMatchesTyped(const Predicate& pred, T v) {
-  using primitives::Compare;
-  if (pred.kind == Predicate::Kind::kBetween) {
-    return v >= static_cast<T>(pred.value) && v <= static_cast<T>(pred.value2);
+// One run's predicate verdict, matching the per-row kernels exactly:
+// the run value v compares as int64, which is what the kernels'
+// range-checked constants reproduce.
+bool RunMatchesValue(const Predicate& pred, int64_t v) {
+  switch (pred.kind) {
+    case Predicate::Kind::kBloom:
+      return pred.bloom->MayContain(static_cast<uint64_t>(v));
+    case Predicate::Kind::kInSet:
+      return v >= 0 && static_cast<uint64_t>(v) < pred.in_set.size() &&
+             pred.in_set.Test(static_cast<size_t>(v));
+    case Predicate::Kind::kBetween:
+      return v >= pred.value && v <= pred.value2;
+    default:
+      break;
   }
-  const T c = static_cast<T>(pred.value);
   switch (pred.op) {
     case CmpOp::kEq:
-      return Compare<CmpOp::kEq, T>(v, c);
+      return v == pred.value;
     case CmpOp::kNe:
-      return Compare<CmpOp::kNe, T>(v, c);
+      return v != pred.value;
     case CmpOp::kLt:
-      return Compare<CmpOp::kLt, T>(v, c);
+      return v < pred.value;
     case CmpOp::kLe:
-      return Compare<CmpOp::kLe, T>(v, c);
+      return v <= pred.value;
     case CmpOp::kGt:
-      return Compare<CmpOp::kGt, T>(v, c);
+      return v > pred.value;
     case CmpOp::kGe:
-      return Compare<CmpOp::kGe, T>(v, c);
+      return v >= pred.value;
   }
   return false;
 }
 
 bool RunMatches(const TileColumn& col, const Predicate& pred, size_t r) {
-  using storage::DataType;
-  if (pred.kind == Predicate::Kind::kBloom) {
-    return RunMayContain(col, pred, r);
-  }
-  if (pred.kind == Predicate::Kind::kInSet) {
-    // Mirrors FilterDictSetBv / the widened membership probe.
-    if (col.type == DataType::kDictCode) {
-      const uint32_t code =
-          reinterpret_cast<const uint32_t*>(col.run_values)[r];
-      return code < pred.in_set.size() && pred.in_set.Test(code);
-    }
-    int64_t v = 0;
-    switch (col.type) {
-      case DataType::kInt8:
-        v = reinterpret_cast<const int8_t*>(col.run_values)[r];
-        break;
-      case DataType::kInt16:
-        v = reinterpret_cast<const int16_t*>(col.run_values)[r];
-        break;
-      case DataType::kInt32:
-      case DataType::kDate:
-        v = reinterpret_cast<const int32_t*>(col.run_values)[r];
-        break;
-      default:
-        v = reinterpret_cast<const int64_t*>(col.run_values)[r];
-        break;
-    }
-    return v >= 0 && static_cast<uint64_t>(v) < pred.in_set.size() &&
-           pred.in_set.Test(static_cast<size_t>(v));
-  }
-  switch (col.type) {
-    case DataType::kInt8:
-      return RunMatchesTyped<int8_t>(
-          pred, reinterpret_cast<const int8_t*>(col.run_values)[r]);
-    case DataType::kInt16:
-      return RunMatchesTyped<int16_t>(
-          pred, reinterpret_cast<const int16_t*>(col.run_values)[r]);
-    case DataType::kInt32:
-    case DataType::kDate:
-      return RunMatchesTyped<int32_t>(
-          pred, reinterpret_cast<const int32_t*>(col.run_values)[r]);
-    case DataType::kDictCode:
-      return RunMatchesTyped<uint32_t>(
-          pred, reinterpret_cast<const uint32_t*>(col.run_values)[r]);
-    case DataType::kInt64:
-    case DataType::kDecimal:
-      return RunMatchesTyped<int64_t>(
-          pred, reinterpret_cast<const int64_t*>(col.run_values)[r]);
-  }
-  return false;
+  const int64_t v = col.Visit([&](auto t) -> int64_t {
+    return reinterpret_cast<const decltype(t)*>(col.run_values)[r];
+  });
+  return RunMatchesValue(pred, v);
 }
 
 // `run_level` (optional) reports whether the run-level short circuit
@@ -588,71 +529,11 @@ Status EvalPredicateImpl(ExecCtx& ctx, const Tile& tile,
       cycles *= 2;  // two comparisons per row
       break;
     case Predicate::Kind::kInSet:
-      if (col.type == storage::DataType::kDictCode) {
-        primitives::FilterDictSetBv(reinterpret_cast<uint32_t*>(col.data), n,
-                                    pred.in_set, out);
-      } else {
-        // Intermediates carry dict codes widened to int64; membership
-        // testing is the same bitmap probe.
-        out->Resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          const int64_t v = col.GetInt(i);
-          if (v >= 0 && static_cast<uint64_t>(v) < pred.in_set.size() &&
-              pred.in_set.Test(static_cast<size_t>(v))) {
-            out->Set(i);
-          }
-        }
-      }
+      InSetDispatch(col, n, pred.in_set, out);
       break;
     case Predicate::Kind::kCmpCol: {
       RAPID_ASSIGN_OR_RETURN(size_t ci2, Bind(binding, pred.column2));
-      const TileColumn& col2 = tile.columns[ci2];
-      if (col.type != col2.type) {
-        // Mixed physical widths: compare through the widened view (the
-        // compiler would normally insert a widening cast primitive).
-        out->Resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          const int64_t a = col.GetInt(i);
-          const int64_t b = col2.GetInt(i);
-          bool hit = false;
-          switch (pred.op) {
-            case CmpOp::kEq:
-              hit = a == b;
-              break;
-            case CmpOp::kNe:
-              hit = a != b;
-              break;
-            case CmpOp::kLt:
-              hit = a < b;
-              break;
-            case CmpOp::kLe:
-              hit = a <= b;
-              break;
-            case CmpOp::kGt:
-              hit = a > b;
-              break;
-            case CmpOp::kGe:
-              hit = a >= b;
-              break;
-          }
-          if (hit) out->Set(i);
-        }
-        break;
-      }
-      switch (storage::WidthOf(col.type)) {
-        case 1:
-          FilterColColTyped<int8_t>(pred.op, col, col2, n, out);
-          break;
-        case 2:
-          FilterColColTyped<int16_t>(pred.op, col, col2, n, out);
-          break;
-        case 4:
-          FilterColColTyped<int32_t>(pred.op, col, col2, n, out);
-          break;
-        default:
-          FilterColColTyped<int64_t>(pred.op, col, col2, n, out);
-          break;
-      }
+      FilterColColDispatch(ctx, pred.op, col, tile.columns[ci2], n, out);
       break;
     }
   }

@@ -247,6 +247,16 @@ Status GroupByOp::Consume(ExecCtx& ctx, const Tile& tile) {
 
 Status GroupByOp::Finish(ExecCtx&) { return Status::OK(); }
 
+Status KeylessOverNoRows(const std::vector<AggSpec>& aggs) {
+  for (const AggSpec& a : aggs) {
+    if (a.func != AggFunc::kCount) {
+      return Status::NotSupported("aggregate '" + a.name +
+                                  "' over no rows has no value (no NULL)");
+    }
+  }
+  return Status::OK();
+}
+
 void GroupByOp::MergeFrom(const GroupByOp& other) {
   table_.MergeFrom(other.table_);
   rows_ += other.rows_;

@@ -45,6 +45,13 @@ struct AggSpec {
   std::shared_ptr<Predicate> filter;
 };
 
+// SQL answers a keyless aggregate over no rows with one row, but
+// these engines have no NULL: the row exists only when every aggregate
+// is a COUNT (each 0), and a SUM, MIN or MAX over no rows is an error
+// rather than a silently empty result. Returns OK when the row exists,
+// else that error; both engines' group-bys ask it.
+Status KeylessOverNoRows(const std::vector<AggSpec>& aggs);
+
 // Chained hash table over columnar key/aggregate storage; lives in
 // DMEM in the real system. Starts at 64 buckets (or at the size Reset
 // asks for) and doubles whenever the groups outnumber the buckets.

@@ -290,9 +290,9 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
                                     static_cast<double>(rows));
       }
       // DMS streams the build tile into DMEM (overlapped).
-      core.cycles().ChargeDms(dpu::DmsTileTransferCycles(
-          params, static_cast<int>(bkeys.size()), rows, sizeof(int64_t),
-          false));
+      RAPID_RETURN_NOT_OK(dpu.dms().LoadTile(&core.cycles(),
+                                             static_cast<int>(bkeys.size()),
+                                             rows, sizeof(int64_t)));
     }
   }
 
@@ -481,8 +481,9 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
     // DRAM overflow region probes cost a DRAM round trip each.
     core.cycles().ChargeCompute(params.join_overflow_access_cycles *
                                 static_cast<double>(tile_stats.overflow_steps));
-    core.cycles().ChargeDms(dpu::DmsTileTransferCycles(
-        params, static_cast<int>(pkeys.size()), rows, sizeof(int64_t), false));
+    RAPID_RETURN_NOT_OK(dpu.dms().LoadTile(
+        &core.cycles(), static_cast<int>(pkeys.size()), rows,
+        sizeof(int64_t)));
     probe_stats.Merge(tile_stats);
   }
   probe_span.Annotate("matches", static_cast<uint64_t>(probe_stats.matches));

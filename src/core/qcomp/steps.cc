@@ -160,6 +160,16 @@ GroupByOp* MergeLowNdv(ExecEnv& env, const std::vector<GroupByOp*>& partials) {
   return merged;
 }
 
+// A keyless group-by's output: when no row reached it, the one row of
+// COUNT zeros, or KeylessOverNoRows's error.
+Status EmitKeylessOverNoRows(const std::vector<AggSpec>& aggs,
+                             ColumnSet* out) {
+  if (out->num_rows() != 0) return Status::OK();
+  RAPID_RETURN_NOT_OK(KeylessOverNoRows(aggs));
+  for (size_t c = 0; c < out->num_columns(); ++c) out->column(c).push_back(0);
+  return Status::OK();
+}
+
 // A partition step's key list and scheme as plan text, e.g.
 // "keys=(l_orderkey) scheme=64(hw32)".
 std::string DescribePartition(const std::vector<std::string>& keys,
@@ -926,7 +936,10 @@ Status PipelineStep::Execute(ExecEnv& env) const {
       env.counters.agg_rows += partials.back()->rows();
     }
     GroupByOp* merged = MergeLowNdv(env, partials);
-    return merged != nullptr ? merged->EmitInto(&out.set) : Status::OK();
+    if (merged != nullptr) RAPID_RETURN_NOT_OK(merged->EmitInto(&out.set));
+    return last.group_keys.empty()
+               ? EmitKeylessOverNoRows(last.aggregates, &out.set)
+               : Status::OK();
   }
   if (partition) {
     return LayOutFirstRound(env, last, resolved.front().metas, &slots,
@@ -1301,7 +1314,8 @@ Status GroupByStep::Execute(ExecEnv& env) const {
   out.partitioned = false;
   out.set = ColumnSet(metas);
   for (const ColumnSet& cs : partials) out.set.Append(cs);
-  return Status::OK();
+  return keys_.empty() ? EmitKeylessOverNoRows(aggs_, &out.set)
+                       : Status::OK();
 }
 
 std::string GroupByStep::Describe() const {

@@ -62,6 +62,27 @@ void ExpandRuns(const uint8_t* run_values, const uint32_t* run_lengths,
   }
 }
 
+// Sign-extends n elements of `col`'s width at `data` to int64 in place
+// (back to front, so no element is overwritten before it is read) and
+// sets `col`'s width to 8. The buffer holds n int64 slots, since tile
+// buffers and run staging are sized at the declared width. Decimal
+// rescaling needs the headroom; the load unit widens for free, so the
+// modeled clock charges nothing here.
+void WidenToInt64(uint8_t* data, size_t n, TileColumn* col) {
+  col->Visit([&](auto t) {
+    using T = decltype(t);
+    if constexpr (sizeof(T) < sizeof(int64_t)) {
+      for (size_t i = n; i-- > 0;) {
+        T v;
+        std::memcpy(&v, data + i * sizeof(T), sizeof(T));
+        const int64_t wide = v;
+        std::memcpy(data + i * sizeof(int64_t), &wide, sizeof(int64_t));
+      }
+    }
+  });
+  col->width = sizeof(int64_t);
+}
+
 // One column's staged run window within the in-flight tile transfer.
 struct StagedRuns {
   size_t col = 0;
@@ -86,24 +107,27 @@ Status RelationAccessor::PushChunks(
   const bool encoded_enabled =
       GetConfig().encoded_scan == EncodedScanMode::kAuto;
 
-  // Allocate double-buffered DMEM tile buffers once per column. The
-  // encoded path expands into the same buffers, so operators see
-  // identical tiles either way.
+  // Allocate double-buffered DMEM tile buffers once per column, at
+  // the column's declared width: a tile holds each chunk's slice at
+  // that vector's own (possibly narrower) width, and a decimal tile
+  // that needs rescaling widens in place. The encoded path expands
+  // into the same buffers, so operators see identical tiles either way.
+  std::vector<size_t> declared(column_indices.size());
   std::vector<uint8_t*> buffers(column_indices.size());
   for (size_t c = 0; c < column_indices.size(); ++c) {
-    const storage::Vector& proto =
-        chunks[0]->column(column_indices[c]);
+    declared[c] =
+        storage::WidthOf(chunks[0]->column(column_indices[c]).type());
     // Two buffers per column for double buffering; tiles alternate.
     RAPID_ASSIGN_OR_RETURN(buffers[c],
-                           ctx.dmem().Allocate(2 * tile_rows * proto.width()));
+                           ctx.dmem().Allocate(2 * tile_rows * declared[c]));
   }
 
   // Encoded staging: per RLE-topped column, a double-buffered region
   // the DMS fills with the tile's run lengths (first half) and packed
-  // run values (second half) before expansion. Sized for the densest
-  // tile across this core's chunks; a column whose staging does not
-  // fit the remaining DMEM budget just stays on the plain path
-  // (bit-identical, only more bytes moved).
+  // run values (second half, declared-width slots) before expansion.
+  // Sized for the densest tile across this core's chunks; a column
+  // whose staging does not fit the remaining DMEM budget just stays on
+  // the plain path (bit-identical, only more bytes moved).
   std::vector<uint8_t*> staging(column_indices.size(), nullptr);
   std::vector<size_t> staging_runs(column_indices.size(), 0);
   if (encoded_enabled) {
@@ -116,8 +140,7 @@ Status RelationAccessor::PushChunks(
         max_runs = std::max(max_runs, MaxRunsPerTile(*enc, tile_rows));
       }
       if (max_runs == 0) continue;
-      const size_t width = chunks[0]->column(column_indices[c]).width();
-      const size_t bytes = 2 * max_runs * (width + sizeof(uint32_t));
+      const size_t bytes = 2 * max_runs * (declared[c] + sizeof(uint32_t));
       if (bytes > ctx.dmem().free_bytes()) continue;
       Result<uint8_t*> staged = ctx.dmem().Allocate(bytes);
       if (!staged.ok()) continue;  // injected exhaustion: plain fallback
@@ -152,9 +175,10 @@ Status RelationAccessor::PushChunks(
       for (size_t c = 0; c < column_indices.size(); ++c) {
         const storage::Vector& vec = chunk->column(column_indices[c]);
         const size_t width = vec.width();
-        uint8_t* dst = buffers[c] + parity * tile_rows * width;
+        uint8_t* dst = buffers[c] + parity * tile_rows * declared[c];
         tile.columns[c].data = dst;
         tile.columns[c].type = vec.type();
+        tile.columns[c].width = width;
         tile.columns[c].dsb_scale = vec.dsb_scale();
         const storage::EncodedColumn* enc =
             staging[c] != nullptr ? chunk->encoding(column_indices[c])
@@ -179,7 +203,7 @@ Status RelationAccessor::PushChunks(
                 staging[c] + parity * staging_runs[c] * sizeof(uint32_t);
             uint8_t* values_dst = staging[c] +
                                   2 * staging_runs[c] * sizeof(uint32_t) +
-                                  parity * staging_runs[c] * width;
+                                  parity * staging_runs[c] * declared[c];
             slices.push_back(dpu::ColumnSlice{
                 reinterpret_cast<const uint8_t*>(enc->lengths.data() + first),
                 lengths_dst, runs * sizeof(uint32_t)});
@@ -205,7 +229,7 @@ Status RelationAccessor::PushChunks(
         for (const dpu::ColumnSlice& s : slices) moved += s.bytes;
         uint64_t plain = 0;
         for (size_t c = 0; c < column_indices.size(); ++c) {
-          plain += rows * chunk->column(column_indices[c]).width();
+          plain += rows * tile.columns[c].width;
         }
         tile_span.Annotate("rows", static_cast<uint64_t>(rows));
         tile_span.Annotate("encoded_cols",
@@ -222,7 +246,6 @@ Status RelationAccessor::PushChunks(
       // then expand into the tile buffer with the dispatched kernel.
       for (const StagedRuns& s : staged_cols) {
         TileColumn& col = tile.columns[s.col];
-        const size_t width = col.width();
         s.lengths[0] -= static_cast<uint32_t>(start) - s.enc->starts[s.first];
         uint32_t remaining = static_cast<uint32_t>(rows);
         for (size_t r = 0; r < s.runs; ++r) {
@@ -235,6 +258,7 @@ Status RelationAccessor::PushChunks(
           // Rescaling the run values before expansion keeps the
           // expanded tile and the run metadata consistent, and charges
           // arithmetic per run instead of per row.
+          WidenToInt64(s.values, s.runs, &col);
           primitives::DsbRescaleTile(reinterpret_cast<int64_t*>(s.values),
                                      s.runs, col.dsb_scale,
                                      target_scales[s.col]);
@@ -242,7 +266,7 @@ Status RelationAccessor::PushChunks(
                             static_cast<double>(s.runs));
           col.dsb_scale = target_scales[s.col];
         }
-        ExpandRuns(s.values, s.lengths, s.runs, width, col.data);
+        ExpandRuns(s.values, s.lengths, s.runs, col.width, col.data);
         ctx.ChargeCompute(
             ctx.params->rle_decode_cycles_per_row / ctx.params->simd.rle *
                 static_cast<double>(rows) +
@@ -259,6 +283,7 @@ Status RelationAccessor::PushChunks(
         TileColumn& col = tile.columns[c];
         if (col.type == storage::DataType::kDecimal &&
             col.dsb_scale != target_scales[c]) {
+          WidenToInt64(col.data, rows, &col);
           primitives::DsbRescaleTile(reinterpret_cast<int64_t*>(col.data),
                                      rows, col.dsb_scale, target_scales[c]);
           ctx.ChargeCompute(ctx.params->arith_cycles_per_row *

@@ -7,6 +7,7 @@
 #define RAPID_CORE_QEF_TILE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "storage/data_type.h"
@@ -16,74 +17,47 @@ namespace rapid::core {
 struct TileColumn {
   uint8_t* data = nullptr;          // DMEM pointer
   storage::DataType type = storage::DataType::kInt64;
+  // Physical bytes per element: a base-table scan tile carries its
+  // vector's width (storage::VisitPhysical gives the element type);
+  // intermediates are always widened to 8.
+  size_t width = 8;
   int dsb_scale = 0;                // for kDecimal columns
 
   // Run metadata of the encoded scan path: when the accessor expanded
   // this tile from DMS-staged RLE runs it leaves the staged (value,
   // length) arrays visible so predicates can evaluate once per run and
-  // emit whole bit-vector spans. `run_values` holds num_runs packed
-  // native-width values; the lengths sum to exactly the tile's rows.
+  // emit whole bit-vector spans. `run_values` holds num_runs values
+  // packed at `width`; the lengths sum to exactly the tile's rows.
   // Zero num_runs means plain data (the common case).
   const uint8_t* run_values = nullptr;  // DMEM pointer (staging buffer)
   const uint32_t* run_lengths = nullptr;
   uint32_t num_runs = 0;
 
-  size_t width() const { return storage::WidthOf(type); }
+  // Calls fn(T{}) with the element type of `data`.
+  template <typename Fn>
+  decltype(auto) Visit(Fn&& fn) const {
+    return storage::VisitPhysical(width, type, std::forward<Fn>(fn));
+  }
 
   int64_t GetInt(size_t row) const {
-    using storage::DataType;
-    switch (type) {
-      case DataType::kInt8:
-        return reinterpret_cast<const int8_t*>(data)[row];
-      case DataType::kInt16:
-        return reinterpret_cast<const int16_t*>(data)[row];
-      case DataType::kInt32:
-      case DataType::kDate:
-        return reinterpret_cast<const int32_t*>(data)[row];
-      case DataType::kDictCode:
-        return reinterpret_cast<const uint32_t*>(data)[row];
-      case DataType::kInt64:
-      case DataType::kDecimal:
-        return reinterpret_cast<const int64_t*>(data)[row];
-    }
-    return 0;
+    return Visit([&](auto t) -> int64_t {
+      return reinterpret_cast<const decltype(t)*>(data)[row];
+    });
   }
 };
 
 // Widening bulk copy: dst[i] = (int64) column[rids ? rids[i] : i],
-// dispatching on the physical type once instead of per row.
+// dispatching on the physical width once instead of per row.
 inline void WidenColumn(const TileColumn& col, const uint32_t* rids,
                         size_t n, int64_t* dst) {
-  using storage::DataType;
-  switch (col.type) {
-    case DataType::kInt8: {
-      const auto* src = reinterpret_cast<const int8_t*>(col.data);
-      for (size_t i = 0; i < n; ++i) dst[i] = src[rids ? rids[i] : i];
-      break;
+  col.Visit([&](auto t) {
+    const auto* src = reinterpret_cast<const decltype(t)*>(col.data);
+    if (rids != nullptr) {
+      for (size_t i = 0; i < n; ++i) dst[i] = src[rids[i]];
+    } else {
+      for (size_t i = 0; i < n; ++i) dst[i] = src[i];
     }
-    case DataType::kInt16: {
-      const auto* src = reinterpret_cast<const int16_t*>(col.data);
-      for (size_t i = 0; i < n; ++i) dst[i] = src[rids ? rids[i] : i];
-      break;
-    }
-    case DataType::kInt32:
-    case DataType::kDate: {
-      const auto* src = reinterpret_cast<const int32_t*>(col.data);
-      for (size_t i = 0; i < n; ++i) dst[i] = src[rids ? rids[i] : i];
-      break;
-    }
-    case DataType::kDictCode: {
-      const auto* src = reinterpret_cast<const uint32_t*>(col.data);
-      for (size_t i = 0; i < n; ++i) dst[i] = src[rids ? rids[i] : i];
-      break;
-    }
-    case DataType::kInt64:
-    case DataType::kDecimal: {
-      const auto* src = reinterpret_cast<const int64_t*>(col.data);
-      for (size_t i = 0; i < n; ++i) dst[i] = src[rids ? rids[i] : i];
-      break;
-    }
-  }
+  });
 }
 
 struct Tile {

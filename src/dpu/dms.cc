@@ -72,28 +72,41 @@ Status Dms::TransferTile(CycleCounter* cycles,
     std::memcpy(s.dst, s.src, s.bytes);
     total_bytes += s.bytes;
   }
-  if (cycles != nullptr) {
-    // The transfer formula charges per-column descriptor overhead plus
-    // streaming time for the payload bytes; `read_write` marks that
-    // the chain interleaves read and write descriptors.
-    const int columns =
-        read_write ? static_cast<int>(slices.size()) / 2
-                   : static_cast<int>(slices.size());
-    const size_t payload = read_write ? total_bytes / 2 : total_bytes;
-    const size_t per_col =
-        columns > 0 ? payload / static_cast<size_t>(columns) : 0;
-    const double dms_cycles = DmsTileTransferCycles(
-        params_, columns > 0 ? columns : 1, per_col, 1, read_write);
-    cycles->ChargeDms(dms_cycles);
-    if (TraceCollector::Recording(TraceMode::kFull)) {
-      TraceCollector::Instance().RecordDms(
-          "dms.transfer", dms_cycles,
-          {TraceCollector::Arg::U("bytes", total_bytes),
-           TraceCollector::Arg::I("columns", columns),
-           TraceCollector::Arg::S("mode", read_write ? "rw" : "ro")});
-    }
-  }
+  // `read_write` marks that the chain interleaves read and write
+  // descriptors, one pair per column.
+  const int columns = read_write ? static_cast<int>(slices.size()) / 2
+                                 : static_cast<int>(slices.size());
+  const size_t payload = read_write ? total_bytes / 2 : total_bytes;
+  const size_t per_col =
+      columns > 0 ? payload / static_cast<size_t>(columns) : 0;
+  ChargeTile(cycles, columns > 0 ? columns : 1, per_col, read_write,
+             total_bytes);
   return Status::OK();
+}
+
+Status Dms::LoadTile(CycleCounter* cycles, int columns, size_t rows,
+                     size_t width) const {
+  RAPID_RETURN_NOT_OK(RunDescriptor(cycles, faults::kDmsTransfer));
+  ChargeTile(cycles, columns, rows * width, /*read_write=*/false,
+             static_cast<size_t>(columns) * rows * width);
+  return Status::OK();
+}
+
+void Dms::ChargeTile(CycleCounter* cycles, int columns,
+                     size_t bytes_per_column, bool read_write,
+                     size_t total_bytes) const {
+  if (cycles == nullptr) return;
+  // Per-column descriptor overhead plus streaming time for the payload.
+  const double dms_cycles = DmsTileTransferCycles(
+      params_, columns, bytes_per_column, 1, read_write);
+  cycles->ChargeDms(dms_cycles);
+  if (TraceCollector::Recording(TraceMode::kFull)) {
+    TraceCollector::Instance().RecordDms(
+        "dms.transfer", dms_cycles,
+        {TraceCollector::Arg::U("bytes", total_bytes),
+         TraceCollector::Arg::I("columns", columns),
+         TraceCollector::Arg::S("mode", read_write ? "rw" : "ro")});
+  }
 }
 
 void Dms::Gather(CycleCounter* cycles, uint8_t* dst, const uint8_t* src,

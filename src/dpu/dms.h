@@ -79,6 +79,13 @@ class Dms {
                       const std::vector<ColumnSlice>& slices,
                       bool read_write) const;
 
+  // Streams one `rows`-row tile of `columns` columns, `width` bytes per
+  // value, from DRAM-resident arrays the caller reads in place (the
+  // partitioned join's build and probe tiles): one descriptor chain,
+  // polled, retried, charged and traced as TransferTile does.
+  Status LoadTile(CycleCounter* cycles, int columns, size_t rows,
+                  size_t width) const;
+
   // ---- Gather / scatter ----
 
   // dst[i] = src[rids[i]] for fixed-width elements.
@@ -122,6 +129,12 @@ class Dms {
   static uint32_t HashKeys(const std::vector<KeyColumn>& keys, size_t row);
 
  private:
+  // Charges and traces (`dms.transfer`) one descriptor chain of
+  // `columns` columns moving `bytes_per_column` bytes each;
+  // `total_bytes` is the traced payload.
+  void ChargeTile(CycleCounter* cycles, int columns, size_t bytes_per_column,
+                  bool read_write, size_t total_bytes) const;
+
   DpuConfig config_;
   CostParams params_;
 };

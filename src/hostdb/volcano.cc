@@ -449,6 +449,12 @@ class HashAggIter : public Iterator {
         }
       }
     }
+    if (keys_.empty() && groups_.empty()) {
+      // COUNT(*) = 0 (AggState starts at count 0), or the error.
+      RAPID_RETURN_NOT_OK(core::KeylessOverNoRows(aggs_));
+      groups_.try_emplace(Row{},
+                          std::vector<primitives::AggState>(aggs_.size()));
+    }
     cursor_ = groups_.begin();
     return Status::OK();
   }

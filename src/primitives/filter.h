@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/bitvector.h"
@@ -103,9 +104,29 @@ void FilterColColBv(const T* left, const T* right, size_t n, BitVector* out) {
 
 // Dictionary-set membership: qualifying dictionary codes are given as
 // a bitmap over the code space (produced by Dictionary::RangeLookup /
-// PrefixLookup or an IN list).
-void FilterDictSetBv(const uint32_t* codes, size_t n,
-                     const BitVector& qualifying_codes, BitVector* out);
+// PrefixLookup or an IN list). Codes come at any width: negative and
+// out-of-bitmap values never qualify. Bitmap probes stay scalar (a
+// gather per row), but the output is built as whole words like every
+// other bit-vector kernel.
+template <typename T>
+void FilterDictSetBv(const T* codes, size_t n,
+                     const BitVector& qualifying_codes, BitVector* out) {
+  out->Resize(n);
+  uint64_t* words = out->mutable_words();
+  const auto member = [&](T code) -> uint64_t {
+    if constexpr (std::is_signed_v<T>) {
+      if (code < 0) return 0;
+    }
+    const auto c = static_cast<uint64_t>(code);
+    return c < qualifying_codes.size() && qualifying_codes.Test(c);
+  };
+  for (size_t i = 0; i < n; i += 64) {
+    const size_t end = std::min(n, i + 64);
+    uint64_t bits = 0;
+    for (size_t r = i; r < end; ++r) bits |= member(codes[r]) << (r - i);
+    words[i / 64] = bits;
+  }
+}
 
 // ---- RID-list flavour ------------------------------------------------------
 

@@ -3,7 +3,9 @@
 // The DPU has no floating-point unit and strict alignment rules, so
 // RAPID handles all common SQL types with fixed-width encodings:
 // integers, DSB-encoded decimals (int64 mantissa + per-vector scale),
-// dates as day numbers, and dictionary codes for strings.
+// dates as day numbers, and dictionary codes for strings. A DataType
+// fixes the declared width; each vector then stores its values at the
+// narrowest width that holds them (VisitPhysical below).
 
 #ifndef RAPID_STORAGE_DATA_TYPE_H_
 #define RAPID_STORAGE_DATA_TYPE_H_
@@ -43,6 +45,44 @@ inline size_t WidthOf(DataType type) {
       return 8;
   }
   RAPID_CHECK(false);
+}
+
+// Physical widths (Section 4.2): a vector stores its values at 1, 2, 4
+// or 8 bytes, never wider than WidthOf(type). Narrow widths hold signed
+// elements; at 4 bytes a dictionary code keeps its declared uint32, and
+// every other 4-byte vector is int32. Calls fn(T{}) with that element
+// type T, so one generic lambda serves every width.
+template <typename Fn>
+decltype(auto) VisitPhysical(size_t width, DataType type, Fn&& fn) {
+  switch (width) {
+    case 1:
+      return fn(int8_t{});
+    case 2:
+      return fn(int16_t{});
+    case 4:
+      if (type == DataType::kDictCode) return fn(uint32_t{});
+      return fn(int32_t{});
+    default:
+      return fn(int64_t{});
+  }
+}
+
+// True if `value` is representable at `width` bytes of `type`.
+inline bool FitsWidth(int64_t value, size_t width, DataType type) {
+  return VisitPhysical(width, type, [value](auto t) {
+    using T = decltype(t);
+    return static_cast<int64_t>(static_cast<T>(value)) == value;
+  });
+}
+
+// Narrowest width of `type` that holds every value in [lo, hi]; the
+// declared width when none narrower does.
+inline size_t NarrowestWidth(int64_t lo, int64_t hi, DataType type) {
+  const size_t declared = WidthOf(type);
+  for (size_t w = 1; w < declared; w *= 2) {
+    if (FitsWidth(lo, w, type) && FitsWidth(hi, w, type)) return w;
+  }
+  return declared;
 }
 
 inline const char* NameOf(DataType type) {

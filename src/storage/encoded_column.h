@@ -1,8 +1,8 @@
 // Chunk-resident RLE topping of a column vector (Section 4.2).
 //
 // The loader's encoding pass materializes, for every vector where RLE
-// wins, a run-split representation next to the plain array: packed
-// native-width run values plus 4-byte run lengths. The plain Vector
+// wins, a run-split representation next to the plain array: run
+// values packed at the vector's physical width plus 4-byte run lengths. The plain Vector
 // stays the backing store (updates, stats, host fallback and random
 // access keep using it); the EncodedColumn is the *transfer*
 // representation — the relation accessor programs DMS descriptors
@@ -21,7 +21,7 @@
 namespace rapid::storage {
 
 struct EncodedColumn {
-  // num_runs * width bytes: each run's value at the column's native
+  // num_runs * width bytes: each run's value at the vector's physical
   // width, back to back (what the DMS streams).
   std::vector<uint8_t> values;
   // Per-run repeat counts; sums to num_rows.

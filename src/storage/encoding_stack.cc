@@ -81,21 +81,11 @@ std::unique_ptr<EncodedColumn> EncodeVectorRuns(const Vector& vector) {
   if (n == 0) return nullptr;
   // Run starts and lengths are 32-bit.
   RAPID_CHECK(n <= UINT32_MAX);
-  switch (vector.type()) {
-    case DataType::kInt8:
-      return EncodeRuns(vector.Data<int8_t>(), n);
-    case DataType::kInt16:
-      return EncodeRuns(vector.Data<int16_t>(), n);
-    case DataType::kInt32:
-    case DataType::kDate:
-      return EncodeRuns(vector.Data<int32_t>(), n);
-    case DataType::kDictCode:
-      return EncodeRuns(vector.Data<uint32_t>(), n);
-    case DataType::kInt64:
-    case DataType::kDecimal:
-      return EncodeRuns(vector.Data<int64_t>(), n);
-  }
-  return nullptr;
+  // Runs pack at the vector's own width, so RLE must beat the narrow
+  // plain bytes, not the declared ones.
+  return VisitPhysical(vector.width(), vector.type(), [&](auto t) {
+    return EncodeRuns(vector.Data<decltype(t)>(), n);
+  });
 }
 
 void BuildChunkEncodings(Chunk* chunk) {
@@ -109,30 +99,39 @@ std::vector<ColumnEncodingReport> SummarizeTableEncodings(Table* table) {
   for (size_t c = 0; c < reports.size(); ++c) {
     reports[c].column = table->schema().field(c).name;
   }
+  // The compression ratio counts declared widths on both sides: QComp
+  // sizes tiles and run staging from declared widths, so only runs,
+  // not narrow widths, may shrink its DMEM budget.
+  std::vector<size_t> declared_plain(reports.size(), 0);
+  std::vector<size_t> declared_runs(reports.size(), 0);
   for (size_t p = 0; p < table->num_partitions(); ++p) {
     const Partition& part = table->partition(p);
     for (size_t ch = 0; ch < part.num_chunks(); ++ch) {
       const Chunk& chunk = part.chunk(ch);
       for (size_t c = 0; c < chunk.num_columns(); ++c) {
         const EncodedColumn* enc = chunk.encoding(c);
+        const Vector& v = chunk.column(c);
         ColumnEncodingReport& report = reports[c];
         ++report.vectors_total;
-        report.plain_bytes += chunk.column(c).byte_size();
+        report.plain_bytes += v.byte_size();
+        const size_t declared = WidthOf(v.type()) * v.size();
+        declared_plain[c] += declared;
         if (enc != nullptr) {
           ++report.vectors_rle;
           report.encoded_bytes += enc->encoded_bytes();
+          declared_runs[c] += enc->num_runs() * (WidthOf(v.type()) + 4);
         } else {
-          report.encoded_bytes += chunk.column(c).byte_size();
+          report.encoded_bytes += v.byte_size();
+          declared_runs[c] += declared;
         }
       }
     }
   }
   for (size_t c = 0; c < reports.size(); ++c) {
-    const ColumnEncodingReport& r = reports[c];
     table->stats(c).compression_ratio =
-        r.encoded_bytes == 0 ? 1.0
-                             : static_cast<double>(r.plain_bytes) /
-                                   static_cast<double>(r.encoded_bytes);
+        declared_runs[c] == 0 ? 1.0
+                              : static_cast<double>(declared_plain[c]) /
+                                    static_cast<double>(declared_runs[c]);
   }
   return reports;
 }

@@ -22,7 +22,8 @@
 
 namespace rapid::storage {
 
-// Per-column summary across all vectors of a table.
+// Per-column summary across all vectors of a table, in stored bytes
+// (each vector at its physical width).
 struct ColumnEncodingReport {
   std::string column;
   size_t vectors_total = 0;
@@ -32,9 +33,10 @@ struct ColumnEncodingReport {
 };
 
 // Materializes the chunk-resident transfer representation of one
-// vector: packed native-width run values + 4-byte lengths. Returns
-// null when the encoded form would not move fewer DRAM bytes than the
-// plain array (the vector stays plain).
+// vector: run values packed at the vector's physical width + 4-byte
+// lengths. Returns null when the encoded form would not move fewer
+// DRAM bytes than the plain array at that width (the vector stays
+// plain).
 std::unique_ptr<EncodedColumn> EncodeVectorRuns(const Vector& vector);
 
 // (Re)builds the per-column encodings of one chunk. The RAPID copy

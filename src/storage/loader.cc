@@ -58,29 +58,21 @@ size_t RowCountOf(const ColumnSpec& spec, const ColumnData& data) {
   }
 }
 
-// Writes `rows` int64 values into `v`, narrowed to its native width.
-template <typename T>
-void NarrowInto(const int64_t* values, size_t rows, Vector* v) {
-  T* out = v->Data<T>();
-  for (size_t r = 0; r < rows; ++r) out[r] = static_cast<T>(values[r]);
-  v->set_size(rows);
+// Narrowest width of `type` that holds values[0, rows).
+size_t WidthFor(const int64_t* values, size_t rows, DataType type) {
+  if (rows == 0) return WidthOf(type);
+  const auto [lo, hi] = std::minmax_element(values, values + rows);
+  return NarrowestWidth(*lo, *hi, type);
 }
 
+// Writes `rows` int64 values into `v` at its physical width.
 void FillVector(const int64_t* values, size_t rows, Vector* v) {
-  switch (v->type()) {
-    case DataType::kInt8:
-      return NarrowInto<int8_t>(values, rows, v);
-    case DataType::kInt16:
-      return NarrowInto<int16_t>(values, rows, v);
-    case DataType::kInt32:
-    case DataType::kDate:
-      return NarrowInto<int32_t>(values, rows, v);
-    case DataType::kDictCode:
-      return NarrowInto<uint32_t>(values, rows, v);
-    case DataType::kInt64:
-    case DataType::kDecimal:
-      return NarrowInto<int64_t>(values, rows, v);
-  }
+  VisitPhysical(v->width(), v->type(), [&](auto t) {
+    using T = decltype(t);
+    T* out = v->Data<T>();
+    for (size_t r = 0; r < rows; ++r) out[r] = static_cast<T>(values[r]);
+  });
+  v->set_size(rows);
 }
 
 }  // namespace
@@ -151,10 +143,16 @@ Result<Table> LoadTable(const std::string& name,
   // Slice into chunks and deal them round-robin over partitions,
   // mirroring how LOAD's parallel scan threads fill RAPID nodes.
   std::vector<Partition> partitions(options.num_partitions);
+  std::vector<size_t> widths(specs.size());
   size_t chunk_index = 0;
   for (size_t start = 0; start < num_rows; start += options.rows_per_chunk) {
     const size_t rows = std::min(options.rows_per_chunk, num_rows - start);
-    Chunk chunk(table.schema(), rows);
+    // Each vector narrows to the width its own values need.
+    for (size_t c = 0; c < specs.size(); ++c) {
+      widths[c] =
+          WidthFor(source[c] + start, rows, table.schema().field(c).type);
+    }
+    Chunk chunk(table.schema(), rows, widths);
     for (size_t c = 0; c < specs.size(); ++c) {
       Vector& v = chunk.column(c);
       FillVector(source[c] + start, rows, &v);
@@ -193,6 +191,14 @@ Result<std::vector<Chunk*>> ApplyRowChanges(
     if (changes[i].values.size() != table->schema().num_fields()) {
       return Status::InvalidArgument("row change has wrong column count");
     }
+    for (size_t c = 0; c < changes[i].values.size(); ++c) {
+      const DataType type = table->schema().field(c).type;
+      if (!FitsWidth(changes[i].values[c], WidthOf(type), type)) {
+        return Status::InvalidArgument(
+            "row change value out of range for column '" +
+            table->schema().field(c).name + "'");
+      }
+    }
     const uint64_t row_id = changes[i].row_id;
     const uint64_t chunk_index = row_id / rows_per_chunk;
     const Partition& part = table->partition(chunk_index % num_partitions);
@@ -211,6 +217,7 @@ Result<std::vector<Chunk*>> ApplyRowChanges(
     Chunk* target = chunk_at(chunk_of[i]);
     const size_t row = changes[i].row_id % rows_per_chunk;
     for (size_t c = 0; c < changes[i].values.size(); ++c) {
+      // A value the vector's narrow width cannot hold widens it first.
       target->column(c).SetInt(row, changes[i].values[c]);
     }
   }

@@ -3,7 +3,7 @@
 // staged columnar data, applies the fixed-width encodings of
 // Section 4.2 (DSB for decimals, dictionary for strings, day numbers
 // for dates) and lays the table out as partitions -> chunks ->
-// vectors.
+// vectors, each vector at the narrowest width its values need.
 
 #ifndef RAPID_STORAGE_LOADER_H_
 #define RAPID_STORAGE_LOADER_H_
@@ -63,11 +63,13 @@ Result<Table> LoadTable(const std::string& name,
 // Applies a batch of full-row changes in place, in order, using the
 // table's load geometry; a row named twice keeps its last image.
 // `values` are pre-encoded (dict codes, DSB mantissas at the column
-// scale, day numbers). Every change's arity and row id are checked
-// before any cell is written, so a rejected batch changes nothing.
-// Returns each touched chunk once, in load order, with its encodings
-// as they were: the caller rebuilds (BuildChunkEncodings) or clears
-// them.
+// scale, day numbers). Every change's arity, row id and values (each
+// must fit its column's declared type) are checked before any cell is
+// written, so a rejected batch changes nothing. A value wider than its
+// vector's physical width widens that vector (Vector::SetInt); the
+// caller's encoding rebuild then packs runs at the new width. Returns
+// each touched chunk once, in load order, with its encodings as they
+// were: the caller rebuilds (BuildChunkEncodings) or clears them.
 Result<std::vector<Chunk*>> ApplyRowChanges(
     Table* table, const std::vector<RowChange>& changes);
 

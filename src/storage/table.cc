@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <type_traits>
 
 #include "common/mix64.h"
 
@@ -55,15 +56,17 @@ class FlatInt64Set {
   bool has_empty_key_ = false;
 };
 
-// Calls fn(data, rows) for column `col` of every chunk, with the
-// vector's native element type T.
-template <typename T, typename Fn>
+// Calls fn(data, rows) for column `col` of every chunk, with `data`
+// typed at each vector's own physical width (widths differ per chunk).
+template <typename Fn>
 void ForEachVector(const std::vector<Partition>& partitions, size_t col,
                    Fn&& fn) {
   for (const Partition& part : partitions) {
     for (size_t ci = 0; ci < part.num_chunks(); ++ci) {
       const Vector& v = part.chunk(ci).column(col);
-      fn(v.Data<T>(), v.size());
+      VisitPhysical(v.width(), v.type(), [&](auto t) {
+        fn(v.Data<decltype(t)>(), v.size());
+      });
     }
   }
 }
@@ -71,17 +74,22 @@ void ForEachVector(const std::vector<Partition>& partitions, size_t col,
 // Exact min/max/ndv of one column: a min/max pass, then a bitmap over
 // [min, max] when it needs no more 64-bit words than the column has
 // rows, else a flat hash set.
-template <typename T>
 void ComputeColumnStats(const std::vector<Partition>& partitions, size_t col,
                         ColumnStats* st) {
   size_t rows = 0;
-  T lo = std::numeric_limits<T>::max();
-  T hi = std::numeric_limits<T>::lowest();
-  ForEachVector<T>(partitions, col, [&](const T* data, size_t n) {
-    for (size_t r = 0; r < n; ++r) {
-      lo = std::min(lo, data[r]);
-      hi = std::max(hi, data[r]);
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::lowest();
+  ForEachVector(partitions, col, [&](const auto* data, size_t n) {
+    using T = std::remove_cvref_t<decltype(*data)>;
+    if (n == 0) return;
+    T vlo = data[0];
+    T vhi = data[0];
+    for (size_t r = 1; r < n; ++r) {
+      vlo = std::min(vlo, data[r]);
+      vhi = std::max(vhi, data[r]);
     }
+    lo = std::min<int64_t>(lo, vlo);
+    hi = std::max<int64_t>(hi, vhi);
     rows += n;
   });
   if (rows == 0) {
@@ -89,14 +97,14 @@ void ComputeColumnStats(const std::vector<Partition>& partitions, size_t col,
     st->ndv = 0;
     return;
   }
-  st->min = static_cast<int64_t>(lo);
-  st->max = static_cast<int64_t>(hi);
+  st->min = lo;
+  st->max = hi;
   // Unsigned difference: exact even when [min, max] spans all of int64.
   const uint64_t base = static_cast<uint64_t>(st->min);
   const uint64_t range = static_cast<uint64_t>(st->max) - base;
   if (range / 64 < rows) {
     std::vector<uint64_t> bits(range / 64 + 1, 0);
-    ForEachVector<T>(partitions, col, [&](const T* data, size_t n) {
+    ForEachVector(partitions, col, [&](const auto* data, size_t n) {
       for (size_t r = 0; r < n; ++r) {
         const uint64_t off =
             static_cast<uint64_t>(static_cast<int64_t>(data[r])) - base;
@@ -108,7 +116,7 @@ void ComputeColumnStats(const std::vector<Partition>& partitions, size_t col,
     st->ndv = ndv;
   } else {
     FlatInt64Set distinct;
-    ForEachVector<T>(partitions, col, [&](const T* data, size_t n) {
+    ForEachVector(partitions, col, [&](const auto* data, size_t n) {
       for (size_t r = 0; r < n; ++r) {
         distinct.Insert(static_cast<int64_t>(data[r]));
       }
@@ -157,26 +165,7 @@ Table Table::Clone() const {
 
 void Table::RecomputeStats() {
   for (size_t col = 0; col < schema_.num_fields(); ++col) {
-    ColumnStats* st = &stats_[col];
-    switch (schema_.field(col).type) {
-      case DataType::kInt8:
-        ComputeColumnStats<int8_t>(partitions_, col, st);
-        break;
-      case DataType::kInt16:
-        ComputeColumnStats<int16_t>(partitions_, col, st);
-        break;
-      case DataType::kInt32:
-      case DataType::kDate:
-        ComputeColumnStats<int32_t>(partitions_, col, st);
-        break;
-      case DataType::kDictCode:
-        ComputeColumnStats<uint32_t>(partitions_, col, st);
-        break;
-      case DataType::kInt64:
-      case DataType::kDecimal:
-        ComputeColumnStats<int64_t>(partitions_, col, st);
-        break;
-    }
+    ComputeColumnStats(partitions_, col, &stats_[col]);
   }
 }
 

@@ -30,9 +30,11 @@ struct ColumnStats {
   // the column. Tiles are rescaled to this scale when read, so
   // arithmetic across chunks operates on a uniform scale.
   int dsb_scale = 0;
-  // plain bytes / encoded bytes across all vectors of the column
-  // (>= 1; 1.0 when every vector stays plain). Set by the loader's
-  // encoding pass; QComp's scan costing and DMEM budgeting read it.
+  // plain bytes / encoded bytes across all vectors of the column, both
+  // counted at the declared width (>= 1; 1.0 when every vector stays
+  // plain): the RLE factor alone, since QComp sizes tiles from declared
+  // widths. Set by the loader's encoding pass; QComp's scan costing
+  // and DMEM budgeting read it.
   double compression_ratio = 1.0;
 };
 
@@ -40,10 +42,14 @@ struct ColumnStats {
 // same row count.
 class Chunk {
  public:
-  Chunk(const Schema& schema, size_t capacity) {
+  // Every vector at its column's declared width, or at widths[i].
+  Chunk(const Schema& schema, size_t capacity,
+        const std::vector<size_t>& widths = {}) {
     columns_.reserve(schema.num_fields());
-    for (const Field& f : schema.fields()) {
-      columns_.emplace_back(f.type, capacity);
+    for (size_t i = 0; i < schema.num_fields(); ++i) {
+      const DataType type = schema.field(i).type;
+      columns_.emplace_back(type, capacity,
+                            widths.empty() ? WidthOf(type) : widths[i]);
     }
   }
 

@@ -333,10 +333,10 @@ TEST_F(EncodedScanEngineTest, QueryReportExposesEncodedCounters) {
   ExpectSameRows(report.rows, plain_report.rows);
 }
 
-// Truncating-cast semantics: a constant outside the column's native
-// range must compare identically on the run-level and per-row paths
-// (both truncate to the native width first).
-TEST(EncodedScanTest, RunLevelFilterKeepsTruncatingCastSemantics) {
+// A constant outside the column's range compares as int64 (never
+// truncated to the narrow element type) on the run-level and per-row
+// paths alike, for every operator and BETWEEN.
+TEST(EncodedScanTest, RunLevelFilterSaturatesOutOfRangeConstants) {
   std::vector<storage::ColumnSpec> specs = {
       {"b", storage::ColumnKind::kInt8},
       {"id", storage::ColumnKind::kInt32}};
@@ -350,22 +350,38 @@ TEST(EncodedScanTest, RunLevelFilterKeepsTruncatingCastSemantics) {
                        storage::LoadTable("t8", specs, data));
   ASSERT_OK(engine.Load(std::move(table)));
 
-  // 300 truncates to (int8)44: the predicate must match the 44-runs
-  // on both paths.
-  auto plan = LogicalNode::Scan(
-      "t8", {"id"}, {Predicate::CmpConst("b", CmpOp::kEq, 300, 0.3)});
-  QueryResult off_run;
-  QueryResult auto_run;
-  {
-    ScopedConfig off(&Config::encoded_scan, EncodedScanMode::kOff);
-    ASSERT_OK_AND_ASSIGN(off_run, engine.Execute(plan));
+  // 300 would truncate to (int8)44; -300 to (int8)-44.
+  struct Case {
+    Predicate pred;
+    size_t rows;
+  };
+  const Case cases[] = {
+      {Predicate::CmpConst("b", CmpOp::kEq, 300, 0.3), 0},
+      {Predicate::CmpConst("b", CmpOp::kNe, 300, 0.3), 4096},
+      {Predicate::CmpConst("b", CmpOp::kLt, 300, 0.3), 4096},
+      {Predicate::CmpConst("b", CmpOp::kLe, 300, 0.3), 4096},
+      {Predicate::CmpConst("b", CmpOp::kGt, 300, 0.3), 0},
+      {Predicate::CmpConst("b", CmpOp::kGe, -300, 0.3), 4096},
+      {Predicate::CmpConst("b", CmpOp::kLt, -300, 0.3), 0},
+      {Predicate::Between("b", -300, 300, 0.3), 4096},
+      {Predicate::Between("b", 300, 600, 0.3), 0},
+      {Predicate::Between("b", 20, 300, 0.3), 1536},
+  };
+  for (const Case& c : cases) {
+    auto plan = LogicalNode::Scan("t8", {"id"}, {c.pred});
+    QueryResult off_run;
+    QueryResult auto_run;
+    {
+      ScopedConfig off(&Config::encoded_scan, EncodedScanMode::kOff);
+      ASSERT_OK_AND_ASSIGN(off_run, engine.Execute(plan));
+    }
+    {
+      ScopedConfig on(&Config::encoded_scan, EncodedScanMode::kAuto);
+      ASSERT_OK_AND_ASSIGN(auto_run, engine.Execute(plan));
+    }
+    EXPECT_EQ(off_run.rows.num_rows(), c.rows) << c.pred.value;
+    ExpectSameRows(off_run.rows, auto_run.rows);
   }
-  {
-    ScopedConfig on(&Config::encoded_scan, EncodedScanMode::kAuto);
-    ASSERT_OK_AND_ASSIGN(auto_run, engine.Execute(plan));
-  }
-  EXPECT_GT(off_run.rows.num_rows(), 0u);
-  ExpectSameRows(off_run.rows, auto_run.rows);
 }
 
 }  // namespace

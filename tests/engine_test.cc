@@ -531,7 +531,11 @@ TEST_F(EngineTest, EmptyResultsKeepDerivedMetas) {
        LogicalNode::GroupBy(none(cols),
                             {{"k", rebased}, {"f_day", Expr::Col("f_day")}},
                             aggs)},
-      {"keyless", LogicalNode::GroupBy(none(cols), {}, aggs)},
+      // Keyless over no rows, only COUNTs have a value (no NULL).
+      {"keyless",
+       LogicalNode::GroupBy(none(cols), {},
+                            {{"cnt", AggFunc::kCount, nullptr, {}},
+                             {"cnt_gross", AggFunc::kCount, gross, {}}})},
       {"scan project", LogicalNode::Project(none(cols), projections)},
       {"join project",
        LogicalNode::Project(

@@ -398,10 +398,18 @@ TEST_F(FuzzTest, RandomSelfJoinPlansAgreeAcrossEngines) {
            {"n", core::AggFunc::kCount, nullptr, {}}});
     }
     auto rapid_result = engine_.Execute(plan);
+    auto host_result = hostdb::VolcanoExecutor::Execute(plan, host_catalog_);
+    if (!host_result.ok()) {
+      // A keyless SUM over an empty join has no value: both engines
+      // refuse it alike.
+      EXPECT_EQ(host_result.status().code(), StatusCode::kNotSupported)
+          << trial << ": " << host_result.status().ToString();
+      EXPECT_EQ(rapid_result.status().code(), StatusCode::kNotSupported)
+          << trial << ": " << rapid_result.status().ToString();
+      continue;
+    }
     ASSERT_TRUE(rapid_result.ok())
         << trial << ": " << rapid_result.status().ToString();
-    auto host_result = hostdb::VolcanoExecutor::Execute(plan, host_catalog_);
-    ASSERT_TRUE(host_result.ok()) << trial;
     ExpectSameRows(rapid_result.value().rows, host_result.value());
   }
 }

@@ -23,6 +23,7 @@
 #include "core/engine.h"
 #include "core/ops/join_exec.h"
 #include "core/ops/partition_exec.h"
+#include "core/qcomp/planner.h"
 #include "dpu/ate.h"
 #include "dpu/dpu.h"
 #include "hostdb/database.h"
@@ -227,6 +228,61 @@ TEST_F(FaultEngineTest, TransientDmsFaultIsRetriedAndQuerySucceeds) {
   EXPECT_EQ(FaultInjector::Instance().failures(faults::kDmsTransfer), 2u);
   EXPECT_GT(FaultInjector::Instance().hits(faults::kDmsTransfer), 2u);
   ExpectSameRows(faulted.rows, clean.rows);
+}
+
+// The partitioned join streams its build and probe tiles through
+// Dms::LoadTile, so a descriptor fault inside the join's load is polled
+// at "dms.transfer" like any other tile transfer. One exhausted
+// descriptor there fails the HASHJOIN step; the retry resumes from the
+// checkpointed partitions and returns the clean rows.
+TEST_F(FaultEngineTest, JoinLoadFaultResumesBitIdentical) {
+  auto [specs, data] = DimData(4000);
+  ASSERT_OK(host_.CreateTable("big_d", specs, data));
+  ASSERT_OK(host_.LoadToRapid("big_d", &engine_));
+  const LogicalPtr plan =
+      LogicalNode::Join(LogicalNode::Scan("t", {"id", "v"}),
+                        LogicalNode::Scan("big_d", {"k", "w"}), {"id"},
+                        {"k"}, {"id", "v", "w"});
+  ExecOptions options;
+  options.retry_budget = 2;
+  ASSERT_OK_AND_ASSIGN(QueryResult clean, engine_.Execute(plan, options));
+  ASSERT_EQ(clean.rows.num_rows(), 4000u);
+
+  core::Planner planner(engine_.dpu().config(), engine_.dpu().params(),
+                        options.planner);
+  ASSERT_OK_AND_ASSIGN(core::PhysicalPlan physical,
+                       planner.Plan(plan, engine_.catalog()));
+  int join = -1;
+  for (const auto& step : physical.steps) {
+    if (dynamic_cast<const core::JoinStep*>(step.get()) != nullptr) {
+      join = step->id();
+    }
+  }
+  ASSERT_GE(join, 0) << physical.Describe();
+  // Tile-transfer descriptors of the steps before the join, then of
+  // the join itself (its build and probe tile loads).
+  auto prefix_polls = [&](int steps) {
+    core::PhysicalPlan prefix = planner.Plan(plan, engine_.catalog()).value();
+    prefix.steps.resize(static_cast<size_t>(steps));
+    prefix.root = steps - 1;
+    return CleanPollCount(faults::kDmsTransfer, [&] {
+      ASSERT_OK(engine_.ExecutePhysical(prefix, options).status());
+    });
+  };
+  const uint64_t before = prefix_polls(join);
+  const uint64_t polls = prefix_polls(join + 1) - before;
+  ASSERT_GT(polls, 0u) << physical.Describe();
+
+  ScopedFaultInjection fi(64);
+  FaultInjector::SiteSpec spec;
+  spec.skip_first = before + polls / 2;
+  spec.max_failures = 4;  // exhausts exactly one descriptor
+  fi.Arm(faults::kDmsTransfer, spec);
+  ASSERT_OK_AND_ASSIGN(QueryResult retried, engine_.Execute(plan, options));
+  EXPECT_EQ(FaultInjector::Instance().failures(faults::kDmsTransfer), 4u);
+  EXPECT_EQ(retried.stats.dpu_retries, 1u);
+  EXPECT_FALSE(retried.stats.demoted_to_unfused);
+  EXPECT_EQ(SortedRows(retried.rows), SortedRows(clean.rows));
 }
 
 TEST_F(FaultEngineTest, PersistentDmsFaultSurfacesAsRetryExhausted) {

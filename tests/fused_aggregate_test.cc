@@ -18,6 +18,7 @@
 #include "common/simd.h"
 #include "core/engine.h"
 #include "hostdb/database.h"
+#include "hostdb/volcano.h"
 #include "storage/loader.h"
 #include "tests/test_util.h"
 #include "tpch/queries.h"
@@ -322,9 +323,72 @@ TEST(FusedAggregateTest, AllRowsFilteredMatchesUnfused) {
       engines,
       LogicalNode::GroupBy(none(), {{"g", Expr::Col("g")}}, FilteredAggs()),
       "keyed");
-  ExpectFusedMatchesUnfused(engines,
-                            LogicalNode::GroupBy(none(), {}, FilteredAggs()),
+  // Keyless, only COUNTs have a value over no rows (see
+  // KeylessAggregateOverNoRows).
+  const std::vector<core::AggSpec> counts = {
+      {"cnt_f", AggFunc::kCount, nullptr,
+       std::make_shared<Predicate>(Predicate::CmpConst("f", CmpOp::kLt, 4))},
+      {"cnt", AggFunc::kCount, nullptr, {}}};
+  ExpectFusedMatchesUnfused(engines, LogicalNode::GroupBy(none(), {}, counts),
                             "global");
+}
+
+// A keyless aggregate over no rows: one row of COUNT zeros, or, for a
+// SUM, MIN or MAX (these engines have no NULL), a NotSupported error
+// rather than an empty OK result. Both engines, fused and unfused, on
+// every engine and SIMD tier.
+TEST(FusedAggregateTest, KeylessAggregateOverNoRows) {
+  const Synthetic data(3000, 0);
+  const auto engines = LoadEverywhere(data.specs, data.data, 512);
+  core::Catalog host;
+  {
+    auto table = storage::LoadTable("s", data.specs, data.data);
+    RAPID_CHECK_OK(table.status());
+    host.emplace("s", std::move(table).value());
+  }
+  const auto none = [] {
+    return LogicalNode::Scan("s", {"dk", "g", "v", "f"},
+                             {Predicate::CmpConst("f", CmpOp::kGt, 100)});
+  };
+  const std::vector<core::AggSpec> counts = {
+      {"cnt", AggFunc::kCount, nullptr, {}},
+      {"cnt_v", AggFunc::kCount, Expr::Col("v"), {}}};
+  const LogicalPtr count_plan = LogicalNode::GroupBy(none(), {}, counts);
+  auto want = hostdb::VolcanoExecutor::Execute(count_plan, host);
+  ASSERT_OK(want.status());
+  ASSERT_EQ(want.value().num_rows(), 1u);
+  EXPECT_EQ(want.value().Value(0, 0), 0);
+  EXPECT_EQ(want.value().Value(0, 1), 0);
+  for (const AggFunc func : {AggFunc::kSum, AggFunc::kMin, AggFunc::kMax}) {
+    const LogicalPtr plan = LogicalNode::GroupBy(
+        none(), {},
+        {{"cnt", AggFunc::kCount, nullptr, {}},
+         {"x", func, Expr::Col("v"), {}}});
+    const auto host_result = hostdb::VolcanoExecutor::Execute(plan, host);
+    EXPECT_EQ(host_result.status().code(), StatusCode::kNotSupported)
+        << host_result.status().ToString();
+  }
+  for (int l = 0; l <= static_cast<int>(SimdLevelSupported()); ++l) {
+    ScopedConfig config(&Config::simd, static_cast<SimdLevel>(l));
+    for (size_t e = 0; e < engines.size(); ++e) {
+      for (const bool fused : {true, false}) {
+        const std::string where = "level " + std::to_string(l) + " cores " +
+                                  std::to_string(kCoreCounts[e]) +
+                                  (fused ? " fused" : " unfused");
+        ASSERT_OK_AND_ASSIGN(QueryResult got,
+                             engines[e]->Execute(count_plan, Fused(fused)));
+        ExpectIdentical(got.rows, want.value(), where);
+        for (const AggFunc func :
+             {AggFunc::kSum, AggFunc::kMin, AggFunc::kMax}) {
+          const LogicalPtr plan = LogicalNode::GroupBy(
+              none(), {}, {{"x", func, Expr::Col("v"), {}}});
+          const auto result = engines[e]->Execute(plan, Fused(fused));
+          EXPECT_EQ(result.status().code(), StatusCode::kNotSupported)
+              << where << ": " << result.status().ToString();
+        }
+      }
+    }
+  }
 }
 
 TEST(FusedAggregateTest, CoresWithoutRowsLeaveTheScalesAlone) {
