@@ -9,6 +9,7 @@
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/trace.h"
+#include "core/ops/sink_op.h"
 #include "primitives/bloom.h"
 #include "primitives/hash.h"
 #include "primitives/join_kernel.h"
@@ -147,10 +148,10 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
       extra = 1 << max_extra_bits;
     }
     auto sub_build = PartitionExec::Repartition(
-        core, params, build, spec.build_keys, extra, bits_used,
+        core, dpu.dms(), build, spec.build_keys, extra, bits_used,
         spec.tile_rows);
     auto sub_probe = PartitionExec::Repartition(
-        core, params, probe, spec.probe_keys, extra, bits_used,
+        core, dpu.dms(), probe, spec.probe_keys, extra, bits_used,
         spec.tile_rows);
     if (sub_build.ok() && sub_probe.ok()) {
       ++result->stats.repartitioned_partitions;
@@ -189,10 +190,12 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
       spec.hard_capacity && build_rows > spec.dmem_capacity_rows;
   if (!build_fault.ok() || hard_overflow) {
     if (overflow_budget > 0 && bits_used + 1 < 32 && build_rows > 1) {
-      auto sub_build = PartitionExec::Repartition(
-          core, params, build, spec.build_keys, 2, bits_used, spec.tile_rows);
-      auto sub_probe = PartitionExec::Repartition(
-          core, params, probe, spec.probe_keys, 2, bits_used, spec.tile_rows);
+      auto sub_build =
+          PartitionExec::Repartition(core, dpu.dms(), build, spec.build_keys,
+                                     2, bits_used, spec.tile_rows);
+      auto sub_probe =
+          PartitionExec::Repartition(core, dpu.dms(), probe, spec.probe_keys,
+                                     2, bits_used, spec.tile_rows);
       if (sub_build.ok() && sub_probe.ok()) {
         ++result->stats.overflow_recoveries;
         const uint64_t saved_build = result->stats.build_rows;
@@ -292,7 +295,7 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
       // DMS streams the build tile into DMEM (overlapped).
       RAPID_RETURN_NOT_OK(dpu.dms().LoadTile(&core.cycles(),
                                              static_cast<int>(bkeys.size()),
-                                             rows, sizeof(int64_t)));
+                                             rows, build.RowBytes(bkeys)));
     }
   }
 
@@ -483,7 +486,7 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
                                 static_cast<double>(tile_stats.overflow_steps));
     RAPID_RETURN_NOT_OK(dpu.dms().LoadTile(
         &core.cycles(), static_cast<int>(pkeys.size()), rows,
-        sizeof(int64_t)));
+        probe.RowBytes(pkeys)));
     probe_stats.Merge(tile_stats);
   }
   probe_span.Annotate("matches", static_cast<uint64_t>(probe_stats.matches));
@@ -501,6 +504,11 @@ std::vector<ColumnMeta> JoinExec::OutputMetas(const ColumnSet& build,
   for (const JoinSpec::Output& o : spec.outputs) {
     metas.push_back(o.from_build ? build.meta(o.column)
                                  : probe.meta(o.column));
+    // A left-outer join's unmatched rows carry kJoinNull on the build
+    // side, which only 8 bytes hold.
+    if (o.from_build && spec.type == JoinType::kLeftOuter) {
+      metas.back().width = sizeof(int64_t);
+    }
   }
   return metas;
 }
@@ -554,9 +562,22 @@ Result<ColumnSet> JoinExec::Execute(dpu::Dpu& dpu, const PartitionedData& build,
                       static_cast<uint64_t>(build.partitions[pair].num_rows()));
         span.Annotate("probe_rows",
                       static_cast<uint64_t>(probe.partitions[pair].num_rows()));
-        return JoinPair(dpu, core, build.partitions[pair],
-                        probe.partitions[pair], spec, build.bits_used, cancel,
-                        kMaxOverflowRecoveries, &results[pair]);
+        RAPID_RETURN_NOT_OK(JoinPair(dpu, core, build.partitions[pair],
+                                     probe.partitions[pair], spec,
+                                     build.bits_used, cancel,
+                                     kMaxOverflowRecoveries, &results[pair]));
+        // The pair's output goes to DRAM as a pipeline's does
+        // (MaterializeSink): one unpolled chain per staging half, each
+        // row at its metas' widths.
+        const ColumnSet& out = results[pair].output;
+        const size_t half = StagingHalfRows(out, spec.tile_rows);
+        for (size_t start = 0; start < out.num_rows(); start += half) {
+          dpu.dms().ChargeTile(&core.cycles(),
+                               static_cast<int>(out.num_columns()),
+                               std::min(half, out.num_rows() - start),
+                               out.RowBytes());
+        }
+        return Status::OK();
       }));
 
   ColumnSet merged(metas);

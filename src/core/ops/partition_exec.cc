@@ -28,33 +28,22 @@ Status ValidatePartitionScheme(const PartitionScheme& scheme) {
   return Status::OK();
 }
 
-size_t LogicalRowBytes(const ColumnSet& set) {
-  size_t bytes = 0;
-  for (size_t c = 0; c < set.num_columns(); ++c) {
-    bytes += storage::WidthOf(set.meta(c).type);
-  }
-  return bytes;
-}
-
-void ChargePartitionTile(dpu::CycleCounter& cycles,
-                         const dpu::CostParams& params,
+void ChargePartitionTile(const dpu::Dms& dms, dpu::CycleCounter& cycles,
                          const PartitionRound& round, size_t rows,
                          size_t num_cols, size_t row_bytes) {
   // One partition-engine pass moves the tile's data (read + partitioned
   // write); the dpCore's software stage runs the map/gather loops for
   // the software share of the fan-out. A pure hardware round's dpCore
-  // only drains DMEM buffers.
+  // only drains DMEM buffers. The pass is charged unpolled: the tile
+  // belongs to its unit's or morsel's descriptor chain, which polled
+  // "dms.partition" once before its first tile.
   const int sw_fanout = round.fanout / round.hw_fanout;
-  cycles.ChargeDms(
-      round.hw_fanout > 1
-          ? dpu::HwPartitionCycles(params, dpu::HwPartitionStrategy::kHash, 1,
-                                   rows, rows * row_bytes)
-          : static_cast<double>(rows * row_bytes) /
-                params.partition_bytes_per_cycle);
+  dms.ChargePartition(&cycles, /*hardware=*/round.hw_fanout > 1, /*keys=*/1,
+                      rows, rows * row_bytes);
   cycles.ChargeCompute(sw_fanout > 1
                            ? dpu::SwPartitionTileCycles(
-                                 params, rows, static_cast<int>(num_cols),
-                                 sw_fanout)
+                                 dms.params(), rows,
+                                 static_cast<int>(num_cols), sw_fanout)
                            : static_cast<double>(rows));
 }
 
@@ -117,7 +106,7 @@ RoundOutput LayoutRound(const std::vector<WorkUnit>& units,
 // (streaming stores on AVX2) with pooled tile scratch. The DMS charge
 // covers the full stream through the partition engine (staging,
 // CRC/CID resolution and the scatter back to DRAM, cf. Figure 8).
-Status ScatterUnit(dpu::DpCore& core, const dpu::CostParams& params,
+Status ScatterUnit(dpu::DpCore& core, const dpu::Dms& dms,
                    const ColumnSet& bucket, const std::vector<uint32_t>& hashes,
                    const std::vector<WorkUnit>& units, size_t u,
                    const PartitionRound& round, int shift, size_t tile_rows,
@@ -129,7 +118,7 @@ Status ScatterUnit(dpu::DpCore& core, const dpu::CostParams& params,
       out->hashes.empty() ? nullptr : &out->hashes[unit.bucket * ufanout];
   size_t* cursor = &out->cursors[u * ufanout];
   const size_t num_cols = bucket.num_columns();
-  const size_t row_bytes = LogicalRowBytes(bucket);
+  const size_t row_bytes = bucket.RowBytes();
 
   const primitives::simd::PartitionKernelTable& kernels =
       primitives::simd::partition_kernels();
@@ -175,7 +164,7 @@ Status ScatterUnit(dpu::DpCore& core, const dpu::CostParams& params,
       }
     }
 
-    ChargePartitionTile(core.cycles(), params, round, rows, num_cols,
+    ChargePartitionTile(dms, core.cycles(), round, rows, num_cols,
                         row_bytes);
   }
   return Status::OK();
@@ -281,7 +270,7 @@ Result<PartitionedData> PartitionExec::Execute(
           // chain; transient faults are retried inside RunDescriptor.
           RAPID_RETURN_NOT_OK(
               dpu.dms().RunDescriptor(&core.cycles(), faults::kDmsPartition));
-          return ScatterUnit(core, dpu.params(),
+          return ScatterUnit(core, dpu.dms(),
                              buckets.empty() ? input : buckets[unit.bucket],
                              bucket_hashes[unit.bucket], units, u, round,
                              shift, tile_rows, cancel, &next);
@@ -319,12 +308,14 @@ Result<PartitionedData> PartitionExec::Execute(
 }
 
 Result<std::vector<ColumnSet>> PartitionExec::Repartition(
-    dpu::DpCore& core, const dpu::CostParams& params, const ColumnSet& input,
+    dpu::DpCore& core, const dpu::Dms& dms, const ColumnSet& input,
     const std::vector<size_t>& key_cols, int extra_fanout, int bits_used,
     size_t tile_rows) {
   if (extra_fanout < 2 || (extra_fanout & (extra_fanout - 1)) != 0) {
     return Status::InvalidArgument("repartition fan-out must be power of 2");
   }
+  RAPID_RETURN_NOT_OK(
+      dms.RunDescriptor(&core.cycles(), faults::kDmsPartition));
   const std::vector<std::vector<uint32_t>> hashes{HashColumn(input, key_cols)};
   const std::vector<WorkUnit> units{WorkUnit{0, 0, input.num_rows()}};
   RoundOutput out = LayoutRound(units, hashes, input.metas(), extra_fanout,
@@ -332,7 +323,7 @@ Result<std::vector<ColumnSet>> PartitionExec::Repartition(
   // One unit on the detecting core: large-skew repartitioning is
   // introduced dynamically for a single oversized partition. No cancel
   // token — the caller owns cancellation at its own tile boundaries.
-  RAPID_RETURN_NOT_OK(ScatterUnit(core, params, input, hashes[0], units, 0,
+  RAPID_RETURN_NOT_OK(ScatterUnit(core, dms, input, hashes[0], units, 0,
                                   PartitionRound{extra_fanout, 1}, bits_used,
                                   tile_rows, /*cancel=*/nullptr, &out));
   return std::move(out.buckets);

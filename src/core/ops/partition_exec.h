@@ -90,17 +90,13 @@ struct PartitionProgress {
 // hardware fan-out divides, and there is at least one round.
 Status ValidatePartitionScheme(const PartitionScheme& scheme);
 
-// Logical row width of a ColumnSet: physical widths of the logical
-// types (intermediates are stored widened, but the DMS moves the
-// encoded widths on the real machine, so cycle charges use these).
-size_t LogicalRowBytes(const ColumnSet& set);
-
 // The modeled cost of partitioning one tile of `rows` rows (`num_cols`
-// columns, `row_bytes` logical bytes per row) in `round`: the partition
-// engine's pass on the DMS and the software fan-out on the dpCore.
-// PartitionExec's rounds and a pipeline's partition sink both pay it.
-void ChargePartitionTile(dpu::CycleCounter& cycles,
-                         const dpu::CostParams& params,
+// columns, `row_bytes` bytes per row at their physical widths,
+// ColumnSet::RowBytes) in `round`: the partition engine's pass on the
+// DMS and the software fan-out on the dpCore. PartitionExec's rounds
+// and a pipeline's partition sink both pay it, each tile under the
+// "dms.partition" descriptor its work unit or morsel polled once.
+void ChargePartitionTile(const dpu::Dms& dms, dpu::CycleCounter& cycles,
                          const PartitionRound& round, size_t rows,
                          size_t num_cols, size_t row_bytes);
 
@@ -130,9 +126,10 @@ class PartitionExec {
 
   // Re-partitions a single oversized partition `extra_fanout` more
   // ways (the large-skew handler, Section 6.4), starting at hash bit
-  // `bits_used`. Runs on `core` (the core that detected the skew).
+  // `bits_used`. Runs on `core` (the core that detected the skew) as
+  // one work unit: one polled "dms.partition" descriptor chain.
   static Result<std::vector<ColumnSet>> Repartition(
-      dpu::DpCore& core, const dpu::CostParams& params,
+      dpu::DpCore& core, const dpu::Dms& dms,
       const ColumnSet& input, const std::vector<size_t>& key_cols,
       int extra_fanout, int bits_used, size_t tile_rows);
 

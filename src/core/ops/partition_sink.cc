@@ -56,7 +56,7 @@ Status PartitionSink::Consume(ExecCtx& ctx, const Tile& tile) {
   part_of_.resize(old + tile.rows);
   tile_counts_.resize(static_cast<size_t>(round_.fanout));
   const size_t num_cols = rows_->num_columns();
-  const size_t row_bytes = LogicalRowBytes(*rows_);
+  const size_t row_bytes = rows_->RowBytes();
   for (size_t start = 0; start < tile.rows; start += round_tile_rows_) {
     const size_t n = std::min(round_tile_rows_, tile.rows - start);
     primitives::ComputePartitionIndex(hashes + start, n, round_.fanout, 0,
@@ -65,7 +65,7 @@ Status PartitionSink::Consume(ExecCtx& ctx, const Tile& tile) {
     for (size_t p = 0; p < tile_counts_.size(); ++p) {
       (*counts_)[p] += tile_counts_[p];
     }
-    ChargePartitionTile(ctx.cycles(), *ctx.params, round_, n, num_cols,
+    ChargePartitionTile(*ctx.dms, ctx.cycles(), round_, n, num_cols,
                         row_bytes);
   }
   return Status::OK();

@@ -95,9 +95,9 @@ Status HashJoinProbeOp::Open(ExecCtx& ctx) {
     }
     ctx.ChargeCompute(dpu::JoinBuildTileCycles(*ctx.params, n));
     ctx.ChargeVectorizationPenalty(n);
-    ctx.ChargeDms(dpu::DmsTileTransferCycles(
-        *ctx.params, static_cast<int>(spec_.build_keys.size()), n,
-        sizeof(int64_t), false));
+    RAPID_RETURN_NOT_OK(ctx.dms->LoadTile(
+        &ctx.cycles(), static_cast<int>(spec_.build_keys.size()), n,
+        build.RowBytes(spec_.build_keys)));
   }
   stats_.build_rows = rows;
   if (table_->overflowed()) ++stats_.overflowed_partitions;

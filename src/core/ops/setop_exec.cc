@@ -1,10 +1,12 @@
 #include "core/ops/setop_exec.h"
 
+#include <algorithm>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/fault.h"
 
 namespace rapid::core {
 
@@ -47,14 +49,28 @@ Result<ColumnSet> SetOpExec::Execute(dpu::Dpu& dpu, SetOpKind kind,
   for (size_t i = 0; i < right.num_rows(); ++i) {
     rpart[RowHash(right, i) % kFanout].push_back(static_cast<uint32_t>(i));
   }
-  dpu.core(0).cycles().ChargeDms(dpu::HwPartitionCycles(
-      dpu.params(), dpu::HwPartitionStrategy::kHash,
-      static_cast<int>(left.num_columns()),
+  // One partition-engine pass over both inputs, each row at its
+  // columns' physical widths, on one descriptor chain.
+  dpu::CycleCounter& cycles = dpu.core(0).cycles();
+  RAPID_RETURN_NOT_OK(dpu.dms().RunDescriptor(&cycles, faults::kDmsPartition));
+  dpu.dms().ChargePartition(
+      &cycles, /*hardware=*/true, static_cast<int>(left.num_columns()),
       left.num_rows() + right.num_rows(),
-      (left.num_rows() + right.num_rows()) * left.num_columns() *
-          sizeof(int64_t)));
+      left.num_rows() * left.RowBytes() + right.num_rows() * right.RowBytes());
 
-  std::vector<ColumnSet> per_part(kFanout, ColumnSet(left.metas()));
+  // A UNION's rows come from both inputs: each column is as wide as
+  // the wider side's, and 8 bytes wide when the sides' element types
+  // differ.
+  std::vector<ColumnMeta> metas = left.metas();
+  if (kind == SetOpKind::kUnion) {
+    for (size_t c = 0; c < metas.size(); ++c) {
+      const ColumnMeta& r = right.meta(c);
+      metas[c].width = metas[c].type == r.type
+                           ? std::max(metas[c].width, r.width)
+                           : sizeof(int64_t);
+    }
+  }
+  std::vector<ColumnSet> per_part(kFanout, ColumnSet(metas));
   std::vector<double> weights(kFanout);
   for (size_t p = 0; p < kFanout; ++p) {
     weights[p] = static_cast<double>(lpart[p].size() + rpart[p].size());
@@ -104,7 +120,7 @@ Result<ColumnSet> SetOpExec::Execute(dpu::Dpu& dpu, SetOpKind kind,
         return Status::OK();
       }));
 
-  ColumnSet merged(left.metas());
+  ColumnSet merged(metas);
   for (const ColumnSet& cs : per_part) merged.Append(cs);
   return merged;
 }

@@ -5,6 +5,7 @@
 #ifndef RAPID_CORE_OPS_SINK_OP_H_
 #define RAPID_CORE_OPS_SINK_OP_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "core/qef/column_set.h"
@@ -27,11 +28,23 @@ inline void AppendTile(const Tile& tile, ColumnSet* out) {
   }
 }
 
+// Rows one half of a store's staging holds: each half has `tile_rows`
+// 8-byte values per column, so it takes 8 / w times as many rows of
+// `set`'s widest column width w. A store ships one descriptor chain
+// per full half.
+inline size_t StagingHalfRows(const ColumnSet& set, size_t tile_rows) {
+  size_t widest = 1;
+  for (const ColumnMeta& m : set.metas()) widest = std::max(widest, m.width);
+  return tile_rows * sizeof(int64_t) / widest;
+}
+
 class MaterializeSink : public PipelineOp {
  public:
   // `out` is the per-core destination; metas define the output schema
-  // (tile columns are matched positionally).
-  explicit MaterializeSink(ColumnSet* out) : out_(out) {}
+  // (tile columns are matched positionally). `tile_rows` sizes the
+  // sink's DMEM staging (StagingHalfRows).
+  MaterializeSink(ColumnSet* out, size_t tile_rows)
+      : out_(out), half_rows_(StagingHalfRows(*out, tile_rows)) {}
 
   size_t DmemBytes(size_t tile_rows) const override {
     // Output staging buffers, double-buffered for the write direction.
@@ -40,19 +53,35 @@ class MaterializeSink : public PipelineOp {
 
   Status Open(ExecCtx&) override { return Status::OK(); }
 
+  // Rows collect in the staging half until it is full; each full half
+  // is one DMS descriptor chain storing every column at its meta's
+  // physical width.
   Status Consume(ExecCtx& ctx, const Tile& tile) override {
     AppendTile(tile, out_);
-    // DMS write stream: one descriptor chain per tile.
-    ctx.ChargeDms(dpu::DmsTileTransferCycles(
-        *ctx.params, static_cast<int>(tile.columns.size()), tile.rows,
-        sizeof(int64_t), /*read_write=*/false));
+    staged_ += tile.rows;
+    while (staged_ >= half_rows_) {
+      Store(ctx, half_rows_);
+      staged_ -= half_rows_;
+    }
     return Status::OK();
   }
 
-  Status Finish(ExecCtx&) override { return Status::OK(); }
+  // The morsel's last, partly filled half.
+  Status Finish(ExecCtx& ctx) override {
+    if (staged_ > 0) Store(ctx, staged_);
+    staged_ = 0;
+    return Status::OK();
+  }
 
  private:
+  void Store(ExecCtx& ctx, size_t rows) {
+    ctx.dms->ChargeTile(&ctx.cycles(), static_cast<int>(out_->num_columns()),
+                        rows, out_->RowBytes());
+  }
+
   ColumnSet* out_;
+  size_t half_rows_;
+  size_t staged_ = 0;  // rows in the staging half not yet stored
 };
 
 }  // namespace rapid::core

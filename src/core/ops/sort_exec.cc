@@ -171,9 +171,9 @@ Result<ColumnSet> SortExec::Execute(dpu::Dpu& dpu, const ColumnSet& input,
     dst.resize(perm.size());
     for (size_t i = 0; i < perm.size(); ++i) dst[i] = src[perm[i]];
   }
-  // Gathering the payload by the sorted permutation is a DMS gather.
-  dpu.core(0).cycles().ChargeDms(dpu::DmsGatherCycles(
-      dpu.params(), perm.size() * input.num_columns(), sizeof(int64_t)));
+  // Gathering the payload by the sorted permutation is a DMS gather of
+  // each row's columns at their physical widths.
+  dpu.dms().ChargeGather(&dpu.core(0).cycles(), perm.size(), input.RowBytes());
   return out;
 }
 

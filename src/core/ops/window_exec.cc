@@ -73,6 +73,7 @@ Result<ColumnSet> WindowExec::Execute(dpu::Dpu& dpu, const ColumnSet& input,
         spec.func == WindowFunc::kPartitionSum) {
       m = sorted.meta(spec.value_column);
       m.name = spec.output_name;
+      m.width = sizeof(int64_t);  // a sum outgrows its input's width
     }
     metas.push_back(m);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include "core/ops/sink_op.h"
 #include "core/qef/relation_accessor.h"
 #include "primitives/bloom.h"
+#include "storage/dsb.h"
 
 namespace rapid::core {
 
@@ -109,12 +111,13 @@ bool BuildJoinFilter(ExecEnv& env, const JoinFilterRef& ref,
   const dpu::CostParams& p = env.dpu->params();
   const double insert_cycles = p.bloom_insert_cycles_per_row / p.simd.bloom *
                                static_cast<double>(rows);
-  const double dms_cycles =
-      dpu::DmsTileTransferCycles(p, 1, rows, 8, /*read_write=*/false) +
-      static_cast<double>(filter->bytes()) / p.dram_bytes_per_cycle;
+  const size_t key_width = build.set.meta(kcol).width;
+  const dpu::Dms& dms = env.dpu->dms();
   env.dpu->ParallelFor([&](dpu::DpCore& core) {
     core.cycles().ChargeCompute(insert_cycles);
-    core.cycles().ChargeDms(dms_cycles);
+    // The key column at its physical width, then the filter's bits.
+    dms.ChargeTile(&core.cycles(), 1, rows, key_width);
+    dms.ChargeStream(&core.cycles(), filter->bytes());
     if (core.id() == 0) {
       core.counters().join_filter_built += 1;
       core.counters().filter_bytes += filter->bytes();
@@ -122,6 +125,34 @@ bool BuildJoinFilter(ExecEnv& env, const JoinFilterRef& ref,
   });
   span.Annotate("filter_bytes", static_cast<int64_t>(filter->bytes()));
   return true;
+}
+
+// Physical width of base column `col` as the accessor hands it on:
+// the widest of its vectors' widths over `chunks`, where a decimal
+// vector below the column-level `scale` grows by the rescale's factor.
+// Proven from widths and scales alone, never from sampled values, so a
+// write that widens one vector widens the next query's intermediates.
+size_t SourceWidth(const std::vector<const storage::Chunk*>& chunks,
+                   size_t col, int scale) {
+  size_t width = 1;
+  for (const storage::Chunk* chunk : chunks) {
+    const storage::Vector& vec = chunk->column(col);
+    size_t w = vec.width();
+    const int shift = scale - vec.dsb_scale();
+    if (vec.type() == storage::DataType::kDecimal && shift > 0 && w < 8) {
+      // |value| < 2^(8w-1) before the rescale; at most 2^31 * 10^18
+      // after it, which __int128 holds.
+      const __int128 bound = (__int128{1} << (8 * w - 1)) *
+                             storage::Pow10(std::min(shift, 18));
+      w = shift > 18 || bound > std::numeric_limits<int64_t>::max()
+              ? 8
+              : storage::NarrowestWidth(-static_cast<int64_t>(bound),
+                                        static_cast<int64_t>(bound - 1),
+                                        vec.type());
+    }
+    width = std::max(width, w);
+  }
+  return width;
 }
 
 // A group-by's output schema over `input`: its keys, then its
@@ -462,6 +493,11 @@ Status ResolveBranch(ExecEnv& env, const PipelineBranch& branch,
             stage.join_type != JoinType::kAnti) {
           rs.probe.outputs.push_back(ProbeOpSpec::Output{true, b.value()});
           metas.push_back(bset.meta(b.value()));
+          // kJoinNull, an unmatched left-outer row's build value, only
+          // fits 8 bytes.
+          if (stage.join_type == JoinType::kLeftOuter) {
+            metas.back().width = sizeof(int64_t);
+          }
           continue;
         }
         auto p = cur_binding.find(name);
@@ -627,6 +663,12 @@ Status PipelineStep::Execute(ExecEnv& env) const {
       return Status::NotFound("table '" + spec_.table + "' not loaded");
     }
     table = &table_it->second;
+    for (size_t p = 0; p < table->num_partitions(); ++p) {
+      const storage::Partition& part = table->partition(p);
+      for (size_t c = 0; c < part.num_chunks(); ++c) {
+        all_chunks.push_back(&part.chunk(c));
+      }
+    }
     for (size_t c = 0; c < spec_.base_columns.size(); ++c) {
       RAPID_ASSIGN_OR_RETURN(size_t idx,
                              table->schema().IndexOf(spec_.base_columns[c]));
@@ -638,14 +680,9 @@ Status PipelineStep::Execute(ExecEnv& env) const {
       m.type = table->schema().field(idx).type;
       m.dsb_scale = table->stats(idx).dsb_scale;
       m.dict = table->dictionary(idx);
+      m.width = SourceWidth(all_chunks, idx, m.dsb_scale);
       avail[m.name] = m;
       src_width += storage::WidthOf(m.type);
-    }
-    for (size_t p = 0; p < table->num_partitions(); ++p) {
-      const storage::Partition& part = table->partition(p);
-      for (size_t c = 0; c < part.num_chunks(); ++c) {
-        all_chunks.push_back(&part.chunk(c));
-      }
     }
     // A shared scan reads each row once, whatever its branches number.
     size_t scan_rows = 0;
@@ -860,7 +897,8 @@ Status PipelineStep::Execute(ExecEnv& env) const {
           } else {
             sinks.reserve(num_branches);  // the ops point at the sinks
             for (size_t b = 0; b < num_branches; ++b) {
-              MaterializeSink& sink = sinks.emplace_back(&slot->rows[b]);
+              MaterializeSink& sink =
+                  sinks.emplace_back(&slot->rows[b], tile_rows);
               chain.branches[b].back()->set_downstream(&sink);
               if (st.ok()) st = sink.Open(ctx);
             }
@@ -1293,7 +1331,7 @@ Status GroupByStep::Execute(ExecEnv& env) const {
             extra *= 2;
           }
           auto sub = PartitionExec::Repartition(
-              core, env.dpu->params(), part, key_cols,
+              core, env.dpu->dms(), part, key_cols,
               static_cast<int>(extra), input.bits_used, tile_rows);
           if (sub.ok()) {
             repartitions.fetch_add(1);

@@ -2,9 +2,10 @@
 //
 // Task boundaries materialize to DRAM (Section 5.2); a ColumnSet is
 // what a task writes and the next task's relation accessor reads.
-// Values are widened to int64 (intermediates in RAPID are fixed-width;
-// we keep one width for simplicity and track the logical type and DSB
-// scale per column for correct downstream interpretation).
+// The host keeps every value as int64. Each column's meta carries its
+// logical type, DSB scale and physical width: the bytes per value the
+// DMS moves when the column is partitioned, stored or loaded into a
+// DMEM tile, proven to hold every value the column can carry.
 
 #ifndef RAPID_CORE_QEF_COLUMN_SET_H_
 #define RAPID_CORE_QEF_COLUMN_SET_H_
@@ -27,6 +28,12 @@ struct ColumnMeta {
   // codes (propagated through plans so results can decode to strings);
   // null otherwise. Not owned.
   const storage::Dictionary* dict = nullptr;
+  // Physical bytes per value (1, 2, 4 or 8; storage::VisitPhysical of
+  // `type` names the element type). A table source proves it from the
+  // vectors it reads, and a bare column keeps its source's width
+  // through projections, joins, partitions and group-by keys. Every
+  // other column, computed or aggregated, is 8 bytes wide.
+  size_t width = 8;
 };
 
 class ColumnSet {
@@ -65,6 +72,19 @@ class ColumnSet {
 
   // Decodes a decimal column value to double using its DSB scale.
   double Decimal(size_t row, size_t col) const;
+
+  // Bytes per row the DMS moves for all columns, or for `cols`: the
+  // sum of their physical widths.
+  size_t RowBytes() const {
+    size_t bytes = 0;
+    for (const ColumnMeta& m : meta_) bytes += m.width;
+    return bytes;
+  }
+  size_t RowBytes(const std::vector<size_t>& cols) const {
+    size_t bytes = 0;
+    for (size_t c : cols) bytes += meta_[c].width;
+    return bytes;
+  }
 
   Result<size_t> IndexOf(const std::string& name) const {
     for (size_t c = 0; c < meta_.size(); ++c) {

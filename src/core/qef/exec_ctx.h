@@ -36,8 +36,8 @@ struct ExecCtx {
   // buffers across tiles and queries (see common/arena.h).
   TileBufferPool& pool() { return core->pool(); }
 
+  // DMS cycles are charged through `dms`, never directly.
   void ChargeCompute(double cycles) { core->cycles().ChargeCompute(cycles); }
-  void ChargeDms(double cycles) { core->cycles().ChargeDms(cycles); }
 
   // Row-at-a-time penalty applied by operators when vectorization is
   // disabled: per-row primitive call/setup overhead that batching

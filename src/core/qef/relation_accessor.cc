@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "common/config.h"
 #include "common/trace.h"
@@ -81,6 +82,39 @@ void WidenToInt64(uint8_t* data, size_t n, TileColumn* col) {
     }
   });
   col->width = sizeof(int64_t);
+}
+
+// Copies n int64 values into `col`'s buffer at its physical width.
+// The check is part of the copy, in every build: a value the width
+// cannot hold fails the load with Internal (the tile never reaches an
+// operator) instead of being truncated. Widths are proven, so only a
+// wrong meta can trip it.
+Status NarrowColumn(const int64_t* src, size_t n, const ColumnMeta& meta,
+                    TileColumn* col) {
+  return col->Visit([&](auto t) -> Status {
+    using T = decltype(t);
+    if constexpr (sizeof(T) == sizeof(int64_t)) {
+      std::memcpy(col->data, src, n * sizeof(int64_t));
+      return Status::OK();
+    } else {
+      T* __restrict dst = reinterpret_cast<T*>(col->data);
+      const int64_t* __restrict in = src;
+      bool fits = true;
+      for (size_t i = 0; i < n; ++i) {
+        const int64_t x = in[i];
+        const T v = static_cast<T>(x);
+        dst[i] = v;
+        fits &= static_cast<int64_t>(v) == x;
+      }
+      if (fits) return Status::OK();
+      size_t bad = 0;
+      while (static_cast<int64_t>(static_cast<T>(src[bad])) == src[bad]) ++bad;
+      return Status::Internal(
+          "intermediate column '" + meta.name + "' holds " +
+          std::to_string(src[bad]) + ", which its " +
+          std::to_string(meta.width) + "-byte width cannot hold");
+    }
+  });
 }
 
 // One column's staged run window within the in-flight tile transfer.
@@ -316,32 +350,30 @@ Status RelationAccessor::PushColumnSet(ExecCtx& ctx, const ColumnSet& set,
         buffers[c], ctx.dmem().Allocate(2 * tile_rows * sizeof(int64_t)));
   }
 
+  const size_t row_bytes = set.RowBytes(column_indices);
   size_t parity = 0;
   for (size_t start = row_begin; start < row_end; start += tile_rows) {
     RAPID_RETURN_NOT_OK(ctx.CheckCancel());
     const size_t rows = std::min(tile_rows, row_end - start);
-    std::vector<dpu::ColumnSlice> slices;
+    // One DMS descriptor chain moves every column's slice at its
+    // meta's physical width, narrowed into the column's DMEM buffer.
+    RAPID_RETURN_NOT_OK(ctx.dms->LoadTile(
+        &ctx.cycles(), static_cast<int>(column_indices.size()), rows,
+        row_bytes));
     Tile tile;
     tile.rows = rows;
     tile.base_row = start - row_begin;
     tile.columns.resize(column_indices.size());
     for (size_t c = 0; c < column_indices.size(); ++c) {
-      const std::vector<int64_t>& col = set.column(column_indices[c]);
-      uint8_t* dst = buffers[c] + parity * tile_rows * sizeof(int64_t);
-      slices.push_back(dpu::ColumnSlice{
-          reinterpret_cast<const uint8_t*>(col.data() + start), dst,
-          rows * sizeof(int64_t)});
       const ColumnMeta& meta = set.meta(column_indices[c]);
-      tile.columns[c].data = dst;
-      // Intermediates are widened to 8 bytes regardless of logical
-      // type; expose them as int64/decimal so widths match the data.
-      tile.columns[c].type = meta.type == storage::DataType::kDecimal
-                                 ? storage::DataType::kDecimal
-                                 : storage::DataType::kInt64;
-      tile.columns[c].dsb_scale = meta.dsb_scale;
+      TileColumn& col = tile.columns[c];
+      col.data = buffers[c] + parity * tile_rows * sizeof(int64_t);
+      col.type = meta.type;
+      col.width = meta.width;
+      col.dsb_scale = meta.dsb_scale;
+      RAPID_RETURN_NOT_OK(NarrowColumn(
+          set.column(column_indices[c]).data() + start, rows, meta, &col));
     }
-    RAPID_RETURN_NOT_OK(
-        ctx.dms->TransferTile(&ctx.cycles(), slices, /*read_write=*/false));
     RAPID_RETURN_NOT_OK(op->Consume(ctx, tile));
     parity ^= 1;
   }

@@ -17,9 +17,10 @@ namespace rapid::core {
 struct TileColumn {
   uint8_t* data = nullptr;          // DMEM pointer
   storage::DataType type = storage::DataType::kInt64;
-  // Physical bytes per element: a base-table scan tile carries its
-  // vector's width (storage::VisitPhysical gives the element type);
-  // intermediates are always widened to 8.
+  // Physical bytes per element (storage::VisitPhysical gives the
+  // element type): a base-table scan tile carries its vector's width,
+  // a tile loaded from an intermediate its ColumnMeta::width, and an
+  // operator's own output buffers are int64.
   size_t width = 8;
   int dsb_scale = 0;                // for kDecimal columns
 

@@ -224,20 +224,28 @@ inline double TraceClockNow(const void* counter) {
 // These compute cycle charges for common events; operators call them
 // and feed the result into the core's CycleCounter.
 
+// One DMS descriptor chain over `columns` columns moving `bytes` bytes
+// in all per direction, in `read` or read+write mode.
+inline double DmsChainCycles(const CostParams& p, int columns, size_t bytes,
+                             bool read_write) {
+  const double moved = static_cast<double>(bytes) * (read_write ? 2 : 1);
+  double cycles = p.dms_tile_setup_cycles +
+                  columns * p.dms_column_switch_cycles *
+                      (read_write ? 2 : 1) +
+                  p.dms_column_contention_cycles * columns * columns +
+                  moved / p.dram_bytes_per_cycle;
+  if (read_write) cycles += p.dms_rw_turnaround_cycles;
+  return cycles;
+}
+
 // Streaming DMS transfer of a tile: `columns` columns of
 // `rows * width` bytes each, in `read` or read+write mode.
 inline double DmsTileTransferCycles(const CostParams& p, int columns,
                                     size_t rows, size_t width_bytes,
                                     bool read_write) {
-  const double bytes =
-      static_cast<double>(columns) * rows * width_bytes * (read_write ? 2 : 1);
-  double cycles = p.dms_tile_setup_cycles +
-                  columns * p.dms_column_switch_cycles *
-                      (read_write ? 2 : 1) +
-                  p.dms_column_contention_cycles * columns * columns +
-                  bytes / p.dram_bytes_per_cycle;
-  if (read_write) cycles += p.dms_rw_turnaround_cycles;
-  return cycles;
+  return DmsChainCycles(p, columns,
+                        static_cast<size_t>(columns) * rows * width_bytes,
+                        read_write);
 }
 
 // DMS gather/scatter of `rows` random rows of `width_bytes`.

@@ -79,31 +79,40 @@ Status Dms::TransferTile(CycleCounter* cycles,
   const size_t payload = read_write ? total_bytes / 2 : total_bytes;
   const size_t per_col =
       columns > 0 ? payload / static_cast<size_t>(columns) : 0;
-  ChargeTile(cycles, columns > 0 ? columns : 1, per_col, read_write,
-             total_bytes);
+  const int charged = columns > 0 ? columns : 1;
+  ChargeChain(cycles, charged, static_cast<size_t>(charged) * per_col,
+              read_write, total_bytes);
   return Status::OK();
 }
 
 Status Dms::LoadTile(CycleCounter* cycles, int columns, size_t rows,
-                     size_t width) const {
+                     size_t row_bytes) const {
   RAPID_RETURN_NOT_OK(RunDescriptor(cycles, faults::kDmsTransfer));
-  ChargeTile(cycles, columns, rows * width, /*read_write=*/false,
-             static_cast<size_t>(columns) * rows * width);
+  ChargeTile(cycles, columns, rows, row_bytes);
   return Status::OK();
 }
 
-void Dms::ChargeTile(CycleCounter* cycles, int columns,
-                     size_t bytes_per_column, bool read_write,
-                     size_t total_bytes) const {
+void Dms::ChargeTile(CycleCounter* cycles, int columns, size_t rows,
+                     size_t row_bytes) const {
+  ChargeChain(cycles, columns, rows * row_bytes, /*read_write=*/false,
+              rows * row_bytes);
+}
+
+void Dms::ChargeStream(CycleCounter* cycles, size_t bytes) const {
+  if (cycles == nullptr) return;
+  cycles->ChargeDms(static_cast<double>(bytes) / params_.dram_bytes_per_cycle);
+}
+
+void Dms::ChargeChain(CycleCounter* cycles, int columns, size_t bytes,
+                      bool read_write, size_t traced_bytes) const {
   if (cycles == nullptr) return;
   // Per-column descriptor overhead plus streaming time for the payload.
-  const double dms_cycles = DmsTileTransferCycles(
-      params_, columns, bytes_per_column, 1, read_write);
+  const double dms_cycles = DmsChainCycles(params_, columns, bytes, read_write);
   cycles->ChargeDms(dms_cycles);
   if (TraceCollector::Recording(TraceMode::kFull)) {
     TraceCollector::Instance().RecordDms(
         "dms.transfer", dms_cycles,
-        {TraceCollector::Arg::U("bytes", total_bytes),
+        {TraceCollector::Arg::U("bytes", traced_bytes),
          TraceCollector::Arg::I("columns", columns),
          TraceCollector::Arg::S("mode", read_write ? "rw" : "ro")});
   }
@@ -115,9 +124,7 @@ void Dms::Gather(CycleCounter* cycles, uint8_t* dst, const uint8_t* src,
     std::memcpy(dst + i * width, src + static_cast<size_t>(rids[i]) * width,
                 width);
   }
-  if (cycles != nullptr) {
-    cycles->ChargeDms(DmsGatherCycles(params_, n, width));
-  }
+  ChargeGather(cycles, n, width);
 }
 
 size_t Dms::GatherBits(CycleCounter* cycles, uint8_t* dst, const uint8_t* src,
@@ -132,9 +139,7 @@ size_t Dms::GatherBits(CycleCounter* cycles, uint8_t* dst, const uint8_t* src,
       w &= (w - 1);
     }
   }
-  if (cycles != nullptr) {
-    cycles->ChargeDms(DmsGatherCycles(params_, out, width));
-  }
+  ChargeGather(cycles, out, width);
   return out;
 }
 
@@ -144,9 +149,21 @@ void Dms::Scatter(CycleCounter* cycles, uint8_t* dst, const uint8_t* src,
     std::memcpy(dst + static_cast<size_t>(rids[i]) * width, src + i * width,
                 width);
   }
-  if (cycles != nullptr) {
-    cycles->ChargeDms(DmsGatherCycles(params_, n, width));
-  }
+  ChargeGather(cycles, n, width);
+}
+
+void Dms::ChargeGather(CycleCounter* cycles, size_t n, size_t width) const {
+  if (cycles != nullptr) cycles->ChargeDms(DmsGatherCycles(params_, n, width));
+}
+
+void Dms::ChargePartition(CycleCounter* cycles, bool hardware, int keys,
+                          size_t rows, size_t bytes) const {
+  if (cycles == nullptr) return;
+  cycles->ChargeDms(hardware ? HwPartitionCycles(params_,
+                                                 HwPartitionStrategy::kHash,
+                                                 keys, rows, bytes)
+                             : static_cast<double>(bytes) /
+                                   params_.partition_bytes_per_cycle);
 }
 
 uint32_t Dms::HashKeys(const std::vector<KeyColumn>& keys, size_t row) {

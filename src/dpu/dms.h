@@ -79,12 +79,28 @@ class Dms {
                       const std::vector<ColumnSlice>& slices,
                       bool read_write) const;
 
-  // Streams one `rows`-row tile of `columns` columns, `width` bytes per
-  // value, from DRAM-resident arrays the caller reads in place (the
-  // partitioned join's build and probe tiles): one descriptor chain,
-  // polled, retried, charged and traced as TransferTile does.
+  // Streams one `rows`-row tile of `columns` columns, `row_bytes`
+  // bytes per row summed over them, whose data the caller reads in
+  // place or copies itself (the partitioned join's build and probe key
+  // tiles, a broadcast probe's build keys, the accessor's narrowing
+  // load of an intermediate): one descriptor chain, polled, retried,
+  // charged and traced as TransferTile does.
   Status LoadTile(CycleCounter* cycles, int columns, size_t rows,
-                  size_t width) const;
+                  size_t row_bytes) const;
+
+  // Charges and traces one descriptor chain like LoadTile without
+  // polling its descriptor. For the transfers whose failure the engine
+  // does not model: stores of output rows, a pipeline's or a
+  // partitioned join's (a failed morsel or pair recomputes its whole
+  // output from its input, so a store fault adds no recovery path the
+  // loads lack), and the join filter's key load (an optimization,
+  // whose gate must not shift fault ordinals).
+  void ChargeTile(CycleCounter* cycles, int columns, size_t rows,
+                  size_t row_bytes) const;
+
+  // Charges `bytes` streamed between DRAM and DMEM outside any tile
+  // chain (a join filter's bit array).
+  void ChargeStream(CycleCounter* cycles, size_t bytes) const;
 
   // ---- Gather / scatter ----
 
@@ -100,6 +116,11 @@ class Dms {
   void Scatter(CycleCounter* cycles, uint8_t* dst, const uint8_t* src,
                const uint32_t* rids, size_t n, size_t width) const;
 
+  // Charges a gather of `n` random elements of `width` bytes whose data
+  // the caller moves (a sort's permutation gather); Gather, GatherBits
+  // and Scatter charge through it.
+  void ChargeGather(CycleCounter* cycles, size_t n, size_t width) const;
+
   // ---- Hardware partitioning ----
 
   // Resolves the target dpCore id for each of `n` rows (the CID-memory
@@ -110,6 +131,14 @@ class Dms {
   Status ComputeTargets(CycleCounter* cycles, const HwPartitionSpec& spec,
                         size_t n, size_t row_bytes,
                         std::vector<uint16_t>* targets) const;
+
+  // Charges one partition-engine pass over `rows` rows of `bytes`
+  // bytes: the hash engine over `keys` keys when `hardware`, else the
+  // plain stream of a software-only round. Unpolled: the caller polls
+  // the pass's "dms.partition" descriptor once per morsel or work unit
+  // (RunDescriptor), and charges each tile of it here.
+  void ChargePartition(CycleCounter* cycles, bool hardware, int keys,
+                       size_t rows, size_t bytes) const;
 
   // Shared retry policy for DMS descriptor programming: polls the
   // fault site up to params.dms_max_attempts times, charging
@@ -130,10 +159,10 @@ class Dms {
 
  private:
   // Charges and traces (`dms.transfer`) one descriptor chain of
-  // `columns` columns moving `bytes_per_column` bytes each;
-  // `total_bytes` is the traced payload.
-  void ChargeTile(CycleCounter* cycles, int columns, size_t bytes_per_column,
-                  bool read_write, size_t total_bytes) const;
+  // `columns` columns moving `bytes` bytes in all (per direction);
+  // `traced_bytes` is the traced payload.
+  void ChargeChain(CycleCounter* cycles, int columns, size_t bytes,
+                   bool read_write, size_t traced_bytes) const;
 
   DpuConfig config_;
   CostParams params_;

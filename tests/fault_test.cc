@@ -23,6 +23,7 @@
 #include "core/engine.h"
 #include "core/ops/join_exec.h"
 #include "core/ops/partition_exec.h"
+#include "core/ops/probe_op.h"
 #include "core/qcomp/planner.h"
 #include "dpu/ate.h"
 #include "dpu/dpu.h"
@@ -283,6 +284,70 @@ TEST_F(FaultEngineTest, JoinLoadFaultResumesBitIdentical) {
   EXPECT_EQ(retried.stats.dpu_retries, 1u);
   EXPECT_FALSE(retried.stats.demoted_to_unfused);
   EXPECT_EQ(SortedRows(retried.rows), SortedRows(clean.rows));
+}
+
+// A broadcast probe loads its build keys through Dms::LoadTile when a
+// core opens its chain, so that load polls "dms.transfer" too. Every
+// core opens its chain before it moves any tile of the probe step, so
+// the step's first polled descriptor is a build-key load: exhausting
+// it fails the step, and the retry returns the clean rows in order.
+TEST_F(FaultEngineTest, BroadcastBuildLoadFaultResumesBitIdentical) {
+  {
+    // Opening a broadcast probe polls: with every "dms.transfer"
+    // descriptor failing, its build-key load fails the open.
+    dpu::Dpu dpu(dpu::DpuConfig::Default(), dpu::CostParams::Default());
+    core::ExecCtx ctx{&dpu.core(0), &dpu.dms(), &dpu.params(), true};
+    const ColumnSet build = MakeColumnSet({"k"}, {{1, 2, 3}});
+    core::ProbeOpSpec pspec;
+    pspec.build = &build;
+    pspec.build_keys = {0};
+    pspec.probe_keys = {0};
+    pspec.tile_rows = 64;
+    core::HashJoinProbeOp probe(std::move(pspec));
+    ScopedFaultInjection always(66);
+    always.Arm(faults::kDmsTransfer, FaultInjector::SiteSpec{});
+    const Status st = probe.Open(ctx);
+    EXPECT_TRUE(st.IsRetryExhausted()) << st.ToString();
+  }
+  const LogicalPtr plan =
+      LogicalNode::Join(LogicalNode::Scan("d", {"k", "w"}),
+                        LogicalNode::Scan("t", {"id", "v"}), {"k"}, {"v"},
+                        {"id", "v", "w"});
+  ExecOptions options;
+  options.retry_budget = 2;
+  ASSERT_OK_AND_ASSIGN(QueryResult clean, engine_.Execute(plan, options));
+  ASSERT_EQ(clean.rows.num_rows(), 4000u);
+
+  core::Planner planner(engine_.dpu().config(), engine_.dpu().params(),
+                        options.planner);
+  ASSERT_OK_AND_ASSIGN(core::PhysicalPlan physical,
+                       planner.Plan(plan, engine_.catalog()));
+  int probe = -1;
+  for (const auto& step : physical.steps) {
+    if (step->Describe().find("probe build=") != std::string::npos) {
+      probe = step->id();
+    }
+  }
+  ASSERT_GE(probe, 0) << physical.Describe();
+  core::PhysicalPlan prefix = planner.Plan(plan, engine_.catalog()).value();
+  prefix.steps.resize(static_cast<size_t>(probe));
+  prefix.root = probe - 1;
+  const uint64_t before = CleanPollCount(faults::kDmsTransfer, [&] {
+    ASSERT_OK(engine_.ExecutePhysical(prefix, options).status());
+  });
+
+  ScopedFaultInjection fi(65);
+  FaultInjector::SiteSpec spec;
+  spec.skip_first = before;
+  spec.max_failures = 4;  // exhausts exactly one descriptor
+  fi.Arm(faults::kDmsTransfer, spec);
+  ASSERT_OK_AND_ASSIGN(QueryResult retried, engine_.Execute(plan, options));
+  EXPECT_EQ(FaultInjector::Instance().failures(faults::kDmsTransfer), 4u);
+  EXPECT_EQ(retried.stats.dpu_retries, 1u);
+  ASSERT_EQ(retried.rows.num_columns(), clean.rows.num_columns());
+  for (size_t c = 0; c < clean.rows.num_columns(); ++c) {
+    EXPECT_EQ(retried.rows.column(c), clean.rows.column(c)) << "column " << c;
+  }
 }
 
 TEST_F(FaultEngineTest, PersistentDmsFaultSurfacesAsRetryExhausted) {

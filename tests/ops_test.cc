@@ -151,7 +151,7 @@ TEST_F(OpsTest, FilterPipelineLateMaterializes) {
                   {"v"}, binding, 64, false);
   ProjectOp project({{"v2", Expr::Mul(Expr::Col("v"), Expr::Int(2))}},
                     filter.OutputBinding(), 64);
-  MaterializeSink sink(&out);
+  MaterializeSink sink(&out, 64);
   filter.set_downstream(&project);
   project.set_downstream(&sink);
 
@@ -173,7 +173,7 @@ TEST_F(OpsTest, FilterConjunctionRefines) {
   FilterOp filter({Predicate::CmpConst("a", primitives::CmpOp::kGt, 3),
                    Predicate::CmpConst("b", primitives::CmpOp::kEq, 1)},
                   {"a"}, binding, 64, false);
-  MaterializeSink sink(&out);
+  MaterializeSink sink(&out, 64);
   filter.set_downstream(&sink);
   ExecCtx ctx = Ctx();
   ctx.dmem().Reset();
@@ -188,7 +188,7 @@ TEST_F(OpsTest, EmptyPredicatesPassEverything) {
   ColumnBinding binding{{"a", 0}};
   ColumnSet out(std::vector<ColumnMeta>{ColumnMeta{"a", {}, 0}});
   FilterOp filter({}, {"a"}, binding, 64, false);
-  MaterializeSink sink(&out);
+  MaterializeSink sink(&out, 64);
   filter.set_downstream(&sink);
   ExecCtx ctx = Ctx();
   ctx.dmem().Reset();
@@ -406,7 +406,7 @@ TEST_F(OpsTest, RepartitionSplitsWithHigherBits) {
   ColumnSet input = RandomKv(1000, 21, 100);
   ASSERT_OK_AND_ASSIGN(
       std::vector<ColumnSet> sub,
-      PartitionExec::Repartition(dpu_.core(0), dpu_.params(), input, {0}, 4,
+      PartitionExec::Repartition(dpu_.core(0), dpu_.dms(), input, {0}, 4,
                                  5, 128));
   ASSERT_EQ(sub.size(), 4u);
   size_t total = 0;
