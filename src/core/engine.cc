@@ -403,7 +403,8 @@ Result<QueryResult> RapidEngine::ExecutePhysical(const PhysicalPlan& plan,
     }
     result.stats.steps.push_back(StepTiming{
         step->Describe(), step_seconds, max_compute, sum_dms,
-        step_imb.Ratio(), step->id(), rows_out, step_wall});
+        step_imb.Ratio(), step->id(), rows_out, step_wall,
+        out.ran_tile_rows});
     result.stats.modeled_seconds += step_seconds;
     result.stats.total_dms_cycles += sum_dms;
     // Steps-track span: duration = this step's modeled cycles, so the
@@ -526,11 +527,19 @@ void RenderStepTree(const PhysicalPlan& plan, int id,
     std::snprintf(buf, sizeof(buf),
                   "  (rows=%llu modeled_ms=%.4f compute_cycles=%.0f"
                   " dms_cycles=%.0f imbalance=%.2f wall_ms=%.4f"
-                  " wall/modeled=%.1f)",
+                  " wall/modeled=%.1f",
                   static_cast<unsigned long long>(t.rows_out),
                   t.modeled_seconds * 1e3, t.compute_cycles, t.dms_cycles,
                   t.imbalance_ratio, t.wall_seconds * 1e3, wall_ratio);
     *out += buf;
+    // A pipeline's DMEM budget (halved beside a probe's hash table)
+    // can fit fewer rows than the tile its plan text prints.
+    const auto* pipe = dynamic_cast<const PipelineStep*>(step.get());
+    if (pipe != nullptr && t.ran_tile_rows != 0 &&
+        t.ran_tile_rows != pipe->spec().tile_rows) {
+      *out += " ran_tile=" + std::to_string(t.ran_tile_rows);
+    }
+    *out += ")";
   } else {
     // Only possible when a checkpoint restored the step's output: the
     // cost was paid (and reported) by the attempt that completed it.

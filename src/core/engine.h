@@ -57,6 +57,8 @@ struct StepTiming {
   // Host wall-clock time of the step's Execute (steady_clock read at
   // the step boundaries): the x86 clock beside the modeled one.
   double wall_seconds = 0;
+  // Rows per tile a pipeline step moved (StepOutput::ran_tile_rows).
+  size_t ran_tile_rows = 0;
 };
 
 // The one per-query counter set. Everything the engine, the offload

@@ -77,21 +77,35 @@ void Expr::CollectColumns(std::vector<std::string>* out) const {
   }
 }
 
-int ExprScale(const Expr& expr, const MetaLookup& input) {
+Result<size_t> SlotOf(const std::vector<ColumnMeta>& input,
+                      const std::string& name) {
+  for (size_t c = input.size(); c-- > 0;) {
+    if (input[c].name == name) return c;
+  }
+  return Status::NotFound("unbound column '" + name + "'");
+}
+
+Result<ExprPtr> Bind(const Expr& expr, const std::vector<ColumnMeta>& input) {
+  auto bound = std::make_shared<Expr>(expr);
   switch (expr.kind) {
     case Expr::Kind::kColumn: {
-      const ColumnMeta* meta = input(expr.column);
-      return meta != nullptr ? meta->dsb_scale : 0;
+      RAPID_ASSIGN_OR_RETURN(size_t slot, SlotOf(input, expr.column));
+      bound->slot = static_cast<int>(slot);
+      bound->scale = input[slot].dsb_scale;
+      break;
     }
     case Expr::Kind::kConst:
-      return expr.scale;
+      break;
     case Expr::Kind::kBinary: {
-      const int l = ExprScale(*expr.left, input);
-      const int r = ExprScale(*expr.right, input);
-      return expr.op == ArithOp::kMul ? l + r : std::max(l, r);
+      RAPID_ASSIGN_OR_RETURN(bound->left, Bind(*expr.left, input));
+      RAPID_ASSIGN_OR_RETURN(bound->right, Bind(*expr.right, input));
+      const int l = bound->left->scale;
+      const int r = bound->right->scale;
+      bound->scale = expr.op == ArithOp::kMul ? l + r : std::max(l, r);
+      break;
     }
   }
-  return 0;
+  return ExprPtr(std::move(bound));
 }
 
 ColumnMeta ScaledMeta(std::string name, int scale) {
@@ -102,74 +116,53 @@ ColumnMeta ScaledMeta(std::string name, int scale) {
   return m;
 }
 
-ColumnMeta ExprMeta(std::string name, const Expr& expr,
-                    const MetaLookup& input) {
-  if (expr.kind == Expr::Kind::kColumn) {
-    if (const ColumnMeta* meta = input(expr.column)) {
-      ColumnMeta m = *meta;
-      m.name = std::move(name);
-      return m;
-    }
+ColumnMeta ExprMeta(std::string name, const Expr& bound,
+                    const std::vector<ColumnMeta>& input) {
+  if (bound.kind == Expr::Kind::kColumn) {
+    ColumnMeta m = input[static_cast<size_t>(bound.slot)];
+    m.name = std::move(name);
+    return m;
   }
-  return ScaledMeta(std::move(name), ExprScale(expr, input));
+  return ScaledMeta(std::move(name), bound.scale);
 }
 
-Result<int> EvalExpr(ExecCtx& ctx, const Tile& tile,
-                     const ColumnBinding& binding, const Expr& expr,
-                     std::vector<int64_t>* out) {
-  out->resize(tile.rows);
-  return EvalExpr(ctx, tile, binding, expr, out->data());
-}
-
-Result<int> EvalExpr(ExecCtx& ctx, const Tile& tile,
-                     const ColumnBinding& binding, const Expr& expr,
-                     int64_t* out) {
+Status EvalExpr(ExecCtx& ctx, const Tile& tile, const Expr& expr,
+                int64_t* out) {
   const size_t n = tile.rows;
   switch (expr.kind) {
-    case Expr::Kind::kColumn: {
-      auto it = binding.find(expr.column);
-      if (it == binding.end()) {
-        return Status::NotFound("unbound column '" + expr.column + "'");
-      }
-      const TileColumn& col = tile.columns[it->second];
+    case Expr::Kind::kColumn:
       // Widening copy; free on the DPU where the load unit widens.
-      WidenColumn(col, nullptr, n, out);
-      return col.dsb_scale;
-    }
-    case Expr::Kind::kConst: {
+      WidenColumn(tile.columns[static_cast<size_t>(expr.slot)], nullptr, n,
+                  out);
+      return Status::OK();
+    case Expr::Kind::kConst:
       std::fill_n(out, n, expr.value);
-      return expr.scale;
-    }
+      return Status::OK();
     case Expr::Kind::kBinary: {
       // Intermediates live in recycled tile-pool buffers (released on
       // scope exit), so nested expressions never touch the heap after
       // the pool warms up.
       TileBufferPool::Handle lhs = ctx.pool().AcquireArray<int64_t>(n);
       TileBufferPool::Handle rhs = ctx.pool().AcquireArray<int64_t>(n);
-      RAPID_ASSIGN_OR_RETURN(
-          int lscale,
-          EvalExpr(ctx, tile, binding, *expr.left, lhs.as<int64_t>()));
-      RAPID_ASSIGN_OR_RETURN(
-          int rscale,
-          EvalExpr(ctx, tile, binding, *expr.right, rhs.as<int64_t>()));
-      int result_scale = 0;
+      RAPID_RETURN_NOT_OK(EvalExpr(ctx, tile, *expr.left, lhs.as<int64_t>()));
+      RAPID_RETURN_NOT_OK(
+          EvalExpr(ctx, tile, *expr.right, rhs.as<int64_t>()));
+      const int lscale = expr.left->scale;
+      const int rscale = expr.right->scale;
       if (expr.op == ArithOp::kMul) {
         // DSB multiply: mantissas multiply, scales add.
-        result_scale = primitives::DsbMulTile(
-            lhs.as<int64_t>(), lscale, rhs.as<int64_t>(), rscale, n, out);
+        primitives::DsbMulTile(lhs.as<int64_t>(), lscale, rhs.as<int64_t>(),
+                               rscale, n, out);
         ctx.ChargeCompute((ctx.params->arith_cycles_per_row +
                            ctx.params->mult_extra_cycles_per_row) /
                           ctx.params->simd.arith * static_cast<double>(n));
       } else {
         // Add/sub require a common scale; rescale the smaller side.
-        result_scale = lscale > rscale ? lscale : rscale;
-        if (lscale < result_scale) {
-          primitives::DsbRescaleTile(lhs.as<int64_t>(), n, lscale,
-                                     result_scale);
+        if (lscale < expr.scale) {
+          primitives::DsbRescaleTile(lhs.as<int64_t>(), n, lscale, expr.scale);
         }
-        if (rscale < result_scale) {
-          primitives::DsbRescaleTile(rhs.as<int64_t>(), n, rscale,
-                                     result_scale);
+        if (rscale < expr.scale) {
+          primitives::DsbRescaleTile(rhs.as<int64_t>(), n, rscale, expr.scale);
         }
         if (expr.op == ArithOp::kAdd) {
           primitives::ArithColCol<ArithOp::kAdd, int64_t>(
@@ -182,7 +175,7 @@ Result<int> EvalExpr(ExecCtx& ctx, const Tile& tile,
                           ctx.params->simd.arith * static_cast<double>(n));
       }
       ctx.ChargeVectorizationPenalty(n);
-      return result_scale;
+      return Status::OK();
     }
   }
   return Status::Internal("unreachable expression kind");
@@ -240,6 +233,18 @@ Predicate Predicate::Bloom(std::string column,
   p.bloom = filter;
   p.selectivity = selectivity;
   return p;
+}
+
+Result<Predicate> Bind(const Predicate& pred,
+                       const std::vector<ColumnMeta>& input) {
+  Predicate bound = pred;
+  RAPID_ASSIGN_OR_RETURN(size_t slot, SlotOf(input, pred.column));
+  bound.slot = static_cast<int>(slot);
+  if (pred.kind == Predicate::Kind::kCmpCol) {
+    RAPID_ASSIGN_OR_RETURN(size_t slot2, SlotOf(input, pred.column2));
+    bound.slot2 = static_cast<int>(slot2);
+  }
+  return bound;
 }
 
 bool SameExpr(const ExprPtr& a, const ExprPtr& b) {
@@ -424,14 +429,6 @@ void InSetDispatch(const TileColumn& col, size_t n, const BitVector& set,
   });
 }
 
-Result<size_t> Bind(const ColumnBinding& binding, const std::string& name) {
-  auto it = binding.find(name);
-  if (it == binding.end()) {
-    return Status::NotFound("unbound column '" + name + "'");
-  }
-  return it->second;
-}
-
 // One run's predicate verdict, matching the per-row kernels exactly:
 // the run value v compares as int64, which is what the kernels'
 // range-checked constants reproduce.
@@ -471,15 +468,13 @@ bool RunMatches(const TileColumn& col, const Predicate& pred, size_t r) {
   return RunMatchesValue(pred, v);
 }
 
-// `run_level` (optional) reports whether the run-level short circuit
-// fired, so RefinePredicate knows the charge was already run-based and
-// skips its subset re-charge.
-Status EvalPredicateImpl(ExecCtx& ctx, const Tile& tile,
-                         const ColumnBinding& binding, const Predicate& pred,
-                         BitVector* out, bool* run_level) {
+// Evaluates `pred` into `out`. Returns whether the run-level short
+// circuit fired, so RefinePredicate knows the charge was already
+// run-based and skips its subset re-charge.
+bool EvalPredicateImpl(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
+                       BitVector* out) {
   const size_t n = tile.rows;
-  RAPID_ASSIGN_OR_RETURN(size_t ci, Bind(binding, pred.column));
-  const TileColumn& col = tile.columns[ci];
+  const TileColumn& col = tile.columns[static_cast<size_t>(pred.slot)];
 
   // Run-level short circuit (encoded scan path): when the accessor
   // staged this tile's RLE runs, single-column predicates evaluate
@@ -509,8 +504,7 @@ Status EvalPredicateImpl(ExecCtx& ctx, const Tile& tile,
     ctx.ChargeCompute(cycles);
     ctx.ChargeVectorizationPenalty(col.num_runs);
     ctx.core->counters().runs_filtered += col.num_runs;
-    if (run_level != nullptr) *run_level = true;
-    return Status::OK();
+    return true;
   }
 
   double cycles = ctx.params->filter_cycles_per_row / ctx.params->simd.filter *
@@ -531,41 +525,35 @@ Status EvalPredicateImpl(ExecCtx& ctx, const Tile& tile,
     case Predicate::Kind::kInSet:
       InSetDispatch(col, n, pred.in_set, out);
       break;
-    case Predicate::Kind::kCmpCol: {
-      RAPID_ASSIGN_OR_RETURN(size_t ci2, Bind(binding, pred.column2));
-      FilterColColDispatch(ctx, pred.op, col, tile.columns[ci2], n, out);
+    case Predicate::Kind::kCmpCol:
+      FilterColColDispatch(ctx, pred.op, col,
+                           tile.columns[static_cast<size_t>(pred.slot2)], n,
+                           out);
       break;
-    }
   }
   ctx.ChargeCompute(cycles);
   ctx.ChargeVectorizationPenalty(n);
-  return Status::OK();
+  return false;
 }
 
 }  // namespace
 
-Status EvalPredicate(ExecCtx& ctx, const Tile& tile,
-                     const ColumnBinding& binding, const Predicate& pred,
-                     BitVector* out) {
-  RAPID_RETURN_NOT_OK(EvalPredicateImpl(ctx, tile, binding, pred, out,
-                                        nullptr));
+void EvalPredicate(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
+                   BitVector* out) {
+  EvalPredicateImpl(ctx, tile, pred, out);
   if (pred.kind == Predicate::Kind::kBloom) {
     ctx.core->counters().rows_pruned_by_join_filter += tile.rows - out->CountOnes();
   }
-  return Status::OK();
 }
 
-Status RefinePredicate(ExecCtx& ctx, const Tile& tile,
-                       const ColumnBinding& binding, const Predicate& pred,
-                       const BitVector& in, BitVector* out) {
+void RefinePredicate(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
+                     const BitVector& in, BitVector* out) {
   // Evaluate on the qualifying subset only: the bvld/filteq loop of
   // Listing 1 touches just the set rows. Functionally we evaluate the
-  // predicate and intersect; the cycle charge reflects the subset.
+  // predicate into `out` and intersect; the cycle charge reflects the
+  // subset.
   const size_t qualifying = in.CountOnes();
-  BitVector full;
-  bool run_level = false;
-  RAPID_RETURN_NOT_OK(
-      EvalPredicateImpl(ctx, tile, binding, pred, &full, &run_level));
+  const bool run_level = EvalPredicateImpl(ctx, tile, pred, out);
   // Undo the full-tile charge and re-charge only the gathered rows.
   // The run-level path already charged per run (cheaper than either
   // side of this adjustment), so leave its charge alone.
@@ -577,12 +565,10 @@ Status RefinePredicate(ExecCtx& ctx, const Tile& tile,
     ctx.ChargeCompute(per_row * (static_cast<double>(qualifying) -
                                  static_cast<double>(tile.rows)));
   }
-  *out = full;
   out->And(in);
   if (pred.kind == Predicate::Kind::kBloom) {
     ctx.core->counters().rows_pruned_by_join_filter += qualifying - out->CountOnes();
   }
-  return Status::OK();
 }
 
 }  // namespace rapid::core

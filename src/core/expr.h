@@ -10,10 +10,8 @@
 #define RAPID_CORE_EXPR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitvector.h"
@@ -39,9 +37,14 @@ struct Expr {
   std::string column;
 
   // kConst: widened value; for decimal constants, `value` is the
-  // mantissa at `scale` (e.g. 0.5 == {5, 1}).
+  // mantissa at `scale` (e.g. 0.5 == {5, 1}). In a bound tree (Bind)
+  // every node carries its DSB scale: a column its meta's, a binary
+  // node its result's.
   int64_t value = 0;
   int scale = 0;
+
+  // Bound trees only: a kColumn node's tile slot (-1 while unbound).
+  int slot = -1;
 
   // kBinary.
   primitives::ArithOp op = primitives::ArithOp::kAdd;
@@ -63,44 +66,38 @@ struct Expr {
 // all the way down. Null equals only null.
 bool SameExpr(const ExprPtr& a, const ExprPtr& b);
 
-// Maps column names to tile column positions for bound evaluation.
-using ColumnBinding = std::unordered_map<std::string, size_t>;
+// The slot of column `name` in a stage input's schema `input` (its
+// column metas in tile-slot order): the last column of that name, as
+// a later column shadows an earlier one. NotFound when there is none.
+Result<size_t> SlotOf(const std::vector<ColumnMeta>& input,
+                      const std::string& name);
 
-// An operator input's schema by column name: the column's meta, or
-// null when the input has no such column.
-using MetaLookup = std::function<const ColumnMeta*(const std::string&)>;
-
-// The DSB scale EvalExpr returns for `expr` over an input whose column
-// metas `input` gives: a column's own scale (0 when unknown), a
-// constant's, the sum of a product's operand scales, the larger of a
-// sum's or difference's.
-int ExprScale(const Expr& expr, const MetaLookup& input);
+// A bound copy of `expr` over the stage input `input`: column nodes
+// carry their slot and their meta's DSB scale, constants their own
+// scale, a product the sum of its operands' scales and a sum or
+// difference the larger of them. Plan trees are shared and stay
+// unbound; an unknown column is NotFound here, before any tile runs.
+Result<ExprPtr> Bind(const Expr& expr, const std::vector<ColumnMeta>& input);
 
 // A computed column's meta: decimal iff `scale` is not 0.
 ColumnMeta ScaledMeta(std::string name, int scale);
 
-// The meta of output column `name` computing `expr` over `input`: a
-// bare input column keeps its type, scale and dictionary; anything
-// else is ScaledMeta(name, ExprScale(expr, input)). Output schemas
-// come from here, never from the tiles that happened to carry rows,
-// so an empty result reports the same metas as a full one.
-ColumnMeta ExprMeta(std::string name, const Expr& expr,
-                    const MetaLookup& input);
+// The meta of output column `name` computing `bound` (bound to
+// `input`): a bare input column keeps its type, scale, width and
+// dictionary; anything else is ScaledMeta(name, bound.scale). Output
+// schemas come from here, never from the tiles that happened to carry
+// rows, so an empty result reports the same metas as a full one.
+ColumnMeta ExprMeta(std::string name, const Expr& bound,
+                    const std::vector<ColumnMeta>& input);
 
-// Evaluates `expr` over a tile: writes tile.rows widened values into
-// `out` and returns the result's DSB scale. Charges arithmetic
-// primitive cycles.
-Result<int> EvalExpr(ExecCtx& ctx, const Tile& tile,
-                     const ColumnBinding& binding, const Expr& expr,
-                     std::vector<int64_t>* out);
-
-// Raw-buffer flavour: `out` must hold at least tile.rows widened
-// values (typically a tile-pool buffer). Intermediates of nested
-// arithmetic come from the core's tile pool rather than per-tile heap
-// vectors, so steady-state evaluation allocates nothing.
-Result<int> EvalExpr(ExecCtx& ctx, const Tile& tile,
-                     const ColumnBinding& binding, const Expr& expr,
-                     int64_t* out);
+// Evaluates bound `expr` over a tile: writes tile.rows widened values
+// into `out`, which must hold that many (typically a tile-pool
+// buffer). The result's DSB scale is expr.scale. Intermediates of
+// nested arithmetic come from the core's tile pool rather than
+// per-tile heap vectors, so steady-state evaluation allocates nothing.
+// Charges arithmetic primitive cycles.
+Status EvalExpr(ExecCtx& ctx, const Tile& tile, const Expr& expr,
+                int64_t* out);
 
 // One conjunct of a WHERE clause. Values are pre-encoded by the
 // compiler to the column's storage representation (dict codes, day
@@ -115,6 +112,10 @@ struct Predicate {
   int64_t value2 = 0;  // hi for kBetween (inclusive)
   BitVector in_set;    // kInSet: bitmap over dictionary codes
   std::string column2;  // kCmpCol right-hand column
+  // Bound predicates only (Bind): the tile slots of `column` and
+  // `column2` (-1 while unbound).
+  int slot = -1;
+  int slot2 = -1;
 
   // kBloom: pushed-down join filter (sideways information passing).
   // Not owned; the filter outlives the predicate — it lives with the
@@ -138,22 +139,26 @@ struct Predicate {
                          double selectivity = 0.5);
 };
 
-// Whether two predicates test the same rows the same way: every field,
-// the selectivity estimate included (it orders predicates, so two
-// otherwise equal lists with different estimates may run differently).
+// A bound copy of `pred` over the stage input `input` (see SlotOf).
+Result<Predicate> Bind(const Predicate& pred,
+                       const std::vector<ColumnMeta>& input);
+
+// Whether two predicates test the same rows the same way: every field
+// but the slots, the selectivity estimate included (it orders
+// predicates, so two otherwise equal lists with different estimates
+// may run differently).
 bool SamePredicate(const Predicate& a, const Predicate& b);
 
-// Evaluates one predicate over all rows of a tile into `out`
+// Evaluates one bound predicate over all rows of a tile into `out`
 // (bit-vector flavour). Charges filter primitive cycles.
-Status EvalPredicate(ExecCtx& ctx, const Tile& tile,
-                     const ColumnBinding& binding, const Predicate& pred,
-                     BitVector* out);
+void EvalPredicate(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
+                   BitVector* out);
 
-// Refines an existing qualifying bit vector with one more predicate
-// (the Listing 1 loop: only set rows are re-evaluated).
-Status RefinePredicate(ExecCtx& ctx, const Tile& tile,
-                       const ColumnBinding& binding, const Predicate& pred,
-                       const BitVector& in, BitVector* out);
+// Refines an existing qualifying bit vector with one more bound
+// predicate (the Listing 1 loop: only set rows are re-evaluated).
+// `in` and `out` must be distinct.
+void RefinePredicate(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
+                     const BitVector& in, BitVector* out);
 
 }  // namespace rapid::core
 

@@ -7,18 +7,17 @@
 namespace rapid::core {
 
 FilterOp::FilterOp(std::vector<Predicate> predicates,
-                   std::vector<std::string> output_columns,
-                   ColumnBinding binding, size_t tile_rows, bool use_rid_list)
+                   std::vector<size_t> output_slots, size_t tile_rows,
+                   bool use_rid_list)
     : predicates_(std::move(predicates)),
-      output_columns_(std::move(output_columns)),
-      binding_(std::move(binding)),
+      output_slots_(std::move(output_slots)),
       tile_rows_(tile_rows),
       use_rid_list_(use_rid_list) {}
 
 size_t FilterOp::DmemBytes(size_t tile_rows) const {
   // Widened output vectors + the qualifying-row representation
   // (bit vector or RID list over the tile).
-  const size_t outputs = output_columns_.size() * tile_rows * sizeof(int64_t);
+  const size_t outputs = output_slots_.size() * tile_rows * sizeof(int64_t);
   const size_t selection = use_rid_list_ ? tile_rows * sizeof(uint32_t)
                                          : (tile_rows + 7) / 8;
   return outputs + selection;
@@ -29,9 +28,11 @@ Status FilterOp::Open(ExecCtx& ctx) {
   // limit that task formation planned against.
   RAPID_RETURN_NOT_OK(ctx.dmem().Allocate(DmemBytes(tile_rows_)).status());
   out_buffers_.clear();
-  out_buffers_.reserve(output_columns_.size());
-  for (size_t c = 0; c < output_columns_.size(); ++c) {
+  out_buffers_.reserve(output_slots_.size());
+  out_.columns.assign(output_slots_.size(), TileColumn());
+  for (size_t c = 0; c < output_slots_.size(); ++c) {
     out_buffers_.push_back(ctx.pool().AcquireArray<int64_t>(tile_rows_));
+    out_.columns[c].data = out_buffers_[c].data();
   }
   rid_buffer_ = ctx.pool().AcquireArray<uint32_t>(tile_rows_);
   return Status::OK();
@@ -44,11 +45,9 @@ Status FilterOp::Consume(ExecCtx& ctx, const Tile& tile) {
     selected_.Resize(tile.rows);
     selected_.SetAll();
   } else {
-    RAPID_RETURN_NOT_OK(
-        EvalPredicate(ctx, tile, binding_, predicates_[0], &selected_));
+    EvalPredicate(ctx, tile, predicates_[0], &selected_);
     for (size_t p = 1; p < predicates_.size(); ++p) {
-      RAPID_RETURN_NOT_OK(RefinePredicate(ctx, tile, binding_, predicates_[p],
-                                          selected_, &refined_));
+      RefinePredicate(ctx, tile, predicates_[p], selected_, &refined_);
       std::swap(selected_, refined_);
     }
   }
@@ -61,27 +60,18 @@ Status FilterOp::Consume(ExecCtx& ctx, const Tile& tile) {
   rows_out_ += q;
   if (q == 0) return Status::OK();
 
-  Tile out;
-  out.rows = q;
-  out.base_row = tile.base_row;
-  out.columns.resize(output_columns_.size());
-  for (size_t c = 0; c < output_columns_.size(); ++c) {
-    auto it = binding_.find(output_columns_[c]);
-    if (it == binding_.end()) {
-      return Status::NotFound("filter output column '" + output_columns_[c] +
-                              "' not bound");
-    }
-    const TileColumn& src = tile.columns[it->second];
-    int64_t* dst = out_buffers_[c].as<int64_t>();
-    WidenColumn(src, rids, q, dst);
+  out_.rows = q;
+  out_.base_row = tile.base_row;
+  for (size_t c = 0; c < output_slots_.size(); ++c) {
+    const TileColumn& src = tile.columns[output_slots_[c]];
+    WidenColumn(src, rids, q, out_buffers_[c].as<int64_t>());
     // The gather runs over DMEM-resident tiles (the accessor already
     // streamed them in), and DMEM random access is single-cycle.
     ctx.ChargeCompute(static_cast<double>(q));
-    out.columns[c].data = out_buffers_[c].data();
-    out.columns[c].type = src.type == storage::DataType::kDecimal
-                              ? storage::DataType::kDecimal
-                              : storage::DataType::kInt64;
-    out.columns[c].dsb_scale = src.dsb_scale;
+    out_.columns[c].type = src.type == storage::DataType::kDecimal
+                               ? storage::DataType::kDecimal
+                               : storage::DataType::kInt64;
+    out_.columns[c].dsb_scale = src.dsb_scale;
   }
 
   // RID-list bookkeeping: converting the bit vector to RIDs costs one
@@ -92,17 +82,9 @@ Status FilterOp::Consume(ExecCtx& ctx, const Tile& tile) {
   }
   ctx.ChargeVectorizationPenalty(q);
 
-  return Push(ctx, out);
+  return Push(ctx, out_);
 }
 
 Status FilterOp::Finish(ExecCtx& ctx) { return PushFinish(ctx); }
-
-ColumnBinding FilterOp::OutputBinding() const {
-  ColumnBinding out;
-  for (size_t c = 0; c < output_columns_.size(); ++c) {
-    out[output_columns_[c]] = c;
-  }
-  return out;
-}
 
 }  // namespace rapid::core

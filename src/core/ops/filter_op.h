@@ -16,7 +16,6 @@
 #ifndef RAPID_CORE_OPS_FILTER_OP_H_
 #define RAPID_CORE_OPS_FILTER_OP_H_
 
-#include <string>
 #include <vector>
 
 #include "common/arena.h"
@@ -27,30 +26,26 @@ namespace rapid::core {
 
 class FilterOp : public PipelineOp {
  public:
-  // `predicates` must already be ordered most-selective-first by the
-  // planner. `output_columns` are the columns to materialize for
-  // downstream operators; `binding` maps input column names to tile
-  // positions. `use_rid_list` selects the RID-list primitives.
+  // `predicates` are bound to the input tile's slots (Bind) and
+  // already ordered most-selective-first by the planner.
+  // `output_slots` are the input slots to materialize for downstream
+  // operators, in output order. `use_rid_list` selects the RID-list
+  // primitives.
   FilterOp(std::vector<Predicate> predicates,
-           std::vector<std::string> output_columns, ColumnBinding binding,
-           size_t tile_rows, bool use_rid_list);
+           std::vector<size_t> output_slots, size_t tile_rows,
+           bool use_rid_list);
 
   size_t DmemBytes(size_t tile_rows) const override;
   Status Open(ExecCtx& ctx) override;
   Status Consume(ExecCtx& ctx, const Tile& tile) override;
   Status Finish(ExecCtx& ctx) override;
 
-  // Output binding for downstream operators: output column names in
-  // tile position order.
-  ColumnBinding OutputBinding() const;
-
   uint64_t rows_in() const { return rows_in_; }
   uint64_t rows_out() const { return rows_out_; }
 
  private:
   std::vector<Predicate> predicates_;
-  std::vector<std::string> output_columns_;
-  ColumnBinding binding_;
+  std::vector<size_t> output_slots_;
   size_t tile_rows_;
   bool use_rid_list_;
 
@@ -62,6 +57,8 @@ class FilterOp : public PipelineOp {
   // their capacity instead of reallocating.
   BitVector selected_;
   BitVector refined_;
+  // The output tile, its columns pointed at out_buffers_ once in Open.
+  Tile out_;
   uint64_t rows_in_ = 0;
   uint64_t rows_out_ = 0;
 };

@@ -161,10 +161,9 @@ std::vector<AggFunc> FuncsOf(const std::vector<AggSpec>& aggs) {
 }  // namespace
 
 GroupByOp::GroupByOp(std::vector<ExprPtr> keys, std::vector<AggSpec> aggs,
-                     ColumnBinding binding, int hash_shift)
+                     int hash_shift)
     : keys_(std::move(keys)),
       aggs_(std::move(aggs)),
-      binding_(std::move(binding)),
       hash_shift_(hash_shift),
       table_(keys_.size(), FuncsOf(aggs_)),
       key_scratch_(keys_.size()),
@@ -190,19 +189,19 @@ Status GroupByOp::Consume(ExecCtx& ctx, const Tile& tile) {
   const size_t n = tile.rows;
   rows_ += n;
   for (size_t k = 0; k < keys_.size(); ++k) {
+    key_scratch_[k].resize(n);
     RAPID_RETURN_NOT_OK(
-        EvalExpr(ctx, tile, binding_, *keys_[k], &key_scratch_[k]).status());
+        EvalExpr(ctx, tile, *keys_[k], key_scratch_[k].data()));
   }
   for (size_t a = 0; a < aggs_.size(); ++a) {
     if (aggs_[a].expr != nullptr) {
+      agg_scratch_[a].resize(n);
       RAPID_RETURN_NOT_OK(
-          EvalExpr(ctx, tile, binding_, *aggs_[a].expr, &agg_scratch_[a])
-              .status());
+          EvalExpr(ctx, tile, *aggs_[a].expr, agg_scratch_[a].data()));
     }
     // Aggregate FILTER clauses evaluate vectorized, once per tile.
     if (aggs_[a].filter != nullptr) {
-      RAPID_RETURN_NOT_OK(EvalPredicate(ctx, tile, binding_,
-                                        *aggs_[a].filter, &agg_filters_[a]));
+      EvalPredicate(ctx, tile, *aggs_[a].filter, &agg_filters_[a]);
     }
   }
 

@@ -21,7 +21,6 @@
 #define RAPID_CORE_OPS_GROUPBY_OP_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/expr.h"
@@ -132,10 +131,12 @@ class GroupHashTable {
 
 class GroupByOp : public PipelineOp {
  public:
-  // `hash_shift` drops the low key-hash bits before bucketing: the
-  // bits an upstream partitioning already spent (0 when unpartitioned).
+  // `keys` and the aggregates' expressions and FILTER clauses are
+  // bound to the input tile's slots (Bind). `hash_shift` drops the low
+  // key-hash bits before bucketing: the bits an upstream partitioning
+  // already spent (0 when unpartitioned).
   GroupByOp(std::vector<ExprPtr> keys, std::vector<AggSpec> aggs,
-            ColumnBinding binding, int hash_shift = 0);
+            int hash_shift = 0);
 
   size_t DmemBytes(size_t tile_rows) const override;
   Status Open(ExecCtx& ctx) override;
@@ -175,7 +176,6 @@ class GroupByOp : public PipelineOp {
  private:
   std::vector<ExprPtr> keys_;
   std::vector<AggSpec> aggs_;
-  ColumnBinding binding_;
   int hash_shift_;
   GroupHashTable table_;
   uint64_t chain_steps_ = 0;

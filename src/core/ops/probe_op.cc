@@ -51,6 +51,7 @@ Status HashJoinProbeOp::Open(ExecCtx& ctx) {
   out_buffers_.assign(spec_.outputs.size(), {});
   out_types_.assign(spec_.outputs.size(), storage::DataType::kInt64);
   out_scales_.assign(spec_.outputs.size(), 0);
+  out_.columns.assign(spec_.outputs.size(), TileColumn());
   hash_scratch_ = ctx.pool().AcquireArray<uint32_t>(spec_.tile_rows);
   count_scratch_ = ctx.pool().AcquireArray<uint32_t>(spec_.tile_rows);
 
@@ -121,18 +122,16 @@ Status HashJoinProbeOp::FlushPending(ExecCtx& ctx) {
   // can emit many rows per input row), so slice the staging buffers:
   // downstream ops sized their DMEM vectors for tile_rows-row tiles.
   for (size_t start = 0; start < total; start += spec_.tile_rows) {
-    Tile out;
-    out.rows = std::min(spec_.tile_rows, total - start);
-    out.columns.resize(spec_.outputs.size());
+    out_.rows = std::min(spec_.tile_rows, total - start);
     for (size_t c = 0; c < spec_.outputs.size(); ++c) {
-      out.columns[c].data =
+      out_.columns[c].data =
           reinterpret_cast<uint8_t*>(out_buffers_[c].data() + start);
-      out.columns[c].type = out_types_[c] == storage::DataType::kDecimal
-                                ? storage::DataType::kDecimal
-                                : storage::DataType::kInt64;
-      out.columns[c].dsb_scale = out_scales_[c];
+      out_.columns[c].type = out_types_[c] == storage::DataType::kDecimal
+                                 ? storage::DataType::kDecimal
+                                 : storage::DataType::kInt64;
+      out_.columns[c].dsb_scale = out_scales_[c];
     }
-    RAPID_RETURN_NOT_OK(Push(ctx, out));
+    RAPID_RETURN_NOT_OK(Push(ctx, out_));
   }
   for (auto& buf : out_buffers_) buf.clear();
   return Status::OK();

@@ -79,6 +79,8 @@ class HashJoinProbeOp : public PipelineOp {
   std::vector<std::vector<int64_t>> out_buffers_;
   std::vector<storage::DataType> out_types_;
   std::vector<int> out_scales_;
+  // The flushed output tile, reused across flushes.
+  Tile out_;
 
   // Fixed tile-sized scratch from the core's tile pool. The growable
   // out_buffers_ above stay heap vectors: a single probe row can emit

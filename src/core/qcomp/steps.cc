@@ -155,20 +155,39 @@ size_t SourceWidth(const std::vector<const storage::Chunk*>& chunks,
   return width;
 }
 
-// A group-by's output schema over `input`: its keys, then its
-// aggregates, each decimal iff its scale is not 0 (a COUNT's is).
-std::vector<ColumnMeta> GroupByOutputMetas(
-    const std::vector<std::pair<std::string, ExprPtr>>& keys,
-    const std::vector<AggSpec>& aggs, const MetaLookup& input) {
+// A group-by bound to its input (Bind): its key expressions, its
+// aggregates with bound expressions and FILTER clauses, and its output
+// schema, the keys then the aggregates, each decimal iff its scale is
+// not 0 (a COUNT's is).
+struct BoundGroupBy {
+  std::vector<ExprPtr> keys;
+  std::vector<AggSpec> aggs;
   std::vector<ColumnMeta> metas;
+};
+
+Result<BoundGroupBy> BindGroupBy(
+    const std::vector<std::pair<std::string, ExprPtr>>& keys,
+    const std::vector<AggSpec>& aggs, const std::vector<ColumnMeta>& input) {
+  BoundGroupBy out;
   for (const auto& [name, expr] : keys) {
-    metas.push_back(ExprMeta(name, *expr, input));
+    RAPID_ASSIGN_OR_RETURN(ExprPtr bound, Bind(*expr, input));
+    out.metas.push_back(ExprMeta(name, *bound, input));
+    out.keys.push_back(std::move(bound));
   }
   for (const AggSpec& a : aggs) {
+    AggSpec bound = a;
+    if (a.expr != nullptr) {
+      RAPID_ASSIGN_OR_RETURN(bound.expr, Bind(*a.expr, input));
+    }
+    if (a.filter != nullptr) {
+      RAPID_ASSIGN_OR_RETURN(Predicate filter, Bind(*a.filter, input));
+      bound.filter = std::make_shared<Predicate>(std::move(filter));
+    }
     const bool scaled = a.func != AggFunc::kCount && a.expr != nullptr;
-    metas.push_back(ScaledMeta(a.name, scaled ? ExprScale(*a.expr, input) : 0));
+    out.metas.push_back(ScaledMeta(a.name, scaled ? bound.expr->scale : 0));
+    out.aggs.push_back(std::move(bound));
   }
-  return metas;
+  return out;
 }
 
 // Merge operator of the low-NDV strategy: folds each partial table
@@ -400,14 +419,17 @@ void PipelineStep::RemapInputs(const std::vector<int>& old_to_new) {
 
 namespace {
 
-// Per-stage execution info resolved once (shared by all cores).
+// Per-stage execution info resolved once (shared by all cores). Every
+// column reference is bound to its input tile slot here, before any
+// tile moves.
 struct ResolvedStage {
   const PipelineStageSpec* spec = nullptr;
-  ColumnBinding in_binding;                // stage input: name -> tile pos
-  std::vector<std::string> pass_through;   // kFilterProject
-  ProbeOpSpec probe;                       // kProbe
-  std::vector<ExprPtr> key_exprs;          // kAggregate
-  std::vector<size_t> partition_keys;      // kPartition: key positions
+  std::vector<Predicate> predicates;     // kFilterProject: bound to input
+  std::vector<size_t> pass_through;      // kFilterProject: input slots
+  std::vector<ExprPtr> projections;      // kFilterProject: bound to those
+  ProbeOpSpec probe;                     // kProbe
+  BoundGroupBy group_by;                 // kAggregate
+  std::vector<size_t> partition_keys;    // kPartition: key slots
 };
 
 // One branch resolved against the pipeline's source (shared by all
@@ -415,8 +437,8 @@ struct ResolvedStage {
 struct ResolvedBranch {
   std::vector<ResolvedStage> stages;
   std::vector<ColumnMeta> metas;  // the branch's output schema
-  // Stage 0's predicates plus the pushed join filter, when it was built.
-  std::vector<Predicate> stage0_predicates;
+  // The join filter pushed into stage 0's predicates, when it was
+  // built.
   primitives::BlockedBloomFilter join_bloom;
   size_t row_bytes = 0;    // DMEM per tile row, past the accessor's
   bool probes = false;     // a probe stage hosts a broadcast table
@@ -425,39 +447,45 @@ struct ResolvedBranch {
   size_t sink_bytes = 0;
 };
 
-// Resolves `branch`'s stages, input bindings and output metadata
-// against the source columns (`binding`, name -> meta `avail`).
+// Resolves `branch`'s stages and output schema against the source
+// columns `source` (slot-ordered metas): each stage's input is the
+// previous stage's output schema, and every name binds to its slot.
 Status ResolveBranch(ExecEnv& env, const PipelineBranch& branch,
-                     ColumnBinding cur_binding,
-                     std::unordered_map<std::string, ColumnMeta> avail,
+                     const std::vector<ColumnMeta>& source,
                      ResolvedBranch* out) {
-  // Join-filter pushdown: the planner's ref rides on stage 0. Build
-  // once (shared, read-only) and hand every core's stage-0 FilterOp
-  // the augmented predicate list, so pruned rows never reach
-  // projection, materialization or a downstream partition step.
-  const PipelineStageSpec& stage0 = branch.stages.front();
-  out->stage0_predicates = stage0.predicates;
-  if (BuildJoinFilter(env, stage0.join_filter, &out->join_bloom)) {
-    out->stage0_predicates.push_back(
-        Predicate::Bloom(stage0.join_filter.probe_column, &out->join_bloom,
-                         stage0.join_filter.selectivity));
-  }
-
-  std::vector<ColumnMeta>& metas = out->metas;  // running stage output
-  const MetaLookup input_meta =
-      [&avail](const std::string& name) -> const ColumnMeta* {
-    auto it = avail.find(name);
-    return it != avail.end() ? &it->second : nullptr;
-  };
+  std::vector<ColumnMeta>& metas = out->metas;  // running stage input
+  metas = source;
   for (const PipelineStageSpec& stage : branch.stages) {
     ResolvedStage rs;
     rs.spec = &stage;
-    rs.in_binding = cur_binding;
     if (stage.kind == PipelineStageSpec::Kind::kFilterProject) {
-      rs.pass_through = ProjectionInputs(stage.projections);
+      // Join-filter pushdown: the planner's ref rides on stage 0. Build
+      // once (shared, read-only) and hand every core's stage-0 FilterOp
+      // the augmented predicate list, so pruned rows never reach
+      // projection, materialization or a downstream partition step.
+      rs.predicates = stage.predicates;
+      if (&stage == &branch.stages.front() &&
+          BuildJoinFilter(env, stage.join_filter, &out->join_bloom)) {
+        rs.predicates.push_back(
+            Predicate::Bloom(stage.join_filter.probe_column, &out->join_bloom,
+                             stage.join_filter.selectivity));
+      }
+      for (Predicate& p : rs.predicates) {
+        RAPID_ASSIGN_OR_RETURN(p, Bind(p, metas));
+      }
+      // The filter gathers the projections' inputs; they bind to its
+      // output tile.
+      std::vector<ColumnMeta> passed;
+      for (const std::string& name : ProjectionInputs(stage.projections)) {
+        RAPID_ASSIGN_OR_RETURN(size_t slot, SlotOf(metas, name));
+        rs.pass_through.push_back(slot);
+        passed.push_back(metas[slot]);
+      }
       metas.clear();
       for (const auto& [name, expr] : stage.projections) {
-        metas.push_back(ExprMeta(name, *expr, input_meta));
+        RAPID_ASSIGN_OR_RETURN(ExprPtr bound, Bind(*expr, passed));
+        metas.push_back(ExprMeta(name, *bound, passed));
+        rs.projections.push_back(std::move(bound));
       }
       out->row_bytes +=
           8 * (rs.pass_through.size() + stage.projections.size()) + 8;
@@ -480,70 +508,47 @@ Status ResolveBranch(ExecEnv& env, const PipelineBranch& branch,
         rs.probe.build_keys.push_back(idx);
       }
       for (const std::string& k : stage.probe_keys) {
-        auto it = cur_binding.find(k);
-        if (it == cur_binding.end()) {
-          return Status::NotFound("probe key '" + k + "' not in pipeline");
-        }
-        rs.probe.probe_keys.push_back(it->second);
+        RAPID_ASSIGN_OR_RETURN(size_t slot, SlotOf(metas, k));
+        rs.probe.probe_keys.push_back(slot);
       }
-      metas.clear();
+      std::vector<ColumnMeta> joined;
       for (const std::string& name : stage.output_columns) {
         auto b = bset.IndexOf(name);
         if (b.ok() && stage.join_type != JoinType::kSemi &&
             stage.join_type != JoinType::kAnti) {
           rs.probe.outputs.push_back(ProbeOpSpec::Output{true, b.value()});
-          metas.push_back(bset.meta(b.value()));
+          joined.push_back(bset.meta(b.value()));
           // kJoinNull, an unmatched left-outer row's build value, only
           // fits 8 bytes.
           if (stage.join_type == JoinType::kLeftOuter) {
-            metas.back().width = sizeof(int64_t);
+            joined.back().width = sizeof(int64_t);
           }
           continue;
         }
-        auto p = cur_binding.find(name);
-        if (p != cur_binding.end()) {
-          rs.probe.outputs.push_back(ProbeOpSpec::Output{false, p->second});
-          ColumnMeta m;
-          m.name = name;
-          auto it = avail.find(name);
-          if (it != avail.end()) m = it->second;
-          metas.push_back(m);
-          continue;
-        }
-        return Status::NotFound("pipeline output column '" + name +
-                                "' not found");
+        RAPID_ASSIGN_OR_RETURN(size_t slot, SlotOf(metas, name));
+        rs.probe.outputs.push_back(ProbeOpSpec::Output{false, slot});
+        joined.push_back(metas[slot]);
       }
+      metas = std::move(joined);
       env.counters.join_build_rows += bset.num_rows();
       out->row_bytes += 8 * stage.output_columns.size() + 8;
     } else if (stage.kind == PipelineStageSpec::Kind::kPartition) {
       // The stage passes its input through: the output schema stays.
       for (const std::string& k : stage.partition_keys) {
-        auto it = cur_binding.find(k);
-        if (it == cur_binding.end()) {
-          return Status::NotFound("partition key '" + k + "' not in pipeline");
-        }
-        rs.partition_keys.push_back(it->second);
+        RAPID_ASSIGN_OR_RETURN(size_t slot, SlotOf(metas, k));
+        rs.partition_keys.push_back(slot);
       }
       out->row_bytes += PartitionSink::kBytesPerRow;
       out->sink_bytes =
           PartitionSink::StagingBytes(stage.partition_scheme.rounds.front());
     } else {
-      for (const auto& key : stage.group_keys) {
-        rs.key_exprs.push_back(key.second);
-      }
-      metas = GroupByOutputMetas(stage.group_keys, stage.aggregates,
-                                 input_meta);
+      RAPID_ASSIGN_OR_RETURN(
+          rs.group_by, BindGroupBy(stage.group_keys, stage.aggregates, metas));
+      metas = rs.group_by.metas;
       out->row_bytes +=
           8 * (stage.group_keys.size() + stage.aggregates.size());
       out->sink_bytes = GroupHashTable::DmemBytes(
           stage.group_keys.size(), stage.aggregates.size(), stage.est_groups);
-    }
-    // Stage output becomes the next stage's input.
-    cur_binding.clear();
-    avail.clear();
-    for (size_t c = 0; c < metas.size(); ++c) {
-      cur_binding[metas[c].name] = c;
-      avail[metas[c].name] = metas[c];
     }
     out->stages.push_back(std::move(rs));
   }
@@ -647,14 +652,14 @@ Status PipelineStep::Execute(ExecEnv& env) const {
     }
   }
 
-  // ---- Resolve the source: binding + metadata of the incoming columns.
+  // ---- Resolve the source: the incoming columns' metas, in tile-slot
+  // order.
   const storage::Table* table = nullptr;
   const ColumnSet* input_set = nullptr;
   std::vector<const storage::Chunk*> all_chunks;
   std::vector<size_t> col_indices;
   std::vector<int> target_scales;
-  ColumnBinding binding;
-  std::unordered_map<std::string, ColumnMeta> avail;  // name -> meta
+  std::vector<ColumnMeta> source;
   size_t src_width = 0;
 
   if (table_source) {
@@ -674,14 +679,12 @@ Status PipelineStep::Execute(ExecEnv& env) const {
                              table->schema().IndexOf(spec_.base_columns[c]));
       col_indices.push_back(idx);
       target_scales.push_back(table->stats(idx).dsb_scale);
-      binding[spec_.base_columns[c]] = c;
-      ColumnMeta m;
+      ColumnMeta& m = source.emplace_back();
       m.name = spec_.base_columns[c];
       m.type = table->schema().field(idx).type;
       m.dsb_scale = table->stats(idx).dsb_scale;
       m.dict = table->dictionary(idx);
       m.width = SourceWidth(all_chunks, idx, m.dsb_scale);
-      avail[m.name] = m;
       src_width += storage::WidthOf(m.type);
     }
     // A shared scan reads each row once, whatever its branches number.
@@ -698,10 +701,9 @@ Status PipelineStep::Execute(ExecEnv& env) const {
           "pipeline step needs an unpartitioned input");
     }
     input_set = &in.set;
+    source = input_set->metas();
     for (size_t c = 0; c < input_set->num_columns(); ++c) {
-      binding[input_set->meta(c).name] = c;
       col_indices.push_back(c);
-      avail[input_set->meta(c).name] = input_set->meta(c);
     }
     src_width = 8 * input_set->num_columns();
     // A group-by reading its input is no scan; agg_rows counts it.
@@ -717,7 +719,7 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   std::vector<ResolvedBranch> resolved(num_branches);
   for (size_t b = 0; b < num_branches; ++b) {
     RAPID_RETURN_NOT_OK(
-        ResolveBranch(env, spec_.branches[b], binding, avail, &resolved[b]));
+        ResolveBranch(env, spec_.branches[b], source, &resolved[b]));
   }
 
   // ---- Tile size: the accessor's double buffer plus the largest
@@ -739,6 +741,7 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   budget -= std::min(budget, sink_bytes);
   const size_t tile_rows = FitTileRows(
       spec_.tile_rows, 2 * src_width + branch_row_bytes, budget);
+  env.outputs[static_cast<size_t>(id_)].ran_tile_rows = tile_rows;
 
   const int num_cores = env.dpu->num_cores();
   const size_t n_input = table_source ? 0 : input_set->num_rows();
@@ -829,15 +832,11 @@ Status PipelineStep::Execute(ExecEnv& env) const {
             for (size_t s = 0; s < resolved[b].stages.size(); ++s) {
               const ResolvedStage& rs = resolved[b].stages[s];
               if (rs.spec->kind == PipelineStageSpec::Kind::kFilterProject) {
-                auto filter = std::make_unique<FilterOp>(
-                    s == 0 ? resolved[b].stage0_predicates
-                           : rs.spec->predicates,
-                    rs.pass_through, rs.in_binding, tile_rows,
-                    s == 0 && spec_.branches[b].use_rid_list);
-                auto project = std::make_unique<ProjectOp>(
-                    rs.spec->projections, filter->OutputBinding(), tile_rows);
-                ops.push_back(std::move(filter));
-                ops.push_back(std::move(project));
+                ops.push_back(std::make_unique<FilterOp>(
+                    rs.predicates, rs.pass_through, tile_rows,
+                    s == 0 && spec_.branches[b].use_rid_list));
+                ops.push_back(
+                    std::make_unique<ProjectOp>(rs.projections, tile_rows));
               } else if (rs.spec->kind == PipelineStageSpec::Kind::kProbe) {
                 ProbeOpSpec pspec = rs.probe;
                 pspec.tile_rows = tile_rows;
@@ -851,7 +850,7 @@ Status PipelineStep::Execute(ExecEnv& env) const {
                     rs.spec->partition_tile_rows, scheme.NumRounds() > 1));
               } else {
                 ops.push_back(std::make_unique<GroupByOp>(
-                    rs.key_exprs, rs.spec->aggregates, rs.in_binding));
+                    rs.group_by.keys, rs.group_by.aggs));
               }
             }
             for (size_t i = 0; i + 1 < ops.size(); ++i) {
@@ -1228,19 +1227,11 @@ Status GroupByStep::Execute(ExecEnv& env) const {
     return Status::InvalidArgument("group-by input has no partitions");
   }
   const ColumnSet& proto = input.partitions[0];
-  ColumnBinding binding;
   std::vector<size_t> col_indices;
-  for (size_t c = 0; c < proto.num_columns(); ++c) {
-    binding[proto.meta(c).name] = c;
-    col_indices.push_back(c);
-  }
-  std::vector<ExprPtr> key_exprs;
-  for (const auto& [name, expr] : keys_) key_exprs.push_back(expr);
-  const std::vector<ColumnMeta> metas = GroupByOutputMetas(
-      keys_, aggs_, [&proto](const std::string& name) -> const ColumnMeta* {
-        auto idx = proto.IndexOf(name);
-        return idx.ok() ? &proto.meta(idx.value()) : nullptr;
-      });
+  for (size_t c = 0; c < proto.num_columns(); ++c) col_indices.push_back(c);
+  RAPID_ASSIGN_OR_RETURN(const BoundGroupBy bound,
+                         BindGroupBy(keys_, aggs_, proto.metas()));
+  const std::vector<ColumnMeta>& metas = bound.metas;
   for (const ColumnSet& p : input.partitions) {
     env.counters.agg_rows += p.num_rows();
   }
@@ -1257,17 +1248,12 @@ Status GroupByStep::Execute(ExecEnv& env) const {
   // partitions (keys are plain columns on the high-NDV path).
   std::vector<size_t> key_cols;
   bool keys_plain = !keys_.empty();
-  for (const auto& [name, expr] : keys_) {
-    if (expr->kind != Expr::Kind::kColumn) {
+  for (const ExprPtr& key : bound.keys) {
+    if (key->kind != Expr::Kind::kColumn) {
       keys_plain = false;
       break;
     }
-    auto idx = proto.IndexOf(expr->column);
-    if (!idx.ok()) {
-      keys_plain = false;
-      break;
-    }
-    key_cols.push_back(idx.value());
+    key_cols.push_back(static_cast<size_t>(key->slot));
   }
 
   std::atomic<uint64_t> repartitions{0};
@@ -1297,7 +1283,7 @@ Status GroupByStep::Execute(ExecEnv& env) const {
         std::unique_ptr<GroupByOp>& op =
             core_ops[static_cast<size_t>(core.id())];
         if (op == nullptr) {
-          op = std::make_unique<GroupByOp>(key_exprs, aggs_, binding);
+          op = std::make_unique<GroupByOp>(bound.keys, bound.aggs);
         }
         // Aggregates one ColumnSet, whose keys share their low
         // `hash_shift` hash bits, into `agg_out` on this core.

@@ -39,6 +39,9 @@ struct StepOutput {
   // k's rows at branch_rows[k - 1] until its BranchStep moves them out;
   // `set` holds branch 0's.
   std::vector<ColumnSet> branch_rows;
+  // Rows per tile a PipelineStep moved: its plan's tile, or fewer when
+  // its DMEM budget fits fewer (FitTileRows). 0 for other steps.
+  size_t ran_tile_rows = 0;
 };
 
 // Workload volume counters accumulated across steps; the benchmark

@@ -186,6 +186,11 @@ Status RelationAccessor::PushChunks(
   uint64_t base_row = 0;
   size_t parity = 0;
   std::vector<size_t> run_cursor(column_indices.size(), 0);
+  // Per-tile descriptors and the tile itself, reused across tiles.
+  std::vector<dpu::ColumnSlice> slices;
+  std::vector<StagedRuns> staged_cols;
+  Tile tile;
+  tile.columns.resize(column_indices.size());
   for (const storage::Chunk* chunk : chunks) {
     const size_t chunk_rows = chunk->num_rows();
     std::fill(run_cursor.begin(), run_cursor.end(), 0);
@@ -200,20 +205,20 @@ Status RelationAccessor::PushChunks(
       // RLE-topped columns ship their run window (lengths + packed
       // values) instead of the expanded slice, so the chain's byte
       // charge drops by the column's compression ratio.
-      std::vector<dpu::ColumnSlice> slices;
-      std::vector<StagedRuns> staged_cols;
-      Tile tile;
+      slices.clear();
+      staged_cols.clear();
       tile.rows = rows;
       tile.base_row = base_row;
-      tile.columns.resize(column_indices.size());
       for (size_t c = 0; c < column_indices.size(); ++c) {
         const storage::Vector& vec = chunk->column(column_indices[c]);
         const size_t width = vec.width();
         uint8_t* dst = buffers[c] + parity * tile_rows * declared[c];
-        tile.columns[c].data = dst;
-        tile.columns[c].type = vec.type();
-        tile.columns[c].width = width;
-        tile.columns[c].dsb_scale = vec.dsb_scale();
+        TileColumn& col = tile.columns[c];
+        col = TileColumn();  // drops the previous tile's runs
+        col.data = dst;
+        col.type = vec.type();
+        col.width = width;
+        col.dsb_scale = vec.dsb_scale();
         const storage::EncodedColumn* enc =
             staging[c] != nullptr ? chunk->encoding(column_indices[c])
                                   : nullptr;
@@ -352,6 +357,8 @@ Status RelationAccessor::PushColumnSet(ExecCtx& ctx, const ColumnSet& set,
 
   const size_t row_bytes = set.RowBytes(column_indices);
   size_t parity = 0;
+  Tile tile;  // reused across tiles
+  tile.columns.resize(column_indices.size());
   for (size_t start = row_begin; start < row_end; start += tile_rows) {
     RAPID_RETURN_NOT_OK(ctx.CheckCancel());
     const size_t rows = std::min(tile_rows, row_end - start);
@@ -360,10 +367,8 @@ Status RelationAccessor::PushColumnSet(ExecCtx& ctx, const ColumnSet& set,
     RAPID_RETURN_NOT_OK(ctx.dms->LoadTile(
         &ctx.cycles(), static_cast<int>(column_indices.size()), rows,
         row_bytes));
-    Tile tile;
     tile.rows = rows;
     tile.base_row = start - row_begin;
-    tile.columns.resize(column_indices.size());
     for (size_t c = 0; c < column_indices.size(); ++c) {
       const ColumnMeta& meta = set.meta(column_indices[c]);
       TileColumn& col = tile.columns[c];

@@ -435,6 +435,28 @@ TEST_F(EngineTest, FusedPipelineMatchesUnfused) {
   }
 }
 
+// A chain with a probe stage halves its DMEM budget, so it moves
+// smaller tiles than its plan text prints; ExplainAnalyze reports the
+// tile it ran beside the planned one.
+TEST_F(EngineTest, ExplainAnalyzeReportsTheTileAProbingChainRan) {
+  auto dims = LogicalNode::Scan("dims", {"d_id", "d_class"});
+  auto filtered = LogicalNode::Scan(
+      "facts", {"f_dim", "f_qty"},
+      {Predicate::CmpConst("f_qty", CmpOp::kGe, 25)});
+  ASSERT_OK_AND_ASSIGN(
+      std::string text,
+      engine_.ExplainAnalyze(LogicalNode::Join(dims, filtered, {"d_id"},
+                                               {"f_dim"}, {"d_class", "f_qty"},
+                                               JoinType::kInner)));
+  const size_t at = text.find("PIPELINE scan facts");
+  ASSERT_NE(at, std::string::npos) << text;
+  const std::string line = text.substr(at, text.find('\n', at) - at);
+  EXPECT_NE(line.find(" tile=512 "), std::string::npos) << line;
+  EXPECT_NE(line.find(" ran_tile=128)"), std::string::npos) << line;
+  // The dims scan runs the tile its plan prints.
+  EXPECT_EQ(text.find("ran_tile="), text.rfind("ran_tile=")) << text;
+}
+
 TEST_F(EngineTest, FusedJoinThenGroupBy) {
   // A breaker (group-by) downstream of a fused probe pipeline: the
   // pipeline materializes once, the group-by consumes it.

@@ -26,6 +26,7 @@ namespace rapid::core {
 namespace {
 
 using primitives::CmpOp;
+using rapid::testing::Bound;
 using rapid::testing::MakeColumnSet;
 using rapid::testing::Rows;
 using rapid::testing::SortedRows;
@@ -130,10 +131,16 @@ ColumnSet CycledInput(const std::vector<int64_t>& keys, size_t copies) {
   return MakeInput(1, cols);
 }
 
-ColumnBinding BindingOf(const ColumnSet& in) {
-  ColumnBinding binding;
-  for (size_t c = 0; c < in.num_columns(); ++c) binding[in.meta(c).name] = c;
-  return binding;
+// Aggs() bound to `in`'s slots.
+std::vector<AggSpec> BoundAggs(const ColumnSet& in) {
+  std::vector<AggSpec> aggs = Aggs();
+  for (AggSpec& a : aggs) {
+    if (a.expr != nullptr) a.expr = Bound(a.expr, in.metas());
+    if (a.filter != nullptr) {
+      a.filter = std::make_shared<Predicate>(Bound(*a.filter, in.metas()));
+    }
+  }
+  return aggs;
 }
 
 std::vector<std::pair<std::string, ExprPtr>> KeyExprs(size_t num_keys) {
@@ -206,7 +213,8 @@ TEST(GroupByTest, ShiftedHashKeepsOnePartitionsChainsShort) {
   dpu::Dpu dpu;
   std::map<int, uint64_t> steps;
   for (const int shift : {10, 0}) {
-    GroupByOp op({Expr::Col("k0")}, Aggs(), BindingOf(input), shift);
+    GroupByOp op({Bound(Expr::Col("k0"), input.metas())}, BoundAggs(input),
+                 shift);
     ExecCtx ctx{&dpu.core(0), &dpu.dms(), &dpu.params(), true};
     ctx.dmem().Reset();
     ASSERT_OK(op.Open(ctx));

@@ -29,6 +29,7 @@
 namespace rapid::core {
 namespace {
 
+using rapid::testing::Bound;
 using rapid::testing::CleanPollCount;
 using rapid::testing::MakeColumnSet;
 using rapid::testing::Rows;
@@ -144,13 +145,14 @@ TEST_F(OpsTest, AccessorOverColumnSet) {
 TEST_F(OpsTest, FilterPipelineLateMaterializes) {
   ColumnSet input = MakeColumnSet(
       {"k", "v"}, {{1, 2, 3, 4, 5, 6}, {10, 20, 30, 40, 50, 60}});
-  ColumnBinding binding{{"k", 0}, {"v", 1}};
 
   ColumnSet out(std::vector<ColumnMeta>{ColumnMeta{"v2", {}, 0}});
-  FilterOp filter({Predicate::CmpConst("k", primitives::CmpOp::kGt, 3)},
-                  {"v"}, binding, 64, false);
-  ProjectOp project({{"v2", Expr::Mul(Expr::Col("v"), Expr::Int(2))}},
-                    filter.OutputBinding(), 64);
+  FilterOp filter(
+      {Bound(Predicate::CmpConst("k", primitives::CmpOp::kGt, 3),
+             input.metas())},
+      {1}, 64, false);
+  ProjectOp project(
+      {Bound(Expr::Mul(Expr::Col("v"), Expr::Int(2)), {input.meta(1)})}, 64);
   MaterializeSink sink(&out, 64);
   filter.set_downstream(&project);
   project.set_downstream(&sink);
@@ -168,11 +170,13 @@ TEST_F(OpsTest, FilterPipelineLateMaterializes) {
 
 TEST_F(OpsTest, FilterConjunctionRefines) {
   ColumnSet input = MakeColumnSet({"a", "b"}, {{1, 5, 8, 12}, {0, 1, 0, 1}});
-  ColumnBinding binding{{"a", 0}, {"b", 1}};
   ColumnSet out(std::vector<ColumnMeta>{ColumnMeta{"a", {}, 0}});
-  FilterOp filter({Predicate::CmpConst("a", primitives::CmpOp::kGt, 3),
-                   Predicate::CmpConst("b", primitives::CmpOp::kEq, 1)},
-                  {"a"}, binding, 64, false);
+  FilterOp filter(
+      {Bound(Predicate::CmpConst("a", primitives::CmpOp::kGt, 3),
+             input.metas()),
+       Bound(Predicate::CmpConst("b", primitives::CmpOp::kEq, 1),
+             input.metas())},
+      {0}, 64, false);
   MaterializeSink sink(&out, 64);
   filter.set_downstream(&sink);
   ExecCtx ctx = Ctx();
@@ -185,9 +189,8 @@ TEST_F(OpsTest, FilterConjunctionRefines) {
 
 TEST_F(OpsTest, EmptyPredicatesPassEverything) {
   ColumnSet input = MakeColumnSet({"a"}, {{7, 8}});
-  ColumnBinding binding{{"a", 0}};
   ColumnSet out(std::vector<ColumnMeta>{ColumnMeta{"a", {}, 0}});
-  FilterOp filter({}, {"a"}, binding, 64, false);
+  FilterOp filter({}, {0}, 64, false);
   MaterializeSink sink(&out, 64);
   filter.set_downstream(&sink);
   ExecCtx ctx = Ctx();
@@ -201,9 +204,8 @@ TEST_F(OpsTest, EmptyPredicatesPassEverything) {
 TEST_F(OpsTest, DmemBudgetEnforced) {
   // A filter whose DMEM footprint exceeds the scratchpad must fail at
   // Open, not silently overrun.
-  ColumnBinding binding{{"a", 0}};
-  std::vector<std::string> many_cols(40, "a");
-  FilterOp filter({}, many_cols, binding, 4096, false);
+  std::vector<size_t> many_cols(40, 0);
+  FilterOp filter({}, many_cols, 4096, false);
   ExecCtx ctx = Ctx();
   ctx.dmem().Reset();
   const Status st = filter.Open(ctx);
@@ -216,15 +218,16 @@ TEST_F(OpsTest, DmemBudgetEnforced) {
 TEST_F(OpsTest, GroupByAggregatesAndMerges) {
   ColumnSet input = MakeColumnSet(
       {"g", "v"}, {{1, 2, 1, 2, 1}, {10, 20, 30, 40, 50}});
-  ColumnBinding binding{{"g", 0}, {"v", 1}};
+  const ExprPtr v = Bound(Expr::Col("v"), input.metas());
   std::vector<AggSpec> aggs;
-  aggs.push_back({"sum_v", AggFunc::kSum, Expr::Col("v"), {}});
-  aggs.push_back({"min_v", AggFunc::kMin, Expr::Col("v"), {}});
-  aggs.push_back({"max_v", AggFunc::kMax, Expr::Col("v"), {}});
+  aggs.push_back({"sum_v", AggFunc::kSum, v, {}});
+  aggs.push_back({"min_v", AggFunc::kMin, v, {}});
+  aggs.push_back({"max_v", AggFunc::kMax, v, {}});
   aggs.push_back({"cnt", AggFunc::kCount, nullptr, {}});
 
-  GroupByOp op1({Expr::Col("g")}, aggs, binding);
-  GroupByOp op2({Expr::Col("g")}, aggs, binding);
+  const ExprPtr g = Bound(Expr::Col("g"), input.metas());
+  GroupByOp op1({g}, aggs);
+  GroupByOp op2({g}, aggs);
   ExecCtx ctx = Ctx();
   ctx.dmem().Reset();
   ASSERT_OK(op1.Open(ctx));
@@ -280,13 +283,14 @@ TEST_F(OpsTest, BatchedGroupForMatchesPerRowLookup) {
 
 TEST_F(OpsTest, GroupByWithAggregateFilter) {
   ColumnSet input = MakeColumnSet({"g", "v"}, {{1, 1, 1}, {5, 10, 15}});
-  ColumnBinding binding{{"g", 0}, {"v", 1}};
   std::vector<AggSpec> aggs;
-  aggs.push_back({"big_sum", AggFunc::kSum, Expr::Col("v"),
-                  std::make_shared<Predicate>(Predicate::CmpConst(
-                      "v", primitives::CmpOp::kGe, 10))});
+  aggs.push_back({"big_sum", AggFunc::kSum,
+                  Bound(Expr::Col("v"), input.metas()),
+                  std::make_shared<Predicate>(
+                      Bound(Predicate::CmpConst("v", primitives::CmpOp::kGe, 10),
+                            input.metas()))});
   aggs.push_back({"all_cnt", AggFunc::kCount, nullptr, {}});
-  GroupByOp op({Expr::Col("g")}, aggs, binding);
+  GroupByOp op({Bound(Expr::Col("g"), input.metas())}, aggs);
   ExecCtx ctx = Ctx();
   ctx.dmem().Reset();
   ASSERT_OK(op.Open(ctx));
@@ -304,8 +308,8 @@ TEST_F(OpsTest, GroupByWithAggregateFilter) {
 
 TEST_F(OpsTest, ZeroKeyGroupByProducesSingleGroup) {
   ColumnSet input = MakeColumnSet({"v"}, {{1, 2, 3}});
-  ColumnBinding binding{{"v", 0}};
-  GroupByOp op({}, {{"s", AggFunc::kSum, Expr::Col("v"), {}}}, binding);
+  GroupByOp op({},
+               {{"s", AggFunc::kSum, Bound(Expr::Col("v"), input.metas()), {}}});
   ExecCtx ctx = Ctx();
   ctx.dmem().Reset();
   ASSERT_OK(op.Open(ctx));

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
+#include "core/expr.h"
 #include "core/ops/partition_exec.h"
 #include "core/qef/column_set.h"
 #include "storage/loader.h"
@@ -55,6 +56,17 @@ inline void ExpectIdentical(const core::ColumnSet& a, const core::ColumnSet& b,
         << what << " col " << c;
     EXPECT_EQ(a.meta(c).dict, b.meta(c).dict) << what << " col " << c;
   }
+}
+
+// `expr` and `pred` bound to `schema` (core::Bind), for hand-built
+// operators.
+inline core::ExprPtr Bound(const core::ExprPtr& expr,
+                           const std::vector<core::ColumnMeta>& schema) {
+  return core::Bind(*expr, schema).value();
+}
+inline core::Predicate Bound(const core::Predicate& pred,
+                             const std::vector<core::ColumnMeta>& schema) {
+  return core::Bind(pred, schema).value();
 }
 
 // Asserts two result sets hold the same bag of rows (sorted compare)
