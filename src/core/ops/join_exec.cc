@@ -101,15 +101,36 @@ struct PairResult {
   JoinStats stats;
 };
 
-void EmitMatch(const ColumnSet& build, const ColumnSet& probe,
-               const JoinSpec& spec, size_t brow, size_t prow,
-               ColumnSet* out) {
+// One output row of a partition pair: the matching build row, or
+// kNoBuildRow for a semi/anti row and an unmatched left-outer row, and
+// the probe row. Rows fit 32 bits, as in the join table.
+struct Match {
+  uint32_t brow;
+  uint32_t prow;
+};
+constexpr uint32_t kNoBuildRow = ~uint32_t{0};
+
+// Appends the pair's matches to `out`, one output column at a time.
+void GatherMatches(const ColumnSet& build, const ColumnSet& probe,
+                   const JoinSpec& spec, const std::vector<Match>& matches,
+                   ColumnSet* out) {
+  const size_t n = matches.size();
   for (size_t c = 0; c < spec.outputs.size(); ++c) {
     const JoinSpec::Output& o = spec.outputs[c];
-    out->column(c).push_back(
-        o.from_build
-            ? (brow == SIZE_MAX ? kJoinNull : build.Value(brow, o.column))
-            : probe.Value(prow, o.column));
+    std::vector<int64_t>& column = out->column(c);
+    const size_t base = column.size();
+    column.resize(base + n);
+    int64_t* dst = column.data() + base;
+    if (o.from_build) {
+      const int64_t* src = build.column(o.column).data();
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t brow = matches[i].brow;
+        dst[i] = brow == kNoBuildRow ? kJoinNull : src[brow];
+      }
+    } else {
+      const int64_t* src = probe.column(o.column).data();
+      for (size_t i = 0; i < n; ++i) dst[i] = src[matches[i].prow];
+    }
   }
 }
 
@@ -276,8 +297,8 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
                                hashes.data());
       for (size_t i = 0; i < rows; ++i) {
         const size_t row = start + i;
-        if (!heavy_rows.empty() && bkeys.size() == 1) {
-          auto it = heavy_rows.find(build.Value(row, bkeys[0]));
+        if (!heavy_rows.empty()) {
+          auto it = heavy_rows.find(bcols[0][row]);
           if (it != heavy_rows.end()) {
             // Heavy keys bypass the hash table; their rows go to the
             // broadcast side list.
@@ -331,8 +352,16 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
   }
 
   // ---- Probe stage ----
+  // Every join type appends (build row or none, probe row) to one match
+  // list in emission order; the output columns are gathered from it
+  // after the probe.
+  RAPID_CHECK(probe_rows < kNoBuildRow);
+  std::vector<Match> matches;
   primitives::ProbeStats probe_stats;
   const std::vector<size_t>& pkeys = spec.probe_keys;
+  const int64_t* pkey0 = pcols[0];
+  const bool emits_unmatched =
+      spec.type == JoinType::kAnti || spec.type == JoinType::kLeftOuter;
   // The batched path hashes a whole DMEM tile then calls ProbeBatch
   // once per tile. It preserves emission order for inner/semi/anti
   // joins; left-outer interleaves match and null rows per probe row,
@@ -340,158 +369,160 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
   // keep the per-row loop.
   const bool batched =
       heavy_rows.empty() && spec.type != JoinType::kLeftOuter;
-  std::vector<uint32_t> tile_hashes(std::min(spec.tile_rows, probe_rows));
-  std::vector<uint32_t> tile_match_counts;
+  std::vector<uint32_t> tile_hashes;
   std::vector<uint32_t> keep_idx;
   std::vector<uint32_t> kept_counts;
-  if (batched) {
-    tile_match_counts.resize(spec.tile_rows);
-    keep_idx.resize(spec.tile_rows);
-    kept_counts.resize(spec.tile_rows);
+  if (build_rows > 0) {
+    tile_hashes.resize(std::min(spec.tile_rows, probe_rows));
+    if (batched) {
+      keep_idx.resize(spec.tile_rows);
+      kept_counts.resize(spec.tile_rows);
+    }
   }
   TraceSpan probe_span(TraceMode::kFull, core.id(), "join.probe",
                        &dpu::TraceClockNow, &core.cycles());
   probe_span.Annotate("rows", static_cast<uint64_t>(probe_rows));
-  for (size_t start = 0; start < probe_rows; start += spec.tile_rows) {
-    RAPID_RETURN_NOT_OK(CancelToken::Check(cancel));
-    const size_t rows = std::min(spec.tile_rows, probe_rows - start);
-    primitives::ProbeStats tile_stats;
-    size_t tile_pruned = 0;
-    primitives::HashKeysTile(pcols.data(), pcols.size(), start, rows, shift,
-                             tile_hashes.data());
-    if (batched) {
-      // Bloom-prune before probing: pruned rows keep match_count 0 (so
-      // the anti post-loop still emits them in row order) and drop out
-      // of the ProbeBatch entirely. Kept rows probe in row order, so
-      // inner/semi emission order is identical with the filter off.
-      // Kept hashes compact in place (kept <= i).
-      size_t kept = 0;
-      for (size_t i = 0; i < rows; ++i) {
-        tile_match_counts[i] = 0;
-        if (use_filter && !pair_filter.MayContain(static_cast<uint64_t>(
-                              probe.Value(start + i, pkeys[0])))) {
-          continue;
+  // `key_eq(brow, prow)` compares a build row's keys with a probe row's.
+  auto probe_tiles = [&](auto key_eq) -> Status {
+    for (size_t start = 0; start < probe_rows; start += spec.tile_rows) {
+      RAPID_RETURN_NOT_OK(CancelToken::Check(cancel));
+      const size_t rows = std::min(spec.tile_rows, probe_rows - start);
+      primitives::ProbeStats tile_stats;
+      size_t tile_pruned = 0;
+      if (build_rows == 0) {
+        // Nothing to hash, filter or walk: no probe row matches.
+        if (emits_unmatched) {
+          for (size_t i = 0; i < rows; ++i) {
+            matches.push_back({kNoBuildRow, static_cast<uint32_t>(start + i)});
+          }
         }
-        keep_idx[kept] = static_cast<uint32_t>(i);
-        tile_hashes[kept] = tile_hashes[i];
-        ++kept;
-      }
-      tile_pruned = rows - kept;
-      table.ProbeBatch(
-          tile_hashes.data(), kept,
-          [&](size_t i, size_t brow) {
-            return KeysEqual(bcols, brow, pcols, start + keep_idx[i]);
-          },
-          [&](size_t i, size_t brow) {
-            if (spec.type == JoinType::kInner) {
-              EmitMatch(build, probe, spec, brow, start + keep_idx[i],
-                        &result->output);
-            }
-          },
-          kept_counts.data(), &tile_stats);
-      for (size_t i = 0; i < kept; ++i) {
-        tile_match_counts[keep_idx[i]] = kept_counts[i];
-      }
-      for (size_t i = 0; i < rows; ++i) {
-        const uint32_t match_count = tile_match_counts[i];
-        if (spec.type == JoinType::kSemi && match_count > 0) {
-          EmitMatch(build, probe, spec, SIZE_MAX, start + i, &result->output);
-        } else if (spec.type == JoinType::kAnti && match_count == 0) {
-          EmitMatch(build, probe, spec, SIZE_MAX, start + i, &result->output);
+      } else if (batched) {
+        primitives::HashKeysTile(pcols.data(), pcols.size(), start, rows,
+                                 shift, tile_hashes.data());
+        // Bloom-prune before probing: pruned rows have no match and
+        // drop out of the ProbeBatch. Kept rows probe in row order, so
+        // emission order is identical with the filter off. Kept hashes
+        // compact in place (kept <= i).
+        size_t kept = 0;
+        for (size_t i = 0; i < rows; ++i) {
+          if (use_filter && !pair_filter.MayContain(
+                                static_cast<uint64_t>(pkey0[start + i]))) {
+            continue;
+          }
+          keep_idx[kept] = static_cast<uint32_t>(start + i);
+          tile_hashes[kept] = tile_hashes[i];
+          ++kept;
         }
-        result->stats.matches += match_count;
-      }
-    } else {
-      for (size_t i = 0; i < rows; ++i) {
-        const size_t prow = start + i;
-        size_t match_count = 0;
-        // The filter covers heavy-bypass build rows too, so a miss
-        // also skips the broadcast side pass; match_count stays 0 and
-        // the anti/left-outer switch below emits correctly.
-        const bool pruned =
-            use_filter && !pair_filter.MayContain(static_cast<uint64_t>(
-                              probe.Value(prow, pkeys[0])));
-        if (pruned) {
-          ++tile_pruned;
+        tile_pruned = rows - kept;
+        auto kept_eq = [&](size_t i, size_t brow) {
+          return key_eq(brow, keep_idx[i]);
+        };
+        if (spec.type == JoinType::kInner) {
+          table.ProbeBatch(
+              tile_hashes.data(), kept, kept_eq,
+              [&](size_t i, size_t brow) {
+                matches.push_back({static_cast<uint32_t>(brow), keep_idx[i]});
+              },
+              kept_counts.data(), &tile_stats);
         } else {
-          table.Probe(
-              tile_hashes[i],
-              [&](size_t brow) {
-                return KeysEqual(bcols, brow, pcols, prow);
-              },
-              [&](size_t brow) {
-                ++match_count;
-                if (spec.type == JoinType::kInner ||
-                    spec.type == JoinType::kLeftOuter) {
-                  EmitMatch(build, probe, spec, brow, prow, &result->output);
-                }
-              },
-              &tile_stats);
-
-          // Heavy-hitter side pass: probe the broadcast list.
-          if (!heavy_rows.empty() && pkeys.size() == 1) {
-            auto it = heavy_rows.find(probe.Value(prow, pkeys[0]));
-            if (it != heavy_rows.end()) {
-              for (uint32_t brow : it->second) {
-                ++match_count;
-                ++result->stats.heavy_hitter_matches;
-                if (spec.type == JoinType::kInner ||
-                    spec.type == JoinType::kLeftOuter) {
-                  EmitMatch(build, probe, spec, brow, prow, &result->output);
+          table.ProbeBatch(tile_hashes.data(), kept, kept_eq,
+                           [](size_t, size_t) {}, kept_counts.data(),
+                           &tile_stats);
+          // Semi keeps the probe rows that matched, anti the others
+          // (pruned rows included), in row order.
+          const bool keep_matched = spec.type == JoinType::kSemi;
+          size_t k = 0;
+          for (size_t i = 0; i < rows; ++i) {
+            const uint32_t prow = static_cast<uint32_t>(start + i);
+            bool matched = false;
+            if (k < kept && keep_idx[k] == prow) {
+              matched = kept_counts[k++] > 0;
+            }
+            if (matched == keep_matched) matches.push_back({kNoBuildRow, prow});
+          }
+        }
+        result->stats.matches += tile_stats.matches;
+      } else {
+        primitives::HashKeysTile(pcols.data(), pcols.size(), start, rows,
+                                 shift, tile_hashes.data());
+        const bool emits_pairs = spec.type == JoinType::kInner ||
+                                 spec.type == JoinType::kLeftOuter;
+        for (size_t i = 0; i < rows; ++i) {
+          const uint32_t prow = static_cast<uint32_t>(start + i);
+          size_t match_count = 0;
+          auto emit = [&](uint32_t brow) {
+            ++match_count;
+            if (emits_pairs) matches.push_back({brow, prow});
+          };
+          // The filter covers heavy-bypass build rows too, so a miss
+          // also skips the broadcast side pass.
+          if (use_filter && !pair_filter.MayContain(
+                                static_cast<uint64_t>(pkey0[prow]))) {
+            ++tile_pruned;
+          } else {
+            table.Probe(
+                tile_hashes[i],
+                [&](size_t brow) { return key_eq(brow, prow); },
+                [&](size_t brow) { emit(static_cast<uint32_t>(brow)); },
+                &tile_stats);
+            // Heavy-hitter side pass: probe the broadcast list.
+            if (!heavy_rows.empty()) {
+              auto it = heavy_rows.find(pkey0[prow]);
+              if (it != heavy_rows.end()) {
+                for (uint32_t brow : it->second) {
+                  ++result->stats.heavy_hitter_matches;
+                  emit(brow);
                 }
               }
             }
           }
+          const bool keep = spec.type == JoinType::kSemi ? match_count > 0
+                                                          : emits_unmatched &&
+                                                                match_count == 0;
+          if (keep) matches.push_back({kNoBuildRow, prow});
+          result->stats.matches += match_count;
         }
-
-        switch (spec.type) {
-          case JoinType::kSemi:
-            if (match_count > 0) {
-              EmitMatch(build, probe, spec, SIZE_MAX, prow, &result->output);
-            }
-            break;
-          case JoinType::kAnti:
-            if (match_count == 0) {
-              EmitMatch(build, probe, spec, SIZE_MAX, prow, &result->output);
-            }
-            break;
-          case JoinType::kLeftOuter:
-            if (match_count == 0) {
-              EmitMatch(build, probe, spec, SIZE_MAX, prow, &result->output);
-            }
-            break;
-          case JoinType::kInner:
-            break;
-        }
-        result->stats.matches += match_count;
       }
+      if (use_filter) {
+        // One blocked-Bloom probe per probe row; pruned rows skip the
+        // hash probe.
+        core.cycles().ChargeCompute(params.bloom_probe_cycles_per_row /
+                                    params.simd.bloom *
+                                    static_cast<double>(rows));
+        core.counters().rows_pruned_by_join_filter += tile_pruned;
+      }
+      core.cycles().ChargeCompute(dpu::JoinProbeTileCycles(
+          params, rows - tile_pruned, tile_stats.chain_steps,
+          tile_stats.matches));
+      if (!spec.vectorized) {
+        core.cycles().ChargeCompute(params.row_at_a_time_overhead_cycles *
+                                    static_cast<double>(rows));
+      }
+      // DRAM overflow region probes cost a DRAM round trip each.
+      core.cycles().ChargeCompute(
+          params.join_overflow_access_cycles *
+          static_cast<double>(tile_stats.overflow_steps));
+      RAPID_RETURN_NOT_OK(dpu.dms().LoadTile(
+          &core.cycles(), static_cast<int>(pkeys.size()), rows,
+          probe.RowBytes(pkeys)));
+      probe_stats.Merge(tile_stats);
     }
-    if (use_filter) {
-      // One blocked-Bloom probe per probe row; pruned rows skip the
-      // hash probe below.
-      core.cycles().ChargeCompute(params.bloom_probe_cycles_per_row /
-                                  params.simd.bloom *
-                                  static_cast<double>(rows));
-      core.counters().rows_pruned_by_join_filter += tile_pruned;
-    }
-    core.cycles().ChargeCompute(dpu::JoinProbeTileCycles(
-        params, rows - tile_pruned, tile_stats.chain_steps,
-        tile_stats.matches));
-    if (!spec.vectorized) {
-      core.cycles().ChargeCompute(params.row_at_a_time_overhead_cycles *
-                                  static_cast<double>(rows));
-    }
-    // DRAM overflow region probes cost a DRAM round trip each.
-    core.cycles().ChargeCompute(params.join_overflow_access_cycles *
-                                static_cast<double>(tile_stats.overflow_steps));
-    RAPID_RETURN_NOT_OK(dpu.dms().LoadTile(
-        &core.cycles(), static_cast<int>(pkeys.size()), rows,
-        probe.RowBytes(pkeys)));
-    probe_stats.Merge(tile_stats);
+    return Status::OK();
+  };
+  if (bcols.size() == 1) {
+    const int64_t* bkey = bcols[0];
+    RAPID_RETURN_NOT_OK(probe_tiles([bkey, pkey0](size_t brow, size_t prow) {
+      return bkey[brow] == pkey0[prow];
+    }));
+  } else {
+    RAPID_RETURN_NOT_OK(probe_tiles([&](size_t brow, size_t prow) {
+      return KeysEqual(bcols, brow, pcols, prow);
+    }));
   }
   probe_span.Annotate("matches", static_cast<uint64_t>(probe_stats.matches));
   result->stats.chain_steps += probe_stats.chain_steps;
   result->stats.overflow_steps += probe_stats.overflow_steps;
+  GatherMatches(build, probe, spec, matches, &result->output);
   return Status::OK();
 }
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "common/crc32.h"
 #include "dpu/cost_model.h"
+#include "primitives/hash.h"
 
 namespace rapid::core {
 
@@ -13,24 +13,6 @@ size_t NextPow2(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
   return p;
-}
-
-uint32_t HashTileRow(const Tile& tile, const std::vector<size_t>& keys,
-                     size_t row) {
-  uint32_t h = 0xFFFFFFFFu;
-  for (size_t k : keys) {
-    h = Crc32Combine(h, static_cast<uint64_t>(tile.columns[k].GetInt(row)));
-  }
-  return h;
-}
-
-uint32_t HashBuildRow(const ColumnSet& set, const std::vector<size_t>& keys,
-                      size_t row) {
-  uint32_t h = 0xFFFFFFFFu;
-  for (size_t k : keys) {
-    h = Crc32Combine(h, static_cast<uint64_t>(set.Value(row, k)));
-  }
-  return h;
 }
 
 }  // namespace
@@ -57,6 +39,11 @@ Status HashJoinProbeOp::Open(ExecCtx& ctx) {
 
   const ColumnSet& build = *spec_.build;
   const size_t rows = build.num_rows();
+  build_key_cols_.clear();
+  for (size_t k : spec_.build_keys) {
+    build_key_cols_.push_back(build.column(k).data());
+  }
+  probe_key_cols_.assign(spec_.probe_keys.size(), nullptr);
   for (size_t c = 0; c < spec_.outputs.size(); ++c) {
     const ProbeOpSpec::Output& o = spec_.outputs[c];
     if (o.from_build) {
@@ -88,12 +75,12 @@ Status HashJoinProbeOp::Open(ExecCtx& ctx) {
   // streams the key columns in tile by tile; build compute is charged
   // per core (the price of skipping both partition passes — QComp only
   // chooses this when the build side is small).
+  uint32_t* hashes = hash_scratch_.as<uint32_t>();
   for (size_t start = 0; start < rows; start += spec_.tile_rows) {
     const size_t n = std::min(spec_.tile_rows, rows - start);
-    for (size_t i = 0; i < n; ++i) {
-      const size_t row = start + i;
-      table_->Insert(HashBuildRow(build, spec_.build_keys, row), row);
-    }
+    primitives::HashKeysTile(build_key_cols_.data(), build_key_cols_.size(),
+                             start, n, /*shift=*/0, hashes);
+    for (size_t i = 0; i < n; ++i) table_->Insert(hashes[i], start + i);
     ctx.ChargeCompute(dpu::JoinBuildTileCycles(*ctx.params, n));
     ctx.ChargeVectorizationPenalty(n);
     RAPID_RETURN_NOT_OK(ctx.dms->LoadTile(
@@ -105,15 +92,27 @@ Status HashJoinProbeOp::Open(ExecCtx& ctx) {
   return Status::OK();
 }
 
-void HashJoinProbeOp::EmitRow(const Tile& tile, size_t tile_row, size_t brow) {
+void HashJoinProbeOp::GatherMatches(const Tile& tile) {
   const ColumnSet& build = *spec_.build;
+  const size_t n = match_prows_.size();
   for (size_t c = 0; c < spec_.outputs.size(); ++c) {
     const ProbeOpSpec::Output& o = spec_.outputs[c];
-    out_buffers_[c].push_back(
-        o.from_build
-            ? (brow == SIZE_MAX ? kJoinNull : build.Value(brow, o.column))
-            : tile.columns[o.column].GetInt(tile_row));
+    std::vector<int64_t>& buf = out_buffers_[c];
+    const size_t base = buf.size();
+    buf.resize(base + n);
+    int64_t* dst = buf.data() + base;
+    if (o.from_build) {
+      const int64_t* src = build.column(o.column).data();
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t brow = match_brows_[i];
+        dst[i] = brow == kNoBuildRow ? kJoinNull : src[brow];
+      }
+    } else {
+      WidenColumn(tile.columns[o.column], match_prows_.data(), n, dst);
+    }
   }
+  match_brows_.clear();
+  match_prows_.clear();
 }
 
 Status HashJoinProbeOp::FlushPending(ExecCtx& ctx) {
@@ -159,41 +158,61 @@ Status HashJoinProbeOp::Consume(ExecCtx& ctx, const Tile& tile) {
     }
   }
 
-  for (size_t i = 0; i < n; ++i) {
-    hashes[i] = HashTileRow(tile, spec_.probe_keys, i);
+  // Widen the probe keys once per tile: hashing and every chain step's
+  // compare then read int64 arrays, not the tile's physical width.
+  const size_t num_keys = spec_.probe_keys.size();
+  probe_keys_.resize(num_keys * n);
+  for (size_t k = 0; k < num_keys; ++k) {
+    int64_t* keys = probe_keys_.data() + k * n;
+    WidenColumn(tile.columns[spec_.probe_keys[k]], nullptr, n, keys);
+    probe_key_cols_[k] = keys;
   }
+  primitives::HashKeysTile(probe_key_cols_.data(), num_keys, 0, n,
+                           /*shift=*/0, hashes);
 
-  const ColumnSet& build = *spec_.build;
-  primitives::ProbeStats tile_stats;
-  table_->ProbeBatch(
-      hashes, n,
-      [&](size_t i, size_t brow) {
-        for (size_t k = 0; k < spec_.build_keys.size(); ++k) {
-          if (build.Value(brow, spec_.build_keys[k]) !=
-              tile.columns[spec_.probe_keys[k]].GetInt(i)) {
-            return false;
-          }
-        }
-        return true;
-      },
-      [&](size_t i, size_t brow) {
-        if (spec_.type == JoinType::kInner ||
-            spec_.type == JoinType::kLeftOuter) {
-          EmitRow(tile, i, brow);
-        }
-      },
-      counts, &tile_stats);
-
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t matches = counts[i];
-    if (matches == 0 && (spec_.type == JoinType::kAnti ||
-                         spec_.type == JoinType::kLeftOuter)) {
-      EmitRow(tile, i, SIZE_MAX);
-    } else if (matches > 0 && spec_.type == JoinType::kSemi) {
-      EmitRow(tile, i, SIZE_MAX);
+  // Inner and left-outer matches in probe order, then the tile's
+  // unmatched (anti, left-outer) or matched (semi) probe rows.
+  const bool emits_pairs = spec_.type == JoinType::kInner ||
+                           spec_.type == JoinType::kLeftOuter;
+  auto emit = [&](size_t i, size_t brow) {
+    if (emits_pairs) {
+      match_brows_.push_back(static_cast<uint32_t>(brow));
+      match_prows_.push_back(static_cast<uint32_t>(i));
     }
-    stats_.matches += matches;
+  };
+  primitives::ProbeStats tile_stats;
+  if (num_keys == 1) {
+    const int64_t* bkey = build_key_cols_[0];
+    const int64_t* pkey = probe_key_cols_[0];
+    table_->ProbeBatch(
+        hashes, n,
+        [bkey, pkey](size_t i, size_t brow) { return bkey[brow] == pkey[i]; },
+        emit, counts, &tile_stats);
+  } else {
+    table_->ProbeBatch(
+        hashes, n,
+        [&](size_t i, size_t brow) {
+          for (size_t k = 0; k < num_keys; ++k) {
+            if (build_key_cols_[k][brow] != probe_key_cols_[k][i]) {
+              return false;
+            }
+          }
+          return true;
+        },
+        emit, counts, &tile_stats);
   }
+
+  const bool emits_unmatched =
+      spec_.type == JoinType::kAnti || spec_.type == JoinType::kLeftOuter;
+  for (size_t i = 0; i < n; ++i) {
+    const bool matched = counts[i] > 0;
+    if (matched ? spec_.type == JoinType::kSemi : emits_unmatched) {
+      match_brows_.push_back(kNoBuildRow);
+      match_prows_.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  GatherMatches(tile);
+  stats_.matches += tile_stats.matches;
   stats_.chain_steps += tile_stats.chain_steps;
   stats_.overflow_steps += tile_stats.overflow_steps;
 

@@ -68,7 +68,9 @@ class HashJoinProbeOp : public PipelineOp {
   const JoinStats& stats() const { return stats_; }
 
  private:
-  void EmitRow(const Tile& tile, size_t tile_row, size_t brow);
+  // Appends the tile's match list to the output buffers, one column
+  // at a time, and clears the list.
+  void GatherMatches(const Tile& tile);
   Status FlushPending(ExecCtx& ctx);
 
   ProbeOpSpec spec_;
@@ -81,6 +83,17 @@ class HashJoinProbeOp : public PipelineOp {
   std::vector<int> out_scales_;
   // The flushed output tile, reused across flushes.
   Tile out_;
+
+  // Key columns: the build side's, resolved at Open(), and the
+  // current tile's probe keys widened into probe_keys_.
+  std::vector<const int64_t*> build_key_cols_;
+  std::vector<const int64_t*> probe_key_cols_;
+  std::vector<int64_t> probe_keys_;
+  // The current tile's output rows: build row (kNoBuildRow for a
+  // semi/anti row or an unmatched left-outer row) and tile row.
+  static constexpr uint32_t kNoBuildRow = ~uint32_t{0};
+  std::vector<uint32_t> match_brows_;
+  std::vector<uint32_t> match_prows_;
 
   // Fixed tile-sized scratch from the core's tile pool. The growable
   // out_buffers_ above stay heap vectors: a single probe row can emit

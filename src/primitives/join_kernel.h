@@ -1,17 +1,23 @@
 // The RAPID hash-join kernel (Sections 6.3 and 6.4, Figures 6 and 7).
 //
-// A compact, pointer-free bucket-chained hash table over DMEM-resident
+// A pointer-free bucket-chained hash table over DMEM-resident
 // partitions:
 //   * bucket count is a power of two, typically 2-4x smaller than the
 //     row count (sized from NDV statistics),
 //   * `hash-buckets` maps a bucket to the row offset of the *last*
 //     inserted tuple with that hash,
 //   * `link` chains tuples with equal hash backwards by row offset,
-//   * both arrays store ceil(log2(N+1))-bit entries (CompactArray);
-//     the all-ones value is the end-of-chain sentinel (the paper's
-//     "111" in the 8-tuple example),
+//   * the end-of-chain sentinel is the all-ones value of a
+//     ceil(log2(N+1))-bit entry (the paper's "111" in the 8-tuple
+//     example),
 //   * bucket index = CRC32(key) & (buckets-1) — fast modulo by
 //     bit-mask on the hardware-computed hash.
+//
+// DMEM is charged at the paper's compact width: DmemBytes() is what
+// both arrays cost bit-packed at entry_bits() bits per entry. The host
+// keeps them as flat 32-bit words, so a chain step is one load rather
+// than a bit-field extract; the offsets and the sentinel are the
+// values the packed arrays would hold.
 //
 // DMEM & statistics resilience (Figure 7): the kernel is built with a
 // DMEM row capacity; if the partition turns out bigger than QComp's
@@ -32,11 +38,19 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/compact_array.h"
 #include "common/crc32.h"
 #include "common/logging.h"
 
 namespace rapid::primitives {
+
+// Minimum number of bits needed to represent values in [0, n]: with N
+// rows, offsets plus the end-of-chain sentinel need ceil(log2(N + 1))
+// bits.
+inline int BitsFor(uint64_t n) {
+  int bits = 1;
+  while ((uint64_t{1} << bits) <= n) ++bits;
+  return bits;
+}
 
 // Vectorized bucket-index primitive: indices[i] = hashes[i] & mask
 // (num_buckets must be a power of two). Dispatches to the SIMD
@@ -79,16 +93,7 @@ class CompactJoinTable {
   template <typename KeyEq, typename Emit>
   void Probe(uint32_t hash, KeyEq&& key_eq, Emit&& emit, ProbeStats* stats) {
     ++stats->probes;
-    const size_t bucket = hash & bucket_mask_;
-    // DMEM region chain.
-    WalkChain(dmem_buckets_.Get(bucket), dmem_sentinel_, /*overflow=*/false,
-              key_eq, emit, stats);
-    if (overflow_rows_ > 0) {
-      // DRAM overflow region chain (Figure 7(b): second hash-buckets
-      // version + link continuation in DRAM).
-      WalkChain(dram_buckets_[bucket], kDramSentinel, /*overflow=*/true,
-                key_eq, emit, stats);
-    }
+    WalkChains(hash & bucket_mask_, key_eq, emit, stats);
   }
 
   // Batched probe over a tile of hashes — the tile-granularity entry
@@ -103,8 +108,7 @@ class CompactJoinTable {
     stats->probes += n;
     // Bucket indices are precomputed per chunk with the vectorized
     // kernel, hoisting the hash->bucket mapping out of the chain-walk
-    // inner loop; rows are still visited in order, so emission order
-    // equals the per-row Probe loop.
+    // inner loop.
     constexpr size_t kChunkRows = 256;
     uint32_t buckets[kChunkRows];
     for (size_t base = 0; base < n; base += kChunkRows) {
@@ -112,20 +116,9 @@ class CompactJoinTable {
       ComputeBucketIndices(hashes + base, rows, num_buckets_, buckets);
       for (size_t r = 0; r < rows; ++r) {
         const size_t i = base + r;
-        uint32_t count = 0;
-        const size_t bucket = buckets[r];
         auto row_eq = [&](size_t brow) { return key_eq(i, brow); };
-        auto row_emit = [&](size_t brow) {
-          ++count;
-          emit(i, brow);
-        };
-        WalkChain(dmem_buckets_.Get(bucket), dmem_sentinel_, /*overflow=*/false,
-                  row_eq, row_emit, stats);
-        if (overflow_rows_ > 0) {
-          WalkChain(dram_buckets_[bucket], kDramSentinel, /*overflow=*/true,
-                    row_eq, row_emit, stats);
-        }
-        match_counts[i] = count;
+        auto row_emit = [&](size_t brow) { emit(i, brow); };
+        match_counts[i] = WalkChains(buckets[r], row_eq, row_emit, stats);
       }
     }
   }
@@ -136,35 +129,58 @@ class CompactJoinTable {
   size_t overflow_rows() const { return overflow_rows_; }
   bool overflowed() const { return overflow_rows_ > 0; }
 
-  // DMEM bytes consumed by the compact arrays — what op_dmem_size
+  // DMEM bytes the kernel is charged: both DMEM-region arrays
+  // bit-packed at entry_bits() into 64-bit words — what op_dmem_size
   // charges for the kernel.
   size_t DmemBytes() const {
-    return dmem_buckets_.byte_size() + dmem_link_.byte_size();
+    return PackedBytes(dmem_buckets_.size()) + PackedBytes(dmem_link_.size());
   }
 
   // Bit width of the compact entries: ceil(log2(capacity+1)).
-  int entry_bits() const { return dmem_link_.bit_width(); }
+  int entry_bits() const { return entry_bits_; }
 
  private:
-  static constexpr uint64_t kDramSentinel = ~uint64_t{0};
+  static constexpr uint32_t kDramSentinel = ~uint32_t{0};
 
+  size_t PackedBytes(size_t entries) const {
+    return (entries * static_cast<size_t>(entry_bits_) + 63) / 64 *
+           sizeof(uint64_t);
+  }
+
+  // Walks the bucket's DMEM chain, then its DRAM overflow chain
+  // (Figure 7(b): second hash-buckets version + link continuation in
+  // DRAM). Returns the matches found.
   template <typename KeyEq, typename Emit>
-  void WalkChain(uint64_t head, uint64_t sentinel, bool overflow,
-                 KeyEq&& key_eq, Emit&& emit, ProbeStats* stats) {
-    uint64_t offset = head;
-    while (offset != sentinel) {
-      if (overflow) {
-        ++stats->overflow_steps;
-      } else {
-        ++stats->chain_steps;
-      }
-      if (key_eq(static_cast<size_t>(offset))) {
-        ++stats->matches;
-        emit(static_cast<size_t>(offset));
-      }
-      offset = overflow ? dram_link_[offset - dmem_capacity_]
-                        : dmem_link_.Get(offset);
+  uint32_t WalkChains(size_t bucket, KeyEq& key_eq, Emit& emit,
+                      ProbeStats* stats) {
+    uint32_t matches = 0;
+    stats->chain_steps += WalkChain(dmem_buckets_[bucket], dmem_sentinel_,
+                                    dmem_link_.data(), 0, key_eq, emit,
+                                    &matches);
+    if (overflow_rows_ > 0) {
+      stats->overflow_steps +=
+          WalkChain(dram_buckets_[bucket], kDramSentinel, dram_link_.data(),
+                    dmem_capacity_, key_eq, emit, &matches);
     }
+    stats->matches += matches;
+    return matches;
+  }
+
+  // Follows one chain from `offset` to `sentinel`; row r's link is
+  // link[r - base]. Returns the steps taken.
+  template <typename KeyEq, typename Emit>
+  static uint64_t WalkChain(uint32_t offset, uint32_t sentinel,
+                            const uint32_t* link, size_t base, KeyEq& key_eq,
+                            Emit& emit, uint32_t* matches) {
+    uint64_t steps = 0;
+    for (; offset != sentinel; offset = link[offset - base]) {
+      ++steps;
+      if (key_eq(offset)) {
+        ++*matches;
+        emit(offset);
+      }
+    }
+    return steps;
   }
 
   size_t num_rows_ = 0;
@@ -172,15 +188,16 @@ class CompactJoinTable {
   size_t bucket_mask_ = 0;
   size_t dmem_capacity_ = 0;
 
-  // DMEM region: compact bit-packed arrays.
-  CompactArray dmem_buckets_;
-  CompactArray dmem_link_;
-  uint64_t dmem_sentinel_ = 0;
+  // DMEM region: bucket heads and links, charged bit-packed.
+  std::vector<uint32_t> dmem_buckets_;
+  std::vector<uint32_t> dmem_link_;
+  int entry_bits_ = 1;
+  uint32_t dmem_sentinel_ = 0;
   size_t dmem_rows_ = 0;
 
-  // DRAM overflow region (plain arrays; DRAM is not bit-budgeted).
-  std::vector<uint64_t> dram_buckets_;
-  std::vector<uint64_t> dram_link_;
+  // DRAM overflow region (DRAM is not bit-budgeted).
+  std::vector<uint32_t> dram_buckets_;
+  std::vector<uint32_t> dram_link_;
   size_t overflow_rows_ = 0;
 };
 

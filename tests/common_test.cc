@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: Status/Result, BitVector,
-// CompactArray, CRC32, RNG/Zipf, AlignedBuffer, Config.
+// CRC32, RNG/Zipf, AlignedBuffer, Config.
 
 #include <algorithm>
 #include <cstring>
@@ -13,7 +13,6 @@
 
 #include "common/bitvector.h"
 #include "common/buffer.h"
-#include "common/compact_array.h"
 #include "common/config.h"
 #include "common/crc32.h"
 #include "common/mix64.h"
@@ -205,65 +204,6 @@ TEST(BitVectorTest, RandomRoundTripProperty) {
     EXPECT_EQ(bv.CountOnes(), expected.size());
   }
 }
-
-// ---- CompactArray ----------------------------------------------------------
-
-TEST(CompactArrayTest, BitsFor) {
-  EXPECT_EQ(BitsFor(0), 1);
-  EXPECT_EQ(BitsFor(1), 1);
-  EXPECT_EQ(BitsFor(2), 2);
-  EXPECT_EQ(BitsFor(7), 3);
-  EXPECT_EQ(BitsFor(8), 4);
-  EXPECT_EQ(BitsFor(255), 8);
-  EXPECT_EQ(BitsFor(256), 9);
-}
-
-TEST(CompactArrayTest, SetGetAcrossWordBoundaries) {
-  // 7-bit entries straddle 64-bit word boundaries regularly.
-  CompactArray arr(100, 7);
-  for (size_t i = 0; i < 100; ++i) arr.Set(i, i % 128);
-  for (size_t i = 0; i < 100; ++i) EXPECT_EQ(arr.Get(i), i % 128) << i;
-}
-
-TEST(CompactArrayTest, MaxValueAndFill) {
-  CompactArray arr(33, 5);
-  EXPECT_EQ(arr.max_value(), 31u);
-  arr.FillWithMax();
-  for (size_t i = 0; i < 33; ++i) EXPECT_EQ(arr.Get(i), 31u);
-}
-
-TEST(CompactArrayTest, ByteSizeIsCompact) {
-  // 1000 entries of 10 bits = 10000 bits = 1250 bytes -> 1256 rounded
-  // to whole words; far below 1000 * 8 for plain offsets.
-  CompactArray arr(1000, 10);
-  EXPECT_LE(arr.byte_size(), 1264u);
-}
-
-class CompactArrayWidthTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(CompactArrayWidthTest, RandomRoundTrip) {
-  const int bits = GetParam();
-  Rng rng(static_cast<uint64_t>(bits) * 31);
-  const size_t n = 257;
-  CompactArray arr(n, bits);
-  std::vector<uint64_t> expected(n);
-  const uint64_t mask = arr.max_value();
-  for (size_t i = 0; i < n; ++i) {
-    expected[i] = rng.Next() & mask;
-    arr.Set(i, expected[i]);
-  }
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(arr.Get(i), expected[i]) << i;
-  // Overwrites stay independent.
-  for (size_t i = 0; i < n; i += 3) {
-    expected[i] = rng.Next() & mask;
-    arr.Set(i, expected[i]);
-  }
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(arr.Get(i), expected[i]) << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(AllWidths, CompactArrayWidthTest,
-                         ::testing::Values(1, 2, 3, 5, 7, 8, 13, 16, 21, 31,
-                                           32, 33, 48, 63, 64));
 
 // ---- CRC32 -----------------------------------------------------------------
 

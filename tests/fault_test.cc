@@ -286,6 +286,62 @@ TEST_F(FaultEngineTest, JoinLoadFaultResumesBitIdentical) {
   EXPECT_EQ(SortedRows(retried.rows), SortedRows(clean.rows));
 }
 
+// A join whose build partitions are all empty does no hashing or
+// chain walk, but each probe tile still loads its keys through
+// Dms::LoadTile, so every "dms.transfer" descriptor of the HASHJOIN
+// step is a probe load. Exhausting one fails the step; the retry
+// resumes and returns the clean rows in order.
+TEST_F(FaultEngineTest, EmptyBuildJoinProbeLoadFaultResumesBitIdentical) {
+  auto [specs, data] = DimData(4000);
+  ASSERT_OK(host_.CreateTable("big_d", specs, data));
+  ASSERT_OK(host_.LoadToRapid("big_d", &engine_));
+  // The left side builds: big_d filtered to no rows.
+  const LogicalPtr plan = LogicalNode::Join(
+      LogicalNode::Scan("big_d", {"k", "w"},
+                        {Predicate::CmpConst("k", CmpOp::kLt, 0)}),
+      LogicalNode::Scan("t", {"id", "v"}), {"k"}, {"id"}, {"id", "v"},
+      core::JoinType::kAnti);
+  ExecOptions options;
+  options.retry_budget = 2;
+  options.planner.enable_fusion = false;
+  ASSERT_OK_AND_ASSIGN(QueryResult clean, engine_.Execute(plan, options));
+  // Every t row survives the anti join: no build row exists.
+  ASSERT_EQ(clean.rows.num_rows(), 4000u);
+
+  core::Planner planner(engine_.dpu().config(), engine_.dpu().params(),
+                        options.planner);
+  ASSERT_OK_AND_ASSIGN(core::PhysicalPlan physical,
+                       planner.Plan(plan, engine_.catalog()));
+  int join = -1;
+  for (const auto& step : physical.steps) {
+    if (dynamic_cast<const core::JoinStep*>(step.get()) != nullptr) {
+      join = step->id();
+    }
+  }
+  ASSERT_GE(join, 0) << physical.Describe();
+  auto prefix_polls = [&](int steps) {
+    core::PhysicalPlan prefix = planner.Plan(plan, engine_.catalog()).value();
+    prefix.steps.resize(static_cast<size_t>(steps));
+    prefix.root = steps - 1;
+    return CleanPollCount(faults::kDmsTransfer, [&] {
+      ASSERT_OK(engine_.ExecutePhysical(prefix, options).status());
+    });
+  };
+  const uint64_t before = prefix_polls(join);
+  const uint64_t polls = prefix_polls(join + 1) - before;
+  ASSERT_GT(polls, 1u) << physical.Describe();
+
+  ScopedFaultInjection fi(65);
+  FaultInjector::SiteSpec spec;
+  spec.skip_first = before + polls / 2;
+  spec.max_failures = 4;  // exhausts exactly one descriptor
+  fi.Arm(faults::kDmsTransfer, spec);
+  ASSERT_OK_AND_ASSIGN(QueryResult retried, engine_.Execute(plan, options));
+  EXPECT_EQ(FaultInjector::Instance().failures(faults::kDmsTransfer), 4u);
+  EXPECT_EQ(retried.stats.dpu_retries, 1u);
+  rapid::testing::ExpectIdentical(retried.rows, clean.rows, "empty-build anti join");
+}
+
 // A broadcast probe loads its build keys through Dms::LoadTile when a
 // core opens its chain, so that load polls "dms.transfer" too. Every
 // core opens its chain before it moves any tile of the probe step, so
