@@ -168,6 +168,8 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
     if (__builtin_ctz(static_cast<unsigned>(extra)) > max_extra_bits) {
       extra = 1 << max_extra_bits;
     }
+    // One repartition round indexes its partitions in 16 bits.
+    extra = std::min(extra, kMaxRoundFanout);
     auto sub_build = PartitionExec::Repartition(
         core, dpu.dms(), build, spec.build_keys, extra, bits_used,
         spec.tile_rows);

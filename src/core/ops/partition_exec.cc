@@ -21,6 +21,10 @@ Status ValidatePartitionScheme(const PartitionScheme& scheme) {
     if (r.fanout < 2 || (r.fanout & (r.fanout - 1)) != 0) {
       return Status::InvalidArgument("round fan-out must be a power of two");
     }
+    if (r.fanout > kMaxRoundFanout) {
+      return Status::InvalidArgument(
+          "round fan-out exceeds the 16-bit partition index");
+    }
     if (r.hw_fanout < 1 || r.fanout % r.hw_fanout != 0) {
       return Status::InvalidArgument("hw fan-out must divide the round");
     }
@@ -49,35 +53,38 @@ void ChargePartitionTile(const dpu::Dms& dms, dpu::CycleCounter& cycles,
 
 namespace {
 
-// Rows [begin, end) of one input bucket: one partition-engine
-// descriptor chain, scattered by one core.
+// Rows [begin, end) of one source bucket, with their key hashes: one
+// partition-engine descriptor chain, scattered by one core into the
+// `fanout` output buckets of group `bucket`.
 struct WorkUnit {
-  size_t bucket, begin, end;
+  size_t bucket;
+  const ColumnSet* rows;
+  const uint32_t* hashes;
+  size_t begin, end;
 };
 
 // One round's output, laid out before any row moves.
 struct RoundOutput {
   std::vector<size_t> cursors;     // [unit * fanout + p]: next write row
-  std::vector<ColumnSet> buckets;  // [input bucket * fanout + p]
+  std::vector<ColumnSet> buckets;  // [group * fanout + p]
   std::vector<std::vector<uint32_t>> hashes;  // same; empty if not carried
 };
 
-// Histograms every unit's range from the carried hashes (host
-// bookkeeping: the tile loop's SwPartitionTileCycles models it) and
-// prefix-sums the counts in (bucket, partition, unit) order, then
-// allocates every output bucket (and its hashes if `carry`) once, at
+// Histograms every unit's range from its hashes (host bookkeeping: the
+// tile loop's SwPartitionTileCycles models it) and prefix-sums the
+// counts in (group, partition, unit) order, then allocates every output
+// bucket of the `groups` groups (and its hashes if `carry`) once, at
 // its exact final size.
-RoundOutput LayoutRound(const std::vector<WorkUnit>& units,
-                        const std::vector<std::vector<uint32_t>>& hashes,
+RoundOutput LayoutRound(const std::vector<WorkUnit>& units, size_t groups,
                         const std::vector<ColumnMeta>& metas, int fanout,
                         int shift, bool carry) {
   const auto ufanout = static_cast<size_t>(fanout);
   const uint32_t mask = static_cast<uint32_t>(fanout) - 1;
   RoundOutput out;
   out.cursors.assign(units.size() * ufanout, 0);
-  std::vector<size_t> sizes(hashes.size() * ufanout, 0);
+  std::vector<size_t> sizes(groups * ufanout, 0);
   for (size_t u = 0; u < units.size(); ++u) {
-    const uint32_t* h = hashes[units[u].bucket].data();
+    const uint32_t* h = units[u].hashes;
     size_t* cursor = out.cursors.data() + u * ufanout;
     for (size_t i = units[u].begin; i < units[u].end; ++i) {
       ++cursor[(h[i] >> shift) & mask];
@@ -100,28 +107,64 @@ RoundOutput LayoutRound(const std::vector<WorkUnit>& units,
   return out;
 }
 
-// Scatters unit u's rows of `bucket` `round.fanout` ways by hash bits
-// [shift, shift+log2(fanout)) straight into their final places in
-// `out`, on one core, through the per-partition write-combining kernel
-// (streaming stores on AVX2) with pooled tile scratch. The DMS charge
-// covers the full stream through the partition engine (staging,
-// CRC/CID resolution and the scatter back to DRAM, cf. Figure 8).
+// A scatter's per-tile scratch: the tile's partition indexes, the
+// per-partition counts and write bases, and the write-combining lines.
+struct ScatterScratch {
+  uint16_t* part;
+  uint32_t* counts;
+  int64_t** bases;
+  uint8_t* wc;
+};
+
+// Scatters rows [start, start + rows) of unit u `fanout` ways by hash
+// bits [shift, shift + log2(fanout)) straight into their final places
+// in `out`, through the per-partition write-combining kernel
+// (streaming stores on AVX2). Within each partition rows land in tile
+// order after the rows of earlier tiles and earlier units. Charges
+// nothing: every round's scatter, paid by its caller.
+void ScatterTile(const std::vector<WorkUnit>& units, size_t u, size_t start,
+                 size_t rows, int fanout, int shift,
+                 const ScatterScratch& scratch, RoundOutput* out) {
+  const WorkUnit& unit = units[u];
+  const auto ufanout = static_cast<size_t>(fanout);
+  ColumnSet* dst_buckets = &out->buckets[unit.bucket * ufanout];
+  std::vector<uint32_t>* dst_hashes =
+      out->hashes.empty() ? nullptr : &out->hashes[unit.bucket * ufanout];
+  size_t* cursor = &out->cursors[u * ufanout];
+  // compute_partition_map over this tile's hash values (Listing 2,
+  // loops 1-2; the RID list is not needed on the scatter path).
+  primitives::ComputePartitionIndex(unit.hashes + start, rows, fanout, shift,
+                                    scratch.part, scratch.counts);
+  const primitives::simd::PartitionKernelTable& kernels =
+      primitives::simd::partition_kernels();
+  for (size_t c = 0; c < unit.rows->num_columns(); ++c) {
+    for (size_t p = 0; p < ufanout; ++p) {
+      scratch.bases[p] = dst_buckets[p].column(c).data() + cursor[p];
+    }
+    kernels.scatter_col(unit.rows->column(c).data() + start, scratch.part,
+                        rows, ufanout, scratch.bases, scratch.wc);
+  }
+  if (dst_hashes != nullptr) {
+    for (size_t i = 0; i < rows; ++i) {
+      const uint16_t p = scratch.part[i];
+      dst_hashes[p][cursor[p]++] = unit.hashes[start + i];
+    }
+  } else {
+    for (size_t p = 0; p < ufanout; ++p) cursor[p] += scratch.counts[p];
+  }
+}
+
+// Unit u's charged scatter on one core, `tile_rows` rows a tile: the
+// scratch comes from the core's tile pool, `cancel` is polled at tile
+// boundaries and each tile pays ChargePartitionTile, the partition
+// engine's full stream (staging, CRC/CID resolution and the scatter
+// back to DRAM, cf. Figure 8). The caller polls the unit's descriptor.
 Status ScatterUnit(dpu::DpCore& core, const dpu::Dms& dms,
-                   const ColumnSet& bucket, const std::vector<uint32_t>& hashes,
                    const std::vector<WorkUnit>& units, size_t u,
                    const PartitionRound& round, int shift, size_t tile_rows,
                    const CancelToken* cancel, RoundOutput* out) {
   const WorkUnit& unit = units[u];
   const auto ufanout = static_cast<size_t>(round.fanout);
-  ColumnSet* dst_buckets = &out->buckets[unit.bucket * ufanout];
-  std::vector<uint32_t>* dst_hashes =
-      out->hashes.empty() ? nullptr : &out->hashes[unit.bucket * ufanout];
-  size_t* cursor = &out->cursors[u * ufanout];
-  const size_t num_cols = bucket.num_columns();
-  const size_t row_bytes = bucket.RowBytes();
-
-  const primitives::simd::PartitionKernelTable& kernels =
-      primitives::simd::partition_kernels();
   TileBufferPool& pool = core.pool();
   // Fallible acquires: "pool.acquire" faults (allocator pressure on
   // chunk growth) surface as a Status instead of aborting, so the
@@ -133,41 +176,122 @@ Status ScatterUnit(dpu::DpCore& core, const dpu::Dms& dms,
   RAPID_RETURN_NOT_OK(pool.TryAcquireArray<int64_t*>(ufanout, &bases));
   RAPID_RETURN_NOT_OK(pool.TryAcquire(
       primitives::simd::ScatterScratchBytes(ufanout), &wc));
-
+  const ScatterScratch scratch{pof.as<uint16_t>(), counts.as<uint32_t>(),
+                               bases.as<int64_t*>(), wc.data()};
+  const size_t num_cols = unit.rows->num_columns();
+  const size_t row_bytes = unit.rows->RowBytes();
   for (size_t start = unit.begin; start < unit.end; start += tile_rows) {
     RAPID_RETURN_NOT_OK(CancelToken::Check(cancel));
     const size_t rows = std::min(tile_rows, unit.end - start);
-    // compute_partition_map over this tile's hash values (Listing 2,
-    // loops 1-2; the RID list is not needed on the scatter path).
-    uint16_t* part = pof.as<uint16_t>();
-    primitives::ComputePartitionIndex(hashes.data() + start, rows,
-                                      round.fanout, shift, part,
-                                      counts.as<uint32_t>());
-    // Scatter every projection column through software write-combining
-    // lines; within each partition rows land in tile order after the
-    // rows of earlier tiles and earlier units.
-    int64_t** dst = bases.as<int64_t*>();
-    for (size_t c = 0; c < num_cols; ++c) {
-      for (size_t p = 0; p < ufanout; ++p) {
-        dst[p] = dst_buckets[p].column(c).data() + cursor[p];
-      }
-      kernels.scatter_col(bucket.column(c).data() + start, part, rows,
-                          ufanout, dst, wc.data());
-    }
-    if (dst_hashes != nullptr) {
-      for (size_t i = 0; i < rows; ++i) {
-        dst_hashes[part[i]][cursor[part[i]]++] = hashes[start + i];
-      }
-    } else {
-      for (size_t p = 0; p < ufanout; ++p) {
-        cursor[p] += counts.as<uint32_t>()[p];
-      }
-    }
-
+    ScatterTile(units, u, start, rows, round.fanout, shift, scratch, out);
     ChargePartitionTile(dms, core.cycles(), round, rows, num_cols,
                         row_bytes);
   }
   return Status::OK();
+}
+
+// Moves a checkpoint compatible with `scheme` into `state` and drops any
+// other. True when `state` resumes from it.
+bool TakeProgress(PartitionProgress* progress, const PartitionScheme& scheme,
+                  PartitionProgress* state) {
+  if (progress == nullptr) return false;
+  const bool resume = progress->CompatibleWith(scheme);
+  if (resume) *state = std::move(*progress);
+  progress->clear();
+  return resume;
+}
+
+// Runs `scheme`'s rounds after the `state.rounds_done` that `state`
+// holds (buckets, their carried hash columns and the consumed bits);
+// with none done, round 1 reads `input` as its one bucket, hashed in
+// `state.bucket_hashes`. Each work unit polls one "dms.partition"
+// descriptor chain and scatters charged. When a round fails, the rounds
+// completed before it move into `progress` (if any); a cancelled query
+// saves nothing — it is being abandoned.
+Result<PartitionedData> RunRounds(dpu::Dpu& dpu, const ColumnSet* input,
+                                  const std::vector<ColumnMeta>& metas,
+                                  PartitionProgress state,
+                                  const PartitionScheme& scheme,
+                                  size_t tile_rows, const CancelToken* cancel,
+                                  PartitionProgress* progress) {
+  const auto num_cores = static_cast<size_t>(dpu.num_cores());
+  for (auto ri = static_cast<size_t>(state.rounds_done);
+       ri < scheme.rounds.size(); ++ri) {
+    const PartitionRound& round = scheme.rounds[ri];
+    const std::vector<std::vector<uint32_t>>& hashes = state.bucket_hashes;
+
+    // Work units: buckets split into ranges, ~4 per core, so every core
+    // has work and the morsel queue can rebalance. Units write disjoint
+    // ranges laid out in range order: the bytes ignore unit bounds.
+    std::vector<WorkUnit> units;
+    size_t total_rows = 0;
+    for (const auto& h : hashes) total_rows += h.size();
+    const size_t target_rows = std::max<size_t>(
+        64, (total_rows + 4 * num_cores - 1) / (4 * num_cores));
+    for (size_t b = 0; b < hashes.size(); ++b) {
+      const ColumnSet* rows = state.buckets.empty() ? input : &state.buckets[b];
+      const size_t n = hashes[b].size();
+      if (n == 0) units.push_back({b, rows, hashes[b].data(), 0, 0});
+      for (size_t begin = 0; begin < n; begin += target_rows) {
+        units.push_back({b, rows, hashes[b].data(), begin,
+                         std::min(n, begin + target_rows)});
+      }
+    }
+
+    // The last round's hashes are never read again: carry them only
+    // into rounds that follow (and into a checkpoint of this round).
+    const bool carry = ri + 1 < scheme.rounds.size();
+    RoundOutput next = LayoutRound(units, hashes.size(), metas, round.fanout,
+                                   state.bits_used, carry);
+
+    // Morsel-driven assignment: each work unit is one morsel, weighted
+    // by its row count; the LPT deal balances the cores' row totals
+    // instead of striding units onto a straggler.
+    std::vector<double> unit_weights(units.size());
+    for (size_t u = 0; u < units.size(); ++u) {
+      unit_weights[u] = static_cast<double>(units[u].end - units[u].begin);
+    }
+    const Status round_status = dpu.ParallelForMorsels(
+        unit_weights, cancel, [&](dpu::DpCore& core, size_t u) -> Status {
+          const WorkUnit& unit = units[u];
+          TraceSpan span(TraceMode::kFull, core.id(), "partition.unit",
+                         &dpu::TraceClockNow, &core.cycles());
+          span.Annotate("round", static_cast<int64_t>(ri));
+          span.Annotate("rows", static_cast<uint64_t>(unit.end - unit.begin));
+          // Each work unit programs one partition-engine descriptor
+          // chain; transient faults are retried inside RunDescriptor.
+          RAPID_RETURN_NOT_OK(
+              dpu.dms().RunDescriptor(&core.cycles(), faults::kDmsPartition));
+          return ScatterUnit(core, dpu.dms(), units, u, round,
+                             state.bits_used, tile_rows, cancel, &next);
+        });
+    if (!round_status.ok()) {
+      // `state` still holds the previous completed round's output (this
+      // round wrote only into `next`), so checkpointing it costs
+      // nothing on the fault-free path.
+      if (progress != nullptr && ri > 0 && !round_status.IsCancellation()) {
+        state.rounds_done = static_cast<int>(ri);
+        *progress = std::move(state);
+      }
+      return round_status;
+    }
+    if (TraceCollector::Recording(TraceMode::kFull)) {
+      TraceCollector::Instance().AddStepInstant(
+          "partition.round",
+          {TraceCollector::Arg::I("round", static_cast<int64_t>(ri)),
+           TraceCollector::Arg::I("fanout", round.fanout),
+           TraceCollector::Arg::U("rows", total_rows)});
+    }
+    state.buckets = std::move(next.buckets);
+    state.bucket_hashes = std::move(next.hashes);
+    state.bits_used += std::countr_zero(static_cast<unsigned>(round.fanout));
+  }
+
+  PartitionedData out;
+  out.partitions = std::move(state.buckets);
+  out.bits_used = state.bits_used;
+  out.rounds = static_cast<int>(scheme.NumRounds());
+  return out;
 }
 
 }  // namespace
@@ -204,107 +328,78 @@ Result<PartitionedData> PartitionExec::Execute(
     size_t tile_rows, const CancelToken* cancel,
     PartitionProgress* progress) {
   RAPID_RETURN_NOT_OK(ValidatePartitionScheme(scheme));
-
-  // Current buckets plus their hash columns (hashes are computed once
-  // by the DMS hash engine and carried across rounds); round 1 reads
-  // `input` as its one bucket. A compatible checkpoint replaces the
-  // leading rounds, hash pass included; resumed rounds are
-  // deterministic functions of its buckets, so output is bit-identical.
-  std::vector<ColumnSet> buckets;
-  std::vector<std::vector<uint32_t>> bucket_hashes;
-  int shift = 0;
-  size_t start_round = 0;
-  if (progress != nullptr && !progress->empty() &&
-      progress->CompatibleWith(scheme)) {
-    buckets = std::move(progress->buckets);
-    bucket_hashes = std::move(progress->bucket_hashes);
-    shift = progress->bits_used;
-    start_round = static_cast<size_t>(progress->rounds_done);
-    progress->clear();
-  } else {
-    if (progress != nullptr) progress->clear();
-    bucket_hashes.push_back(HashColumn(input, key_cols));
+  // Hashes are computed once by the DMS hash engine and carried across
+  // rounds. A compatible checkpoint replaces the leading rounds, hash
+  // pass included; resumed rounds are deterministic functions of its
+  // buckets, so output is bit-identical.
+  PartitionProgress state;
+  if (!TakeProgress(progress, scheme, &state)) {
+    state.bucket_hashes.push_back(HashColumn(input, key_cols));
   }
+  return RunRounds(dpu, &input, input.metas(), std::move(state), scheme,
+                   tile_rows, cancel, progress);
+}
 
-  const auto num_cores = static_cast<size_t>(dpu.num_cores());
-  for (size_t ri = start_round; ri < scheme.rounds.size(); ++ri) {
-    const PartitionRound& round = scheme.rounds[ri];
-
-    // Work units: buckets split into ranges, ~4 per core, so every core
-    // has work and the morsel queue can rebalance. Units write disjoint
-    // ranges laid out in range order: the bytes ignore unit bounds.
+Result<PartitionedData> PartitionExec::ExecuteSink(
+    dpu::Dpu& dpu, std::vector<ColumnMeta> metas,
+    std::vector<ColumnSet> morsels, const std::vector<size_t>& key_cols,
+    const PartitionScheme& scheme, size_t tile_rows,
+    const CancelToken* cancel, PartitionProgress* progress) {
+  RAPID_RETURN_NOT_OK(ValidatePartitionScheme(scheme));
+  PartitionProgress state;
+  if (!TakeProgress(progress, scheme, &state)) {
+    // Round 1, one unit per morsel into one group: each partition's
+    // rows in morsel order, input order within a morsel. Nothing here
+    // is charged, so each morsel scatters as one tile. The cores hash
+    // and scatter their share of the morsels on the host's worker
+    // threads; units write disjoint ranges.
+    const PartitionRound& round = scheme.rounds.front();
+    const auto fanout = static_cast<size_t>(round.fanout);
+    const auto num_cores = static_cast<size_t>(dpu.num_cores());
+    std::vector<std::vector<uint32_t>> hashes(morsels.size());
+    dpu.ParallelFor([&](dpu::DpCore& core) {
+      for (auto m = static_cast<size_t>(core.id()); m < morsels.size();
+           m += num_cores) {
+        hashes[m] = HashColumn(morsels[m], key_cols);
+      }
+    });
     std::vector<WorkUnit> units;
-    size_t total_rows = 0;
-    for (const auto& h : bucket_hashes) total_rows += h.size();
-    const size_t target_rows = std::max<size_t>(
-        64, (total_rows + 4 * num_cores - 1) / (4 * num_cores));
-    for (size_t b = 0; b < bucket_hashes.size(); ++b) {
-      const size_t rows = bucket_hashes[b].size();
-      if (rows == 0) units.push_back({b, 0, 0});
-      for (size_t begin = 0; begin < rows; begin += target_rows) {
-        units.push_back({b, begin, std::min(rows, begin + target_rows)});
+    size_t max_rows = 0;
+    for (size_t m = 0; m < morsels.size(); ++m) {
+      units.push_back({0, &morsels[m], hashes[m].data(), 0,
+                       morsels[m].num_rows()});
+      max_rows = std::max(max_rows, morsels[m].num_rows());
+    }
+    RoundOutput out = LayoutRound(units, 1, metas, round.fanout, 0,
+                                  /*carry=*/scheme.NumRounds() > 1);
+    dpu.ParallelFor([&](dpu::DpCore& core) {
+      if (static_cast<size_t>(core.id()) >= units.size()) return;
+      struct alignas(64) Line {
+        uint8_t bytes[64];
+      };
+      std::vector<uint16_t> part(max_rows);
+      std::vector<uint32_t> counts(fanout);
+      std::vector<int64_t*> bases(fanout);
+      std::vector<Line> wc(
+          (primitives::simd::ScatterScratchBytes(fanout) + sizeof(Line) - 1) /
+          sizeof(Line));
+      const ScatterScratch scratch{part.data(), counts.data(), bases.data(),
+                                   wc.front().bytes};
+      for (auto u = static_cast<size_t>(core.id()); u < units.size();
+           u += num_cores) {
+        ScatterTile(units, u, 0, units[u].end, round.fanout, 0, scratch,
+                    &out);
+        morsels[u] = ColumnSet();
+        hashes[u] = {};
       }
-    }
-
-    // The last round's hashes are never read again: carry them only
-    // into rounds that follow (and into a checkpoint of this round).
-    const bool carry = ri + 1 < scheme.rounds.size();
-    RoundOutput next = LayoutRound(units, bucket_hashes, input.metas(),
-                                   round.fanout, shift, carry);
-
-    // Morsel-driven assignment: each work unit is one morsel, weighted
-    // by its row count; the LPT deal balances the cores' row totals
-    // instead of striding units onto a straggler.
-    std::vector<double> unit_weights(units.size());
-    for (size_t u = 0; u < units.size(); ++u) {
-      unit_weights[u] = static_cast<double>(units[u].end - units[u].begin);
-    }
-    const Status round_status = dpu.ParallelForMorsels(
-        unit_weights, cancel, [&](dpu::DpCore& core, size_t u) -> Status {
-          const WorkUnit& unit = units[u];
-          TraceSpan span(TraceMode::kFull, core.id(), "partition.unit",
-                         &dpu::TraceClockNow, &core.cycles());
-          span.Annotate("round", static_cast<int64_t>(ri));
-          span.Annotate("rows", static_cast<uint64_t>(unit.end - unit.begin));
-          // Each work unit programs one partition-engine descriptor
-          // chain; transient faults are retried inside RunDescriptor.
-          RAPID_RETURN_NOT_OK(
-              dpu.dms().RunDescriptor(&core.cycles(), faults::kDmsPartition));
-          return ScatterUnit(core, dpu.dms(),
-                             buckets.empty() ? input : buckets[unit.bucket],
-                             bucket_hashes[unit.bucket], units, u, round,
-                             shift, tile_rows, cancel, &next);
-        });
-    if (!round_status.ok()) {
-      // `buckets` still holds the previous completed round's output
-      // (this round wrote only into `next`), so checkpointing it costs
-      // nothing on the fault-free path. A cancelled query saves nothing
-      // — it is being abandoned.
-      if (progress != nullptr && ri > 0 && !round_status.IsCancellation()) {
-        progress->rounds_done = static_cast<int>(ri);
-        progress->bits_used = shift;
-        progress->buckets = std::move(buckets);
-        progress->bucket_hashes = std::move(bucket_hashes);
-      }
-      return round_status;
-    }
-    if (TraceCollector::Recording(TraceMode::kFull)) {
-      TraceCollector::Instance().AddStepInstant(
-          "partition.round",
-          {TraceCollector::Arg::I("round", static_cast<int64_t>(ri)),
-           TraceCollector::Arg::I("fanout", round.fanout),
-           TraceCollector::Arg::U("rows", total_rows)});
-    }
-    buckets = std::move(next.buckets);
-    bucket_hashes = std::move(next.hashes);
-    shift += std::countr_zero(static_cast<unsigned>(round.fanout));
+    });
+    state.rounds_done = 1;
+    state.bits_used = std::countr_zero(static_cast<unsigned>(round.fanout));
+    state.buckets = std::move(out.buckets);
+    state.bucket_hashes = std::move(out.hashes);
   }
-
-  PartitionedData out;
-  out.partitions = std::move(buckets);
-  out.bits_used = shift;
-  out.rounds = static_cast<int>(scheme.NumRounds());
-  return out;
+  return RunRounds(dpu, nullptr, metas, std::move(state), scheme, tile_rows,
+                   cancel, progress);
 }
 
 Result<std::vector<ColumnSet>> PartitionExec::Repartition(
@@ -314,16 +409,21 @@ Result<std::vector<ColumnSet>> PartitionExec::Repartition(
   if (extra_fanout < 2 || (extra_fanout & (extra_fanout - 1)) != 0) {
     return Status::InvalidArgument("repartition fan-out must be power of 2");
   }
+  if (extra_fanout > kMaxRoundFanout) {
+    return Status::InvalidArgument(
+        "repartition fan-out exceeds the 16-bit partition index");
+  }
   RAPID_RETURN_NOT_OK(
       dms.RunDescriptor(&core.cycles(), faults::kDmsPartition));
-  const std::vector<std::vector<uint32_t>> hashes{HashColumn(input, key_cols)};
-  const std::vector<WorkUnit> units{WorkUnit{0, 0, input.num_rows()}};
-  RoundOutput out = LayoutRound(units, hashes, input.metas(), extra_fanout,
+  const std::vector<uint32_t> hashes = HashColumn(input, key_cols);
+  const std::vector<WorkUnit> units{
+      WorkUnit{0, &input, hashes.data(), 0, input.num_rows()}};
+  RoundOutput out = LayoutRound(units, 1, input.metas(), extra_fanout,
                                 bits_used, /*carry=*/false);
   // One unit on the detecting core: large-skew repartitioning is
   // introduced dynamically for a single oversized partition. No cancel
   // token — the caller owns cancellation at its own tile boundaries.
-  RAPID_RETURN_NOT_OK(ScatterUnit(core, dms, input, hashes[0], units, 0,
+  RAPID_RETURN_NOT_OK(ScatterUnit(core, dms, units, 0,
                                   PartitionRound{extra_fanout, 1}, bits_used,
                                   tile_rows, /*cancel=*/nullptr, &out));
   return std::move(out.buckets);

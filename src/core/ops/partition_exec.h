@@ -11,7 +11,9 @@
 // full buffers to DRAM via the DMS, converting random DRAM writes into
 // sequential streams. On the host, a round first histograms every work
 // unit, then lays out exact-size output buckets, and then has each
-// unit scatter straight into its disjoint ranges of them.
+// unit scatter straight into its disjoint ranges of them. Every round
+// is laid out here: a PARTITION step's, a pipeline's partition sink's
+// and the join's runtime repartitioning.
 
 #ifndef RAPID_CORE_OPS_PARTITION_EXEC_H_
 #define RAPID_CORE_OPS_PARTITION_EXEC_H_
@@ -25,6 +27,10 @@
 #include "dpu/dpu.h"
 
 namespace rapid::core {
+
+// Most ways one round (or a runtime repartition) splits a bucket:
+// partition indexes are 16-bit (primitives::ComputePartitionIndex).
+inline constexpr int kMaxRoundFanout = 1 << 16;
 
 // One partitioning pass: total `fanout` ways, of which `hw_fanout`
 // ways come from the DMS hardware engine (first pass only) and
@@ -61,11 +67,12 @@ struct PartitionedData {
 // Completed-round checkpoint of a multi-round partition pass. Each
 // round histograms its input, allocates its output buckets at exact
 // size and scatters every row once into its final offset. When a
-// round fails, Execute() moves the last completed round's buckets
-// (and their carried hash columns) here and drops the failed round's
-// half-written ones; a retry with the same scheme resumes at round
-// `rounds_done` instead of re-partitioning from scratch. Cancellation
-// never populates this — the query is being abandoned, not retried.
+// round fails, Execute() or ExecuteSink() moves the last completed
+// round's buckets (and their carried hash columns) here and drops the
+// failed round's half-written ones; a retry with the same scheme
+// resumes at round `rounds_done` instead of re-partitioning from
+// scratch. Cancellation never populates this — the query is being
+// abandoned, not retried.
 struct PartitionProgress {
   int rounds_done = 0;  // fully completed rounds held in `buckets`
   int bits_used = 0;    // hash bits consumed by those rounds
@@ -86,8 +93,9 @@ struct PartitionProgress {
   bool CompatibleWith(const PartitionScheme& scheme) const;
 };
 
-// OK when every round's fan-out is a power of two >= 2 that its
-// hardware fan-out divides, and there is at least one round.
+// OK when every round's fan-out is a power of two in
+// [2, kMaxRoundFanout] that its hardware fan-out divides, and there is
+// at least one round.
 Status ValidatePartitionScheme(const PartitionScheme& scheme);
 
 // The modeled cost of partitioning one tile of `rows` rows (`num_cols`
@@ -124,10 +132,28 @@ class PartitionExec {
                                          const CancelToken* cancel = nullptr,
                                          PartitionProgress* progress = nullptr);
 
+  // The rounds of a pipeline's partition sink (PartitionSink): `morsels`
+  // are the sink's rows of schema `metas`, one ColumnSet per morsel in
+  // morsel order. The sink polled and paid round 1, so round 1 here
+  // only hashes the rows, lays out its buckets and scatters each
+  // morsel into them (one unit per morsel, in (partition, morsel)
+  // order), uncharged and unpolled, freeing each morsel once it is
+  // scattered: the same bytes Execute's round 1 writes from the
+  // morsels' concatenation. The later rounds run in `tile_rows`-row
+  // tiles, and checkpoint into `progress`, as Execute's do; a
+  // compatible `progress` stands in for the rounds it holds, and
+  // `morsels` is not read.
+  static Result<PartitionedData> ExecuteSink(
+      dpu::Dpu& dpu, std::vector<ColumnMeta> metas,
+      std::vector<ColumnSet> morsels, const std::vector<size_t>& key_cols,
+      const PartitionScheme& scheme, size_t tile_rows,
+      const CancelToken* cancel, PartitionProgress* progress);
+
   // Re-partitions a single oversized partition `extra_fanout` more
   // ways (the large-skew handler, Section 6.4), starting at hash bit
   // `bits_used`. Runs on `core` (the core that detected the skew) as
   // one work unit: one polled "dms.partition" descriptor chain.
+  // `extra_fanout` is a power of two in [2, kMaxRoundFanout].
   static Result<std::vector<ColumnSet>> Repartition(
       dpu::DpCore& core, const dpu::Dms& dms,
       const ColumnSet& input, const std::vector<size_t>& key_cols,

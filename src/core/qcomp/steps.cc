@@ -610,6 +610,45 @@ Status OpenBranches(ExecCtx& ctx, size_t tile_rows,
   return dmem.Allocate(max_scratch).status();
 }
 
+// A partition stage's output: PartitionExec lays out every round from
+// the sink's rows of schema `metas`, one ColumnSet per morsel. A
+// compatible `progress` (a later round failed in an earlier attempt)
+// stands in for the chain and the rounds it holds; `morsels` is empty
+// then. Only the rounds that run count as workload volume.
+Status PartitionRounds(ExecEnv& env, int step_id,
+                       const PipelineStageSpec& stage,
+                       std::vector<ColumnMeta> metas,
+                       std::vector<ColumnSet> morsels,
+                       PartitionProgress* progress) {
+  const PartitionScheme& scheme = stage.partition_scheme;
+  std::vector<size_t> key_cols;
+  for (const std::string& name : stage.partition_keys) {
+    RAPID_ASSIGN_OR_RETURN(size_t slot, SlotOf(metas, name));
+    key_cols.push_back(slot);
+  }
+  size_t rows = 0;
+  size_t reused = 0;
+  if (progress != nullptr && progress->CompatibleWith(scheme)) {
+    reused = static_cast<size_t>(progress->rounds_done);
+    for (const ColumnSet& bucket : progress->buckets) {
+      rows += bucket.num_rows();
+    }
+  }
+  for (const ColumnSet& m : morsels) rows += m.num_rows();
+  env.counters.partitioned_rows += rows * (scheme.NumRounds() - reused);
+  env.recovery.reused_rounds += reused;
+  RAPID_ASSIGN_OR_RETURN(
+      PartitionedData parts,
+      PartitionExec::ExecuteSink(*env.dpu, std::move(metas),
+                                 std::move(morsels), key_cols, scheme,
+                                 stage.partition_tile_rows, env.cancel,
+                                 progress));
+  StepOutput& out = env.outputs[static_cast<size_t>(step_id)];
+  out.partitioned = true;
+  out.parts = std::move(parts);
+  return Status::OK();
+}
+
 }  // namespace
 
 Status PipelineStep::Execute(ExecEnv& env) const {
@@ -646,9 +685,9 @@ Status PipelineStep::Execute(ExecEnv& env) const {
     // A later round failed in an earlier attempt: the rounds it
     // completed stand in for the chain and round 1.
     if (sp != nullptr && sp->partition.CompatibleWith(last.partition_scheme)) {
-      env.recovery.reused_rounds +=
-          static_cast<uint64_t>(sp->partition.rounds_done);
-      return RunLaterRounds(env, last, &sp->partition);
+      return PartitionRounds(env, id_, last,
+                             sp->partition.buckets.front().metas(), {},
+                             &sp->partition);
     }
   }
 
@@ -844,10 +883,9 @@ Status PipelineStep::Execute(ExecEnv& env) const {
                     std::make_unique<HashJoinProbeOp>(std::move(pspec)));
               } else if (rs.spec->kind ==
                          PipelineStageSpec::Kind::kPartition) {
-                const PartitionScheme& scheme = rs.spec->partition_scheme;
                 ops.push_back(std::make_unique<PartitionSink>(
-                    rs.partition_keys, scheme.rounds.front(), tile_rows,
-                    rs.spec->partition_tile_rows, scheme.NumRounds() > 1));
+                    rs.spec->partition_scheme.rounds.front(), tile_rows,
+                    rs.spec->partition_tile_rows));
               } else {
                 ops.push_back(std::make_unique<GroupByOp>(
                     rs.group_by.keys, rs.group_by.aggs));
@@ -891,8 +929,7 @@ Status PipelineStep::Execute(ExecEnv& env) const {
           outer_counters = std::exchange(core.counters(), {});
           if (partition) {
             st = static_cast<PartitionSink&>(*chain.branches.front().back())
-                     .BeginMorsel(ctx, &slot->rows[0], &slot->part_counts,
-                                  &slot->hashes);
+                     .BeginMorsel(ctx, &slot->rows[0]);
           } else {
             sinks.reserve(num_branches);  // the ops point at the sinks
             for (size_t b = 0; b < num_branches; ++b) {
@@ -979,8 +1016,13 @@ Status PipelineStep::Execute(ExecEnv& env) const {
                : Status::OK();
   }
   if (partition) {
-    return LayOutFirstRound(env, last, resolved.front().metas, &slots,
-                            sp != nullptr ? &sp->partition : nullptr);
+    std::vector<ColumnSet> morsels;
+    morsels.reserve(slots.size());
+    for (MorselSlot& slot : slots) morsels.push_back(std::move(slot.rows[0]));
+    slots.clear();
+    return PartitionRounds(env, id_, last, resolved.front().metas,
+                           std::move(morsels),
+                           sp != nullptr ? &sp->partition : nullptr);
   }
   // A branch's rows concatenate in morsel order.
   auto gather = [&](size_t b) {
@@ -992,90 +1034,6 @@ Status PipelineStep::Execute(ExecEnv& env) const {
   for (size_t b = 1; b < num_branches; ++b) {
     out.branch_rows.push_back(gather(b));
   }
-  return Status::OK();
-}
-
-Status PipelineStep::LayOutFirstRound(ExecEnv& env,
-                                      const PipelineStageSpec& stage,
-                                      const std::vector<ColumnMeta>& metas,
-                                      std::vector<MorselSlot>* slots,
-                                      PartitionProgress* checkpoint) const {
-  const PartitionScheme& scheme = stage.partition_scheme;
-  const auto fanout = static_cast<size_t>(scheme.rounds.front().fanout);
-  const bool carry = scheme.NumRounds() > 1;
-  std::vector<size_t> sizes(fanout, 0);
-  size_t total = 0;
-  for (const MorselSlot& slot : *slots) {
-    if (slot.part_counts.size() != fanout) {
-      return Status::Internal("partition sink left no counts for a morsel");
-    }
-    for (size_t p = 0; p < fanout; ++p) sizes[p] += slot.part_counts[p];
-    total += slot.rows[0].num_rows();
-  }
-  // Every bucket is allocated once at its exact size, then filled with
-  // each morsel's range of its rows in morsel order. A slot is freed
-  // as soon as it is copied.
-  PartitionProgress local;
-  PartitionProgress& round1 = checkpoint != nullptr ? *checkpoint : local;
-  round1.clear();
-  round1.buckets.assign(fanout, ColumnSet(metas));
-  round1.bucket_hashes.resize(fanout);  // left empty unless carried
-  for (size_t p = 0; p < fanout; ++p) {
-    for (size_t c = 0; c < metas.size(); ++c) {
-      round1.buckets[p].column(c).reserve(sizes[p]);
-    }
-    if (carry) round1.bucket_hashes[p].reserve(sizes[p]);
-  }
-  for (MorselSlot& slot : *slots) {
-    const ColumnSet& rows = slot.rows[0];
-    size_t begin = 0;
-    for (size_t p = 0; p < fanout; ++p) {
-      const size_t end = begin + slot.part_counts[p];
-      for (size_t c = 0; c < metas.size(); ++c) {
-        const std::vector<int64_t>& src = rows.column(c);
-        std::vector<int64_t>& dst = round1.buckets[p].column(c);
-        dst.insert(dst.end(), src.begin() + static_cast<ptrdiff_t>(begin),
-                   src.begin() + static_cast<ptrdiff_t>(end));
-      }
-      if (carry) {
-        round1.bucket_hashes[p].insert(
-            round1.bucket_hashes[p].end(),
-            slot.hashes.begin() + static_cast<ptrdiff_t>(begin),
-            slot.hashes.begin() + static_cast<ptrdiff_t>(end));
-      }
-      begin = end;
-    }
-    slot = MorselSlot();
-  }
-  round1.rounds_done = 1;
-  round1.bits_used = std::countr_zero(static_cast<unsigned>(fanout));
-  env.counters.partitioned_rows += total;  // round 1; the rest below
-  return RunLaterRounds(env, stage, &round1);
-}
-
-Status PipelineStep::RunLaterRounds(ExecEnv& env,
-                                    const PipelineStageSpec& stage,
-                                    PartitionProgress* progress) const {
-  const PartitionScheme& scheme = stage.partition_scheme;
-  size_t rows = 0;
-  for (const ColumnSet& bucket : progress->buckets) rows += bucket.num_rows();
-  env.counters.partitioned_rows +=
-      rows * (scheme.NumRounds() - static_cast<size_t>(progress->rounds_done));
-  // The buckets carry the schema; resuming, PartitionExec reads nothing
-  // else of its input.
-  const ColumnSet proto(progress->buckets.front().metas());
-  std::vector<size_t> key_cols;
-  for (const std::string& name : stage.partition_keys) {
-    RAPID_ASSIGN_OR_RETURN(size_t idx, proto.IndexOf(name));
-    key_cols.push_back(idx);
-  }
-  RAPID_ASSIGN_OR_RETURN(
-      PartitionedData parts,
-      PartitionExec::Execute(*env.dpu, proto, key_cols, scheme,
-                             stage.partition_tile_rows, env.cancel, progress));
-  StepOutput& out = env.outputs[static_cast<size_t>(id_)];
-  out.partitioned = true;
-  out.parts = std::move(parts);
   return Status::OK();
 }
 

@@ -90,16 +90,13 @@ struct RecoveryCounters {
 };
 
 // One morsel's output slot in a PipelineStep: its rows, one ColumnSet
-// per branch. A completed slot also keeps the modeled charges and core
-// counters its morsel produced: a resumed attempt replays them in place
-// of the work, so the step's modeled time does not depend on which
-// morsels happened to finish before a failure.
+// per branch, in input order (a partition sink's too: PartitionExec
+// partitions them after the morsel loop). A completed slot also keeps
+// the modeled charges and core counters its morsel produced: a resumed
+// attempt replays them in place of the work, so the step's modeled time
+// does not depend on which morsels happened to finish before a failure.
 struct MorselSlot {
   std::vector<ColumnSet> rows;
-  // A partition sink's morsel: rows[0] grouped by partition, the rows
-  // per partition, and the rows' key hashes when later rounds follow.
-  std::vector<size_t> part_counts;
-  std::vector<uint32_t> hashes;
   std::vector<dpu::CycleCounter::Charge> charges;
   dpu::CoreCounters counters;
   bool done = false;
@@ -121,10 +118,10 @@ struct MorselSlot {
 //    A pipeline ending in an aggregate stage saves nothing: a core's
 //    table mixes its finished morsels with the one that failed, so the
 //    retry restarts the step. A pipeline ending in a partition stage
-//    keeps its morsel slots like any other; once its first round's
-//    buckets are laid out, a later round's failure saves the completed
-//    rounds as PartitionStep does, and the retry resumes from them
-//    without running the chain again.
+//    keeps its morsel slots, rows only, like any other; once
+//    PartitionExec has laid out its first round from them, a later
+//    round's failure saves the completed rounds as PartitionStep does,
+//    and the retry resumes from them without running the chain again.
 // Both resumes are bit-identical to from-scratch runs because morsel
 // decomposition and each round's histogram-then-exact-offset bucket
 // layout are deterministic.
@@ -445,9 +442,10 @@ struct PipelineStageSpec {
   size_t est_groups = 0;
 
   // kPartition (last stage only): a PARTITION step as the chain's sink.
-  // The scheme's first round runs on the chain's output tiles (see
-  // PartitionSink); later rounds run through PartitionExec. The step's
-  // output is partitioned, bit-identical to the unfused step's.
+  // The scheme's first round is paid on the chain's output tiles (see
+  // PartitionSink); PartitionExec::ExecuteSink lays out every round
+  // from the morsels' rows. The step's output is partitioned,
+  // bit-identical to the unfused step's.
   std::vector<std::string> partition_keys;
   PartitionScheme partition_scheme;
   size_t partition_tile_rows = 1024;
@@ -485,8 +483,9 @@ struct PipelineSpec {
 // output tile, no intermediate ColumnSet and no per-step barrier. A
 // trailing low-NDV aggregate stage replaces the DMS store: the chain
 // ends in one GroupByOp per core. A trailing partition stage replaces
-// it too: the chain's tiles scatter into the first partition round's
-// buckets, and the step's output is partitioned. The planner lowers
+// it too: the chain's tiles pay the first partition round, PartitionExec
+// lays the rows out into the rounds' buckets, and the step's output is
+// partitioned. The planner lowers
 // every scan, every filter/project over an intermediate and every
 // low-NDV group-by as a one-stage pipeline (printed `SCAN ...`,
 // `PIPE #n ...`, `GROUPBY #n low-ndv ...`); pipeline fusion extends
@@ -513,18 +512,6 @@ class PipelineStep : public PlanStep {
   }
 
  private:
-  // A partition stage's first round: lays out its buckets from the
-  // morsels' slots (into `checkpoint` when checkpointing is on), then
-  // runs the later rounds.
-  Status LayOutFirstRound(ExecEnv& env, const PipelineStageSpec& stage,
-                          const std::vector<ColumnMeta>& metas,
-                          std::vector<MorselSlot>* slots,
-                          PartitionProgress* checkpoint) const;
-  // Runs the stage's rounds after the ones `progress` holds through
-  // PartitionExec and stores the step's partitioned output.
-  Status RunLaterRounds(ExecEnv& env, const PipelineStageSpec& stage,
-                        PartitionProgress* progress) const;
-
   PipelineSpec spec_;
 };
 

@@ -74,6 +74,7 @@ class ReferenceJoin {
       if (__builtin_ctz(static_cast<unsigned>(extra)) > max_extra_bits) {
         extra = 1 << max_extra_bits;
       }
+      extra = std::min(extra, kMaxRoundFanout);
       auto sub_build = PartitionExec::Repartition(
           dpu_.core(0), dpu_.dms(), build, spec_.build_keys, extra, bits_used,
           spec_.tile_rows);
@@ -335,6 +336,43 @@ TEST_F(JoinExecDifferentialTest, EveryPathMatchesThePerRowProbe) {
   }
   // Every combination emits rows, so the comparison is never vacuous.
   EXPECT_EQ(nonempty_outputs, runs);
+}
+
+// A build partition more than 65,536 times its estimate asks the
+// large-skew handler for more ways than a 16-bit partition index holds.
+// The handler splits it kMaxRoundFanout ways instead, and the join
+// equals the per-row reference.
+TEST_F(JoinExecDifferentialTest, LargeSkewFanOutStaysWithinThePartitionIndex) {
+  const ColumnSet build = KeyedRows(140000, 1 << 20, 5);
+  const ColumnSet probe = KeyedRows(3000, 1 << 20, 6);
+  PartitionScheme scheme;
+  scheme.rounds.push_back(PartitionRound{2, 2});
+  ASSERT_OK_AND_ASSIGN(PartitionedData bp,
+                       PartitionExec::Execute(dpu_, build, {0}, scheme, 1024));
+  ASSERT_OK_AND_ASSIGN(PartitionedData pp,
+                       PartitionExec::Execute(dpu_, probe, {0}, scheme, 1024));
+  for (const ColumnSet& part : bp.partitions) {
+    ASSERT_GT(part.num_rows(), static_cast<size_t>(kMaxRoundFanout));
+  }
+  JoinSpec spec;
+  spec.type = JoinType::kInner;
+  spec.build_keys = {0};
+  spec.probe_keys = {0};
+  spec.tile_rows = 1024;
+  spec.est_rows_per_partition = 1;
+  spec.large_skew_factor = 2.0;
+  spec.outputs = {{true, 2}, {false, 0}, {false, 2}};
+  ReferenceJoin ref(dpu_, spec);
+  for (size_t p = 0; p < bp.partitions.size(); ++p) {
+    ref.Pair(bp.partitions[p], pp.partitions[p], bp.bits_used);
+  }
+  JoinStats stats;
+  ASSERT_OK_AND_ASSIGN(ColumnSet got,
+                       JoinExec::Execute(dpu_, bp, pp, spec, &stats));
+  EXPECT_FALSE(ref.rows.empty());
+  EXPECT_EQ(Rows(got), ref.rows);
+  ExpectSameStats(stats, ref.stats, "large skew past the index");
+  EXPECT_GT(stats.repartitioned_partitions, 0u);
 }
 
 // A join whose build partitions are all empty does no probe work but

@@ -505,10 +505,8 @@ TEST(NarrowIntermediateAccessorTest, PartitionSinkChargesMetaWidths) {
   for (const core::PartitionRound round :
        {core::PartitionRound{32, 32}, core::PartitionRound{16, 1}}) {
     ColumnSet out(rows.metas());
-    std::vector<size_t> counts;
-    std::vector<uint32_t> hashes;
-    core::PartitionSink sink({0}, round, kRows, kRoundTile, false);
-    ASSERT_OK(sink.BeginMorsel(ctx, &out, &counts, &hashes));
+    core::PartitionSink sink(round, kRows, kRoundTile);
+    ASSERT_OK(sink.BeginMorsel(ctx, &out));
     const double before = dpu.core(0).cycles().dms_cycles();
     ASSERT_OK(sink.Consume(ctx, tile));
     double want = 0;

@@ -423,6 +423,33 @@ TEST_F(OpsTest, RepartitionSplitsWithHigherBits) {
   }
 }
 
+// Partition indexes are 16-bit: a round or a runtime repartition of
+// more than kMaxRoundFanout ways is refused before any row moves, and
+// exactly kMaxRoundFanout ways still runs.
+TEST_F(OpsTest, FanOutAboveTheSixteenBitIndexIsRefused) {
+  ColumnSet input = RandomKv(2000, 23, 1000);
+  auto refused = PartitionExec::Repartition(dpu_.core(0), dpu_.dms(), input,
+                                            {0}, kMaxRoundFanout * 2, 6, 1024);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status().ToString();
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<ColumnSet> sub,
+      PartitionExec::Repartition(dpu_.core(0), dpu_.dms(), input, {0},
+                                 kMaxRoundFanout, 6, 1024));
+  ASSERT_EQ(sub.size(), static_cast<size_t>(kMaxRoundFanout));
+  size_t total = 0;
+  for (const ColumnSet& p : sub) total += p.num_rows();
+  EXPECT_EQ(total, 2000u);
+
+  PartitionScheme wide;
+  wide.rounds.push_back(PartitionRound{kMaxRoundFanout * 2, 32});
+  EXPECT_EQ(ValidatePartitionScheme(wide).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(PartitionExec::Execute(dpu_, input, {0}, wide, 64).ok());
+  wide.rounds.front().fanout = kMaxRoundFanout;
+  EXPECT_OK(ValidatePartitionScheme(wide));
+}
+
 TEST_F(OpsTest, SkewedPartitionLayoutMatchesStableReferenceAcrossModes) {
   // 70% of the rows share one key, so its partition takes rows from
   // every work unit. Units of 157 rows (at the default 32 cores) and

@@ -7,6 +7,7 @@
 // PartitionExec, and a fault inside the fused step must resume by
 // morsel, resume from a completed round, or demote to the unfused pair.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -512,7 +513,8 @@ TEST_F(PartitionSinkFaultTest, DmemOomInOpenDemotesToScanAndPartition) {
 // ---- Synthetic tables ------------------------------------------------------
 
 // Columns: an int key `k`, a scale-2 decimal `v`, a dictionary string
-// `s` and a filter column `f` (0..9).
+// `s` and a filter column `f` (0..9). A skewed key puts the first 70%
+// of the rows (so whole chunks) on key 42 and the rest on 37 others.
 struct Synthetic {
   std::vector<storage::ColumnSpec> specs = {
       {"k", storage::ColumnKind::kInt32},
@@ -521,9 +523,13 @@ struct Synthetic {
       {"f", storage::ColumnKind::kInt32}};
   std::vector<storage::ColumnData> data = std::vector<storage::ColumnData>(4);
 
-  explicit Synthetic(int rows) {
+  explicit Synthetic(int rows, bool skewed = false) {
     for (int r = 0; r < rows; ++r) {
-      data[0].ints.push_back((r * 7919) % 50021);
+      if (skewed) {
+        data[0].ints.push_back(r < rows / 10 * 7 ? 42 : (r % 37) * 3);
+      } else {
+        data[0].ints.push_back((r * 7919) % 50021);
+      }
       data[1].decimals.push_back(
           static_cast<double>((r * 104729) % 20011 - 10000) / 100.0);
       data[2].strings.push_back("s" + std::to_string(r % 13));
@@ -589,36 +595,68 @@ PartitionScheme TwoRounds() {
   return scheme;
 }
 
-// A two-round scheme fuses its first round only: the sink carries the
-// rows' hashes into PartitionExec, whose second round must produce the
+// A two-round scheme fuses its first round only: PartitionExec's
+// second round over the sink's round-1 buckets must produce the
 // unfused plan's 1024 buckets bit for bit, the computed column's
-// decimal type and scale included.
+// decimal type and scale included. A skewed key (70% of the rows on
+// one key, so whole morsels fall in one partition and most partitions
+// stay empty) must match the unfused plan in one round and in two.
 TEST(PartitionSinkTest, MultiRoundFusesRoundOneAndRunsTheRestThroughExec) {
-  const Synthetic table(20000);
-  for (const int cores : kCoreCounts) {
-    auto engine = LoadSynthetic(table, cores);
-    ASSERT_OK_AND_ASSIGN(PhysicalPlan fused,
-                         Fuse(*engine, ScanPartitionGroupBy(TwoRounds(), 7)));
-    ASSERT_EQ(fused.steps.size(), 2u) << fused.Describe();
-    EXPECT_NE(fused.Describe().find("| partition keys=(k) scheme=64(hw32)x16"),
-              std::string::npos)
-        << fused.Describe();
-    EXPECT_EQ(StepAt(fused, "0#p"), 0);
-    EXPECT_EQ(StepAt(fused, "0"), -1);
-    for (int l = 0; l <= static_cast<int>(SimdLevelSupported()); ++l) {
-      ScopedConfig config(&Config::simd, static_cast<SimdLevel>(l));
-      const std::string what = "cores " + std::to_string(cores) + " level " +
-                               std::to_string(l);
-      const PhysicalPlan split = SplitSinks(
-          Fuse(*engine, ScanPartitionGroupBy(TwoRounds(), 7)).value());
-      EXPECT_EQ(ExpectSinksMatchSplit(*engine, fused, split, what), 1u);
-      const std::vector<StepOutput> out = RunSteps(*engine, fused);
-      EXPECT_EQ(out[0].parts.partitions.size(), 1024u) << what;
-      EXPECT_EQ(out[0].parts.bits_used, 10) << what;
-      EXPECT_EQ(out[0].parts.rounds, 2) << what;
-      for (const ColumnSet& bucket : out[0].parts.partitions) {
-        EXPECT_EQ(bucket.meta(3).type, storage::DataType::kDecimal) << what;
-        EXPECT_EQ(bucket.meta(3).dsb_scale, 2) << what;
+  const Synthetic uniform(20000);
+  const Synthetic skewed(20000, /*skewed=*/true);
+  PartitionScheme one_round;
+  one_round.rounds = {{64, 32}};
+  const struct {
+    const Synthetic* table;
+    PartitionScheme scheme;
+    const char* name;
+  } inputs[] = {{&uniform, TwoRounds(), "uniform"},
+                {&skewed, one_round, "skewed"},
+                {&skewed, TwoRounds(), "skewed"}};
+  for (const auto& input : inputs) {
+    const bool two = input.scheme.NumRounds() == 2;
+    for (const int cores : kCoreCounts) {
+      auto engine = LoadSynthetic(*input.table, cores);
+      ASSERT_OK_AND_ASSIGN(
+          PhysicalPlan fused,
+          Fuse(*engine, ScanPartitionGroupBy(input.scheme, 7)));
+      ASSERT_EQ(fused.steps.size(), 2u) << fused.Describe();
+      EXPECT_NE(fused.Describe().find(two ? "| partition keys=(k) "
+                                            "scheme=64(hw32)x16"
+                                          : "| partition keys=(k) "
+                                            "scheme=64(hw32) "),
+                std::string::npos)
+          << fused.Describe();
+      EXPECT_EQ(StepAt(fused, "0#p"), 0);
+      EXPECT_EQ(StepAt(fused, "0"), -1);
+      for (int l = 0; l <= static_cast<int>(SimdLevelSupported()); ++l) {
+        ScopedConfig config(&Config::simd, static_cast<SimdLevel>(l));
+        const std::string what = std::string(input.name) + " rounds " +
+                                 std::to_string(input.scheme.NumRounds()) +
+                                 " cores " + std::to_string(cores) +
+                                 " level " + std::to_string(l);
+        const PhysicalPlan split = SplitSinks(
+            Fuse(*engine, ScanPartitionGroupBy(input.scheme, 7)).value());
+        EXPECT_EQ(ExpectSinksMatchSplit(*engine, fused, split, what), 1u);
+        const std::vector<StepOutput> out = RunSteps(*engine, fused);
+        EXPECT_EQ(out[0].parts.partitions.size(), two ? 1024u : 64u) << what;
+        EXPECT_EQ(out[0].parts.bits_used, two ? 10 : 6) << what;
+        EXPECT_EQ(out[0].parts.rounds, two ? 2 : 1) << what;
+        size_t rows = 0;
+        size_t largest = 0;
+        size_t empty = 0;
+        for (const ColumnSet& bucket : out[0].parts.partitions) {
+          EXPECT_EQ(bucket.meta(3).type, storage::DataType::kDecimal) << what;
+          EXPECT_EQ(bucket.meta(3).dsb_scale, 2) << what;
+          rows += bucket.num_rows();
+          largest = std::max(largest, bucket.num_rows());
+          if (bucket.num_rows() == 0) ++empty;
+        }
+        EXPECT_EQ(rows, 14000u) << what;
+        if (input.table == &skewed) {
+          EXPECT_GE(largest, 9800u) << what;
+          EXPECT_GT(empty, 0u) << what;
+        }
       }
     }
   }
