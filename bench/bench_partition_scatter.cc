@@ -1,16 +1,16 @@
-// Tile-local memory ablation: (1) software-partition column scatter,
-// scalar store loop vs the write-combining kernel that stages full
-// cache lines in DMEM-modeled scratch and flushes them with streaming
-// stores — measured in GB/s at fan-outs crossing the TLB/cache-line
-// pressure point, with in-bench bit-identity; (2) heap allocations per
-// tile on the TPC-H Q6 and Q14 paths, tile-pool recycling vs the
-// pre-pool one-heap-allocation-per-acquire behavior (the config's
-// tile_pool_bypass). Emits BENCH_memory.json for the CI trend line.
+// Tile-local memory ablation: (1) the partition scatter at the
+// engine's call shape: a partition sink's round 1
+// (PartitionExec::ExecuteSink) over 2048-row morsels into exact-size
+// buckets, at 1/2/4/8-byte column widths on cold 64 MiB passes,
+// checked row by row against a per-row reference partitioner; (2) heap
+// allocations per tile on the TPC-H Q6 and Q14 paths, tile-pool
+// recycling vs the pre-pool one-heap-allocation-per-acquire behavior
+// (the config's tile_pool_bypass). Emits BENCH_memory.json for the CI
+// trend line.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <functional>
 #include <random>
 #include <vector>
 
@@ -19,82 +19,108 @@
 #include "common/config.h"
 #include "common/simd.h"
 #include "core/engine.h"
+#include "core/ops/partition_exec.h"
 #include "hostdb/database.h"
-#include "primitives/simd.h"
 #include "tpch/queries.h"
 
 namespace {
 
 using namespace rapid;
 
+constexpr size_t kMorselRows = 2048;
+
 struct ScatterPoint {
+  size_t width = 0;
+  size_t columns = 0;
   size_t fanout = 0;
-  double scalar_gbs = 0;
-  double vector_gbs = 0;
+  double ms = 0;  // median pass
+  double gbs = 0;
   bool identical = false;
 };
 
-double SecondsOf(const std::function<void()>& fn, int reps) {
-  const auto start = std::chrono::steady_clock::now();
-  for (int r = 0; r < reps; ++r) fn();
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(end - start).count();
+// `rows` rows of 8 / width columns, every column `width` bytes wide, so
+// a pass moves 8 bytes per row at every width; column 0 is the key. Cut
+// into kMorselRows-row morsels, as a partition sink's slots are.
+std::vector<core::ColumnSet> MakeMorsels(size_t width, size_t rows,
+                                         uint64_t seed) {
+  std::vector<core::ColumnMeta> metas(sizeof(int64_t) / width);
+  for (size_t c = 0; c < metas.size(); ++c) {
+    metas[c].name = "c" + std::to_string(c);
+    metas[c].width = width;
+  }
+  std::mt19937_64 rng(seed);
+  std::vector<core::ColumnSet> morsels;
+  for (size_t begin = 0; begin < rows; begin += kMorselRows) {
+    core::ColumnSet& m = morsels.emplace_back(metas);
+    m.Resize(std::min(kMorselRows, rows - begin));
+    for (size_t c = 0; c < metas.size(); ++c) {
+      m.Visit(c, [&](auto* col) {
+        for (size_t i = 0; i < m.num_rows(); ++i) {
+          col[i] = static_cast<core::ElementOf<decltype(col)>>(rng());
+        }
+      });
+    }
+  }
+  return morsels;
 }
 
-ScatterPoint RunScatter(size_t fanout, size_t n, int reps) {
-  std::mt19937_64 rng(fanout * 7919 + 17);
-  std::vector<int64_t> input(n);
-  std::vector<uint16_t> pof(n);
-  std::vector<uint32_t> counts(fanout, 0);
-  for (size_t i = 0; i < n; ++i) {
-    input[i] = static_cast<int64_t>(rng());
-    pof[i] = static_cast<uint16_t>(rng() % fanout);
-    ++counts[pof[i]];
-  }
-  Arena arena;
-  uint8_t* wc = static_cast<uint8_t*>(
-      arena.Allocate(primitives::simd::ScatterScratchBytes(fanout)));
-
-  // Two independent destination sets so the levels cannot alias.
-  auto make_dst = [&](std::vector<std::vector<int64_t>>* storage,
-                      std::vector<int64_t*>* dst) {
-    storage->assign(fanout, {});
-    dst->assign(fanout, nullptr);
-    for (size_t p = 0; p < fanout; ++p) {
-      (*storage)[p].assign(counts[p] + 1, 0);
-      (*dst)[p] = (*storage)[p].data();
+// The per-row reference: row i of the morsels' concatenation goes to
+// partition (hash & (fanout - 1)), after every earlier row of that
+// partition. True when `parts` holds exactly that.
+bool MatchesReference(const std::vector<core::ColumnSet>& morsels,
+                      size_t fanout,
+                      const std::vector<core::ColumnSet>& parts) {
+  if (parts.size() != fanout) return false;
+  std::vector<size_t> cursor(fanout, 0);
+  for (const core::ColumnSet& m : morsels) {
+    const std::vector<uint32_t> h = core::PartitionExec::HashColumn(m, {0});
+    for (size_t i = 0; i < m.num_rows(); ++i) {
+      const size_t p = h[i] & (fanout - 1);
+      const size_t row = cursor[p]++;
+      if (row >= parts[p].num_rows()) return false;
+      for (size_t c = 0; c < m.num_columns(); ++c) {
+        if (parts[p].Value(row, c) != m.Value(i, c)) return false;
+      }
     }
-  };
-  std::vector<std::vector<int64_t>> sstore, vstore;
-  std::vector<int64_t*> sdst, vdst;
-  make_dst(&sstore, &sdst);
-  make_dst(&vstore, &vdst);
-
-  ScatterPoint point;
-  point.fanout = fanout;
-  const double bytes = static_cast<double>(n) * sizeof(int64_t) * reps;
-
-  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
-  auto scalar_fn = primitives::simd::partition_kernels().scatter_col;
-  config.Set(&Config::simd, SimdLevelSupported());
-  auto vector_fn = primitives::simd::partition_kernels().scatter_col;
-
-  // Each call restarts its cursors from the dst bases, so repetitions
-  // overwrite in place and timing stays allocation-free.
-  point.scalar_gbs =
-      bytes / SecondsOf([&] { scalar_fn(input.data(), pof.data(), n, fanout,
-                                        sdst.data(), wc); }, reps) / 1e9;
-  point.vector_gbs =
-      bytes / SecondsOf([&] { vector_fn(input.data(), pof.data(), n, fanout,
-                                        vdst.data(), wc); }, reps) / 1e9;
-
-  point.identical = true;
+  }
   for (size_t p = 0; p < fanout; ++p) {
-    if (std::memcmp(sstore[p].data(), vstore[p].data(),
-                    counts[p] * sizeof(int64_t)) != 0) {
-      point.identical = false;
+    if (cursor[p] != parts[p].num_rows()) return false;
+  }
+  return true;
+}
+
+ScatterPoint RunScatter(dpu::Dpu& dpu, size_t width, size_t fanout,
+                        size_t rows, int reps) {
+  const std::vector<core::ColumnSet> morsels =
+      MakeMorsels(width, rows, width * 7919 + fanout);
+  const std::vector<core::ColumnMeta> metas = morsels.front().metas();
+  core::PartitionScheme scheme;
+  scheme.rounds.push_back({static_cast<int>(fanout), 1});
+  ScatterPoint point;
+  point.width = width;
+  point.columns = metas.size();
+  point.fanout = fanout;
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) {
+    // ExecuteSink consumes its morsels; the copy is not timed. Every
+    // pass writes freshly allocated buckets.
+    std::vector<core::ColumnSet> input = morsels;
+    const auto start = std::chrono::steady_clock::now();
+    auto parts = core::PartitionExec::ExecuteSink(
+        dpu, metas, std::move(input), {0}, scheme, kMorselRows,
+        /*cancel=*/nullptr, /*progress=*/nullptr);
+    const auto end = std::chrono::steady_clock::now();
+    RAPID_CHECK(parts.ok());
+    ms.push_back(std::chrono::duration<double, std::milli>(end - start)
+                     .count());
+    if (r == 0) {
+      point.identical =
+          MatchesReference(morsels, fanout, parts.value().partitions);
     }
   }
+  std::sort(ms.begin(), ms.end());
+  point.ms = ms[ms.size() / 2];
+  point.gbs = static_cast<double>(rows * sizeof(int64_t)) / point.ms / 1e6;
   return point;
 }
 
@@ -154,29 +180,33 @@ AllocPoint RunAllocs(core::RapidEngine& engine, const tpch::TpchQuery& query,
 
 int main() {
   bench::Header("Tile-local memory",
-                "WC partition scatter + tile-pool allocation ablation");
+                "partition sink scatter + tile-pool allocation ablation");
 
-  // ---- Scatter kernels -----------------------------------------------------
-  // Output must exceed the last-level cache for the streaming stores
-  // to pay off — that is the regime the partition scatter lives in
-  // (fresh destination vectors every tile, fan-out x columns outputs).
-  const size_t kRows = 1u << 23;  // 64 MiB of int64 per pass
-  const int kReps = 4;
+  // ---- Partition scatter -------------------------------------------------
+  // Output must exceed the last-level cache: that is the regime the
+  // partition scatter lives in (fresh exact-size buckets every round).
+  const size_t kRows = 1u << 23;  // 64 MiB per pass at every width
+  const int kReps = 5;
   std::vector<ScatterPoint> scatter;
-  for (size_t fanout : {16u, 64u, 256u}) {
-    scatter.push_back(RunScatter(fanout, kRows, kReps));
-    RAPID_CHECK(scatter.back().identical);
+  {
+    dpu::Dpu dpu{dpu::DpuConfig{}};
+    for (size_t width : {1u, 2u, 4u, 8u}) {
+      for (size_t fanout : {64u, 1024u}) {
+        scatter.push_back(RunScatter(dpu, width, fanout, kRows, kReps));
+        RAPID_CHECK(scatter.back().identical);
+      }
+    }
   }
 
-  std::printf("scatter, %zu rows x %d reps, int64 columns (vector tier: %s)\n\n",
-              kRows, kReps,
-              SimdLevelName(SimdLevelSupported()));
-  std::printf("%7s | %11s | %11s | %8s | %9s\n", "fanout", "scalar GB/s",
-              "vector GB/s", "speedup", "identical");
-  std::printf("--------+-------------+-------------+----------+----------\n");
+  std::printf("partition sink round 1, %zu rows in %zu-row morsels, median "
+              "of %d passes (SIMD tier: %s)\n\n",
+              kRows, kMorselRows, kReps, SimdLevelName(SimdLevelActive()));
+  std::printf("%5s | %7s | %6s | %9s | %7s | %9s\n", "width", "columns",
+              "fanout", "pass ms", "GB/s", "identical");
+  std::printf("------+---------+--------+-----------+---------+----------\n");
   for (const ScatterPoint& p : scatter) {
-    std::printf("%7zu | %11.2f | %11.2f | %7.2fx | %9s\n", p.fanout,
-                p.scalar_gbs, p.vector_gbs, p.vector_gbs / p.scalar_gbs,
+    std::printf("%4zuB | %7zu | %6zu | %9.2f | %7.2f | %9s\n", p.width,
+                p.columns, p.fanout, p.ms, p.gbs,
                 p.identical ? "yes" : "NO");
   }
 
@@ -214,15 +244,18 @@ int main() {
   // ---- JSON ----------------------------------------------------------------
   FILE* json = std::fopen("BENCH_memory.json", "w");
   RAPID_CHECK(json != nullptr);
-  std::fprintf(json, "{\n  \"scatter_rows\": %zu,\n  \"scatter\": [\n", kRows);
+  std::fprintf(json,
+               "{\n  \"scatter_rows\": %zu,\n  \"morsel_rows\": %zu,\n"
+               "  \"scatter\": [\n",
+               kRows, kMorselRows);
   for (size_t i = 0; i < scatter.size(); ++i) {
     const ScatterPoint& p = scatter[i];
     std::fprintf(json,
-                 "    {\"fanout\": %zu, \"scalar_gbs\": %.3f,"
-                 " \"vector_gbs\": %.3f,\n     \"speedup\": %.3f,"
+                 "    {\"width\": %zu, \"columns\": %zu, \"fanout\": %zu,"
+                 " \"pass_ms\": %.3f,\n     \"gbs\": %.3f,"
                  " \"identical_results\": %s}%s\n",
-                 p.fanout, p.scalar_gbs, p.vector_gbs,
-                 p.vector_gbs / p.scalar_gbs, p.identical ? "true" : "false",
+                 p.width, p.columns, p.fanout, p.ms, p.gbs,
+                 p.identical ? "true" : "false",
                  i + 1 < scatter.size() ? "," : "");
   }
   std::fprintf(json, "  ],\n  \"tile_rows\": %zu,\n  \"allocations\": [\n",

@@ -99,7 +99,7 @@ struct ChainResult {
 bool Identical(const ColumnSet& a, const ColumnSet& b) {
   bool same = a.num_columns() == b.num_columns();
   for (size_t c = 0; same && c < a.num_columns(); ++c) {
-    same = a.column(c) == b.column(c) &&
+    same = a.Values(c) == b.Values(c) &&
            a.meta(c).dsb_scale == b.meta(c).dsb_scale;
   }
   return same;

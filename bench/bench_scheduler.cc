@@ -110,8 +110,7 @@ PartitionedData ZipfPartitions(const std::vector<size_t>& part_rows,
       const int64_t key =
           static_cast<int64_t>(p) +
           static_cast<int64_t>(j % part_rows[p]) * num_parts;
-      set.column(0).push_back(key);
-      set.column(1).push_back(static_cast<int64_t>(j));
+      RAPID_CHECK_OK(set.AppendRow({key, static_cast<int64_t>(j)}));
     }
     data.partitions.push_back(std::move(set));
   }
@@ -151,7 +150,7 @@ Arm Schedule(const Workload& w, const std::vector<double>& weights) {
 bool SameRows(const ColumnSet& a, const ColumnSet& b) {
   if (a.num_columns() != b.num_columns()) return false;
   for (size_t c = 0; c < a.num_columns(); ++c) {
-    if (a.column(c) != b.column(c)) return false;
+    if (a.Values(c) != b.Values(c)) return false;
   }
   return true;
 }

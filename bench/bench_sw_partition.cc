@@ -27,11 +27,10 @@ ColumnSet MakeInput(size_t rows) {
   metas[1].type = storage::DataType::kInt32;
   ColumnSet set(metas);
   Rng rng(42);
-  set.column(0).reserve(rows);
-  set.column(1).reserve(rows);
+  set.Reserve(rows);
   for (size_t i = 0; i < rows; ++i) {
-    set.column(0).push_back(rng.NextInRange(0, 1 << 20));
-    set.column(1).push_back(static_cast<int64_t>(i));
+    RAPID_CHECK_OK(set.AppendRow(
+        {rng.NextInRange(0, 1 << 20), static_cast<int64_t>(i)}));
   }
   return set;
 }

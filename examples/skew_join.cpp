@@ -27,8 +27,8 @@ ColumnSet ZipfRelation(size_t rows, double theta, uint64_t seed) {
   ColumnSet set(metas);
   ZipfGenerator zipf(1 << 13, theta, seed);
   for (size_t i = 0; i < rows; ++i) {
-    set.column(0).push_back(static_cast<int64_t>(zipf.Sample()));
-    set.column(1).push_back(static_cast<int64_t>(i));
+    RAPID_CHECK_OK(set.AppendRow(
+        {static_cast<int64_t>(zipf.Sample()), static_cast<int64_t>(i)}));
   }
   return set;
 }

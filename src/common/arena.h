@@ -123,7 +123,7 @@ struct TilePoolStats {
 };
 
 // Recycles tile-sized scratch buffers (partition maps, hash columns,
-// bit-vector payloads, write-combining scratch, fused-pipeline
+// bit-vector payloads, partition scatter slots, fused-pipeline
 // intermediates). Buffers live in power-of-two size classes; Acquire
 // pops a free buffer of the smallest fitting class or bump-allocates
 // a new one from the arena. Releasing (via Handle destruction) pushes

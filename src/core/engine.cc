@@ -236,12 +236,12 @@ Result<QueryResult> RapidEngine::Execute(const LogicalPtr& plan,
         }
       }
       if (have_input || frag.out.parts.partitions.empty()) continue;
-      ColumnSet flat(frag.out.parts.partitions.front().metas());
+      std::vector<ColumnMeta> metas =
+          frag.out.parts.partitions.front().metas();
       for (const ColumnSet& part : frag.out.parts.partitions) {
-        for (size_t col = 0; col < flat.num_columns(); ++col) {
-          if (part.num_rows() > 0) flat.meta(col) = part.meta(col);
-        }
+        if (part.num_rows() > 0) metas = part.metas();
       }
+      ColumnSet flat(std::move(metas));
       for (const ColumnSet& part : frag.out.parts.partitions) {
         flat.Append(part);
       }

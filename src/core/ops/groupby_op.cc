@@ -268,18 +268,24 @@ Status GroupByOp::EmitInto(ColumnSet* out) const {
   // Appends one column, in stamp order or in table order.
   const std::vector<uint32_t> order =
       stamped_ ? table_.GroupsByStamp() : std::vector<uint32_t>{};
-  auto append = [&](std::vector<int64_t>& col, auto value_of) {
-    col.reserve(col.size() + groups);
-    for (size_t i = 0; i < groups; ++i) {
-      col.push_back(value_of(stamped_ ? order[i] : i));
-    }
+  // A key keeps its input column's width, which holds every key the
+  // table saw.
+  const size_t base = out->num_rows();
+  out->Resize(base + groups);
+  auto append = [&](size_t c, auto value_of) {
+    out->Visit(c, [&](auto* col) {
+      using T = ElementOf<decltype(col)>;
+      for (size_t i = 0; i < groups; ++i) {
+        col[base + i] = static_cast<T>(value_of(stamped_ ? order[i] : i));
+      }
+    });
   };
   for (size_t k = 0; k < keys_.size(); ++k) {
-    append(out->column(k), [&](size_t g) { return table_.key(g, k); });
+    append(k, [&](size_t g) { return table_.key(g, k); });
   }
   for (size_t a = 0; a < aggs_.size(); ++a) {
     const std::vector<int64_t>& st = table_.agg_column(a);
-    append(out->column(keys_.size() + a), [&](size_t g) { return st[g]; });
+    append(keys_.size() + a, [&](size_t g) { return st[g]; });
   }
   return Status::OK();
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -24,21 +25,14 @@ size_t NextPow2(size_t n) {
   return p;
 }
 
-// The key columns `keys` of `set`, resolved once per join pair.
-std::vector<const int64_t*> KeyColumns(const ColumnSet& set,
-                                       const std::vector<size_t>& keys) {
-  std::vector<const int64_t*> cols;
-  cols.reserve(keys.size());
-  for (size_t k : keys) cols.push_back(set.column(k).data());
-  return cols;
-}
-
-bool KeysEqual(const std::vector<const int64_t*>& bcols, size_t brow,
-               const std::vector<const int64_t*>& pcols, size_t prow) {
-  for (size_t k = 0; k < bcols.size(); ++k) {
-    if (bcols[k][brow] != pcols[k][prow]) return false;
-  }
-  return true;
+// True when keys of `a` and `b` share one physical element type, so a
+// pair's keys compare without widening.
+bool SameKeyType(const ColumnMeta& a, const ColumnMeta& b) {
+  return storage::VisitPhysical(a.width, a.type, [&](auto ta) {
+    return storage::VisitPhysical(b.width, b.type, [](auto tb) {
+      return std::is_same_v<decltype(ta), decltype(tb)>;
+    });
+  });
 }
 
 // Space-saving heavy-hitter sketch: k counters, evict-min on overflow.
@@ -110,27 +104,36 @@ struct Match {
 };
 constexpr uint32_t kNoBuildRow = ~uint32_t{0};
 
-// Appends the pair's matches to `out`, one output column at a time.
+// Appends the pair's matches to `out`, one output column at a time,
+// each at its meta's width (its source column's, or 8 bytes for a
+// left-outer join's build side, which carries kJoinNull).
 void GatherMatches(const ColumnSet& build, const ColumnSet& probe,
                    const JoinSpec& spec, const std::vector<Match>& matches,
                    ColumnSet* out) {
   const size_t n = matches.size();
+  const size_t base = out->num_rows();
+  out->Resize(base + n);
   for (size_t c = 0; c < spec.outputs.size(); ++c) {
     const JoinSpec::Output& o = spec.outputs[c];
-    std::vector<int64_t>& column = out->column(c);
-    const size_t base = column.size();
-    column.resize(base + n);
-    int64_t* dst = column.data() + base;
-    if (o.from_build) {
-      const int64_t* src = build.column(o.column).data();
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t brow = matches[i].brow;
-        dst[i] = brow == kNoBuildRow ? kJoinNull : src[brow];
+    out->Visit(c, [&](auto* column) {
+      using D = ElementOf<decltype(column)>;
+      D* dst = column + base;
+      if (o.from_build) {
+        build.Visit(o.column, [&](const auto* src) {
+          for (size_t i = 0; i < n; ++i) {
+            const uint32_t brow = matches[i].brow;
+            dst[i] = brow == kNoBuildRow ? static_cast<D>(kJoinNull)
+                                         : static_cast<D>(src[brow]);
+          }
+        });
+      } else {
+        probe.Visit(o.column, [&](const auto* src) {
+          for (size_t i = 0; i < n; ++i) {
+            dst[i] = static_cast<D>(src[matches[i].prow]);
+          }
+        });
       }
-    } else {
-      const int64_t* src = probe.column(o.column).data();
-      for (size_t i = 0; i < n; ++i) dst[i] = src[matches[i].prow];
-    }
+    });
   }
 }
 
@@ -247,21 +250,22 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
   // ---- Heavy-hitter detection (flow-join style) ----
   std::unordered_map<int64_t, std::vector<uint32_t>> heavy_rows;
   if (spec.heavy_hitter_threshold > 0 && spec.build_keys.size() == 1) {
-    SpaceSaving sketch(64);
-    const std::vector<int64_t>& keys = build.column(spec.build_keys[0]);
-    for (size_t i = 0; i < build_rows; ++i) sketch.Add(keys[i]);
-    // Sketch scan is ~1 cycle/row with the approximate histogram.
-    core.cycles().ChargeCompute(static_cast<double>(build_rows));
-    for (int64_t key : sketch.KeysAbove(spec.heavy_hitter_threshold)) {
-      // Verify against exact counts (sketch overestimates).
-      uint64_t exact = 0;
-      for (size_t i = 0; i < build_rows; ++i) {
-        if (keys[i] == key) ++exact;
+    build.Visit(spec.build_keys[0], [&](const auto* keys) {
+      SpaceSaving sketch(64);
+      for (size_t i = 0; i < build_rows; ++i) sketch.Add(keys[i]);
+      // Sketch scan is ~1 cycle/row with the approximate histogram.
+      core.cycles().ChargeCompute(static_cast<double>(build_rows));
+      for (int64_t key : sketch.KeysAbove(spec.heavy_hitter_threshold)) {
+        // Verify against exact counts (sketch overestimates).
+        uint64_t exact = 0;
+        for (size_t i = 0; i < build_rows; ++i) {
+          if (keys[i] == key) ++exact;
+        }
+        if (exact >= spec.heavy_hitter_threshold) {
+          heavy_rows.emplace(key, std::vector<uint32_t>{});
+        }
       }
-      if (exact >= spec.heavy_hitter_threshold) {
-        heavy_rows.emplace(key, std::vector<uint32_t>{});
-      }
-    }
+    });
     if (!heavy_rows.empty()) {
       result->stats.heavy_hitter_keys += heavy_rows.size();
     }
@@ -277,8 +281,6 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
   // must come from the bits above them or every row aliases into the
   // same few buckets.
   const int shift = std::min(bits_used, 31);
-  const std::vector<const int64_t*> bcols = KeyColumns(build, spec.build_keys);
-  const std::vector<const int64_t*> pcols = KeyColumns(probe, spec.probe_keys);
   primitives::CompactJoinTable table(build_rows, num_buckets,
                                      std::min(spec.dmem_capacity_rows,
                                               build_rows));
@@ -295,12 +297,12 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
     for (size_t start = 0; start < build_rows; start += spec.tile_rows) {
       RAPID_RETURN_NOT_OK(CancelToken::Check(cancel));
       const size_t rows = std::min(spec.tile_rows, build_rows - start);
-      primitives::HashKeysTile(bcols.data(), bcols.size(), start, rows, shift,
-                               hashes.data());
+      PartitionExec::HashRows(build, bkeys, start, rows, shift,
+                              hashes.data());
       for (size_t i = 0; i < rows; ++i) {
         const size_t row = start + i;
         if (!heavy_rows.empty()) {
-          auto it = heavy_rows.find(bcols[0][row]);
+          auto it = heavy_rows.find(build.Value(row, bkeys[0]));
           if (it != heavy_rows.end()) {
             // Heavy keys bypass the hash table; their rows go to the
             // broadcast side list.
@@ -340,10 +342,11 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
         build_rows, core.dmem().capacity() / 4);
     if (num_blocks > 0) {
       pair_filter = primitives::BlockedBloomFilter(num_blocks);
-      const std::vector<int64_t>& keys = build.column(spec.build_keys[0]);
-      for (size_t i = 0; i < build_rows; ++i) {
-        pair_filter.Insert(static_cast<uint64_t>(keys[i]));
-      }
+      build.Visit(spec.build_keys[0], [&](const auto* keys) {
+        for (size_t i = 0; i < build_rows; ++i) {
+          pair_filter.Insert(static_cast<uint64_t>(int64_t{keys[i]}));
+        }
+      });
       core.cycles().ChargeCompute(params.bloom_insert_cycles_per_row /
                                   params.simd.bloom *
                                   static_cast<double>(build_rows));
@@ -361,7 +364,6 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
   std::vector<Match> matches;
   primitives::ProbeStats probe_stats;
   const std::vector<size_t>& pkeys = spec.probe_keys;
-  const int64_t* pkey0 = pcols[0];
   const bool emits_unmatched =
       spec.type == JoinType::kAnti || spec.type == JoinType::kLeftOuter;
   // The batched path hashes a whole DMEM tile then calls ProbeBatch
@@ -384,8 +386,9 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
   TraceSpan probe_span(TraceMode::kFull, core.id(), "join.probe",
                        &dpu::TraceClockNow, &core.cycles());
   probe_span.Annotate("rows", static_cast<uint64_t>(probe_rows));
-  // `key_eq(brow, prow)` compares a build row's keys with a probe row's.
-  auto probe_tiles = [&](auto key_eq) -> Status {
+  // `key_eq(brow, prow)` compares a build row's keys with a probe row's;
+  // `pkey0(prow)` is a probe row's first key.
+  auto probe_tiles = [&](auto key_eq, auto pkey0) -> Status {
     for (size_t start = 0; start < probe_rows; start += spec.tile_rows) {
       RAPID_RETURN_NOT_OK(CancelToken::Check(cancel));
       const size_t rows = std::min(spec.tile_rows, probe_rows - start);
@@ -399,8 +402,8 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
           }
         }
       } else if (batched) {
-        primitives::HashKeysTile(pcols.data(), pcols.size(), start, rows,
-                                 shift, tile_hashes.data());
+        PartitionExec::HashRows(probe, pkeys, start, rows, shift,
+                                tile_hashes.data());
         // Bloom-prune before probing: pruned rows have no match and
         // drop out of the ProbeBatch. Kept rows probe in row order, so
         // emission order is identical with the filter off. Kept hashes
@@ -408,7 +411,7 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
         size_t kept = 0;
         for (size_t i = 0; i < rows; ++i) {
           if (use_filter && !pair_filter.MayContain(
-                                static_cast<uint64_t>(pkey0[start + i]))) {
+                                static_cast<uint64_t>(pkey0(start + i)))) {
             continue;
           }
           keep_idx[kept] = static_cast<uint32_t>(start + i);
@@ -445,8 +448,8 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
         }
         result->stats.matches += tile_stats.matches;
       } else {
-        primitives::HashKeysTile(pcols.data(), pcols.size(), start, rows,
-                                 shift, tile_hashes.data());
+        PartitionExec::HashRows(probe, pkeys, start, rows, shift,
+                                tile_hashes.data());
         const bool emits_pairs = spec.type == JoinType::kInner ||
                                  spec.type == JoinType::kLeftOuter;
         for (size_t i = 0; i < rows; ++i) {
@@ -459,7 +462,7 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
           // The filter covers heavy-bypass build rows too, so a miss
           // also skips the broadcast side pass.
           if (use_filter && !pair_filter.MayContain(
-                                static_cast<uint64_t>(pkey0[prow]))) {
+                                static_cast<uint64_t>(pkey0(prow)))) {
             ++tile_pruned;
           } else {
             table.Probe(
@@ -469,7 +472,7 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
                 &tile_stats);
             // Heavy-hitter side pass: probe the broadcast list.
             if (!heavy_rows.empty()) {
-              auto it = heavy_rows.find(pkey0[prow]);
+              auto it = heavy_rows.find(pkey0(prow));
               if (it != heavy_rows.end()) {
                 for (uint32_t brow : it->second) {
                   ++result->stats.heavy_hitter_matches;
@@ -511,16 +514,32 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
     }
     return Status::OK();
   };
-  if (bcols.size() == 1) {
-    const int64_t* bkey = bcols[0];
-    RAPID_RETURN_NOT_OK(probe_tiles([bkey, pkey0](size_t brow, size_t prow) {
-      return bkey[brow] == pkey0[prow];
-    }));
+  const std::vector<size_t>& bkeys = spec.build_keys;
+  Status probed;
+  if (bkeys.size() == 1 &&
+      SameKeyType(build.meta(bkeys[0]), probe.meta(pkeys[0]))) {
+    probed = build.Visit(bkeys[0], [&](const auto* bkey) {
+      const auto* pkey = probe.data<ElementOf<decltype(bkey)>>(pkeys[0]);
+      return probe_tiles(
+          [bkey, pkey](size_t brow, size_t prow) {
+            return bkey[brow] == pkey[prow];
+          },
+          [pkey](size_t prow) -> int64_t { return pkey[prow]; });
+    });
   } else {
-    RAPID_RETURN_NOT_OK(probe_tiles([&](size_t brow, size_t prow) {
-      return KeysEqual(bcols, brow, pcols, prow);
-    }));
+    // Keys of unequal widths compare as int64.
+    probed = probe_tiles(
+        [&](size_t brow, size_t prow) {
+          for (size_t k = 0; k < bkeys.size(); ++k) {
+            if (build.Value(brow, bkeys[k]) != probe.Value(prow, pkeys[k])) {
+              return false;
+            }
+          }
+          return true;
+        },
+        [&](size_t prow) { return probe.Value(prow, pkeys[0]); });
   }
+  RAPID_RETURN_NOT_OK(probed);
   probe_span.Annotate("matches", static_cast<uint64_t>(probe_stats.matches));
   result->stats.chain_steps += probe_stats.chain_steps;
   result->stats.overflow_steps += probe_stats.overflow_steps;

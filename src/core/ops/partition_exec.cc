@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "common/arena.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/trace.h"
 #include "primitives/hash.h"
-#include "primitives/partition_map.h"
 #include "primitives/simd.h"
 
 namespace rapid::core {
@@ -99,29 +99,32 @@ RoundOutput LayoutRound(const std::vector<WorkUnit>& units, size_t groups,
   out.buckets.assign(sizes.size(), ColumnSet(metas));
   if (carry) out.hashes.resize(sizes.size());
   for (size_t b = 0; b < sizes.size(); ++b) {
-    for (size_t c = 0; c < metas.size(); ++c) {
-      out.buckets[b].column(c).resize(sizes[b]);
-    }
+    // Scatter slots are 32-bit row offsets within a bucket.
+    RAPID_CHECK(sizes[b] <= std::numeric_limits<uint32_t>::max());
+    out.buckets[b].Resize(sizes[b]);
     if (carry) out.hashes[b].resize(sizes[b]);
   }
   return out;
 }
 
-// A scatter's per-tile scratch: the tile's partition indexes, the
-// per-partition counts and write bases, and the write-combining lines.
+// A scatter's per-tile scratch: the tile's partition indexes, its
+// per-partition write cursors, one column's per-partition write bases
+// and the tile's row slots.
 struct ScatterScratch {
   uint16_t* part;
-  uint32_t* counts;
-  int64_t** bases;
-  uint8_t* wc;
+  uint32_t* cursor;
+  uint8_t** bases;
+  uint32_t* slot;
 };
 
 // Scatters rows [start, start + rows) of unit u `fanout` ways by hash
 // bits [shift, shift + log2(fanout)) straight into their final places
-// in `out`, through the per-partition write-combining kernel
-// (streaming stores on AVX2). Within each partition rows land in tile
-// order after the rows of earlier tiles and earlier units. Charges
-// nothing: every round's scatter, paid by its caller.
+// in `out`. One pass gives every row its slot in its partition,
+// slot[i] = cursor[part[i]]++, shared by every column and the carried
+// hashes, which then each store dst[part[i]][slot[i]] = src[i] at
+// their physical width. Within each partition rows land in tile order
+// after the rows of earlier tiles and earlier units. Charges nothing:
+// every round's scatter, paid by its caller.
 void ScatterTile(const std::vector<WorkUnit>& units, size_t u, size_t start,
                  size_t rows, int fanout, int shift,
                  const ScatterScratch& scratch, RoundOutput* out) {
@@ -131,26 +134,37 @@ void ScatterTile(const std::vector<WorkUnit>& units, size_t u, size_t start,
   std::vector<uint32_t>* dst_hashes =
       out->hashes.empty() ? nullptr : &out->hashes[unit.bucket * ufanout];
   size_t* cursor = &out->cursors[u * ufanout];
-  // compute_partition_map over this tile's hash values (Listing 2,
-  // loops 1-2; the RID list is not needed on the scatter path).
-  primitives::ComputePartitionIndex(unit.hashes + start, rows, fanout, shift,
-                                    scratch.part, scratch.counts);
-  const primitives::simd::PartitionKernelTable& kernels =
-      primitives::simd::partition_kernels();
+  // compute_partition_map's first loop over this tile's hash values
+  // (Listing 2); the slot pass below stands in for its histogram and
+  // RID list.
+  primitives::simd::partition_kernels().partition_of(
+      unit.hashes + start, rows, shift, static_cast<uint32_t>(fanout) - 1,
+      scratch.part);
+  const uint16_t* part = scratch.part;
+  uint32_t* slot = scratch.slot;
+  uint32_t* next = scratch.cursor;
+  for (size_t p = 0; p < ufanout; ++p) {
+    next[p] = static_cast<uint32_t>(cursor[p]);
+  }
+  for (size_t i = 0; i < rows; ++i) slot[i] = next[part[i]]++;
+  for (size_t p = 0; p < ufanout; ++p) cursor[p] = next[p];
+
   for (size_t c = 0; c < unit.rows->num_columns(); ++c) {
-    for (size_t p = 0; p < ufanout; ++p) {
-      scratch.bases[p] = dst_buckets[p].column(c).data() + cursor[p];
-    }
-    kernels.scatter_col(unit.rows->column(c).data() + start, scratch.part,
-                        rows, ufanout, scratch.bases, scratch.wc);
+    unit.rows->Visit(c, [&](const auto* src_col) {
+      using T = ElementOf<decltype(src_col)>;
+      uint8_t** bases = scratch.bases;
+      for (size_t p = 0; p < ufanout; ++p) {
+        bases[p] = reinterpret_cast<uint8_t*>(dst_buckets[p].data<T>(c));
+      }
+      const T* src = src_col + start;
+      for (size_t i = 0; i < rows; ++i) {
+        reinterpret_cast<T*>(bases[part[i]])[slot[i]] = src[i];
+      }
+    });
   }
   if (dst_hashes != nullptr) {
-    for (size_t i = 0; i < rows; ++i) {
-      const uint16_t p = scratch.part[i];
-      dst_hashes[p][cursor[p]++] = unit.hashes[start + i];
-    }
-  } else {
-    for (size_t p = 0; p < ufanout; ++p) cursor[p] += scratch.counts[p];
+    const uint32_t* src = unit.hashes + start;
+    for (size_t i = 0; i < rows; ++i) dst_hashes[part[i]][slot[i]] = src[i];
   }
 }
 
@@ -170,14 +184,13 @@ Status ScatterUnit(dpu::DpCore& core, const dpu::Dms& dms,
   // chunk growth) surface as a Status instead of aborting, so the
   // retry/fallback ladder can recover. The RAII handles return every
   // buffer to the pool on any exit — including cancellation mid-round.
-  TileBufferPool::Handle pof, counts, bases, wc;
+  TileBufferPool::Handle pof, cursor, bases, slot;
   RAPID_RETURN_NOT_OK(pool.TryAcquireArray<uint16_t>(tile_rows, &pof));
-  RAPID_RETURN_NOT_OK(pool.TryAcquireArray<uint32_t>(ufanout, &counts));
-  RAPID_RETURN_NOT_OK(pool.TryAcquireArray<int64_t*>(ufanout, &bases));
-  RAPID_RETURN_NOT_OK(pool.TryAcquire(
-      primitives::simd::ScatterScratchBytes(ufanout), &wc));
-  const ScatterScratch scratch{pof.as<uint16_t>(), counts.as<uint32_t>(),
-                               bases.as<int64_t*>(), wc.data()};
+  RAPID_RETURN_NOT_OK(pool.TryAcquireArray<uint32_t>(ufanout, &cursor));
+  RAPID_RETURN_NOT_OK(pool.TryAcquireArray<uint8_t*>(ufanout, &bases));
+  RAPID_RETURN_NOT_OK(pool.TryAcquireArray<uint32_t>(tile_rows, &slot));
+  const ScatterScratch scratch{pof.as<uint16_t>(), cursor.as<uint32_t>(),
+                               bases.as<uint8_t*>(), slot.as<uint32_t>()};
   const size_t num_cols = unit.rows->num_columns();
   const size_t row_bytes = unit.rows->RowBytes();
   for (size_t start = unit.begin; start < unit.end; start += tile_rows) {
@@ -312,13 +325,25 @@ bool PartitionProgress::CompatibleWith(const PartitionScheme& scheme) const {
          bucket_hashes.size() == expect_buckets && bits_used == expect_bits;
 }
 
+void PartitionExec::HashRows(const ColumnSet& input,
+                             const std::vector<size_t>& key_cols,
+                             size_t start, size_t n, int shift,
+                             uint32_t* out) {
+  std::fill_n(out, n, 0xFFFFFFFFu);
+  for (size_t kc : key_cols) {
+    input.Visit(kc, [&](const auto* col) {
+      primitives::HashCombineTile(col + start, n, out);
+    });
+  }
+  if (shift > 0) {
+    for (size_t i = 0; i < n; ++i) out[i] >>= shift;
+  }
+}
+
 std::vector<uint32_t> PartitionExec::HashColumn(
     const ColumnSet& input, const std::vector<size_t>& key_cols) {
-  std::vector<const int64_t*> cols;
-  for (size_t kc : key_cols) cols.push_back(input.column(kc).data());
   std::vector<uint32_t> hashes(input.num_rows());
-  primitives::HashKeysTile(cols.data(), cols.size(), 0, hashes.size(), 0,
-                           hashes.data());
+  HashRows(input, key_cols, 0, hashes.size(), 0, hashes.data());
   return hashes;
 }
 
@@ -350,9 +375,9 @@ Result<PartitionedData> PartitionExec::ExecuteSink(
   if (!TakeProgress(progress, scheme, &state)) {
     // Round 1, one unit per morsel into one group: each partition's
     // rows in morsel order, input order within a morsel. Nothing here
-    // is charged, so each morsel scatters as one tile. The cores hash
-    // and scatter their share of the morsels on the host's worker
-    // threads; units write disjoint ranges.
+    // is charged or polled. The cores hash and scatter their share of
+    // the morsels on the host's worker threads; units write disjoint
+    // ranges.
     const PartitionRound& round = scheme.rounds.front();
     const auto fanout = static_cast<size_t>(round.fanout);
     const auto num_cores = static_cast<size_t>(dpu.num_cores());
@@ -365,30 +390,46 @@ Result<PartitionedData> PartitionExec::ExecuteSink(
     });
     std::vector<WorkUnit> units;
     size_t max_rows = 0;
+    size_t total_rows = 0;
     for (size_t m = 0; m < morsels.size(); ++m) {
       units.push_back({0, &morsels[m], hashes[m].data(), 0,
                        morsels[m].num_rows()});
       max_rows = std::max(max_rows, morsels[m].num_rows());
+      total_rows += morsels[m].num_rows();
     }
     RoundOutput out = LayoutRound(units, 1, metas, round.fanout, 0,
                                   /*carry=*/scheme.NumRounds() > 1);
+    // Each core scatters one run of consecutive morsels, about an equal
+    // share of the rows: consecutive units' ranges of a bucket are
+    // adjacent, so runs keep cores off each other's cache lines at
+    // narrow widths. `tile_rows`-row tiles keep a tile's partition
+    // indexes and slots cache-resident while its columns scatter.
+    std::vector<size_t> first(num_cores + 1, units.size());
+    first[0] = 0;
+    size_t seen = 0;
+    for (size_t u = 0, k = 1; u < units.size() && k < num_cores; ++u) {
+      seen += units[u].end;
+      while (k < num_cores && seen * num_cores >= k * total_rows) {
+        first[k++] = u + 1;
+      }
+    }
+    const size_t scatter_rows =
+        std::max<size_t>(1, std::min(tile_rows, max_rows));
     dpu.ParallelFor([&](dpu::DpCore& core) {
-      if (static_cast<size_t>(core.id()) >= units.size()) return;
-      struct alignas(64) Line {
-        uint8_t bytes[64];
-      };
-      std::vector<uint16_t> part(max_rows);
-      std::vector<uint32_t> counts(fanout);
-      std::vector<int64_t*> bases(fanout);
-      std::vector<Line> wc(
-          (primitives::simd::ScatterScratchBytes(fanout) + sizeof(Line) - 1) /
-          sizeof(Line));
-      const ScatterScratch scratch{part.data(), counts.data(), bases.data(),
-                                   wc.front().bytes};
-      for (auto u = static_cast<size_t>(core.id()); u < units.size();
-           u += num_cores) {
-        ScatterTile(units, u, 0, units[u].end, round.fanout, 0, scratch,
-                    &out);
+      const auto k = static_cast<size_t>(core.id());
+      if (first[k] >= first[k + 1]) return;
+      std::vector<uint16_t> part(scatter_rows);
+      std::vector<uint32_t> cursor(fanout);
+      std::vector<uint8_t*> bases(fanout);
+      std::vector<uint32_t> slot(scatter_rows);
+      const ScatterScratch scratch{part.data(), cursor.data(), bases.data(),
+                                   slot.data()};
+      for (size_t u = first[k]; u < first[k + 1]; ++u) {
+        for (size_t start = 0; start < units[u].end; start += scatter_rows) {
+          ScatterTile(units, u, start,
+                      std::min(scatter_rows, units[u].end - start),
+                      round.fanout, 0, scratch, &out);
+        }
         morsels[u] = ColumnSet();
         hashes[u] = {};
       }

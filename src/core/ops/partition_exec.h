@@ -29,7 +29,7 @@
 namespace rapid::core {
 
 // Most ways one round (or a runtime repartition) splits a bucket:
-// partition indexes are 16-bit (primitives::ComputePartitionIndex).
+// partition indexes are 16-bit (PartitionKernelTable::partition_of).
 inline constexpr int kMaxRoundFanout = 1 << 16;
 
 // One partitioning pass: total `fanout` ways, of which `hw_fanout`
@@ -163,6 +163,14 @@ class PartitionExec {
   // engine's CRC-memory output).
   static std::vector<uint32_t> HashColumn(const ColumnSet& input,
                                           const std::vector<size_t>& key_cols);
+
+  // The key hash of rows [start, start + n) of `input` over `key_cols`
+  // (primitives::HashKeysTile's chained CRC32, read at each key's
+  // physical width), shifted right by `shift`, into `out`. Every width
+  // hashes a value as its int64 widening does.
+  static void HashRows(const ColumnSet& input,
+                       const std::vector<size_t>& key_cols, size_t start,
+                       size_t n, int shift, uint32_t* out);
 };
 
 }  // namespace rapid::core

@@ -4,13 +4,12 @@
 
 #include "common/fault.h"
 #include "core/ops/sink_op.h"
-#include "primitives/simd.h"
 
 namespace rapid::core {
 
 size_t PartitionSink::StagingBytes(const PartitionRound& round) {
-  return primitives::simd::ScatterScratchBytes(
-      static_cast<size_t>(round.fanout / round.hw_fanout));
+  constexpr size_t kPerPartition = 64 + 2 * sizeof(uint32_t) + sizeof(uint64_t);
+  return static_cast<size_t>(round.fanout / round.hw_fanout) * kPerPartition;
 }
 
 Status PartitionSink::Open(ExecCtx& ctx) {
@@ -25,7 +24,7 @@ Status PartitionSink::BeginMorsel(ExecCtx& ctx, ColumnSet* rows) {
 }
 
 Status PartitionSink::Consume(ExecCtx& ctx, const Tile& tile) {
-  AppendTile(tile, rows_);
+  RAPID_RETURN_NOT_OK(AppendTile(tile, rows_));
   const size_t num_cols = rows_->num_columns();
   const size_t row_bytes = rows_->RowBytes();
   for (size_t start = 0; start < tile.rows; start += round_tile_rows_) {

@@ -6,7 +6,8 @@
 // The sink models what the hardware does with each output tile: one
 // partition-engine descriptor chain per morsel, and per round tile the
 // round's charge (ChargePartitionTile) instead of the store's. On the
-// host it only appends each tile's widened rows to its morsel's slot.
+// host it only appends each tile's rows, at their metas' widths, to its
+// morsel's slot.
 // After the morsel loop the step hands the slots, in morsel order, to
 // PartitionExec::ExecuteSink, which hashes them and lays out and
 // scatters round 1 as PartitionExec's first round would from the
@@ -28,8 +29,9 @@ class PartitionSink : public PipelineOp {
   // DMEM per tile row: the hardware's resident key hash and partition
   // index of each row.
   static constexpr size_t kBytesPerRow = sizeof(uint32_t) + sizeof(uint16_t);
-  // Resident DMEM of the round's software fan-out: one write-combining
-  // line plus cursors per software partition.
+  // Resident DMEM of the round's software fan-out: one 64-byte staging
+  // line plus its fill count, head length and output cursor per
+  // software partition.
   static size_t StagingBytes(const PartitionRound& round);
 
   // Incoming tiles hold up to `tile_rows` rows; `round_tile_rows` is

@@ -39,9 +39,17 @@ Status HashJoinProbeOp::Open(ExecCtx& ctx) {
 
   const ColumnSet& build = *spec_.build;
   const size_t rows = build.num_rows();
+  // Hashing and every chain step's compare read the build keys as
+  // int64, whatever their widths.
+  const size_t num_keys = spec_.build_keys.size();
+  build_keys_.resize(num_keys * rows);
   build_key_cols_.clear();
-  for (size_t k : spec_.build_keys) {
-    build_key_cols_.push_back(build.column(k).data());
+  for (size_t k = 0; k < num_keys; ++k) {
+    int64_t* keys = build_keys_.data() + k * rows;
+    build.Visit(spec_.build_keys[k], [&](const auto* col) {
+      std::copy_n(col, rows, keys);
+    });
+    build_key_cols_.push_back(keys);
   }
   probe_key_cols_.assign(spec_.probe_keys.size(), nullptr);
   for (size_t c = 0; c < spec_.outputs.size(); ++c) {
@@ -102,11 +110,12 @@ void HashJoinProbeOp::GatherMatches(const Tile& tile) {
     buf.resize(base + n);
     int64_t* dst = buf.data() + base;
     if (o.from_build) {
-      const int64_t* src = build.column(o.column).data();
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t brow = match_brows_[i];
-        dst[i] = brow == kNoBuildRow ? kJoinNull : src[brow];
-      }
+      build.Visit(o.column, [&](const auto* src) {
+        for (size_t i = 0; i < n; ++i) {
+          const uint32_t brow = match_brows_[i];
+          dst[i] = brow == kNoBuildRow ? kJoinNull : src[brow];
+        }
+      });
     } else {
       WidenColumn(tile.columns[o.column], match_prows_.data(), n, dst);
     }

@@ -84,9 +84,10 @@ class HashJoinProbeOp : public PipelineOp {
   // The flushed output tile, reused across flushes.
   Tile out_;
 
-  // Key columns: the build side's, resolved at Open(), and the
-  // current tile's probe keys widened into probe_keys_.
+  // Key columns: the build side's widened into build_keys_ at Open(),
+  // and the current tile's probe keys widened into probe_keys_.
   std::vector<const int64_t*> build_key_cols_;
+  std::vector<int64_t> build_keys_;
   std::vector<const int64_t*> probe_key_cols_;
   std::vector<int64_t> probe_keys_;
   // The current tile's output rows: build row (kNoBuildRow for a

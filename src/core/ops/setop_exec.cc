@@ -88,10 +88,14 @@ Result<ColumnSet> SetOpExec::Execute(dpu::Dpu& dpu, SetOpKind kind,
           case SetOpKind::kUnion: {
             for (uint32_t r : lrows) {
               auto t = RowTuple(left, r);
-              if (emitted.insert(t).second) out.AppendRow(t);
+              if (emitted.insert(t).second) {
+                RAPID_RETURN_NOT_OK(out.AppendRow(t));
+              }
             }
             for (const auto& t : rset) {
-              if (emitted.insert(t).second) out.AppendRow(t);
+              if (emitted.insert(t).second) {
+                RAPID_RETURN_NOT_OK(out.AppendRow(t));
+              }
             }
             break;
           }
@@ -99,7 +103,7 @@ Result<ColumnSet> SetOpExec::Execute(dpu::Dpu& dpu, SetOpKind kind,
             for (uint32_t r : lrows) {
               auto t = RowTuple(left, r);
               if (rset.count(t) != 0 && emitted.insert(t).second) {
-                out.AppendRow(t);
+                RAPID_RETURN_NOT_OK(out.AppendRow(t));
               }
             }
             break;
@@ -108,7 +112,7 @@ Result<ColumnSet> SetOpExec::Execute(dpu::Dpu& dpu, SetOpKind kind,
             for (uint32_t r : lrows) {
               auto t = RowTuple(left, r);
               if (rset.count(t) == 0 && emitted.insert(t).second) {
-                out.AppendRow(t);
+                RAPID_RETURN_NOT_OK(out.AppendRow(t));
               }
             }
             break;

@@ -13,19 +13,31 @@
 
 namespace rapid::core {
 
-// Widens the tile's rows onto the end of `out` (columns matched
-// positionally). `out`'s metas were derived from the operator's input
-// before any tile ran (ExprMeta), so each column's scale is known.
-inline void AppendTile(const Tile& tile, ColumnSet* out) {
+// Appends the tile's rows to `out` (columns matched positionally), each
+// converted from the tile's physical width to its meta's. `out`'s metas
+// were derived from the operator's input before any tile ran
+// (ExprMeta), so each column's scale and width are known. A value the
+// meta's width cannot hold appends nothing and returns Internal
+// (WidthOverflow): widths are proven, so only a wrong meta trips it.
+inline Status AppendTile(const Tile& tile, ColumnSet* out) {
   RAPID_DCHECK(tile.columns.size() == out->num_columns());
+  const size_t old = out->num_rows();
+  out->Resize(old + tile.rows);
   for (size_t c = 0; c < tile.columns.size(); ++c) {
-    std::vector<int64_t>& dst = out->column(c);
     const TileColumn& src = tile.columns[c];
     RAPID_DCHECK(src.dsb_scale == out->meta(c).dsb_scale);
-    const size_t old = dst.size();
-    dst.resize(old + tile.rows);
-    WidenColumn(src, nullptr, tile.rows, dst.data() + old);
+    const Status st = src.Visit([&](auto t) {
+      const auto* values = reinterpret_cast<const decltype(t)*>(src.data);
+      return out->Visit(c, [&](auto* dst) {
+        return CopyToWidth(values, tile.rows, dst + old, out->meta(c));
+      });
+    });
+    if (!st.ok()) {
+      out->Resize(old);
+      return st;
+    }
   }
+  return Status::OK();
 }
 
 // Rows one half of a store's staging holds: each half has `tile_rows`
@@ -57,7 +69,7 @@ class MaterializeSink : public PipelineOp {
   // is one DMS descriptor chain storing every column at its meta's
   // physical width.
   Status Consume(ExecCtx& ctx, const Tile& tile) override {
-    AppendTile(tile, out_);
+    RAPID_RETURN_NOT_OK(AppendTile(tile, out_));
     staged_ += tile.rows;
     while (staged_ >= half_rows_) {
       Store(ctx, half_rows_);

@@ -48,12 +48,13 @@ void RadixSortRows(dpu::DpCore& core, const dpu::CostParams& params,
   std::vector<uint64_t> keys(set.num_rows());
   int passes = 0;
   for (auto it = sort_keys.rbegin(); it != sort_keys.rend(); ++it) {
-    const std::vector<int64_t>& col = set.column(it->column);
     uint64_t max_key = 0;
-    for (uint32_t r : *perm) {
-      keys[r] = BiasKey(col[r], it->ascending);
-      if (keys[r] > max_key) max_key = keys[r];
-    }
+    set.Visit(it->column, [&](const auto* col) {
+      for (uint32_t r : *perm) {
+        keys[r] = BiasKey(col[r], it->ascending);
+        if (keys[r] > max_key) max_key = keys[r];
+      }
+    });
     // Only the digits that can differ need passes.
     int digits = 1;
     while (digits < 8 && (max_key >> (digits * 8)) != 0) ++digits;
@@ -94,12 +95,13 @@ std::vector<uint32_t> SortExec::SortedPermutation(
   if (n == 0 || keys.empty()) return perm;
 
   const SortKey& primary = keys[0];
-  const std::vector<int64_t>& pcol = input.column(primary.column);
 
   // Sampled bounds: take up to 1024 evenly spaced rows.
   std::vector<int64_t> sample;
   const size_t step = std::max<size_t>(1, n / 1024);
-  for (size_t i = 0; i < n; i += step) sample.push_back(pcol[i]);
+  for (size_t i = 0; i < n; i += step) {
+    sample.push_back(input.Value(i, primary.column));
+  }
   std::sort(sample.begin(), sample.end());
   if (!primary.ascending) std::reverse(sample.begin(), sample.end());
 
@@ -118,16 +120,18 @@ std::vector<uint32_t> SortExec::SortedPermutation(
 
   // Assign rows to range buckets.
   std::vector<std::vector<uint32_t>> buckets(num_buckets);
-  for (size_t i = 0; i < n; ++i) {
-    const int64_t v = pcol[i];
-    size_t b = 0;
-    // Linear scan over the bounds, matching the DMS comparator tree.
-    while (b < bounds.size() &&
-           (primary.ascending ? v >= bounds[b] : v <= bounds[b])) {
-      ++b;
+  input.Visit(primary.column, [&](const auto* pcol) {
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t v = pcol[i];
+      size_t b = 0;
+      // Linear scan over the bounds, matching the DMS comparator tree.
+      while (b < bounds.size() &&
+             (primary.ascending ? v >= bounds[b] : v <= bounds[b])) {
+        ++b;
+      }
+      buckets[b].push_back(static_cast<uint32_t>(i));
     }
-    buckets[b].push_back(static_cast<uint32_t>(i));
-  }
+  });
 
   // Radix sort of each bucket, one bucket per morsel weighted by size.
   std::vector<double> bucket_weights(num_buckets);
@@ -165,11 +169,12 @@ Result<ColumnSet> SortExec::Execute(dpu::Dpu& dpu, const ColumnSet& input,
   }
   const std::vector<uint32_t> perm = SortedPermutation(dpu, input, keys);
   ColumnSet out(input.metas());
+  out.Resize(perm.size());
   for (size_t c = 0; c < input.num_columns(); ++c) {
-    const std::vector<int64_t>& src = input.column(c);
-    std::vector<int64_t>& dst = out.column(c);
-    dst.resize(perm.size());
-    for (size_t i = 0; i < perm.size(); ++i) dst[i] = src[perm[i]];
+    input.Visit(c, [&](const auto* src) {
+      auto* dst = out.data<ElementOf<decltype(src)>>(c);
+      for (size_t i = 0; i < perm.size(); ++i) dst[i] = src[perm[i]];
+    });
   }
   // Gathering the payload by the sorted permutation is a DMS gather of
   // each row's columns at their physical widths.
@@ -278,7 +283,7 @@ Result<ColumnSet> TopKExec::Execute(dpu::Dpu& dpu, const ColumnSet& input,
     for (size_t c = 0; c < input.num_columns(); ++c) {
       row[c] = input.Value(r, c);
     }
-    out.AppendRow(row);
+    RAPID_RETURN_NOT_OK(out.AppendRow(row));
   }
   return out;
 }

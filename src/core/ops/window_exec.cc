@@ -77,12 +77,13 @@ Result<ColumnSet> WindowExec::Execute(dpu::Dpu& dpu, const ColumnSet& input,
     }
     metas.push_back(m);
   }
+  // The runs below write every row of the function columns.
   ColumnSet out(metas);
+  out.Resize(n);
   for (size_t c = 0; c < sorted.num_columns(); ++c) {
-    out.column(c) = sorted.column(c);
-  }
-  for (size_t f = 0; f < specs.size(); ++f) {
-    out.column(sorted.num_columns() + f).resize(n);
+    sorted.Visit(c, [&](const auto* src) {
+      std::copy_n(src, n, out.data<ElementOf<decltype(src)>>(c));
+    });
   }
 
   // Each run is independent and writes its rows by absolute index, so
@@ -100,7 +101,7 @@ Result<ColumnSet> WindowExec::Execute(dpu::Dpu& dpu, const ColumnSet& input,
         const size_t end = starts[run + 1];
         for (size_t f = 0; f < specs.size(); ++f) {
           const WindowSpec& spec = specs[f];
-          std::vector<int64_t>& dst = out.column(sorted.num_columns() + f);
+          int64_t* dst = out.data<int64_t>(sorted.num_columns() + f);
           switch (spec.func) {
             case WindowFunc::kRowNumber: {
               for (size_t i = begin; i < end; ++i) {

@@ -104,8 +104,8 @@ bool BuildJoinFilter(ExecEnv& env, const JoinFilterRef& ref,
   *filter = primitives::BlockedBloomFilter(num_blocks);
   const size_t kcol = key.value();
   for (size_t r = 0; r < rows; ++r) {
-    // Same widening as the probe-side kernels and the join's own
-    // build: ColumnSet values are already widened int64.
+    // Keys widen to int64 as the probe-side kernels and the join's own
+    // build widen them.
     filter->Insert(static_cast<uint64_t>(build.set.Value(r, kcol)));
   }
   const dpu::CostParams& p = env.dpu->params();
@@ -216,8 +216,7 @@ Status EmitKeylessOverNoRows(const std::vector<AggSpec>& aggs,
                              ColumnSet* out) {
   if (out->num_rows() != 0) return Status::OK();
   RAPID_RETURN_NOT_OK(KeylessOverNoRows(aggs));
-  for (size_t c = 0; c < out->num_columns(); ++c) out->column(c).push_back(0);
-  return Status::OK();
+  return out->AppendRow(std::vector<int64_t>(out->num_columns(), 0));
 }
 
 // A partition step's key list and scheme as plan text, e.g.

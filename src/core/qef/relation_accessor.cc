@@ -84,39 +84,6 @@ void WidenToInt64(uint8_t* data, size_t n, TileColumn* col) {
   col->width = sizeof(int64_t);
 }
 
-// Copies n int64 values into `col`'s buffer at its physical width.
-// The check is part of the copy, in every build: a value the width
-// cannot hold fails the load with Internal (the tile never reaches an
-// operator) instead of being truncated. Widths are proven, so only a
-// wrong meta can trip it.
-Status NarrowColumn(const int64_t* src, size_t n, const ColumnMeta& meta,
-                    TileColumn* col) {
-  return col->Visit([&](auto t) -> Status {
-    using T = decltype(t);
-    if constexpr (sizeof(T) == sizeof(int64_t)) {
-      std::memcpy(col->data, src, n * sizeof(int64_t));
-      return Status::OK();
-    } else {
-      T* __restrict dst = reinterpret_cast<T*>(col->data);
-      const int64_t* __restrict in = src;
-      bool fits = true;
-      for (size_t i = 0; i < n; ++i) {
-        const int64_t x = in[i];
-        const T v = static_cast<T>(x);
-        dst[i] = v;
-        fits &= static_cast<int64_t>(v) == x;
-      }
-      if (fits) return Status::OK();
-      size_t bad = 0;
-      while (static_cast<int64_t>(static_cast<T>(src[bad])) == src[bad]) ++bad;
-      return Status::Internal(
-          "intermediate column '" + meta.name + "' holds " +
-          std::to_string(src[bad]) + ", which its " +
-          std::to_string(meta.width) + "-byte width cannot hold");
-    }
-  });
-}
-
 // One column's staged run window within the in-flight tile transfer.
 struct StagedRuns {
   size_t col = 0;
@@ -363,7 +330,7 @@ Status RelationAccessor::PushColumnSet(ExecCtx& ctx, const ColumnSet& set,
     RAPID_RETURN_NOT_OK(ctx.CheckCancel());
     const size_t rows = std::min(tile_rows, row_end - start);
     // One DMS descriptor chain moves every column's slice at its
-    // meta's physical width, narrowed into the column's DMEM buffer.
+    // meta's physical width into the column's DMEM buffer.
     RAPID_RETURN_NOT_OK(ctx.dms->LoadTile(
         &ctx.cycles(), static_cast<int>(column_indices.size()), rows,
         row_bytes));
@@ -376,8 +343,10 @@ Status RelationAccessor::PushColumnSet(ExecCtx& ctx, const ColumnSet& set,
       col.type = meta.type;
       col.width = meta.width;
       col.dsb_scale = meta.dsb_scale;
-      RAPID_RETURN_NOT_OK(NarrowColumn(
-          set.column(column_indices[c]).data() + start, rows, meta, &col));
+      // The set stores the column at the meta's width already.
+      set.Visit(column_indices[c], [&](const auto* values) {
+        std::memcpy(col.data, values + start, rows * sizeof(*values));
+      });
     }
     RAPID_RETURN_NOT_OK(op->Consume(ctx, tile));
     parity ^= 1;

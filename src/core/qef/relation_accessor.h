@@ -35,9 +35,8 @@ class RelationAccessor {
 
   // Sequential access over a DRAM-resident intermediate (rows
   // [row_begin, row_end) of `set`), tile by tile. Each column lands in
-  // DMEM at its meta's physical width (TileColumn::width), and the DMS
-  // is charged those bytes. A value its width cannot hold fails the
-  // load with Internal; it is never truncated.
+  // DMEM at its meta's physical width (TileColumn::width), the width
+  // the set stores it at, and the DMS is charged those bytes.
   static Status PushColumnSet(ExecCtx& ctx, const ColumnSet& set,
                               const std::vector<size_t>& column_indices,
                               size_t row_begin, size_t row_end,

@@ -19,8 +19,9 @@ struct TileColumn {
   storage::DataType type = storage::DataType::kInt64;
   // Physical bytes per element (storage::VisitPhysical gives the
   // element type): a base-table scan tile carries its vector's width,
-  // a tile loaded from an intermediate its ColumnMeta::width, and an
-  // operator's own output buffers are int64.
+  // a tile loaded from an intermediate the ColumnMeta::width its
+  // ColumnSet stores it at, and an operator's own output buffers are
+  // int64, which AppendTile stores back at the meta's width.
   size_t width = 8;
   int dsb_scale = 0;                // for kDecimal columns
 

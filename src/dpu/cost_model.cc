@@ -25,10 +25,6 @@ CostParams CostParams::HostCalibrated() {
       params.simd.arith = 2.0;
       params.simd.hash = 7.5;
       params.simd.partition_map = 1.2;
-      // Write-combining scatter with streaming stores
-      // (bench_partition_scatter, fan-out >= 64, where the direct
-      // scatter's working set of destination lines overflows L1/L2).
-      params.simd.partition_scatter = 1.8;
       // 256-bit broadcast fill vs the scalar per-row store loop
       // (bench_encoded_scan; long runs stream at store bandwidth).
       params.simd.rle = 4.0;

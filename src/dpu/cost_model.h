@@ -84,11 +84,11 @@ struct CostParams {
   double partition_map_cycles_per_row = 8.0;   // compute_partition_map
   // Legacy gather + sequential-emit column partitioning (Listing 3,
   // kept for the reference path); superseded on the hot path by the
-  // write-combining scatter below.
+  // scatter below.
   double swpart_gather_cycles_per_row = 7.0;   // per projection column
-  // Per-partition write-combining scatter (streaming stores); the
-  // default matches the old gather charge so Default() stays
-  // numerically identical to the pre-scatter model.
+  // Per-column scatter of each row to its partition; the default
+  // matches the old gather charge so Default() stays numerically
+  // identical to the pre-scatter model.
   double swpart_scatter_cycles_per_row = 7.0;  // per projection column
   double swpart_partition_loop_cycles = 40.0;  // per partition per tile
 
@@ -280,12 +280,11 @@ inline double HwPartitionCycles(const CostParams& p,
          per_row * static_cast<double>(rows);
 }
 
-// Software partitioning of one tile (Listing 2 + the write-combining
-// column scatter). The partition-map loop (bucket mapping +
-// histogram) and the scatter both divide by their family multiplier;
-// the scatter's comes from the streaming-store path keeping the
-// destination lines out of the cache (QComp's fusion and
-// partition-round gates see the cheaper scatter through this term).
+// Software partitioning of one tile (Listing 2 + the per-column
+// scatter). The partition-map loop (bucket mapping + histogram) and
+// the scatter both divide by their family multiplier (QComp's fusion
+// and partition-round gates see the scatter's cost through this
+// term).
 inline double SwPartitionTileCycles(const CostParams& p, size_t rows,
                                     int columns, int fanout) {
   return p.partition_map_cycles_per_row / p.simd.partition_map * rows +

@@ -92,12 +92,16 @@ Result<bool> EvalPredicateRow(const core::Predicate& pred, const Row& row,
 
 Result<core::ColumnSet> DrainToColumnSet(Iterator* it) {
   RAPID_RETURN_NOT_OK(it->Start());
-  core::ColumnSet out(it->schema());
+  // Volcano's rows are int64 whatever their source's width (a left
+  // outer join's kJoinNull included), so its result sets are too.
+  std::vector<core::ColumnMeta> metas = it->schema();
+  for (core::ColumnMeta& m : metas) m.width = sizeof(int64_t);
+  core::ColumnSet out(std::move(metas));
   Row row;
   for (;;) {
     RAPID_ASSIGN_OR_RETURN(bool ok, it->Fetch(&row));
     if (!ok) break;
-    out.AppendRow(row);
+    RAPID_RETURN_NOT_OK(out.AppendRow(row));
   }
   it->Close();
   return out;

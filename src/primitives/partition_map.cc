@@ -38,15 +38,4 @@ void ComputePartitionMap(const uint32_t* hashes, size_t n, int fanout,
   }
 }
 
-void ComputePartitionIndex(const uint32_t* hashes, size_t n, int fanout,
-                           int shift, uint16_t* partition_of,
-                           uint32_t* counts) {
-  RAPID_CHECK(fanout > 0 && (fanout & (fanout - 1)) == 0);
-  const uint32_t mask = static_cast<uint32_t>(fanout) - 1;
-  const simd::PartitionKernelTable& kernels = simd::partition_kernels();
-  kernels.partition_of(hashes, n, shift, mask, partition_of);
-  for (int p = 0; p < fanout; ++p) counts[p] = 0;
-  kernels.histogram(partition_of, n, counts, static_cast<size_t>(fanout));
-}
-
 }  // namespace rapid::primitives

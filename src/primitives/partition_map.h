@@ -37,14 +37,6 @@ struct PartitionMap {
 void ComputePartitionMap(const uint32_t* hashes, size_t n, int fanout,
                          int shift, PartitionMap* map);
 
-// Loops 1-2 only, into caller-provided (typically pooled) buffers:
-// partition_of gets n entries, counts gets `fanout` zeroed-then-filled
-// entries. The scatter kernels consume this directly — the RID list
-// (Listing 2 loop 4) is not materialized at all on the scatter path.
-void ComputePartitionIndex(const uint32_t* hashes, size_t n, int fanout,
-                           int shift, uint16_t* partition_of,
-                           uint32_t* counts);
-
 // Listing 3: gathers the rows of each partition from `input` and
 // writes them contiguously into `output` (same total size); returns
 // per-partition output offsets in map->offsets.

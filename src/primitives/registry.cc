@@ -68,8 +68,12 @@ PrimitiveCatalog::PrimitiveCatalog() {
       PrimitiveInfo{"swpart_partcol_ub4", "partition", "partcol", 4, false});
   primitives_.push_back(
       PrimitiveInfo{"swpart_partcol_ub8", "partition", "partcol", 8, false});
-  primitives_.push_back(
-      PrimitiveInfo{"swpart_scatcol_ub8", "partition", "scatcol", 8, false});
+  // The row-slot scatter's typed stores, one per physical width.
+  for (int w : {1, 2, 4, 8}) {
+    primitives_.push_back(PrimitiveInfo{
+        std::string("swpart_scatcol_ub") + std::to_string(w), "scatter",
+        "scatcol", w, false});
+  }
 }
 
 const PrimitiveCatalog& PrimitiveCatalog::Instance() {

@@ -94,27 +94,11 @@ void ScalarBucketIndices(const uint32_t* hashes, size_t n, uint32_t mask,
   for (size_t i = 0; i < n; ++i) indices[i] = hashes[i] & mask;
 }
 
-// Direct scalar scatter: one store per row through per-partition
-// cursors kept in the scratch's cursor region (the WC lines stay
-// unused at this tier).
-void ScalarScatterCol(const int64_t* input, const uint16_t* partition_of,
-                      size_t n, size_t fanout, int64_t* const* dst,
-                      uint8_t* wc) {
-  auto* written = reinterpret_cast<uint64_t*>(
-      wc + fanout * (kWcLineBytes + 2 * sizeof(uint32_t)));
-  for (size_t p = 0; p < fanout; ++p) written[p] = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const size_t p = partition_of[i];
-    dst[p][written[p]++] = input[i];
-  }
-}
-
 PartitionKernelTable ScalarPartitionTable() {
   PartitionKernelTable t;
   t.partition_of = &ScalarPartitionOf;
   t.histogram = &ScalarHistogram;
   t.bucket_indices = &ScalarBucketIndices;
-  t.scatter_col = &ScalarScatterCol;
   return t;
 }
 

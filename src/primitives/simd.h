@@ -150,17 +150,6 @@ struct HashKernelTable {
   CombineFn combine = nullptr;
 };
 
-// Scratch layout shared by the partition-scatter kernels: `fanout`
-// 64-byte write-combining lines, then per-partition line fill counts
-// (u32), pre-alignment head lengths (u32) and output cursors (u64).
-// The caller provides one 64-byte-aligned block of
-// ScatterScratchBytes(fanout); kernels initialize it themselves.
-inline constexpr size_t kWcLineBytes = 64;
-inline constexpr size_t ScatterScratchBytes(size_t fanout) {
-  return fanout * (kWcLineBytes + sizeof(uint32_t) + sizeof(uint32_t) +
-                   sizeof(uint64_t));
-}
-
 struct PartitionKernelTable {
   // out[i] = uint16((hashes[i] >> shift) & mask), Listing 2 loop 1.
   using PartitionOfFn = void (*)(const uint32_t* hashes, size_t n, int shift,
@@ -172,23 +161,9 @@ struct PartitionKernelTable {
   // indices[i] = hashes[i] & mask — the join probe bucket computation.
   using BucketIndicesFn = void (*)(const uint32_t* hashes, size_t n,
                                    uint32_t mask, uint32_t* indices);
-  // Scatters one column: row i goes to partition p = partition_of[i],
-  // appended at dst[p] in tile order (dst[p] is the partition's next
-  // write position at tile start; the kernel tracks cursors in the
-  // scratch). `wc` is a 64-byte-aligned ScatterScratchBytes(fanout)
-  // block (never null). Vector tiers stage full cache lines in the
-  // scratch and flush them with non-temporal streaming stores once
-  // the destination cursor is 64-byte aligned; rows before the
-  // alignment point and partial tail lines are stored scalar, so the
-  // output is bit-identical to the scalar twin.
-  using ScatterColFn = void (*)(const int64_t* input,
-                                const uint16_t* partition_of, size_t n,
-                                size_t fanout, int64_t* const* dst,
-                                uint8_t* wc);
   PartitionOfFn partition_of = nullptr;
   HistogramFn histogram = nullptr;
   BucketIndicesFn bucket_indices = nullptr;
-  ScatterColFn scatter_col = nullptr;
 };
 
 // ---- Accessors (table for the active SimdLevel) ---------------------------
@@ -212,7 +187,7 @@ const PartitionKernelTable& partition_kernels();
 // level has no overlay (e.g. hash resolves to sse42 under avx2, agg
 // of 1/2-byte elements resolves to scalar). Families are the catalog
 // names: "filter", "agg", "arith", "hash", "partition", "rle",
-// "bloom".
+// "bloom", and "scatter", which is scalar at every level.
 SimdLevel ResolvedLevel(std::string_view family, int width);
 
 }  // namespace simd

@@ -729,61 +729,6 @@ void BucketIndicesAvx2(const uint32_t* hashes, size_t n, uint32_t mask,
   for (; i < n; ++i) indices[i] = hashes[i] & mask;
 }
 
-// Software write-combining scatter (the Balkesen et al. radix
-// partitioning trick): rows are staged in one 64-byte buffer per
-// partition and full lines are flushed with non-temporal streaming
-// stores, so the scatter never pulls destination lines into the cache
-// and the TLB only sees one hot page per partition at a time.
-//
-// Streaming stores require 32-byte-aligned targets, but dst[p] is
-// only 8-byte aligned in general; the first head[p] =
-// rows-to-64B-boundary rows of each partition are stored scalar, after
-// which every full-line flush lands 64-byte aligned. Partial tail
-// lines drain scalar. Row order within a partition is the tile order
-// either way, so the output is bit-identical to ScalarScatterCol.
-void ScatterColWcAvx2(const int64_t* input, const uint16_t* partition_of,
-                      size_t n, size_t fanout, int64_t* const* dst,
-                      uint8_t* wc) {
-  constexpr size_t kLine = kWcLineBytes / sizeof(int64_t);  // 8 rows
-  auto* lines = reinterpret_cast<int64_t*>(wc);
-  auto* fill = reinterpret_cast<uint32_t*>(wc + fanout * kWcLineBytes);
-  auto* head = fill + fanout;
-  auto* written = reinterpret_cast<uint64_t*>(head + fanout);
-  for (size_t p = 0; p < fanout; ++p) {
-    fill[p] = 0;
-    written[p] = 0;
-    const auto addr = reinterpret_cast<uintptr_t>(dst[p]);
-    head[p] = static_cast<uint32_t>(((kWcLineBytes - (addr & 63)) & 63) /
-                                    sizeof(int64_t));
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const size_t p = partition_of[i];
-    if (written[p] < head[p]) {
-      dst[p][written[p]++] = input[i];
-      continue;
-    }
-    int64_t* line = lines + p * kLine;
-    line[fill[p]++] = input[i];
-    if (fill[p] == kLine) {
-      int64_t* out = dst[p] + written[p];
-      _mm256_stream_si256(reinterpret_cast<__m256i*>(out),
-                          _mm256_load_si256(reinterpret_cast<__m256i*>(line)));
-      _mm256_stream_si256(
-          reinterpret_cast<__m256i*>(out + 4),
-          _mm256_load_si256(reinterpret_cast<__m256i*>(line + 4)));
-      written[p] += kLine;
-      fill[p] = 0;
-    }
-  }
-  for (size_t p = 0; p < fanout; ++p) {
-    int64_t* out = dst[p] + written[p];
-    const int64_t* line = lines + p * kLine;
-    for (uint32_t j = 0; j < fill[p]; ++j) out[j] = line[j];
-  }
-  // Order the streamed lines before the caller reads the partitions.
-  _mm_sfence();
-}
-
 }  // namespace rapid::primitives::simd::avx2_impl
 
 #pragma GCC pop_options
@@ -891,7 +836,6 @@ RAPID_SIMD_FOR_EACH_TYPE(RAPID_AVX2_OVERLAY_RLE)
 void Avx2Overlay(PartitionKernelTable* t) {
   t->partition_of = &avx2_impl::PartitionOfAvx2;
   t->bucket_indices = &avx2_impl::BucketIndicesAvx2;
-  t->scatter_col = &avx2_impl::ScatterColWcAvx2;
 }
 
 #else  // !RAPID_SIMD_X86_64

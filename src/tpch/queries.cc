@@ -112,7 +112,7 @@ void AppendRatioColumn(ColumnSet* set, const std::string& name, size_t col_a,
     row[set->num_columns()] = static_cast<int64_t>(std::llround(
         (b == 0 ? 0 : a / b) *
         static_cast<double>(storage::Pow10(out_scale))));
-    out.AppendRow(row);
+    RAPID_CHECK_OK(out.AppendRow(row));
   }
   *set = std::move(out);
 }

@@ -402,7 +402,7 @@ TEST_F(FaultEngineTest, BroadcastBuildLoadFaultResumesBitIdentical) {
   EXPECT_EQ(retried.stats.dpu_retries, 1u);
   ASSERT_EQ(retried.rows.num_columns(), clean.rows.num_columns());
   for (size_t c = 0; c < clean.rows.num_columns(); ++c) {
-    EXPECT_EQ(retried.rows.column(c), clean.rows.column(c)) << "column " << c;
+    EXPECT_EQ(retried.rows.Values(c), clean.rows.Values(c)) << "column " << c;
   }
 }
 

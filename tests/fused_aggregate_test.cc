@@ -440,7 +440,7 @@ TEST(FusedAggregateTest, GroupsKeepGlobalFirstAppearanceOrder) {
   ExpectFusedMatchesUnfused(engines, plan, "chunk keys");
   for (const auto& engine : engines) {
     ASSERT_OK_AND_ASSIGN(QueryResult result, engine->Execute(plan));
-    EXPECT_EQ(result.rows.column(0),
+    EXPECT_EQ(result.rows.Values(0),
               (std::vector<int64_t>{21, 18, 15, 12, 9, 6, 3, 0, 100}));
   }
 }

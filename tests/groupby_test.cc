@@ -254,9 +254,12 @@ TEST(GroupByTest, EmptySubPartitionKeepsTheOutputScale) {
   // every key's CRC has bit 10 clear. SUM over a scale-2 decimal must
   // come out at scale 2, not at the scale of an aggregate that saw no
   // row.
-  ColumnSet input = CycledInput(KeysWithLowHashBits(50, 11, 5), 2);
-  input.meta(1).type = storage::DataType::kDecimal;
-  input.meta(1).dsb_scale = 2;
+  const ColumnSet cycled = CycledInput(KeysWithLowHashBits(50, 11, 5), 2);
+  std::vector<ColumnMeta> metas = cycled.metas();
+  metas[1].type = storage::DataType::kDecimal;
+  metas[1].dsb_scale = 2;
+  ColumnSet input(metas);
+  input.Append(cycled);
   std::vector<ColumnSet> parts(1024, ColumnSet(input.metas()));
   parts[5] = input;
   auto dpu = MakeDpu(4);

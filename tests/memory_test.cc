@@ -1,7 +1,6 @@
 // Tile-local memory subsystem tests: arena alignment/growth/reset,
 // tile-buffer-pool recycling (steady state allocates nothing new),
-// write-combining partition scatter bit-identity against the scalar
-// twin across SIMD levels, the dmem.alloc fault
+// partition round layout across a round-2 fault, the dmem.alloc fault
 // path with pooled operators, and host-fallback reuse of completed
 // DPU subtree results.
 
@@ -19,7 +18,6 @@
 #include "core/engine.h"
 #include "hostdb/database.h"
 #include "hostdb/offload.h"
-#include "primitives/simd.h"
 #include "tests/test_util.h"
 
 namespace rapid {
@@ -150,63 +148,6 @@ TEST(TileBufferPoolTest, HandleMoveTransfersOwnership) {
   EXPECT_EQ(c.data(), p);
 }
 
-// ---- Write-combining scatter kernels ---------------------------------------
-
-// Reference scatter: the simplest possible stable loop.
-void ReferenceScatter(const std::vector<int64_t>& input,
-                      const std::vector<uint16_t>& pof, size_t fanout,
-                      std::vector<std::vector<int64_t>>* out) {
-  out->assign(fanout, {});
-  for (size_t i = 0; i < input.size(); ++i) {
-    (*out)[pof[i]].push_back(input[i]);
-  }
-}
-
-TEST(ScatterKernelTest, BitIdenticalToReferenceAcrossLevelsAndFanouts) {
-  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
-  std::mt19937_64 rng(12345);
-  Arena arena;
-  // Sizes cross the WC-line boundary and leave partial tails; fan-outs
-  // cover the >= 64 regime the cost model targets.
-  for (size_t fanout : {3u, 16u, 64u, 256u}) {
-    for (size_t n : {0u, 1u, 63u, 257u, 4096u, 5003u}) {
-      std::vector<int64_t> input(n);
-      std::vector<uint16_t> pof(n);
-      for (size_t i = 0; i < n; ++i) {
-        input[i] = static_cast<int64_t>(rng());
-        pof[i] = static_cast<uint16_t>(rng() % fanout);
-      }
-      std::vector<std::vector<int64_t>> expected;
-      ReferenceScatter(input, pof, fanout, &expected);
-
-      for (int l = 0; l <= static_cast<int>(SimdLevelSupported()); ++l) {
-        config.Set(&Config::simd, static_cast<SimdLevel>(l));
-        // Destinations deliberately start at unaligned offsets so the
-        // vector tier exercises its pre-alignment head path.
-        std::vector<std::vector<int64_t>> storage(fanout);
-        std::vector<int64_t*> dst(fanout);
-        for (size_t p = 0; p < fanout; ++p) {
-          storage[p].assign(expected[p].size() + 3, -1);
-          dst[p] = storage[p].data() + 3;
-        }
-        uint8_t* wc = static_cast<uint8_t*>(
-            arena.Allocate(primitives::simd::ScatterScratchBytes(fanout)));
-        primitives::simd::partition_kernels().scatter_col(
-            input.data(), pof.data(), n, fanout, dst.data(), wc);
-        for (size_t p = 0; p < fanout; ++p) {
-          ASSERT_EQ(std::vector<int64_t>(dst[p], dst[p] + expected[p].size()),
-                    expected[p])
-              << "level " << l << " fanout " << fanout << " n " << n
-              << " partition " << p;
-          // Guard rows before the start must be untouched.
-          EXPECT_EQ(storage[p][0], -1);
-          EXPECT_EQ(storage[p][2], -1);
-        }
-      }
-    }
-  }
-}
-
 // ---- Partition round layout -------------------------------------------------
 
 TEST(PartitionLayoutTest, RoundTwoFaultCheckpointsRoundOneAndResumesExactly) {
@@ -331,7 +272,7 @@ class MemoryEngineTest : public ::testing::Test {
 };
 
 TEST_F(MemoryEngineTest, ScatterPathBitIdenticalAcrossSimdAndSched) {
-  // Force the partitioned join so SplitRange's WC scatter runs.
+  // Force the partitioned join so the partition scatter runs.
   ExecOptions options;
   options.planner.enable_fusion = false;
 

@@ -243,13 +243,13 @@ TEST_F(NarrowIntermediateTest, JoinOutputsKeepInputWidths) {
 // wider side.
 TEST_F(NarrowIntermediateTest, PartitionOutputsAndUnionKeepWidths) {
   dpu::Dpu dpu(dpu::DpuConfig::Default(), dpu::CostParams::Default());
-  ColumnSet input = rapid::testing::MakeColumnSet(
-      {"a", "b"}, {std::vector<int64_t>(1000, 7), std::vector<int64_t>(1000)});
-  for (size_t i = 0; i < 1000; ++i) {
-    input.column(1)[i] = static_cast<int64_t>(i);
-  }
-  input.meta(0).width = 1;
-  input.meta(1).width = 2;
+  std::vector<int64_t> b(1000);
+  for (size_t i = 0; i < b.size(); ++i) b[i] = static_cast<int64_t>(i);
+  ASSERT_OK_AND_ASSIGN(
+      ColumnSet input,
+      rapid::testing::FillColumnSet(
+          rapid::testing::Int64Metas({"a", "b"}, {1, 2}),
+          {std::vector<int64_t>(1000, 7), b}));
   core::PartitionScheme scheme;
   scheme.rounds = {core::PartitionRound{32, 32}, core::PartitionRound{4, 1}};
   ASSERT_OK_AND_ASSIGN(
@@ -406,28 +406,32 @@ class RecordingOp : public core::PipelineOp {
   std::vector<size_t> widths;
 };
 
-// The accessor narrows each intermediate column into its DMEM tile at
-// the meta's width and charges those bytes. A meta too narrow for a
-// value fails the load with Internal before any tile of it reaches an
-// operator; nothing is truncated.
+// An intermediate column is stored at its meta's width, and the
+// accessor loads it into its DMEM tile at that width and charges those
+// bytes. A meta too narrow for a value fails with Internal when the
+// value enters the set, before any tile of it reaches an operator;
+// nothing is truncated.
 TEST(NarrowIntermediateAccessorTest, ForgedNarrowMetaFailsInsteadOfTruncating) {
   dpu::Dpu dpu(dpu::DpuConfig::Default(), dpu::CostParams::Default());
   core::ExecCtx ctx{&dpu.core(0), &dpu.dms(), &dpu.params(), true};
   const std::vector<int64_t> values = {5, -128, 127, 300, -32768, 32767};
   for (const size_t width : {1u, 2u, 4u, 8u}) {
-    ColumnSet set = rapid::testing::MakeColumnSet({"x"}, {values});
-    set.meta(0).width = width;
+    Result<ColumnSet> filled = rapid::testing::FillColumnSet(
+        rapid::testing::Int64Metas({"x"}, {width}), {values});
+    if (width == 1) {
+      const Status& st = filled.status();
+      EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+      EXPECT_NE(st.ToString().find("300"), std::string::npos) << st.ToString();
+      EXPECT_NE(st.ToString().find("'x'"), std::string::npos) << st.ToString();
+      continue;
+    }
+    ASSERT_OK(filled.status());
+    const ColumnSet& set = filled.value();
     RecordingOp op;
     dpu.core(0).dmem().Reset();
     const double dms_before = dpu.core(0).cycles().dms_cycles();
     const Status st = core::RelationAccessor::PushColumnSet(
         ctx, set, {0}, 0, values.size(), 64, &op);
-    if (width == 1) {
-      EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
-      EXPECT_NE(st.ToString().find("300"), std::string::npos) << st.ToString();
-      EXPECT_TRUE(op.values.empty());
-      continue;
-    }
     ASSERT_OK(st);
     EXPECT_EQ(op.values, values) << "width " << width;
     EXPECT_EQ(op.widths, std::vector<size_t>{width});
@@ -436,10 +440,12 @@ TEST(NarrowIntermediateAccessorTest, ForgedNarrowMetaFailsInsteadOfTruncating) {
                                                 values.size(), width, false));
   }
   // At 4 bytes a dictionary code is uint32: its largest code fits.
-  ColumnSet codes = rapid::testing::MakeColumnSet(
-      {"c"}, std::vector<std::vector<int64_t>>{{0xFFFFFFFFLL, 1}});
-  codes.meta(0).type = storage::DataType::kDictCode;
-  codes.meta(0).width = 4;
+  std::vector<core::ColumnMeta> code_metas = rapid::testing::Int64Metas({"c"}, {4});
+  code_metas[0].type = storage::DataType::kDictCode;
+  ASSERT_OK_AND_ASSIGN(
+      ColumnSet codes,
+      rapid::testing::FillColumnSet(
+          code_metas, std::vector<std::vector<int64_t>>{{0xFFFFFFFFLL, 1}}));
   RecordingOp op;
   dpu.core(0).dmem().Reset();
   ASSERT_OK(core::RelationAccessor::PushColumnSet(ctx, codes, {0}, 0, 2, 64,
@@ -461,10 +467,7 @@ TEST(NarrowIntermediateAccessorTest, MaterializeSinkStoresFullStagingHalves) {
   for (core::TileColumn& col : tile.columns) {
     col.data = reinterpret_cast<uint8_t*>(values.data());
   }
-  ColumnSet out = rapid::testing::MakeColumnSet(
-      {"a", "b"}, std::vector<std::vector<int64_t>>(2));
-  out.meta(0).width = 1;
-  out.meta(1).width = 2;
+  ColumnSet out(rapid::testing::Int64Metas({"a", "b"}, {1, 2}));
   core::MaterializeSink sink(&out, 64);
   const dpu::CycleCounter& cycles = dpu.core(0).cycles();
   for (int t = 0; t < 3; ++t) ASSERT_OK(sink.Consume(ctx, tile));
@@ -491,10 +494,7 @@ TEST(NarrowIntermediateAccessorTest, PartitionSinkChargesMetaWidths) {
     cols[1][i] = static_cast<int64_t>(i * 100);
     cols[2][i] = static_cast<int64_t>(i) << 40;
   }
-  ColumnSet rows = rapid::testing::MakeColumnSet(
-      {"a", "b", "c"}, std::vector<std::vector<int64_t>>(3));
-  rows.meta(0).width = 1;
-  rows.meta(1).width = 2;
+  ColumnSet rows(rapid::testing::Int64Metas({"a", "b", "c"}, {1, 2, 8}));
   ASSERT_EQ(rows.RowBytes(), 11u);
   core::Tile tile;
   tile.rows = kRows;

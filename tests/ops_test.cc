@@ -165,7 +165,7 @@ TEST_F(OpsTest, FilterPipelineLateMaterializes) {
                                             &filter));
   EXPECT_EQ(filter.rows_in(), 6u);
   EXPECT_EQ(filter.rows_out(), 3u);
-  EXPECT_EQ(out.column(0), (std::vector<int64_t>{80, 100, 120}));
+  EXPECT_EQ(out.Values(0), (std::vector<int64_t>{80, 100, 120}));
 }
 
 TEST_F(OpsTest, FilterConjunctionRefines) {
@@ -184,7 +184,7 @@ TEST_F(OpsTest, FilterConjunctionRefines) {
   ASSERT_OK(filter.Open(ctx));
   ASSERT_OK(
       RelationAccessor::PushColumnSet(ctx, input, {0, 1}, 0, 4, 64, &filter));
-  EXPECT_EQ(out.column(0), (std::vector<int64_t>{5, 12}));
+  EXPECT_EQ(out.Values(0), (std::vector<int64_t>{5, 12}));
 }
 
 TEST_F(OpsTest, EmptyPredicatesPassEverything) {
@@ -454,9 +454,8 @@ TEST_F(OpsTest, SkewedPartitionLayoutMatchesStableReferenceAcrossModes) {
   // 70% of the rows share one key, so its partition takes rows from
   // every work unit. Units of 157 rows (at the default 32 cores) and
   // 50-row tiles start most units' and tiles' shares at row offsets
-  // that are not multiples of 8 (64 bytes), so the write-combining
-  // kernels run their unaligned head and partial-tail paths inside one
-  // shared bucket.
+  // that are not multiples of 8 (64 bytes), so many units' slot
+  // scatters interleave inside one shared bucket.
   const size_t n = 20000;
   std::vector<std::vector<int64_t>> cols(2, std::vector<int64_t>(n));
   for (size_t i = 0; i < n; ++i) {
@@ -749,8 +748,8 @@ TEST_F(OpsTest, SortSingleKeyAscending) {
   ColumnSet input = MakeColumnSet({"k", "v"}, {{3, 1, 2}, {30, 10, 20}});
   ASSERT_OK_AND_ASSIGN(ColumnSet sorted,
                        SortExec::Execute(dpu_, input, {SortKey{0, true}}));
-  EXPECT_EQ(sorted.column(0), (std::vector<int64_t>{1, 2, 3}));
-  EXPECT_EQ(sorted.column(1), (std::vector<int64_t>{10, 20, 30}));
+  EXPECT_EQ(sorted.Values(0), (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_EQ(sorted.Values(1), (std::vector<int64_t>{10, 20, 30}));
 }
 
 TEST_F(OpsTest, SortMultiKeyMixedDirections) {
@@ -759,8 +758,8 @@ TEST_F(OpsTest, SortMultiKeyMixedDirections) {
   ASSERT_OK_AND_ASSIGN(
       ColumnSet sorted,
       SortExec::Execute(dpu_, input, {SortKey{0, true}, SortKey{1, false}}));
-  EXPECT_EQ(sorted.column(0), (std::vector<int64_t>{1, 1, 2, 2}));
-  EXPECT_EQ(sorted.column(1), (std::vector<int64_t>{9, 7, 8, 6}));
+  EXPECT_EQ(sorted.Values(0), (std::vector<int64_t>{1, 1, 2, 2}));
+  EXPECT_EQ(sorted.Values(1), (std::vector<int64_t>{9, 7, 8, 6}));
 }
 
 TEST_F(OpsTest, SortMatchesStdSortProperty) {
@@ -778,7 +777,7 @@ TEST_F(OpsTest, SortMatchesStdSortProperty) {
                          SortExec::Execute(dpu_, input, {SortKey{0, true}}));
     std::vector<int64_t> expected = keys;
     std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(sorted.column(0), expected);
+    EXPECT_EQ(sorted.Values(0), expected);
     // Payload follows its key: every (k, v) pair must exist in input.
     std::multiset<std::pair<int64_t, int64_t>> in_pairs;
     std::multiset<std::pair<int64_t, int64_t>> out_pairs;
@@ -794,7 +793,7 @@ TEST_F(OpsTest, SortNegativeValues) {
   ColumnSet input = MakeColumnSet({"k"}, {{5, -3, 0, -100, 42}});
   ASSERT_OK_AND_ASSIGN(ColumnSet sorted,
                        SortExec::Execute(dpu_, input, {SortKey{0, true}}));
-  EXPECT_EQ(sorted.column(0), (std::vector<int64_t>{-100, -3, 0, 5, 42}));
+  EXPECT_EQ(sorted.Values(0), (std::vector<int64_t>{-100, -3, 0, 5, 42}));
 }
 
 TEST_F(OpsTest, TopKReturnsSmallestUnderOrder) {
@@ -803,15 +802,15 @@ TEST_F(OpsTest, TopKReturnsSmallestUnderOrder) {
   ASSERT_OK_AND_ASSIGN(
       ColumnSet top,
       TopKExec::Execute(dpu_, input, {SortKey{0, false}}, 2));
-  EXPECT_EQ(top.column(0), (std::vector<int64_t>{5, 4}));
-  EXPECT_EQ(top.column(1), (std::vector<int64_t>{50, 40}));
+  EXPECT_EQ(top.Values(0), (std::vector<int64_t>{5, 4}));
+  EXPECT_EQ(top.Values(1), (std::vector<int64_t>{50, 40}));
 }
 
 TEST_F(OpsTest, TopKWithKLargerThanInput) {
   ColumnSet input = MakeColumnSet({"k"}, {{2, 1}});
   ASSERT_OK_AND_ASSIGN(ColumnSet top,
                        TopKExec::Execute(dpu_, input, {SortKey{0, true}}, 10));
-  EXPECT_EQ(top.column(0), (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(top.Values(0), (std::vector<int64_t>{1, 2}));
 }
 
 TEST_F(OpsTest, SortEmptyInput) {
@@ -839,8 +838,8 @@ TEST_F(OpsTest, WindowRankAndRowNumber) {
                        WindowExec::Execute(dpu_, input, {rank, rownum}));
   ASSERT_EQ(out.num_rows(), 5u);
   // Partition 1 ordered by o: rows (10,10,20) -> rank 1,1,3; rn 1,2,3.
-  EXPECT_EQ(out.column(3), (std::vector<int64_t>{1, 1, 3, 1, 2}));
-  EXPECT_EQ(out.column(4), (std::vector<int64_t>{1, 2, 3, 1, 2}));
+  EXPECT_EQ(out.Values(3), (std::vector<int64_t>{1, 1, 3, 1, 2}));
+  EXPECT_EQ(out.Values(4), (std::vector<int64_t>{1, 2, 3, 1, 2}));
 }
 
 TEST_F(OpsTest, WindowSums) {
@@ -857,8 +856,8 @@ TEST_F(OpsTest, WindowSums) {
   total.output_name = "psum";
   ASSERT_OK_AND_ASSIGN(ColumnSet out,
                        WindowExec::Execute(dpu_, input, {running, total}));
-  EXPECT_EQ(out.column(3), (std::vector<int64_t>{10, 30, 5}));
-  EXPECT_EQ(out.column(4), (std::vector<int64_t>{30, 30, 5}));
+  EXPECT_EQ(out.Values(3), (std::vector<int64_t>{10, 30, 5}));
+  EXPECT_EQ(out.Values(4), (std::vector<int64_t>{30, 30, 5}));
 }
 
 TEST_F(OpsTest, WindowDenseRank) {
@@ -869,7 +868,7 @@ TEST_F(OpsTest, WindowDenseRank) {
   dense.order_by = {SortKey{1, true}};
   ASSERT_OK_AND_ASSIGN(ColumnSet out,
                        WindowExec::Execute(dpu_, input, {dense}));
-  EXPECT_EQ(out.column(2), (std::vector<int64_t>{1, 1, 2, 3}));
+  EXPECT_EQ(out.Values(2), (std::vector<int64_t>{1, 1, 2, 3}));
 }
 
 // ---- Set operations --------------------------------------------------------

@@ -696,7 +696,7 @@ TEST(PartitionSinkTest, AllRowsFilteredKeepsEveryBucketsMeta) {
 }
 
 // The gate budgets the round's software fan-out staging: a 1024-way
-// software round stages 1024 write-combining lines, which do not fit
+// software round stages 1024 64-byte lines, which do not fit
 // the 32 KiB scratchpad, so the PARTITION step stays a breaker. The
 // same fan-out with 32 ways in hardware fits.
 TEST(PartitionSinkTest, DmemGateRefusesStagingThatDoesNotFit) {

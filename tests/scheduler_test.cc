@@ -247,7 +247,7 @@ class SchedulerDeterminismTest : public ::testing::Test {
       ASSERT_EQ(expected[q].num_columns(), actual[q].num_columns())
           << label << " query " << q;
       for (size_t c = 0; c < expected[q].num_columns(); ++c) {
-        EXPECT_EQ(expected[q].column(c), actual[q].column(c))
+        EXPECT_EQ(expected[q].Values(c), actual[q].Values(c))
             << label << " query " << q << " column " << c;
       }
     }

@@ -80,19 +80,41 @@ inline void ExpectSameRows(const core::ColumnSet& a,
   EXPECT_EQ(SortedRows(a), SortedRows(b));
 }
 
+// Builds a ColumnSet of schema `metas` from widened columns, row by
+// row (ColumnSet::AppendRow): a value its column's width cannot hold
+// fails with Internal.
+inline Result<core::ColumnSet> FillColumnSet(
+    std::vector<core::ColumnMeta> metas,
+    const std::vector<std::vector<int64_t>>& columns) {
+  core::ColumnSet out(std::move(metas));
+  const size_t rows = columns.empty() ? 0 : columns[0].size();
+  std::vector<int64_t> row(columns.size());
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < columns.size(); ++c) row[c] = columns[c][r];
+    RAPID_RETURN_NOT_OK(out.AppendRow(row));
+  }
+  return out;
+}
+
+// The int64 metas named `names`, at physical `widths` (8 when empty).
+inline std::vector<core::ColumnMeta> Int64Metas(
+    const std::vector<std::string>& names,
+    const std::vector<size_t>& widths = {}) {
+  std::vector<core::ColumnMeta> metas;
+  for (size_t c = 0; c < names.size(); ++c) {
+    core::ColumnMeta m;
+    m.name = names[c];
+    if (!widths.empty()) m.width = widths[c];
+    metas.push_back(m);
+  }
+  return metas;
+}
+
 // Builds a ColumnSet from widened columns, with int64 metadata.
 inline core::ColumnSet MakeColumnSet(
     const std::vector<std::string>& names,
     const std::vector<std::vector<int64_t>>& columns) {
-  std::vector<core::ColumnMeta> metas;
-  for (const auto& name : names) {
-    core::ColumnMeta m;
-    m.name = name;
-    metas.push_back(m);
-  }
-  core::ColumnSet out(metas);
-  for (size_t c = 0; c < columns.size(); ++c) out.column(c) = columns[c];
-  return out;
+  return FillColumnSet(Int64Metas(names), columns).value();
 }
 
 // The buckets after the first `rounds` rounds of `scheme`, computed
@@ -124,9 +146,9 @@ inline StablePartition StablePartitionOf(const core::ColumnSet& input,
       bucket = bucket * fanout + ((h[i] >> shift) & (fanout - 1));
       shift += std::countr_zero(fanout);
     }
-    for (size_t c = 0; c < input.num_columns(); ++c) {
-      ref.buckets[bucket].column(c).push_back(input.Value(i, c));
-    }
+    std::vector<int64_t> row(input.num_columns());
+    for (size_t c = 0; c < input.num_columns(); ++c) row[c] = input.Value(i, c);
+    EXPECT_TRUE(ref.buckets[bucket].AppendRow(row).ok());
     ref.hashes[bucket].push_back(h[i]);
   }
   return ref;
