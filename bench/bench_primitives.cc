@@ -3,8 +3,9 @@
 // Measures every dispatched kernel family (filter, agg, arith, hash,
 // partition map, bucket indices) with dispatch pinned to scalar and
 // then to the best level the host supports, prints the speedups, and
-// emits BENCH_primitives.json with the raw rows/s so the CostParams::
-// HostCalibrated() multipliers can be re-derived after kernel changes.
+// emits BENCH_primitives.json with the raw rows/s. The modeled cost
+// model charges per-row cycles at the dpCore's rates (dpu/cost_model.h)
+// and reads none of these host rates.
 // An end-to-end TPC-H Q6-style scan (wall-clock, not modeled cycles)
 // shows how much of the kernel-level win survives a whole query.
 

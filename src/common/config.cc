@@ -23,7 +23,6 @@ struct Spelling {
 constexpr Spelling<SimdLevel> kSimdSpellings[] = {
     {"scalar", SimdLevel::kScalar},
     {"off", SimdLevel::kScalar},
-    {"sse42", SimdLevel::kSse42},
     {"avx2", SimdLevel::kAvx2},
     {"auto", SimdLevel::kAvx2},  // clamped to the CPU like every request
 };

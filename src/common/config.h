@@ -14,7 +14,7 @@
 //
 // Environment variables, read once at the first GetConfig():
 //
-//   RAPID_SIMD          off|scalar|sse42|avx2|auto     default auto
+//   RAPID_SIMD          off|scalar|avx2|auto           default auto
 //   RAPID_ENCODED_SCAN  off|auto                       default auto
 //   RAPID_JOIN_FILTER   off|auto                       default auto
 //   RAPID_TRACE         off|summary|full               default off
@@ -41,7 +41,7 @@
 namespace rapid {
 
 // Instruction-set tier of the primitive kernels (common/simd.h).
-enum class SimdLevel : int { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+enum class SimdLevel : int { kScalar = 0, kAvx2 = 1 };
 
 // Whether the relation accessor ships RLE-topped vectors over the DMS
 // and filters on compressed data. Changes bytes moved and modeled

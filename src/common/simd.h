@@ -5,10 +5,11 @@
 // kernels in src/primitives/. This module decides which instruction-set
 // tier those kernels dispatch to:
 //
-//   * kScalar — portable reference loops (always available),
-//   * kSse42  — SSE4.2: hardware CRC32C plus 128-bit compare kernels,
+//   * kScalar — portable reference loops (always available; its
+//               CRC32C still uses the crc32 instruction where the CPU
+//               has one, through common/crc32.cc's dispatch),
 //   * kAvx2   — AVX2: 256-bit predicate, aggregation and projection
-//               kernels.
+//               kernels plus batched hardware CRC32C.
 //
 // The CPU's capabilities are probed once; the active tier is the
 // config's `simd` field (RAPID_SIMD, common/config.h), always clamped

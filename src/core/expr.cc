@@ -154,8 +154,8 @@ Status EvalExpr(ExecCtx& ctx, const Tile& tile, const Expr& expr,
         primitives::DsbMulTile(lhs.as<int64_t>(), lscale, rhs.as<int64_t>(),
                                rscale, n, out);
         ctx.ChargeCompute((ctx.params->arith_cycles_per_row +
-                           ctx.params->mult_extra_cycles_per_row) /
-                          ctx.params->simd.arith * static_cast<double>(n));
+                           ctx.params->mult_extra_cycles_per_row) *
+                          static_cast<double>(n));
       } else {
         // Add/sub require a common scale; rescale the smaller side.
         if (lscale < expr.scale) {
@@ -171,8 +171,8 @@ Status EvalExpr(ExecCtx& ctx, const Tile& tile, const Expr& expr,
           primitives::ArithColCol<ArithOp::kSub, int64_t>(
               lhs.as<int64_t>(), rhs.as<int64_t>(), n, out);
         }
-        ctx.ChargeCompute(ctx.params->arith_cycles_per_row /
-                          ctx.params->simd.arith * static_cast<double>(n));
+        ctx.ChargeCompute(ctx.params->arith_cycles_per_row *
+                          static_cast<double>(n));
       }
       ctx.ChargeVectorizationPenalty(n);
       return Status::OK();
@@ -491,12 +491,10 @@ bool EvalPredicateImpl(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
       }
       row += len;
     }
-    double per_row = ctx.params->filter_cycles_per_row /
-                     ctx.params->simd.filter;
+    double per_row = ctx.params->filter_cycles_per_row;
     if (pred.kind == Predicate::Kind::kBloom) {
       // One mix + block test per run instead of per row.
-      per_row = ctx.params->bloom_probe_cycles_per_row /
-                ctx.params->simd.bloom;
+      per_row = ctx.params->bloom_probe_cycles_per_row;
     }
     double cycles = per_row * (static_cast<double>(col.num_runs) +
                                static_cast<double>(n) / 64.0);
@@ -507,16 +505,14 @@ bool EvalPredicateImpl(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
     return true;
   }
 
-  double cycles = ctx.params->filter_cycles_per_row / ctx.params->simd.filter *
-                  static_cast<double>(n);
+  double cycles = ctx.params->filter_cycles_per_row * static_cast<double>(n);
   switch (pred.kind) {
     case Predicate::Kind::kCmpConst:
       FilterConstDispatch(col, n, pred.op, pred.value, out);
       break;
     case Predicate::Kind::kBloom:
       BloomProbeDispatch(col, n, *pred.bloom, out);
-      cycles = ctx.params->bloom_probe_cycles_per_row /
-               ctx.params->simd.bloom * static_cast<double>(n);
+      cycles = ctx.params->bloom_probe_cycles_per_row * static_cast<double>(n);
       break;
     case Predicate::Kind::kBetween:
       FilterBetweenDispatch(col, n, pred.value, pred.value2, out);
@@ -560,8 +556,8 @@ void RefinePredicate(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
   if (!run_level) {
     const double per_row =
         pred.kind == Predicate::Kind::kBloom
-            ? ctx.params->bloom_probe_cycles_per_row / ctx.params->simd.bloom
-            : ctx.params->filter_cycles_per_row / ctx.params->simd.filter;
+            ? ctx.params->bloom_probe_cycles_per_row
+            : ctx.params->filter_cycles_per_row;
     ctx.ChargeCompute(per_row * (static_cast<double>(qualifying) -
                                  static_cast<double>(tile.rows)));
   }

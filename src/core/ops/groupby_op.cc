@@ -232,11 +232,10 @@ Status GroupByOp::Consume(ExecCtx& ctx, const Tile& tile) {
                         aggs_[a].filter != nullptr ? &agg_filters_[a]
                                                    : nullptr);
   }
-  // Aggregate updates take the SIMD-dispatched agg kernels' rate; the
-  // bucket walk (groupby + chain steps) is pointer chasing and scalar.
+  // Bucket walk (groupby + chain steps) plus one update per aggregate.
   ctx.ChargeCompute(ctx.params->groupby_cycles_per_row *
                         static_cast<double>(n) +
-                    ctx.params->agg_cycles_per_row / ctx.params->simd.agg *
+                    ctx.params->agg_cycles_per_row *
                         static_cast<double>(n) *
                         static_cast<double>(aggs_.size()) +
                     2.0 * static_cast<double>(chain_steps));

@@ -347,8 +347,7 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
           pair_filter.Insert(static_cast<uint64_t>(int64_t{keys[i]}));
         }
       });
-      core.cycles().ChargeCompute(params.bloom_insert_cycles_per_row /
-                                  params.simd.bloom *
+      core.cycles().ChargeCompute(params.bloom_insert_cycles_per_row *
                                   static_cast<double>(build_rows));
       use_filter = true;
       core.counters().join_filter_built += 1;
@@ -491,8 +490,7 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
       if (use_filter) {
         // One blocked-Bloom probe per probe row; pruned rows skip the
         // hash probe.
-        core.cycles().ChargeCompute(params.bloom_probe_cycles_per_row /
-                                    params.simd.bloom *
+        core.cycles().ChargeCompute(params.bloom_probe_cycles_per_row *
                                     static_cast<double>(rows));
         core.counters().rows_pruned_by_join_filter += tile_pruned;
       }

@@ -149,7 +149,7 @@ Result<ColumnSet> WindowExec::Execute(dpu::Dpu& dpu, const ColumnSet& input,
           }
         }
         core.cycles().ChargeCompute(
-            dpu.params().agg_cycles_per_row / dpu.params().simd.agg *
+            dpu.params().agg_cycles_per_row *
             static_cast<double>((end - begin) * specs.size()));
         return Status::OK();
       }));

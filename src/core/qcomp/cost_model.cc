@@ -9,11 +9,8 @@ double CostEstimator::ScanSeconds(size_t rows, size_t row_bytes,
                                   size_t num_predicates, double selectivity,
                                   double compression_ratio) const {
   const double r = static_cast<double>(rows);
-  // First predicate scans everything; later ones scan survivors. The
-  // filter primitive is SIMD dispatched, so the per-row rate divides
-  // by the family's throughput multiplier.
-  const double filter_rate =
-      params_.filter_cycles_per_row / params_.simd.filter;
+  // First predicate scans everything; later ones scan survivors.
+  const double filter_rate = params_.filter_cycles_per_row;
   double compute = filter_rate * r;
   double surviving = r * selectivity;
   for (size_t p = 1; p < num_predicates; ++p) {
@@ -22,7 +19,7 @@ double CostEstimator::ScanSeconds(size_t rows, size_t row_bytes,
   const double ratio = std::max(1.0, compression_ratio);
   if (ratio > 1.0) {
     // Encoded tiles expand in DMEM before the filters run.
-    compute += params_.rle_decode_cycles_per_row / params_.simd.rle * r;
+    compute += params_.rle_decode_cycles_per_row * r;
   }
   const double transfer = r * static_cast<double>(row_bytes) / ratio /
                           params_.dram_bytes_per_cycle;
@@ -51,10 +48,9 @@ double CostEstimator::JoinFilterSeconds(size_t build_rows, size_t probe_rows,
   // Cost: every core builds its private filter from the DRAM-resident
   // key column (broadcast-join model), then one blocked-Bloom probe
   // per probe row inside the scan's fused tile loop.
-  const double bloom_rate =
-      params_.bloom_probe_cycles_per_row / params_.simd.bloom;
+  const double bloom_rate = params_.bloom_probe_cycles_per_row;
   const double cost_cycles =
-      params_.bloom_insert_cycles_per_row / params_.simd.bloom * b *
+      params_.bloom_insert_cycles_per_row * b *
           static_cast<double>(config_.num_cores) +
       bloom_rate * p;
   // Saving: pruned rows skip the probe-side partition rounds (DMS
@@ -69,10 +65,8 @@ double CostEstimator::JoinFilterSeconds(size_t build_rows, size_t probe_rows,
 double CostEstimator::GroupBySeconds(size_t rows, size_t groups,
                                      size_t num_aggs, bool low_ndv) const {
   const double r = static_cast<double>(rows);
-  // Aggregate updates are SIMD dispatched; the hash-table bucket walk
-  // is data-dependent pointer chasing and stays scalar.
   double cycles = (params_.groupby_cycles_per_row +
-                   params_.agg_cycles_per_row / params_.simd.agg *
+                   params_.agg_cycles_per_row *
                        static_cast<double>(num_aggs)) *
                   r;
   if (low_ndv) {

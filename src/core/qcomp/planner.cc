@@ -15,6 +15,9 @@ namespace rapid::core {
 
 namespace {
 
+// Join kernel tile size (the Figures 11/12 parameter).
+constexpr size_t kJoinTileRows = 256;
+
 int AddStep(PhysicalPlan* plan, std::unique_ptr<PlanStep> step) {
   const int id = step->id();
   plan->steps.push_back(std::move(step));
@@ -237,8 +240,7 @@ Result<Planner::Lowered> Planner::LowerScan(
     if (encoded && ratio > 1.05) {
       staging_width += static_cast<size_t>(
           std::ceil(2.0 * static_cast<double>(w) / ratio));
-      decode_rate +=
-          params_.rle_decode_cycles_per_row / params_.simd.rle;
+      decode_rate += params_.rle_decode_cycles_per_row;
     }
   }
   std::vector<OpProfile> profiles;
@@ -247,12 +249,11 @@ Result<Planner::Lowered> Planner::LowerScan(
   profiles.push_back(OpProfile{
       "filter", 64, 8 * base_cols.size() + 8 /*selection*/, combined,
       8 * base_cols.size(),
-      params_.filter_cycles_per_row / params_.simd.filter *
+      params_.filter_cycles_per_row *
           static_cast<double>(std::max<size_t>(1, preds.size()))});
   profiles.push_back(OpProfile{"project", 64, 8 * projections.size(), 1.0,
                                8 * projections.size(),
-                               params_.arith_cycles_per_row /
-                                   params_.simd.arith});
+                               params_.arith_cycles_per_row});
   RAPID_ASSIGN_OR_RETURN(size_t tile_rows,
                          MaxTileRows(profiles, 0, profiles.size() - 1,
                                      config_.dmem_bytes));
@@ -505,7 +506,7 @@ Result<Planner::Lowered> Planner::LowerImpl(const LogicalNode& node,
           path + (build_is_left ? "1" : "0") + "#p", probe_part_id);
 
       JoinSpec spec;
-      spec.tile_rows = options_.join_tile_rows;
+      spec.tile_rows = kJoinTileRows;
       spec.est_rows_per_partition = std::max<size_t>(
           1, static_cast<size_t>(build.est_rows / fanout));
       spec.bucket_reduction = 4.0;

@@ -33,8 +33,6 @@ using Catalog = std::unordered_map<std::string, storage::Table>;
 struct PlannerOptions {
   // Group count below which the on-the-fly + merge strategy is used.
   size_t low_ndv_threshold = 8192;
-  // Join kernel tile size (Figures 11/12 parameter).
-  size_t join_tile_rows = 256;
   // Override the DMEM build capacity per join kernel (0 = derive from
   // the DMEM budget); lowering it forces the small-skew overflow path.
   size_t join_dmem_capacity_rows = 0;

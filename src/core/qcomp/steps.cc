@@ -109,8 +109,8 @@ bool BuildJoinFilter(ExecEnv& env, const JoinFilterRef& ref,
     filter->Insert(static_cast<uint64_t>(build.set.Value(r, kcol)));
   }
   const dpu::CostParams& p = env.dpu->params();
-  const double insert_cycles = p.bloom_insert_cycles_per_row / p.simd.bloom *
-                               static_cast<double>(rows);
+  const double insert_cycles =
+      p.bloom_insert_cycles_per_row * static_cast<double>(rows);
   const size_t key_width = build.set.meta(kcol).width;
   const dpu::Dms& dms = env.dpu->dms();
   env.dpu->ParallelFor([&](dpu::DpCore& core) {

@@ -30,11 +30,9 @@ struct OpProfile {
   size_t bytes_per_row = 8;    // DMEM per tile row (input+output vectors)
   double output_ratio = 1.0;   // rows out per row in (selectivity etc.)
   size_t output_row_bytes = 8; // width of a materialized output row
-  // dpCore compute per input row, already divided by the SIMD
-  // throughput multiplier of the operator's kernel family
-  // (CostParams::simd). 0 models a transfer-bound operator; with all
-  // profiles at 0 FormationCycles degenerates to the pure-transfer
-  // model, so existing callers are unchanged.
+  // dpCore compute per input row. 0 models a transfer-bound operator;
+  // with all profiles at 0 FormationCycles degenerates to the
+  // pure-transfer model, so existing callers are unchanged.
   double cycles_per_row = 0.0;
 };
 

@@ -274,7 +274,7 @@ Status RelationAccessor::PushChunks(
         }
         ExpandRuns(s.values, s.lengths, s.runs, col.width, col.data);
         ctx.ChargeCompute(
-            ctx.params->rle_decode_cycles_per_row / ctx.params->simd.rle *
+            ctx.params->rle_decode_cycles_per_row *
                 static_cast<double>(rows) +
             ctx.params->rle_decode_cycles_per_run *
                 static_cast<double>(s.runs));

@@ -107,28 +107,6 @@ struct CostParams {
   double topk_cycles_per_row = 6.0;
   double row_at_a_time_overhead_cycles = 14.0;  // non-vectorized penalty
 
-  // ---- SIMD throughput multipliers ----
-  // Rows-per-cycle speedup of each dispatched kernel family relative
-  // to its scalar twin (bench_primitives measures these). The paper's
-  // dpCores get this effect from the BVLD/FILT/CRC32 vector
-  // instructions; on the host simulator the SIMD kernels play that
-  // role, so per-row cycle charges divide by the family multiplier.
-  // Default() keeps every multiplier at 1.0 — modeled costs stay
-  // deterministic and identical to the pre-SIMD model. HostCalibrated()
-  // fills them from the active dispatch level (common/simd.h) so QComp
-  // task formation and fusion gating see vectorized costs.
-  struct SimdThroughput {
-    double filter = 1.0;
-    double agg = 1.0;
-    double arith = 1.0;
-    double hash = 1.0;
-    double partition_map = 1.0;
-    double partition_scatter = 1.0;
-    double rle = 1.0;
-    double bloom = 1.0;
-  };
-  SimdThroughput simd;
-
   // ---- Failure recovery ----
   // Descriptor reprogram + settle time before retrying a failed DMS
   // operation; doubles per attempt (bounded exponential backoff).
@@ -140,11 +118,6 @@ struct CostParams {
   int ate_max_attempts = 4;
 
   static const CostParams& Default();
-
-  // Default() with SIMD multipliers filled in for the SIMD level
-  // active right now (SimdLevelActive()). Computed fresh on every call
-  // so tests that flip levels observe the change.
-  static CostParams HostCalibrated();
 };
 
 // Per-core cycle accumulator. Compute and DMS cycles are tracked
@@ -281,15 +254,13 @@ inline double HwPartitionCycles(const CostParams& p,
 }
 
 // Software partitioning of one tile (Listing 2 + the per-column
-// scatter). The partition-map loop (bucket mapping + histogram) and
-// the scatter both divide by their family multiplier (QComp's fusion
-// and partition-round gates see the scatter's cost through this
-// term).
+// scatter): the partition-map loop (bucket mapping + histogram), the
+// scatter and the per-partition loop (QComp's fusion and
+// partition-round gates see the scatter's cost through this term).
 inline double SwPartitionTileCycles(const CostParams& p, size_t rows,
                                     int columns, int fanout) {
-  return p.partition_map_cycles_per_row / p.simd.partition_map * rows +
-         p.swpart_scatter_cycles_per_row / p.simd.partition_scatter * rows *
-             columns +
+  return p.partition_map_cycles_per_row * rows +
+         p.swpart_scatter_cycles_per_row * rows * columns +
          p.swpart_partition_loop_cycles * fanout;
 }
 

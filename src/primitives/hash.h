@@ -1,6 +1,6 @@
 // Hash primitives: vectorized CRC32 hash-value generation over tiles,
 // modeling the dpCore CRC32 instruction and the DMS hash engine.
-// Bodies dispatch to the SIMD kernel tables (simd.h); the SSE4.2 tier
+// Bodies dispatch to the SIMD kernel tables (simd.h); the AVX2 tier
 // batches the hardware crc32 instruction 4-way per tile. Hash values
 // are identical at every tier — join and partition placement never
 // depends on the dispatch level.

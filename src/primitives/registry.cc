@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 
-#include "primitives/simd.h"
-
 namespace rapid::primitives {
 
 namespace {
@@ -86,13 +84,6 @@ Result<PrimitiveInfo> PrimitiveCatalog::Find(const std::string& name) const {
     if (info.name == name) return info;
   }
   return Status::NotFound("no primitive named '" + name + "'");
-}
-
-Result<std::string> PrimitiveCatalog::ResolvedIsa(const std::string& name) const {
-  Result<PrimitiveInfo> info = Find(name);
-  if (!info.ok()) return info.status();
-  return std::string(SimdLevelName(
-      simd::ResolvedLevel(info.value().family, info.value().input_width)));
 }
 
 }  // namespace rapid::primitives

@@ -6,9 +6,10 @@
 // output type) combination, which is compiled into the binary. Here
 // the C++ templates *are* the generator: this catalog enumerates every
 // instantiated combination under the paper's naming convention
-// (e.g. "rpdmpr_bvflt_ub4_OPT_TYPE_EQ_cval" in Listing 1), so QComp's
-// primitive-selection step and the QEP serializer can refer to
-// primitives by name.
+// (e.g. "rpdmpr_bvflt_ub4_OPT_TYPE_EQ_cval" in Listing 1). It is a
+// name index only: no engine code looks a primitive up by name —
+// operators call the typed wrappers (filter.h, agg.h, ...), which
+// dispatch through the kernel tables (simd.h).
 
 #ifndef RAPID_PRIMITIVES_REGISTRY_H_
 #define RAPID_PRIMITIVES_REGISTRY_H_
@@ -37,12 +38,6 @@ class PrimitiveCatalog {
 
   // Looks up a primitive by generated name.
   Result<PrimitiveInfo> Find(const std::string& name) const;
-
-  // The instruction-set tier ("scalar", "sse42", "avx2") the named
-  // primitive's kernel resolved to under the active SIMD level.
-  // Evaluated on demand so tests can flip the config's SIMD level and
-  // observe the substitution the cost model assumes.
-  Result<std::string> ResolvedIsa(const std::string& name) const;
 
   // Name a filter primitive following the paper's convention, e.g.
   // FilterName("eq", 4, false) == "rpdmpr_bvflt_ub4_OPT_TYPE_EQ_cval".

@@ -1,10 +1,13 @@
-// AVX2 kernel tier — the primary BVLD/FILT substitution (Section 5.4,
+// AVX2 kernel tier — the BVLD/FILT/CRC32 substitution (Section 5.4,
 // Listing 1): 256-bit predicate evaluation producing BitVector words
-// directly, plus aggregation, arithmetic projection and partition-map
-// kernels. Same structure as simd_sse42.cc: kernels and their
-// explicit instantiations live inside the `#pragma GCC target`
-// region; the overlay functions below are baseline code that only
-// installs pointers.
+// directly, plus aggregation, arithmetic projection, RLE expansion,
+// Bloom probe, batched CRC32C hash and partition-map kernels. Kernels
+// and their explicit instantiations live inside a `#pragma GCC target`
+// region (the function-level equivalent of crc32.cc's dispatch idiom,
+// extended to templates) so their codegen gets the AVX2 flags; the
+// 4-way histogram and the overlay functions below are baseline code,
+// and the overlays only install pointers, so building the tables
+// executes no AVX2 instruction.
 //
 // Mask-building per element width (rows per 64-bit BitVector word):
 //   *  8-bit: _mm256_movemask_epi8 -> 32 bits/vec, 2 vecs/word;
@@ -20,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "primitives/agg.h"
 #include "primitives/simd.h"
@@ -687,6 +691,58 @@ void BloomProbeBv(const T* values, size_t n, const uint64_t* blocks,
 RAPID_SIMD_FOR_EACH_TYPE(RAPID_AVX2_INSTANTIATE_BLOOM)
 #undef RAPID_AVX2_INSTANTIATE_BLOOM
 
+// ---- Hash kernels ---------------------------------------------------------
+// No vector CRC32 instruction exists, so these are the scalar crc32
+// instruction batched: one per 8-byte key (AVX2 implies SSE4.2, which
+// supplies it). Sign-extension of narrower signed keys matches the
+// scalar static_cast<uint64_t>(keys[i]). The 4-way unroll hides the
+// 3-cycle crc32 latency across independent rows. Seeds match
+// Crc32U64 / Crc32Combine exactly.
+
+template <typename T>
+void HashTile(const T* keys, size_t n, uint32_t* out) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    out[i + 0] = static_cast<uint32_t>(__builtin_ia32_crc32di(
+        0xFFFFFFFFu, static_cast<uint64_t>(keys[i + 0])));
+    out[i + 1] = static_cast<uint32_t>(__builtin_ia32_crc32di(
+        0xFFFFFFFFu, static_cast<uint64_t>(keys[i + 1])));
+    out[i + 2] = static_cast<uint32_t>(__builtin_ia32_crc32di(
+        0xFFFFFFFFu, static_cast<uint64_t>(keys[i + 2])));
+    out[i + 3] = static_cast<uint32_t>(__builtin_ia32_crc32di(
+        0xFFFFFFFFu, static_cast<uint64_t>(keys[i + 3])));
+  }
+  for (; i < n; ++i) {
+    out[i] = static_cast<uint32_t>(
+        __builtin_ia32_crc32di(0xFFFFFFFFu, static_cast<uint64_t>(keys[i])));
+  }
+}
+
+template <typename T>
+void HashCombineTile(const T* keys, size_t n, uint32_t* inout) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    inout[i + 0] = static_cast<uint32_t>(__builtin_ia32_crc32di(
+        inout[i + 0], static_cast<uint64_t>(keys[i + 0])));
+    inout[i + 1] = static_cast<uint32_t>(__builtin_ia32_crc32di(
+        inout[i + 1], static_cast<uint64_t>(keys[i + 1])));
+    inout[i + 2] = static_cast<uint32_t>(__builtin_ia32_crc32di(
+        inout[i + 2], static_cast<uint64_t>(keys[i + 2])));
+    inout[i + 3] = static_cast<uint32_t>(__builtin_ia32_crc32di(
+        inout[i + 3], static_cast<uint64_t>(keys[i + 3])));
+  }
+  for (; i < n; ++i) {
+    inout[i] = static_cast<uint32_t>(
+        __builtin_ia32_crc32di(inout[i], static_cast<uint64_t>(keys[i])));
+  }
+}
+
+#define RAPID_AVX2_INSTANTIATE_HASH(T)                    \
+  template void HashTile<T>(const T*, size_t, uint32_t*); \
+  template void HashCombineTile<T>(const T*, size_t, uint32_t*);
+RAPID_SIMD_FOR_EACH_TYPE(RAPID_AVX2_INSTANTIATE_HASH)
+#undef RAPID_AVX2_INSTANTIATE_HASH
+
 // ---- Partition kernels ----------------------------------------------------
 
 // (hash >> shift) & mask for 16 rows per iteration, packed to uint16
@@ -738,6 +794,37 @@ void BucketIndicesAvx2(const uint32_t* hashes, size_t n, uint32_t mask,
 namespace rapid::primitives::simd {
 
 #if defined(RAPID_SIMD_X86_64)
+
+namespace {
+
+// Plain-C++ 4-way partial histogram, at baseline codegen outside the
+// target region: four independent count arrays break the
+// load-increment-store dependency on hot partitions, so it needs no
+// vector instructions at all. Merged counts are order-independent, so
+// the result is bit-identical.
+void Histogram4Way(const uint16_t* partition_of, size_t n, uint32_t* counts,
+                   size_t fanout) {
+  if (n < 256 || fanout > 8192) {
+    for (size_t i = 0; i < n; ++i) ++counts[partition_of[i]];
+    return;
+  }
+  thread_local std::vector<uint32_t> scratch;
+  scratch.assign(3 * fanout, 0);
+  uint32_t* c1 = scratch.data();
+  uint32_t* c2 = c1 + fanout;
+  uint32_t* c3 = c2 + fanout;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    ++counts[partition_of[i + 0]];
+    ++c1[partition_of[i + 1]];
+    ++c2[partition_of[i + 2]];
+    ++c3[partition_of[i + 3]];
+  }
+  for (; i < n; ++i) ++counts[partition_of[i]];
+  for (size_t p = 0; p < fanout; ++p) counts[p] += c1[p] + c2[p] + c3[p];
+}
+
+}  // namespace
 
 #define RAPID_AVX2_OVERLAY_FILTER(T)                                         \
   void Avx2Overlay(FilterKernelTable<T>* t) {                                \
@@ -816,12 +903,13 @@ void Avx2Overlay(ArithKernelTable<uint8_t>* t) { (void)t; }
 void Avx2Overlay(ArithKernelTable<int16_t>* t) { (void)t; }
 void Avx2Overlay(ArithKernelTable<uint16_t>* t) { (void)t; }
 
-// No AVX2 CRC32 instruction exists; the inherited SSE4.2 batched
-// kernels are already the best x86 tier.
-#define RAPID_AVX2_OVERLAY_HASH_NOOP(T) \
-  void Avx2Overlay(HashKernelTable<T>* t) { (void)t; }
-RAPID_SIMD_FOR_EACH_TYPE(RAPID_AVX2_OVERLAY_HASH_NOOP)
-#undef RAPID_AVX2_OVERLAY_HASH_NOOP
+#define RAPID_AVX2_OVERLAY_HASH(T)                   \
+  void Avx2Overlay(HashKernelTable<T>* t) {          \
+    t->tile = &avx2_impl::HashTile<T>;               \
+    t->combine = &avx2_impl::HashCombineTile<T>;     \
+  }
+RAPID_SIMD_FOR_EACH_TYPE(RAPID_AVX2_OVERLAY_HASH)
+#undef RAPID_AVX2_OVERLAY_HASH
 
 #define RAPID_AVX2_OVERLAY_BLOOM(T) \
   void Avx2Overlay(BloomKernelTable<T>* t) { t->probe_bv = &avx2_impl::BloomProbeBv<T>; }
@@ -835,6 +923,7 @@ RAPID_SIMD_FOR_EACH_TYPE(RAPID_AVX2_OVERLAY_RLE)
 
 void Avx2Overlay(PartitionKernelTable* t) {
   t->partition_of = &avx2_impl::PartitionOfAvx2;
+  t->histogram = &Histogram4Way;
   t->bucket_indices = &avx2_impl::BucketIndicesAvx2;
 }
 

@@ -3,8 +3,8 @@
 //
 // Everything here is `static` (internal linkage) ON PURPOSE: this
 // header is included both by simd.cc (baseline codegen) and by the
-// per-ISA translation units, which compile under `#pragma GCC target`
-// regions. With external linkage the instantiations would share one
+// AVX2 translation unit, which compiles under a `#pragma GCC target`
+// region. With external linkage the instantiations would share one
 // COMDAT symbol and the linker could keep the ISA-compiled copy,
 // silently executing e.g. AVX2 instructions on the scalar path.
 // Internal linkage gives each TU its own copy compiled with its own

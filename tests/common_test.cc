@@ -7,6 +7,7 @@
 #include <string>
 #include <type_traits>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -481,8 +482,6 @@ TEST(ConfigTest, AcceptsEverySpelling) {
   const SimdLevel cpu = SimdLevelSupported();
   ExpectSpelling("RAPID_SIMD", "off", &Config::simd, SimdLevel::kScalar);
   ExpectSpelling("RAPID_SIMD", "scalar", &Config::simd, SimdLevel::kScalar);
-  ExpectSpelling("RAPID_SIMD", "sse42", &Config::simd,
-                 std::min(SimdLevel::kSse42, cpu));
   ExpectSpelling("RAPID_SIMD", "avx2", &Config::simd, cpu);
   ExpectSpelling("RAPID_SIMD", "auto", &Config::simd, cpu);
   ExpectSpelling("RAPID_ENCODED_SCAN", "off", &Config::encoded_scan,
@@ -522,11 +521,18 @@ TEST(ConfigTest, EmptyValueGivesDefault) {
 
 TEST(ConfigTest, UnknownValueGivesDefaultAndOneWarning) {
   const Config defaults = Defaults();
+  std::vector<std::pair<const char*, const char*>> cases;
   for (const char* name : kEnvVars) {
     if (std::strcmp(name, "RAPID_TRACE_PATH") == 0) continue;  // any path
+    cases.emplace_back(name, "bogus");
+  }
+  // `sse42` names no tier: an unknown value like any other.
+  cases.emplace_back("RAPID_SIMD", "sse42");
+  for (const auto& [name, value] : cases) {
     std::vector<std::string> warnings;
-    EXPECT_TRUE(FromOne(name, "bogus", &warnings) == defaults) << name;
-    ASSERT_EQ(warnings.size(), 1u) << name;
+    EXPECT_TRUE(FromOne(name, value, &warnings) == defaults)
+        << name << "=" << value;
+    ASSERT_EQ(warnings.size(), 1u) << name << "=" << value;
     EXPECT_NE(warnings[0].find(name), std::string::npos) << warnings[0];
   }
 }
@@ -568,7 +574,6 @@ TEST(ConfigTest, ScopedConfigClampsAndRestores) {
 
 TEST(ConfigTest, NamesAreCanonicalSpellings) {
   EXPECT_STREQ(SimdLevelName(SimdLevel::kScalar), "scalar");
-  EXPECT_STREQ(SimdLevelName(SimdLevel::kSse42), "sse42");
   EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx2), "avx2");
   EXPECT_STREQ(TraceModeName(TraceMode::kSummary), "summary");
   EXPECT_STREQ(LogLevelName(LogLevel::kDebug), "debug");

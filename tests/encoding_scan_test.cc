@@ -264,9 +264,8 @@ TEST_F(EncodedScanEngineTest, OffAndAutoBitIdenticalAcrossTiersAndSchedulers) {
   }
   ASSERT_EQ(reference.rows.num_rows(), 1u);
 
-  const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kSse42,
-                              SimdLevel::kAvx2};
-  for (SimdLevel level : levels) {
+  for (int l = 0; l <= static_cast<int>(SimdLevelSupported()); ++l) {
+    const SimdLevel level = static_cast<SimdLevel>(l);
     ScopedConfig simd(&Config::simd, level);
     QueryResult off_run;
     QueryResult auto_run;

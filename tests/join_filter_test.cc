@@ -117,9 +117,8 @@ TEST_F(JoinFilterEngineTest, OffAndAutoBitIdenticalAcrossTiersAndSchedulers) {
   }
   ASSERT_GT(reference.rows.num_rows(), 0u);
 
-  const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kSse42,
-                              SimdLevel::kAvx2};
-  for (SimdLevel level : levels) {
+  for (int l = 0; l <= static_cast<int>(SimdLevelSupported()); ++l) {
+    const SimdLevel level = static_cast<SimdLevel>(l);
     ScopedConfig simd(&Config::simd, level);
     QueryResult off_run;
     QueryResult auto_run;
@@ -152,8 +151,6 @@ TEST_F(JoinFilterEngineTest, SemiAntiLeftOuterSemanticsUnchanged) {
   // pruning skips probe work without dropping output rows.
   const JoinType types[] = {JoinType::kSemi, JoinType::kAnti,
                             JoinType::kLeftOuter};
-  const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kSse42,
-                              SimdLevel::kAvx2};
   for (JoinType type : types) {
     QueryResult reference;
     {
@@ -161,8 +158,8 @@ TEST_F(JoinFilterEngineTest, SemiAntiLeftOuterSemanticsUnchanged) {
       ASSERT_OK_AND_ASSIGN(reference, engine_.Execute(SelectivePlan(type)));
     }
     ASSERT_GT(reference.rows.num_rows(), 0u);
-    for (SimdLevel level : levels) {
-      ScopedConfig simd(&Config::simd, level);
+    for (int l = 0; l <= static_cast<int>(SimdLevelSupported()); ++l) {
+      ScopedConfig simd(&Config::simd, static_cast<SimdLevel>(l));
       ScopedConfig on(&Config::join_filter, JoinFilterMode::kAuto);
       ASSERT_OK_AND_ASSIGN(QueryResult auto_run,
                            engine_.Execute(SelectivePlan(type)));
