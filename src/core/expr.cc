@@ -126,6 +126,28 @@ ColumnMeta ExprMeta(std::string name, const Expr& bound,
   return ScaledMeta(std::move(name), bound.scale);
 }
 
+namespace {
+
+// The values of bound operand `e` over the tile. An 8-byte column leaf
+// (every operator output column) is read in place: there is nothing to
+// widen, and a leaf charges nothing either way. Anything else, and a
+// leaf the caller rescales in place, is evaluated into a recycled
+// tile-pool buffer that `*scratch` holds until the caller's scope ends,
+// so nested expressions never touch the heap after the pool warms up.
+Result<const int64_t*> EvalOperand(ExecCtx& ctx, const Tile& tile,
+                                   const Expr& e, bool rescaled,
+                                   TileBufferPool::Handle* scratch) {
+  if (e.kind == Expr::Kind::kColumn && !rescaled) {
+    const TileColumn& col = tile.columns[static_cast<size_t>(e.slot)];
+    if (col.width == 8) return reinterpret_cast<const int64_t*>(col.data);
+  }
+  *scratch = ctx.pool().AcquireArray<int64_t>(tile.rows);
+  RAPID_RETURN_NOT_OK(EvalExpr(ctx, tile, e, scratch->as<int64_t>()));
+  return scratch->as<int64_t>();
+}
+
+}  // namespace
+
 Status EvalExpr(ExecCtx& ctx, const Tile& tile, const Expr& expr,
                 int64_t* out) {
   const size_t n = tile.rows;
@@ -139,37 +161,40 @@ Status EvalExpr(ExecCtx& ctx, const Tile& tile, const Expr& expr,
       std::fill_n(out, n, expr.value);
       return Status::OK();
     case Expr::Kind::kBinary: {
-      // Intermediates live in recycled tile-pool buffers (released on
-      // scope exit), so nested expressions never touch the heap after
-      // the pool warms up.
-      TileBufferPool::Handle lhs = ctx.pool().AcquireArray<int64_t>(n);
-      TileBufferPool::Handle rhs = ctx.pool().AcquireArray<int64_t>(n);
-      RAPID_RETURN_NOT_OK(EvalExpr(ctx, tile, *expr.left, lhs.as<int64_t>()));
-      RAPID_RETURN_NOT_OK(
-          EvalExpr(ctx, tile, *expr.right, rhs.as<int64_t>()));
       const int lscale = expr.left->scale;
       const int rscale = expr.right->scale;
-      if (expr.op == ArithOp::kMul) {
+      // Add/sub require a common scale: the smaller side is rescaled
+      // in place, so it needs a copy of its own.
+      const bool mul = expr.op == ArithOp::kMul;
+      const bool rescale_l = !mul && lscale < expr.scale;
+      const bool rescale_r = !mul && rscale < expr.scale;
+      TileBufferPool::Handle lbuf;
+      TileBufferPool::Handle rbuf;
+      RAPID_ASSIGN_OR_RETURN(
+          const int64_t* lhs,
+          EvalOperand(ctx, tile, *expr.left, rescale_l, &lbuf));
+      RAPID_ASSIGN_OR_RETURN(
+          const int64_t* rhs,
+          EvalOperand(ctx, tile, *expr.right, rescale_r, &rbuf));
+      if (mul) {
         // DSB multiply: mantissas multiply, scales add.
-        primitives::DsbMulTile(lhs.as<int64_t>(), lscale, rhs.as<int64_t>(),
-                               rscale, n, out);
+        primitives::DsbMulTile(lhs, lscale, rhs, rscale, n, out);
         ctx.ChargeCompute((ctx.params->arith_cycles_per_row +
                            ctx.params->mult_extra_cycles_per_row) *
                           static_cast<double>(n));
       } else {
-        // Add/sub require a common scale; rescale the smaller side.
-        if (lscale < expr.scale) {
-          primitives::DsbRescaleTile(lhs.as<int64_t>(), n, lscale, expr.scale);
+        if (rescale_l) {
+          primitives::DsbRescaleTile(lbuf.as<int64_t>(), n, lscale,
+                                     expr.scale);
         }
-        if (rscale < expr.scale) {
-          primitives::DsbRescaleTile(rhs.as<int64_t>(), n, rscale, expr.scale);
+        if (rescale_r) {
+          primitives::DsbRescaleTile(rbuf.as<int64_t>(), n, rscale,
+                                     expr.scale);
         }
         if (expr.op == ArithOp::kAdd) {
-          primitives::ArithColCol<ArithOp::kAdd, int64_t>(
-              lhs.as<int64_t>(), rhs.as<int64_t>(), n, out);
+          primitives::ArithColCol<ArithOp::kAdd, int64_t>(lhs, rhs, n, out);
         } else {
-          primitives::ArithColCol<ArithOp::kSub, int64_t>(
-              lhs.as<int64_t>(), rhs.as<int64_t>(), n, out);
+          primitives::ArithColCol<ArithOp::kSub, int64_t>(lhs, rhs, n, out);
         }
         ctx.ChargeCompute(ctx.params->arith_cycles_per_row *
                           static_cast<double>(n));
@@ -263,32 +288,6 @@ bool SamePredicate(const Predicate& a, const Predicate& b) {
 
 namespace {
 
-// Dispatches a const-comparison filter primitive on (op, width).
-template <typename T>
-void FilterConstDispatchTyped(CmpOp op, const T* data, size_t n, T constant,
-                              BitVector* out) {
-  switch (op) {
-    case CmpOp::kEq:
-      primitives::FilterConstBv<CmpOp::kEq, T>(data, n, constant, out);
-      break;
-    case CmpOp::kNe:
-      primitives::FilterConstBv<CmpOp::kNe, T>(data, n, constant, out);
-      break;
-    case CmpOp::kLt:
-      primitives::FilterConstBv<CmpOp::kLt, T>(data, n, constant, out);
-      break;
-    case CmpOp::kLe:
-      primitives::FilterConstBv<CmpOp::kLe, T>(data, n, constant, out);
-      break;
-    case CmpOp::kGt:
-      primitives::FilterConstBv<CmpOp::kGt, T>(data, n, constant, out);
-      break;
-    case CmpOp::kGe:
-      primitives::FilterConstBv<CmpOp::kGe, T>(data, n, constant, out);
-      break;
-  }
-}
-
 template <typename T>
 bool InRange(int64_t c) {
   return c >= static_cast<int64_t>(std::numeric_limits<T>::min()) &&
@@ -319,6 +318,18 @@ void FillVerdict(size_t n, bool verdict, BitVector* out) {
   if (verdict) out->SetAll();
 }
 
+// [lo, hi] clipped to T's range; empty (lo > hi) when it misses it.
+template <typename T>
+std::pair<int64_t, int64_t> ClipToRange(int64_t lo, int64_t hi) {
+  return {std::max(lo, static_cast<int64_t>(std::numeric_limits<T>::min())),
+          std::min(hi, static_cast<int64_t>(std::numeric_limits<T>::max()))};
+}
+
+template <typename T>
+const T* ColumnData(const TileColumn& col) {
+  return reinterpret_cast<const T*>(col.data);
+}
+
 void FilterConstDispatch(const TileColumn& col, size_t n, CmpOp op,
                          int64_t value, BitVector* out) {
   col.Visit([&](auto t) {
@@ -326,16 +337,11 @@ void FilterConstDispatch(const TileColumn& col, size_t n, CmpOp op,
     if (!InRange<T>(value)) {
       return FillVerdict(n, OutOfRangeVerdict(op, value > 0), out);
     }
-    FilterConstDispatchTyped<T>(op, reinterpret_cast<const T*>(col.data), n,
-                                static_cast<T>(value), out);
+    primitives::VisitCmpOp(op, [&](auto o) {
+      primitives::FilterConstBv<o(), T>(ColumnData<T>(col), n,
+                                        static_cast<T>(value), out);
+    });
   });
-}
-
-// [lo, hi] clipped to T's range; empty (lo > hi) when it misses it.
-template <typename T>
-std::pair<int64_t, int64_t> ClipToRange(int64_t lo, int64_t hi) {
-  return {std::max(lo, static_cast<int64_t>(std::numeric_limits<T>::min())),
-          std::min(hi, static_cast<int64_t>(std::numeric_limits<T>::max()))};
 }
 
 void FilterBetweenDispatch(const TileColumn& col, size_t n, int64_t lo,
@@ -344,35 +350,9 @@ void FilterBetweenDispatch(const TileColumn& col, size_t n, int64_t lo,
     using T = decltype(t);
     const auto [clo, chi] = ClipToRange<T>(lo, hi);
     if (clo > chi) return FillVerdict(n, false, out);
-    primitives::FilterBetweenBv<T>(reinterpret_cast<const T*>(col.data), n,
-                                   static_cast<T>(clo), static_cast<T>(chi),
-                                   out);
+    primitives::FilterBetweenBv<T>(ColumnData<T>(col), n, static_cast<T>(clo),
+                                   static_cast<T>(chi), out);
   });
-}
-
-template <typename T>
-void FilterColColTyped(CmpOp op, const T* left, const T* right, size_t n,
-                       BitVector* out) {
-  switch (op) {
-    case CmpOp::kEq:
-      primitives::FilterColColBv<CmpOp::kEq, T>(left, right, n, out);
-      break;
-    case CmpOp::kNe:
-      primitives::FilterColColBv<CmpOp::kNe, T>(left, right, n, out);
-      break;
-    case CmpOp::kLt:
-      primitives::FilterColColBv<CmpOp::kLt, T>(left, right, n, out);
-      break;
-    case CmpOp::kLe:
-      primitives::FilterColColBv<CmpOp::kLe, T>(left, right, n, out);
-      break;
-    case CmpOp::kGt:
-      primitives::FilterColColBv<CmpOp::kGt, T>(left, right, n, out);
-      break;
-    case CmpOp::kGe:
-      primitives::FilterColColBv<CmpOp::kGe, T>(left, right, n, out);
-      break;
-  }
 }
 
 // True when two tile columns store one element type (VisitPhysical).
@@ -392,8 +372,10 @@ void FilterColColDispatch(ExecCtx& ctx, CmpOp op, const TileColumn& l,
   if (SameElementType(l, r)) {
     l.Visit([&](auto t) {
       using T = decltype(t);
-      FilterColColTyped<T>(op, reinterpret_cast<const T*>(l.data),
-                           reinterpret_cast<const T*>(r.data), n, out);
+      primitives::VisitCmpOp(op, [&](auto o) {
+        primitives::FilterColColBv<o(), T>(ColumnData<T>(l), ColumnData<T>(r),
+                                           n, out);
+      });
     });
     return;
   }
@@ -401,7 +383,10 @@ void FilterColColDispatch(ExecCtx& ctx, CmpOp op, const TileColumn& l,
   TileBufferPool::Handle rhs = ctx.pool().AcquireArray<int64_t>(n);
   WidenColumn(l, nullptr, n, lhs.as<int64_t>());
   WidenColumn(r, nullptr, n, rhs.as<int64_t>());
-  FilterColColTyped<int64_t>(op, lhs.as<int64_t>(), rhs.as<int64_t>(), n, out);
+  primitives::VisitCmpOp(op, [&](auto o) {
+    primitives::FilterColColBv<o(), int64_t>(lhs.as<int64_t>(),
+                                             rhs.as<int64_t>(), n, out);
+  });
 }
 
 // Dispatches the Bloom probe kernel on the column's physical width.
@@ -415,8 +400,8 @@ void BloomProbeDispatch(const TileColumn& col, size_t n,
   col.Visit([&](auto t) {
     using T = decltype(t);
     primitives::simd::bloom_kernels<T>().probe_bv(
-        reinterpret_cast<const T*>(col.data), n, filter.blocks(),
-        filter.block_mask(), out->mutable_words());
+        ColumnData<T>(col), n, filter.blocks(), filter.block_mask(),
+        out->mutable_words());
   });
 }
 
@@ -424,8 +409,7 @@ void InSetDispatch(const TileColumn& col, size_t n, const BitVector& set,
                    BitVector* out) {
   col.Visit([&](auto t) {
     using T = decltype(t);
-    primitives::FilterDictSetBv(reinterpret_cast<const T*>(col.data), n, set,
-                                out);
+    primitives::FilterDictSetBv(ColumnData<T>(col), n, set, out);
   });
 }
 
@@ -468,10 +452,34 @@ bool RunMatches(const TileColumn& col, const Predicate& pred, size_t r) {
   return RunMatchesValue(pred, v);
 }
 
-// Evaluates `pred` into `out`. Returns whether the run-level short
-// circuit fired, so RefinePredicate knows the charge was already
-// run-based and skips its subset re-charge.
-bool EvalPredicateImpl(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
+// Whether `pred` evaluates once per RLE run of its column (the encoded
+// scan path): a single-column predicate over a tile the accessor
+// expanded from staged runs.
+bool RunLevel(const TileColumn& col, const Predicate& pred) {
+  return col.num_runs > 0 && pred.kind != Predicate::Kind::kCmpCol;
+}
+
+// Cycles per row of `pred`'s row-level kernel.
+double RowCycles(const ExecCtx& ctx, const Predicate& pred) {
+  return pred.kind == Predicate::Kind::kBloom
+             ? ctx.params->bloom_probe_cycles_per_row
+             : ctx.params->filter_cycles_per_row;
+}
+
+// The row-level charge of `pred` over a whole tile of `n` rows: what
+// the bit-vector kernels pay, and what the RID path pays before its
+// recharge to the qualifying rows (RefinePredicate).
+void ChargeTile(ExecCtx& ctx, const Predicate& pred, size_t n) {
+  double cycles = RowCycles(ctx, pred) * static_cast<double>(n);
+  if (pred.kind == Predicate::Kind::kBetween) cycles *= 2;  // two compares
+  ctx.ChargeCompute(cycles);
+  ctx.ChargeVectorizationPenalty(n);
+}
+
+// Evaluates `pred` over every row of the tile into `out`, once per run
+// on an RLE column (RunLevel) and through the bit-vector kernels
+// otherwise.
+void EvalPredicateImpl(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
                        BitVector* out) {
   const size_t n = tile.rows;
   const TileColumn& col = tile.columns[static_cast<size_t>(pred.slot)];
@@ -481,7 +489,7 @@ bool EvalPredicateImpl(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
   // once per run and emit whole bit-vector spans — no expanded-row
   // reads at all. The spans reproduce the per-row kernels bit for bit;
   // only the modeled charge changes (per run + per output word).
-  if (col.num_runs > 0 && pred.kind != Predicate::Kind::kCmpCol) {
+  if (RunLevel(col, pred)) {
     out->Resize(n);
     size_t row = 0;
     for (size_t r = 0; r < col.num_runs; ++r) {
@@ -491,32 +499,26 @@ bool EvalPredicateImpl(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
       }
       row += len;
     }
-    double per_row = ctx.params->filter_cycles_per_row;
-    if (pred.kind == Predicate::Kind::kBloom) {
-      // One mix + block test per run instead of per row.
-      per_row = ctx.params->bloom_probe_cycles_per_row;
-    }
-    double cycles = per_row * (static_cast<double>(col.num_runs) +
-                               static_cast<double>(n) / 64.0);
+    // A Bloom probe pays one mix + block test per run instead of per
+    // row.
+    double cycles = RowCycles(ctx, pred) * (static_cast<double>(col.num_runs) +
+                                            static_cast<double>(n) / 64.0);
     if (pred.kind == Predicate::Kind::kBetween) cycles *= 2;
     ctx.ChargeCompute(cycles);
     ctx.ChargeVectorizationPenalty(col.num_runs);
     ctx.core->counters().runs_filtered += col.num_runs;
-    return true;
+    return;
   }
 
-  double cycles = ctx.params->filter_cycles_per_row * static_cast<double>(n);
   switch (pred.kind) {
     case Predicate::Kind::kCmpConst:
       FilterConstDispatch(col, n, pred.op, pred.value, out);
       break;
     case Predicate::Kind::kBloom:
       BloomProbeDispatch(col, n, *pred.bloom, out);
-      cycles = ctx.params->bloom_probe_cycles_per_row * static_cast<double>(n);
       break;
     case Predicate::Kind::kBetween:
       FilterBetweenDispatch(col, n, pred.value, pred.value2, out);
-      cycles *= 2;  // two comparisons per row
       break;
     case Predicate::Kind::kInSet:
       InSetDispatch(col, n, pred.in_set, out);
@@ -527,9 +529,65 @@ bool EvalPredicateImpl(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
                            out);
       break;
   }
-  ctx.ChargeCompute(cycles);
-  ctx.ChargeVectorizationPenalty(n);
-  return false;
+  ChargeTile(ctx, pred, n);
+}
+
+// The RID kernel of `pred` over the first `n` entries of `rids`, with
+// the bit-vector path's int64 semantics: a constant outside a narrow
+// column's range gives its uniform verdict, BETWEEN clips to the
+// element range, IN tests codes against the bitmap's bounds. Returns
+// the kept count.
+size_t RefineRids(const Tile& tile, const Predicate& pred, uint32_t* rids,
+                  size_t n) {
+  const TileColumn& col = tile.columns[static_cast<size_t>(pred.slot)];
+  switch (pred.kind) {
+    case Predicate::Kind::kCmpConst:
+      return col.Visit([&](auto t) -> size_t {
+        using T = decltype(t);
+        if (!InRange<T>(pred.value)) {
+          return OutOfRangeVerdict(pred.op, pred.value > 0) ? n : 0;
+        }
+        return primitives::VisitCmpOp(pred.op, [&](auto o) {
+          return primitives::FilterConstRidRefine<o(), T>(
+              ColumnData<T>(col), static_cast<T>(pred.value), rids, n);
+        });
+      });
+    case Predicate::Kind::kBetween:
+      return col.Visit([&](auto t) -> size_t {
+        using T = decltype(t);
+        const auto [lo, hi] = ClipToRange<T>(pred.value, pred.value2);
+        if (lo > hi) return 0;
+        return primitives::FilterBetweenRidRefine<T>(
+            ColumnData<T>(col), static_cast<T>(lo), static_cast<T>(hi), rids,
+            n);
+      });
+    case Predicate::Kind::kInSet:
+      return col.Visit([&](auto t) {
+        using T = decltype(t);
+        return primitives::FilterDictSetRidRefine<T>(ColumnData<T>(col),
+                                                     pred.in_set, rids, n);
+      });
+    case Predicate::Kind::kBloom:
+      return col.Visit([&](auto t) {
+        using T = decltype(t);
+        return primitives::BloomProbeRidRefine<T>(ColumnData<T>(col),
+                                                  *pred.bloom, rids, n);
+      });
+    case Predicate::Kind::kCmpCol: {
+      const TileColumn& col2 = tile.columns[static_cast<size_t>(pred.slot2)];
+      return col.Visit([&](auto l) {
+        return col2.Visit([&](auto r) {
+          using L = decltype(l);
+          using R = decltype(r);
+          return primitives::VisitCmpOp(pred.op, [&](auto o) {
+            return primitives::FilterColColRidRefine<o(), L, R>(
+                ColumnData<L>(col), ColumnData<R>(col2), rids, n);
+          });
+        });
+      });
+    }
+  }
+  return n;
 }
 
 }  // namespace
@@ -542,28 +600,69 @@ void EvalPredicate(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
   }
 }
 
+bool RefinesOnRids(const Predicate& pred, size_t qualifying, size_t rows) {
+  size_t k = 1;
+  switch (pred.kind) {
+    case Predicate::Kind::kCmpConst:
+      k = primitives::kConstRidCrossover;
+      break;
+    case Predicate::Kind::kBetween:
+      k = primitives::kBetweenRidCrossover;
+      break;
+    case Predicate::Kind::kInSet:
+      k = primitives::kDictSetRidCrossover;
+      break;
+    case Predicate::Kind::kCmpCol:
+      k = primitives::kColColRidCrossover;
+      break;
+    case Predicate::Kind::kBloom:
+      k = primitives::kBloomRidCrossover;
+      break;
+  }
+  return qualifying * k <= rows;
+}
+
 void RefinePredicate(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
-                     const BitVector& in, BitVector* out) {
-  // Evaluate on the qualifying subset only: the bvld/filteq loop of
-  // Listing 1 touches just the set rows. Functionally we evaluate the
-  // predicate into `out` and intersect; the cycle charge reflects the
-  // subset.
-  const size_t qualifying = in.CountOnes();
-  const bool run_level = EvalPredicateImpl(ctx, tile, pred, out);
-  // Undo the full-tile charge and re-charge only the gathered rows.
+                     Selection* sel) {
+  // The bvld/filteq loop of Listing 1 touches just the qualifying
+  // rows, and the cycle charge says so on every path.
+  const size_t n = tile.rows;
+  const size_t qualifying = sel->count;
+  const TileColumn& col = tile.columns[static_cast<size_t>(pred.slot)];
+  const bool run_level = RunLevel(col, pred);
+  if (!sel->sparse) {
+    // Dense: the bit-vector kernel runs over the whole tile and its
+    // result is intersected with the selection.
+    EvalPredicateImpl(ctx, tile, pred, &sel->scratch);
+    sel->bits.And(sel->scratch);
+    sel->count = sel->bits.CountOnes();
+  } else if (run_level) {
+    // Sparse over RLE runs: one verdict per run, then the list keeps
+    // the rows whose run passed.
+    EvalPredicateImpl(ctx, tile, pred, &sel->scratch);
+    size_t kept = 0;
+    for (size_t i = 0; i < qualifying; ++i) {
+      const uint32_t r = sel->rids[i];
+      sel->rids[kept] = r;
+      kept += sel->scratch.Test(r) ? 1 : 0;
+    }
+    sel->count = kept;
+  } else {
+    // Sparse: the RID kernel tests only the listed rows. It charges
+    // what the bit-vector kernel would, so the recharge below lands on
+    // the same modeled cycles whichever path ran.
+    ChargeTile(ctx, pred, n);
+    sel->count = RefineRids(tile, pred, sel->rids, qualifying);
+  }
+  // Undo the full-tile charge and re-charge only the qualifying rows.
   // The run-level path already charged per run (cheaper than either
   // side of this adjustment), so leave its charge alone.
   if (!run_level) {
-    const double per_row =
-        pred.kind == Predicate::Kind::kBloom
-            ? ctx.params->bloom_probe_cycles_per_row
-            : ctx.params->filter_cycles_per_row;
-    ctx.ChargeCompute(per_row * (static_cast<double>(qualifying) -
-                                 static_cast<double>(tile.rows)));
+    ctx.ChargeCompute(RowCycles(ctx, pred) * (static_cast<double>(qualifying) -
+                                              static_cast<double>(n)));
   }
-  out->And(in);
   if (pred.kind == Predicate::Kind::kBloom) {
-    ctx.core->counters().rows_pruned_by_join_filter += qualifying - out->CountOnes();
+    ctx.core->counters().rows_pruned_by_join_filter += qualifying - sel->count;
   }
 }
 

@@ -154,11 +154,40 @@ bool SamePredicate(const Predicate& a, const Predicate& b);
 void EvalPredicate(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
                    BitVector* out);
 
-// Refines an existing qualifying bit vector with one more bound
-// predicate (the Listing 1 loop: only set rows are re-evaluated).
-// `in` and `out` must be distinct.
+// The qualifying rows of one tile partway through a predicate chain.
+// Dense, they are the set bits of `bits`. Sparse, they are the first
+// `count` entries of `rids`, ascending (the selection vector), and
+// `bits` is stale. `count` is the qualifying count either way.
+struct Selection {
+  BitVector bits;
+  // Per-predicate result scratch, hoisted so tiles reuse its capacity.
+  BitVector scratch;
+  // Tile-rows capacity, owned by the caller (a tile-pool lease).
+  uint32_t* rids = nullptr;
+  size_t count = 0;
+  bool sparse = false;
+
+  // Turns the dense selection into the RID list.
+  void ToRids() {
+    count = bits.ToRids(rids);
+    sparse = true;
+  }
+};
+
+// Whether a chain with `qualifying` of a tile's `rows` rows left should
+// run `pred` over the RID list: at or below the crossover of its kind
+// (primitives::k*RidCrossover, measured by bench_primitives).
+bool RefinesOnRids(const Predicate& pred, size_t qualifying, size_t rows);
+
+// Refines `sel` with one more bound predicate (the Listing 1 loop: only
+// qualifying rows count). A dense selection runs the bit-vector kernel
+// over the tile and intersects; a sparse one runs the RID kernel over
+// the listed rows and compacts the list; an RLE column decides once per
+// run either way. Every path charges the full-tile cost and then
+// re-charges it down to the qualifying rows (the run-level path keeps
+// its per-run charge), so modeled cycles do not depend on the path.
 void RefinePredicate(ExecCtx& ctx, const Tile& tile, const Predicate& pred,
-                     const BitVector& in, BitVector* out);
+                     Selection* sel);
 
 }  // namespace rapid::core
 

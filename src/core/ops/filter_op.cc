@@ -35,30 +35,39 @@ Status FilterOp::Open(ExecCtx& ctx) {
     out_.columns[c].data = out_buffers_[c].data();
   }
   rid_buffer_ = ctx.pool().AcquireArray<uint32_t>(tile_rows_);
+  selection_.rids = rid_buffer_.as<uint32_t>();
   return Status::OK();
 }
 
 Status FilterOp::Consume(ExecCtx& ctx, const Tile& tile) {
   rows_in_ += tile.rows;
 
-  if (predicates_.empty()) {
-    selected_.Resize(tile.rows);
-    selected_.SetAll();
-  } else {
-    EvalPredicate(ctx, tile, predicates_[0], &selected_);
+  Selection& sel = selection_;
+  sel.count = tile.rows;
+  sel.sparse = false;
+  if (!predicates_.empty()) {
+    EvalPredicate(ctx, tile, predicates_[0], &sel.bits);
+    sel.count = sel.bits.CountOnes();
     for (size_t p = 1; p < predicates_.size(); ++p) {
-      RefinePredicate(ctx, tile, predicates_[p], selected_, &refined_);
-      std::swap(selected_, refined_);
+      if (!sel.sparse && RefinesOnRids(predicates_[p], sel.count, tile.rows)) {
+        sel.ToRids();
+      }
+      RefinePredicate(ctx, tile, predicates_[p], &sel);
     }
   }
 
   // Late materialization: gather projection columns for qualifying
   // rows only. The RID list doubles as the gather descriptor the RA
-  // programs into the DMS.
-  uint32_t* rids = rid_buffer_.as<uint32_t>();
-  const size_t q = selected_.ToRids(rids);
+  // programs into the DMS; when every row qualifies the columns copy
+  // contiguously instead.
+  const size_t q = sel.count;
   rows_out_ += q;
   if (q == 0) return Status::OK();
+  const uint32_t* rids = nullptr;
+  if (q < tile.rows) {
+    if (!sel.sparse) sel.ToRids();
+    rids = sel.rids;
+  }
 
   out_.rows = q;
   out_.base_row = tile.base_row;

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/mix64.h"
+#include "primitives/simd.h"
 
 namespace rapid::primitives {
 
@@ -101,6 +102,24 @@ class BlockedBloomFilter {
   std::vector<uint64_t> words_;
   uint32_t block_mask_ = 0;
 };
+
+// Selection-vector probe (filter.h): keeps rids[i] iff the filter may
+// contain static_cast<uint64_t>(values[rids[i]]) — the native element
+// widened exactly as the bit-vector probe kernels and the build side's
+// inserts widen it — compacting the list in place. Returns the count.
+// Runs the active SIMD tier's kernel (simd.h BloomKernelTable).
+template <typename T>
+size_t BloomProbeRidRefine(const T* values, const BlockedBloomFilter& filter,
+                           uint32_t* rids, size_t n) {
+  return simd::bloom_kernels<T>().probe_rid(values, filter.blocks(),
+                                            filter.block_mask(), rids, n);
+}
+
+// A chain switches to the RID list before a Bloom probe once at most
+// rows / kBloomRidCrossover of a tile's rows still qualify (see the
+// crossovers in filter.h). A probe costs one Mix64 and one block test
+// on either path, so the RID probe wins at every measured density.
+inline constexpr size_t kBloomRidCrossover = 2;
 
 }  // namespace rapid::primitives
 

@@ -51,23 +51,6 @@ void FilterConstBv(const T* values, size_t n, T constant, BitVector* out) {
   }
 }
 
-// Refines a previous predicate's bit vector: for rows whose bit is
-// set, re-evaluate; others stay unqualified. This is the
-// rpdmpr_bvflt loop of Listing 1 (bvld gathers the next qualifying
-// value, filteq tests it); here the predicate word is computed
-// vectorized and ANDed with the input word — identical bits, since
-// kernel tail bits above n are zero exactly like MaskTail's invariant.
-template <CmpOp op, typename T>
-void FilterConstBvRefine(const T* values, size_t n, T constant,
-                         const BitVector& in, BitVector* out) {
-  FilterConstBv<op, T>(values, n, constant, out);
-  uint64_t* words = out->mutable_words();
-  const size_t num_words = out->num_words();
-  const size_t shared = std::min(num_words, in.num_words());
-  for (size_t wi = 0; wi < shared; ++wi) words[wi] &= in.words()[wi];
-  for (size_t wi = shared; wi < num_words; ++wi) words[wi] = 0;
-}
-
 // values[i] in [lo, hi] — fused range predicate.
 template <typename T>
 void FilterBetweenBv(const T* values, size_t n, T lo, T hi, BitVector* out) {
@@ -102,6 +85,17 @@ void FilterColColBv(const T* left, const T* right, size_t n, BitVector* out) {
   }
 }
 
+// 1 iff `code` is a member of the code bitmap: negative codes and
+// codes at or beyond its size never are.
+template <typename T>
+inline uint64_t DictSetMember(T code, const BitVector& qualifying_codes) {
+  if constexpr (std::is_signed_v<T>) {
+    if (code < 0) return 0;
+  }
+  const auto c = static_cast<uint64_t>(code);
+  return c < qualifying_codes.size() && qualifying_codes.Test(c);
+}
+
 // Dictionary-set membership: qualifying dictionary codes are given as
 // a bitmap over the code space (produced by Dictionary::RangeLookup /
 // PrefixLookup or an IN list). Codes come at any width: negative and
@@ -113,17 +107,12 @@ void FilterDictSetBv(const T* codes, size_t n,
                      const BitVector& qualifying_codes, BitVector* out) {
   out->Resize(n);
   uint64_t* words = out->mutable_words();
-  const auto member = [&](T code) -> uint64_t {
-    if constexpr (std::is_signed_v<T>) {
-      if (code < 0) return 0;
-    }
-    const auto c = static_cast<uint64_t>(code);
-    return c < qualifying_codes.size() && qualifying_codes.Test(c);
-  };
   for (size_t i = 0; i < n; i += 64) {
     const size_t end = std::min(n, i + 64);
     uint64_t bits = 0;
-    for (size_t r = i; r < end; ++r) bits |= member(codes[r]) << (r - i);
+    for (size_t r = i; r < end; ++r) {
+      bits |= DictSetMember(codes[r], qualifying_codes) << (r - i);
+    }
     words[i / 64] = bits;
   }
 }
@@ -167,41 +156,110 @@ void FilterConstRid(const T* values, size_t n, T constant,
   }
 }
 
-// Refines an existing RID list in place: keeps rid r iff
-// values[r] op constant. `values` is indexed by the rids (a gathered
-// tile), i.e. values[i] corresponds to rids[i].
-template <CmpOp op, typename T>
-size_t FilterGatheredRid(const T* values, T constant,
-                         std::vector<uint32_t>* rids) {
-  const size_t n = rids->size();
-  size_t out = 0;
-  if constexpr (simd::kHasKernelTables<T>) {
-    const auto fn = simd::filter_kernels<T>().const_bv[static_cast<int>(op)];
-    uint64_t words[detail::kRidChunkRows / 64];
-    for (size_t base = 0; base < n; base += detail::kRidChunkRows) {
-      const size_t rows = std::min(detail::kRidChunkRows, n - base);
-      fn(values + base, rows, constant, words);
-      const size_t num_words = (rows + 63) / 64;
-      for (size_t wi = 0; wi < num_words; ++wi) {
-        uint64_t w = words[wi];
-        // In-place compaction is safe: `out` never overtakes the row
-        // being read (out <= base + wi*64 + bit always holds).
-        while (w != 0) {
-          const size_t row =
-              base + wi * 64 + static_cast<size_t>(__builtin_ctzll(w));
-          (*rids)[out++] = (*rids)[row];
-          w &= (w - 1);
-        }
-      }
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      const bool keep = Compare<op, T>(values[i], constant);
-      (*rids)[out] = (*rids)[i];
-      out += keep ? 1 : 0;
-    }
+// ---- Selection-vector refinement -------------------------------------------
+//
+// Once few rows of a tile still qualify, a predicate chain turns its
+// bit vector into an ascending RID list (the selection vector) and
+// each later predicate tests only the listed rows of the tile column:
+// the Listing 1 loop, whose bvld fetches only the set rows. Each kernel
+// keeps rids[i] iff its row passes, compacts the list in place (order
+// stays ascending) and returns the new count. Values compare exactly
+// as the bit-vector kernels do; the caller range-checks constants
+// against a narrow element type first, as it does for them.
+
+// Crossovers: a chain switches to the RID list before a predicate of
+// a kind once at most rows / k of a tile's rows still qualify. Each k
+// is the densest density 1/k at which bench_primitives' rid_vs_bv
+// table has the RID kernel at least 1.25x faster than the bit-vector
+// kernel plus And on AVX2 (bloom.h holds the Bloom probe's); the
+// margin keeps a near-tie from flipping with noise or with columns
+// that no longer sit in L1. The compare kernels' AVX2 twins test 8-32
+// rows per instruction, so they keep the bit vector until the
+// selection is sparse; the in-set bitmap probe is scalar either way.
+inline constexpr size_t kConstRidCrossover = 8;
+inline constexpr size_t kBetweenRidCrossover = 16;
+inline constexpr size_t kColColRidCrossover = 16;
+inline constexpr size_t kDictSetRidCrossover = 2;
+
+// Calls fn(std::integral_constant<CmpOp, op>{}): resolves a runtime
+// op to a kernel template once, outside the row loop.
+template <typename Fn>
+decltype(auto) VisitCmpOp(CmpOp op, Fn&& fn) {
+  switch (op) {
+    case CmpOp::kEq:
+      return fn(std::integral_constant<CmpOp, CmpOp::kEq>{});
+    case CmpOp::kNe:
+      return fn(std::integral_constant<CmpOp, CmpOp::kNe>{});
+    case CmpOp::kLt:
+      return fn(std::integral_constant<CmpOp, CmpOp::kLt>{});
+    case CmpOp::kLe:
+      return fn(std::integral_constant<CmpOp, CmpOp::kLe>{});
+    case CmpOp::kGt:
+      return fn(std::integral_constant<CmpOp, CmpOp::kGt>{});
+    case CmpOp::kGe:
+      break;
   }
-  rids->resize(out);
+  return fn(std::integral_constant<CmpOp, CmpOp::kGe>{});
+}
+
+// Keeps rids[i] iff values[rids[i]] op constant.
+template <CmpOp op, typename T>
+size_t FilterConstRidRefine(const T* values, T constant, uint32_t* rids,
+                            size_t n) {
+  size_t out = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t r = rids[i];
+    rids[out] = r;
+    out += Compare<op, T>(values[r], constant) ? 1 : 0;
+  }
+  return out;
+}
+
+// Keeps rids[i] iff values[rids[i]] lies in [lo, hi].
+template <typename T>
+size_t FilterBetweenRidRefine(const T* values, T lo, T hi, uint32_t* rids,
+                              size_t n) {
+  size_t out = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t r = rids[i];
+    const T v = values[r];
+    rids[out] = r;
+    out += (v >= lo && v <= hi) ? 1 : 0;
+  }
+  return out;
+}
+
+// Keeps rids[i] iff left[r] op right[r] for r = rids[i], both sides
+// compared as int64 — what the bit-vector path computes when the two
+// element types differ (both widen first) and, for one element type,
+// the same verdict as comparing natively.
+template <CmpOp op, typename L, typename R>
+size_t FilterColColRidRefine(const L* left, const R* right, uint32_t* rids,
+                             size_t n) {
+  size_t out = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t r = rids[i];
+    rids[out] = r;
+    out += Compare<op, int64_t>(static_cast<int64_t>(left[r]),
+                                static_cast<int64_t>(right[r]))
+               ? 1
+               : 0;
+  }
+  return out;
+}
+
+// Keeps rids[i] iff codes[rids[i]] is a member of `qualifying_codes`
+// (negative and out-of-bitmap codes never are, as in FilterDictSetBv).
+template <typename T>
+size_t FilterDictSetRidRefine(const T* codes,
+                              const BitVector& qualifying_codes,
+                              uint32_t* rids, size_t n) {
+  size_t out = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t r = rids[i];
+    rids[out] = r;
+    out += DictSetMember(codes[r], qualifying_codes);
+  }
   return out;
 }
 

@@ -73,6 +73,7 @@ template <typename T>
 BloomKernelTable<T> ScalarBloomTable() {
   BloomKernelTable<T> t;
   t.probe_bv = &ScalarBloomProbeBv<T>;
+  t.probe_rid = &ScalarBloomProbeRid<T>;
   return t;
 }
 

@@ -135,7 +135,14 @@ struct BloomKernelTable {
   using ProbeBvFn = void (*)(const T* values, size_t n,
                              const uint64_t* blocks, uint32_t block_mask,
                              uint64_t* words);
+  // Selection-vector probe: keeps rids[i] (i < n) iff the filter may
+  // contain uint64(values[rids[i]]), compacting the list in place in
+  // order, and returns the kept count.
+  using ProbeRidFn = size_t (*)(const T* values, const uint64_t* blocks,
+                                uint32_t block_mask, uint32_t* rids,
+                                size_t n);
   ProbeBvFn probe_bv = nullptr;
+  ProbeRidFn probe_rid = nullptr;
 };
 
 template <typename T>

@@ -647,47 +647,74 @@ RAPID_SIMD_FOR_EACH_TYPE(RAPID_AVX2_INSTANTIATE_RLE)
 // chain feeding the vector part). Exact integer math throughout, so
 // the output is bit-identical to the scalar twin.
 
+// BloomBlockTest of key `key`'s block, vectorized as above.
+static inline bool BloomKeyHit(uint64_t key, const uint64_t* blocks,
+                               uint32_t block_mask, __m256i salts) {
+  const __m256i ones = _mm256_set1_epi64x(1);
+  const uint64_t h = Mix64(key);
+  const uint64_t* block = blocks + BloomBlockIndex(h, block_mask) * kBloomLanes;
+  const __m256i pos32 = _mm256_srli_epi32(
+      _mm256_mullo_epi32(
+          _mm256_set1_epi32(static_cast<int32_t>(static_cast<uint32_t>(h))),
+          salts),
+      26);
+  const __m256i pos_lo = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(pos32));
+  const __m256i pos_hi =
+      _mm256_cvtepu32_epi64(_mm256_extracti128_si256(pos32, 1));
+  const __m256i mask_lo = _mm256_sllv_epi64(ones, pos_lo);
+  const __m256i mask_hi = _mm256_sllv_epi64(ones, pos_hi);
+  const __m256i hit_lo =
+      _mm256_cmpeq_epi64(_mm256_and_si256(Load256(block), mask_lo), mask_lo);
+  const __m256i hit_hi = _mm256_cmpeq_epi64(
+      _mm256_and_si256(Load256(block + 4), mask_hi), mask_hi);
+  return _mm256_movemask_pd(_mm256_castsi256_pd(
+             _mm256_and_si256(hit_lo, hit_hi))) == 0xF;
+}
+
+static inline __m256i BloomSalts() {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kBloomSalt));
+}
+
 template <typename T>
 void BloomProbeBv(const T* values, size_t n, const uint64_t* blocks,
                   uint32_t block_mask, uint64_t* words) {
-  const __m256i salts =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kBloomSalt));
-  const __m256i ones = _mm256_set1_epi64x(1);
+  const __m256i salts = BloomSalts();
   const size_t num_words = (n + 63) / 64;
   for (size_t wi = 0; wi < num_words; ++wi) {
     const size_t base = wi * 64;
     const size_t rows = n - base < 64 ? n - base : 64;
     uint64_t w = 0;
     for (size_t i = 0; i < rows; ++i) {
-      const uint64_t h = Mix64(static_cast<uint64_t>(values[base + i]));
-      const uint64_t* block =
-          blocks + BloomBlockIndex(h, block_mask) * kBloomLanes;
-      const __m256i pos32 = _mm256_srli_epi32(
-          _mm256_mullo_epi32(
-              _mm256_set1_epi32(static_cast<int32_t>(static_cast<uint32_t>(h))),
-              salts),
-          26);
-      const __m256i pos_lo =
-          _mm256_cvtepu32_epi64(_mm256_castsi256_si128(pos32));
-      const __m256i pos_hi =
-          _mm256_cvtepu32_epi64(_mm256_extracti128_si256(pos32, 1));
-      const __m256i mask_lo = _mm256_sllv_epi64(ones, pos_lo);
-      const __m256i mask_hi = _mm256_sllv_epi64(ones, pos_hi);
-      const __m256i hit_lo = _mm256_cmpeq_epi64(
-          _mm256_and_si256(Load256(block), mask_lo), mask_lo);
-      const __m256i hit_hi = _mm256_cmpeq_epi64(
-          _mm256_and_si256(Load256(block + 4), mask_hi), mask_hi);
-      const int mm = _mm256_movemask_pd(
-          _mm256_castsi256_pd(_mm256_and_si256(hit_lo, hit_hi)));
-      w |= static_cast<uint64_t>(mm == 0xF) << i;
+      w |= static_cast<uint64_t>(BloomKeyHit(
+               static_cast<uint64_t>(values[base + i]), blocks, block_mask,
+               salts))
+           << i;
     }
     words[wi] = w;
   }
 }
 
-#define RAPID_AVX2_INSTANTIATE_BLOOM(T)                               \
-  template void BloomProbeBv<T>(const T*, size_t, const uint64_t*,    \
-                                uint32_t, uint64_t*);
+template <typename T>
+size_t BloomProbeRid(const T* values, const uint64_t* blocks,
+                     uint32_t block_mask, uint32_t* rids, size_t n) {
+  const __m256i salts = BloomSalts();
+  size_t out = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t r = rids[i];
+    rids[out] = r;
+    out += BloomKeyHit(static_cast<uint64_t>(values[r]), blocks, block_mask,
+                       salts)
+               ? 1
+               : 0;
+  }
+  return out;
+}
+
+#define RAPID_AVX2_INSTANTIATE_BLOOM(T)                                 \
+  template void BloomProbeBv<T>(const T*, size_t, const uint64_t*,      \
+                                uint32_t, uint64_t*);                   \
+  template size_t BloomProbeRid<T>(const T*, const uint64_t*, uint32_t, \
+                                   uint32_t*, size_t);
 RAPID_SIMD_FOR_EACH_TYPE(RAPID_AVX2_INSTANTIATE_BLOOM)
 #undef RAPID_AVX2_INSTANTIATE_BLOOM
 
@@ -912,7 +939,10 @@ RAPID_SIMD_FOR_EACH_TYPE(RAPID_AVX2_OVERLAY_HASH)
 #undef RAPID_AVX2_OVERLAY_HASH
 
 #define RAPID_AVX2_OVERLAY_BLOOM(T) \
-  void Avx2Overlay(BloomKernelTable<T>* t) { t->probe_bv = &avx2_impl::BloomProbeBv<T>; }
+  void Avx2Overlay(BloomKernelTable<T>* t) {     \
+    t->probe_bv = &avx2_impl::BloomProbeBv<T>;    \
+    t->probe_rid = &avx2_impl::BloomProbeRid<T>;  \
+  }
 RAPID_SIMD_FOR_EACH_TYPE(RAPID_AVX2_OVERLAY_BLOOM)
 #undef RAPID_AVX2_OVERLAY_BLOOM
 

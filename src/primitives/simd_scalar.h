@@ -165,6 +165,22 @@ static void ScalarBloomProbeBv(const T* values, size_t n,
   }
 }
 
+template <typename T>
+static size_t ScalarBloomProbeRid(const T* values, const uint64_t* blocks,
+                                  uint32_t block_mask, uint32_t* rids,
+                                  size_t n) {
+  size_t out = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t r = rids[i];
+    const uint64_t h = Mix64(static_cast<uint64_t>(values[r]));
+    const uint64_t* block =
+        blocks + BloomBlockIndex(h, block_mask) * kBloomLanes;
+    rids[out] = r;
+    out += BloomBlockTest(block, static_cast<uint32_t>(h)) ? 1 : 0;
+  }
+  return out;
+}
+
 // ---- RLE expansion kernels ------------------------------------------------
 
 template <typename T>

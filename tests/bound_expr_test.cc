@@ -200,6 +200,58 @@ TEST(BoundExprTest, BareColumnProjectionAliasesItsInput) {
 
 // ---- Mixed-scale decimal arithmetic against Volcano -----------------------
 
+TEST(BoundExprTest, EightByteLeavesAreReadInPlace) {
+  // a (int64) * b (decimal, scale 2) + c (4-byte int): the product reads
+  // both 8-byte leaves where they lie, the sum leases one buffer for the
+  // product and one for c, which it widens and rescales to scale 2.
+  std::vector<int64_t> a = {1, -2, 3, 40000000000};
+  std::vector<int64_t> b = {150, 250, -5, 2};
+  std::vector<int32_t> c = {7, -8, 9, 10};
+  Tile tile;
+  tile.rows = a.size();
+  tile.columns.resize(3);
+  tile.columns[0].data = reinterpret_cast<uint8_t*>(a.data());
+  tile.columns[1].data = reinterpret_cast<uint8_t*>(b.data());
+  tile.columns[1].type = storage::DataType::kDecimal;
+  tile.columns[1].dsb_scale = 2;
+  tile.columns[2].data = reinterpret_cast<uint8_t*>(c.data());
+  tile.columns[2].type = storage::DataType::kInt32;
+  tile.columns[2].width = 4;
+  ColumnMeta cm{"c", storage::DataType::kInt32, 0};
+  cm.width = 4;
+  const std::vector<ColumnMeta> schema = {
+      ColumnMeta{"a", {}, 0}, ColumnMeta{"b", storage::DataType::kDecimal, 2},
+      cm};
+  const ExprPtr expr = Bound(
+      Expr::Add(Expr::Mul(Expr::Col("a"), Expr::Col("b")), Expr::Col("c")),
+      schema);
+  ASSERT_EQ(expr->scale, 2);
+
+  dpu::Dpu dpu;
+  ExecCtx ctx{&dpu.core(0), &dpu.dms(), &dpu.params(), true};
+  std::vector<int64_t> out(a.size());
+  const uint64_t acquires = ctx.pool().stats().acquires;
+  ASSERT_OK(EvalExpr(ctx, tile, *expr, out.data()));
+  EXPECT_EQ(ctx.pool().stats().acquires - acquires, 2u);
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(out[i], a[i] * b[i] + int64_t{c[i]} * 100) << i;
+  }
+  // The leaves were read, not written.
+  EXPECT_EQ(a, (std::vector<int64_t>{1, -2, 3, 40000000000}));
+  EXPECT_EQ(b, (std::vector<int64_t>{150, 250, -5, 2}));
+
+  // b - a: a is rescaled in place, so it alone takes a copy.
+  const ExprPtr diff =
+      Bound(Expr::Sub(Expr::Col("b"), Expr::Col("a")), schema);
+  const uint64_t before = ctx.pool().stats().acquires;
+  ASSERT_OK(EvalExpr(ctx, tile, *diff, out.data()));
+  EXPECT_EQ(ctx.pool().stats().acquires - before, 1u);
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(out[i], b[i] - a[i] * 100) << i;
+  }
+  EXPECT_EQ(a, (std::vector<int64_t>{1, -2, 3, 40000000000}));
+}
+
 TEST(BoundExprTest, MixedScaleDecimalArithmeticMatchesVolcano) {
   // a has 2 decimals, b 1 and c 4: a*b is at scale 3, so a*b + c
   // rescales the product and a*b + b rescales b.

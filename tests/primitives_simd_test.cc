@@ -165,17 +165,12 @@ TYPED_TEST(SimdFilterTest, RidListsMatchScalarOrderAndContent) {
     config.Set(&Config::simd, SimdLevel::kScalar);
     std::vector<uint32_t> ref_rids;
     FilterConstRid<CmpOp::kLe, T>(values.data(), n, c, &ref_rids);
-    std::vector<uint32_t> ref_gathered = ref_rids;
-    {
-      // Gather the qualifying values, then refine with a second
-      // predicate — mirrors the RID pipeline in the executor.
-      std::vector<T> gathered(ref_gathered.size());
-      for (size_t i = 0; i < ref_gathered.size(); ++i) {
-        gathered[i] = values[ref_gathered[i]];
-      }
-      FilterGatheredRid<CmpOp::kGe, T>(gathered.data(), static_cast<T>(3),
-                                       &ref_gathered);
-    }
+    // Refine the list with a second predicate, as a sparse predicate
+    // chain does.
+    std::vector<uint32_t> ref_refined = ref_rids;
+    ref_refined.resize(FilterConstRidRefine<CmpOp::kGe, T>(
+        values.data(), static_cast<T>(3), ref_refined.data(),
+        ref_refined.size()));
 
     for (SimdLevel level : LevelsToTest()) {
       config.Set(&Config::simd, level);
@@ -184,15 +179,10 @@ TYPED_TEST(SimdFilterTest, RidListsMatchScalarOrderAndContent) {
       EXPECT_EQ(ref_rids, rids)
           << "FilterConstRid n " << n << " level "
           << rapid::SimdLevelName(level);
-      std::vector<uint32_t> refined = ref_rids;
-      std::vector<T> gathered(refined.size());
-      for (size_t i = 0; i < refined.size(); ++i) {
-        gathered[i] = values[refined[i]];
-      }
-      const size_t kept = FilterGatheredRid<CmpOp::kGe, T>(
-          gathered.data(), static_cast<T>(3), &refined);
-      EXPECT_EQ(ref_gathered, refined);
-      EXPECT_EQ(ref_gathered.size(), kept);
+      std::vector<uint32_t> refined = rids;
+      refined.resize(FilterConstRidRefine<CmpOp::kGe, T>(
+          values.data(), static_cast<T>(3), refined.data(), refined.size()));
+      EXPECT_EQ(ref_refined, refined);
     }
   }
 }
@@ -216,24 +206,6 @@ TEST(FilterConstBvReuse, NoOrAccumulationAcrossShrinkingAndGrowingTiles) {
       ASSERT_EQ(bv.CountOnes(), 0u) << "level "
                                     << rapid::SimdLevelName(level);
     }
-  }
-}
-
-TEST(FilterConstBvRefine, MatchesFilterThenAnd) {
-  ScopedConfig config(&Config::simd, SimdLevel::kScalar);
-  const size_t n = 1000;
-  const std::vector<int32_t> values = MakeTile<int32_t>(n, 99);
-  BitVector in;
-  in.Resize(n);
-  for (size_t i = 0; i < n; i += 3) in.Set(i);
-  for (SimdLevel level : LevelsToTest()) {
-    config.Set(&Config::simd, level);
-    BitVector expected;
-    FilterConstBv<CmpOp::kGt, int32_t>(values.data(), n, 5, &expected);
-    expected.And(in);
-    BitVector got;
-    FilterConstBvRefine<CmpOp::kGt, int32_t>(values.data(), n, 5, in, &got);
-    EXPECT_TRUE(expected == got) << "level " << rapid::SimdLevelName(level);
   }
 }
 

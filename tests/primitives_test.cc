@@ -72,11 +72,11 @@ TEST(FilterTest, RefineOnlyTouchesQualifyingRows) {
   std::vector<int32_t> values = {0, 1, 2, 3, 4, 5, 6, 7};
   BitVector even(8);
   for (size_t i = 0; i < 8; i += 2) even.Set(i);
-  BitVector refined;
-  FilterConstBvRefine<CmpOp::kGt, int32_t>(values.data(), 8, 3, even,
-                                           &refined);
   std::vector<uint32_t> rids;
-  refined.ToRids(&rids);
+  even.ToRids(&rids);
+  rids.resize(FilterConstRidRefine<CmpOp::kGt, int32_t>(values.data(), 3,
+                                                        rids.data(),
+                                                        rids.size()));
   EXPECT_EQ(rids, (std::vector<uint32_t>{4, 6}));
 }
 
@@ -88,13 +88,16 @@ TEST(FilterTest, RefineEqualsEvalThenAndProperty) {
     for (auto& v : values) v = rng.NextInRange(0, 20);
     BitVector first;
     FilterConstBv<CmpOp::kGt, int64_t>(values.data(), n, 5, &first);
-    BitVector refined;
-    FilterConstBvRefine<CmpOp::kLt, int64_t>(values.data(), n, 15, first,
-                                             &refined);
+    std::vector<uint32_t> refined;
+    first.ToRids(&refined);
+    refined.resize(FilterConstRidRefine<CmpOp::kLt, int64_t>(
+        values.data(), 15, refined.data(), refined.size()));
     BitVector full;
     FilterConstBv<CmpOp::kLt, int64_t>(values.data(), n, 15, &full);
     full.And(first);
-    EXPECT_EQ(refined, full);
+    std::vector<uint32_t> want;
+    full.ToRids(&want);
+    EXPECT_EQ(refined, want);
   }
 }
 
@@ -130,13 +133,20 @@ TEST(FilterTest, DictSetMembership) {
   EXPECT_EQ(rids, (std::vector<uint32_t>{1, 2, 4}));
 }
 
-TEST(FilterTest, GatheredRidRefinement) {
-  std::vector<uint32_t> rids = {3, 8, 12, 20};
-  std::vector<int64_t> gathered = {5, 50, 7, 80};  // values at those rids
-  const size_t kept = FilterGatheredRid<CmpOp::kGt, int64_t>(gathered.data(),
-                                                             10, &rids);
+TEST(FilterTest, RidRefinementCompactsInPlace) {
+  std::vector<uint32_t> rids = {3, 8, 12, 20, 0};
+  std::vector<int64_t> values(21, 0);
+  values[3] = 5;
+  values[8] = 50;
+  values[12] = 7;
+  values[20] = 80;
+  // Only the first four entries are the list; the fifth stays put.
+  const size_t kept = FilterConstRidRefine<CmpOp::kGt, int64_t>(
+      values.data(), 10, rids.data(), 4);
   EXPECT_EQ(kept, 2u);
-  EXPECT_EQ(rids, (std::vector<uint32_t>{8, 20}));
+  EXPECT_EQ(rids[0], 8u);
+  EXPECT_EQ(rids[1], 20u);
+  EXPECT_EQ(rids[4], 0u);
 }
 
 TEST(FilterTest, NarrowTypesWork) {
